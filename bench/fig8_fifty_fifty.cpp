@@ -7,6 +7,9 @@
 // absolute time, because this benchmark issues half as many operations per
 // iteration count.
 //
+// Beyond the paper, `WF fps` adds the Michael–Scott fast path
+// (core/wf_queue_fps.hpp; see fig7_enq_deq.cpp for its expected shape).
+//
 // Flags: --threads N | --full, --iters N, --reps N, --prefill N, --pin,
 //        --csv, --json PATH (machine-readable series, schema kpq-bench-1).
 #include <cstdint>
@@ -14,6 +17,7 @@
 #include "baseline/ms_queue.hpp"
 #include "bench_common.hpp"
 #include "core/wf_queue.hpp"
+#include "core/wf_queue_fps.hpp"
 #include "harness/cli.hpp"
 
 int main(int argc, char** argv) {
@@ -28,11 +32,13 @@ int main(int argc, char** argv) {
   fig.add_series("LF");
   fig.add_series("base WF");
   fig.add_series("opt WF (1+2)");
+  fig.add_series("WF fps");
 
   for (std::uint32_t th : p.threads) {
     fig.add_cell(measure_fifty<ms_queue<std::uint64_t>>(th, p, prefill));
     fig.add_cell(measure_fifty<wf_queue_base<std::uint64_t>>(th, p, prefill));
     fig.add_cell(measure_fifty<wf_queue_opt<std::uint64_t>>(th, p, prefill));
+    fig.add_cell(measure_fifty<wf_queue_fps<std::uint64_t>>(th, p, prefill));
   }
   fig.print(p.threads);
   return 0;

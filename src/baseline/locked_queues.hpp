@@ -28,10 +28,15 @@ class two_lock_queue : public mem_tracked {
  public:
   using value_type = T;
 
-  explicit two_lock_queue(std::uint32_t /*max_threads*/ = 0) {
+  explicit two_lock_queue(std::uint32_t /*max_threads*/ = 0,
+                          mem_counters* mc = nullptr) {
+    set_memory_counters(mc);
     node* sentinel = alloc_node(T{});
     head_ = sentinel;
     tail_ = sentinel;
+    // Later unsinked traffic must not touch the baseline: it would be a
+    // race between the enqueue and dequeue locks (mem_tracker.hpp).
+    seal_baseline();
   }
 
   two_lock_queue(const two_lock_queue&) = delete;

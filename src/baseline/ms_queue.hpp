@@ -61,6 +61,7 @@ class ms_queue : public mem_tracked {
     node* sentinel = alloc_node(T{});
     head_.store(sentinel, std::memory_order_relaxed);
     tail_.store(sentinel, std::memory_order_relaxed);
+    seal_baseline();  // later unsinked traffic is not construction
     std::atomic_thread_fence(std::memory_order_seq_cst);
   }
 

@@ -38,11 +38,17 @@
 // the doorway argument, paper §5.3) — wait-free when the reclaimer is
 // wait-free (hazard pointers are; epoch reclamation bounds only memory, not
 // steps, see reclaim/epoch.hpp).
+//
+// Fast path (Options::fast_path): the default no_fast_path runs the scheme
+// above for every operation; ms_fast_path (below) puts bounded Michael–Scott
+// attempts in front of it, and wf_queue_fps.hpp names that configuration.
 #pragma once
 
 #include <atomic>
 #include <cassert>
 #include <cstdint>
+#include <cstdio>
+#include <cstdlib>
 #include <optional>
 #include <type_traits>
 #include <vector>
@@ -69,12 +75,90 @@ namespace testing {
 struct whitebox;
 }  // namespace testing
 
-/// Default (no-op) test hooks; see wf_options::hooks.
+/// Default (no-op) test hooks; see wf_options::hooks. A hooks struct may
+/// also provide `on_fast_attempt(tid, is_enqueue)`, called once per
+/// fast-path attempt (ms_fast_path only); the step-bound tests count these
+/// to prove the runtime patience knob never exceeds its ceiling.
 struct no_hooks {
   /// Called right after an operation descriptor is published in `state` and
   /// before helping starts — the exact point where a thread can stall with
   /// a pending operation that peers must complete for it.
   static void after_publish(std::uint32_t /*tid*/, bool /*is_enqueue*/) {}
+};
+
+// ------------------------------------------------------ fast-path policies
+// wf_queue derives from its Options::fast_path, so a policy's public members
+// (the patience knob) are the queue's.
+
+/// The paper's algorithm: every operation announces and takes the slow path.
+struct no_fast_path {
+  static constexpr bool has_fast_path = false;
+
+ protected:
+  explicit no_fast_path(std::uint32_t /*max_threads*/) {}
+};
+
+/// The §3.3 extension the paper points at ("apply techniques of [2] to have
+/// the time complexity of the algorithm depend on the number of threads
+/// concurrently accessing the queue rather than n"), realized the way Kogan
+/// & Petrank themselves later did (PPoPP'12, "A methodology for creating
+/// fast wait-free data structures"). Each operation
+///   1. probes one announce slot in cyclic order and helps the pending
+///      operation it finds to completion — so a slow-path operation is
+///      helped after at most n operations of each active peer;
+///   2. makes up to `patience` plain Michael–Scott attempts — contention-free
+///      cost is the MS queue's plus one probe, independent of n;
+///   3. then announces on the queue's own slow path.
+/// The paths share linearization points. Enqueue: the link CAS; a fast node
+/// carries enq_tid == no_tid, so helpers know there is no descriptor and
+/// only swing the tail. Dequeue: the sentinel's deqTid claim; a fast claim
+/// writes fast_claim_base + tid, so the write-once-per-node discipline that
+/// serializes dequeues holds across both paths.
+template <std::uint32_t MaxTries = 8, std::uint32_t Ceiling = 64>
+class ms_fast_path {
+  static_assert(MaxTries <= Ceiling,
+                "initial patience must respect the compile-time ceiling");
+
+ public:
+  static constexpr bool has_fast_path = true;
+  /// Every operation reads the knob once and clamps against this, so the
+  /// wait-free step bound is O(patience_ceiling + announce-and-help)
+  /// whatever a tuner (scale/tuner.hpp) stores concurrently.
+  static constexpr std::uint32_t patience_ceiling = Ceiling;
+
+  /// The paper's MAX_FAILURES as a runtime knob, clamped to [0, Ceiling];
+  /// 0 sends every operation straight to the slow path.
+  void set_patience(std::uint32_t tries) noexcept {
+    // kpq-order: relaxed pairs-with none (tuning knob; readers re-clamp to
+    // the compile-time ceiling, so any value they observe is safe)
+    patience_.value.store(tries > Ceiling ? Ceiling : tries,
+                          std::memory_order_relaxed);
+  }
+  std::uint32_t patience() const noexcept {
+    // kpq-order: relaxed pairs-with none (tuning knob read; may lag)
+    return patience_.value.load(std::memory_order_relaxed);
+  }
+
+ protected:
+  explicit ms_fast_path(std::uint32_t max_threads) : cursor_(max_threads) {}
+
+  /// This operation's attempt budget: the knob, clamped to the ceiling.
+  std::uint32_t budget() const noexcept {
+    const std::uint32_t p = patience();
+    return p < Ceiling ? p : Ceiling;
+  }
+
+  /// The announce slot `my` probes next (owner-only cyclic cursor).
+  std::uint32_t next_candidate(std::uint32_t my, std::uint32_t n) noexcept {
+    std::uint32_t& k = cursor_[my].value;
+    const std::uint32_t candidate = k;
+    k = (k + 1 == n) ? 0 : k + 1;
+    return candidate;
+  }
+
+ private:
+  std::vector<padded<std::uint32_t>> cursor_;
+  padded<std::atomic<std::uint32_t>> patience_{MaxTries};
 };
 
 /// Compile-time switches for the paper's §3.3 enhancements.
@@ -108,6 +192,8 @@ struct wf_options {
   /// before applying CAS in Lines 93 or 149" — skips the descriptor
   /// allocation and the CAS when another helper already completed step (2).
   static constexpr bool precheck_cas = false;
+  /// Fast-path policy: no_fast_path, or ms_fast_path (wf_queue_fps.hpp).
+  using fast_path = no_fast_path;
 };
 
 struct wf_options_no_cache : wf_options {
@@ -131,6 +217,35 @@ struct wf_options_residency : wf_options {
   using residency = obs::tick_residency;
 };
 
+/// A fast-path queue's fast/slow split (path_counters()). The slow-path
+/// share is the tuner's contention signal for the patience knob:
+/// a rising share means fast-path CAS attempts are being burned by
+/// contention and announcing earlier (or retrying longer) is worth
+/// reconsidering.
+struct fps_path_stats {
+  std::uint64_t fast_enqs = 0;
+  std::uint64_t slow_enqs = 0;
+  std::uint64_t fast_deqs = 0;
+  std::uint64_t slow_deqs = 0;
+
+  std::uint64_t ops() const noexcept {
+    return fast_enqs + slow_enqs + fast_deqs + slow_deqs;
+  }
+  double slow_rate() const noexcept {
+    const std::uint64_t n = ops();
+    return n == 0 ? 0.0
+                  : static_cast<double>(slow_enqs + slow_deqs) /
+                        static_cast<double>(n);
+  }
+  fps_path_stats& operator+=(const fps_path_stats& o) noexcept {
+    fast_enqs += o.fast_enqs;
+    slow_enqs += o.slow_enqs;
+    fast_deqs += o.fast_deqs;
+    slow_deqs += o.slow_deqs;
+    return *this;
+  }
+};
+
 /// Per-thread operation counters (collected when Options::collect_stats).
 /// Owner-thread-only updates: no atomics needed, padded against false
 /// sharing. The interesting derived quantity is the *helping rate*: how many
@@ -147,6 +262,11 @@ struct wf_counters {
   std::uint64_t link_cas_failures = 0;
   /// Descriptor installs that lost their CAS (recycled via the pool).
   std::uint64_t desc_cas_failures = 0;
+  /// Kept by ms_fast_path queues whatever collect_stats says. Unlike the
+  /// fields above these are relaxed atomic cells (std::atomic_ref, one
+  /// owner-written store per operation): the tuner samples them through
+  /// path_counters() while workers run.
+  fps_path_stats path;
 
   wf_counters& operator+=(const wf_counters& o) {
     enq_ops += o.enq_ops;
@@ -156,16 +276,26 @@ struct wf_counters {
     helped_deq_completions += o.helped_deq_completions;
     link_cas_failures += o.link_cas_failures;
     desc_cas_failures += o.desc_cas_failures;
+    path += o.path;
     return *this;
   }
 };
+
+/// A tid at or above max_threads() would index past the per-thread arrays;
+/// every build stops here instead (cold, out of line, never returns).
+[[noreturn, gnu::cold, gnu::noinline]] inline void tid_out_of_range(
+    std::uint32_t tid, std::uint32_t max_threads) {
+  std::fprintf(stderr, "kpq: tid %u out of range (max_threads %u)\n", tid,
+               max_threads);
+  std::abort();
+}
 
 template <typename T, typename HelpPolicy = help_all,
           typename PhasePolicy = scan_max_phase, typename Reclaimer = hp_domain,
           typename Options = wf_options,
           typename Storage = heap_node_storage<
               T, wf_node<T, obs::residency_policy_t<Options>::enabled>>>
-class wf_queue : public mem_tracked {
+class wf_queue : public mem_tracked, public Options::fast_path {
   static_assert(std::is_default_constructible_v<T>,
                 "op_desc carries a T payload slot");
   static_assert(std::is_copy_constructible_v<T>,
@@ -186,6 +316,8 @@ class wf_queue : public mem_tracked {
   using reclaimer_type = Reclaimer;
   using storage_type = Storage;
   using help_policy_type = HelpPolicy;
+  using fast_path_type = typename Options::fast_path;
+  using fast_path_type::has_fast_path;
   static_assert(std::is_same_v<typename Storage::node_type, node_type>,
                 "Storage must be instantiated with the queue's node type — "
                 "when residency is enabled the node carries the stamp, e.g. "
@@ -205,6 +337,10 @@ class wf_queue : public mem_tracked {
     s_node = 4
   };
 
+  /// deqTid encoding: no_tid free, [0, n) a slow-path claim by that thread,
+  /// fast_claim_base + tid a fast-path claim (no descriptor to complete).
+  static constexpr std::int32_t fast_claim_base = 1 << 20;
+
   /// `max_threads` bounds the number of distinct thread ids (dense, from
   /// kpq::this_thread_id() or passed explicitly) that may ever operate on
   /// this queue (paper: NUM_THRDS). Pass `mc` to account every node and
@@ -213,14 +349,15 @@ class wf_queue : public mem_tracked {
   /// time allocations accumulate into a baseline that the attach replays
   /// (mem_tracker.hpp).
   explicit wf_queue(std::uint32_t max_threads, mem_counters* mc = nullptr)
-      : n_(max_threads),
+      : fast_path_type(max_threads),
+        n_(max_threads),
         storage_(max_threads, this),
         reclaim_(max_threads, hp_slots),
         pool_(max_threads, Options::descriptor_cache, this),
         help_(max_threads),
         phase_(max_threads),
+        stats_(Options::collect_stats || has_fast_path ? max_threads : 0),
         state_(max_threads),
-        stats_(Options::collect_stats ? max_threads : 0),
         resi_(track_residency ? max_threads : 0) {
     set_memory_counters(mc);
     node_type* sentinel = alloc_node(0, T{}, no_tid);  // paper line 28
@@ -271,25 +408,42 @@ class wf_queue : public mem_tracked {
   void enqueue(T value) { enqueue(std::move(value), this_thread_id()); }
 
   void enqueue(T value, std::uint32_t tid) {
-    assert(tid < n_);
+    check_tid(tid);
     auto g = reclaim_.enter(tid);
-    const std::int64_t phase = phase_.next_phase(*this, g, tid);  // line 62
-    node_type* node =
-        alloc_node(tid, std::move(value), static_cast<std::int32_t>(tid));
-    // Residency stamp: written once pre-publication, like value/enq_tid.
-    if constexpr (track_residency) node->enq_ts = residency_type::now();
-    publish(tid, pool_.make(tid, phase, true, true, node));  // line 63
-    if constexpr (Options::collect_stats) ++stats_[tid]->enq_ops;
-    if constexpr (trace_type::enabled) {
-      trace_type::record(tid, obs::trace_kind::enq_publish, phase, 0);
+    if constexpr (has_fast_path) {
+      fast_probe(tid, g);
+      // Fast path: plain MS link attempts. enq_tid == no_tid marks a fast
+      // node: helpers only fix the tail for it.
+      node_type* node = alloc_node(tid, std::move(value), no_tid);
+      for (std::uint32_t k = 0, tries = this->budget(); k < tries; ++k) {
+        on_fast_attempt(tid, /*is_enq=*/true);
+        node_type* last = g.protect(s_last, tail_);
+        node_type* next = last->next.load(std::memory_order_seq_cst);
+        if (last != tail_.load(std::memory_order_seq_cst)) continue;
+        if (next != nullptr) {
+          help_finish_enq(tid, g);
+          continue;
+        }
+        node_type* expected = nullptr;
+        if (last->next.compare_exchange_strong(expected, node,
+                                               std::memory_order_seq_cst)) {
+          count_path(tid, &fps_path_stats::fast_enqs);
+          help_finish_enq(tid, g);
+          return;
+        }
+      }
+      // Slow path: adopt the node (it was never published) and announce.
+      count_path(tid, &fps_path_stats::slow_enqs);
+      node->enq_tid = static_cast<std::int32_t>(tid);
+      announce_enq(tid, phase_.next_phase(*this, g, tid), node, g);
+    } else {
+      const std::int64_t phase = phase_.next_phase(*this, g, tid);  // line 62
+      announce_enq(tid, phase,
+                   alloc_node(tid, std::move(value),
+                              static_cast<std::int32_t>(tid)),
+                   g);
+      if constexpr (Options::scrub_on_exit) scrub(tid, g, /*enq=*/true);
     }
-    Options::hooks::after_publish(tid, /*is_enqueue=*/true);
-    help_.run(*this, tid, phase, g);                         // line 64
-    help_finish_enq(tid, g);                                 // line 65
-    if constexpr (trace_type::enabled) {
-      trace_type::record(tid, obs::trace_kind::enq_complete, phase, 0);
-    }
-    if constexpr (Options::scrub_on_exit) scrub(tid, g, /*enq=*/true);
   }
 
   // ---------------------------------------------------------------- dequeue
@@ -298,35 +452,49 @@ class wf_queue : public mem_tracked {
   std::optional<T> dequeue() { return dequeue(this_thread_id()); }
 
   std::optional<T> dequeue(std::uint32_t tid) {
-    assert(tid < n_);
+    check_tid(tid);
     auto g = reclaim_.enter(tid);
-    const std::int64_t phase = phase_.next_phase(*this, g, tid);   // line 99
-    publish(tid, pool_.make(tid, phase, true, false, nullptr));    // line 100
-    if constexpr (Options::collect_stats) ++stats_[tid]->deq_ops;
-    if constexpr (trace_type::enabled) {
-      trace_type::record(tid, obs::trace_kind::deq_publish, phase, 0);
+    if constexpr (has_fast_path) {
+      fast_probe(tid, g);
+      // Fast path: claim the sentinel's deqTid with a fast marker. The claim
+      // is the linearization point of both paths, so fast and slow dequeues
+      // serialize through the same write-once field.
+      for (std::uint32_t k = 0, tries = this->budget(); k < tries; ++k) {
+        on_fast_attempt(tid, /*is_enq=*/false);
+        node_type* first = g.protect(s_first, head_);
+        node_type* last = tail_.load(std::memory_order_seq_cst);
+        node_type* next = g.protect(s_next, first->next);
+        if (first != head_.load(std::memory_order_seq_cst)) continue;
+        if (first == last) {
+          if (next == nullptr) {  // empty, like MS
+            count_path(tid, &fps_path_stats::fast_deqs);
+            return std::nullopt;
+          }
+          help_finish_enq(tid, g);  // dangling enqueue first
+          continue;
+        }
+        // `next` is safe to read: first == head implies it is not retired.
+        T value = next->value;
+        const residency_base<track_residency> stamp = *next;
+        std::int32_t expected = no_tid;
+        if (first->deq_tid.compare_exchange_strong(
+                expected, fast_claim_base + static_cast<std::int32_t>(tid),
+                std::memory_order_seq_cst)) {
+          count_path(tid, &fps_path_stats::fast_deqs);
+          help_finish_deq(tid, g);  // swing head; winner retires sentinel
+          record_residency(tid, stamp);
+          return value;
+        }
+        help_finish_deq(tid, g);  // someone else claimed it: finish, retry
+      }
+      count_path(tid, &fps_path_stats::slow_deqs);
+      return announce_deq(tid, phase_.next_phase(*this, g, tid), g);
+    } else {
+      const std::int64_t phase = phase_.next_phase(*this, g, tid);  // line 99
+      std::optional<T> result = announce_deq(tid, phase, g);
+      if constexpr (Options::scrub_on_exit) scrub(tid, g, /*enq=*/false);
+      return result;
     }
-    Options::hooks::after_publish(tid, /*is_enqueue=*/false);
-    help_.run(*this, tid, phase, g);                               // line 101
-    help_finish_deq(tid, g);                                       // line 102
-    // Our completed descriptor may still be replaced by an equivalent copy
-    // by a helper finishing stage 2/3 late, so protect before reading.
-    desc_type* d = g.protect(s_desc, state_[tid].get());           // line 103
-    std::optional<T> result;
-    if (d->node != nullptr) {
-      result = d->value;  // §3.4: payload lives in d
-      record_residency(tid, *d);
-    }
-    if constexpr (Options::collect_stats) {
-      if (!result.has_value()) ++stats_[tid]->empty_deqs;
-    }
-    if constexpr (trace_type::enabled) {
-      trace_type::record(tid, obs::trace_kind::deq_complete, phase,
-                         result.has_value() ? 1 : 0);
-    }
-    g.clear(s_desc);
-    if constexpr (Options::scrub_on_exit) scrub(tid, g, /*enq=*/false);
-    return result;  // d->node == nullptr: linearized on an empty queue
   }
 
   // ---------------------------------------------------------------- batched
@@ -351,28 +519,23 @@ class wf_queue : public mem_tracked {
   // changes cost, never semantics. With scan_max_phase the saving is an
   // O(max_threads) state scan per item; with fetch_add_phase it is the
   // shared-counter RMW — the cross-thread rendezvous either way.
+  //
+  // Fast-path queues have no native bulk form: a batch amortizes slow-path
+  // costs their common path does not pay, so scale/batch.hpp falls back to
+  // per-item calls for them.
 
   /// Enqueue [first, last) under one guard and one phase.
   template <typename It>
-  void enqueue_bulk(It first, It last, std::uint32_t tid) {
-    assert(tid < n_);
+  void enqueue_bulk(It first, It last, std::uint32_t tid)
+    requires(!has_fast_path)
+  {
+    check_tid(tid);
     if (first == last) return;
     auto g = reclaim_.enter(tid);
     const std::int64_t phase = phase_.next_phase(*this, g, tid);
     for (; first != last; ++first) {
-      node_type* node = alloc_node(tid, *first, static_cast<std::int32_t>(tid));
-      if constexpr (track_residency) node->enq_ts = residency_type::now();
-      publish(tid, pool_.make(tid, phase, true, true, node));
-      if constexpr (Options::collect_stats) ++stats_[tid]->enq_ops;
-      if constexpr (trace_type::enabled) {
-        trace_type::record(tid, obs::trace_kind::enq_publish, phase, 0);
-      }
-      Options::hooks::after_publish(tid, /*is_enqueue=*/true);
-      help_.run(*this, tid, phase, g);
-      help_finish_enq(tid, g);
-      if constexpr (trace_type::enabled) {
-        trace_type::record(tid, obs::trace_kind::enq_complete, phase, 0);
-      }
+      announce_enq(tid, phase,
+                   alloc_node(tid, *first, static_cast<std::int32_t>(tid)), g);
     }
     if constexpr (Options::scrub_on_exit) scrub(tid, g, /*enq=*/true);
   }
@@ -380,37 +543,18 @@ class wf_queue : public mem_tracked {
   /// Pop up to `max` items (appended to `out`) under one guard and one
   /// phase; stops at the first empty-linearized dequeue. Returns the count.
   std::size_t dequeue_bulk(std::vector<T>& out, std::size_t max,
-                           std::uint32_t tid) {
-    assert(tid < n_);
+                           std::uint32_t tid)
+    requires(!has_fast_path)
+  {
+    check_tid(tid);
     if (max == 0) return 0;
     auto g = reclaim_.enter(tid);
     const std::int64_t phase = phase_.next_phase(*this, g, tid);
     std::size_t got = 0;
-    while (got < max) {
-      publish(tid, pool_.make(tid, phase, true, false, nullptr));
-      if constexpr (Options::collect_stats) ++stats_[tid]->deq_ops;
-      if constexpr (trace_type::enabled) {
-        trace_type::record(tid, obs::trace_kind::deq_publish, phase, 0);
-      }
-      Options::hooks::after_publish(tid, /*is_enqueue=*/false);
-      help_.run(*this, tid, phase, g);
-      help_finish_deq(tid, g);
-      desc_type* d = g.protect(s_desc, state_[tid].get());
-      const bool hit = d->node != nullptr;
-      if (hit) {
-        out.push_back(d->value);
-        record_residency(tid, *d);
-      }
-      if constexpr (trace_type::enabled) {
-        trace_type::record(tid, obs::trace_kind::deq_complete, phase,
-                           hit ? 1 : 0);
-      }
-      g.clear(s_desc);
-      if (!hit) {
-        if constexpr (Options::collect_stats) ++stats_[tid]->empty_deqs;
-        break;
-      }
-      ++got;
+    for (; got < max; ++got) {
+      std::optional<T> item = announce_deq(tid, phase, g);
+      if (!item.has_value()) break;
+      out.push_back(std::move(*item));
     }
     if constexpr (Options::scrub_on_exit) scrub(tid, g, /*enq=*/false);
     return got;
@@ -429,6 +573,7 @@ class wf_queue : public mem_tracked {
 
   /// True if the queue looked empty at some point during the call.
   bool empty_hint(std::uint32_t tid) {
+    check_tid(tid);
     auto g = reclaim_.enter(tid);
     node_type* first = g.protect(s_first, head_);
     node_type* last = tail_.load(std::memory_order_seq_cst);
@@ -459,6 +604,24 @@ class wf_queue : public mem_tracked {
   wf_counters aggregate_counters() const {
     wf_counters total;
     for (const auto& s : stats_) total += s.get();
+    return total;
+  }
+
+  /// Fast-path queues only: per-thread fast/slow split, read from
+  /// wf_counters' relaxed cells — exact at quiescence, a momentary estimate
+  /// during a run.
+  fps_path_stats path_counters(std::uint32_t tid) const noexcept
+    requires has_fast_path
+  {
+    const fps_path_stats& c = stats_[tid]->path;
+    return {load_cell(c.fast_enqs), load_cell(c.slow_enqs),
+            load_cell(c.fast_deqs), load_cell(c.slow_deqs)};
+  }
+  fps_path_stats aggregate_path_counters() const noexcept
+    requires has_fast_path
+  {
+    fps_path_stats total;
+    for (std::uint32_t t = 0; t < n_; ++t) total += path_counters(t);
     return total;
   }
 
@@ -504,24 +667,7 @@ class wf_queue : public mem_tracked {
                       std::uint32_t my) {
     desc_type* d = g.protect(s_desc, state_[i].get());
     if (d->pending && d->phase <= phase) {  // line 39
-      // A helping episode: this thread works on thread i's operation. Own
-      // operations (i == my) are not episodes — that is just completing.
-      // The victim's phase is captured while `d` is still hazard-protected:
-      // help_enq/help_deq reuse the s_desc slot, and completion retires the
-      // descriptor, so `d` must not be dereferenced after they return.
-      const bool traced_episode = trace_type::enabled && i != my;
-      const std::int64_t victim_phase = traced_episode ? d->phase : 0;
-      if (traced_episode) {
-        trace_type::record(my, obs::trace_kind::help_start, victim_phase, i);
-      }
-      if (d->enqueue) {
-        help_enq(i, phase, g, my);  // line 41
-      } else {
-        help_deq(i, phase, g, my);  // line 43
-      }
-      if (traced_episode) {
-        trace_type::record(my, obs::trace_kind::help_finish, victim_phase, i);
-      }
+      help_op(i, d, phase, g, my);
     }
   }
 
@@ -530,13 +676,21 @@ class wf_queue : public mem_tracked {
 
   using state_slot = std::atomic<desc_type*>;
 
+  void check_tid(std::uint32_t tid) const noexcept {
+    if (tid >= n_) [[unlikely]] tid_out_of_range(tid, n_);
+  }
+
   // ------------------------------------------------------------- allocation
   // Nodes live wherever the Storage policy puts them (storage/); descriptors
   // stay heap objects recycled through desc_pool — they are small, reused
   // aggressively, and their lifetime is tied to `state`, not the list.
 
   node_type* alloc_node(std::uint32_t tid, T v, std::int32_t etid) {
-    return storage_.alloc(tid, std::move(v), etid, reclaim_);
+    node_type* node = storage_.alloc(tid, std::move(v), etid, reclaim_);
+    // Residency stamp: written once pre-publication, like value/enq_tid (a
+    // fast node adopted by the slow path keeps it).
+    if constexpr (track_residency) node->enq_ts = residency_type::now();
+    return node;
   }
   void free_desc(desc_type* d) noexcept {
     account_free(sizeof(desc_type));
@@ -583,7 +737,130 @@ class wf_queue : public mem_tracked {
     return false;
   }
 
+  // --------------------------------------------------------------- slow path
+
+  /// paper lines 63-65 (a bulk enqueue reuses one phase for every item).
+  template <typename Guard>
+  void announce_enq(std::uint32_t tid, std::int64_t phase, node_type* node,
+                    Guard& g) {
+    publish(tid, pool_.make(tid, phase, true, true, node));  // line 63
+    if constexpr (Options::collect_stats) ++stats_[tid]->enq_ops;
+    if constexpr (trace_type::enabled) {
+      trace_type::record(tid, obs::trace_kind::enq_publish, phase, 0);
+    }
+    Options::hooks::after_publish(tid, /*is_enqueue=*/true);
+    if constexpr (has_fast_path) {
+      help_enq(tid, phase, g, tid);  // the fast probe already helped a peer
+    } else {
+      help_.run(*this, tid, phase, g);  // line 64
+    }
+    help_finish_enq(tid, g);  // line 65
+    if constexpr (trace_type::enabled) {
+      trace_type::record(tid, obs::trace_kind::enq_complete, phase, 0);
+    }
+  }
+
+  /// paper lines 100-107; nullopt means linearized on an empty queue.
+  template <typename Guard>
+  std::optional<T> announce_deq(std::uint32_t tid, std::int64_t phase,
+                                Guard& g) {
+    publish(tid, pool_.make(tid, phase, true, false, nullptr));  // line 100
+    if constexpr (Options::collect_stats) ++stats_[tid]->deq_ops;
+    if constexpr (trace_type::enabled) {
+      trace_type::record(tid, obs::trace_kind::deq_publish, phase, 0);
+    }
+    Options::hooks::after_publish(tid, /*is_enqueue=*/false);
+    if constexpr (has_fast_path) {
+      help_deq(tid, phase, g, tid);  // the fast probe already helped a peer
+    } else {
+      help_.run(*this, tid, phase, g);  // line 101
+    }
+    help_finish_deq(tid, g);  // line 102
+    // Our completed descriptor may still be replaced by an equivalent copy
+    // by a helper finishing stage 2/3 late, so protect before reading.
+    desc_type* d = g.protect(s_desc, state_[tid].get());  // line 103
+    std::optional<T> result;
+    if (d->node != nullptr) {
+      result = d->value;  // §3.4: payload lives in d
+      record_residency(tid, *d);
+    }
+    if constexpr (Options::collect_stats) {
+      if (!result.has_value()) ++stats_[tid]->empty_deqs;
+    }
+    if constexpr (trace_type::enabled) {
+      trace_type::record(tid, obs::trace_kind::deq_complete, phase,
+                         result.has_value() ? 1 : 0);
+    }
+    g.clear(s_desc);
+    return result;
+  }
+
+  // --------------------------------------------------------------- fast path
+  // ms_fast_path only (the policy's comment has the design).
+
+  /// One cyclic probe: help whatever announced operation sits at the
+  /// cursor, to completion. A fast operation has no phase of its own, so
+  /// the victim's phase bounds the help.
+  template <typename Guard>
+  void fast_probe(std::uint32_t my, Guard& g) {
+    const std::uint32_t i = this->next_candidate(my, n_);
+    if (i == my) return;
+    desc_type* d = g.protect(s_desc, state_[i].get());
+    if (d->pending) help_op(i, d, d->phase, g, my);
+  }
+
+  /// Optional on a hooks struct, so hook types without it keep compiling.
+  static void on_fast_attempt(std::uint32_t tid, bool is_enq) {
+    if constexpr (requires { Options::hooks::on_fast_attempt(tid, is_enq); }) {
+      Options::hooks::on_fast_attempt(tid, is_enq);
+    }
+  }
+
+  /// The path cells of wf_counters are read only through this.
+  static std::uint64_t load_cell(const std::uint64_t& cell) noexcept {
+    // std::atomic_ref<const T> is C++26; the cells are never const objects.
+    const std::atomic_ref ref(const_cast<std::uint64_t&>(cell));
+    // kpq-order: relaxed pairs-with none (owner-written statistics; exact
+    // at quiescence, momentary estimate during a run — documented contract)
+    return ref.load(std::memory_order_relaxed);
+  }
+
+  /// Owner-thread, non-RMW path accounting: one relaxed store per op.
+  void count_path(std::uint32_t tid,
+                  std::uint64_t fps_path_stats::* field) noexcept {
+    const std::atomic_ref cell(stats_[tid]->path.*field);
+    // kpq-order: relaxed pairs-with none (owner-thread statistics cell; the
+    // non-RMW load+store is safe because only `tid` ever writes this cell)
+    cell.store(cell.load(std::memory_order_relaxed) + 1,
+               std::memory_order_relaxed);
+  }
+
   // ----------------------------------------------------------------- helping
+
+  /// paper lines 40-44: help thread i's pending operation `d` (protected by
+  /// the caller in s_desc) while it stays pending with phase <= `phase`.
+  template <typename Guard>
+  void help_op(std::uint32_t i, desc_type* d, std::int64_t phase, Guard& g,
+               std::uint32_t my) {
+    // A helping episode: this thread works on thread i's operation. Own
+    // operations (i == my) are not episodes — that is just completing.
+    // The victim's phase is captured while `d` is still hazard-protected:
+    // help_enq/help_deq reuse the s_desc slot, and completion retires the
+    // descriptor, so `d` must not be dereferenced after they return.
+    const bool traced_episode = trace_type::enabled && i != my;
+    const std::int64_t victim_phase = traced_episode ? d->phase : 0;
+    if (traced_episode) {
+      trace_type::record(my, obs::trace_kind::help_start, victim_phase, i);
+    }
+    if (d->enqueue) {
+      help_enq(i, phase, g, my);  // line 41
+    } else {
+      help_deq(i, phase, g, my);  // line 43
+    }
+    if (traced_episode) {
+      trace_type::record(my, obs::trace_kind::help_finish, victim_phase, i);
+    }
+  }
 
   /// paper lines 58-60 (descriptor must be re-read each call; the returned
   /// snapshot is consistent because descriptors are immutable).
@@ -646,6 +923,14 @@ class wf_queue : public mem_tracked {
     // sees it (Michael 2004 uses the same validate-the-source pattern).
     if (last != tail_.load(std::memory_order_seq_cst)) return;
     const std::int32_t etid = next->enq_tid;           // line 89
+    if constexpr (has_fast_path) {
+      // A fast node has no descriptor: only step 3 applies, and skipping
+      // step 2 is safe precisely because nothing is pending for it.
+      if (etid == no_tid) {
+        tail_.compare_exchange_strong(last, next, std::memory_order_seq_cst);
+        return;
+      }
+    }
     assert(etid != no_tid);
     const auto tid = static_cast<std::uint32_t>(etid);
     desc_type* cur = g.protect(s_desc, state_[tid].get());  // line 90
@@ -720,6 +1005,18 @@ class wf_queue : public mem_tracked {
     const std::int32_t dtid =
         first->deq_tid.load(std::memory_order_seq_cst);  // line 144
     if (dtid == no_tid) return;                          // line 145
+    if constexpr (has_fast_path) {
+      // A fast claim has no descriptor either: only the head swing.
+      if (dtid >= fast_claim_base) {
+        if (first == head_.load(std::memory_order_seq_cst) &&
+            next != nullptr &&
+            head_.compare_exchange_strong(first, next,
+                                          std::memory_order_seq_cst)) {
+          retire_node(my, first);
+        }
+        return;
+      }
+    }
     const auto tid = static_cast<std::uint32_t>(dtid);
     desc_type* cur = g.protect(s_desc, state_[tid].get());  // line 146
     if (first == head_.load(std::memory_order_seq_cst) &&
@@ -750,15 +1047,17 @@ class wf_queue : public mem_tracked {
   }
 
   /// Residency measurement at dequeue-completion: the stamp was taken at
-  /// enqueue-publish and carried through help_finish_deq into `d`. Clamped
-  /// at zero against cross-core TSC skew (invariant TSC keeps this rare).
-  void record_residency(std::uint32_t tid, const desc_type& d) noexcept {
+  /// enqueue-publish and carried to the dequeuer (into its descriptor by
+  /// help_finish_deq, or copied off the node by a fast claim). Clamped at
+  /// zero against cross-core TSC skew (invariant TSC keeps this rare).
+  void record_residency(std::uint32_t tid,
+                        const residency_base<track_residency>& s) noexcept {
     if constexpr (track_residency) {
       const std::uint64_t now = residency_type::now();
-      resi_.add(tid, now > d.enq_ts ? now - d.enq_ts : 0);
+      resi_.add(tid, now > s.enq_ts ? now - s.enq_ts : 0);
     } else {
       (void)tid;
-      (void)d;
+      (void)s;
     }
   }
 
@@ -779,11 +1078,14 @@ class wf_queue : public mem_tracked {
   desc_pool<T, track_residency> pool_;
   HelpPolicy help_;
   PhasePolicy phase_;
+  // Empty unless collect_stats or a fast path (its path cells live here).
+  // Declared before head_/tail_: count_path reads this header on every
+  // fast-path op, so it must not share the tail's written cache line.
+  std::vector<padded<wf_counters>> stats_;
 
   alignas(destructive_interference) std::atomic<node_type*> head_{nullptr};
   alignas(destructive_interference) std::atomic<node_type*> tail_{nullptr};
   std::vector<padded<state_slot>> state_;  // paper line 26
-  std::vector<padded<wf_counters>> stats_;  // empty unless collect_stats
   obs::residency_probe resi_;  // empty unless track_residency
 };
 

@@ -1,56 +1,17 @@
-// Fast-path/slow-path wait-free queue — the §3.3 extension the paper points
-// at ("apply techniques of [2] to have the time complexity of the algorithm
-// depend on the number of threads concurrently accessing the queue rather
-// than n"), realized the way Kogan & Petrank themselves later did (PPoPP'12
-// "A methodology for creating fast wait-free data structures"):
+// Fast-path/slow-path wait-free queue: wf_queue with the ms_fast_path policy
+// (core/fast_path_policy.hpp has the design and the wait-freedom argument)
+// in front of the paper's slow path, run with help_one + fetch_add_phase.
 //
-//   * FAST PATH: up to `max_tries` attempts of the plain Michael–Scott
-//     lock-free operation. Contention-free cost is therefore the MS queue's
-//     cost plus one cyclic helping probe — independent of n.
-//   * SLOW PATH: on exhaustion, fall back to the KP announce-and-help
-//     machinery (descriptor, phase, helping), which bounds the total steps.
-//   * INTEROP: the two paths share linearization points.
-//       - enqueue: the link CAS is the linearization for both; fast nodes
-//         carry enq_tid == -1 so helpers know there is no descriptor to
-//         complete and only the tail needs fixing (step 2 is skipped, which
-//         is safe exactly because nothing is pending).
-//       - dequeue: BOTH paths claim the sentinel's deqTid — the fast path
-//         writes an encoded "fast" claim — so the write-once-per-node
-//         discipline that serializes dequeues is preserved, and either kind
-//         of claim can be finished by any thread.
-//   * WAIT-FREEDOM: every operation first probes one announce slot in
-//     cyclic order (like opt 1) and helps a pending operation to
-//     completion, so a slow-path operation is helped after at most n
-//     operations of each active peer; the fast path itself is bounded by
-//     `max_tries`.
-//
-// The reclamation discipline (pins on every CAS expected/desired value, the
-// validate-the-source rule for the dangling node) is identical to
-// wf_queue.hpp — see docs/ALGORITHM.md §2.
+// This header keeps the FPS options vocabulary — patience, its ceiling, and
+// hooks that fire at the slow-path announce — and maps it onto the core's
+// wf_options.
 #pragma once
 
-#include <atomic>
-#include <cassert>
 #include <cstdint>
-#include <optional>
-#include <type_traits>
-#include <vector>
 
-#include "core/desc_pool.hpp"
-#include "core/op_desc.hpp"
-#include "harness/mem_tracker.hpp"
-#include "obs/residency.hpp"
-#include "reclaim/hazard_pointers.hpp"
-#include "storage/heap_node_storage.hpp"
-#include "storage/storage_concepts.hpp"
-#include "sync/cacheline.hpp"
-#include "sync/thread_registry.hpp"
+#include "core/wf_queue.hpp"
 
 namespace kpq {
-
-namespace testing {
-struct whitebox;  // test-only white-box driver (defined in test targets)
-}  // namespace testing
 
 /// Hooks for the fast-path/slow-path queue (progress tests stall threads at
 /// the slow-path announce point, exactly as for wf_queue). A hooks struct
@@ -85,586 +46,29 @@ struct fps_options_residency : fps_options {
   using residency = obs::tick_residency;
 };
 
-/// Owner-thread-updated fast/slow path counters (one non-RMW relaxed store
-/// per operation; padded per thread). The slow-path share is the tuner's
-/// contention signal for the patience knob: a rising share means fast-path
-/// CAS attempts are being burned by contention and announcing earlier (or
-/// retrying longer) is worth reconsidering.
-struct fps_path_stats {
-  std::uint64_t fast_enqs = 0;
-  std::uint64_t slow_enqs = 0;
-  std::uint64_t fast_deqs = 0;
-  std::uint64_t slow_deqs = 0;
+/// FPS hooks seen through the core's interface: the core's announce hook is
+/// the slow-path publish; on_fast_attempt is inherited when present.
+template <typename Hooks>
+struct fps_hooks : Hooks {
+  static void after_publish(std::uint32_t tid, bool is_enq) {
+    Hooks::after_slow_publish(tid, is_enq);
+  }
+};
 
-  std::uint64_t ops() const noexcept {
-    return fast_enqs + slow_enqs + fast_deqs + slow_deqs;
-  }
-  double slow_rate() const noexcept {
-    const std::uint64_t n = ops();
-    return n == 0 ? 0.0
-                  : static_cast<double>(slow_enqs + slow_deqs) /
-                        static_cast<double>(n);
-  }
-  fps_path_stats& operator+=(const fps_path_stats& o) noexcept {
-    fast_enqs += o.fast_enqs;
-    slow_enqs += o.slow_enqs;
-    fast_deqs += o.fast_deqs;
-    slow_deqs += o.slow_deqs;
-    return *this;
-  }
+/// An fps_options struct mapped onto the core's options.
+template <typename O>
+struct fps_core_options : wf_options {
+  using hooks = fps_hooks<typename O::hooks>;
+  using residency = obs::residency_policy_t<O>;
+  static constexpr bool descriptor_cache = O::descriptor_cache;
+  using fast_path = ms_fast_path<O::max_tries, O::max_tries_ceiling>;
 };
 
 template <typename T, typename Reclaimer = hp_domain,
           typename Options = fps_options,
           typename Storage = heap_node_storage<
               T, wf_node<T, obs::residency_policy_t<Options>::enabled>>>
-class wf_queue_fps : public mem_tracked {
-  static_assert(std::is_default_constructible_v<T>);
-  static_assert(std::is_copy_constructible_v<T>);
-  static_assert(Options::max_tries <= Options::max_tries_ceiling,
-                "initial patience must respect the compile-time ceiling");
-  static_assert(node_storage_for<Storage, Reclaimer>,
-                "Storage must satisfy the node-storage contract "
-                "(storage/storage_concepts.hpp)");
-
- public:
-  /// Residency policy from the Options (structural; see obs/residency.hpp).
-  using residency_type = obs::residency_policy_t<Options>;
-  static constexpr bool track_residency = residency_type::enabled;
-
-  using value_type = T;
-  using node_type = wf_node<T, track_residency>;
-  using desc_type = op_desc<T, track_residency>;
-  using reclaimer_type = Reclaimer;
-  using storage_type = Storage;
-  static_assert(std::is_same_v<typename Storage::node_type, node_type>,
-                "Storage must be instantiated with the queue's node type "
-                "(stamped when the residency policy is enabled)");
-
-  static constexpr std::uint32_t hp_slots = 5;
-  enum slot : std::uint32_t {
-    s_first = 0,
-    s_last = 1,
-    s_next = 2,
-    s_desc = 3,
-    s_node = 4
-  };
-
-  /// deqTid encoding: no_tid free, [0, n) slow-path claim by that thread,
-  /// fast_claim_base + tid a fast-path claim (no descriptor to complete).
-  static constexpr std::int32_t fast_claim_base = 1 << 20;
-  static bool is_fast_claim(std::int32_t dtid) noexcept {
-    return dtid >= fast_claim_base;
-  }
-
-  explicit wf_queue_fps(std::uint32_t max_threads, mem_counters* mc = nullptr)
-      : n_(max_threads),
-        storage_(max_threads, this),
-        reclaim_(max_threads, hp_slots),
-        pool_(max_threads, Options::descriptor_cache, this),
-        cursor_(max_threads),
-        path_stats_(max_threads),
-        state_(max_threads),
-        resi_(track_residency ? max_threads : 0) {
-    set_memory_counters(mc);
-    node_type* sentinel = alloc_node(0, T{}, no_tid);
-    // kpq-order: relaxed pairs-with the ctor-exit seq_cst fence below —
-    // no other thread can touch the queue before the ctor returns
-    head_.store(sentinel, std::memory_order_relaxed);
-    // kpq-order: relaxed pairs-with the ctor-exit seq_cst fence below
-    tail_.store(sentinel, std::memory_order_relaxed);
-    for (std::uint32_t i = 0; i < n_; ++i) {
-      // kpq-order: relaxed pairs-with the ctor-exit seq_cst fence below
-      state_[i]->store(pool_.make(i, no_phase, false, true, nullptr),
-                       std::memory_order_relaxed);
-    }
-    seal_baseline();
-    std::atomic_thread_fence(std::memory_order_seq_cst);
-  }
-
-  wf_queue_fps(const wf_queue_fps&) = delete;
-  wf_queue_fps& operator=(const wf_queue_fps&) = delete;
-
-  ~wf_queue_fps() {
-    // kpq-order: relaxed pairs-with none (destructor requires quiescence:
-    // the caller must have joined every thread that used the queue)
-    node_type* n = head_.load(std::memory_order_relaxed);
-    while (n != nullptr) {
-      // kpq-hazard: quiescent — no concurrent retirement during destruction
-      // kpq-order: relaxed pairs-with none (quiescent, see above)
-      node_type* next = n->next.load(std::memory_order_relaxed);
-      storage_.release(n);
-      n = next;
-    }
-    for (std::uint32_t i = 0; i < n_; ++i) {
-      // kpq-order: relaxed pairs-with none (quiescent, see above)
-      desc_type* d = state_[i]->load(std::memory_order_relaxed);
-      assert(!d->pending && "destroying a queue with an operation in flight");
-      free_desc(d);
-    }
-  }
-
-  // ---------------------------------------------------------------- enqueue
-
-  void enqueue(T value) { enqueue(std::move(value), this_thread_id()); }
-
-  void enqueue(T value, std::uint32_t tid) {
-    assert(tid < n_);
-    auto g = reclaim_.enter(tid);
-    help_someone(tid, g);  // wait-freedom: one cyclic probe per operation
-
-    // Fast path: plain MS enqueue, bounded attempts. enq_tid = -1 marks a
-    // fast node: helpers fix only the tail for it. The patience knob is
-    // read ONCE per operation and clamped against the compile-time
-    // ceiling, so a concurrent set_patience can never unbound this loop.
-    node_type* node = alloc_node(tid, std::move(value), no_tid);
-    // Residency stamp: once, pre-publication; the slow path adopts the same
-    // node, so one stamp covers both paths.
-    if constexpr (track_residency) node->enq_ts = residency_type::now();
-    const std::uint32_t tries = patience_now();
-    for (std::uint32_t attempt = 0; attempt < tries; ++attempt) {
-      on_fast_attempt(tid, /*is_enq=*/true);
-      node_type* last = g.protect(s_last, tail_);
-      node_type* next = last->next.load(std::memory_order_seq_cst);
-      if (last != tail_.load(std::memory_order_seq_cst)) continue;
-      if (next == nullptr) {
-        node_type* expected = nullptr;
-        if (last->next.compare_exchange_strong(expected, node,
-                                               std::memory_order_seq_cst)) {
-          count_path(tid, /*slow=*/false, /*is_enq=*/true);
-          help_finish_enq(tid, g);
-          return;
-        }
-      } else {
-        help_finish_enq(tid, g);
-      }
-    }
-
-    // Slow path: adopt the node (it was never published) and announce.
-    count_path(tid, /*slow=*/true, /*is_enq=*/true);
-    node->enq_tid = static_cast<std::int32_t>(tid);
-    const std::int64_t phase =
-        // kpq-order: acq_rel pairs-with the other phase_counter_ fetch_adds
-        // — the RMW chain keeps phases monotone (Bakery doorway, cf.
-        // fetch_add_phase)
-        phase_counter_->fetch_add(1, std::memory_order_acq_rel);
-    publish(tid, pool_.make(tid, phase, true, true, node));
-    Options::hooks::after_slow_publish(tid, /*is_enq=*/true);
-    help_enq(tid, phase, g, tid);
-    help_finish_enq(tid, g);
-  }
-
-  // ---------------------------------------------------------------- dequeue
-
-  std::optional<T> dequeue() { return dequeue(this_thread_id()); }
-
-  std::optional<T> dequeue(std::uint32_t tid) {
-    assert(tid < n_);
-    auto g = reclaim_.enter(tid);
-    help_someone(tid, g);
-
-    // Fast path: claim the sentinel's deqTid with a fast marker; the claim
-    // is the linearization for both paths, so fast and slow dequeues
-    // serialize through the same write-once field. Patience read once,
-    // clamped to the ceiling (see enqueue).
-    const std::uint32_t tries = patience_now();
-    for (std::uint32_t attempt = 0; attempt < tries; ++attempt) {
-      on_fast_attempt(tid, /*is_enq=*/false);
-      node_type* first = g.protect(s_first, head_);
-      node_type* last = tail_.load(std::memory_order_seq_cst);
-      node_type* next = g.protect(s_next, first->next);
-      if (first != head_.load(std::memory_order_seq_cst)) continue;
-      if (first == last) {
-        if (next == nullptr) {
-          count_path(tid, /*slow=*/false, /*is_enq=*/false);
-          return std::nullopt;  // empty, like MS
-        }
-        help_finish_enq(tid, g);  // dangling enqueue first
-        continue;
-      }
-      // `next` is safe to read: first == head implies next not yet retired.
-      T value = next->value;
-      std::uint64_t enq_ts = 0;
-      if constexpr (track_residency) enq_ts = next->enq_ts;
-      std::int32_t expected = no_tid;
-      if (first->deq_tid.compare_exchange_strong(
-              expected, fast_claim_base + static_cast<std::int32_t>(tid),
-              std::memory_order_seq_cst)) {
-        count_path(tid, /*slow=*/false, /*is_enq=*/false);
-        help_finish_deq(tid, g);  // swing head; winner retires the sentinel
-        record_residency(tid, enq_ts);
-        return value;
-      }
-      // Someone else (fast or slow) claimed it: finish them, retry.
-      help_finish_deq(tid, g);
-    }
-
-    // Slow path: the base algorithm's dequeue.
-    count_path(tid, /*slow=*/true, /*is_enq=*/false);
-    const std::int64_t phase =
-        // kpq-order: acq_rel pairs-with the other phase_counter_ fetch_adds
-        // — same doorway as the slow-path enqueue above
-        phase_counter_->fetch_add(1, std::memory_order_acq_rel);
-    publish(tid, pool_.make(tid, phase, true, false, nullptr));
-    Options::hooks::after_slow_publish(tid, /*is_enq=*/false);
-    help_deq(tid, phase, g, tid);
-    help_finish_deq(tid, g);
-    desc_type* d = g.protect(s_desc, state_[tid].get());
-    std::optional<T> result;
-    if (d->node != nullptr) {
-      result = d->value;
-      if constexpr (track_residency) record_residency(tid, d->enq_ts);
-    }
-    g.clear(s_desc);
-    return result;
-  }
-
-  // --------------------------------------------------------------- patience
-  // Runtime knob over the paper's MAX_FAILURES, for contention-adaptive
-  // tuning (scale/tuner.hpp). Safe to call concurrently with operations:
-  // relaxed atomic, each op reads it once and clamps to the compile-time
-  // ceiling, so the wait-free step bound is unconditionally
-  // O(max_tries_ceiling + announce-and-help).
-
-  static constexpr std::uint32_t patience_ceiling = Options::max_tries_ceiling;
-
-  /// Set fast-path patience; clamped to [0, patience_ceiling]. 0 means
-  /// every operation announces immediately (pure slow path).
-  void set_patience(std::uint32_t tries) noexcept {
-    // kpq-order: relaxed pairs-with none (tuning knob; readers re-clamp to
-    // the compile-time ceiling, so any value they observe is safe)
-    patience_.value.store(
-        tries > patience_ceiling ? patience_ceiling : tries,
-        std::memory_order_relaxed);
-  }
-  std::uint32_t patience() const noexcept {
-    // kpq-order: relaxed pairs-with none (tuning knob read; may lag)
-    return patience_.value.load(std::memory_order_relaxed);
-  }
-
-  /// Per-thread fast/slow split (owner-writes; sum is exact at quiescence,
-  /// a momentary estimate during a run — same contract as every counter
-  /// surface in this repo).
-  fps_path_stats path_counters(std::uint32_t tid) const noexcept {
-    fps_path_stats s;
-    const auto& c = path_stats_[tid];
-    // kpq-order: relaxed pairs-with none (owner-written statistics; exact
-    // at quiescence, momentary estimate during a run — documented contract)
-    s.fast_enqs = c->fast_enqs.load(std::memory_order_relaxed);
-    // kpq-order: relaxed pairs-with none (statistics, see above)
-    s.slow_enqs = c->slow_enqs.load(std::memory_order_relaxed);
-    // kpq-order: relaxed pairs-with none (statistics, see above)
-    s.fast_deqs = c->fast_deqs.load(std::memory_order_relaxed);
-    // kpq-order: relaxed pairs-with none (statistics, see above)
-    s.slow_deqs = c->slow_deqs.load(std::memory_order_relaxed);
-    return s;
-  }
-  fps_path_stats aggregate_path_counters() const noexcept {
-    fps_path_stats total;
-    for (std::uint32_t t = 0; t < n_; ++t) total += path_counters(t);
-    return total;
-  }
-
-  // ----------------------------------------------------------- observability
-
-  std::uint32_t max_threads() const noexcept { return n_; }
-  reclaimer_type& reclaimer() noexcept { return reclaim_; }
-  storage_type& storage() noexcept { return storage_; }
-  const storage_type& storage() const noexcept { return storage_; }
-
-  /// Merged item-residency histogram in TICKS (see wf_queue); meaningful
-  /// only when `track_residency`, scrape-safe while workers run.
-  log2_histogram residency_histogram() const { return resi_.merged(); }
-  std::uint64_t residency_samples() const noexcept { return resi_.samples(); }
-  void reset_residency() noexcept { resi_.reset(); }
-
-  bool empty_hint(std::uint32_t tid) {
-    auto g = reclaim_.enter(tid);
-    node_type* first = g.protect(s_first, head_);
-    node_type* last = tail_.load(std::memory_order_seq_cst);
-    node_type* next = g.protect(s_next, first->next);
-    return first == last && next == nullptr;
-  }
-  bool empty_hint() { return empty_hint(this_thread_id()); }
-
-  std::size_t unsafe_size() const {
-    std::size_t n = 0;
-    // kpq-hazard: quiescent by contract (test-only helper) — no node can be
-    // retired while we walk
-    // kpq-order: acquire pairs-with the seq_cst link/swing CASes of the last
-    // completed operations (observe their node writes at quiescence)
-    const node_type* p = head_.load(std::memory_order_acquire);
-    // kpq-hazard: quiescent (see above)
-    // kpq-order: acquire pairs-with the linking CAS of each visited enqueue
-    for (p = p->next.load(std::memory_order_acquire); p != nullptr;
-         // kpq-hazard: quiescent (see above)
-         // kpq-order: acquire pairs-with the linking CAS (see above)
-         p = p->next.load(std::memory_order_acquire)) {
-      ++n;
-    }
-    return n;
-  }
-
- private:
-  friend struct kpq::testing::whitebox;
-
-  using state_slot = std::atomic<desc_type*>;
-  using guard_t = decltype(std::declval<Reclaimer&>().enter(0));
-
-  // ------------------------------------------------------------- allocation
-
-  node_type* alloc_node(std::uint32_t tid, T v, std::int32_t etid) {
-    return storage_.alloc(tid, std::move(v), etid, reclaim_);
-  }
-  void free_desc(desc_type* d) noexcept {
-    account_free(sizeof(desc_type));
-    delete d;
-  }
-  static void retire_desc_fn(void* ctx, void* p) {
-    if (ctx != nullptr) {
-      static_cast<mem_counters*>(ctx)->on_free(sizeof(desc_type));
-    }
-    delete static_cast<desc_type*>(p);
-  }
-  void retire_node(std::uint32_t tid, node_type* n) {
-    storage_.retire(tid, n, reclaim_);
-  }
-  void retire_desc(std::uint32_t tid, desc_type* d) {
-    reclaim_.retire(tid, d, &retire_desc_fn, memory_counters());
-  }
-
-  /// Dequeue-completion residency measurement (clamped against TSC skew).
-  void record_residency(std::uint32_t tid, std::uint64_t enq_ts) noexcept {
-    if constexpr (track_residency) {
-      const std::uint64_t now = residency_type::now();
-      resi_.add(tid, now > enq_ts ? now - enq_ts : 0);
-    } else {
-      (void)tid;
-      (void)enq_ts;
-    }
-  }
-
-  // ------------------------------------------------------ patience plumbing
-
-  /// The per-operation fast-path budget: knob read once, clamped to the
-  /// compile-time ceiling (the clamp is what keeps the step bound a
-  /// constant even while a tuner stores arbitrary values concurrently).
-  std::uint32_t patience_now() const noexcept {
-    // kpq-order: relaxed pairs-with none (tuning knob; the clamp below makes
-    // any observed value safe — the step bound stays compile-time constant)
-    const std::uint32_t p = patience_.value.load(std::memory_order_relaxed);
-    return p < patience_ceiling ? p : patience_ceiling;
-  }
-
-  /// Hook dispatch: optional on a hooks struct so pre-existing hook types
-  /// (e.g. the freezing hooks in core tests) keep compiling unchanged.
-  static void on_fast_attempt(std::uint32_t tid, bool is_enq) {
-    if constexpr (requires { Options::hooks::on_fast_attempt(tid, is_enq); }) {
-      Options::hooks::on_fast_attempt(tid, is_enq);
-    }
-  }
-
-  /// Owner-thread, non-RMW path accounting (load + relaxed store).
-  void count_path(std::uint32_t tid, bool slow, bool is_enq) noexcept {
-    auto& c = path_stats_[tid].value;
-    std::atomic<std::uint64_t>& cell = is_enq
-                                           ? (slow ? c.slow_enqs : c.fast_enqs)
-                                           : (slow ? c.slow_deqs : c.fast_deqs);
-    // kpq-order: relaxed pairs-with none (owner-thread statistics cell; the
-    // non-RMW load+store is safe because only `tid` ever writes this cell)
-    cell.store(cell.load(std::memory_order_relaxed) + 1,
-               std::memory_order_relaxed);
-  }
-
-  void publish(std::uint32_t tid, desc_type* d) {
-    desc_type* old = state_[tid]->exchange(d, std::memory_order_seq_cst);
-    retire_desc(tid, old);
-  }
-
-  bool swap_state(std::uint32_t tid, std::uint32_t my, desc_type* curr,
-                  desc_type* repl) {
-    desc_type* expected = curr;
-    if (state_[tid]->compare_exchange_strong(expected, repl,
-                                             std::memory_order_seq_cst)) {
-      retire_desc(my, curr);
-      return true;
-    }
-    pool_.recycle(my, repl);
-    return false;
-  }
-
-  // ----------------------------------------------------------------- helping
-
-  /// One cyclic probe: help whatever announced operation sits at the
-  /// cursor, to completion (no phase bound — fast operations have no phase;
-  /// helping "too much" costs time, never correctness).
-  void help_someone(std::uint32_t my, guard_t& g) {
-    std::uint32_t& k = cursor_[my].value;  // owner-only
-    const std::uint32_t candidate = k;
-    k = (k + 1 == n_) ? 0 : k + 1;
-    if (candidate == my) return;
-    desc_type* d = g.protect(s_desc, state_[candidate].get());
-    if (!d->pending) return;
-    if (d->enqueue) {
-      help_enq(candidate, d->phase, g, my);
-    } else {
-      help_deq(candidate, d->phase, g, my);
-    }
-  }
-
-  bool is_still_pending(std::uint32_t tid, std::int64_t ph, guard_t& g) {
-    desc_type* d = g.protect(s_desc, state_[tid].get());
-    return d->pending && d->phase <= ph;
-  }
-
-  /// Slow-path enqueue helping; identical to wf_queue::help_enq.
-  void help_enq(std::uint32_t tid, std::int64_t phase, guard_t& g,
-                std::uint32_t my) {
-    while (is_still_pending(tid, phase, g)) {
-      node_type* last = g.protect(s_last, tail_);
-      node_type* next = g.protect(s_next, last->next);
-      if (last != tail_.load(std::memory_order_seq_cst)) continue;
-      if (next == nullptr) {
-        desc_type* d = g.protect(s_desc, state_[tid].get());
-        if (!(d->pending && d->phase <= phase)) continue;
-        node_type* node = d->node;
-        g.protect_raw(s_node, node);
-        if (state_[tid]->load(std::memory_order_seq_cst) != d) continue;
-        node_type* expected = nullptr;
-        if (last->next.compare_exchange_strong(expected, node,
-                                               std::memory_order_seq_cst)) {
-          g.clear(s_node);
-          help_finish_enq(my, g);
-          return;
-        }
-        g.clear(s_node);
-      } else {
-        help_finish_enq(my, g);
-      }
-    }
-  }
-
-  /// Finishes a dangling enqueue of EITHER kind. Fast nodes (enq_tid == -1)
-  /// have no descriptor: only the tail swing (step 3) applies, and skipping
-  /// step 2 is safe precisely because nothing is pending for them.
-  void help_finish_enq(std::uint32_t my, guard_t& g) {
-    node_type* last = g.protect(s_last, tail_);
-    node_type* next = g.protect(s_next, last->next);
-    if (next == nullptr) return;
-    // Validate-the-source before dereferencing `next` (docs/ALGORITHM.md §2).
-    if (last != tail_.load(std::memory_order_seq_cst)) return;
-    const std::int32_t etid = next->enq_tid;
-    if (etid == no_tid) {  // fast-path node
-      tail_.compare_exchange_strong(last, next, std::memory_order_seq_cst);
-      return;
-    }
-    const auto tid = static_cast<std::uint32_t>(etid);
-    desc_type* cur = g.protect(s_desc, state_[tid].get());
-    if (last == tail_.load(std::memory_order_seq_cst) && cur->node == next) {
-      desc_type* fresh = pool_.make(my, cur->phase, false, true, next);
-      swap_state(tid, my, cur, fresh);
-      tail_.compare_exchange_strong(last, next, std::memory_order_seq_cst);
-    }
-  }
-
-  /// Slow-path dequeue helping; identical to wf_queue::help_deq except that
-  /// the deqTid claim can lose to a fast claim, which help_finish_deq then
-  /// completes before the loop retries.
-  void help_deq(std::uint32_t tid, std::int64_t phase, guard_t& g,
-                std::uint32_t my) {
-    while (is_still_pending(tid, phase, g)) {
-      node_type* first = g.protect(s_first, head_);
-      node_type* last = tail_.load(std::memory_order_seq_cst);
-      node_type* next = g.protect(s_next, first->next);
-      if (first != head_.load(std::memory_order_seq_cst)) continue;
-      if (first == last) {
-        if (next == nullptr) {
-          desc_type* cur = g.protect(s_desc, state_[tid].get());
-          if (last == tail_.load(std::memory_order_seq_cst) && cur->pending &&
-              cur->phase <= phase) {
-            desc_type* fresh = pool_.make(my, cur->phase, false, false,
-                                          static_cast<node_type*>(nullptr));
-            swap_state(tid, my, cur, fresh);
-          }
-        } else {
-          help_finish_enq(my, g);
-        }
-      } else {
-        desc_type* cur = g.protect(s_desc, state_[tid].get());
-        node_type* node = cur->node;
-        if (!(cur->pending && cur->phase <= phase)) break;
-        if (first == head_.load(std::memory_order_seq_cst) && node != first) {
-          desc_type* fresh = pool_.make(my, cur->phase, true, false, first);
-          if (!swap_state(tid, my, cur, fresh)) continue;
-        }
-        std::int32_t expected = no_tid;
-        first->deq_tid.compare_exchange_strong(
-            expected, static_cast<std::int32_t>(tid),
-            std::memory_order_seq_cst);
-        help_finish_deq(my, g);
-      }
-    }
-  }
-
-  /// Finishes a claimed dequeue of EITHER kind: fast claims need only the
-  /// head swing; slow claims additionally complete step 2 into the owner's
-  /// descriptor (with the §3.4 value copy).
-  void help_finish_deq(std::uint32_t my, guard_t& g) {
-    node_type* first = g.protect(s_first, head_);
-    node_type* next = g.protect(s_next, first->next);
-    const std::int32_t dtid = first->deq_tid.load(std::memory_order_seq_cst);
-    if (dtid == no_tid) return;
-    if (is_fast_claim(dtid)) {
-      if (first == head_.load(std::memory_order_seq_cst) && next != nullptr) {
-        if (head_.compare_exchange_strong(first, next,
-                                          std::memory_order_seq_cst)) {
-          retire_node(my, first);
-        }
-      }
-      return;
-    }
-    const auto tid = static_cast<std::uint32_t>(dtid);
-    desc_type* cur = g.protect(s_desc, state_[tid].get());
-    if (first == head_.load(std::memory_order_seq_cst) && next != nullptr) {
-      desc_type* fresh =
-          pool_.make(my, cur->phase, false, false, cur->node, next->value);
-      // Stamp rides with the payload, copied while `next` is pinned.
-      if constexpr (track_residency) fresh->enq_ts = next->enq_ts;
-      swap_state(tid, my, cur, fresh);
-      if (head_.compare_exchange_strong(first, next,
-                                        std::memory_order_seq_cst)) {
-        retire_node(my, first);
-      }
-    }
-  }
-
-  // ------------------------------------------------------------------- data
-
-  const std::uint32_t n_;
-  Storage storage_;  // before reclaim_: reclaimer shutdown drains segment
-                     // retirements through callbacks into the storage
-  Reclaimer reclaim_;
-  desc_pool<T, track_residency> pool_;
-  std::vector<padded<std::uint32_t>> cursor_;  // help_someone's cyclic cursor
-  padded<std::atomic<std::int64_t>> phase_counter_{std::int64_t{0}};
-
-  /// Runtime patience knob (see set_patience); starts at the compile-time
-  /// default so a tuner-less queue behaves exactly like before.
-  padded<std::atomic<std::uint32_t>> patience_{Options::max_tries};
-
-  /// Per-thread owner-written fast/slow path counters.
-  struct path_cells {
-    std::atomic<std::uint64_t> fast_enqs{0};
-    std::atomic<std::uint64_t> slow_enqs{0};
-    std::atomic<std::uint64_t> fast_deqs{0};
-    std::atomic<std::uint64_t> slow_deqs{0};
-  };
-  std::vector<padded<path_cells>> path_stats_;
-
-  alignas(destructive_interference) std::atomic<node_type*> head_{nullptr};
-  alignas(destructive_interference) std::atomic<node_type*> tail_{nullptr};
-  std::vector<padded<state_slot>> state_;
-  obs::residency_probe resi_;  // empty unless track_residency
-};
+using wf_queue_fps = wf_queue<T, help_one, fetch_add_phase, Reclaimer,
+                              fps_core_options<Options>, Storage>;
 
 }  // namespace kpq

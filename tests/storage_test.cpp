@@ -11,6 +11,8 @@
 #include <thread>
 #include <vector>
 
+#include "baseline/locked_queues.hpp"
+#include "baseline/ms_queue.hpp"
 #include "harness/mem_tracker.hpp"
 #include "obs/registry.hpp"
 #include "reclaim/epoch.hpp"
@@ -194,16 +196,24 @@ TEST(RetireRange, EpochAndLeakyDelegate) {
 // Attach-at-construction and attach-later must agree: the construction
 // baseline replay closes the gap ISSUE 6 calls out (descriptor and sentinel
 // allocations invisible to a late-attached counter).
-TEST(MemAccounting, LateAttachReplaysConstructionBaseline) {
+// Traffic between construction and the late attach is not construction:
+// the constructor seals the baseline, so the replay leaves it out.
+template <typename Q>
+class MemAccounting : public ::testing::Test {};
+using AccountedQueues =
+    ::testing::Types<wf_queue_base<std::uint64_t>, wf_queue_fps<std::uint64_t>,
+                     ms_queue<std::uint64_t>, two_lock_queue<std::uint64_t>>;
+TYPED_TEST_SUITE(MemAccounting, AccountedQueues);
+
+TYPED_TEST(MemAccounting, LateAttachReplaysConstructionBaseline) {
   mem_counters at_ctor, late;
-  {
-    wf_queue_base<std::uint64_t> q1(3, &at_ctor);
-    wf_queue_base<std::uint64_t> q2(3);
-    q2.set_memory_counters(&late);
-    EXPECT_EQ(at_ctor.live_bytes(), late.live_bytes());
-    EXPECT_EQ(at_ctor.live_objects(), late.live_objects());
-    EXPECT_GT(late.live_bytes(), 0);
-  }
+  TypeParam q1(3, &at_ctor);
+  TypeParam q2(3);
+  for (std::uint64_t i = 0; i < 10; ++i) q2.enqueue(i, 0);
+  q2.set_memory_counters(&late);
+  EXPECT_EQ(at_ctor.live_bytes(), late.live_bytes());
+  EXPECT_EQ(at_ctor.live_objects(), late.live_objects());
+  EXPECT_GT(late.live_bytes(), 0);
 }
 
 // Every allocation the queue makes is matched by a free by destruction

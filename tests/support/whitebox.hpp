@@ -56,7 +56,7 @@ struct whitebox {
   /// fps only: the shared phase counter.
   template <typename Q>
   static std::int64_t bump_phase(Q& q) {
-    return q.phase_counter_->fetch_add(1, std::memory_order_acq_rel);
+    return q.phase_.counter->fetch_add(1, std::memory_order_acq_rel);
   }
   template <typename Q>
   static void help_finish_enq(Q& q, std::uint32_t my) {
