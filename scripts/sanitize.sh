@@ -58,10 +58,13 @@ for mode in "${modes[@]}"; do
     # Shortcut: TSan over every suite that exercises src/storage/ — the
     # segment-storage unit/stress tests, the bounded-policy tests, the
     # segment variants of the random-schedule linearizability cross-check,
-    # and the reclaimers' retire_range path.
+    # the reclaimers' retire_range path and callback-thread contract, and
+    # heap-node recycling (a recycled node never passes through free(), so
+    # TSan sees its old and new uses ordered only by the reclaimer's
+    # handoff).
     mode=thread
     dir_tag=thread
-    filter=(-R 'Storage|Bounded|Segment|RetireRange|MemAccounting|Reclaim')
+    filter=(-R 'Storage|Bounded|Segment|RetireRange|MemAccounting|Reclaim|ReclaimCounters|NodeRecycling')
   elif [[ "$mode" == "tsan-scale-adaptive" ]]; then
     # Shortcut: TSan over the elastic-sharding layer — scan-table publishes,
     # the tuner's control loop against live workers, the runtime patience

@@ -7,99 +7,32 @@
 //
 // Only descriptors that were *never published* (their installing CAS failed,
 // so no other thread can hold a reference) may be recycled here; published
-// descriptors go through the reclaimer. Each thread owns its own free list,
-// so the pool needs no synchronization.
+// descriptors go through the reclaimer. Each thread owns its own free list
+// (storage/recycle_list.hpp), so the pool needs no synchronization.
 #pragma once
 
-#include <atomic>
-#include <cassert>
+#include <cstddef>
 #include <cstdint>
-#include <utility>
-#include <vector>
 
 #include "core/op_desc.hpp"
 #include "harness/mem_tracker.hpp"
-#include "sync/cacheline.hpp"
+#include "storage/recycle_list.hpp"
 
 namespace kpq {
 
+/// make(tid, args...) constructs a descriptor, reusing a cached allocation
+/// when possible; recycle(tid, d) returns a never-published one. Cached
+/// descriptors stay "live" in the accounting (they occupy heap). A disabled
+/// pool caches nothing.
 template <typename T, bool Stamped = false>
-class desc_pool {
+class desc_pool : public recycle_lists<op_desc<T, Stamped>> {
  public:
   using desc_type = op_desc<T, Stamped>;
 
   desc_pool(std::uint32_t max_threads, bool enabled,
             const mem_tracked* accounting, std::size_t cache_cap = 64)
-      : enabled_(enabled),
-        cache_cap_(cache_cap),
-        accounting_(accounting),
-        free_(max_threads) {}
-
-  desc_pool(const desc_pool&) = delete;
-  desc_pool& operator=(const desc_pool&) = delete;
-
-  ~desc_pool() { purge(); }
-
-  /// Construct a descriptor, reusing a cached allocation when possible.
-  template <typename... Args>
-  desc_type* make(std::uint32_t tid, Args&&... args) {
-    auto& list = free_[tid]->items;
-    if (!list.empty()) {
-      desc_type* d = list.back();
-      list.pop_back();
-      d->~desc_type();
-      return new (d) desc_type(std::forward<Args>(args)...);
-    }
-    // kpq-order: relaxed pairs-with none (statistics counter; read only by
-    // the relaxed load in fresh_allocs(), orders no other data)
-    fresh_allocs_.fetch_add(1, std::memory_order_relaxed);
-    if (accounting_ != nullptr) accounting_->account_alloc(sizeof(desc_type));
-    return new desc_type(std::forward<Args>(args)...);
-  }
-
-  /// Return a never-published descriptor for reuse. Cached descriptors stay
-  /// "live" in the accounting (they occupy heap).
-  void recycle(std::uint32_t tid, desc_type* d) noexcept {
-    auto& list = free_[tid]->items;
-    if (enabled_ && list.size() < cache_cap_) {
-      list.push_back(d);
-    } else {
-      if (accounting_ != nullptr) accounting_->account_free(sizeof(desc_type));
-      delete d;
-    }
-  }
-
-  /// Delete all cached descriptors (destructor path).
-  void purge() noexcept {
-    for (auto& f : free_) {
-      for (desc_type* d : f->items) {
-        if (accounting_ != nullptr) {
-          accounting_->account_free(sizeof(desc_type));
-        }
-        delete d;
-      }
-      f->items.clear();
-    }
-  }
-
-  std::size_t cached(std::uint32_t tid) const noexcept {
-    return free_[tid]->items.size();
-  }
-  std::uint64_t fresh_allocs() const noexcept {
-    // kpq-order: relaxed pairs-with none (statistics read; may lag)
-    return fresh_allocs_.load(std::memory_order_relaxed);
-  }
-
- private:
-  struct free_list {
-    std::vector<desc_type*> items;
-  };
-
-  bool enabled_;
-  std::size_t cache_cap_;
-  const mem_tracked* accounting_;  // the owning queue's accounting sink
-  std::vector<padded<free_list>> free_;
-  std::atomic<std::uint64_t> fresh_allocs_{0};
+      : recycle_lists<desc_type>(max_threads, enabled ? cache_cap : 0,
+                                 accounting) {}
 };
 
 }  // namespace kpq

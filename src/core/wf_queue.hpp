@@ -65,6 +65,7 @@
 #include "storage/heap_node_storage.hpp"
 #include "storage/storage_concepts.hpp"
 #include "sync/cacheline.hpp"
+#include "sync/owner_cell.hpp"
 #include "sync/thread_registry.hpp"
 
 namespace kpq {
@@ -263,8 +264,8 @@ struct wf_counters {
   /// Descriptor installs that lost their CAS (recycled via the pool).
   std::uint64_t desc_cas_failures = 0;
   /// Kept by ms_fast_path queues whatever collect_stats says. Unlike the
-  /// fields above these are relaxed atomic cells (std::atomic_ref, one
-  /// owner-written store per operation): the tuner samples them through
+  /// fields above these are owner-written cells (sync/owner_cell.hpp, one
+  /// relaxed store per operation): the tuner samples them through
   /// path_counters() while workers run.
   fps_path_stats path;
 
@@ -398,7 +399,7 @@ class wf_queue : public mem_tracked, public Options::fast_path {
       free_desc(d);
     }
     // reclaim_ and pool_ drain their retired/cached objects on destruction;
-    // reclaim_ is declared after storage_ so segment reclamation callbacks
+    // reclaim_ is declared after storage_ so node reclamation callbacks
     // still have a live storage to recycle into (storage_concepts.hpp).
   }
 
@@ -614,8 +615,8 @@ class wf_queue : public mem_tracked, public Options::fast_path {
     requires has_fast_path
   {
     const fps_path_stats& c = stats_[tid]->path;
-    return {load_cell(c.fast_enqs), load_cell(c.slow_enqs),
-            load_cell(c.fast_deqs), load_cell(c.slow_deqs)};
+    return {owner_load(c.fast_enqs), owner_load(c.slow_enqs),
+            owner_load(c.fast_deqs), owner_load(c.slow_deqs)};
   }
   fps_path_stats aggregate_path_counters() const noexcept
     requires has_fast_path
@@ -682,8 +683,9 @@ class wf_queue : public mem_tracked, public Options::fast_path {
 
   // ------------------------------------------------------------- allocation
   // Nodes live wherever the Storage policy puts them (storage/); descriptors
-  // stay heap objects recycled through desc_pool — they are small, reused
-  // aggressively, and their lifetime is tied to `state`, not the list.
+  // stay heap objects. desc_pool recycles the never-published ones; a
+  // published one is freed by the reclaimer, because its lifetime is tied
+  // to `state`, not the list.
 
   node_type* alloc_node(std::uint32_t tid, T v, std::int32_t etid) {
     node_type* node = storage_.alloc(tid, std::move(v), etid, reclaim_);
@@ -816,23 +818,10 @@ class wf_queue : public mem_tracked, public Options::fast_path {
     }
   }
 
-  /// The path cells of wf_counters are read only through this.
-  static std::uint64_t load_cell(const std::uint64_t& cell) noexcept {
-    // std::atomic_ref<const T> is C++26; the cells are never const objects.
-    const std::atomic_ref ref(const_cast<std::uint64_t&>(cell));
-    // kpq-order: relaxed pairs-with none (owner-written statistics; exact
-    // at quiescence, momentary estimate during a run — documented contract)
-    return ref.load(std::memory_order_relaxed);
-  }
-
   /// Owner-thread, non-RMW path accounting: one relaxed store per op.
   void count_path(std::uint32_t tid,
                   std::uint64_t fps_path_stats::* field) noexcept {
-    const std::atomic_ref cell(stats_[tid]->path.*field);
-    // kpq-order: relaxed pairs-with none (owner-thread statistics cell; the
-    // non-RMW load+store is safe because only `tid` ever writes this cell)
-    cell.store(cell.load(std::memory_order_relaxed) + 1,
-               std::memory_order_relaxed);
+    owner_add(stats_[tid]->path.*field);
   }
 
   // ----------------------------------------------------------------- helping
@@ -1072,7 +1061,7 @@ class wf_queue : public mem_tracked, public Options::fast_path {
   // ------------------------------------------------------------------- data
 
   const std::uint32_t n_;
-  Storage storage_;  // before reclaim_: reclaimer shutdown drains segment
+  Storage storage_;  // before reclaim_: reclaimer shutdown drains node
                      // retirements through callbacks into the storage
   Reclaimer reclaim_;
   desc_pool<T, track_residency> pool_;

@@ -68,8 +68,12 @@ inline std::string to_json(const metrics_snapshot& snap) {
   std::string out = "{";
   for (std::size_t i = 0; i < snap.size(); ++i) {
     if (i) out += ",";
-    out += "\"" + json_escape(snap[i].name) + "\":" +
-           format_number(snap[i].value);
+    // Appended piece by piece: a chain of string temporaries here trips
+    // GCC 12's false-positive -Wrestrict at -O3 (char_traits.h).
+    out += '"';
+    out += json_escape(snap[i].name);
+    out += "\":";
+    out += format_number(snap[i].value);
   }
   out += "}";
   return out;
@@ -208,7 +212,9 @@ class json_writer {
 
   json_writer& key(const std::string& k) {
     comma();
-    out_ += "\"" + json_escape(k) + "\":";
+    out_ += '"';
+    out_ += json_escape(k);
+    out_ += "\":";
     just_keyed_ = true;
     return *this;
   }
@@ -221,7 +227,10 @@ class json_writer {
   json_writer& value(int v) { return raw(std::to_string(v)); }
   json_writer& value(bool v) { return raw(v ? "true" : "false"); }
   json_writer& value(const std::string& v) {
-    return raw("\"" + json_escape(v) + "\"");
+    std::string quoted = "\"";
+    quoted += json_escape(v);
+    quoted += '"';
+    return raw(quoted);
   }
   json_writer& value(const char* v) { return value(std::string(v)); }
 

@@ -19,6 +19,7 @@
 
 #include "reclaim/reclaimer_concepts.hpp"
 #include "sync/cacheline.hpp"
+#include "sync/owner_cell.hpp"
 
 namespace kpq {
 
@@ -95,8 +96,7 @@ class epoch_domain {
     // only delays the free by one advance, never frees early)
     const std::uint64_t e = global_epoch_.load(std::memory_order_acquire);
     t.buckets[e % 3].push_back({p, fn, ctx});
-    // kpq-order: relaxed pairs-with none (statistics counter for tests)
-    retired_count_.fetch_add(1, std::memory_order_relaxed);
+    owner_add(t.retired);
     if (++t.since_flush >= flush_threshold_) {
       t.since_flush = 0;
       try_advance(tid);
@@ -115,7 +115,9 @@ class epoch_domain {
   }
 
   /// Advance the global epoch if every pinned thread has caught up, then
-  /// free `tid`'s bucket that is two epochs old.
+  /// free `tid`'s bucket that is two epochs old. Only `tid` may call this,
+  /// or any thread at quiescence: the callbacks run here, on the retiring
+  /// thread (reclaimer_concepts.hpp).
   void try_advance(std::uint32_t tid) {
     const std::uint64_t e = global_epoch_.load(std::memory_order_seq_cst);
     bool all_caught_up = true;
@@ -137,27 +139,37 @@ class epoch_domain {
     // guards that predate the retirement have exited (else we could not have
     // advanced). Only the owner frees its own buckets.
     if (cur >= 2) {
-      auto& bucket = threads_[tid]->buckets[(cur - 2) % 3];
+      auto& t = threads_[tid].get();
+      auto& bucket = t.buckets[(cur - 2) % 3];
       // Only safe if this bucket's contents were retired at epoch cur-2 (not
       // refilled at cur+1, which maps to the same index). Buckets are
       // emptied here each time the epoch reaches +2, so entries are always
       // from the oldest epoch mapping to the slot.
-      for (auto& item : bucket) {
-        item.fn(item.ctx, item.p);
-        // kpq-order: relaxed pairs-with none (statistics counter for tests)
-        freed_count_.fetch_add(1, std::memory_order_relaxed);
-      }
+      for (auto& item : bucket) item.fn(item.ctx, item.p);
+      owner_add(t.freed, bucket.size());
       bucket.clear();
     }
   }
 
+  // Sums of owner-written per-thread cells (sync/owner_cell.hpp): exact at
+  // quiescence, a momentary estimate while threads retire. pending_count()
+  // reads the buckets themselves, so it needs quiescence.
   std::uint64_t retired_count() const noexcept {
-    // kpq-order: relaxed pairs-with none (statistics read; may lag)
-    return retired_count_.load(std::memory_order_relaxed);
+    std::uint64_t n = 0;
+    for (const auto& t : threads_) n += owner_load(t->retired);
+    return n;
   }
   std::uint64_t freed_count() const noexcept {
-    // kpq-order: relaxed pairs-with none (statistics read; may lag)
-    return freed_count_.load(std::memory_order_relaxed);
+    std::uint64_t n = 0;
+    for (const auto& t : threads_) n += owner_load(t->freed);
+    return n;
+  }
+  std::size_t pending_count() const noexcept {
+    std::size_t n = 0;
+    for (const auto& t : threads_) {
+      for (const auto& bucket : t->buckets) n += bucket.size();
+    }
+    return n;
   }
   std::uint64_t epoch() const noexcept {
     // kpq-order: acquire pairs-with try_advance's seq_cst epoch CAS
@@ -176,6 +188,8 @@ class epoch_domain {
     std::atomic<std::uint64_t> local_epoch{0};
     std::uint32_t nesting = 0;      // owner-only
     std::uint32_t since_flush = 0;  // owner-only
+    std::uint64_t retired = 0;      // owner-written cells (owner_add)
+    std::uint64_t freed = 0;
     std::vector<retired_item> buckets[3];
   };
 
@@ -183,8 +197,6 @@ class epoch_domain {
   std::uint32_t flush_threshold_;
   alignas(destructive_interference) std::atomic<std::uint64_t> global_epoch_{0};
   std::vector<padded<thread_state>> threads_;
-  std::atomic<std::uint64_t> retired_count_{0};
-  std::atomic<std::uint64_t> freed_count_{0};
 };
 
 static_assert(reclaimer_domain<epoch_domain>);

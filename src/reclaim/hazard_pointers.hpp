@@ -24,6 +24,7 @@
 #include "obs/trace_ring.hpp"
 #include "reclaim/reclaimer_concepts.hpp"
 #include "sync/cacheline.hpp"
+#include "sync/owner_cell.hpp"
 
 namespace kpq {
 
@@ -116,8 +117,7 @@ class hp_domain {
     assert(tid < max_threads_);
     auto& r = retired_[tid].get();
     r.items.push_back({p, fn, ctx, 0});
-    // kpq-order: relaxed pairs-with none (statistics counter for tests)
-    retired_count_.fetch_add(1, std::memory_order_relaxed);
+    owner_add(r.retired);
     if (r.items.size() >= scan_threshold_) scan(tid);
   }
 
@@ -133,13 +133,14 @@ class hp_domain {
     assert(bytes > 0);
     auto& r = retired_[tid].get();
     r.items.push_back({base, fn, ctx, bytes});
-    // kpq-order: relaxed pairs-with none (statistics counter for tests)
-    retired_count_.fetch_add(1, std::memory_order_relaxed);
+    owner_add(r.retired);
     scan(tid);
   }
 
   /// One reclamation pass for `tid`'s retired list: free everything not
-  /// currently announced by any thread.
+  /// currently announced by any thread. Only `tid` may call this, or any
+  /// thread at quiescence: the callbacks run here, on the retiring thread
+  /// (reclaimer_concepts.hpp).
   void scan(std::uint32_t tid) {
     auto& r = retired_[tid].get();
     std::vector<void*>& announced = r.scratch;
@@ -172,8 +173,7 @@ class hp_domain {
       }
     }
     r.items.resize(kept);
-    // kpq-order: relaxed pairs-with none (statistics counter for tests)
-    freed_count_.fetch_add(freed_this_pass, std::memory_order_relaxed);
+    owner_add(r.freed, freed_this_pass);
     // The scan is the reclaimer's only super-constant step (O(H + R)); the
     // trace makes its frequency and yield visible next to the queue events
     // it interleaves with. Compiled out unless KPQ_TRACE.
@@ -185,13 +185,18 @@ class hp_domain {
   }
 
   // --- observability (tests assert reclamation actually happens) ---
+  // Sums of owner-written per-thread cells (sync/owner_cell.hpp): exact at
+  // quiescence, a momentary estimate while threads retire. pending_count()
+  // reads the retired lists themselves, so it needs quiescence.
   std::uint64_t retired_count() const noexcept {
-    // kpq-order: relaxed pairs-with none (statistics read; may lag)
-    return retired_count_.load(std::memory_order_relaxed);
+    std::uint64_t n = 0;
+    for (const auto& r : retired_) n += owner_load(r->retired);
+    return n;
   }
   std::uint64_t freed_count() const noexcept {
-    // kpq-order: relaxed pairs-with none (statistics read; may lag)
-    return freed_count_.load(std::memory_order_relaxed);
+    std::uint64_t n = 0;
+    for (const auto& r : retired_) n += owner_load(r->freed);
+    return n;
   }
   std::size_t pending_count() const noexcept {
     std::size_t n = 0;
@@ -218,6 +223,8 @@ class hp_domain {
   struct retired_list {
     std::vector<retired_item> items;
     std::vector<void*> scratch;  // reused across scans
+    std::uint64_t retired = 0;   // owner-written cells (owner_add)
+    std::uint64_t freed = 0;
   };
 
   std::atomic<void*>& slot_ref(std::uint32_t tid, std::uint32_t slot) noexcept {
@@ -231,8 +238,6 @@ class hp_domain {
   std::uint32_t scan_threshold_;
   std::vector<padded<std::atomic<void*>>> slots_;
   std::vector<padded<retired_list>> retired_;
-  std::atomic<std::uint64_t> retired_count_{0};
-  std::atomic<std::uint64_t> freed_count_{0};
 };
 
 static_assert(reclaimer_domain<hp_domain>);

@@ -16,6 +16,7 @@
 
 #include "reclaim/reclaimer_concepts.hpp"
 #include "sync/cacheline.hpp"
+#include "sync/owner_cell.hpp"
 
 namespace kpq {
 
@@ -55,9 +56,9 @@ class leaky_domain {
   }
 
   void retire(std::uint32_t tid, void* p, retire_fn fn, void* ctx) {
-    retired_[tid]->items.push_back({p, fn, ctx});
-    // kpq-order: relaxed pairs-with none (statistics counter for tests)
-    retired_count_.fetch_add(1, std::memory_order_relaxed);
+    auto& r = retired_[tid].get();
+    r.items.push_back({p, fn, ctx});
+    owner_add(r.retired);
   }
 
   /// Range retirement: leaked like everything else until the domain dies.
@@ -66,11 +67,20 @@ class leaky_domain {
     retire(tid, base, fn, ctx);
   }
 
+  // A sum of owner-written per-thread cells (sync/owner_cell.hpp): exact
+  // at quiescence, a momentary estimate while threads retire. Nothing is
+  // freed before destruction, so every retirement stays pending.
   std::uint64_t retired_count() const noexcept {
-    // kpq-order: relaxed pairs-with none (statistics read; may lag)
-    return retired_count_.load(std::memory_order_relaxed);
+    std::uint64_t n = 0;
+    for (const auto& r : retired_) n += owner_load(r->retired);
+    return n;
   }
   std::uint64_t freed_count() const noexcept { return 0; }
+  std::size_t pending_count() const noexcept {
+    std::size_t n = 0;
+    for (const auto& r : retired_) n += r->items.size();
+    return n;
+  }
 
  private:
   struct retired_item {
@@ -80,11 +90,11 @@ class leaky_domain {
   };
   struct retired_list {
     std::vector<retired_item> items;
+    std::uint64_t retired = 0;  // owner-written cell (owner_add)
   };
 
   std::uint32_t max_threads_;
   std::vector<padded<retired_list>> retired_;
-  std::atomic<std::uint64_t> retired_count_{0};
 };
 
 static_assert(reclaimer_domain<leaky_domain>);

@@ -43,6 +43,19 @@
 // declares how many it needs. Epoch/leaky domains ignore slots entirely —
 // protection is the guard's lifetime.
 //
+// Callback thread: fn(ctx, p) runs on the thread that retired p (the `tid`
+// passed to retire), or at quiescence in the domain's destructor. So a
+// callback may touch state owned by the retiring thread without
+// synchronization — heap_node_storage hands the node to that thread's free
+// list (storage/recycle_list.hpp). The domains keep this by freeing only
+// the caller's own retirements: `scan(tid)` (hp_domain) and
+// `try_advance(tid)` (epoch_domain) may be called only by thread `tid`, or
+// by any thread at quiescence.
+//
+// Statistics: retired_count(), freed_count() and pending_count() sum per-
+// thread cells the owners write (sync/owner_cell.hpp). They are exact at
+// quiescence and momentary estimates while threads retire.
+//
 // ABA note: a pointer compared by CAS must be protected by the CASing thread
 // from the moment it was read until the CAS retires. All three domains give
 // this for free inside a guard (hazard pointers via the slot, epoch/leaky

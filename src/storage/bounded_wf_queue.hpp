@@ -49,6 +49,7 @@
 #include "core/wf_queue_fps.hpp"
 #include "storage/segment_storage.hpp"
 #include "sync/cacheline.hpp"
+#include "sync/owner_cell.hpp"
 #include "sync/thread_registry.hpp"
 #include "sync/waiter_hub.hpp"
 
@@ -241,17 +242,13 @@ class bounded_wf_queue {
   }
 
   bounded_counters stats() const {
-    const auto read = [](const std::uint64_t& f) {
-      return std::atomic_ref<const std::uint64_t>(f).load(
-          std::memory_order_relaxed);
-    };
     bounded_counters total;
     for (std::uint32_t i = 0; i < q_.max_threads(); ++i) {
       const bounded_counters& c = counters_[i].get();
-      total.admitted += read(c.admitted);
-      total.rejected += read(c.rejected);
-      total.overwritten += read(c.overwritten);
-      total.block_waits += read(c.block_waits);
+      total.admitted += owner_load(c.admitted);
+      total.rejected += owner_load(c.rejected);
+      total.overwritten += owner_load(c.overwritten);
+      total.block_waits += owner_load(c.block_waits);
     }
     return total;
   }
@@ -292,14 +289,10 @@ class bounded_wf_queue {
     return room;
   }
 
-  // Owner-thread-only slots, but stats() polls them live (the wakeup tests
-  // spin on block_waits while producers park) — atomic_ref keeps the
-  // single-writer increment a plain load+store while making the cross-
-  // thread read well-defined.
+  // Owner-thread-only cells, but stats() polls them live (the wakeup tests
+  // spin on block_waits while producers park): sync/owner_cell.hpp.
   void count(std::uint64_t bounded_counters::* field, std::uint32_t tid) {
-    std::atomic_ref<std::uint64_t> ref(counters_[tid].get().*field);
-    ref.store(ref.load(std::memory_order_relaxed) + 1,
-              std::memory_order_relaxed);
+    owner_add(counters_[tid].get().*field);
   }
 
   bounded_config cfg_;

@@ -1,8 +1,16 @@
-// Default node storage: one heap allocation and one reclaimer retirement per
-// node — the exact behavior wf_queue/wf_queue_fps had before the storage
-// layer existed, factored behind the node_storage_for interface
+// Default node storage: one reclaimer retirement per node, and nodes come
+// from the heap — the behavior wf_queue had before the storage layer
+// existed, factored behind the node_storage_for interface
 // (storage_concepts.hpp) so segment_storage can replace it without touching
 // the queue algorithm.
+//
+// Reclaimed nodes are recycled: the retire callback destroys the node and
+// keeps its storage on the retiring thread's capped free list
+// (recycle_list.hpp), and alloc() reuses that storage before it calls
+// `new`. A thread that both enqueues and dequeues then runs without the
+// allocator in steady state, and reclaimed nodes stop flowing through
+// free() into other threads' malloc arenas. Cached nodes count as live in
+// mem_counters.
 #pragma once
 
 #include <cstddef>
@@ -11,6 +19,7 @@
 
 #include "core/op_desc.hpp"
 #include "harness/mem_tracker.hpp"
+#include "storage/recycle_list.hpp"
 
 namespace kpq {
 
@@ -22,25 +31,32 @@ class heap_node_storage {
 
   /// One alloc() call performs at most one node-sized heap allocation.
   static constexpr std::size_t max_alloc_bytes = sizeof(node_type);
+  /// Reclaimed nodes one thread keeps for reuse. Large enough to absorb a
+  /// hazard-pointer scan's batch of frees (the scan threshold is 104
+  /// retirements at 4 threads, descriptors included); at 32 or 64 a batch
+  /// spills back into free() and the deep-queue RSS growth returns
+  /// (docs/MEMORY.md §1).
+  static constexpr std::size_t cache_cap = 128;
 
-  heap_node_storage(std::uint32_t /*max_threads*/, const mem_tracked* acct)
-      : acct_(acct) {}
+  heap_node_storage(std::uint32_t max_threads, const mem_tracked* acct)
+      : acct_(acct), cache_(max_threads, cache_cap, acct) {}
 
   heap_node_storage(const heap_node_storage&) = delete;
   heap_node_storage& operator=(const heap_node_storage&) = delete;
 
   template <typename R>
-  node_type* alloc(std::uint32_t /*tid*/, T v, std::int32_t etid,
+  node_type* alloc(std::uint32_t tid, T v, std::int32_t etid,
                    R& /*reclaim*/) {
-    acct_->account_alloc(sizeof(node_type));
-    return new node_type(std::move(v), etid);
+    return cache_.make(tid, std::move(v), etid);
   }
 
-  /// Unlinked but possibly still referenced: per-node retirement, the
-  /// reclaimer frees it once no guard can reach it.
+  /// Unlinked but possibly still referenced: per-node retirement. Once no
+  /// guard can reach the node, the reclaimer's callback recycles it on this
+  /// (the retiring) thread.
   template <typename R>
   void retire(std::uint32_t tid, node_type* n, R& reclaim) {
-    reclaim.retire(tid, n, &retire_node_fn, acct_->memory_counters());
+    reclaim.retire(tid, n, &recycle_lists<node_type>::retire_fn,
+                   cache_.context(tid));
   }
 
   /// Quiescent free (container destructor path).
@@ -49,15 +65,14 @@ class heap_node_storage {
     delete n;
   }
 
- private:
-  static void retire_node_fn(void* ctx, void* p) {
-    if (ctx != nullptr) {
-      static_cast<mem_counters*>(ctx)->on_free(sizeof(node_type));
-    }
-    delete static_cast<node_type*>(p);
+  /// Nodes `tid` keeps for reuse.
+  std::size_t cached(std::uint32_t tid) const noexcept {
+    return cache_.cached(tid);
   }
 
+ private:
   const mem_tracked* acct_;  // the owning container's accounting sink
+  recycle_lists<node_type> cache_;
 };
 
 }  // namespace kpq

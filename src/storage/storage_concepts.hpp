@@ -5,10 +5,11 @@
 // traffic. This layer makes "where nodes live" a policy, the same move
 // reclaim/reclaimer_concepts.hpp made for "when nodes die":
 //
-//   * heap_node_storage    — one heap allocation per node, one reclaimer
-//                            retirement per node. Exactly the behavior the
-//                            queues had before this layer existed; the
-//                            default.
+//   * heap_node_storage    — heap nodes, one reclaimer retirement per node;
+//                            the default. A reclaimed node is recycled on
+//                            the retiring thread's capped free list and
+//                            reused by that thread's next alloc() before
+//                            it calls `new`; cached nodes count as live.
 //   * segment_storage      — nodes are cells of fixed-size, segment-aligned
 //                            arrays (Yang & Mellor-Crummey style; cf.
 //                            Nikolaev's wCQ for the bounded-memory goal).
@@ -39,14 +40,18 @@
 //       // quiescent free (container destructor path): no concurrent reader
 //       // can exist, the storage may recycle the memory immediately.
 //
+// Retire callbacks may touch per-thread storage state without
+// synchronization: the reclaimer runs them on the retiring thread, or at
+// quiescence (reclaim/reclaimer_concepts.hpp).
+//
 // `max_alloc_bytes` is the largest single heap allocation one alloc() call
 // can perform — the quantity bounded_wf_queue's admission headroom is built
 // from (docs/MEMORY.md has the ceiling argument).
 //
 // Lifetime rule for containers: declare the storage member BEFORE the
-// reclaimer member. Segment retirements carry a callback into the storage
-// object, so the reclaimer (whose destructor drains retired items) must be
-// destroyed first.
+// reclaimer member. Node and segment retirements carry a callback into the
+// storage object, so the reclaimer (whose destructor drains retired items)
+// must be destroyed first.
 #pragma once
 
 #include <concepts>

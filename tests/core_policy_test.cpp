@@ -238,15 +238,5 @@ TEST(DescPool, AccountingTracksFreshAllocationsOnly) {
   EXPECT_EQ(mc.live_objects(), 0);
 }
 
-TEST(DescPool, FreshAllocCounterGrowsOnlyOnMisses) {
-  desc_pool<std::uint64_t> pool(1, true, nullptr);
-  auto* a = pool.make(0, std::int64_t{1}, true, true, nullptr);
-  EXPECT_EQ(pool.fresh_allocs(), 1u);
-  pool.recycle(0, a);
-  auto* b = pool.make(0, std::int64_t{2}, true, true, nullptr);
-  EXPECT_EQ(pool.fresh_allocs(), 1u);
-  pool.recycle(0, b);
-}
-
 }  // namespace
 }  // namespace kpq
