@@ -6,21 +6,24 @@
 //
 //   * help_one — optimization 1: help at most one *other* thread per
 //     operation, choosing candidates in cyclic order over the state array,
-//     then complete our own operation. Wait-freedom is preserved because a
-//     thread can pass over a given stalled operation at most n-1 times
-//     before its cyclic cursor reaches it (paper §3.3). This optimization
-//     was the dominant win in the paper's Figure 9: it prevents stampedes
-//     where every thread piles onto the same slow peer.
+//     then complete our own operation. This optimization was the dominant
+//     win in the paper's Figure 9: it prevents stampedes where every thread
+//     piles onto the same slow peer. Deviation from §3.3: a candidate is
+//     helped only at a *second look* (see help_one below), so each active
+//     peer helps a stalled operation within 2n of its own operations
+//     instead of n.
 //
-// Both policies rely on queue::help_if_needed(i, phase, guard) which applies
-// the pending-and-phase<= filter (paper line 39) before dispatching to
-// help_enq/help_deq.
+// The policies rely on queue::help_if_needed(i, phase, guard, my), which
+// applies the pending-and-phase<= filter (paper line 39) before dispatching
+// to help_enq/help_deq; help_one probes through queue::help_if_seen, the
+// same filter plus the second-look phase match.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
 #include <vector>
 
+#include "core/op_desc.hpp"
 #include "obs/trace_ring.hpp"
 #include "sync/cacheline.hpp"
 
@@ -58,9 +61,10 @@ struct help_all {
 /// §3.3 generalization: "a thread may traverse only a chunk of the state
 /// array in a cyclic manner in the help() method ... indexes 0 through k-1
 /// mod n (in addition to its own index), in the second invocation indexes
-/// k mod n through 2k-1 mod n, and so on." help_one is the K=1 special
-/// case. Wait-freedom is preserved: a stalled operation is reached after at
-/// most ceil(n/K) invocations of each active peer.
+/// k mod n through 2k-1 mod n, and so on." K=1 is the paper's help_one,
+/// without our help_one's second look. Wait-freedom is preserved: a stalled
+/// operation is reached after at most ceil(n/K) invocations of each active
+/// peer.
 template <std::uint32_t K>
 struct help_chunk {
   static_assert(K >= 1);
@@ -162,23 +166,51 @@ struct help_random {
   std::vector<padded<std::uint64_t>> rng_state_;
 };
 
+/// §3.3 optimization 1 with a second look, the help record of Kogan &
+/// Petrank's PPoPP'12 methodology: on real cores almost every peer is
+/// mid-operation, and helping it at the first look mostly duplicates steps
+/// its owner is about to take. Per thread: a cyclic cursor and `seen`, the
+/// phase of the pending operation found at the first look at the cursor's
+/// slot (no_phase if none). Each run() probes the cursor's slot:
+///   * first look at a pending operation: record its phase, keep the cursor;
+///   * second look, same phase still pending (and <= ours): help it;
+///   * anything else (nothing pending, phase changed, our own slot): clear
+///     `seen` and advance.
+/// The delay is one operation, fixed. A slot holds the cursor for at most two
+/// consecutive operations and a stalled operation's phase never changes, so
+/// every active peer helps it within 2n of its own operations; the doorway
+/// argument (paper §5.3) is otherwise unchanged. A bulk operation reuses one
+/// phase for its whole batch, so a second look may help a later item of the
+/// same batch — harmless, helping a pending operation is always correct.
 struct help_one {
+  struct look {
+    std::uint32_t slot = 0;
+    std::int64_t seen = no_phase;
+  };
+
   explicit help_one(std::uint32_t max_threads) : cursor_(max_threads) {}
 
   template <typename Queue, typename Guard>
   void run(Queue& q, std::uint32_t my_tid, std::int64_t phase, Guard& g) {
     const std::uint32_t n = q.max_threads();
-    std::uint32_t& k = cursor_[my_tid].value;  // owner-only cursor
+    look& c = cursor_[my_tid].value;  // owner-only cursor
     trace_help_scan<Queue>(my_tid, 2);
-    const std::uint32_t candidate = k;
-    k = (k + 1 == n) ? 0 : k + 1;
-    if (candidate != my_tid) q.help_if_needed(candidate, phase, g, my_tid);
+    std::int64_t pending = no_phase;
+    if (c.slot != my_tid) {
+      pending = q.help_if_seen(c.slot, phase, c.seen, g, my_tid);
+    }
+    if (pending != no_phase && c.seen == no_phase) {
+      c.seen = pending;  // first look: come back next operation
+    } else {
+      c.seen = no_phase;
+      c.slot = (c.slot + 1 == n) ? 0 : c.slot + 1;
+    }
     // Our own operation must always complete before run() returns.
     q.help_if_needed(my_tid, phase, g, my_tid);
   }
   static constexpr const char* name = "help_one";
 
-  std::vector<padded<std::uint32_t>> cursor_;
+  std::vector<padded<look>> cursor_;
 };
 
 }  // namespace kpq

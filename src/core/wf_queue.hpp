@@ -672,6 +672,23 @@ class wf_queue : public mem_tracked, public Options::fast_path {
     }
   }
 
+  /// help_one's probe (help_policy.hpp): help thread i only if its pending
+  /// operation still carries `seen`, the phase found at the previous look,
+  /// and passes the line-39 filter. Returns no_phase if it helped or nothing
+  /// is pending, else the pending phase (the caller's next `seen`).
+  template <typename Guard>
+  std::int64_t help_if_seen(std::uint32_t i, std::int64_t phase,
+                            std::int64_t seen, Guard& g, std::uint32_t my) {
+    // kpq-order: seq_cst pairs-with publish()'s exchange and swap_state()'s
+    // CAS (protect's slot load; the descriptor's fields are immutable after
+    // publication, so the plain reads below see the published snapshot)
+    desc_type* d = g.protect(s_desc, state_[i].get());
+    if (!d->pending) return no_phase;
+    if (d->phase != seen || d->phase > phase) return d->phase;
+    help_op(i, d, phase, g, my);
+    return no_phase;
+  }
+
  private:
   friend struct kpq::testing::whitebox;
 

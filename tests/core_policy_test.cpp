@@ -34,6 +34,12 @@ struct mock_queue {
                       std::uint32_t my) {
     helped.emplace_back(i, my);
   }
+  std::int64_t help_if_seen(std::uint32_t i, std::int64_t /*phase*/,
+                            std::int64_t /*seen*/, mock_guard&,
+                            std::uint32_t my) {
+    helped.emplace_back(i, my);
+    return no_phase;  // nothing pending: help_one advances every run
+  }
 };
 
 TEST(HelpAll, VisitsEveryEntryInOrder) {
@@ -74,6 +80,111 @@ TEST(HelpOne, EveryPeerIsReachedWithinNRounds) {
   for (std::uint32_t i = 0; i < n; ++i) {
     EXPECT_TRUE(candidates.count(i)) << "peer " << i << " never considered";
   }
+}
+
+// help_one's second look against a queue whose slots carry pending
+// operations. `pending[i]` is slot i's pending phase (no_phase: idle); a
+// probe applies the real queue's rule, and helping completes the operation.
+struct staged_queue {
+  std::uint32_t n;
+  std::vector<std::int64_t> pending;
+  std::vector<std::uint32_t> probed;  // every candidate probed, in order
+  std::vector<std::uint32_t> helped;  // peers helped by a probe, in order
+
+  std::uint32_t max_threads() const { return n; }
+  void help_if_needed(std::uint32_t i, std::int64_t phase, mock_guard&,
+                      std::uint32_t /*my*/) {
+    if (pending[i] != no_phase && pending[i] <= phase) pending[i] = no_phase;
+  }
+  std::int64_t help_if_seen(std::uint32_t i, std::int64_t phase,
+                            std::int64_t seen, mock_guard&,
+                            std::uint32_t /*my*/) {
+    probed.push_back(i);
+    const std::int64_t p = pending[i];
+    if (p == no_phase) return no_phase;
+    if (p != seen || p > phase) return p;
+    helped.push_back(i);
+    pending[i] = no_phase;
+    return no_phase;
+  }
+};
+
+TEST(HelpOneSecondLook, PendingOperationIsNotHelpedAtTheFirstLook) {
+  staged_queue q{3, {no_phase, 5, no_phase}, {}, {}};
+  mock_guard g;
+  help_one policy(3);
+  policy.run(q, 0, 10, g);  // cursor 0 == self: advance to 1
+  policy.run(q, 0, 11, g);  // first look at slot 1: record phase 5, stay
+  EXPECT_TRUE(q.helped.empty());
+  EXPECT_EQ(q.pending[1], 5) << "first look must not help";
+  EXPECT_EQ(q.probed, (std::vector<std::uint32_t>{1}));
+}
+
+TEST(HelpOneSecondLook, SamePhaseIsHelpedAtTheSecondLook) {
+  staged_queue q{3, {no_phase, 5, no_phase}, {}, {}};
+  mock_guard g;
+  help_one policy(3);
+  policy.run(q, 0, 10, g);
+  policy.run(q, 0, 11, g);  // first look
+  policy.run(q, 0, 12, g);  // second look: still pending with phase 5
+  EXPECT_EQ(q.helped, (std::vector<std::uint32_t>{1}));
+  EXPECT_EQ(q.pending[1], no_phase);
+  policy.run(q, 0, 13, g);  // the cursor moved on to slot 2
+  EXPECT_EQ(q.probed, (std::vector<std::uint32_t>{1, 1, 2}));
+}
+
+TEST(HelpOneSecondLook, ChangedPhaseIsNotHelpedAndTheCursorMovesOn) {
+  staged_queue q{3, {no_phase, 5, no_phase}, {}, {}};
+  mock_guard g;
+  help_one policy(3);
+  policy.run(q, 0, 10, g);
+  policy.run(q, 0, 11, g);  // first look: phase 5
+  q.pending[1] = 7;         // owner finished and started a new operation
+  policy.run(q, 0, 12, g);  // second look: phase changed, no help
+  EXPECT_TRUE(q.helped.empty());
+  EXPECT_EQ(q.pending[1], 7);
+  policy.run(q, 0, 13, g);  // advanced: slot 2, not a fresh look at slot 1
+  EXPECT_EQ(q.probed, (std::vector<std::uint32_t>{1, 1, 2}));
+}
+
+TEST(HelpOneSecondLook, EveryPeerIsConsideredWithin2NRuns) {
+  constexpr std::uint32_t n = 5;
+  for (std::uint32_t me = 0; me < n; ++me) {
+    // Worst case for coverage: every peer always has an operation pending,
+    // so the cursor pauses on every peer slot.
+    staged_queue q{n, std::vector<std::int64_t>(n, 3), {}, {}};
+    q.pending[me] = no_phase;
+    mock_guard g;
+    help_one policy(n);
+    for (std::uint32_t round = 0; round < 2 * n; ++round) {
+      policy.run(q, me, 100 + round, g);
+      for (std::uint32_t i = 0; i < n; ++i) {
+        if (i != me && q.pending[i] == no_phase) q.pending[i] = 3;
+      }
+    }
+    std::set<std::uint32_t> helped(q.helped.begin(), q.helped.end());
+    for (std::uint32_t i = 0; i < n; ++i) {
+      if (i == me) continue;
+      EXPECT_TRUE(helped.count(i)) << "peer " << i << " not helped by " << me;
+    }
+  }
+}
+
+TEST(HelpOneSecondLook, ChangingPhasesStillVisitEveryPeerWithin2NRuns) {
+  constexpr std::uint32_t n = 4;
+  staged_queue q{n, std::vector<std::int64_t>(n, no_phase), {}, {}};
+  mock_guard g;
+  help_one policy(n);
+  // Peers finish between any two looks and re-announce with a new phase:
+  // no second look matches, but the cursor still never stalls.
+  std::int64_t next = 0;
+  for (std::uint32_t round = 0; round < 2 * n; ++round) {
+    for (std::uint32_t i = 1; i < n; ++i) q.pending[i] = next++;
+    policy.run(q, 0, 1000, g);
+  }
+  EXPECT_TRUE(q.helped.empty());
+  std::set<std::uint32_t> probed(q.probed.begin(), q.probed.end());
+  EXPECT_EQ(probed, (std::set<std::uint32_t>{1, 2, 3}));
 }
 
 TEST(HelpChunk, VisitsKCandidatesPerRunAndWraps) {

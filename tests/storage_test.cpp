@@ -91,7 +91,8 @@ TEST(SegmentStorage, SealConsumeRecycleRoundtrip) {
   }
 
   // Fill the second segment; its successor must come from the spare slot.
-  for (std::size_t i = 1; i < k; ++i) s.alloc(0, i, 0, dom);
+  std::vector<seg256::node_type*> second{overflow};
+  for (std::size_t i = 1; i < k; ++i) second.push_back(s.alloc(0, i, 0, dom));
   s.alloc(0, 100, 0, dom);
   {
     const auto st = s.pool_stats();
@@ -99,6 +100,9 @@ TEST(SegmentStorage, SealConsumeRecycleRoundtrip) {
     EXPECT_EQ(st.segments_recycled, 1u);
     EXPECT_EQ(st.segments_spare, 0);
   }
+  // Teardown, as a container destructor does: releasing every cell of the
+  // sealed second segment frees it (the active third one goes with `s`).
+  for (auto* n : second) s.release(n);
 }
 
 // A hazard announcement anywhere INSIDE a retired segment keeps the whole
