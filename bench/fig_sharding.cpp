@@ -17,19 +17,9 @@
 // and the bulk-path variant (batch 16) whose batch-fill column shows how
 // much of the amortization the fast path actually realized.
 //
-// A third comparison exercises the elastic layer: "shard x4" routes through
-// the identity scan table with NO tuner attached (the tuner-off cost of
-// elasticity — one acquire load per op — is this series' delta against the
-// committed pre-elasticity baseline, and must stay inside the documented
-// ~3% host noise), while "shard x4 adaptive" runs the same workload with a
-// live shard_tuner ticking on a background thread, resharding while the
-// bench runs. The adaptive table column counts the tuner's decisions.
-//
 // Flags: --threads N | --full, --iters N, --reps N, --pin, --csv, --seed S,
 //        --batch K (bulk series batch size, default 16), --steal-heavy,
-//        --tick-ms N (adaptive tuner period, default 1),
 //        --json PATH (machine-readable series, schema kpq-bench-1).
-#include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <memory>
@@ -38,9 +28,7 @@
 #include "baseline/ms_queue.hpp"
 #include "bench_common.hpp"
 #include "core/wf_queue.hpp"
-#include "scale/adaptive.hpp"
 #include "scale/sharded_queue.hpp"
-#include "scale/tuner.hpp"
 
 namespace kpq::bench {
 
@@ -104,62 +92,6 @@ sharded_point measure_sharded(std::uint32_t shards, std::uint32_t threads,
   return out;
 }
 
-struct adaptive_point {
-  summary time;
-  double steal_rate = 0.0;
-  std::uint64_t decisions = 0;  // grows+shrinks+reorders over all reps
-};
-
-/// Same pairs workload, but with a shard_tuner ticking on a background
-/// thread for the whole measured region — the single-mutator control loop
-/// resharding live under the bench. The tuner only reads counters and
-/// publishes tables; it never performs queue operations, so it needs no
-/// dense thread id.
-template <typename SQ>
-adaptive_point measure_adaptive(std::uint32_t shards, std::uint32_t threads,
-                                const bench_params& p, std::uint64_t tick_ms) {
-  std::unique_ptr<SQ> q;
-  std::unique_ptr<shard_tuner<SQ>> tuner;
-  std::unique_ptr<periodic_ticker> ticker;
-  adaptive_point out;
-  run_config cfg;
-  cfg.threads = threads;
-  cfg.reps = p.reps;
-  cfg.pin = p.pin;
-  out.time = run_trials(
-      cfg,
-      [&](std::uint32_t) {
-        ticker.reset();  // stop the previous rep's mutator first
-        if (tuner) {
-          const tuner_stats& s = tuner->stats();
-          out.decisions += s.grows + s.shrinks + s.reorders;
-        }
-        q = std::make_unique<SQ>(shards, threads);
-        tuner_config tc;
-        tc.hysteresis_ticks = 2;
-        tc.grow_depth = 128;
-        tc.shrink_depth = 4;
-        tc.reorder_min_spread = 64;
-        tuner = std::make_unique<shard_tuner<SQ>>(*q, tc);
-        ticker = std::make_unique<periodic_ticker>(
-            std::chrono::milliseconds(tick_ms), [&] { (void)tuner->tick(); });
-      },
-      [&](std::uint32_t tid) {
-        for (std::uint64_t i = 0; i < p.iters; ++i) {
-          q->enqueue(encode_value(tid, i), tid);
-          (void)q->dequeue(tid);
-        }
-      });
-  ticker.reset();
-  if (tuner) {
-    const tuner_stats& s = tuner->stats();
-    out.decisions += s.grows + s.shrinks + s.reorders;
-  }
-  const shard_stats agg = q->aggregate_counters();
-  out.steal_rate = agg.steal_rate();
-  return out;
-}
-
 }  // namespace kpq::bench
 
 int main(int argc, char** argv) {
@@ -168,7 +100,6 @@ int main(int argc, char** argv) {
 
   cli pre(argc, argv);
   const std::uint64_t batch = pre.get_u64("batch", 16);
-  const std::uint64_t tick_ms = pre.get_u64("tick-ms", 1);
   const bool steal_heavy = pre.get_flag("steal-heavy");
   bench_params p = parse_params(argc, argv, /*default_iters=*/20000);
 
@@ -183,13 +114,11 @@ int main(int argc, char** argv) {
   fig.add_series("shard x2");
   fig.add_series("shard x4");
   fig.add_series("shard x8");
-  fig.add_series("shard x4 adaptive");
 
   struct row {
     std::uint32_t threads;
     double single_s, s4_s;
     sharded_point s2, s4, s8, s4bulk;
-    adaptive_point s4adapt;
   };
   std::vector<row> rows;
 
@@ -209,14 +138,10 @@ int main(int argc, char** argv) {
     r.s4 = measure(4, 1);
     r.s8 = measure(8, 1);
     r.s4bulk = measure(4, batch);
-    r.s4adapt = steal_heavy
-                    ? measure_adaptive<sharded_shift>(4, th, p, tick_ms)
-                    : measure_adaptive<sharded_aff>(4, th, p, tick_ms);
     r.s4_s = r.s4.time.mean;
     fig.add_cell(r.s2.time);
     fig.add_cell(r.s4.time);
     fig.add_cell(r.s8.time);
-    fig.add_cell(r.s4adapt.time);
     rows.push_back(r);
   }
   fig.print(p.threads);
@@ -226,8 +151,7 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(batch),
               steal_heavy ? ", steal-heavy placement" : "");
   table t({"threads", "x1 Mpairs/s", "x4 Mpairs/s", "x4 speedup",
-           "x4 steal%", "x8 steal%", "x4 bulk Mpairs/s", "bulk fill",
-           "x4 adapt Mpairs/s", "tuner acts"});
+           "x4 steal%", "x8 steal%", "x4 bulk Mpairs/s", "bulk fill"});
   for (const row& r : rows) {
     const double total_pairs =
         static_cast<double>(r.threads) * static_cast<double>(p.iters);
@@ -237,9 +161,7 @@ int main(int argc, char** argv) {
                fmt(100.0 * r.s4.steal_rate, 1),
                fmt(100.0 * r.s8.steal_rate, 1),
                fmt(mpairs(r.s4bulk.time.mean), 3),
-               fmt(r.s4bulk.batch_fill, 1),
-               fmt(mpairs(r.s4adapt.time.mean), 3),
-               std::to_string(r.s4adapt.decisions)});
+               fmt(r.s4bulk.batch_fill, 1)});
   }
   t.print();
   if (p.csv) {

@@ -71,7 +71,7 @@ FIGS = {
     },
     "fig_sharding": {
         "bin": "fig_sharding",
-        "record": ["--threads", "4", "--iters", "5000", "--reps", "3"],
+        "record": ["--threads", "4", "--reps", "10", "--pin"],
         "smoke": ["--threads", "2", "--iters", "1000", "--reps", "2"],
     },
     "fig_obs_overhead": {

@@ -16,9 +16,6 @@
 #   scripts/sanitize.sh tsan-storage             # TSan, storage-layer suites
 #                                                # (segment retirement + the
 #                                                # bounded queue's policies)
-#   scripts/sanitize.sh tsan-scale-adaptive      # TSan + KPQ_TRACE=ON over
-#                                                # the elastic-sharding and
-#                                                # tuner suites
 #   scripts/sanitize.sh tsan-async               # TSan + KPQ_TRACE=ON over
 #                                                # the continuation layer and
 #                                                # the coroutine front-end
@@ -65,16 +62,6 @@ for mode in "${modes[@]}"; do
     mode=thread
     dir_tag=thread
     filter=(-R 'Storage|Bounded|Segment|RetireRange|MemAccounting|Reclaim|ReclaimCounters|NodeRecycling')
-  elif [[ "$mode" == "tsan-scale-adaptive" ]]; then
-    # Shortcut: TSan over the elastic-sharding layer — scan-table publishes,
-    # the tuner's control loop against live workers, the runtime patience
-    # knob, and the table-routed sharded suites. Built with KPQ_TRACE=ON so
-    # the tuner's trace writes race-check against the workers' ring writes
-    # (its own build dir: the tracing default changes codegen everywhere).
-    mode=thread
-    dir_tag=scale-adaptive
-    extra_cmake=(-DKPQ_TRACE=ON)
-    filter=(-R 'Adaptive|Elastic|Tuner|ScanTable|Sharded|Bulk|HelpChunk')
   elif [[ "$mode" == "tsan-async" ]]; then
     # Shortcut: TSan over the waiter_hub continuation layer and everything
     # rebuilt on it — thread parkers (blocking_adapter, the bounded queue's

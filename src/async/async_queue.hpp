@@ -3,7 +3,7 @@
 // Layering (docs/ASYNC.md): the inner queue's operations stay wait-free —
 // a co_dequeue FIRST tries the plain wait-free dequeue and only suspends
 // when it returns empty, exactly as blocking_adapter only sleeps on empty.
-// Suspension is therefore outside the core's step bound (ALGORITHM.md §10),
+// Suspension is therefore outside the core's step bound (ALGORITHM.md §9),
 // and plain threads interoperate freely with coroutines on the same queue:
 // enqueue() here is the synchronous producer path, and its notify can
 // resume a parked coroutine just as it wakes a parked thread.

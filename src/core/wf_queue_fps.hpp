@@ -1,10 +1,10 @@
 // Fast-path/slow-path wait-free queue: wf_queue with the ms_fast_path policy
-// (core/fast_path_policy.hpp has the design and the wait-freedom argument)
-// in front of the paper's slow path, run with help_one + fetch_add_phase.
+// (core/wf_queue.hpp has the design; docs/ALGORITHM.md §4.1 the wait-freedom
+// argument) in front of the paper's slow path, run with help_one +
+// fetch_add_phase.
 //
-// This header keeps the FPS options vocabulary — patience, its ceiling, and
-// hooks that fire at the slow-path announce — and maps it onto the core's
-// wf_options.
+// This header keeps the FPS options vocabulary — patience and hooks that
+// fire at the slow-path announce — and maps it onto the core's wf_options.
 #pragma once
 
 #include <cstdint>
@@ -16,8 +16,8 @@ namespace kpq {
 /// Hooks for the fast-path/slow-path queue (progress tests stall threads at
 /// the slow-path announce point, exactly as for wf_queue). A hooks struct
 /// may additionally provide `on_fast_attempt(tid, is_enq)` — called once
-/// per fast-path attempt; the step-bound tests count these to prove the
-/// runtime patience knob can never exceed its compile-time ceiling.
+/// per fast-path attempt; the step-bound tests count these to prove no
+/// operation makes more than max_tries fast attempts.
 struct fps_no_hooks {
   static void after_slow_publish(std::uint32_t /*tid*/, bool /*is_enq*/) {}
   static void on_fast_attempt(std::uint32_t /*tid*/, bool /*is_enq*/) {}
@@ -26,14 +26,8 @@ struct fps_no_hooks {
 struct fps_options {
   using hooks = fps_no_hooks;
   /// Fast-path attempts before announcing on the slow path — the paper's
-  /// MAX_FAILURES patience. This is the *initial* value of a runtime knob
-  /// (set_patience); the knob is clamped to [0, max_tries_ceiling], so the
-  /// per-operation step bound stays a compile-time constant whatever a
-  /// tuner asks for.
+  /// MAX_FAILURES patience; 0 sends every operation to the slow path.
   static constexpr std::uint32_t max_tries = 8;
-  /// Hard ceiling on runtime patience. Every operation reads the knob once
-  /// and clamps against this, so steps-before-announce <= ceiling always.
-  static constexpr std::uint32_t max_tries_ceiling = 64;
   static constexpr bool descriptor_cache = true;
   /// Item-residency policy (obs/residency.hpp); no_residency keeps the node
   /// stamp-free. Detected structurally, so pre-existing options structs
@@ -61,7 +55,7 @@ struct fps_core_options : wf_options {
   using hooks = fps_hooks<typename O::hooks>;
   using residency = obs::residency_policy_t<O>;
   static constexpr bool descriptor_cache = O::descriptor_cache;
-  using fast_path = ms_fast_path<O::max_tries, O::max_tries_ceiling>;
+  using fast_path = ms_fast_path<O::max_tries>;
 };
 
 template <typename T, typename Reclaimer = hp_domain,

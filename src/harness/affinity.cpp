@@ -1,8 +1,5 @@
 #include "harness/affinity.hpp"
 
-#include <fstream>
-#include <sstream>
-#include <string>
 #include <thread>
 
 #if defined(__linux__)
@@ -12,138 +9,9 @@
 
 namespace kpq {
 
-namespace {
-
-/// Parse a kernel cpulist ("0-3,8,10-11") into CPU indices. Returns an
-/// empty vector on any malformed input — callers treat that as "no data".
-std::vector<std::uint32_t> parse_cpulist(const std::string& list) {
-  std::vector<std::uint32_t> cpus;
-  std::stringstream ss(list);
-  std::string tok;
-  while (std::getline(ss, tok, ',')) {
-    if (tok.empty()) continue;
-    const auto dash = tok.find('-');
-    try {
-      if (dash == std::string::npos) {
-        cpus.push_back(static_cast<std::uint32_t>(std::stoul(tok)));
-      } else {
-        const auto lo =
-            static_cast<std::uint32_t>(std::stoul(tok.substr(0, dash)));
-        const auto hi =
-            static_cast<std::uint32_t>(std::stoul(tok.substr(dash + 1)));
-        if (hi < lo || hi - lo > 4096) return {};
-        for (std::uint32_t c = lo; c <= hi; ++c) cpus.push_back(c);
-      }
-    } catch (...) {
-      return {};
-    }
-  }
-  return cpus;
-}
-
-std::string read_line(const std::string& path) {
-  std::ifstream f(path);
-  std::string line;
-  if (!f || !std::getline(f, line)) return {};
-  return line;
-}
-
-/// Try one /sys layout: a numbered directory family whose member files hold
-/// cpulists. Assigns domain ids in file order; returns false if fewer than
-/// one domain resolved.
-bool assign_domains(cpu_topology& topo, const char* pattern_prefix,
-                    const char* pattern_suffix) {
-  std::uint32_t domain = 0;
-  for (std::uint32_t idx = 0; idx < 256; ++idx) {
-    const std::string path =
-        pattern_prefix + std::to_string(idx) + pattern_suffix;
-    const std::string line = read_line(path);
-    if (line.empty()) {
-      // Numbered families are dense; the first gap ends the scan.
-      break;
-    }
-    const auto cpus = parse_cpulist(line);
-    if (cpus.empty()) continue;
-    bool fresh = false;
-    for (const std::uint32_t c : cpus) {
-      if (c < topo.cpus && topo.domain_of[c] == UINT32_MAX) {
-        topo.domain_of[c] = domain;
-        fresh = true;
-      }
-    }
-    if (fresh) ++domain;
-  }
-  if (domain == 0) return false;
-  // Cover stragglers /sys didn't mention so domain_of is total.
-  for (auto& d : topo.domain_of) {
-    if (d == UINT32_MAX) d = 0;
-  }
-  topo.domains = domain;
-  return true;
-}
-
-}  // namespace
-
 std::uint32_t online_cpus() noexcept {
   const unsigned n = std::thread::hardware_concurrency();
   return n == 0 ? 1 : n;
-}
-
-cpu_topology detect_topology() noexcept {
-  cpu_topology topo;
-  topo.cpus = online_cpus();
-  topo.domain_of.assign(topo.cpus, UINT32_MAX);
-  try {
-#if defined(__linux__)
-    // NUMA nodes first (the coarser, more placement-relevant boundary),
-    // then shared-L3 sets; both absent → one flat domain.
-    if (!assign_domains(topo, "/sys/devices/system/node/node", "/cpulist") &&
-        !assign_domains(topo, "/sys/devices/system/cpu/cpu",
-                        "/cache/index3/shared_cpu_list")) {
-      topo.domain_of.assign(topo.cpus, 0);
-      topo.domains = 1;
-    }
-#else
-    topo.domain_of.assign(topo.cpus, 0);
-    topo.domains = 1;
-#endif
-  } catch (...) {
-    topo.domain_of.assign(topo.cpus, 0);
-    topo.domains = 1;
-  }
-  if (topo.domains == 0) topo.domains = 1;
-  return topo;
-}
-
-std::uint32_t recommended_shards(const cpu_topology& topo,
-                                 std::uint32_t max_cap) noexcept {
-  if (max_cap == 0) max_cap = 1;
-  // Multi-domain host: a shard per LLC/NUMA domain keeps each shard's hot
-  // nodes resident in one cache.
-  if (topo.domains > 1) {
-    return topo.domains < max_cap ? topo.domains : max_cap;
-  }
-  // Single domain: shards only pay off once there are enough CPUs to run
-  // disjoint producer/consumer pairs; one shard per 2 CPUs, at least 1.
-  const std::uint32_t s = topo.cpus / 2 == 0 ? 1 : topo.cpus / 2;
-  return s < max_cap ? s : max_cap;
-}
-
-bool pin_to_domain(const cpu_topology& topo, std::uint32_t domain,
-                   std::uint32_t seq) noexcept {
-  if (topo.domains == 0 || topo.domain_of.size() < topo.cpus) return false;
-  domain %= topo.domains;
-  // Collect the domain's CPUs (tiny arrays; this runs once per thread).
-  std::uint32_t count = 0;
-  for (std::uint32_t c = 0; c < topo.cpus; ++c) {
-    if (topo.domain_of[c] == domain) ++count;
-  }
-  if (count == 0) return false;
-  std::uint32_t pick = seq % count;
-  for (std::uint32_t c = 0; c < topo.cpus; ++c) {
-    if (topo.domain_of[c] == domain && pick-- == 0) return pin_to_cpu(c);
-  }
-  return false;
 }
 
 bool pin_to_cpu(std::uint32_t cpu) noexcept {

@@ -7,7 +7,6 @@
 #pragma once
 
 #include <cstdint>
-#include <vector>
 
 namespace kpq {
 
@@ -17,35 +16,5 @@ bool pin_to_cpu(std::uint32_t cpu) noexcept;
 
 /// Number of online CPUs (>= 1).
 std::uint32_t online_cpus() noexcept;
-
-/// Cache/NUMA topology summary for shard placement. A "domain" is a set of
-/// CPUs sharing a last-level cache (or, on NUMA boxes, a memory node —
-/// whichever /sys exposes). The elastic tuner uses this to cap the useful
-/// active-shard count: more shards than domains just shreds the LLC, which
-/// is the regime the paper's cross-socket Figure 8 results warn about.
-struct cpu_topology {
-  std::uint32_t cpus = 1;     ///< online CPUs
-  std::uint32_t domains = 1;  ///< distinct LLC/NUMA domains (>= 1)
-  /// domain_of[cpu] for cpu < cpus; all zero in the single-domain fallback.
-  std::vector<std::uint32_t> domain_of;
-};
-
-/// Best-effort detection from /sys (Linux): prefers NUMA node cpulists,
-/// falls back to shared L3 (cache/index3/shared_cpu_list), and degrades to
-/// one flat domain when neither parses (containers, non-Linux). Never
-/// throws; always returns a consistent topology with domains >= 1.
-cpu_topology detect_topology() noexcept;
-
-/// Suggested shard-pool size for this host: one shard per domain when there
-/// are several, else a small divisor of the CPU count, always in
-/// [1, max_cap]. A pure heuristic — the tuner adapts within whatever pool
-/// the caller actually builds.
-std::uint32_t recommended_shards(const cpu_topology& topo,
-                                 std::uint32_t max_cap = 8) noexcept;
-
-/// Pin the calling thread to some CPU of `domain % topo.domains`,
-/// round-robining by `seq` within the domain. Best-effort like pin_to_cpu.
-bool pin_to_domain(const cpu_topology& topo, std::uint32_t domain,
-                   std::uint32_t seq) noexcept;
 
 }  // namespace kpq

@@ -218,41 +218,8 @@ void append_metrics(metrics_snapshot& out, const std::string& prefix,
                static_cast<double>(w.resume_ns_max));
 }
 
-/// The elastic tuner's decision counters + live gauges (scale/tuner.hpp).
-template <typename T>
-concept tuner_stats_like = requires(const T& t) {
-  { t.ticks } -> std::convertible_to<std::uint64_t>;
-  { t.grows } -> std::convertible_to<std::uint64_t>;
-  { t.shrinks } -> std::convertible_to<std::uint64_t>;
-  { t.reorders } -> std::convertible_to<std::uint64_t>;
-  { t.patience_raises } -> std::convertible_to<std::uint64_t>;
-  { t.patience_drops } -> std::convertible_to<std::uint64_t>;
-  { t.active_shards } -> std::convertible_to<std::uint32_t>;
-  { t.patience } -> std::convertible_to<std::uint32_t>;
-  { t.scan_epoch } -> std::convertible_to<std::uint64_t>;
-};
-
-template <tuner_stats_like T>
-void append_metrics(metrics_snapshot& out, const std::string& prefix,
-                    const T& t) {
-  append_value(out, prefix + ".ticks", static_cast<double>(t.ticks));
-  append_value(out, prefix + ".grows", static_cast<double>(t.grows));
-  append_value(out, prefix + ".shrinks", static_cast<double>(t.shrinks));
-  append_value(out, prefix + ".reorders", static_cast<double>(t.reorders));
-  append_value(out, prefix + ".patience_raises",
-               static_cast<double>(t.patience_raises));
-  append_value(out, prefix + ".patience_drops",
-               static_cast<double>(t.patience_drops));
-  append_value(out, prefix + ".active_shards",
-               static_cast<double>(t.active_shards));
-  append_value(out, prefix + ".patience", static_cast<double>(t.patience));
-  append_value(out, prefix + ".scan_epoch",
-               static_cast<double>(t.scan_epoch));
-}
-
 /// Fast-path queues' fast/slow path split (fps_path_stats, core/wf_queue.hpp)
-/// — the tuner's contention signal, exported so patience decisions can be
-/// audited.
+/// — the contention signal that shows how often the fast path gives up.
 template <typename F>
 concept fps_path_like = requires(const F& f) {
   { f.fast_enqs } -> std::convertible_to<std::uint64_t>;

@@ -12,7 +12,7 @@
 //     helping scheme creates (help episodes record the victim phase, which
 //     is how the arrow finds its target).
 //   * "i" instant events for the point-like kinds (waiter_park/resume,
-//     tuner_decision, retire, scans, shard routing).
+//     retire, scans, shard routing).
 //
 // Output is the Trace Event Format JSON object form: `ts`/`dur` are
 // MICROSECONDS (doubles), mapped from ticks with a tick_calibration. The

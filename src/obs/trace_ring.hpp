@@ -85,12 +85,12 @@ enum class trace_kind : std::uint8_t {
   reclaim_scan = 8,  // reclaimer scan pass;  aux = objects freed
   shard_steal = 9,   // dequeue served off-home; aux = serving shard
   shard_empty = 10,  // full shard scan found nothing; aux = home shard
-  tuner_decision = 11,  // elastic tuner acted; phase = new scan epoch,
-                        // aux = decision code (scale/tuner.hpp)
-  waiter_park = 12,     // continuation suspended on a waiter_hub;
-                        // aux = continuation kind (0 thread, 1 coroutine)
-  waiter_resume = 13,   // accepted continuation running again;
-                        // phase = accept->running latency (ns), aux = kind
+  // 11 is unused: stored traces carry numeric kinds, so a retired value is
+  // never reassigned.
+  waiter_park = 12,    // continuation suspended on a waiter_hub;
+                       // aux = continuation kind (0 thread, 1 coroutine)
+  waiter_resume = 13,  // accepted continuation running again;
+                       // phase = accept->running latency (ns), aux = kind
 };
 
 inline constexpr const char* trace_kind_name(trace_kind k) noexcept {
@@ -106,7 +106,6 @@ inline constexpr const char* trace_kind_name(trace_kind k) noexcept {
     case trace_kind::reclaim_scan: return "reclaim_scan";
     case trace_kind::shard_steal: return "shard_steal";
     case trace_kind::shard_empty: return "shard_empty";
-    case trace_kind::tuner_decision: return "tuner_decision";
     case trace_kind::waiter_park: return "waiter_park";
     case trace_kind::waiter_resume: return "waiter_resume";
   }

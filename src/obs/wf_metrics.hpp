@@ -48,7 +48,6 @@ struct wf_trace_report {
   std::uint64_t reclaim_scans = 0;
   std::uint64_t steals = 0;
   std::uint64_t shard_empty_scans = 0;
-  std::uint64_t tuner_decisions = 0;  // elastic tuner actions in the trace
   std::uint64_t waiter_parks = 0;     // continuations suspended on a hub
   std::uint64_t waiter_resumes = 0;   // accepted continuations running again
   std::uint64_t dropped_events = 0;   // ring overwrites: report is a suffix
@@ -122,9 +121,6 @@ inline wf_trace_report analyze_trace(const std::vector<trace_event>& events,
       case trace_kind::shard_empty:
         ++r.shard_empty_scans;
         break;
-      case trace_kind::tuner_decision:
-        ++r.tuner_decisions;
-        break;
       case trace_kind::waiter_park:
         ++r.waiter_parks;
         break;
@@ -155,8 +151,6 @@ inline void append_metrics(metrics_snapshot& out, const std::string& prefix,
   append_value(out, prefix + ".reclaim_scans",
                static_cast<double>(r.reclaim_scans));
   append_value(out, prefix + ".steals", static_cast<double>(r.steals));
-  append_value(out, prefix + ".tuner_decisions",
-               static_cast<double>(r.tuner_decisions));
   append_value(out, prefix + ".waiter_parks",
                static_cast<double>(r.waiter_parks));
   append_value(out, prefix + ".waiter_resumes",

@@ -31,22 +31,11 @@
 // of shards traffic actually spreads over.
 //
 // Dequeue scan = work stealing: the scan starts at home_shard(tid) and
-// continues over every pool slot. A consumer prefers its own lane (cheap,
+// continues over every other shard. A consumer prefers its own lane (cheap,
 // uncontended) and falls back to draining peers' lanes when its own runs
 // dry, so no item is ever stranded behind an idle consumer. The
 // stolen/dequeued ratio is exported per shard (scale_counters.hpp) — the
 // fig_sharding bench prints it.
-//
-// Elasticity (scale/adaptive.hpp + scale/tuner.hpp, ALGORITHM.md §9): the
-// constructed shard count is a fixed-capacity POOL. An epoch-stamped scan
-// table — published by a single tuner thread, loaded once per operation —
-// says which pool slots are ACTIVE (receive enqueues) and in what order the
-// dequeue scan visits the pool. Growing/shrinking the active set and
-// reordering the steal scan are one pointer publish each; shards are never
-// constructed or destroyed after the pool is built, so in-flight operations
-// keep their constant step bound, and deactivated shards keep being scanned
-// until drained (no item is ever lost to a reshard). With the default
-// identity table the routing degenerates to exactly the static behaviour.
 #pragma once
 
 #include <cassert>
@@ -59,7 +48,6 @@
 #include "core/queue_concepts.hpp"
 #include "harness/mem_tracker.hpp"
 #include "obs/trace_ring.hpp"
-#include "scale/adaptive.hpp"
 #include "scale/batch.hpp"
 #include "scale/scale_counters.hpp"
 #include "scale/shard_policy.hpp"
@@ -85,7 +73,6 @@ class sharded_queue : public mem_tracked {
       : nshards_(shard_count),
         n_(max_threads),
         policy_(shard_count),
-        elastic_(shard_count),
         counters_(shard_count) {
     assert(shard_count >= 1);
     set_memory_counters(mc);
@@ -118,7 +105,6 @@ class sharded_queue : public mem_tracked {
       : nshards_(shard_count),
         n_(max_threads),
         policy_(shard_count),
-        elastic_(shard_count),
         counters_(shard_count) {
     assert(shard_count >= 1);
     shards_.reserve(nshards_);
@@ -135,23 +121,20 @@ class sharded_queue : public mem_tracked {
 
   void enqueue(value_type v, std::uint32_t tid) {
     assert(tid < n_);
-    const scan_table* t = elastic_.table();
-    const std::uint32_t s = route_enqueue(t, policy_.enqueue_shard(tid, v));
+    const std::uint32_t s = policy_.enqueue_shard(tid, v) % nshards_;
     shards_[s]->enqueue(std::move(v), tid);
     counters_[s]->on_enqueue();
   }
   void enqueue(value_type v) { enqueue(std::move(v), this_thread_id()); }
 
-  /// Work-stealing scan: the caller's home shard first, then every pool
-  /// slot in the published scan order (active shards best-first, then the
-  /// deactivated tail so a reshard never strands items). At most one inner
-  /// dequeue per pool slot per call, hence wait-free (see file comment).
+  /// Work-stealing scan: the caller's home shard first, then every other
+  /// shard in index order. At most one inner dequeue per shard per call,
+  /// hence wait-free (see file comment).
   std::optional<value_type> dequeue(std::uint32_t tid) {
     assert(tid < n_);
-    const scan_table* t = elastic_.table();
-    const std::uint32_t home = route_home(t, tid);
+    const std::uint32_t home = home_shard(tid);
     for (std::uint32_t k = 0; k <= nshards_; ++k) {
-      const std::uint32_t s = k == 0 ? home : t->order[k - 1];
+      const std::uint32_t s = k == 0 ? home : k - 1;
       if (k != 0 && s == home) continue;  // already visited first
       if (auto v = shards_[s]->dequeue(tid)) {
         counters_[s]->on_dequeue(/*stolen=*/s != home);
@@ -184,9 +167,7 @@ class sharded_queue : public mem_tracked {
   void enqueue_bulk(It first, It last, std::uint32_t tid) {
     if (first == last) return;
     assert(tid < n_);
-    const scan_table* t = elastic_.table();
-    const std::uint32_t s =
-        route_enqueue(t, policy_.enqueue_shard(tid, *first));
+    const std::uint32_t s = policy_.enqueue_shard(tid, *first) % nshards_;
     const auto n = static_cast<std::uint64_t>(std::distance(first, last));
     kpq::enqueue_bulk(*shards_[s], first, last, tid);
     counters_[s]->on_enqueue(n);
@@ -194,17 +175,16 @@ class sharded_queue : public mem_tracked {
   }
 
   /// Work-stealing bulk pop: drains up to `max` items, preferring the home
-  /// shard and continuing across the published scan order until `max` is
-  /// met or every pool slot reported empty. Appends to `out`, returns items
+  /// shard and continuing over the other shards in index order until `max`
+  /// is met or every shard reported empty. Appends to `out`, returns items
   /// moved.
   std::size_t dequeue_bulk(std::vector<value_type>& out, std::size_t max,
                            std::uint32_t tid) {
     assert(tid < n_);
-    const scan_table* t = elastic_.table();
-    const std::uint32_t home = route_home(t, tid);
+    const std::uint32_t home = home_shard(tid);
     std::size_t got = 0;
     for (std::uint32_t k = 0; k <= nshards_ && got < max; ++k) {
-      const std::uint32_t s = k == 0 ? home : t->order[k - 1];
+      const std::uint32_t s = k == 0 ? home : k - 1;
       if (k != 0 && s == home) continue;  // already visited first
       const std::size_t from_shard =
           kpq::dequeue_bulk(*shards_[s], out, max - got, tid);
@@ -228,36 +208,6 @@ class sharded_queue : public mem_tracked {
       }
     }
     return got;
-  }
-
-  // -------------------------------------------------------------- elasticity
-  // Single-mutator contract (the tuner thread); see adaptive.hpp.
-
-  /// The fixed pool size ops are bounded by; == shard_count().
-  std::uint32_t shard_capacity() const noexcept { return nshards_; }
-  /// Shards currently receiving enqueues.
-  std::uint32_t active_shards() const noexcept {
-    return elastic_.table()->active_count;
-  }
-  /// Monotone table version; bumps on every grow/shrink/reorder.
-  std::uint64_t scan_epoch() const noexcept {
-    return elastic_.table()->epoch;
-  }
-  /// Bit s set iff pool slot s is active (slots >= 64 not represented).
-  std::uint64_t active_mask() const noexcept {
-    return elastic_.table()->active_mask();
-  }
-  const scan_table& current_table() const noexcept {
-    return *elastic_.table();
-  }
-  /// Install a new active set / scan order (tuner thread only).
-  std::uint64_t publish_table(std::uint32_t active_count,
-                              std::vector<std::uint32_t> order) {
-    return elastic_.publish(active_count, std::move(order));
-  }
-  /// Grow/shrink keeping the current scan order (tuner thread only).
-  std::uint64_t set_active_shards(std::uint32_t active_count) {
-    return elastic_.set_active_count(active_count);
   }
 
   // ---------------------------------------------------------- observability
@@ -291,24 +241,15 @@ class sharded_queue : public mem_tracked {
   }
 
  private:
-  /// Map a policy verdict (in [0, capacity)) onto the active set of the
-  /// loaded table. Identity when all shards are active, so the static
-  /// configuration routes exactly as before elasticity existed.
-  static std::uint32_t route_enqueue(const scan_table* t,
-                                     std::uint32_t policy_shard) noexcept {
-    return t->order[policy_shard % t->active_count];
-  }
   /// A consumer's scan starts where the matching producer enqueues, so the
-  /// affinity pairing (and its near-zero steal rate) survives resharding.
-  std::uint32_t route_home(const scan_table* t,
-                           std::uint32_t tid) const noexcept {
-    return t->order[policy_.home_shard(tid) % t->active_count];
+  /// affinity pairing keeps its near-zero steal rate.
+  std::uint32_t home_shard(std::uint32_t tid) const noexcept {
+    return policy_.home_shard(tid) % nshards_;
   }
 
   const std::uint32_t nshards_;
   const std::uint32_t n_;
   Policy policy_;
-  elastic_control elastic_;
   std::vector<std::unique_ptr<Q>> shards_;
   std::vector<padded<shard_counters>> counters_;
 };

@@ -9,6 +9,7 @@
 #include <string>
 
 #include "core/wf_queue.hpp"
+#include "core/wf_queue_fps.hpp"
 #include "harness/mem_tracker.hpp"
 #include "harness/stats.hpp"
 #include "obs/export.hpp"
@@ -59,6 +60,22 @@ TEST(ObsRegistry, ShardStatsSource) {
   EXPECT_EQ(m.at("shard0.depth"), 20.0);
   EXPECT_DOUBLE_EQ(m.at("shard0.steal_rate"), 0.25);
   EXPECT_EQ(m.at("shard0.batch_fill"), 0.0);  // no batches: 0, not NaN
+}
+
+TEST(ObsRegistry, RegistryExportsFpsPathSplit) {
+  wf_queue_fps<std::uint64_t> q(1);
+  for (std::uint64_t i = 0; i < 10; ++i) {
+    q.enqueue(i, 0);
+    (void)q.dequeue(0);
+  }
+  const fps_path_stats ps = q.aggregate_path_counters();
+  EXPECT_EQ(ps.ops(), 20u);
+  metrics_snapshot out;
+  append_metrics(out, "fps", ps);
+  const auto m = as_map(out);
+  ASSERT_EQ(m.count("fps.slow_rate"), 1u);
+  EXPECT_GE(m.at("fps.slow_rate"), 0.0);
+  EXPECT_LE(m.at("fps.slow_rate"), 1.0);
 }
 
 TEST(ObsRegistry, MemAndReclaimerSources) {

@@ -105,12 +105,12 @@ TEST(ObsTimeline, PointKindsBecomeInstants) {
   std::vector<trace_event> events;
   events.push_back(ev(100, trace_kind::waiter_park, 3, 0, 42));
   events.push_back(ev(200, trace_kind::waiter_resume, 3, 0, 42));
-  events.push_back(ev(300, trace_kind::tuner_decision, 0, 1, 4));
+  events.push_back(ev(300, trace_kind::shard_steal, 0, 0, 2));
 
   const std::string doc = trace_to_timeline(events, ns_cal());
   EXPECT_NE(doc.find("\"name\":\"waiter_park\",\"ph\":\"i\""),
             std::string::npos);
-  EXPECT_NE(doc.find("\"name\":\"tuner_decision\",\"ph\":\"i\""),
+  EXPECT_NE(doc.find("\"name\":\"shard_steal\",\"ph\":\"i\""),
             std::string::npos);
   EXPECT_EQ(count_of(doc, "\"s\":\"t\""), 3u);
 }

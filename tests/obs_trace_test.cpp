@@ -5,7 +5,11 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <iterator>
+#include <set>
+#include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "core/wf_queue.hpp"
@@ -72,6 +76,36 @@ TEST(ObsTraceRing, ResetForgetsEverything) {
   std::vector<trace_event> out;
   ring.drain(out);
   EXPECT_TRUE(out.empty());
+}
+
+// Stored traces (JSONL exports, flight-recorder dumps) carry the numeric
+// kind, so a kind keeps its value for good and a retired value stays unused.
+constexpr std::pair<trace_kind, unsigned> kPinnedKinds[] = {
+    {trace_kind::enq_publish, 0},  {trace_kind::enq_complete, 1},
+    {trace_kind::deq_publish, 2},  {trace_kind::deq_complete, 3},
+    {trace_kind::help_start, 4},   {trace_kind::help_finish, 5},
+    {trace_kind::help_scan, 6},    {trace_kind::retire, 7},
+    {trace_kind::reclaim_scan, 8}, {trace_kind::shard_steal, 9},
+    {trace_kind::shard_empty, 10}, {trace_kind::waiter_park, 12},
+    {trace_kind::waiter_resume, 13},
+};
+
+TEST(ObsTraceKinds, StoredNumericValuesAreStable) {
+  for (const auto& [kind, value] : kPinnedKinds) {
+    EXPECT_EQ(static_cast<unsigned>(kind), value) << trace_kind_name(kind);
+  }
+}
+
+TEST(ObsTraceKinds, EveryLiveKindIsNamedAndRetiredElevenIsNot) {
+  std::set<std::string> names;
+  for (const auto& [kind, value] : kPinnedKinds) {
+    const std::string name = trace_kind_name(kind);
+    EXPECT_NE(name, "unknown") << "kind " << value;
+    names.insert(name);
+  }
+  EXPECT_EQ(names.size(), std::size(kPinnedKinds)) << "names must be unique";
+  EXPECT_STREQ(trace_kind_name(static_cast<trace_kind>(11)), "unknown");
+  EXPECT_STREQ(trace_kind_name(static_cast<trace_kind>(14)), "unknown");
 }
 
 TEST(ObsTraceDomain, ConcurrentWritersOnDistinctRingsLoseNothing) {

@@ -112,13 +112,12 @@ TEST(NodeRecyclingFps, SlowPathAdoptsRecycledNodesIntact) {
     }
     ASSERT_GT(q.storage().cached(0), 0u);
 
-    // Patience 0: every operation announces, so each enqueue adopts a node
-    // from the free list on the slow path.
-    q.set_patience(0);
+    // Slow path only: every operation announces, so each enqueue adopts a
+    // node from the free list.
     for (std::uint64_t i = 0; i < 1000; ++i) {
       const std::size_t cached = q.storage().cached(0);
       const std::uint64_t v = 0xC0FFEE00ULL + i;
-      q.enqueue(v, 0);
+      whitebox::announce_enq(q, 0, v);
       auto* node = whitebox::tail(q);
       // alloc runs before the announce, whose retirements may scan and
       // refill the list: a non-empty list hands out a node seen before.
@@ -129,12 +128,11 @@ TEST(NodeRecyclingFps, SlowPathAdoptsRecycledNodesIntact) {
       EXPECT_EQ(node->enq_tid, 0) << "adoption must reset enq_tid";
       EXPECT_EQ(node->deq_tid.load(), no_tid);
       EXPECT_EQ(node->value, v);
-      ASSERT_EQ(q.dequeue(0), std::optional<std::uint64_t>(v));
+      ASSERT_EQ(whitebox::announce_deq(q, 0), std::optional<std::uint64_t>(v));
     }
 
     // Back to the fast path over slow-path nodes, with a backlog so
     // recycled nodes sit in the middle of the list.
-    q.set_patience(8);
     for (std::uint64_t i = 0; i < 500; ++i) q.enqueue(i, 0);
     for (std::uint64_t i = 0; i < 500; ++i) {
       ASSERT_EQ(q.dequeue(0), std::optional<std::uint64_t>(i));

@@ -22,12 +22,6 @@
 // machine still points into. (The real-thread stress tests cover eager
 // segment reclamation; here the subject is the interleaving space.)
 //
-// The elastic replay section at the bottom mirrors sharded_queue's
-// table-routed operations over step-machine shards, so scan-table publishes
-// (grow / shrink / reorder) can be injected at arbitrary schedule points and
-// the resulting mixed-table interleavings checked for lost/duplicated items
-// (scale_adaptive_test).
-//
 // Requires tests/support/whitebox.hpp in the same translation unit.
 #pragma once
 
@@ -37,7 +31,6 @@
 #include <vector>
 
 #include "core/wf_queue.hpp"
-#include "scale/adaptive.hpp"
 #include "support/whitebox.hpp"
 #include "verify/history.hpp"
 
@@ -206,107 +199,5 @@ std::unique_ptr<basic_machine<Q>> build_machine_for(const op_spec& s) {
 inline std::unique_ptr<machine> build_machine(const op_spec& s) {
   return build_machine_for<sm_queue>(s);
 }
-
-// ----------------------------------------------------------- elastic replay
-//
-// sharded_queue's elastic routing replayed over step-machine shards, with
-// the PRODUCTION table type (kpq::elastic_control / scan_table) as the
-// routing source. The driving test publishes new tables between primitive
-// steps; an operation snapshots the table pointer once at its start —
-// exactly the one acquire load the real enqueue/dequeue performs — so a
-// publish lands mid-operation for every op in flight, producing the
-// mixed-table executions the adaptation-safety argument is about.
-
-/// Fixed pool of step-machine shards plus the production table publisher.
-/// History is recorded per POOL SLOT (like scale_random_schedule_test), so
-/// per-shard FIFO/lin checking is oblivious to which table routed each op.
-struct elastic_shard_set {
-  elastic_control control;
-  std::vector<std::unique_ptr<sm_queue>> shards;
-  std::vector<std::vector<op_event>> history;
-
-  elastic_shard_set(std::uint32_t capacity, std::uint32_t threads)
-      : control(capacity), history(capacity) {
-    for (std::uint32_t i = 0; i < capacity; ++i) {
-      shards.push_back(std::make_unique<sm_queue>(threads));
-    }
-  }
-  std::uint32_t capacity() const {
-    return static_cast<std::uint32_t>(shards.size());
-  }
-};
-
-/// One elastically-routed sharded operation, one primitive step per step()
-/// call. Mirrors sharded_queue::enqueue / ::dequeue with the affinity
-/// policy (policy shard = tid % capacity) routed through the scan table
-/// held since the operation started.
-class elastic_sharded_op {
- public:
-  elastic_sharded_op(std::uint32_t tid, bool is_enq, std::uint64_t value,
-                     elastic_shard_set& set)
-      : tid_(tid), is_enq_(is_enq), value_(value), table_(set.control.table()) {
-    const std::uint32_t policy_shard = tid_ % set.capacity();
-    home_ = table_->order[policy_shard % table_->active_count];
-    cur_ = home_;
-    start_inner();
-  }
-
-  /// True once the sharded operation completed. `k_` walks the snapshot's
-  /// scan positions: 0 = home, then order[k-1] skipping home — the same
-  /// loop shape as sharded_queue::dequeue.
-  bool step(elastic_shard_set& set, std::uint64_t& clock) {
-    if (inner_->step(*set.shards[cur_])) {
-      inner_->res = clock++;
-      if (is_enq_) {
-        set.history[cur_].push_back(
-            {op_kind::enq, true, tid_, value_, inner_->inv, inner_->res});
-        return true;
-      }
-      auto* dm = static_cast<deq_machine*>(inner_.get());
-      set.history[cur_].push_back({op_kind::deq, dm->result.has_value(), tid_,
-                                   dm->result.value_or(0), inner_->inv,
-                                   inner_->res});
-      if (dm->result.has_value()) {
-        result = dm->result;
-        return true;
-      }
-      // Advance to the next pool slot of the snapshot's scan order.
-      while (true) {
-        if (++k_ > set.capacity()) return true;  // scanned all: empty
-        const std::uint32_t s = table_->order[k_ - 1];
-        if (s == home_) continue;  // visited first
-        cur_ = s;
-        break;
-      }
-      start_inner();
-      inner_->inv = clock++;
-      return false;
-    }
-    ++clock;
-    return false;
-  }
-
-  std::uint64_t& inv() { return inner_->inv; }
-  std::optional<std::uint64_t> result;
-  const scan_table* table() const { return table_; }
-
- private:
-  void start_inner() {
-    if (is_enq_) {
-      inner_ = std::make_unique<enq_machine>(tid_, value_);
-    } else {
-      inner_ = std::make_unique<deq_machine>(tid_);
-    }
-  }
-
-  std::uint32_t tid_;
-  bool is_enq_;
-  std::uint64_t value_;
-  const scan_table* table_;  // snapshot held for the whole operation
-  std::uint32_t home_ = 0;
-  std::uint32_t cur_ = 0;
-  std::uint32_t k_ = 0;  // scan position within the snapshot
-  std::unique_ptr<machine> inner_;
-};
 
 }  // namespace kpq::testing

@@ -5,6 +5,7 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <utility>
 #include <vector>
 
@@ -57,6 +58,23 @@ struct whitebox {
   template <typename Q>
   static std::int64_t bump_phase(Q& q) {
     return q.phase_.counter->fetch_add(1, std::memory_order_acq_rel);
+  }
+  /// Announce an enqueue on the slow path and help it to completion,
+  /// skipping any fast path.
+  template <typename Q>
+  static void announce_enq(Q& q, std::uint32_t tid,
+                           typename Q::value_type v) {
+    auto g = q.reclaim_.enter(tid);
+    typename Q::node_type* node =
+        q.alloc_node(tid, std::move(v), static_cast<std::int32_t>(tid));
+    q.announce_enq(tid, q.phase_.next_phase(q, g, tid), node, g);
+  }
+  /// Announce a dequeue on the slow path, skipping any fast path.
+  template <typename Q>
+  static std::optional<typename Q::value_type> announce_deq(Q& q,
+                                                            std::uint32_t tid) {
+    auto g = q.reclaim_.enter(tid);
+    return q.announce_deq(tid, q.phase_.next_phase(q, g, tid), g);
   }
   template <typename Q>
   static void help_finish_enq(Q& q, std::uint32_t my) {
