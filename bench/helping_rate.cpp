@@ -8,7 +8,7 @@
 // was executed by a thread other than the owner, plus wasted CAS work.
 //
 // Expected shape: helped-op fraction and failed-CAS counts are highest with
-// help_all (everyone piles on), drop sharply with help_one/help_chunk, and
+// help_all (everyone piles on), drop sharply with help_one, and
 // all policies help more as the thread count (and hence preemption inside
 // operations) grows.
 //
@@ -71,15 +71,12 @@ int main(int argc, char** argv) {
   std::printf("helped%% = operations whose completion CAS was won by a non-owner\n\n");
 
   table t({"threads", "help_all helped%", "help_one helped%",
-           "help_chunk<4> helped%", "help_all descCASfail/kop",
-           "help_one descCASfail/kop"});
+           "help_all descCASfail/kop", "help_one descCASfail/kop"});
   for (std::uint32_t th : p.threads) {
     const rate_row all = measure<help_all>(th, p.iters);
     const rate_row one = measure<help_one>(th, p.iters);
-    const rate_row chunk = measure<help_chunk<4>>(th, p.iters);
     t.add_row({std::to_string(th), fmt(all.helped_pct, 2),
-               fmt(one.helped_pct, 2), fmt(chunk.helped_pct, 2),
-               fmt(all.desc_cas_fail_per_kop, 2),
+               fmt(one.helped_pct, 2), fmt(all.desc_cas_fail_per_kop, 2),
                fmt(one.desc_cas_fail_per_kop, 2)});
   }
   t.print();

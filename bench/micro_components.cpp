@@ -1,12 +1,11 @@
 // Beyond-paper ablation: cost of the individual mechanisms the wait-free
 // queue is built from, so the figure-level differences can be attributed:
 //
-//   * phase assignment: state-array scan (base) vs fetch-add vs CAS (§3.3
+//   * phase assignment: state-array scan (base) vs fetch-add (§3.3
 //     optimization 2 in isolation);
+//   * helping: help_one vs help_all (§3.3 optimization 1 in isolation);
 //   * hazard-pointer protect/clear vs plain atomic load (what §3.4's
 //     prescription costs per read);
-//   * descriptor cache on/off (§3.3 enhancement 1);
-//   * §3.3 enhancement 2 (descriptor scrub on exit);
 //   * thread-registry id lookup (the hidden cost of the tid-free API).
 #include <benchmark/benchmark.h>
 
@@ -81,42 +80,13 @@ BENCHMARK_TEMPLATE(bm_queue_pairs_1thread,
 BENCHMARK_TEMPLATE(bm_queue_pairs_1thread,
                    wf_queue<std::uint64_t, help_all, fetch_add_phase>)
     ->Name("phase/fetch_add");
-BENCHMARK_TEMPLATE(bm_queue_pairs_1thread,
-                   wf_queue<std::uint64_t, help_all, cas_phase>)
-    ->Name("phase/cas");
 
 BENCHMARK_TEMPLATE(bm_queue_pairs_1thread,
                    wf_queue<std::uint64_t, help_one, fetch_add_phase>)
     ->Name("help/help_one");
 BENCHMARK_TEMPLATE(bm_queue_pairs_1thread,
-                   wf_queue<std::uint64_t, help_chunk<2>, fetch_add_phase>)
-    ->Name("help/help_chunk<2>");
-BENCHMARK_TEMPLATE(bm_queue_pairs_1thread,
-                   wf_queue<std::uint64_t, help_chunk<4>, fetch_add_phase>)
-    ->Name("help/help_chunk<4>");
-BENCHMARK_TEMPLATE(bm_queue_pairs_1thread,
-                   wf_queue<std::uint64_t, help_random, fetch_add_phase>)
-    ->Name("help/help_random");
-BENCHMARK_TEMPLATE(bm_queue_pairs_1thread,
                    wf_queue<std::uint64_t, help_all, fetch_add_phase>)
     ->Name("help/help_all(n=8)");
-
-BENCHMARK_TEMPLATE(
-    bm_queue_pairs_1thread,
-    wf_queue<std::uint64_t, help_one, fetch_add_phase, hp_domain, wf_options>)
-    ->Name("desc_cache/on");
-BENCHMARK_TEMPLATE(bm_queue_pairs_1thread,
-                   wf_queue<std::uint64_t, help_one, fetch_add_phase, hp_domain,
-                            wf_options_no_cache>)
-    ->Name("desc_cache/off");
-BENCHMARK_TEMPLATE(bm_queue_pairs_1thread,
-                   wf_queue<std::uint64_t, help_one, fetch_add_phase, hp_domain,
-                            wf_options_scrub>)
-    ->Name("scrub_on_exit/on");
-BENCHMARK_TEMPLATE(bm_queue_pairs_1thread,
-                   wf_queue<std::uint64_t, help_one, fetch_add_phase, hp_domain,
-                            wf_options_precheck>)
-    ->Name("precheck_cas/on");
 
 BENCHMARK(bm_hp_protect)->Name("hp/protect+clear");
 BENCHMARK(bm_plain_load)->Name("hp/plain_acquire_load");

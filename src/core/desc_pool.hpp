@@ -12,27 +12,19 @@
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
 
 #include "core/op_desc.hpp"
-#include "harness/mem_tracker.hpp"
 #include "storage/recycle_list.hpp"
 
 namespace kpq {
 
+/// Descriptors each thread keeps for reuse; past it a recycled one is freed.
+inline constexpr std::size_t desc_cache_cap = 64;
+
 /// make(tid, args...) constructs a descriptor, reusing a cached allocation
 /// when possible; recycle(tid, d) returns a never-published one. Cached
-/// descriptors stay "live" in the accounting (they occupy heap). A disabled
-/// pool caches nothing.
+/// descriptors stay "live" in the accounting (they occupy heap).
 template <typename T, bool Stamped = false>
-class desc_pool : public recycle_lists<op_desc<T, Stamped>> {
- public:
-  using desc_type = op_desc<T, Stamped>;
-
-  desc_pool(std::uint32_t max_threads, bool enabled,
-            const mem_tracked* accounting, std::size_t cache_cap = 64)
-      : recycle_lists<desc_type>(max_threads, enabled ? cache_cap : 0,
-                                 accounting) {}
-};
+using desc_pool = recycle_lists<op_desc<T, Stamped>>;
 
 }  // namespace kpq

@@ -13,6 +13,10 @@
 //     peer helps a stalled operation within 2n of its own operations
 //     instead of n.
 //
+// §3.3's other traversals are not implemented: a cyclic chunk of K > 1
+// slots only interpolates between help_one and help_all, and a random
+// chunk gives merely probabilistic wait-freedom.
+//
 // The policies rely on queue::help_if_needed(i, phase, guard, my), which
 // applies the pending-and-phase<= filter (paper line 39) before dispatching
 // to help_enq/help_deq; help_one probes through queue::help_if_seen, the
@@ -30,7 +34,7 @@ namespace kpq {
 
 /// Trace hook shared by the policies: one help_scan event per run(), with
 /// the number of state slots this pass examined (the policy's per-op scan
-/// cost — n for help_all, K+1 for help_chunk, 2 for help_one/random).
+/// cost — n for help_all, 2 for help_one).
 /// Compiles out with the queue's recorder policy; queues without a
 /// trace_type (the policies are generic) are simply not traced.
 template <typename Queue>
@@ -54,64 +58,6 @@ struct help_all {
       q.help_if_needed(i, phase, g, my_tid);
     }
   }
-  static constexpr const char* name = "help_all";
-};
-
-/// §3.3 generalization: "a thread may traverse only a chunk of the state
-/// array in a cyclic manner in the help() method ... indexes 0 through k-1
-/// mod n (in addition to its own index), in the second invocation indexes
-/// k mod n through 2k-1 mod n, and so on." K=1 is the paper's help_one,
-/// without our help_one's second look. Wait-freedom is preserved: a stalled
-/// operation is reached after at most ceil(n/K) invocations of each active
-/// peer.
-template <std::uint32_t K>
-struct help_chunk {
-  static_assert(K >= 1);
-  explicit help_chunk(std::uint32_t max_threads) : cursor_(max_threads) {}
-
-  template <typename Queue, typename Guard>
-  void run(Queue& q, std::uint32_t my_tid, std::int64_t phase, Guard& g) {
-    const std::uint32_t n = q.max_threads();
-    std::uint32_t& k = cursor_[my_tid].value;  // owner-only cursor
-    trace_help_scan<Queue>(my_tid, K + 1);
-    for (std::uint32_t step = 0; step < K; ++step) {
-      const std::uint32_t candidate = k;
-      k = (k + 1 == n) ? 0 : k + 1;
-      if (candidate != my_tid) q.help_if_needed(candidate, phase, g, my_tid);
-    }
-    q.help_if_needed(my_tid, phase, g, my_tid);
-  }
-  static constexpr const char* name = "help_chunk";
-
-  std::vector<padded<std::uint32_t>> cursor_;
-};
-
-/// §3.3 alternative: "each thread might traverse a random chunk of the
-/// array, achieving probabilistic wait-freedom." One random candidate per
-/// operation; a stalled operation is helped with probability 1 but without
-/// a deterministic step bound — hence *probabilistic* wait-freedom only.
-struct help_random {
-  explicit help_random(std::uint32_t max_threads) : rng_state_(max_threads) {
-    for (std::uint32_t i = 0; i < max_threads; ++i) {
-      rng_state_[i].value = 0x9E3779B97F4A7C15ULL * (i + 1) + 1;
-    }
-  }
-
-  template <typename Queue, typename Guard>
-  void run(Queue& q, std::uint32_t my_tid, std::int64_t phase, Guard& g) {
-    std::uint64_t& s = rng_state_[my_tid].value;  // owner-only xorshift64
-    s ^= s << 13;
-    s ^= s >> 7;
-    s ^= s << 17;
-    const auto candidate =
-        static_cast<std::uint32_t>(s % q.max_threads());
-    trace_help_scan<Queue>(my_tid, 2);
-    if (candidate != my_tid) q.help_if_needed(candidate, phase, g, my_tid);
-    q.help_if_needed(my_tid, phase, g, my_tid);
-  }
-  static constexpr const char* name = "help_random";
-
-  std::vector<padded<std::uint64_t>> rng_state_;
 };
 
 /// §3.3 optimization 1 with a second look, the help record of Kogan &
@@ -156,7 +102,6 @@ struct help_one {
     // Our own operation must always complete before run() returns.
     q.help_if_needed(my_tid, phase, g, my_tid);
   }
-  static constexpr const char* name = "help_one";
 
   std::vector<padded<look>> cursor_;
 };

@@ -10,13 +10,10 @@
 //                       max + 1. O(n) per operation even without contention.
 //   * fetch_add_phase — optimization 2: a shared counter bumped with an
 //                       atomic fetch-and-add. O(1).
-//   * cas_phase       — the CAS flavour the paper describes in footnote 3:
-//                       read the counter and CAS it up, *ignoring failure* —
-//                       a failed CAS just means another thread took the same
-//                       phase, which is harmless because helping uses <=.
 //
-// All three preserve the doorway property the wait-freedom proof (paper
-// §5.3) relies on.
+// Both preserve the doorway property the wait-freedom proof (paper §5.3)
+// relies on. Footnote 3's CAS counter (a failed CAS just reuses a phase) is
+// not implemented: it measured the same as the fetch-and-add.
 #pragma once
 
 #include <atomic>
@@ -33,8 +30,6 @@ struct scan_max_phase {
   std::int64_t next_phase(Queue& q, Guard& g, std::uint32_t /*tid*/) noexcept {
     return q.max_phase(g) + 1;  // paper line 62 / 99
   }
-  static constexpr const char* name = "scan_max_phase";
-  static constexpr bool scans_state = true;
 };
 
 struct fetch_add_phase {
@@ -48,30 +43,6 @@ struct fetch_add_phase {
     // because only the counter's own modification order matters
     return counter.value.fetch_add(1, std::memory_order_acq_rel);
   }
-  static constexpr const char* name = "fetch_add_phase";
-  static constexpr bool scans_state = false;
-
-  padded<std::atomic<std::int64_t>> counter{std::int64_t{0}};
-};
-
-struct cas_phase {
-  explicit cas_phase(std::uint32_t /*max_threads*/) {}
-
-  template <typename Queue, typename Guard>
-  std::int64_t next_phase(Queue&, Guard&, std::uint32_t /*tid*/) noexcept {
-    // kpq-order: acquire pairs-with the release half of the CAS below as
-    // performed by other threads (observe their counter bumps)
-    std::int64_t cur = counter.value.load(std::memory_order_acquire);
-    // Paper footnote 3: no need to retry — a failure means another thread
-    // chose the same phase, which the <= helping rule tolerates.
-    // kpq-order: acq_rel pairs-with the acquire load above in rival
-    // next_phase calls; duplicate phases on CAS failure are tolerated
-    counter.value.compare_exchange_strong(cur, cur + 1,
-                                          std::memory_order_acq_rel);
-    return cur;
-  }
-  static constexpr const char* name = "cas_phase";
-  static constexpr bool scans_state = false;
 
   padded<std::atomic<std::int64_t>> counter{std::int64_t{0}};
 };

@@ -143,7 +143,7 @@ class ms_fast_path {
   alignas(destructive_interference) std::vector<padded<std::uint32_t>> cursor_;
 };
 
-/// Compile-time switches for the paper's §3.3 enhancements.
+/// Compile-time queue options: instrumentation and the fast-path policy.
 struct wf_options {
   /// Test instrumentation (zero-cost by default). The progress tests swap
   /// in hooks that block a chosen thread mid-operation to prove helping.
@@ -163,30 +163,10 @@ struct wf_options {
   using residency = obs::no_residency;
   /// Per-thread operation counters (wf_counters); zero-cost when off.
   static constexpr bool collect_stats = false;
-  /// Enhancement 1: cache descriptors whose installing CAS failed.
-  static constexpr bool descriptor_cache = true;
-  /// Enhancement 2: replace the descriptor with a node-free dummy when an
-  /// operation returns, so a finished descriptor does not keep naming a
-  /// node. (In Java this unpins memory from the GC; here it is provided for
-  /// fidelity/ablation — C++ descriptors do not own their node.)
-  static constexpr bool scrub_on_exit = false;
-  /// Enhancement 3: "check whether the pending flag is already switched off
-  /// before applying CAS in Lines 93 or 149" — skips the descriptor
-  /// allocation and the CAS when another helper already completed step (2).
-  static constexpr bool precheck_cas = false;
   /// Fast-path policy: no_fast_path, or ms_fast_path (wf_queue_fps.hpp).
   using fast_path = no_fast_path;
 };
 
-struct wf_options_no_cache : wf_options {
-  static constexpr bool descriptor_cache = false;
-};
-struct wf_options_scrub : wf_options {
-  static constexpr bool scrub_on_exit = true;
-};
-struct wf_options_precheck : wf_options {
-  static constexpr bool precheck_cas = true;
-};
 struct wf_options_stats : wf_options {
   static constexpr bool collect_stats = true;
 };
@@ -333,7 +313,7 @@ class wf_queue : public mem_tracked, public Options::fast_path {
         n_(max_threads),
         storage_(max_threads, this),
         reclaim_(max_threads, hp_slots),
-        pool_(max_threads, Options::descriptor_cache, this),
+        pool_(max_threads, desc_cache_cap, this),
         help_(max_threads),
         phase_(max_threads),
         stats_(Options::collect_stats || has_fast_path ? max_threads : 0),
@@ -422,7 +402,6 @@ class wf_queue : public mem_tracked, public Options::fast_path {
                    alloc_node(tid, std::move(value),
                               static_cast<std::int32_t>(tid)),
                    g);
-      if constexpr (Options::scrub_on_exit) scrub(tid, g, /*enq=*/true);
     }
   }
 
@@ -471,8 +450,9 @@ class wf_queue : public mem_tracked, public Options::fast_path {
       return announce_deq(tid, phase_.next_phase(*this, g, tid), g);
     } else {
       const std::int64_t phase = phase_.next_phase(*this, g, tid);  // line 99
+      // A named result, not `return announce_deq(...)`: with the direct
+      // return GCC 12 stops inlining publish()'s retire here.
       std::optional<T> result = announce_deq(tid, phase, g);
-      if constexpr (Options::scrub_on_exit) scrub(tid, g, /*enq=*/false);
       return result;
     }
   }
@@ -485,10 +465,10 @@ class wf_queue : public mem_tracked, public Options::fast_path {
   // phase is registered for the WHOLE batch and reused by every item:
   //
   //   * Legal: helping uses `phase <= mine`, so equal phases are already
-  //     tolerated (cas_phase takes duplicate phases by design, paper
-  //     footnote 3), and descriptor identity — never the phase — is what
-  //     the completion CASes compare. A batch item publishing an "old"
-  //     phase can only make itself MORE helpable.
+  //     tolerated (two concurrent scan_max_phase draws can return the same
+  //     phase; paper footnote 3), and descriptor identity — never the
+  //     phase — is what the completion CASes compare. A batch item
+  //     publishing an "old" phase can only make itself MORE helpable.
   //   * Wait-free: the doorway bound (paper §5.3) counts operations with
   //     phase <= p that can linearize before an operation with phase p; a
   //     batch adds at most its own length to that count, so the step bound
@@ -517,7 +497,6 @@ class wf_queue : public mem_tracked, public Options::fast_path {
       announce_enq(tid, phase,
                    alloc_node(tid, *first, static_cast<std::int32_t>(tid)), g);
     }
-    if constexpr (Options::scrub_on_exit) scrub(tid, g, /*enq=*/true);
   }
 
   /// Pop up to `max` items (appended to `out`) under one guard and one
@@ -536,7 +515,6 @@ class wf_queue : public mem_tracked, public Options::fast_path {
       if (!item.has_value()) break;
       out.push_back(std::move(*item));
     }
-    if constexpr (Options::scrub_on_exit) scrub(tid, g, /*enq=*/false);
     return got;
   }
 
@@ -558,9 +536,6 @@ class wf_queue : public mem_tracked, public Options::fast_path {
   reclaimer_type& reclaimer() noexcept { return reclaim_; }
   storage_type& storage() noexcept { return storage_; }
   const storage_type& storage() const noexcept { return storage_; }
-  const desc_pool<T, track_residency>& descriptor_pool() const noexcept {
-    return pool_;
-  }
 
   /// Merged item-residency histogram in TICKS (obs/calibrate.hpp converts to
   /// ns). Meaningful only when `track_residency`; scrape-safe while workers
@@ -914,16 +889,11 @@ class wf_queue : public mem_tracked, public Options::fast_path {
     desc_type* cur = g.protect(s_desc, state_[tid].get());  // line 90
     if (last == tail_.load(std::memory_order_seq_cst) &&
         cur->node == next) {  // line 91 (cur is current: protect validated)
-      // §3.3 enhancement 3: if step (2) is already done, skip straight to
-      // the tail swing (still safe: stage 3 only ever follows a completed
-      // stage 2, which pending==false certifies).
-      if (!Options::precheck_cas || cur->pending) {
-        // line 92: new descriptor marking the operation linearized...
-        desc_type* fresh = pool_.make(my, cur->phase, false, true, next);
-        const bool won = swap_state(tid, my, cur, fresh);  // line 93 (step 2)
-        if constexpr (Options::collect_stats) {
-          if (won && tid != my) ++stats_[my]->helped_enq_completions;
-        }
+      // line 92: new descriptor marking the operation linearized...
+      desc_type* fresh = pool_.make(my, cur->phase, false, true, next);
+      const bool won = swap_state(tid, my, cur, fresh);  // line 93 (step 2)
+      if constexpr (Options::collect_stats) {
+        if (won && tid != my) ++stats_[my]->helped_enq_completions;
       }
       tail_.compare_exchange_strong(last, next,
                                     std::memory_order_seq_cst);  // 94 (step 3)
@@ -999,21 +969,18 @@ class wf_queue : public mem_tracked, public Options::fast_path {
     desc_type* cur = g.protect(s_desc, state_[tid].get());  // line 146
     if (first == head_.load(std::memory_order_seq_cst) &&
         next != nullptr) {  // line 147
-      // §3.3 enhancement 3 (see help_finish_enq).
-      if (!Options::precheck_cas || cur->pending) {
-        // line 148 + §3.4: copy the payload out of the (pinned) successor
-        // into the descriptor so the caller never revisits these nodes.
-        desc_type* fresh =
-            pool_.make(my, cur->phase, false, false, cur->node, next->value);
-        // The residency stamp rides along with the payload — copied while
-        // `next` is still pinned, whichever helper completes the op. This is
-        // why helping does not distort residency: the stamp is a property of
-        // the ITEM, carried unchanged to whoever returns it.
-        if constexpr (track_residency) fresh->enq_ts = next->enq_ts;
-        const bool won = swap_state(tid, my, cur, fresh);  // line 149 (step 2)
-        if constexpr (Options::collect_stats) {
-          if (won && tid != my) ++stats_[my]->helped_deq_completions;
-        }
+      // line 148 + §3.4: copy the payload out of the (pinned) successor into
+      // the descriptor so the caller never revisits these nodes.
+      desc_type* fresh =
+          pool_.make(my, cur->phase, false, false, cur->node, next->value);
+      // The residency stamp rides along with the payload — copied while
+      // `next` is still pinned, whichever helper completes the op. This is
+      // why helping does not distort residency: the stamp is a property of
+      // the ITEM, carried unchanged to whoever returns it.
+      if constexpr (track_residency) fresh->enq_ts = next->enq_ts;
+      const bool won = swap_state(tid, my, cur, fresh);  // line 149 (step 2)
+      if constexpr (Options::collect_stats) {
+        if (won && tid != my) ++stats_[my]->helped_deq_completions;
       }
       if (head_.compare_exchange_strong(
               first, next, std::memory_order_seq_cst)) {  // line 150 (step 3)
@@ -1037,14 +1004,6 @@ class wf_queue : public mem_tracked, public Options::fast_path {
       (void)tid;
       (void)s;
     }
-  }
-
-  /// §3.3 enhancement 2: leave a dummy descriptor behind on operation exit.
-  template <typename Guard>
-  void scrub(std::uint32_t tid, Guard& g, bool enq) {
-    desc_type* d = g.protect(s_desc, state_[tid].get());
-    publish(tid, pool_.make(tid, d->phase, false, enq, nullptr));
-    g.clear(s_desc);
   }
 
   // ------------------------------------------------------------------- data

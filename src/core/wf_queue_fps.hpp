@@ -28,7 +28,6 @@ struct fps_options {
   /// Fast-path attempts before announcing on the slow path — the paper's
   /// MAX_FAILURES patience; 0 sends every operation to the slow path.
   static constexpr std::uint32_t max_tries = 8;
-  static constexpr bool descriptor_cache = true;
   /// Item-residency policy (obs/residency.hpp); no_residency keeps the node
   /// stamp-free. Detected structurally, so pre-existing options structs
   /// without the member keep compiling (they get no_residency).
@@ -54,7 +53,6 @@ template <typename O>
 struct fps_core_options : wf_options {
   using hooks = fps_hooks<typename O::hooks>;
   using residency = obs::residency_policy_t<O>;
-  static constexpr bool descriptor_cache = O::descriptor_cache;
   using fast_path = ms_fast_path<O::max_tries>;
 };
 

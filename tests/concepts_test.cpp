@@ -33,7 +33,7 @@ static_assert(mpmc_queue_autotid<wf_queue_opt2<std::uint64_t>>);
 static_assert(mpmc_queue_autotid<wf_queue_opt<std::uint64_t>>);
 static_assert(mpmc_queue_autotid<wf_queue_opt<std::string>>);
 static_assert(
-    mpmc_queue_autotid<wf_queue<int, help_chunk<2>, cas_phase, epoch_domain>>);
+    mpmc_queue_autotid<wf_queue<int, help_all, fetch_add_phase, epoch_domain>>);
 static_assert(mpmc_queue_autotid<wf_queue_fps<std::uint64_t>>);
 static_assert(mpmc_queue_autotid<ms_queue<std::uint64_t>>);
 static_assert(mpmc_queue_autotid<ms_queue<std::uint64_t, leaky_domain>>);

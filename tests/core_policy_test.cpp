@@ -187,50 +187,17 @@ TEST(HelpOneSecondLook, ChangingPhasesStillVisitEveryPeerWithin2NRuns) {
   EXPECT_EQ(probed, (std::set<std::uint32_t>{1, 2, 3}));
 }
 
-TEST(HelpChunk, VisitsKCandidatesPerRunAndWraps) {
-  constexpr std::uint32_t n = 4;
-  mock_queue q{n, {}};
-  mock_guard g;
-  help_chunk<2> policy(n);
-  policy.run(q, 3, 1, g);  // candidates 0,1 + self
-  ASSERT_EQ(q.helped.size(), 3u);
-  EXPECT_EQ(q.helped[0].first, 0u);
-  EXPECT_EQ(q.helped[1].first, 1u);
-  EXPECT_EQ(q.helped[2].first, 3u);
-  q.helped.clear();
-  policy.run(q, 3, 1, g);  // candidates 2,3(skip) + self
-  ASSERT_EQ(q.helped.size(), 2u);
-  EXPECT_EQ(q.helped[0].first, 2u);
-  EXPECT_EQ(q.helped[1].first, 3u);
-}
-
-TEST(HelpRandom, AlwaysHelpsSelfAndEventuallyEveryPeer) {
-  constexpr std::uint32_t n = 4;
-  mock_queue q{n, {}};
-  mock_guard g;
-  help_random policy(n);
-  std::set<std::uint32_t> candidates;
-  for (int round = 0; round < 200; ++round) {
-    q.helped.clear();
-    policy.run(q, 0, 1, g);
-    ASSERT_FALSE(q.helped.empty());
-    EXPECT_EQ(q.helped.back().first, 0u) << "self must always be helped";
-    for (auto [h, by] : q.helped) candidates.insert(h);
-  }
-  EXPECT_EQ(candidates.size(), n) << "probabilistic coverage failed badly";
-}
-
 // ------------------------------------------------------------ phase policies
 
 template <typename P>
 class PhasePolicyTest : public ::testing::Test {};
 
-using PhaseTypes = ::testing::Types<fetch_add_phase, cas_phase>;
+using PhaseTypes = ::testing::Types<fetch_add_phase>;
 TYPED_TEST_SUITE(PhasePolicyTest, PhaseTypes);
 
 TYPED_TEST(PhasePolicyTest, SequentialPhasesAreNonDecreasingAndFresh) {
   // The doorway property needs: a phase chosen after another operation
-  // *completed* its choice is >= that phase (ties allowed for cas_phase).
+  // *completed* its choice is >= that phase.
   wf_queue_base<std::uint64_t> dummy(1);  // unused by counter policies
   TypeParam p(4);
   mock_guard g;
@@ -264,12 +231,10 @@ TYPED_TEST(PhasePolicyTest, ConcurrentPhasesRespectTheDoorway) {
   for (auto& v : seen) {
     for (std::size_t i = 1; i < v.size(); ++i) EXPECT_GE(v[i], v[i - 1]);
   }
-  // fetch_add must additionally be globally unique.
-  if constexpr (std::is_same_v<TypeParam, fetch_add_phase>) {
-    std::set<std::int64_t> all;
-    for (auto& v : seen) all.insert(v.begin(), v.end());
-    EXPECT_EQ(all.size(), static_cast<std::size_t>(kThreads * kOps));
-  }
+  // fetch_add phases are additionally globally unique.
+  std::set<std::int64_t> all;
+  for (auto& v : seen) all.insert(v.begin(), v.end());
+  EXPECT_EQ(all.size(), static_cast<std::size_t>(kThreads * kOps));
 }
 
 TEST(ScanMaxPhase, ReturnsOneAboveTheMaximumInState) {
@@ -290,7 +255,7 @@ TEST(ScanMaxPhase, ReturnsOneAboveTheMaximumInState) {
 // ---------------------------------------------------------------- desc_pool
 
 TEST(DescPool, RecycleReusesTheSameAllocation) {
-  desc_pool<std::uint64_t> pool(2, /*enabled=*/true, nullptr);
+  desc_pool<std::uint64_t> pool(2, desc_cache_cap, nullptr);
   auto* a = pool.make(0, std::int64_t{1}, true, true, nullptr);
   pool.recycle(0, a);
   EXPECT_EQ(pool.cached(0), 1u);
@@ -301,15 +266,8 @@ TEST(DescPool, RecycleReusesTheSameAllocation) {
   pool.recycle(0, b);
 }
 
-TEST(DescPool, DisabledPoolNeverCaches) {
-  desc_pool<std::uint64_t> pool(1, /*enabled=*/false, nullptr);
-  auto* a = pool.make(0, std::int64_t{1}, true, true, nullptr);
-  pool.recycle(0, a);  // deletes immediately
-  EXPECT_EQ(pool.cached(0), 0u);
-}
-
 TEST(DescPool, CacheIsPerThread) {
-  desc_pool<std::uint64_t> pool(2, true, nullptr);
+  desc_pool<std::uint64_t> pool(2, desc_cache_cap, nullptr);
   auto* a = pool.make(0, std::int64_t{1}, true, true, nullptr);
   pool.recycle(0, a);
   EXPECT_EQ(pool.cached(0), 1u);
@@ -322,7 +280,7 @@ TEST(DescPool, CacheIsPerThread) {
 }
 
 TEST(DescPool, CapBoundsTheCache) {
-  desc_pool<std::uint64_t> pool(1, true, nullptr, /*cache_cap=*/2);
+  desc_pool<std::uint64_t> pool(1, /*cap=*/2, nullptr);
   auto* a = pool.make(0, std::int64_t{1}, true, true, nullptr);
   auto* b = pool.make(0, std::int64_t{2}, true, true, nullptr);
   auto* c = pool.make(0, std::int64_t{3}, true, true, nullptr);
@@ -337,7 +295,7 @@ TEST(DescPool, AccountingTracksFreshAllocationsOnly) {
   probe acct;
   mem_counters mc;
   acct.set_memory_counters(&mc);
-  desc_pool<std::uint64_t> pool(1, true, &acct);
+  desc_pool<std::uint64_t> pool(1, desc_cache_cap, &acct);
   auto* a = pool.make(0, std::int64_t{1}, true, true, nullptr);
   EXPECT_EQ(mc.live_objects(), 1);
   pool.recycle(0, a);

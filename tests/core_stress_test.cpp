@@ -17,6 +17,7 @@
 #include "harness/workload.hpp"
 #include "reclaim/epoch.hpp"
 #include "reclaim/leaky.hpp"
+#include "storage/bounded_wf_queue.hpp"
 #include "sync/spin_barrier.hpp"
 #include "verify/fifo_checker.hpp"
 #include "verify/history.hpp"
@@ -101,14 +102,12 @@ using StressTypes = ::testing::Types<
     wf_queue_base<std::uint64_t, epoch_domain>,
     wf_queue_opt<std::uint64_t, epoch_domain>,
     wf_queue_base<std::uint64_t, leaky_domain>,
-    wf_queue<std::uint64_t, help_one, fetch_add_phase, hp_domain,
-             wf_options_scrub>,
-    wf_queue<std::uint64_t, help_chunk<2>, fetch_add_phase>,
-    wf_queue<std::uint64_t, help_random, fetch_add_phase>,
-    wf_queue<std::uint64_t, help_all, fetch_add_phase, hp_domain,
-             wf_options_precheck>,
     wf_queue_fps<std::uint64_t>,
-    wf_queue_fps<std::uint64_t, epoch_domain>>;
+    wf_queue_fps<std::uint64_t, epoch_domain>,
+    wf_queue_opt1<std::uint64_t, epoch_domain>,
+    wf_queue<std::uint64_t, help_one, fetch_add_phase, hp_domain,
+             wf_options_stats>,
+    wf_queue_opt_seg<std::uint64_t>, wf_queue_fps_seg<std::uint64_t>>;
 TYPED_TEST_SUITE(WfQueueStressTest, StressTypes);
 
 TYPED_TEST(WfQueueStressTest, PairsTwoThreads) {

@@ -1,7 +1,8 @@
 // Sequential-semantics tests for every variant of the KP wait-free queue.
 //
-// Typed over the four paper variants (base, opt1, opt2, opt1+2) and the
-// three reclaimers, because the single-threaded contract must be identical
+// Typed over the four paper variants (base, opt1, opt2, opt1+2), the FPS
+// fast path, the three reclaimers, the segment storage and the stats and
+// residency options, because the single-threaded contract must be identical
 // for all of them. Concurrency is exercised separately in
 // core_stress_test.cpp; deterministic interleavings in core_scenario_test.cpp.
 #include <gtest/gtest.h>
@@ -15,6 +16,7 @@
 #include "core/wf_queue_fps.hpp"
 #include "reclaim/epoch.hpp"
 #include "reclaim/leaky.hpp"
+#include "storage/bounded_wf_queue.hpp"
 
 namespace kpq {
 namespace {
@@ -25,20 +27,17 @@ class WfQueueSequentialTest : public ::testing::Test {};
 using QueueTypes = ::testing::Types<
     wf_queue_base<std::uint64_t>, wf_queue_opt1<std::uint64_t>,
     wf_queue_opt2<std::uint64_t>, wf_queue_opt<std::uint64_t>,
-    wf_queue<std::uint64_t, help_all, cas_phase>,
     wf_queue_base<std::uint64_t, epoch_domain>,
     wf_queue_opt<std::uint64_t, epoch_domain>,
     wf_queue_base<std::uint64_t, leaky_domain>,
+    wf_queue_fps<std::uint64_t>, wf_queue_opt1<std::uint64_t, epoch_domain>,
+    wf_queue_opt2<std::uint64_t, epoch_domain>,
+    wf_queue_opt<std::uint64_t, leaky_domain>,
+    wf_queue_fps<std::uint64_t, epoch_domain>,
     wf_queue<std::uint64_t, help_one, fetch_add_phase, hp_domain,
-             wf_options_scrub>,
-    wf_queue<std::uint64_t, help_all, scan_max_phase, hp_domain,
-             wf_options_no_cache>,
-    wf_queue<std::uint64_t, help_all, scan_max_phase, hp_domain,
-             wf_options_precheck>,
-    wf_queue<std::uint64_t, help_chunk<2>, fetch_add_phase>,
-    wf_queue<std::uint64_t, help_chunk<3>, scan_max_phase>,
-    wf_queue<std::uint64_t, help_random, fetch_add_phase>,
-    wf_queue_fps<std::uint64_t>>;
+             wf_options_stats>,
+    wf_queue_opt_residency<std::uint64_t>, wf_queue_base_seg<std::uint64_t>,
+    wf_queue_opt_seg<std::uint64_t>, wf_queue_fps_seg<std::uint64_t>>;
 TYPED_TEST_SUITE(WfQueueSequentialTest, QueueTypes);
 
 TYPED_TEST(WfQueueSequentialTest, StartsEmpty) {
