@@ -2,7 +2,7 @@
 """Record and compare benchmark baselines (schema kpq-bench-1).
 
 Two subcommands over the figure benches (fig7, fig8, fig10, fig_sharding,
-fig_obs_overhead, fig_broker):
+fig_obs_overhead, fig_residency):
 
   record    Run each bench's sweep with --json and write BENCH_<fig>.json at
             the repo root. These files are the committed baselines.
@@ -83,13 +83,6 @@ FIGS = {
         "bin": "fig_residency",
         "record": ["--threads", "4", "--iters", "5000", "--reps", "3"],
         "smoke": ["--threads", "2", "--iters", "1000", "--reps", "2"],
-    },
-    # Coroutine front-end broker (gated on KPQ_HAS_COROUTINES at build time;
-    # the smoke pass skips it with a warning when the compiler can't build it).
-    "fig_broker": {
-        "bin": "fig_broker",
-        "record": ["--sessions", "10000", "--reps", "3"],
-        "smoke": ["--sessions", "1000", "--reps", "2"],
     },
 }
 

@@ -25,7 +25,7 @@ fi
   for b in build/bench/*; do
     echo "=== $(basename "$b") ==="
     case "$(basename "$b")" in
-      fig7_enq_deq|fig8_fifty_fifty|fig9_ablation)
+      fig7_enq_deq|fig8_fifty_fifty)
         "$b" "${EXTRA[@]}" ;;
       *)
         "$b" ;;

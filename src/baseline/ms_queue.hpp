@@ -9,7 +9,7 @@
 //
 // Progress: lock-free, not wait-free — a dequeuer can starve if other
 // threads keep winning the head CAS. That gap is precisely what the KP queue
-// closes, and what bench/latency_tail quantifies.
+// closes.
 #pragma once
 
 #include <atomic>
@@ -26,20 +26,7 @@
 
 namespace kpq {
 
-/// Test/simulation hook points for ms_queue (no-ops by default; the
-/// stall-injection bench and fault tests swap these to stall a thread at an
-/// operation's most vulnerable points).
-struct ms_no_hooks {
-  /// After the node is allocated, before the first link attempt — the point
-  /// where the operation has "logically started" but published nothing.
-  static void on_enqueue_start(std::uint32_t /*tid*/) {}
-  /// After winning the link CAS, before swinging tail — the lock-free
-  /// algorithm's own helped window.
-  static void after_link(std::uint32_t /*tid*/) {}
-};
-
-template <typename T, typename Reclaimer = hp_domain,
-          typename Hooks = ms_no_hooks>
+template <typename T, typename Reclaimer = hp_domain>
 class ms_queue : public mem_tracked {
   static_assert(std::is_copy_constructible_v<T>);
 
@@ -83,7 +70,6 @@ class ms_queue : public mem_tracked {
     assert(tid < n_);
     auto g = reclaim_.enter(tid);
     node* const fresh = alloc_node(std::move(value));
-    Hooks::on_enqueue_start(tid);
     backoff bo;
     for (;;) {
       node* last = g.protect(s_first, tail_);
@@ -93,7 +79,6 @@ class ms_queue : public mem_tracked {
         node* expected = nullptr;
         if (last->next.compare_exchange_strong(expected, fresh,
                                                std::memory_order_seq_cst)) {
-          Hooks::after_link(tid);
           tail_.compare_exchange_strong(last, fresh,
                                         std::memory_order_seq_cst);
           return;

@@ -2,9 +2,9 @@
 //
 // The paper reports the average of ten runs per data point and notes the
 // standard deviation was negligible; we report mean, stddev and min/max so
-// EXPERIMENTS.md can substantiate the same claim, plus percentile helpers
-// for the latency-tail bench (which quantifies the wait-freedom property
-// the paper motivates but does not plot).
+// EXPERIMENTS.md can substantiate the same claim, plus nearest-rank
+// percentile helpers over kept samples (examples/realtime_deadline reports
+// its latency tail with them).
 #pragma once
 
 #include <algorithm>

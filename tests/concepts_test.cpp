@@ -7,9 +7,7 @@
 #include <cstdint>
 #include <string>
 
-#include "baseline/locked_queues.hpp"
 #include "baseline/ms_queue.hpp"
-#include "baseline/universal_queue.hpp"
 #include "core/blocking_adapter.hpp"
 #include "core/queue_concepts.hpp"
 #include "core/wf_queue.hpp"
@@ -37,9 +35,6 @@ static_assert(
 static_assert(mpmc_queue_autotid<wf_queue_fps<std::uint64_t>>);
 static_assert(mpmc_queue_autotid<ms_queue<std::uint64_t>>);
 static_assert(mpmc_queue_autotid<ms_queue<std::uint64_t, leaky_domain>>);
-static_assert(mpmc_queue<two_lock_queue<std::uint64_t>>);
-static_assert(mpmc_queue<mutex_queue<std::uint64_t>>);
-static_assert(mpmc_queue_autotid<universal_queue<std::uint64_t>>);
 
 // -------- reclaimers model reclaimer_domain
 
@@ -86,7 +81,7 @@ TEST(Concepts, GenericCodeCompilesAgainstTheConcept) {
     return v.has_value() && *v == typename Q::value_type{7};
   };
   wf_queue_opt<std::uint64_t> wf(2);
-  mutex_queue<std::uint64_t> mx;
+  ms_queue<std::uint64_t> mx(2);
   EXPECT_TRUE(roundtrip(wf));
   EXPECT_TRUE(roundtrip(mx));
 }

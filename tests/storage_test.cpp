@@ -11,7 +11,6 @@
 #include <thread>
 #include <vector>
 
-#include "baseline/locked_queues.hpp"
 #include "baseline/ms_queue.hpp"
 #include "harness/mem_tracker.hpp"
 #include "obs/registry.hpp"
@@ -206,7 +205,8 @@ template <typename Q>
 class MemAccounting : public ::testing::Test {};
 using AccountedQueues =
     ::testing::Types<wf_queue_base<std::uint64_t>, wf_queue_fps<std::uint64_t>,
-                     ms_queue<std::uint64_t>, two_lock_queue<std::uint64_t>>;
+                     ms_queue<std::uint64_t>, ms_queue<std::uint64_t, epoch_domain>,
+                     ms_queue<std::uint64_t, leaky_domain>>;
 TYPED_TEST_SUITE(MemAccounting, AccountedQueues);
 
 TYPED_TEST(MemAccounting, LateAttachReplaysConstructionBaseline) {
