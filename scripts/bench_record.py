@@ -56,7 +56,8 @@ REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 FIGS = {
     "fig7": {
         "bin": "fig7_enq_deq",
-        "record": ["--threads", "4", "--iters", "10000", "--reps", "3"],
+        "record": ["--threads", "4", "--iters", "10000", "--reps", "10",
+                   "--pin"],
         "smoke": ["--threads", "2", "--iters", "1000", "--reps", "2"],
     },
     "fig8": {

@@ -11,8 +11,9 @@
 #   scripts/sanitize.sh thread -- -R 'Sharded'   # TSan, filtered ctest run
 #   scripts/sanitize.sh tsan-core                # TSan + KPQ_TRACE=ON over
 #                                                # the core queue (paper
-#                                                # variants and FPS) and the
-#                                                # sharded front-end
+#                                                # variants and FPS), the
+#                                                # sharded front-end and
+#                                                # the hazard pointers
 #   scripts/sanitize.sh tsan-storage             # TSan, storage-layer suites
 #                                                # (segment retirement + the
 #                                                # bounded queue's policies)
@@ -43,14 +44,15 @@ for mode in "${modes[@]}"; do
   if [[ "$mode" == "tsan-core" ]]; then
     # Shortcut: TSan over the one KP core — the paper variants and the FPS
     # fast-path policy share the slow path, so FPS workloads drive the same
-    # helping code — plus the sharded front-end built on it. Built with
+    # helping code — plus the sharded front-end built on it and the
+    # hazard-pointer domain every KP operation protects through. Built with
     # KPQ_TRACE=ON so the slow-path and help-episode trace writes race-check
     # under every workload (own build dir: the tracing default changes
     # codegen everywhere).
     mode=thread
     dir_tag=core
     extra_cmake=(-DKPQ_TRACE=ON)
-    filter=(-R 'Wf|Sharded|Bulk|Help|Phase|Desc|Figure|Fps|Progress|Interleave|Random|Audit|Sweep|EmptyDequeue|Blocking')
+    filter=(-R 'Wf|Sharded|Bulk|Help|Phase|Desc|Figure|Fps|Progress|Interleave|Random|Audit|Sweep|EmptyDequeue|Blocking|HpFixture')
   elif [[ "$mode" == "tsan-storage" ]]; then
     # Shortcut: TSan over every suite that exercises src/storage/ — the
     # segment-storage unit/stress tests, the bounded-policy tests, the

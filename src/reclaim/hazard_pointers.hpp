@@ -70,6 +70,9 @@ class hp_domain {
     /// validate that `src` still holds it (otherwise the owner might already
     /// have retired it before seeing our announcement). The seq_cst
     /// store/load pair provides the StoreLoad ordering the protocol needs.
+    /// A slot that already holds the pointer is not announced again: that
+    /// announcement has stood since before the validating re-read, which is
+    /// all the protocol asks of it (ALGORITHM.md §2(a)).
     template <typename T>
     T* protect(std::uint32_t slot, const std::atomic<T*>& src) noexcept {
       std::atomic<void*>& h = d_->slot_ref(tid_, slot);
@@ -77,9 +80,15 @@ class hp_domain {
       // only a first guess; the seq_cst announce/validate loop below is
       // what makes the protection sound
       T* p = src.load(std::memory_order_acquire);
+      // kpq-order: relaxed pairs-with none (own slot: only this thread
+      // writes it, so the read returns our own last announcement)
+      void* held = h.load(std::memory_order_relaxed);
       for (;;) {
-        h.store(const_cast<std::remove_const_t<T>*>(p),
-                std::memory_order_seq_cst);
+        void* want = const_cast<std::remove_const_t<T>*>(p);
+        if (held != want) {
+          h.store(want, std::memory_order_seq_cst);
+          held = want;
+        }
         T* q = src.load(std::memory_order_seq_cst);
         if (q == p) return p;
         p = q;

@@ -77,6 +77,65 @@ TEST_F(HpFixture, GuardDestructorClearsAllSlots) {
   delete src.load();
 }
 
+TEST_F(HpFixture, ReprotectOfUnchangedSourceKeepsSlot) {
+  hp_domain d(1, 1);
+  std::atomic<tracked*> src{new tracked(3)};
+  auto g = d.enter(0);
+  tracked* p = g.protect(0, src);
+  tracked* again = g.protect(0, src);
+  EXPECT_EQ(again, p);
+  EXPECT_EQ(d.announced(0, 0), p);
+  delete src.load();
+}
+
+TEST_F(HpFixture, ReprotectAfterSwapAnnouncesNewPointer) {
+  hp_domain d(1, 1);
+  tracked* first = new tracked(1);
+  std::atomic<tracked*> src{first};
+  auto g = d.enter(0);
+  EXPECT_EQ(g.protect(0, src), first);
+  tracked* second = new tracked(2);
+  src.store(second);
+  EXPECT_EQ(g.protect(0, src), second);
+  EXPECT_EQ(d.announced(0, 0), second);
+  delete first;
+  delete second;
+}
+
+TEST_F(HpFixture, ProtectAfterClearAnnouncesAgain) {
+  hp_domain d(1, 1);
+  std::atomic<tracked*> src{new tracked(4)};
+  auto g = d.enter(0);
+  tracked* p = g.protect(0, src);
+  g.clear(0);
+  ASSERT_EQ(d.announced(0, 0), nullptr);
+  EXPECT_EQ(g.protect(0, src), p);
+  EXPECT_EQ(d.announced(0, 0), p);
+  delete src.load();
+}
+
+TEST_F(HpFixture, RetireAndScanBetweenReprotectsDoNotFree) {
+  // The second protect skips the announce (the slot already holds p); the
+  // standing announcement must still keep p alive through every scan.
+  hp_domain d(2, 1, /*scan_threshold=*/1000);  // scans only when asked
+  tracked* p = new tracked(7);
+  std::atomic<tracked*> src{p};
+  auto g0 = d.enter(0);
+  ASSERT_EQ(g0.protect(0, src), p);
+  d.retire(1, p, &delete_tracked, nullptr);
+  d.scan(1);
+  EXPECT_EQ(tracked::live.load(), 1) << "announced object freed";
+  ASSERT_EQ(g0.protect(0, src), p);
+  d.scan(1);
+  EXPECT_EQ(tracked::live.load(), 1) << "re-protected object freed";
+  EXPECT_EQ(p->payload, 7);
+
+  src.store(nullptr);
+  g0.clear(0);
+  d.scan(1);
+  EXPECT_EQ(tracked::live.load(), 0);
+}
+
 TEST_F(HpFixture, DomainDestructorDrainsRetired) {
   {
     hp_domain d(1, 1, /*scan_threshold=*/1000);  // never scans

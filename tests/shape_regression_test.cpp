@@ -10,7 +10,10 @@
 //     the fully-optimized variant does not lose to the base variant by any
 //     meaningful margin;
 //   * fps ordering: the fast-path/slow-path queue lands between LF and the
-//     announce-always variants.
+//     announce-always variants;
+//   * hot-word layout: head_, tail_ and the vector headers every operation
+//     reads each own a 128-byte block, so a tail CAS never invalidates the
+//     line a state_ access reads (deterministic: compares addresses).
 //
 // Timing-based checks use generous margins (2x) so scheduler noise on
 // loaded CI machines cannot flip them.
@@ -28,6 +31,8 @@
 #include "harness/mem_tracker.hpp"
 #include "harness/timing.hpp"
 #include "harness/workload.hpp"
+#include "support/whitebox.hpp"
+#include "sync/cacheline.hpp"
 #include "sync/spin_barrier.hpp"
 
 namespace kpq {
@@ -89,6 +94,31 @@ TEST(ShapeRegression, NodeSizesExplainThePaperAsymptote) {
   // layouts so a future field addition is a conscious decision.
   EXPECT_EQ(sizeof(ms_queue<std::uint64_t>::node), 16u);
   EXPECT_EQ(sizeof(wf_node<std::uint64_t>), 24u);
+}
+
+/// Every pair of hot words must fall in distinct 128-byte blocks.
+template <typename Q>
+void expect_hot_words_on_distinct_blocks() {
+  Q q(4);
+  const auto words = testing::whitebox::hot_words(q);
+  const auto block = [](const void* p) {
+    return reinterpret_cast<std::uintptr_t>(p) / destructive_interference;
+  };
+  for (std::size_t i = 0; i < words.size(); ++i) {
+    for (std::size_t j = i + 1; j < words.size(); ++j) {
+      EXPECT_NE(block(words[i].second), block(words[j].second))
+          << words[i].first << " and " << words[j].first
+          << " share a 128-byte block";
+    }
+  }
+}
+
+TEST(ShapeRegression, OptHotWordsOwnTheirBlocks) {
+  expect_hot_words_on_distinct_blocks<wf_queue_opt<std::uint64_t>>();
+}
+
+TEST(ShapeRegression, FpsHotWordsOwnTheirBlocks) {
+  expect_hot_words_on_distinct_blocks<wf_queue_fps<std::uint64_t>>();
 }
 
 TEST(ShapeRegression, LockFreeBeatsBaseWaitFreeOnPairs) {

@@ -99,6 +99,21 @@ struct whitebox {
     q.help_deq(tid, ph, g, my);
   }
 
+  /// Addresses of the words whose cache-line placement the layout
+  /// regression pins: the two written hot words and the vector headers
+  /// every operation reads. fps adds its probe cursor's header.
+  template <typename Q>
+  static std::vector<std::pair<const char*, const void*>> hot_words(
+      const Q& q) {
+    std::vector<std::pair<const char*, const void*>> w = {
+        {"head_", &q.head_},
+        {"tail_", &q.tail_},
+        {"state_", &q.state_},
+        {"stats_", &q.stats_}};
+    if constexpr (Q::has_fast_path) w.emplace_back("cursor_", &q.cursor_);
+    return w;
+  }
+
   /// Snapshot for the structural auditor (quiescence required).
   template <typename Q>
   static audit_view<typename Q::node_type, typename Q::desc_type> view(Q& q) {
