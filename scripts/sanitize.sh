@@ -52,7 +52,7 @@ for mode in "${modes[@]}"; do
     mode=thread
     dir_tag=core
     extra_cmake=(-DKPQ_TRACE=ON)
-    filter=(-R 'Wf|Sharded|Bulk|Help|Phase|Desc|Figure|Fps|Progress|Interleave|Random|Audit|Sweep|EmptyDequeue|Blocking|HpFixture')
+    filter=(-R 'Wf|Sharded|Bulk|Help|Phase|Desc|Figure|Fps|Progress|Interleave|Random|Baton|Audit|Sweep|EmptyDequeue|Blocking|HpFixture')
   elif [[ "$mode" == "tsan-storage" ]]; then
     # Shortcut: TSan over every suite that exercises src/storage/ — the
     # segment-storage unit/stress tests, the bounded-policy tests, the

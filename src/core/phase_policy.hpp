@@ -27,8 +27,8 @@ struct scan_max_phase {
   explicit scan_max_phase(std::uint32_t /*max_threads*/) {}
 
   template <typename Queue, typename Guard>
-  std::int64_t next_phase(Queue& q, Guard& g, std::uint32_t /*tid*/) noexcept {
-    return q.max_phase(g) + 1;  // paper line 62 / 99
+  std::int64_t next_phase(Queue& q, Guard& g, std::uint32_t tid) noexcept {
+    return q.max_phase(g, tid) + 1;  // paper line 62 / 99
   }
 };
 

@@ -76,15 +76,29 @@ namespace testing {
 struct whitebox;
 }  // namespace testing
 
-/// Default (no-op) test hooks; see wf_options::hooks. A hooks struct may
-/// also provide `on_fast_attempt(tid, is_enqueue)`, called once per
-/// fast-path attempt (ms_fast_path only); the step-bound tests count these
-/// to prove no operation makes more than MaxTries fast attempts.
+/// What a queue step is about to do: one value per class of shared access,
+/// plus two markers that touch nothing. Options::hooks::sched_point(tid,
+/// site) runs just before each such step (tid is the thread taking it).
+/// The interleaving explorer (tests/support/baton.hpp) hands the CPU to
+/// another thread there; the progress tests freeze a thread at
+/// after_publish, where its operation is announced and nothing of it has
+/// run, so only peers can complete it.
+enum class sched_site : std::uint8_t {
+  protect,        // hazard-protected read of head_, tail_, next or state_[i]
+  load,           // seq_cst re-read of head_/tail_/state_[i], next, deq_tid
+  link,           // CAS on a node's next field (enqueue linearization)
+  swing,          // CAS on head_ or tail_
+  claim,          // CAS on a sentinel's deq_tid (dequeue linearization)
+  state,          // exchange or CAS on state_[i]
+  phase,          // the phase draw
+  retire,         // hand a node or descriptor to the reclaimer (may scan)
+  after_publish,  // marker: descriptor published, no helping yet
+  fast_attempt,   // marker: one fast-path attempt begins (ms_fast_path)
+};
+
+/// Default test hooks: every sched_point call folds away.
 struct no_hooks {
-  /// Called right after an operation descriptor is published in `state` and
-  /// before helping starts — the exact point where a thread can stall with
-  /// a pending operation that peers must complete for it.
-  static void after_publish(std::uint32_t /*tid*/, bool /*is_enqueue*/) {}
+  static void sched_point(std::uint32_t /*tid*/, sched_site /*site*/) {}
 };
 
 // ------------------------------------------------------ fast-path policies
@@ -146,8 +160,9 @@ class ms_fast_path {
 
 /// Compile-time queue options: instrumentation and the fast-path policy.
 struct wf_options {
-  /// Test instrumentation (zero-cost by default). The progress tests swap
-  /// in hooks that block a chosen thread mid-operation to prove helping.
+  /// Test instrumentation (zero-cost by default): sched_point(tid, site)
+  /// before every shared access. The progress tests block a chosen thread
+  /// mid-operation to prove helping; the explorer schedules threads.
   using hooks = no_hooks;
   /// Event-trace recorder policy (obs/trace_ring.hpp). `obs::default_trace`
   /// is `no_trace` unless the build defines KPQ_TRACE, so every record site
@@ -377,15 +392,18 @@ class wf_queue : public mem_tracked, public Options::fast_path {
       // node: helpers only fix the tail for it.
       node_type* node = alloc_node(tid, std::move(value), no_tid);
       for (std::uint32_t k = 0, tries = this->max_tries; k < tries; ++k) {
-        on_fast_attempt(tid, /*is_enq=*/true);
-        node_type* last = g.protect(s_last, tail_);
+        sched(tid, sched_site::fast_attempt);
+        node_type* last = protect(g, tid, s_last, tail_);
+        sched(tid, sched_site::load);
         node_type* next = last->next.load(std::memory_order_seq_cst);
+        sched(tid, sched_site::load);
         if (last != tail_.load(std::memory_order_seq_cst)) continue;
         if (next != nullptr) {
           help_finish_enq(tid, g);
           continue;
         }
         node_type* expected = nullptr;
+        sched(tid, sched_site::link);
         if (last->next.compare_exchange_strong(expected, node,
                                                std::memory_order_seq_cst)) {
           count_path(tid, &fps_path_stats::fast_enqs);
@@ -396,9 +414,9 @@ class wf_queue : public mem_tracked, public Options::fast_path {
       // Slow path: adopt the node (it was never published) and announce.
       count_path(tid, &fps_path_stats::slow_enqs);
       node->enq_tid = static_cast<std::int32_t>(tid);
-      announce_enq(tid, phase_.next_phase(*this, g, tid), node, g);
+      announce_enq(tid, next_phase(tid, g), node, g);
     } else {
-      const std::int64_t phase = phase_.next_phase(*this, g, tid);  // line 62
+      const std::int64_t phase = next_phase(tid, g);  // line 62
       announce_enq(tid, phase,
                    alloc_node(tid, std::move(value),
                               static_cast<std::int32_t>(tid)),
@@ -420,10 +438,12 @@ class wf_queue : public mem_tracked, public Options::fast_path {
       // is the linearization point of both paths, so fast and slow dequeues
       // serialize through the same write-once field.
       for (std::uint32_t k = 0, tries = this->max_tries; k < tries; ++k) {
-        on_fast_attempt(tid, /*is_enq=*/false);
-        node_type* first = g.protect(s_first, head_);
+        sched(tid, sched_site::fast_attempt);
+        node_type* first = protect(g, tid, s_first, head_);
+        sched(tid, sched_site::load);
         node_type* last = tail_.load(std::memory_order_seq_cst);
-        node_type* next = g.protect(s_next, first->next);
+        node_type* next = protect(g, tid, s_next, first->next);
+        sched(tid, sched_site::load);
         if (first != head_.load(std::memory_order_seq_cst)) continue;
         if (first == last) {
           if (next == nullptr) {  // empty, like MS
@@ -437,6 +457,7 @@ class wf_queue : public mem_tracked, public Options::fast_path {
         T value = next->value;
         const residency_base<track_residency> stamp = *next;
         std::int32_t expected = no_tid;
+        sched(tid, sched_site::claim);
         if (first->deq_tid.compare_exchange_strong(
                 expected, fast_claim_base + static_cast<std::int32_t>(tid),
                 std::memory_order_seq_cst)) {
@@ -448,9 +469,9 @@ class wf_queue : public mem_tracked, public Options::fast_path {
         help_finish_deq(tid, g);  // someone else claimed it: finish, retry
       }
       count_path(tid, &fps_path_stats::slow_deqs);
-      return announce_deq(tid, phase_.next_phase(*this, g, tid), g);
+      return announce_deq(tid, next_phase(tid, g), g);
     } else {
-      const std::int64_t phase = phase_.next_phase(*this, g, tid);  // line 99
+      const std::int64_t phase = next_phase(tid, g);  // line 99
       // A named result, not `return announce_deq(...)`: with the direct
       // return GCC 12 stops inlining publish()'s retire here.
       std::optional<T> result = announce_deq(tid, phase, g);
@@ -493,7 +514,7 @@ class wf_queue : public mem_tracked, public Options::fast_path {
     check_tid(tid);
     if (first == last) return;
     auto g = reclaim_.enter(tid);
-    const std::int64_t phase = phase_.next_phase(*this, g, tid);
+    const std::int64_t phase = next_phase(tid, g);
     for (; first != last; ++first) {
       announce_enq(tid, phase,
                    alloc_node(tid, *first, static_cast<std::int32_t>(tid)), g);
@@ -509,7 +530,7 @@ class wf_queue : public mem_tracked, public Options::fast_path {
     check_tid(tid);
     if (max == 0) return 0;
     auto g = reclaim_.enter(tid);
-    const std::int64_t phase = phase_.next_phase(*this, g, tid);
+    const std::int64_t phase = next_phase(tid, g);
     std::size_t got = 0;
     for (; got < max; ++got) {
       std::optional<T> item = announce_deq(tid, phase, g);
@@ -527,9 +548,10 @@ class wf_queue : public mem_tracked, public Options::fast_path {
   bool empty_hint(std::uint32_t tid) {
     check_tid(tid);
     auto g = reclaim_.enter(tid);
-    node_type* first = g.protect(s_first, head_);
+    node_type* first = protect(g, tid, s_first, head_);
+    sched(tid, sched_site::load);
     node_type* last = tail_.load(std::memory_order_seq_cst);
-    node_type* next = g.protect(s_next, first->next);
+    node_type* next = protect(g, tid, s_next, first->next);
     return first == last && next == nullptr;
   }
   bool empty_hint() { return empty_hint(this_thread_id()); }
@@ -600,10 +622,10 @@ class wf_queue : public mem_tracked, public Options::fast_path {
 
   /// paper lines 48-57
   template <typename Guard>
-  std::int64_t max_phase(Guard& g) {
+  std::int64_t max_phase(Guard& g, std::uint32_t my) {
     std::int64_t m = no_phase;
     for (std::uint32_t i = 0; i < n_; ++i) {
-      desc_type* d = g.protect(s_desc, state_[i].get());
+      desc_type* d = protect(g, my, s_desc, state_[i].get());
       if (d->phase > m) m = d->phase;
     }
     return m;
@@ -614,7 +636,7 @@ class wf_queue : public mem_tracked, public Options::fast_path {
   template <typename Guard>
   void help_if_needed(std::uint32_t i, std::int64_t phase, Guard& g,
                       std::uint32_t my) {
-    desc_type* d = g.protect(s_desc, state_[i].get());
+    desc_type* d = protect(g, my, s_desc, state_[i].get());
     if (d->pending && d->phase <= phase) {  // line 39
       help_op(i, d, phase, g, my);
     }
@@ -630,7 +652,7 @@ class wf_queue : public mem_tracked, public Options::fast_path {
     // kpq-order: seq_cst pairs-with publish()'s exchange and swap_state()'s
     // CAS (protect's slot load; the descriptor's fields are immutable after
     // publication, so the plain reads below see the published snapshot)
-    desc_type* d = g.protect(s_desc, state_[i].get());
+    desc_type* d = protect(g, my, s_desc, state_[i].get());
     if (!d->pending) return no_phase;
     if (d->phase != seen || d->phase > phase) return d->phase;
     help_op(i, d, phase, g, my);
@@ -644,6 +666,24 @@ class wf_queue : public mem_tracked, public Options::fast_path {
 
   void check_tid(std::uint32_t tid) const noexcept {
     if (tid >= n_) [[unlikely]] tid_out_of_range(tid, n_);
+  }
+
+  static void sched(std::uint32_t tid, sched_site site) {
+    Options::hooks::sched_point(tid, site);
+  }
+
+  /// g.protect(slot, src) taken by thread `tid`: a scheduling point first.
+  template <typename Guard, typename P>
+  static P* protect(Guard& g, std::uint32_t tid, std::uint32_t hp_slot,
+                    const std::atomic<P*>& src) {
+    sched(tid, sched_site::protect);
+    return g.protect(hp_slot, src);
+  }
+
+  template <typename Guard>
+  std::int64_t next_phase(std::uint32_t tid, Guard& g) {
+    sched(tid, sched_site::phase);
+    return phase_.next_phase(*this, g, tid);
   }
 
   // ------------------------------------------------------------- allocation
@@ -672,18 +712,21 @@ class wf_queue : public mem_tracked, public Options::fast_path {
   }
 
   void retire_node(std::uint32_t tid, node_type* n) {
+    sched(tid, sched_site::retire);
     if constexpr (trace_type::enabled) {
       trace_type::record(tid, obs::trace_kind::retire, 0, 0);
     }
     storage_.retire(tid, n, reclaim_);
   }
   void retire_desc(std::uint32_t tid, desc_type* d) {
+    sched(tid, sched_site::retire);
     reclaim_.retire(tid, d, &retire_desc_fn, memory_counters());
   }
 
   /// Owner installs a fresh descriptor; the displaced one is retired here,
   /// exactly once (see file comment on why exchange, not store).
   void publish(std::uint32_t tid, desc_type* d) {
+    sched(tid, sched_site::state);
     desc_type* old = state_[tid]->exchange(d, std::memory_order_seq_cst);
     retire_desc(tid, old);
   }
@@ -694,6 +737,7 @@ class wf_queue : public mem_tracked, public Options::fast_path {
   bool swap_state(std::uint32_t tid, std::uint32_t my_tid, desc_type* curr,
                   desc_type* repl) {
     desc_type* expected = curr;
+    sched(my_tid, sched_site::state);
     if (state_[tid]->compare_exchange_strong(expected, repl,
                                              std::memory_order_seq_cst)) {
       retire_desc(my_tid, curr);
@@ -715,7 +759,7 @@ class wf_queue : public mem_tracked, public Options::fast_path {
     if constexpr (trace_type::enabled) {
       trace_type::record(tid, obs::trace_kind::enq_publish, phase, 0);
     }
-    Options::hooks::after_publish(tid, /*is_enqueue=*/true);
+    sched(tid, sched_site::after_publish);
     if constexpr (has_fast_path) {
       help_enq(tid, phase, g, tid);  // the fast probe already helped a peer
     } else {
@@ -736,7 +780,7 @@ class wf_queue : public mem_tracked, public Options::fast_path {
     if constexpr (trace_type::enabled) {
       trace_type::record(tid, obs::trace_kind::deq_publish, phase, 0);
     }
-    Options::hooks::after_publish(tid, /*is_enqueue=*/false);
+    sched(tid, sched_site::after_publish);
     if constexpr (has_fast_path) {
       help_deq(tid, phase, g, tid);  // the fast probe already helped a peer
     } else {
@@ -745,7 +789,7 @@ class wf_queue : public mem_tracked, public Options::fast_path {
     help_finish_deq(tid, g);  // line 102
     // Our completed descriptor may still be replaced by an equivalent copy
     // by a helper finishing stage 2/3 late, so protect before reading.
-    desc_type* d = g.protect(s_desc, state_[tid].get());  // line 103
+    desc_type* d = protect(g, tid, s_desc, state_[tid].get());  // line 103
     std::optional<T> result;
     if (d->node != nullptr) {
       result = d->value;  // §3.4: payload lives in d
@@ -772,15 +816,8 @@ class wf_queue : public mem_tracked, public Options::fast_path {
   void fast_probe(std::uint32_t my, Guard& g) {
     const std::uint32_t i = this->next_candidate(my, n_);
     if (i == my) return;
-    desc_type* d = g.protect(s_desc, state_[i].get());
+    desc_type* d = protect(g, my, s_desc, state_[i].get());
     if (d->pending) help_op(i, d, d->phase, g, my);
-  }
-
-  /// Optional on a hooks struct, so hook types without it keep compiling.
-  static void on_fast_attempt(std::uint32_t tid, bool is_enq) {
-    if constexpr (requires { Options::hooks::on_fast_attempt(tid, is_enq); }) {
-      Options::hooks::on_fast_attempt(tid, is_enq);
-    }
   }
 
   /// Owner-thread, non-RMW path accounting: one relaxed store per op.
@@ -819,8 +856,9 @@ class wf_queue : public mem_tracked, public Options::fast_path {
   /// paper lines 58-60 (descriptor must be re-read each call; the returned
   /// snapshot is consistent because descriptors are immutable).
   template <typename Guard>
-  bool is_still_pending(std::uint32_t tid, std::int64_t ph, Guard& g) {
-    desc_type* d = g.protect(s_desc, state_[tid].get());
+  bool is_still_pending(std::uint32_t tid, std::int64_t ph, Guard& g,
+                        std::uint32_t my) {
+    desc_type* d = protect(g, my, s_desc, state_[tid].get());
     return d->pending && d->phase <= ph;
   }
 
@@ -830,24 +868,28 @@ class wf_queue : public mem_tracked, public Options::fast_path {
   template <typename Guard>
   void help_enq(std::uint32_t tid, std::int64_t phase, Guard& g,
                 std::uint32_t my) {
-    while (is_still_pending(tid, phase, g)) {                  // line 68
-      node_type* last = g.protect(s_last, tail_);              // line 69
-      node_type* next = g.protect(s_next, last->next);         // line 70
+    while (is_still_pending(tid, phase, g, my)) {              // line 68
+      node_type* last = protect(g, my, s_last, tail_);  // line 69
+      node_type* next = protect(g, my, s_next, last->next);  // line 70
+      sched(my, sched_site::load);
       if (last != tail_.load(std::memory_order_seq_cst)) {     // line 71
         continue;
       }
       if (next == nullptr) {  // line 72: enqueue can be applied
         // line 73: the operation must still be pending, and we must fetch
         // the node from the *current* descriptor...
-        desc_type* d = g.protect(s_desc, state_[tid].get());
+        desc_type* d = protect(g, my, s_desc, state_[tid].get());
         if (!(d->pending && d->phase <= phase)) continue;
         node_type* node = d->node;
         // ...and pin that node across the CAS: a pending descriptor's node
         // is not yet retired (it cannot be dequeued before the operation's
         // pending flag clears), and the pin keeps it so.
+        sched(my, sched_site::protect);
         g.protect_raw(s_node, node);
+        sched(my, sched_site::load);
         if (state_[tid]->load(std::memory_order_seq_cst) != d) continue;
         node_type* expected = nullptr;
+        sched(my, sched_site::link);
         if (last->next.compare_exchange_strong(
                 expected, node, std::memory_order_seq_cst)) {  // line 74
           g.clear(s_node);
@@ -865,8 +907,8 @@ class wf_queue : public mem_tracked, public Options::fast_path {
   /// paper lines 85-97 (steps 2 and 3 of the enqueue scheme).
   template <typename Guard>
   void help_finish_enq(std::uint32_t my, Guard& g) {
-    node_type* last = g.protect(s_last, tail_);        // line 86
-    node_type* next = g.protect(s_next, last->next);   // line 87
+    node_type* last = protect(g, my, s_last, tail_);  // line 86
+    node_type* next = protect(g, my, s_next, last->next);  // line 87
     if (next == nullptr) return;                       // line 88
     // Reclamation subtlety absent from the paper's GC setting: `next` was
     // announced against the write-once last->next, which validates nothing.
@@ -875,19 +917,22 @@ class wf_queue : public mem_tracked, public Options::fast_path {
     // yet have been dequeued, let alone retired — and any later retirement
     // happens after this check, hence after our announce, so the reclaimer
     // sees it (Michael 2004 uses the same validate-the-source pattern).
+    sched(my, sched_site::load);
     if (last != tail_.load(std::memory_order_seq_cst)) return;
     const std::int32_t etid = next->enq_tid;           // line 89
     if constexpr (has_fast_path) {
       // A fast node has no descriptor: only step 3 applies, and skipping
       // step 2 is safe precisely because nothing is pending for it.
       if (etid == no_tid) {
+        sched(my, sched_site::swing);
         tail_.compare_exchange_strong(last, next, std::memory_order_seq_cst);
         return;
       }
     }
     assert(etid != no_tid);
     const auto tid = static_cast<std::uint32_t>(etid);
-    desc_type* cur = g.protect(s_desc, state_[tid].get());  // line 90
+    desc_type* cur = protect(g, my, s_desc, state_[tid].get());  // line 90
+    sched(my, sched_site::load);
     if (last == tail_.load(std::memory_order_seq_cst) &&
         cur->node == next) {  // line 91 (cur is current: protect validated)
       // line 92: new descriptor marking the operation linearized...
@@ -896,6 +941,7 @@ class wf_queue : public mem_tracked, public Options::fast_path {
       if constexpr (Options::collect_stats) {
         if (won && tid != my) ++stats_[my]->helped_enq_completions;
       }
+      sched(my, sched_site::swing);
       tail_.compare_exchange_strong(last, next,
                                     std::memory_order_seq_cst);  // 94 (step 3)
     }
@@ -905,16 +951,20 @@ class wf_queue : public mem_tracked, public Options::fast_path {
   template <typename Guard>
   void help_deq(std::uint32_t tid, std::int64_t phase, Guard& g,
                 std::uint32_t my) {
-    while (is_still_pending(tid, phase, g)) {              // line 110
-      node_type* first = g.protect(s_first, head_);        // line 111
+    while (is_still_pending(tid, phase, g, my)) {          // line 110
+      node_type* first = protect(g, my, s_first, head_);  // line 111
+      sched(my, sched_site::load);
       node_type* last = tail_.load(std::memory_order_seq_cst);  // line 112
-      node_type* next = g.protect(s_next, first->next);    // line 113
+      node_type* next = protect(g, my, s_next, first->next);  // line 113
+      sched(my, sched_site::load);
       if (first != head_.load(std::memory_order_seq_cst)) {  // line 114
         continue;
       }
       if (first == last) {      // line 115: queue might be empty
         if (next == nullptr) {  // line 116: queue is empty
-          desc_type* cur = g.protect(s_desc, state_[tid].get());  // line 117
+          // line 117
+          desc_type* cur = protect(g, my, s_desc, state_[tid].get());
+          sched(my, sched_site::load);
           if (last == tail_.load(std::memory_order_seq_cst) &&
               cur->pending && cur->phase <= phase) {  // line 118
             // lines 119-120: mark the operation completed-empty.
@@ -926,9 +976,10 @@ class wf_queue : public mem_tracked, public Options::fast_path {
           help_finish_enq(my, g);    // line 123
         }
       } else {  // line 125: queue is not empty
-        desc_type* cur = g.protect(s_desc, state_[tid].get());  // line 126
+        desc_type* cur = protect(g, my, s_desc, state_[tid].get());  // line 126
         node_type* node = cur->node;                            // line 127
         if (!(cur->pending && cur->phase <= phase)) break;      // line 128
+        sched(my, sched_site::load);
         if (first == head_.load(std::memory_order_seq_cst) &&
             node != first) {  // line 129
           // lines 130-131: stage 0 — point tid's state at the sentinel.
@@ -938,6 +989,7 @@ class wf_queue : public mem_tracked, public Options::fast_path {
           }
         }
         std::int32_t expected = no_tid;
+        sched(my, sched_site::claim);
         first->deq_tid.compare_exchange_strong(
             expected, static_cast<std::int32_t>(tid),
             std::memory_order_seq_cst);  // line 135 (stage 1, linearization)
@@ -949,25 +1001,30 @@ class wf_queue : public mem_tracked, public Options::fast_path {
   /// paper lines 141-153 (stages 2 and 3 of the dequeue scheme).
   template <typename Guard>
   void help_finish_deq(std::uint32_t my, Guard& g) {
-    node_type* first = g.protect(s_first, head_);       // line 142
-    node_type* next = g.protect(s_next, first->next);   // line 143
+    node_type* first = protect(g, my, s_first, head_);  // line 142
+    node_type* next = protect(g, my, s_next, first->next);  // line 143
+    sched(my, sched_site::load);
     const std::int32_t dtid =
         first->deq_tid.load(std::memory_order_seq_cst);  // line 144
     if (dtid == no_tid) return;                          // line 145
     if constexpr (has_fast_path) {
       // A fast claim has no descriptor either: only the head swing.
       if (dtid >= fast_claim_base) {
+        sched(my, sched_site::load);
         if (first == head_.load(std::memory_order_seq_cst) &&
-            next != nullptr &&
-            head_.compare_exchange_strong(first, next,
-                                          std::memory_order_seq_cst)) {
-          retire_node(my, first);
+            next != nullptr) {
+          sched(my, sched_site::swing);
+          if (head_.compare_exchange_strong(first, next,
+                                            std::memory_order_seq_cst)) {
+            retire_node(my, first);
+          }
         }
         return;
       }
     }
     const auto tid = static_cast<std::uint32_t>(dtid);
-    desc_type* cur = g.protect(s_desc, state_[tid].get());  // line 146
+    desc_type* cur = protect(g, my, s_desc, state_[tid].get());  // line 146
+    sched(my, sched_site::load);
     if (first == head_.load(std::memory_order_seq_cst) &&
         next != nullptr) {  // line 147
       // line 148 + §3.4: copy the payload out of the (pinned) successor into
@@ -983,6 +1040,7 @@ class wf_queue : public mem_tracked, public Options::fast_path {
       if constexpr (Options::collect_stats) {
         if (won && tid != my) ++stats_[my]->helped_deq_completions;
       }
+      sched(my, sched_site::swing);
       if (head_.compare_exchange_strong(
               first, next, std::memory_order_seq_cst)) {  // line 150 (step 3)
         // Exactly one thread wins the head swing; it owns retiring the old

@@ -3,8 +3,8 @@
 // argument) in front of the paper's slow path, run with help_one +
 // fetch_add_phase.
 //
-// This header keeps the FPS options vocabulary — patience and hooks that
-// fire at the slow-path announce — and maps it onto the core's wf_options.
+// This header keeps the FPS options vocabulary — patience, hooks and
+// residency — and maps it onto the core's wf_options.
 #pragma once
 
 #include <cstdint>
@@ -13,18 +13,10 @@
 
 namespace kpq {
 
-/// Hooks for the fast-path/slow-path queue (progress tests stall threads at
-/// the slow-path announce point, exactly as for wf_queue). A hooks struct
-/// may additionally provide `on_fast_attempt(tid, is_enq)` — called once
-/// per fast-path attempt; the step-bound tests count these to prove no
-/// operation makes more than max_tries fast attempts.
-struct fps_no_hooks {
-  static void after_slow_publish(std::uint32_t /*tid*/, bool /*is_enq*/) {}
-  static void on_fast_attempt(std::uint32_t /*tid*/, bool /*is_enq*/) {}
-};
-
 struct fps_options {
-  using hooks = fps_no_hooks;
+  /// Test hooks (wf_options::hooks): sched_site::after_publish fires at the
+  /// slow-path announce, sched_site::fast_attempt once per fast attempt.
+  using hooks = no_hooks;
   /// Fast-path attempts before announcing on the slow path — the paper's
   /// MAX_FAILURES patience; 0 sends every operation to the slow path.
   static constexpr std::uint32_t max_tries = 8;
@@ -39,19 +31,10 @@ struct fps_options_residency : fps_options {
   using residency = obs::tick_residency;
 };
 
-/// FPS hooks seen through the core's interface: the core's announce hook is
-/// the slow-path publish; on_fast_attempt is inherited when present.
-template <typename Hooks>
-struct fps_hooks : Hooks {
-  static void after_publish(std::uint32_t tid, bool is_enq) {
-    Hooks::after_slow_publish(tid, is_enq);
-  }
-};
-
 /// An fps_options struct mapped onto the core's options.
 template <typename O>
 struct fps_core_options : wf_options {
-  using hooks = fps_hooks<typename O::hooks>;
+  using hooks = typename O::hooks;
   using residency = obs::residency_policy_t<O>;
   using fast_path = ms_fast_path<O::max_tries>;
 };

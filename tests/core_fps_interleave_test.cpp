@@ -6,178 +6,178 @@
 //   * fast link (anonymous node) vs slow link (announced node);
 //   * helpers finishing claims/links of the other path.
 //
-// Same method as core_interleave_test: DFS over all schedules of the step
-// machines, each completed run checked by the exact linearizability checker.
+// Same method as core_interleave_test: the real wf_queue_fps under the
+// baton scheduler, DFS over every schedule within the preemption bound,
+// each completed run checked by the exact linearizability checker. An
+// operation takes the slow path only when the schedule makes all of its
+// fast attempts fail, so the budget is small (kTries) and each scenario
+// asserts that some explored schedule puts every worker on the path the
+// scenario names, so every path it names ran somewhere.
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <functional>
-#include <memory>
+#include <cstdio>
 #include <string>
 #include <vector>
 
-#include "support/fps_machines.hpp"
-#include "verify/history.hpp"
-#include "verify/lin_checker.hpp"
+#include "core/wf_queue_fps.hpp"
+#include "support/baton.hpp"
 
 namespace kpq {
 namespace {
 
-using testing::build_fps_machine;
-using testing::fast_deq_machine;
-using testing::fps_machine;
-using testing::fps_op_spec;
-using testing::fq;
-using testing::slow_deq_machine;
+using testing::baton;
+using testing::chooser;
+using testing::eager_hp_domain;
+using testing::program;
 
-using K = fps_op_spec::kind;
+/// One failed fast attempt sends an operation to the slow path.
+constexpr std::uint32_t kTries = 1;
 
-bool is_deq(K k) { return k == K::fast_deq || k == K::slow_deq; }
+template <std::uint32_t Tries>
+struct tries_options : fps_options {
+  using hooks = testing::baton;
+  static constexpr std::uint32_t max_tries = Tries;
+};
+template <std::uint32_t Tries>
+using fps_queue =
+    wf_queue_fps<std::uint64_t, eager_hp_domain, tries_options<Tries>>;
 
-std::optional<std::uint64_t> result_of(fps_machine* m, K k) {
-  if (k == K::fast_deq) return static_cast<fast_deq_machine*>(m)->result;
-  return static_cast<slow_deq_machine*>(m)->result;
+/// The path an operation completed on, read off the per-thread counters.
+enum class path { fast, slow };
+
+/// What a scenario's schedules reached.
+struct path_report {
+  std::uint64_t schedules = 0;
+  std::uint64_t matched = 0;  // schedules with every worker on `want`
+  std::uint64_t retried = 0;  // schedules where a fast attempt was repeated
+  fps_path_stats total;       // summed over schedules
+};
+
+/// Explores every schedule of `progs` (worker w runs as tid w on a queue
+/// of 4 threads; tid 3 prefills and drains) with a fast-path budget of
+/// Tries, and checks each history.
+template <std::uint32_t Tries>
+path_report explore_paths(const std::vector<program>& progs,
+                          std::uint64_t prefill,
+                          const std::vector<path>& want) {
+  using Q = fps_queue<Tries>;
+  baton b(static_cast<std::uint32_t>(progs.size()));
+  path_report rep;
+  const testing::explore_report r = testing::explore(
+      b, testing::preemption_bound(progs.size()), [&](chooser& c) {
+        Q q(4);
+        std::string err = testing::run_checked(b, c, q, progs, prefill, 3);
+        bool all = true;
+        for (std::uint32_t w = 0; w < want.size(); ++w) {
+          const fps_path_stats p = q.path_counters(w);
+          rep.total += p;
+          all = all && (want[w] == path::fast ? p.fast_enqs + p.fast_deqs
+                                              : p.slow_enqs + p.slow_deqs) > 0;
+        }
+        rep.matched += all ? 1 : 0;
+        std::vector<std::uint32_t> attempts(progs.size());
+        for (const testing::sched_step& s : b.trace()) {
+          if (s.site == sched_site::fast_attempt) ++attempts[s.worker];
+        }
+        for (std::size_t w = 0; w < progs.size(); ++w) {
+          if (attempts[w] > progs[w].size()) {
+            ++rep.retried;
+            break;
+          }
+        }
+        return err;
+      });
+  EXPECT_EQ(r.failure, "");
+  rep.schedules = r.schedules;
+  const fps_path_stats& t = rep.total;
+  std::printf(
+      "[ explored ] max_tries %u: %llu schedules, %llu on the named paths, "
+      "%llu with a fast retry; fast %llu/%llu slow %llu/%llu (enq/deq)\n",
+      Tries, static_cast<unsigned long long>(rep.schedules),
+      static_cast<unsigned long long>(rep.matched),
+      static_cast<unsigned long long>(rep.retried),
+      static_cast<unsigned long long>(t.fast_enqs),
+      static_cast<unsigned long long>(t.fast_deqs),
+      static_cast<unsigned long long>(t.slow_enqs),
+      static_cast<unsigned long long>(t.slow_deqs));
+  return rep;
 }
 
-::testing::AssertionResult run_schedule(const std::vector<fps_op_spec>& specs,
-                                        const std::vector<std::size_t>& sched,
-                                        std::uint64_t prefill) {
-  fq q(4);
-  for (std::uint64_t i = 0; i < prefill; ++i) q.enqueue(1000 + i, 3);
-
-  std::vector<std::unique_ptr<fps_machine>> ms;
-  for (const auto& s : specs) ms.push_back(build_fps_machine(s));
-
-  std::uint64_t clock = 1;
-  auto step_machine = [&](std::size_t i) {
-    fps_machine& m = *ms[i];
-    if (m.done) return;
-    if (m.inv == 0) m.inv = clock++;
-    if (m.step(q)) {
-      m.done = true;
-      m.res = clock++;
-    } else {
-      ++clock;
-    }
-  };
-
-  for (std::size_t i : sched) step_machine(i);
-  for (int guard = 0; guard < 1000; ++guard) {
-    bool all_done = true;
-    for (std::size_t i = 0; i < ms.size(); ++i) {
-      if (!ms[i]->done) {
-        all_done = false;
-        step_machine(i);
-      }
-    }
-    if (all_done) break;
+/// Some schedule put every worker on the path the scenario names, so each
+/// named path ran; with more than one attempt, some attempt was retried.
+template <std::uint32_t Tries>
+void expect_paths(const std::vector<program>& progs, std::uint64_t prefill,
+                  const std::vector<path>& want) {
+  const path_report r = explore_paths<Tries>(progs, prefill, want);
+  EXPECT_GT(r.matched, 0u) << "no schedule put the workers on these paths";
+  for (const path p : want) {
+    EXPECT_GT(p == path::fast ? r.total.fast_enqs + r.total.fast_deqs
+                              : r.total.slow_enqs + r.total.slow_deqs,
+              0u);
   }
-  for (auto& m : ms) {
-    if (!m->done) {
-      return ::testing::AssertionFailure() << "machine failed to terminate";
-    }
+  if constexpr (Tries > 1) {
+    EXPECT_GT(r.retried, 0u) << "no fast attempt was ever retried";
   }
-
-  std::vector<op_event> h;
-  std::uint64_t pre_ts = 0;
-  for (std::uint64_t i = 0; i < prefill; ++i) {
-    h.push_back({op_kind::enq, true, 3, 1000 + i, pre_ts, pre_ts + 1});
-    pre_ts += 2;
-  }
-  const std::uint64_t base = pre_ts;
-  for (std::size_t i = 0; i < ms.size(); ++i) {
-    const auto& s = specs[i];
-    if (is_deq(s.k)) {
-      auto r = result_of(ms[i].get(), s.k);
-      h.push_back({op_kind::deq, r.has_value(), s.tid, r.value_or(0),
-                   base + ms[i]->inv, base + ms[i]->res});
-    } else {
-      h.push_back({op_kind::enq, true, s.tid, s.value, base + ms[i]->inv,
-                   base + ms[i]->res});
-    }
-  }
-  std::uint64_t drain_ts = base + 10000;
-  while (auto v = q.dequeue(3)) {
-    h.push_back({op_kind::deq, true, 3, *v, drain_ts, drain_ts + 1});
-    drain_ts += 2;
-  }
-
-  if (!lin_checker::is_linearizable(h)) {
-    std::string sstr;
-    for (std::size_t i : sched) sstr += std::to_string(i);
-    return ::testing::AssertionFailure()
-           << "schedule " << sstr << " produced a non-linearizable history";
-  }
-  return ::testing::AssertionSuccess();
 }
 
-void explore_all(const std::vector<fps_op_spec>& specs, std::uint64_t prefill,
-                 int budget) {
-  std::vector<std::size_t> sched;
-  std::uint64_t count = 0;
-  std::function<void()> dfs = [&] {
-    if (static_cast<int>(sched.size()) == budget) {
-      ++count;
-      ASSERT_TRUE(run_schedule(specs, sched, prefill));
-      return;
-    }
-    for (std::size_t i = 0; i < specs.size(); ++i) {
-      sched.push_back(i);
-      dfs();
-      sched.pop_back();
-      if (::testing::Test::HasFatalFailure()) return;
-    }
-  };
-  dfs();
-  EXPECT_GT(count, 0u);
-}
+const testing::op_spec deq{false};
+testing::op_spec enq(std::uint64_t v) { return {true, v}; }
+constexpr path fast = path::fast;
+constexpr path slow = path::slow;
 
 // ------------------------------------------------------------------ tests
 
 TEST(FpsInterleave, FastClaimRacesSlowClaimOnOneElement) {
   // The central interop hazard: both claim styles target the same
   // write-once deqTid. Exactly one gets the element in every schedule.
-  explore_all({{K::fast_deq, 0}, {K::slow_deq, 1}}, /*prefill=*/1,
-              /*budget=*/12);
+  expect_paths<kTries>({{deq}, {deq}}, /*prefill=*/1, {fast, slow});
 }
 
 TEST(FpsInterleave, FastClaimRacesSlowClaimTwoElements) {
-  explore_all({{K::fast_deq, 0}, {K::slow_deq, 1}}, /*prefill=*/2,
-              /*budget=*/12);
+  expect_paths<kTries>({{deq}, {deq}}, /*prefill=*/2, {fast, slow});
 }
 
 TEST(FpsInterleave, TwoFastClaimsRace) {
-  explore_all({{K::fast_deq, 0}, {K::fast_deq, 1}}, /*prefill=*/1,
-              /*budget=*/12);
+  // Both claims fast: the loser of the deqTid CAS must retry on the fast
+  // path, so this one runs with two attempts.
+  expect_paths<2>({{deq}, {deq}}, /*prefill=*/1, {fast, fast});
 }
 
 TEST(FpsInterleave, FastLinkRacesSlowLink) {
-  explore_all({{K::fast_enq, 0, 100}, {K::slow_enq, 1, 200}}, /*prefill=*/0,
-              /*budget=*/12);
+  expect_paths<kTries>({{enq(100)}, {enq(200)}}, /*prefill=*/0,
+                        {fast, slow});
 }
 
 TEST(FpsInterleave, FastEnqueueRacesSlowDequeueOnEmpty) {
-  explore_all({{K::fast_enq, 0, 100}, {K::slow_deq, 1}}, /*prefill=*/0,
-              /*budget=*/12);
+  expect_paths<kTries>({{enq(100)}, {deq}}, /*prefill=*/0, {fast, slow});
 }
 
 TEST(FpsInterleave, SlowEnqueueRacesFastDequeueOnEmpty) {
-  explore_all({{K::slow_enq, 0, 100}, {K::fast_deq, 1}}, /*prefill=*/0,
-              /*budget=*/12);
+  // Unreachable on the real queue: a fast enqueue attempt fails only if
+  // the tail moves or a node is linked, and a lone dequeuer on an empty
+  // queue does neither, so the enqueue is fast in every schedule at any
+  // budget. What is left to explore is the dequeuer retrying fast while
+  // the link lands, hence two attempts. A fast dequeuer finishing an
+  // announced enqueue is reached in SlowPairRacesFastPair.
+  const path_report r =
+      explore_paths<2>({{enq(100)}, {deq}}, /*prefill=*/0, {slow, fast});
+  EXPECT_EQ(r.matched, 0u);
+  EXPECT_EQ(r.total.slow_enqs, 0u);
+  EXPECT_GT(r.total.fast_deqs, 0u);
+  EXPECT_GT(r.retried, 0u);
 }
 
 TEST(FpsInterleave, ThreeWayCrossPathRace) {
-  // fast enq + slow deq + fast deq over one prefilled element: 3^8
-  // schedules covering claim ordering, dangling-link helping and the empty
-  // path in one scenario family.
-  explore_all({{K::fast_enq, 0, 100}, {K::slow_deq, 1}, {K::fast_deq, 2}},
-              /*prefill=*/1, /*budget=*/8);
+  // fast enq + slow deq + fast deq over one prefilled element: claim
+  // ordering, dangling-link helping and the empty path in one family.
+  expect_paths<kTries>({{enq(100)}, {deq}, {deq}}, /*prefill=*/1,
+                        {fast, slow, fast});
 }
 
 TEST(FpsInterleave, SlowPairRacesFastPair) {
-  explore_all({{K::slow_enq, 0, 100}, {K::fast_enq, 1, 200},
-               {K::slow_deq, 2}},
-              /*prefill=*/0, /*budget=*/8);
+  expect_paths<kTries>({{enq(100)}, {enq(200)}, {deq}}, /*prefill=*/0,
+                        {slow, fast, slow});
 }
 
 }  // namespace

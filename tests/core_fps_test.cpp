@@ -124,9 +124,10 @@ std::atomic<bool> gate_open{true};
 std::atomic<bool> is_frozen{false};
 
 struct freezing_fps_hooks {
-  static void after_slow_publish(std::uint32_t tid, bool /*is_enq*/) {
-    if (static_cast<std::int64_t>(tid) !=
-        frozen_tid.load(std::memory_order_acquire)) {
+  static void sched_point(std::uint32_t tid, sched_site site) {
+    if (site != sched_site::after_publish ||
+        static_cast<std::int64_t>(tid) !=
+            frozen_tid.load(std::memory_order_acquire)) {
       return;
     }
     is_frozen.store(true, std::memory_order_release);
@@ -203,8 +204,8 @@ TEST_F(FpsProgressTest, PeersCompleteAFrozenSlowDequeue) {
 
 std::array<std::atomic<std::uint64_t>, 2> fast_attempts;
 
-struct counting_fps_hooks : freezing_fps_hooks {
-  static void on_fast_attempt(std::uint32_t tid, bool is_enq);
+struct counting_fps_hooks {
+  static void sched_point(std::uint32_t tid, sched_site site);
 };
 struct counting_options : fps_options {
   using hooks = counting_fps_hooks;
@@ -221,7 +222,9 @@ using counting_fps = wf_queue_fps<std::uint64_t, hp_domain, counting_options>;
 std::atomic<counting_fps*> lag_tail_of{nullptr};
 std::atomic<std::uint64_t> lagged_nodes{0};
 
-void counting_fps_hooks::on_fast_attempt(std::uint32_t tid, bool /*is_enq*/) {
+void counting_fps_hooks::sched_point(std::uint32_t tid, sched_site site) {
+  freezing_fps_hooks::sched_point(tid, site);
+  if (site != sched_site::fast_attempt) return;
   fast_attempts[tid].fetch_add(1, std::memory_order_relaxed);
   counting_fps* q = lag_tail_of.load(std::memory_order_acquire);
   if (q == nullptr || tid != 1) return;
@@ -322,8 +325,7 @@ struct budget_hooks {
   static inline std::atomic<std::uint64_t> attempts{0};
   static inline std::atomic<void*> lag_tail_of{nullptr};
   static inline std::atomic<std::uint64_t> lagged{0};
-  static void after_slow_publish(std::uint32_t /*tid*/, bool /*is_enq*/) {}
-  static void on_fast_attempt(std::uint32_t tid, bool is_enq);
+  static void sched_point(std::uint32_t tid, sched_site site);
 };
 template <std::uint32_t N>
 struct budget_options : fps_options {
@@ -334,7 +336,8 @@ template <std::uint32_t N>
 using budget_fps = wf_queue_fps<std::uint64_t, hp_domain, budget_options<N>>;
 
 template <std::uint32_t N>
-void budget_hooks<N>::on_fast_attempt(std::uint32_t tid, bool /*is_enq*/) {
+void budget_hooks<N>::sched_point(std::uint32_t tid, sched_site site) {
+  if (site != sched_site::fast_attempt) return;
   attempts.fetch_add(1, std::memory_order_relaxed);
   auto* q = static_cast<budget_fps<N>*>(
       lag_tail_of.load(std::memory_order_acquire));

@@ -23,9 +23,10 @@ std::atomic<bool> gate_open{true};
 std::atomic<bool> is_frozen{false};
 
 struct freezing_hooks {
-  static void after_publish(std::uint32_t tid, bool /*is_enqueue*/) {
-    if (static_cast<std::int64_t>(tid) !=
-        frozen_tid.load(std::memory_order_acquire)) {
+  static void sched_point(std::uint32_t tid, sched_site site) {
+    if (site != sched_site::after_publish ||
+        static_cast<std::int64_t>(tid) !=
+            frozen_tid.load(std::memory_order_acquire)) {
       return;
     }
     is_frozen.store(true, std::memory_order_release);

@@ -1,178 +1,228 @@
-// Exhaustive schedule exploration of the KP queue's step decomposition.
+// Exhaustive schedule exploration of the KP queue that ships.
 //
 // The paper's §3.1 scheme splits each operation into small atomic steps so
 // helpers can share work. OS-thread stress tests only sample interleavings
-// of those steps; this test *enumerates* them using the step machines from
-// tests/support/step_machines.hpp. A DFS walks every interleaving of the
-// machines' steps; after each complete schedule the returned values plus
-// final queue content are checked with the exact brute-force
-// linearizability checker (op intervals = [first step index, last step
-// index]).
+// of those steps; this test enumerates them on the real wf_queue, run by
+// the baton scheduler (tests/support/baton.hpp): one scheduling point
+// before every shared access, DFS over every schedule with at most three
+// preemptions (two with three threads), hazard pointers scanning on every
+// retirement.
+// After each schedule the results plus the final queue content are checked
+// with the exact brute-force linearizability checker (op intervals = baton
+// clock at invocation and response).
 //
-// Any schedule that loses a value, duplicates one, returns a wrong value,
-// or produces an unlinearizable outcome fails loudly with the schedule
-// string, which makes failures replayable.
+// Every scenario runs on base WF (help_all + scan_max_phase) and opt WF
+// (help_one + fetch_add_phase). A failure prints its replayable schedule.
+// The BatonExplorer suite at the end checks the explorer itself: the DFS
+// enumerates exactly the bounded schedules, and a recorded schedule
+// replays to the same trace.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cstdint>
-#include <functional>
-#include <memory>
+#include <cstdio>
+#include <set>
 #include <string>
 #include <vector>
 
-#include "support/step_machines.hpp"
+#include "core/wf_queue_fps.hpp"
+#include "storage/segment_storage.hpp"
+#include "support/baton.hpp"
 #include "verify/history.hpp"
-#include "verify/lin_checker.hpp"
 
 namespace kpq {
 namespace {
 
-using testing::build_machine;
-using testing::machine;
-using testing::op_spec;
-using testing::sm_queue;
+using testing::baton;
+using testing::baton_options;
+using testing::chooser;
+using testing::eager_hp_domain;
+using testing::program;
 
-/// Runs one schedule (sequence of machine indexes, greedily extended until
-/// all machines finish) and returns false + diagnostics on any violation.
-::testing::AssertionResult run_schedule(const std::vector<op_spec>& specs,
-                                        const std::vector<std::size_t>& sched,
-                                        std::uint64_t prefill) {
-  sm_queue q(4);
-  for (std::uint64_t i = 0; i < prefill; ++i) q.enqueue(1000 + i, 3);
+using base_queue = wf_queue<std::uint64_t, help_all, scan_max_phase,
+                            eager_hp_domain, baton_options>;
+using opt_queue = wf_queue<std::uint64_t, help_one, fetch_add_phase,
+                           eager_hp_domain, baton_options>;
 
-  std::vector<std::unique_ptr<machine>> ms;
-  for (const auto& s : specs) ms.push_back(build_machine(s));
-
-  std::uint64_t clock = 1;
-  auto step_machine = [&](std::size_t i) {
-    machine& m = *ms[i];
-    if (m.done) return;
-    if (m.inv == 0) m.inv = clock++;
-    if (m.step(q)) {
-      m.done = true;
-      m.res = clock++;
-    } else {
-      ++clock;
-    }
-  };
-
-  for (std::size_t i : sched) step_machine(i);
-  // Greedy tail: round-robin until everything completes (bounded).
-  for (int guard = 0; guard < 1000; ++guard) {
-    bool all_done = true;
-    for (std::size_t i = 0; i < ms.size(); ++i) {
-      if (!ms[i]->done) {
-        all_done = false;
-        step_machine(i);
-      }
-    }
-    if (all_done) break;
-  }
-  for (auto& m : ms) {
-    if (!m->done) {
-      return ::testing::AssertionFailure() << "machine failed to terminate";
-    }
-  }
-
-  // Assemble the history: prefill enqueues (sequential, before everything),
-  // the explored operations, then a sequential drain.
-  std::vector<op_event> h;
-  std::uint64_t pre_ts = 0;
-  for (std::uint64_t i = 0; i < prefill; ++i) {
-    h.push_back({op_kind::enq, true, 3, 1000 + i, pre_ts, pre_ts + 1});
-    pre_ts += 2;
-  }
-  const std::uint64_t base = pre_ts;  // all machine stamps shifted above
-  for (std::size_t i = 0; i < ms.size(); ++i) {
-    const auto& s = specs[i];
-    if (s.is_enq) {
-      h.push_back({op_kind::enq, true, s.tid, s.value, base + ms[i]->inv,
-                   base + ms[i]->res});
-    } else {
-      auto* dm = static_cast<testing::deq_machine*>(ms[i].get());
-      h.push_back({op_kind::deq, dm->result.has_value(), s.tid,
-                   dm->result.value_or(0), base + ms[i]->inv,
-                   base + ms[i]->res});
-    }
-  }
-  std::uint64_t drain_ts = base + 10000;
-  while (auto v = q.dequeue(3)) {
-    h.push_back({op_kind::deq, true, 3, *v, drain_ts, drain_ts + 1});
-    drain_ts += 2;
-  }
-
-  if (!lin_checker::is_linearizable(h)) {
-    std::string sstr;
-    for (std::size_t i : sched) sstr += std::to_string(i);
-    return ::testing::AssertionFailure()
-           << "schedule " << sstr << " produced a non-linearizable history";
-  }
-  return ::testing::AssertionSuccess();
+/// Explores every schedule of `progs` (worker w runs as tid w on a queue
+/// of 4 threads; tid 3 prefills and drains) and returns the number of
+/// completions the workers won for another thread's operation, summed over
+/// schedules.
+template <typename Q>
+std::uint64_t explore_on(const char* name, const std::vector<program>& progs,
+                         std::uint64_t prefill) {
+  baton b(static_cast<std::uint32_t>(progs.size()));
+  std::uint64_t helped = 0;
+  const testing::explore_report r = testing::explore(
+      b, testing::preemption_bound(progs.size()), [&](chooser& c) {
+        Q q(4);
+        std::string err = testing::run_checked(b, c, q, progs, prefill, 3);
+        for (std::uint32_t w = 0; w < progs.size(); ++w) {
+          helped += q.counters(w).helped_enq_completions +
+                    q.counters(w).helped_deq_completions;
+        }
+        return err;
+      });
+  EXPECT_EQ(r.failure, "") << name;
+  std::printf("[ explored ] %s: %llu schedules, %llu helped completions\n",
+              name, static_cast<unsigned long long>(r.schedules),
+              static_cast<unsigned long long>(helped));
+  return helped;
 }
 
-/// Enumerates every interleaving of `budget` scheduler choices over the
-/// machines (the greedy tail completes whatever is unfinished).
-void explore_all(const std::vector<op_spec>& specs, std::uint64_t prefill,
-                 int budget) {
-  std::vector<std::size_t> sched;
-  std::uint64_t count = 0;
-  std::function<void()> dfs = [&] {
-    if (static_cast<int>(sched.size()) == budget) {
-      ++count;
-      ASSERT_TRUE(run_schedule(specs, sched, prefill));
-      return;
-    }
-    for (std::size_t i = 0; i < specs.size(); ++i) {
-      sched.push_back(i);
-      dfs();
-      sched.pop_back();
-      if (::testing::Test::HasFatalFailure()) return;
-    }
-  };
-  dfs();
-  EXPECT_GT(count, 0u);
+/// Both paper configurations; each must reach helping somewhere, unless
+/// `opt_helps` says opt cannot.
+void explore_all(const std::vector<program>& progs, std::uint64_t prefill,
+                 bool opt_helps = true) {
+  EXPECT_GT(explore_on<base_queue>("base", progs, prefill), 0u);
+  const std::uint64_t opt = explore_on<opt_queue>("opt", progs, prefill);
+  if (opt_helps) {
+    EXPECT_GT(opt, 0u);
+  }
 }
+
+const testing::op_spec deq{false};
+testing::op_spec enq(std::uint64_t v) { return {true, v}; }
 
 // ------------------------------------------------------------------ tests
 
 TEST(InterleaveExplorer, TwoConcurrentEnqueues) {
-  explore_all({{true, 0, 100}, {true, 1, 200}}, /*prefill=*/0, /*budget=*/12);
+  explore_all({{enq(100)}, {enq(200)}}, /*prefill=*/0);
 }
 
 TEST(InterleaveExplorer, TwoConcurrentDequeues) {
-  explore_all({{false, 0, 0}, {false, 1, 0}}, /*prefill=*/2, /*budget=*/12);
+  explore_all({{deq}, {deq}}, /*prefill=*/2);
 }
 
 TEST(InterleaveExplorer, TwoDequeuesOnOneElement) {
-  // Exactly one must get the element, the other must observe empty —
-  // in every interleaving.
-  explore_all({{false, 0, 0}, {false, 1, 0}}, /*prefill=*/1, /*budget=*/12);
+  // Exactly one must get the element, the other must observe empty — in
+  // every interleaving.
+  explore_all({{deq}, {deq}}, /*prefill=*/1);
 }
 
 TEST(InterleaveExplorer, EnqueueRacesDequeueOnEmptyQueue) {
-  explore_all({{true, 0, 100}, {false, 1, 0}}, /*prefill=*/0, /*budget=*/12);
+  explore_all({{enq(100)}, {deq}}, /*prefill=*/0);
 }
 
 TEST(InterleaveExplorer, EnqueueRacesDequeueOnNonEmptyQueue) {
-  explore_all({{true, 0, 100}, {false, 1, 0}}, /*prefill=*/1, /*budget=*/12);
+  // The two ends never meet: the dequeue finds head != tail, and opt's
+  // help_one only records a peer at its first look, so opt never helps.
+  explore_all({{enq(100)}, {deq}}, /*prefill=*/1, /*opt_helps=*/false);
 }
 
 TEST(InterleaveExplorer, ThreeWayMixedRace) {
-  // 3 machines, 3^8 = 6561 schedule prefixes.
-  explore_all({{true, 0, 100}, {false, 1, 0}, {true, 2, 200}}, /*prefill=*/1,
-              /*budget=*/8);
+  explore_all({{enq(100)}, {deq}, {enq(200)}}, /*prefill=*/1);
 }
 
 TEST(InterleaveExplorer, ThreeDequeuesTwoElements) {
   // Two must succeed with FIFO values, one must observe empty — in every
   // interleaving of the claim/finish steps.
-  explore_all({{false, 0, 0}, {false, 1, 0}, {false, 2, 0}}, /*prefill=*/2,
-              /*budget=*/8);
+  explore_all({{deq}, {deq}, {deq}}, /*prefill=*/2);
 }
 
 TEST(InterleaveExplorer, DuelingEnqueuesThenDuelingDequeues) {
-  explore_all({{true, 0, 100}, {true, 1, 200}, {false, 2, 0}}, /*prefill=*/0,
-              /*budget=*/8);
+  explore_all({{enq(100)}, {enq(200)}, {deq}}, /*prefill=*/0);
+}
+
+// ------------------------------------------------- the explorer itself
+
+TEST(BatonExplorer, DfsRunsEveryBoundedScheduleOnce) {
+  // Two workers of k scheduling points each have k + 1 segments apiece; an
+  // execution is an order of the 2k + 2 segments, and a preemption is a
+  // switch away from a worker with segments left. Count the orders within
+  // each bound by brute force and compare with what the DFS ran.
+  constexpr std::uint32_t k = 4;
+  for (std::uint32_t bound = 0; bound <= 3; ++bound) {
+    std::uint64_t expected = 0;
+    for (std::uint32_t m = 0; m < (1u << (2 * k + 2)); ++m) {
+      if (std::popcount(m) != static_cast<int>(k + 1)) continue;
+      std::uint32_t left[2] = {k + 1, k + 1};
+      std::uint32_t preemptions = 0;
+      for (std::uint32_t i = 0; i < 2 * k + 2; ++i) {
+        const std::uint32_t w = (m >> i) & 1;
+        if (i > 0) {
+          const std::uint32_t prev = (m >> (i - 1)) & 1;
+          if (prev != w && left[prev] > 0) ++preemptions;
+        }
+        --left[w];
+      }
+      if (preemptions <= bound) ++expected;
+    }
+    baton b(2);
+    std::set<std::vector<std::uint32_t>> seen;  // segment orders run
+    const testing::explore_report r =
+        testing::explore(b, bound, [&](chooser& c) -> std::string {
+          std::vector<std::uint32_t> order;
+          b.run(
+              [&](std::uint32_t w) {
+                order.push_back(w);
+                for (std::uint32_t i = 0; i < k; ++i) {
+                  baton::sched_point(w, sched_site::load);
+                  order.push_back(w);
+                }
+              },
+              c);
+          return seen.insert(order).second ? "" : "schedule ran twice";
+        });
+    EXPECT_EQ(r.failure, "") << "bound " << bound;
+    EXPECT_EQ(r.schedules, expected) << "bound " << bound;
+  }
+}
+
+struct replay_fps_options : fps_options {
+  using hooks = testing::baton;
+  static constexpr std::uint32_t max_tries = 1;
+};
+using fps_queue =
+    wf_queue_fps<std::uint64_t, eager_hp_domain, replay_fps_options>;
+using seg_queue =
+    wf_queue<std::uint64_t, help_all, scan_max_phase, eager_hp_domain,
+             baton_options, segment_storage<std::uint64_t, 256>>;
+
+/// Records a random schedule of a mixed program, then replays its string
+/// twice: the (worker, site) traces and the histories must match exactly,
+/// or DFS replay would be unsound for this queue.
+template <typename Q>
+void expect_replay_deterministic(std::uint64_t seed) {
+  baton b(3);
+  std::vector<program> progs(3);
+  for (std::uint32_t t = 0; t < 3; ++t) {
+    for (std::uint32_t i = 0; i < 4; ++i) {
+      progs[t].push_back({(seed + t + i) % 3 != 0, 100 * t + i});
+    }
+  }
+  auto once = [&](chooser& c) {
+    Q q(3);
+    return testing::run_programs(b, c, q, progs);
+  };
+  testing::random_chooser rc(seed);
+  const std::vector<op_event> h0 = once(rc);
+  const std::string schedule = b.schedule();
+  const std::vector<testing::sched_step> trace = b.trace();
+  ASSERT_FALSE(schedule.empty());
+  for (int i = 0; i < 2; ++i) {
+    testing::replay_chooser c(schedule);
+    const std::vector<op_event> h = once(c);
+    EXPECT_EQ(b.schedule(), schedule);
+    EXPECT_TRUE(b.trace() == trace) << "replay " << i << " of \"" << schedule
+                                    << "\" took another path";
+    ASSERT_EQ(h.size(), h0.size());
+    for (std::size_t e = 0; e < h.size(); ++e) {
+      EXPECT_EQ(h[e].ok, h0[e].ok);
+      EXPECT_EQ(h[e].value, h0[e].value);
+      EXPECT_EQ(h[e].inv, h0[e].inv);
+      EXPECT_EQ(h[e].res, h0[e].res);
+    }
+  }
+}
+
+TEST(BatonExplorer, ReplayIsDeterministic) {
+  for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+    expect_replay_deterministic<opt_queue>(seed);
+    expect_replay_deterministic<base_queue>(seed);
+    expect_replay_deterministic<fps_queue>(seed);
+    expect_replay_deterministic<seg_queue>(seed);
+  }
 }
 
 }  // namespace

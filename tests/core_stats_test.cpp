@@ -69,8 +69,11 @@ std::atomic<bool> frozen_now{false};
 std::atomic<bool> release_gate{false};
 
 struct stats_freeze_hooks {
-  static void after_publish(std::uint32_t tid, bool /*is_enqueue*/) {
-    if (tid != 0 || !freeze_tid0.load(std::memory_order_acquire)) return;
+  static void sched_point(std::uint32_t tid, sched_site site) {
+    if (site != sched_site::after_publish || tid != 0 ||
+        !freeze_tid0.load(std::memory_order_acquire)) {
+      return;
+    }
     frozen_now.store(true, std::memory_order_release);
     while (!release_gate.load(std::memory_order_acquire)) {
       std::this_thread::yield();

@@ -2,14 +2,13 @@
 // per-shard FIFO, no-loss/no-dup, and per-shard empty honesty, with 2–8
 // shards.
 //
-// Reuses the step-machine harness (tests/support/step_machines.hpp): every
-// shard is an independent sm_queue, a sharded enqueue is one enq_machine on
-// the routed shard, and a sharded dequeue replays sharded_queue::dequeue's
-// cyclic scan — a deq_machine per visited shard, starting at the caller's
-// home shard, stopping at the first hit or after every shard reported
-// empty. The scheduler interleaves all primitive steps at random, so shard
-// scans from different logical threads overlap arbitrarily — exactly the
-// executions the relaxed cross-shard contract must survive.
+// The real sharded_queue runs under the baton scheduler
+// (tests/support/baton.hpp) with the affinity policy, over opt WF shards
+// whose every shared access is a scheduling point; a uniformly random
+// thread runs next at each one, so shard scans from different threads
+// overlap arbitrarily — exactly the executions the relaxed cross-shard
+// contract must survive. Each shard is wrapped in a recording shim that
+// logs every inner operation with its own baton-clock window.
 //
 // Checking: the history is recorded PER SHARD (each sub-operation with its
 // own window). Each shard's history plus its drain must pass the full FIFO
@@ -23,10 +22,13 @@
 
 #include <cstdint>
 #include <memory>
+#include <optional>
+#include <string>
 #include <vector>
 
 #include "harness/workload.hpp"
-#include "support/step_machines.hpp"
+#include "scale/sharded_queue.hpp"
+#include "support/baton.hpp"
 #include "verify/fifo_checker.hpp"
 #include "verify/history.hpp"
 #include "verify/lin_checker.hpp"
@@ -34,81 +36,38 @@
 namespace kpq {
 namespace {
 
-using testing::deq_machine;
-using testing::enq_machine;
-using testing::machine;
-using testing::sm_queue;
+using testing::baton;
+using testing::program;
 
-struct shard_set {
-  std::vector<std::unique_ptr<sm_queue>> shards;
-  std::vector<std::vector<op_event>> history;  // one log per shard
+using inner_queue = wf_queue<std::uint64_t, help_one, fetch_add_phase,
+                             testing::eager_hp_domain, testing::baton_options>;
 
-  shard_set(std::uint32_t s, std::uint32_t threads) : history(s) {
-    for (std::uint32_t i = 0; i < s; ++i) {
-      shards.push_back(std::make_unique<sm_queue>(threads));
-    }
-  }
-  std::uint32_t count() const {
-    return static_cast<std::uint32_t>(shards.size());
-  }
-};
-
-/// One sharded operation advanced one primitive step at a time. Mirrors
-/// sharded_queue::enqueue / ::dequeue with the affinity policy.
-class sharded_op {
+/// One shard: the real inner queue, logging each operation on it.
+class recorded_shard {
  public:
-  sharded_op(std::uint32_t tid, bool is_enq, std::uint64_t value,
-             shard_set& set)
-      : tid_(tid), is_enq_(is_enq), value_(value) {
-    cur_ = tid % set.count();  // enqueue_shard == home_shard == tid mod S
-    start_inner(set);
-  }
+  using value_type = std::uint64_t;
 
-  /// True once the sharded operation completed.
-  bool step(shard_set& set, std::uint64_t& clock) {
-    if (inner_->step(*set.shards[cur_])) {
-      inner_->res = clock++;
-      if (is_enq_) {
-        set.history[cur_].push_back(
-            {op_kind::enq, true, tid_, value_, inner_->inv, inner_->res});
-        return true;
-      }
-      auto* dm = static_cast<deq_machine*>(inner_.get());
-      set.history[cur_].push_back({op_kind::deq, dm->result.has_value(), tid_,
-                                   dm->result.value_or(0), inner_->inv,
-                                   inner_->res});
-      if (dm->result.has_value()) {
-        result = dm->result;
-        return true;
-      }
-      if (++visited_ == set.count()) return true;  // scanned all: empty
-      cur_ = (cur_ + 1 == set.count()) ? 0 : cur_ + 1;
-      start_inner(set);
-      inner_->inv = clock++;
-      return false;
-    }
-    ++clock;
-    return false;
-  }
+  recorded_shard(std::uint32_t threads, baton& b, std::vector<op_event>& log)
+      : q_(threads), b_(b), log_(log) {}
 
-  std::uint64_t& inv() { return inner_->inv; }
-  std::optional<std::uint64_t> result;
+  void enqueue(value_type v, std::uint32_t tid) {
+    const std::uint64_t inv = b_.stamp();
+    q_.enqueue(v, tid);
+    log_.push_back({op_kind::enq, true, tid, v, inv, b_.stamp()});
+  }
+  std::optional<value_type> dequeue(std::uint32_t tid) {
+    const std::uint64_t inv = b_.stamp();
+    std::optional<value_type> v = q_.dequeue(tid);
+    log_.push_back(
+        {op_kind::deq, v.has_value(), tid, v.value_or(0), inv, b_.stamp()});
+    return v;
+  }
+  inner_queue& inner() noexcept { return q_; }
 
  private:
-  void start_inner(shard_set&) {
-    if (is_enq_) {
-      inner_ = std::make_unique<enq_machine>(tid_, value_);
-    } else {
-      inner_ = std::make_unique<deq_machine>(tid_);
-    }
-  }
-
-  std::uint32_t tid_;
-  bool is_enq_;
-  std::uint64_t value_;
-  std::uint32_t cur_ = 0;
-  std::uint32_t visited_ = 0;
-  std::unique_ptr<machine> inner_;
+  inner_queue q_;
+  baton& b_;
+  std::vector<op_event>& log_;
 };
 
 struct outcome {
@@ -117,89 +76,52 @@ struct outcome {
   std::uint64_t enqueued = 0, dequeued = 0, drained = 0;
 };
 
-outcome run_sharded_random(std::uint64_t seed, std::uint32_t shards,
-                           std::uint32_t logical_threads,
+outcome run_sharded_random(baton& b, std::uint64_t seed, std::uint32_t shards,
                            std::uint32_t ops_per_thread,
                            std::uint32_t enq_bias) {
+  const std::uint32_t threads = b.workers();
   fast_rng rng(seed);
-  shard_set set(shards, logical_threads);
-
-  struct prog {
-    std::vector<std::pair<bool, std::uint64_t>> ops;  // (is_enq, value)
-    std::size_t next = 0;
-  };
-  std::vector<prog> progs(logical_threads);
-  for (std::uint32_t t = 0; t < logical_threads; ++t) {
+  std::vector<program> progs(threads);
+  for (std::uint32_t t = 0; t < threads; ++t) {
     for (std::uint32_t i = 0; i < ops_per_thread; ++i) {
-      progs[t].ops.emplace_back(rng.bernoulli(enq_bias, 100),
-                                encode_value(t, i));
+      progs[t].push_back({rng.bernoulli(enq_bias, 100), encode_value(t, i)});
     }
   }
 
-  std::vector<std::unique_ptr<sharded_op>> current(logical_threads);
-  std::uint64_t clock = 1;
   outcome o;
-
-  auto all_done = [&] {
-    for (std::uint32_t t = 0; t < logical_threads; ++t) {
-      if (current[t] != nullptr || progs[t].next < progs[t].ops.size()) {
-        return false;
-      }
-    }
-    return true;
-  };
-
-  std::uint64_t safety = 0;
-  const std::uint64_t cap = static_cast<std::uint64_t>(logical_threads) *
-                            ops_per_thread * shards * 500;
-  while (!all_done()) {
-    if (++safety > cap) {
-      o.per_shard.fail("schedule did not terminate (seed " +
-                       std::to_string(seed) + ")");
-      return o;
-    }
-    const auto t = static_cast<std::uint32_t>(rng.next() % logical_threads);
-    if (current[t] == nullptr) {
-      if (progs[t].next >= progs[t].ops.size()) continue;
-      const auto& [is_enq, value] = progs[t].ops[progs[t].next];
-      current[t] = std::make_unique<sharded_op>(t, is_enq, value, set);
-      current[t]->inv() = clock++;
-    }
-    if (current[t]->step(set, clock)) {
-      const auto& [is_enq, value] = progs[t].ops[progs[t].next];
-      if (is_enq) {
-        ++o.enqueued;
-      } else if (current[t]->result.has_value()) {
-        ++o.dequeued;
-      }
-      current[t].reset();
-      ++progs[t].next;
+  o.history.resize(shards);
+  sharded_queue<recorded_shard> q(shards, threads, [&](std::uint32_t s) {
+    return std::make_unique<recorded_shard>(threads, b, o.history[s]);
+  });
+  testing::random_chooser c(rng.next());
+  for (const op_event& e : testing::run_programs(b, c, q, progs)) {
+    if (e.kind == op_kind::enq) {
+      ++o.enqueued;
+    } else if (e.ok) {
+      ++o.dequeued;
     }
   }
 
-  // Per-shard verdicts; drains append to the returned histories so the
-  // exact checker can consume them too.
-  o.history = set.history;
+  // Per-shard verdicts; drains append to the histories so the exact
+  // checker can consume them too.
   for (std::uint32_t s = 0; s < shards; ++s) {
-    std::vector<std::uint64_t> drained;
-    while (auto v = set.shards[s]->dequeue(0)) drained.push_back(*v);
+    std::vector<op_event> explored = o.history[s];
+    const std::vector<std::uint64_t> drained =
+        testing::drain(q.shard(s).inner(), 0, &o.history[s]);
     o.drained += drained.size();
-    auto r = fifo_checker::check(set.history[s], drained);
+    const check_result r = fifo_checker::check(explored, drained);
     if (!r.ok) {
       o.per_shard.fail("shard " + std::to_string(s) + ": " + r.to_string());
     }
-    std::uint64_t ts = clock + 1000;
-    for (std::uint64_t v : drained) {
-      o.history[s].push_back({op_kind::deq, true, 0, v, ts, ts + 1});
-      ts += 2;
-    }
   }
+  if (!o.per_shard.ok) o.per_shard.fail("schedule \"" + b.schedule() + "\"");
   return o;
 }
 
 TEST(ShardedRandomSchedule, TwoShards) {
+  baton b(4);
   for (std::uint64_t seed = 1; seed <= 600; ++seed) {
-    auto o = run_sharded_random(seed, 2, /*threads=*/4, /*ops=*/6, 60);
+    auto o = run_sharded_random(b, seed, 2, /*ops=*/6, 60);
     ASSERT_TRUE(o.per_shard.ok) << "seed " << seed << ":\n"
                                 << o.per_shard.to_string();
     ASSERT_EQ(o.enqueued, o.dequeued + o.drained) << "seed " << seed;
@@ -207,8 +129,9 @@ TEST(ShardedRandomSchedule, TwoShards) {
 }
 
 TEST(ShardedRandomSchedule, FourShardsWideFan) {
+  baton b(8);
   for (std::uint64_t seed = 1; seed <= 400; ++seed) {
-    auto o = run_sharded_random(seed, 4, 8, 4, 55);
+    auto o = run_sharded_random(b, seed, 4, 4, 55);
     ASSERT_TRUE(o.per_shard.ok) << "seed " << seed << ":\n"
                                 << o.per_shard.to_string();
     ASSERT_EQ(o.enqueued, o.dequeued + o.drained) << "seed " << seed;
@@ -218,8 +141,9 @@ TEST(ShardedRandomSchedule, FourShardsWideFan) {
 TEST(ShardedRandomSchedule, EightShardsDequeueHeavy) {
   // More shards than busy producers: scans regularly sweep several empty
   // shards, hammering the empty-honesty and steal paths.
+  baton b(6);
   for (std::uint64_t seed = 1; seed <= 300; ++seed) {
-    auto o = run_sharded_random(seed, 8, 6, 5, 35);
+    auto o = run_sharded_random(b, seed, 8, 5, 35);
     ASSERT_TRUE(o.per_shard.ok) << "seed " << seed << ":\n"
                                 << o.per_shard.to_string();
     ASSERT_EQ(o.enqueued, o.dequeued + o.drained) << "seed " << seed;
@@ -227,14 +151,16 @@ TEST(ShardedRandomSchedule, EightShardsDequeueHeavy) {
 }
 
 TEST(ShardedRandomSchedule, SmallRunsCrossCheckedExactlyPerShard) {
+  baton b(3);
   for (std::uint64_t seed = 1; seed <= 300; ++seed) {
-    auto o = run_sharded_random(seed, 2, 3, 2, 50);
+    auto o = run_sharded_random(b, seed, 2, 2, 50);
     ASSERT_TRUE(o.per_shard.ok) << "seed " << seed << ":\n"
                                 << o.per_shard.to_string();
     for (std::size_t s = 0; s < o.history.size(); ++s) {
       ASSERT_LE(o.history[s].size(), 20u);
       ASSERT_TRUE(lin_checker::is_linearizable(o.history[s]))
-          << "exact checker rejected shard " << s << " of seed " << seed;
+          << "exact checker rejected shard " << s << " of seed " << seed
+          << ", schedule \"" << b.schedule() << "\"";
     }
   }
 }

@@ -1,5 +1,5 @@
 // Shared white-box driver for the KP queue tests (scenario replays,
-// interleaving exploration, structural audits). kpq::testing::whitebox is
+// structural audits, layout and recycling checks). kpq::testing::whitebox is
 // declared as a friend by wf_queue; this header provides its one definition
 // for test targets. Include it from at most one .cpp per binary.
 #pragma once
@@ -36,28 +36,12 @@ struct whitebox {
   template <typename Q>
   static std::int64_t max_phase(Q& q, std::uint32_t tid) {
     auto g = q.reclaim_.enter(tid);
-    return q.max_phase(g);
+    return q.max_phase(g, tid);
   }
   template <typename Q>
   static void publish(Q& q, std::uint32_t tid, std::int64_t phase,
                       bool pending, bool enq, typename Q::node_type* node) {
     q.publish(tid, q.pool_.make(tid, phase, pending, enq, node));
-  }
-  template <typename Q, typename... Args>
-  static typename Q::desc_type* make_desc(Q& q, std::uint32_t my,
-                                          Args&&... args) {
-    return q.pool_.make(my, std::forward<Args>(args)...);
-  }
-  template <typename Q>
-  static bool swap_state(Q& q, std::uint32_t tid, std::uint32_t my,
-                         typename Q::desc_type* cur,
-                         typename Q::desc_type* repl) {
-    return q.swap_state(tid, my, cur, repl);
-  }
-  /// fps only: the shared phase counter.
-  template <typename Q>
-  static std::int64_t bump_phase(Q& q) {
-    return q.phase_.counter->fetch_add(1, std::memory_order_acq_rel);
   }
   /// Announce an enqueue on the slow path and help it to completion,
   /// skipping any fast path.
@@ -67,14 +51,14 @@ struct whitebox {
     auto g = q.reclaim_.enter(tid);
     typename Q::node_type* node =
         q.alloc_node(tid, std::move(v), static_cast<std::int32_t>(tid));
-    q.announce_enq(tid, q.phase_.next_phase(q, g, tid), node, g);
+    q.announce_enq(tid, q.next_phase(tid, g), node, g);
   }
   /// Announce a dequeue on the slow path, skipping any fast path.
   template <typename Q>
   static std::optional<typename Q::value_type> announce_deq(Q& q,
                                                             std::uint32_t tid) {
     auto g = q.reclaim_.enter(tid);
-    return q.announce_deq(tid, q.phase_.next_phase(q, g, tid), g);
+    return q.announce_deq(tid, q.next_phase(tid, g), g);
   }
   template <typename Q>
   static void help_finish_enq(Q& q, std::uint32_t my) {
