@@ -2,7 +2,7 @@
 """Record and compare benchmark baselines (schema kpq-bench-1).
 
 Two subcommands over the figure benches (fig7, fig8, fig10, fig_sharding,
-fig_obs_overhead, fig_residency):
+fig_obs_overhead):
 
   record    Run each bench's sweep with --json and write BENCH_<fig>.json at
             the repo root. These files are the committed baselines.
@@ -77,11 +77,6 @@ FIGS = {
     },
     "fig_obs_overhead": {
         "bin": "fig_obs_overhead",
-        "record": ["--threads", "4", "--iters", "5000", "--reps", "3"],
-        "smoke": ["--threads", "2", "--iters", "1000", "--reps", "2"],
-    },
-    "fig_residency": {
-        "bin": "fig_residency",
         "record": ["--threads", "4", "--iters", "5000", "--reps", "3"],
         "smoke": ["--threads", "2", "--iters", "1000", "--reps", "2"],
     },

@@ -24,7 +24,7 @@ inline constexpr std::size_t desc_cache_cap = 64;
 /// make(tid, args...) constructs a descriptor, reusing a cached allocation
 /// when possible; recycle(tid, d) returns a never-published one. Cached
 /// descriptors stay "live" in the accounting (they occupy heap).
-template <typename T, bool Stamped = false>
-using desc_pool = recycle_lists<op_desc<T, Stamped>>;
+template <typename T>
+using desc_pool = recycle_lists<op_desc<T>>;
 
 }  // namespace kpq

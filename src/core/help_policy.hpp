@@ -7,7 +7,7 @@
 //   * help_one — optimization 1: help at most one *other* thread per
 //     operation, choosing candidates in cyclic order over the state array,
 //     then complete our own operation. This optimization was the dominant
-//     win in the paper's Figure 9: it prevents stampedes where every thread
+//     win in the paper's Figure 9: it prevents pile-ups where every thread
 //     piles onto the same slow peer. Deviation from §3.3: a candidate is
 //     helped only at a *second look* (see help_one below), so each active
 //     peer helps a stalled operation within 2n of its own operations

@@ -18,7 +18,7 @@
 
 #include <atomic>
 #include <cstdint>
-#include <type_traits>
+#include <utility>
 
 namespace kpq {
 
@@ -28,23 +28,8 @@ inline constexpr std::int32_t no_tid = -1;
 /// Sentinel phase carried by the initial descriptors (paper line 33 uses -1).
 inline constexpr std::int64_t no_phase = -1;
 
-/// Optional residency stamp (obs/residency.hpp). Present as a base class of
-/// wf_node/op_desc only when the queue's options enable residency tracking,
-/// so the default node keeps the paper's 24-byte shape (pinned by
-/// shape_regression_test). `enq_ts` follows the same publication discipline
-/// as `value`/`enq_tid`: written once by the enqueuer before the record is
-/// published, read only through a protected load afterwards.
-struct residency_stamp {
-  std::uint64_t enq_ts = 0;  // tick_now() at enqueue-publish
-};
-struct no_residency_stamp {};
-
-template <bool Stamped>
-using residency_base =
-    std::conditional_t<Stamped, residency_stamp, no_residency_stamp>;
-
-template <typename T, bool Stamped = false>
-struct wf_node : residency_base<Stamped> {
+template <typename T>
+struct wf_node {
   T value;
   std::atomic<wf_node*> next{nullptr};
   std::int32_t enq_tid;                  // paper: enqTid, written once pre-publication
@@ -53,18 +38,18 @@ struct wf_node : residency_base<Stamped> {
   wf_node(T v, std::int32_t etid) : value(std::move(v)), enq_tid(etid) {}
 };
 
-template <typename T, bool Stamped = false>
-struct op_desc : residency_base<Stamped> {
+template <typename T>
+struct op_desc {
   std::int64_t phase;           // paper: phase
   bool pending;                 // paper: pending
   bool enqueue;                 // paper: enqueue
-  wf_node<T, Stamped>* node;    // paper: node (meaning depends on op type, see §3.2)
+  wf_node<T>* node;             // paper: node (meaning depends on op type, see §3.2)
   T value{};                    // C++ port (§3.4): payload of a completed dequeue
 
-  op_desc(std::int64_t ph, bool pend, bool enq, wf_node<T, Stamped>* n)
+  op_desc(std::int64_t ph, bool pend, bool enq, wf_node<T>* n)
       : phase(ph), pending(pend), enqueue(enq), node(n) {}
 
-  op_desc(std::int64_t ph, bool pend, bool enq, wf_node<T, Stamped>* n, T val)
+  op_desc(std::int64_t ph, bool pend, bool enq, wf_node<T>* n, T val)
       : phase(ph), pending(pend), enqueue(enq), node(n), value(std::move(val)) {}
 };
 

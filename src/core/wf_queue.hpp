@@ -58,7 +58,6 @@
 #include "core/op_desc.hpp"
 #include "core/phase_policy.hpp"
 #include "harness/mem_tracker.hpp"
-#include "obs/residency.hpp"
 #include "obs/trace_ring.hpp"
 #include "reclaim/hazard_pointers.hpp"
 #include "reclaim/reclaimer_concepts.hpp"
@@ -135,11 +134,10 @@ template <std::uint32_t MaxTries = 8>
 class ms_fast_path {
  public:
   static constexpr bool has_fast_path = true;
-
- protected:
   /// Fast-path attempts per operation before it announces.
   static constexpr std::uint32_t max_tries = MaxTries;
 
+ protected:
   explicit ms_fast_path(std::uint32_t max_threads) : cursor_(max_threads) {}
 
   /// The announce slot `my` probes next (owner-only cyclic cursor).
@@ -170,13 +168,6 @@ struct wf_options {
   /// hook-free build. The fig_obs_overhead bench overrides this per-type
   /// (wf_options_traced) to compare traced vs untraced in one binary.
   using trace = obs::default_trace;
-  /// Item-residency policy (obs/residency.hpp). With the default
-  /// `no_residency` the node/descriptor stamp field does not exist and every
-  /// residency hook folds away — the node keeps the paper's 24-byte shape.
-  /// `wf_options_residency` flips it to tick_residency: the enqueuer stamps
-  /// the node pre-publication and the completing dequeue records
-  /// now - stamp into a per-thread log2 histogram (residency_histogram()).
-  using residency = obs::no_residency;
   /// Per-thread operation counters (wf_counters); zero-cost when off.
   static constexpr bool collect_stats = false;
   /// Fast-path policy: no_fast_path, or ms_fast_path (wf_queue_fps.hpp).
@@ -189,10 +180,6 @@ struct wf_options_stats : wf_options {
 /// Tracing forced on regardless of KPQ_TRACE (for overhead comparisons).
 struct wf_options_traced : wf_options {
   using trace = obs::ring_trace;
-};
-/// Item-residency tracking on (stamped nodes/descriptors + histograms).
-struct wf_options_residency : wf_options {
-  using residency = obs::tick_residency;
 };
 
 /// A fast-path queue's fast/slow split (path_counters()). The slow-path
@@ -226,7 +213,7 @@ struct fps_path_stats {
 /// Owner-thread-only updates: no atomics needed, padded against false
 /// sharing. The interesting derived quantity is the *helping rate*: how many
 /// operations were completed by a thread other than their owner — the
-/// dynamic behind the paper's Figure 9 discussion of helping stampedes.
+/// dynamic behind the paper's Figure 9 discussion of helping pile-ups.
 struct wf_counters {
   std::uint64_t enq_ops = 0;
   std::uint64_t deq_ops = 0;
@@ -269,8 +256,7 @@ struct wf_counters {
 template <typename T, typename HelpPolicy = help_all,
           typename PhasePolicy = scan_max_phase, typename Reclaimer = hp_domain,
           typename Options = wf_options,
-          typename Storage = heap_node_storage<
-              T, wf_node<T, obs::residency_policy_t<Options>::enabled>>>
+          typename Storage = heap_node_storage<T>>
 class wf_queue : public mem_tracked, public Options::fast_path {
   static_assert(std::is_default_constructible_v<T>,
                 "op_desc carries a T payload slot");
@@ -281,23 +267,14 @@ class wf_queue : public mem_tracked, public Options::fast_path {
                 "(storage/storage_concepts.hpp)");
 
  public:
-  /// Residency policy from the Options (structural: absent member means
-  /// no_residency, so pre-existing options structs keep compiling).
-  using residency_type = obs::residency_policy_t<Options>;
-  static constexpr bool track_residency = residency_type::enabled;
-
   using value_type = T;
-  using node_type = wf_node<T, track_residency>;
-  using desc_type = op_desc<T, track_residency>;
+  using node_type = wf_node<T>;
+  using desc_type = op_desc<T>;
   using reclaimer_type = Reclaimer;
   using storage_type = Storage;
   using help_policy_type = HelpPolicy;
   using fast_path_type = typename Options::fast_path;
   using fast_path_type::has_fast_path;
-  static_assert(std::is_same_v<typename Storage::node_type, node_type>,
-                "Storage must be instantiated with the queue's node type — "
-                "when residency is enabled the node carries the stamp, e.g. "
-                "heap_node_storage<T, wf_node<T, true>>");
   /// The recorder policy, re-exported so the help policies (templated on
   /// the queue, not the options) can hit the same sink.
   using trace_type = typename Options::trace;
@@ -333,8 +310,7 @@ class wf_queue : public mem_tracked, public Options::fast_path {
         help_(max_threads),
         phase_(max_threads),
         stats_(Options::collect_stats || has_fast_path ? max_threads : 0),
-        state_(max_threads),
-        resi_(track_residency ? max_threads : 0) {
+        state_(max_threads) {
     set_memory_counters(mc);
     node_type* sentinel = alloc_node(0, T{}, no_tid);  // paper line 28
     // kpq-order: relaxed pairs-with the ctor-exit seq_cst fence below —
@@ -455,7 +431,6 @@ class wf_queue : public mem_tracked, public Options::fast_path {
         }
         // `next` is safe to read: first == head implies it is not retired.
         T value = next->value;
-        const residency_base<track_residency> stamp = *next;
         std::int32_t expected = no_tid;
         sched(tid, sched_site::claim);
         if (first->deq_tid.compare_exchange_strong(
@@ -463,7 +438,6 @@ class wf_queue : public mem_tracked, public Options::fast_path {
                 std::memory_order_seq_cst)) {
           count_path(tid, &fps_path_stats::fast_deqs);
           help_finish_deq(tid, g);  // swing head; winner retires sentinel
-          record_residency(tid, stamp);
           return value;
         }
         help_finish_deq(tid, g);  // someone else claimed it: finish, retry
@@ -559,13 +533,6 @@ class wf_queue : public mem_tracked, public Options::fast_path {
   reclaimer_type& reclaimer() noexcept { return reclaim_; }
   storage_type& storage() noexcept { return storage_; }
   const storage_type& storage() const noexcept { return storage_; }
-
-  /// Merged item-residency histogram in TICKS (obs/calibrate.hpp converts to
-  /// ns). Meaningful only when `track_residency`; scrape-safe while workers
-  /// run — buckets are relaxed atomics, the snapshot is some interleaving.
-  log2_histogram residency_histogram() const { return resi_.merged(); }
-  std::uint64_t residency_samples() const noexcept { return resi_.samples(); }
-  void reset_residency() noexcept { resi_.reset(); }
 
   /// Per-thread counters (meaningful only with Options::collect_stats;
   /// read under quiescence or accept torn snapshots).
@@ -693,11 +660,7 @@ class wf_queue : public mem_tracked, public Options::fast_path {
   // to `state`, not the list.
 
   node_type* alloc_node(std::uint32_t tid, T v, std::int32_t etid) {
-    node_type* node = storage_.alloc(tid, std::move(v), etid, reclaim_);
-    // Residency stamp: written once pre-publication, like value/enq_tid (a
-    // fast node adopted by the slow path keeps it).
-    if constexpr (track_residency) node->enq_ts = residency_type::now();
-    return node;
+    return storage_.alloc(tid, std::move(v), etid, reclaim_);
   }
   void free_desc(desc_type* d) noexcept {
     account_free(sizeof(desc_type));
@@ -791,10 +754,7 @@ class wf_queue : public mem_tracked, public Options::fast_path {
     // by a helper finishing stage 2/3 late, so protect before reading.
     desc_type* d = protect(g, tid, s_desc, state_[tid].get());  // line 103
     std::optional<T> result;
-    if (d->node != nullptr) {
-      result = d->value;  // §3.4: payload lives in d
-      record_residency(tid, *d);
-    }
+    if (d->node != nullptr) result = d->value;  // §3.4: payload lives in d
     if constexpr (Options::collect_stats) {
       if (!result.has_value()) ++stats_[tid]->empty_deqs;
     }
@@ -1031,11 +991,6 @@ class wf_queue : public mem_tracked, public Options::fast_path {
       // the descriptor so the caller never revisits these nodes.
       desc_type* fresh =
           pool_.make(my, cur->phase, false, false, cur->node, next->value);
-      // The residency stamp rides along with the payload — copied while
-      // `next` is still pinned, whichever helper completes the op. This is
-      // why helping does not distort residency: the stamp is a property of
-      // the ITEM, carried unchanged to whoever returns it.
-      if constexpr (track_residency) fresh->enq_ts = next->enq_ts;
       const bool won = swap_state(tid, my, cur, fresh);  // line 149 (step 2)
       if constexpr (Options::collect_stats) {
         if (won && tid != my) ++stats_[my]->helped_deq_completions;
@@ -1050,28 +1005,13 @@ class wf_queue : public mem_tracked, public Options::fast_path {
     }
   }
 
-  /// Residency measurement at dequeue-completion: the stamp was taken at
-  /// enqueue-publish and carried to the dequeuer (into its descriptor by
-  /// help_finish_deq, or copied off the node by a fast claim). Clamped at
-  /// zero against cross-core TSC skew (invariant TSC keeps this rare).
-  void record_residency(std::uint32_t tid,
-                        const residency_base<track_residency>& s) noexcept {
-    if constexpr (track_residency) {
-      const std::uint64_t now = residency_type::now();
-      resi_.add(tid, now > s.enq_ts ? now - s.enq_ts : 0);
-    } else {
-      (void)tid;
-      (void)s;
-    }
-  }
-
   // ------------------------------------------------------------------- data
 
   const std::uint32_t n_;
   Storage storage_;  // before reclaim_: reclaimer shutdown drains node
                      // retirements through callbacks into the storage
   Reclaimer reclaim_;
-  desc_pool<T, track_residency> pool_;
+  desc_pool<T> pool_;
   HelpPolicy help_;
   PhasePolicy phase_;
   // Empty unless collect_stats or a fast path (its path cells live here).
@@ -1084,7 +1024,6 @@ class wf_queue : public mem_tracked, public Options::fast_path {
   std::vector<padded<wf_counters>> stats_;
   alignas(destructive_interference)
       std::vector<padded<state_slot>> state_;  // paper line 26
-  obs::residency_probe resi_;  // empty unless track_residency
 
   alignas(destructive_interference) std::atomic<node_type*> head_{nullptr};
   alignas(destructive_interference) std::atomic<node_type*> tail_{nullptr};
@@ -1105,11 +1044,5 @@ template <typename T, typename R = hp_domain>
 using wf_queue_opt2 = wf_queue<T, help_all, fetch_add_phase, R>;
 template <typename T, typename R = hp_domain>
 using wf_queue_opt = wf_queue<T, help_one, fetch_add_phase, R>;
-
-/// opt WF with item-residency tracking compiled in (stamped nodes, per-queue
-/// residency histograms) — the fig_residency bench's "on" variant.
-template <typename T, typename R = hp_domain>
-using wf_queue_opt_residency =
-    wf_queue<T, help_one, fetch_add_phase, R, wf_options_residency>;
 
 }  // namespace kpq

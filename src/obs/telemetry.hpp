@@ -13,8 +13,8 @@
 // pump calls registry collectors from ITS thread while workers mutate the
 // underlying counters. That is only race-free for counter surfaces that are
 // atomic (shard_counters, fps path_counters, waiter_hub stats, bounded
-// admission counters, log2_histogram/residency probes, loop_stats snapshots
-// taken under the loop's own lock). Plain-field owner-written counters
+// admission counters, log2_histogram buckets, loop_stats snapshots taken
+// under the loop's own lock). Plain-field owner-written counters
 // (wf_counters with collect_stats) keep their read-at-quiescence contract —
 // do not register those with a live pump.
 //

@@ -7,7 +7,7 @@
 //   * helping latency — duration of each helping episode (help_start ..
 //     help_finish on the helping thread). Bounded helping episodes are the
 //     mechanism behind the step bound; a heavy tail here is a helping
-//     stampede (the paper's Figure 9 pathology) made directly visible.
+//     pile-up (the paper's Figure 9 pathology) made directly visible.
 //
 //   * phase lag — at an operation's completion event, (max phase published
 //     so far) − (the operation's phase). The doorway argument (paper §5.3)

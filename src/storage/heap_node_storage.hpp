@@ -23,11 +23,11 @@
 
 namespace kpq {
 
-template <typename T, typename Node = wf_node<T>>
+template <typename T>
 class heap_node_storage {
  public:
   using value_type = T;
-  using node_type = Node;
+  using node_type = wf_node<T>;
 
   /// One alloc() call performs at most one node-sized heap allocation.
   static constexpr std::size_t max_alloc_bytes = sizeof(node_type);

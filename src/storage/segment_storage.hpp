@@ -80,8 +80,7 @@ struct segment_pool_stats {
   std::uint64_t cells_per_segment = 0;   // nodes per segment
 };
 
-template <typename T, std::size_t SegmentBytes = 4096,
-          typename Node = wf_node<T>>
+template <typename T, std::size_t SegmentBytes = 4096>
 class segment_storage {
   static_assert((SegmentBytes & (SegmentBytes - 1)) == 0,
                 "SegmentBytes must be a power of two (cells are mapped back "
@@ -89,7 +88,7 @@ class segment_storage {
 
  public:
   using value_type = T;
-  using node_type = Node;
+  using node_type = wf_node<T>;
 
  private:
   /// One node slot. Construction is deferred to alloc(), destruction to

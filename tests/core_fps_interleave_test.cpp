@@ -37,7 +37,7 @@ constexpr std::uint32_t kTries = 1;
 template <std::uint32_t Tries>
 struct tries_options : fps_options {
   using hooks = testing::baton;
-  static constexpr std::uint32_t max_tries = Tries;
+  using fast_path = ms_fast_path<Tries>;
 };
 template <std::uint32_t Tries>
 using fps_queue =

@@ -27,10 +27,10 @@ namespace kpq {
 namespace {
 
 struct slow_only_options : fps_options {
-  static constexpr std::uint32_t max_tries = 0;  // always announce
+  using fast_path = ms_fast_path<0>;  // always announce
 };
 struct one_try_options : fps_options {
-  static constexpr std::uint32_t max_tries = 1;
+  using fast_path = ms_fast_path<1>;
 };
 
 using fps_queue = wf_queue_fps<std::uint64_t>;
@@ -211,7 +211,7 @@ struct counting_options : fps_options {
   using hooks = counting_fps_hooks;
 };
 struct counting_slow_options : counting_options {
-  static constexpr std::uint32_t max_tries = 0;
+  using fast_path = ms_fast_path<0>;
 };
 using counting_fps = wf_queue_fps<std::uint64_t, hp_domain, counting_options>;
 
@@ -292,17 +292,18 @@ TEST_F(FpsPatienceBound, FastAttemptsPerOpNeverExceedMaxTriesUnderStalledPeer) {
     std::uint64_t before = attempts(1);
     q.enqueue(i, 1);
     const std::uint64_t enq_tries = attempts(1) - before;
-    EXPECT_LE(enq_tries, fps_options::max_tries)
+    EXPECT_LE(enq_tries, fps_options::fast_path::max_tries)
         << "enqueue " << i << " exceeded max_tries fast attempts";
     before = attempts(1);
     if (q.dequeue(1).has_value()) ++completed;
     const std::uint64_t deq_tries = attempts(1) - before;
-    EXPECT_LE(deq_tries, fps_options::max_tries)
+    EXPECT_LE(deq_tries, fps_options::fast_path::max_tries)
         << "dequeue " << i << " exceeded max_tries fast attempts";
     most = std::max({most, enq_tries, deq_tries});
   }
   lag_tail_of.store(nullptr);
-  EXPECT_EQ(most, fps_options::max_tries) << "the budget was never spent";
+  EXPECT_EQ(most, fps_options::fast_path::max_tries)
+      << "the budget was never spent";
   EXPECT_GT(completed, 0u);
 
   gate_open.store(true);
@@ -330,7 +331,7 @@ struct budget_hooks {
 template <std::uint32_t N>
 struct budget_options : fps_options {
   using hooks = budget_hooks<N>;
-  static constexpr std::uint32_t max_tries = N;
+  using fast_path = ms_fast_path<N>;
 };
 template <std::uint32_t N>
 using budget_fps = wf_queue_fps<std::uint64_t, hp_domain, budget_options<N>>;

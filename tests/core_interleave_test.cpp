@@ -171,7 +171,7 @@ TEST(BatonExplorer, DfsRunsEveryBoundedScheduleOnce) {
 
 struct replay_fps_options : fps_options {
   using hooks = testing::baton;
-  static constexpr std::uint32_t max_tries = 1;
+  using fast_path = ms_fast_path<1>;
 };
 using fps_queue =
     wf_queue_fps<std::uint64_t, eager_hp_domain, replay_fps_options>;

@@ -54,9 +54,18 @@ struct freezing_options : wf_options {
   using hooks = freezing_hooks;
 };
 
-using frozen_queue =
-    wf_queue<std::uint64_t, help_all, scan_max_phase, hp_domain,
-             freezing_options>;
+template <typename T>
+using frozen_queue_of =
+    wf_queue<T, help_all, scan_max_phase, hp_domain, freezing_options>;
+using frozen_queue = frozen_queue_of<std::uint64_t>;
+
+// A two-word payload, the way an application that wants item latency carries
+// its enqueue timestamp inside the item.
+struct stamped {
+  std::uint64_t id;
+  std::uint64_t enq_ts;
+  bool operator==(const stamped&) const = default;
+};
 
 class ProgressTest : public ::testing::Test {
  protected:
@@ -80,6 +89,35 @@ class ProgressTest : public ::testing::Test {
     }
   }
   static void thaw() { gate_open.store(true, std::memory_order_release); }
+
+  // Thread 1 enqueues `first` then `second`; thread 0's dequeue is frozen
+  // right after it announces and must be completed by thread 1.
+  template <typename T>
+  static void frozen_dequeue_gets_first(const T& first, const T& second) {
+    frozen_queue_of<T> q(2);
+    q.enqueue(first, 1);
+    q.enqueue(second, 1);
+
+    freeze(0);
+    std::optional<T> got;
+    std::thread frozen([&] { got = q.dequeue(0); });
+    wait_frozen();
+
+    // Thread 1 helps the frozen dequeue before performing its own, so its
+    // own dequeue must observe the *second* element.
+    auto v = q.dequeue(1);
+    ASSERT_TRUE(v.has_value());
+    EXPECT_EQ(*v, second) << "peer's dequeue should come after the frozen one";
+
+    thaw();
+    frozen.join();
+    // The helper copied the payload into the frozen thread's descriptor; the
+    // owner returns it as the enqueuer wrote it, every word intact.
+    ASSERT_TRUE(got.has_value());
+    EXPECT_EQ(*got, first) << "frozen dequeue must return the element "
+                              "helpers removed on its behalf";
+    EXPECT_EQ(q.unsafe_size(), 0u);
+  }
 };
 
 TEST_F(ProgressTest, PeersCompleteAFrozenEnqueue) {
@@ -100,27 +138,9 @@ TEST_F(ProgressTest, PeersCompleteAFrozenEnqueue) {
 }
 
 TEST_F(ProgressTest, PeersCompleteAFrozenDequeue) {
-  frozen_queue q(2);
-  q.enqueue(7, 1);
-  q.enqueue(8, 1);
-
-  freeze(0);
-  std::optional<std::uint64_t> got;
-  std::thread frozen([&] { got = q.dequeue(0); });
-  wait_frozen();
-
-  // Thread 1 helps the frozen dequeue before performing its own, so its own
-  // dequeue must observe the *second* element.
-  auto v = q.dequeue(1);
-  ASSERT_TRUE(v.has_value());
-  EXPECT_EQ(*v, 8u) << "peer's dequeue should come after the frozen one";
-
-  thaw();
-  frozen.join();
-  ASSERT_TRUE(got.has_value());
-  EXPECT_EQ(*got, 7u) << "frozen dequeue must return the element helpers "
-                         "removed on its behalf";
-  EXPECT_EQ(q.unsafe_size(), 0u);
+  frozen_dequeue_gets_first<std::uint64_t>(7, 8);
+  frozen_dequeue_gets_first(stamped{7, 0x0123456789abcdefULL},
+                            stamped{8, 0xfedcba9876543210ULL});
 }
 
 TEST_F(ProgressTest, FrozenEmptyDequeueIsCompletedByPeers) {

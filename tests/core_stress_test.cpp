@@ -8,7 +8,9 @@
 // interleavings (oversubscription is the adversarial regime for helping).
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdint>
+#include <optional>
 #include <thread>
 #include <vector>
 
@@ -140,6 +142,92 @@ TYPED_TEST(WfQueueStressTest, OversubscribedPairs) {
   // More threads than any sane core count for this CI box: maximum
   // preemption inside operations.
   auto r = stress_run<TypeParam>(12, 200, pattern::pairs, 0xF00D);
+  EXPECT_TRUE(r.ok) << r.to_string();
+}
+
+// A payload wider than a word, the way an application carries per-item data
+// such as an enqueue timestamp. `tag` is a function of `id`, so a copy that
+// mixes words of two items, or loses one, shows up at the consumer.
+struct tagged {
+  std::uint64_t id;
+  std::uint64_t tag;
+};
+
+std::uint64_t tag_of(std::uint64_t id) {
+  return (id * 0x9E3779B97F4A7C15ULL) ^ 0xA5A5A5A5A5A5A5A5ULL;
+}
+
+tagged make_tagged(std::uint64_t id) { return tagged{id, tag_of(id)}; }
+
+// Every variant moves the payload through the same places: the node, the
+// helper's copy into the dequeuer's descriptor and, for FPS, the fast-path
+// claim. Run each with both storages, and once under epoch reclamation.
+template <typename Q>
+class WfQueueWidePayloadTest : public ::testing::Test {};
+
+using WidePayloadTypes = ::testing::Types<
+    wf_queue_base<tagged>, wf_queue_opt1<tagged>, wf_queue_opt2<tagged>,
+    wf_queue_opt<tagged>, wf_queue_fps<tagged>, wf_queue_base_seg<tagged>,
+    wf_queue_opt_seg<tagged>, wf_queue_fps_seg<tagged>,
+    wf_queue_opt<tagged, epoch_domain>>;
+TYPED_TEST_SUITE(WfQueueWidePayloadTest, WidePayloadTypes);
+
+TYPED_TEST(WfQueueWidePayloadTest, FifoKeepsEveryWord) {
+  TypeParam q(2);
+  for (std::uint64_t i = 0; i < 300; ++i) q.enqueue(make_tagged(i), 0);
+  for (std::uint64_t i = 0; i < 300; ++i) {
+    auto v = q.dequeue(1);
+    ASSERT_TRUE(v.has_value());
+    EXPECT_EQ(v->id, i);
+    EXPECT_EQ(v->tag, tag_of(i));
+  }
+  EXPECT_EQ(q.dequeue(1), std::nullopt);
+}
+
+TYPED_TEST(WfQueueWidePayloadTest, ConcurrentTransferKeepsEveryWord) {
+  // Pairs on 4 threads: every operation contends, so dequeues are routinely
+  // completed by helpers. The ids go through the FIFO checker; the tag must
+  // arrive as the enqueuer wrote it.
+  constexpr std::uint32_t threads = 4;
+  constexpr std::uint64_t iters = 2000;
+  TypeParam q(threads);
+  history_recorder rec(threads);
+  std::atomic<std::uint64_t> torn{0};
+  spin_barrier barrier(threads);
+  std::vector<std::thread> workers;
+  for (std::uint32_t tid = 0; tid < threads; ++tid) {
+    workers.emplace_back([&, tid] {
+      std::uint64_t seq = 0;
+      barrier.arrive_and_wait();
+      for (std::uint64_t i = 0; i < iters; ++i) {
+        if (i % 2 == 0) {
+          const std::uint64_t id = encode_value(tid, seq++);
+          auto s = rec.begin(tid, op_kind::enq, id);
+          q.enqueue(make_tagged(id), tid);
+          s.commit();
+        } else {
+          auto s = rec.begin(tid, op_kind::deq);
+          auto r = q.dequeue(tid);
+          if (r.has_value()) {
+            if (r->tag != tag_of(r->id)) torn.fetch_add(1);
+            s.set_value(r->id);
+          } else {
+            s.set_empty();
+          }
+          s.commit();
+        }
+      }
+    });
+  }
+  for (auto& w : workers) w.join();
+
+  std::vector<std::uint64_t> drained;
+  while (auto v = q.dequeue(0)) {
+    if (v->tag != tag_of(v->id)) torn.fetch_add(1);
+    drained.push_back(v->id);
+  }
+  EXPECT_EQ(torn.load(), 0u);
+  auto r = fifo_checker::check(rec.collect(), drained);
   EXPECT_TRUE(r.ok) << r.to_string();
 }
 

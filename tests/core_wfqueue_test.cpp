@@ -1,9 +1,9 @@
 // Sequential-semantics tests for every variant of the KP wait-free queue.
 //
 // Typed over the four paper variants (base, opt1, opt2, opt1+2), the FPS
-// fast path, the three reclaimers, the segment storage and the stats and
-// residency options, because the single-threaded contract must be identical
-// for all of them. Concurrency is exercised separately in
+// fast path, the three reclaimers, the segment storage and the stats
+// option, because the single-threaded contract must be identical for all of
+// them. Concurrency is exercised separately in
 // core_stress_test.cpp; deterministic interleavings in core_scenario_test.cpp.
 #include <gtest/gtest.h>
 
@@ -36,8 +36,8 @@ using QueueTypes = ::testing::Types<
     wf_queue_fps<std::uint64_t, epoch_domain>,
     wf_queue<std::uint64_t, help_one, fetch_add_phase, hp_domain,
              wf_options_stats>,
-    wf_queue_opt_residency<std::uint64_t>, wf_queue_base_seg<std::uint64_t>,
-    wf_queue_opt_seg<std::uint64_t>, wf_queue_fps_seg<std::uint64_t>>;
+    wf_queue_base_seg<std::uint64_t>, wf_queue_opt_seg<std::uint64_t>,
+    wf_queue_fps_seg<std::uint64_t>>;
 TYPED_TEST_SUITE(WfQueueSequentialTest, QueueTypes);
 
 TYPED_TEST(WfQueueSequentialTest, StartsEmpty) {

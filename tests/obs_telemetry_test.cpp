@@ -15,10 +15,9 @@
 #include <thread>
 #include <vector>
 
-#include "core/wf_queue.hpp"
+#include "core/wf_queue_fps.hpp"
 #include "obs/export.hpp"
 #include "obs/registry.hpp"
-#include "obs/residency.hpp"
 #include "sync/spin_barrier.hpp"
 
 namespace kpq::obs {
@@ -106,18 +105,16 @@ TEST(ObsTelemetry, BackgroundPumpScrapesPeriodically) {
 
 TEST(ObsTelemetry, ConcurrentScrapeVersusWorkerMutation) {
   // The TSan contract test: the pump scrapes from its own thread while
-  // workers hammer a residency-tracking queue whose registered surfaces
-  // (residency histogram, shard-free wf_queue internals are NOT registered)
-  // are all atomic.
+  // workers hammer a fast-path queue whose registered surface, the
+  // path_counters() cells, is owner-written with relaxed atomic stores
+  // (wf_queue's plain wf_counters fields are NOT registered).
   constexpr std::uint32_t kThreads = 4;
-  wf_queue_opt_residency<std::uint64_t> q(kThreads);
-  tick_calibration cal;
-  cal.tick_hz = 1e9;
+  constexpr std::uint64_t kRounds = 3000;
+  wf_queue_fps<std::uint64_t> q(kThreads);
 
   registry reg;
-  reg.add_source("q.residency", [&](metrics_snapshot& out) {
-    append_metrics(out, "q.residency",
-                   make_residency_report(q.residency_histogram(), cal));
+  reg.add_source("q.path", [&](metrics_snapshot& out) {
+    append_metrics(out, "q.path", q.aggregate_path_counters());
   });
 
   telemetry_options opts;
@@ -130,7 +127,7 @@ TEST(ObsTelemetry, ConcurrentScrapeVersusWorkerMutation) {
   for (std::uint32_t t = 0; t < kThreads; ++t) {
     workers.emplace_back([&, t] {
       barrier.arrive_and_wait();
-      for (std::uint64_t i = 0; i < 3000; ++i) {
+      for (std::uint64_t i = 0; i < kRounds; ++i) {
         q.enqueue(i, t);
         q.dequeue(t);
       }
@@ -145,17 +142,18 @@ TEST(ObsTelemetry, ConcurrentScrapeVersusWorkerMutation) {
       EXPECT_TRUE(std::isfinite(m.value)) << m.name;
     }
   }
-  // The final scrape (taken after the workers joined) sees the full count.
+  // The final scrape (taken after the workers joined) sees every operation.
   const auto recent = pump.recent();
-  const auto& last = recent.back().snap;
-  bool found = false;
-  for (const metric& m : last) {
-    if (m.name == "q.residency.samples") {
-      found = true;
-      EXPECT_EQ(m.value, static_cast<double>(q.residency_samples()));
+  double scraped_ops = 0;
+  for (const metric& m : recent.back().snap) {
+    if (m.name == "q.path.fast_enqs" || m.name == "q.path.slow_enqs" ||
+        m.name == "q.path.fast_deqs" || m.name == "q.path.slow_deqs") {
+      scraped_ops += m.value;
     }
   }
-  EXPECT_TRUE(found);
+  const std::uint64_t ops = q.aggregate_path_counters().ops();
+  EXPECT_EQ(ops, 2 * kThreads * kRounds);
+  EXPECT_EQ(scraped_ops, static_cast<double>(ops));
 }
 
 }  // namespace
