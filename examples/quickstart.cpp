@@ -3,8 +3,8 @@
 //   build/examples/quickstart
 //
 // Shows: constructing a wait-free queue, implicit vs explicit thread ids,
-// the optional-based dequeue contract, the paper's variants, and swapping
-// the memory-reclamation policy.
+// the optional-based dequeue contract, the paper's variants, and the
+// lock-free baseline.
 #include <cstdio>
 #include <optional>
 #include <string>
@@ -13,7 +13,6 @@
 
 #include "core/wf_queue.hpp"     // the Kogan-Petrank wait-free queue
 #include "baseline/ms_queue.hpp" // the Michael-Scott lock-free baseline
-#include "reclaim/epoch.hpp"
 
 int main() {
   // A queue must know an upper bound on the number of threads that will
@@ -54,12 +53,9 @@ int main() {
   std::printf("%s %s\n", base_variant.dequeue(0)->c_str(),
               help_one_only.dequeue(0)->c_str());
 
-  // Reclamation is a policy: hazard pointers by default (wait-free, as the
-  // paper prescribes for C++), epoch-based if you prefer cheaper reads and
-  // can tolerate blocking memory bounds.
-  kpq::wf_queue_opt<int, kpq::epoch_domain> ebr_queue(kThreads);
-  ebr_queue.enqueue(7, 0);
-  std::printf("epoch-reclaimed queue says %d\n", *ebr_queue.dequeue(0));
+  // Reclamation is a policy: hazard pointers (default) or leaky (benchmarks
+  // only). Hazard pointers keep every operation wait-free, as the paper
+  // prescribes for C++.
 
   // And the lock-free baseline the paper compares against:
   kpq::ms_queue<int> lf(kThreads);

@@ -18,6 +18,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <type_traits>
 
 #include "sync/cacheline.hpp"
 
@@ -37,6 +38,11 @@ struct fetch_add_phase {
 
   template <typename Queue, typename Guard>
   std::int64_t next_phase(Queue&, Guard&, std::uint32_t /*tid*/) noexcept {
+    // Phases are signed (no_phase = -1 sorts below every drawn phase) and
+    // 64-bit, so the counter never wraps in practice: 2^63 draws last about
+    // 292 years at 10^9 phases per second.
+    static_assert(std::is_same_v<typename decltype(counter.value)::value_type,
+                                 std::int64_t>);
     // kpq-order: acq_rel pairs-with the other next_phase fetch_adds — the
     // RMW chain makes phase numbers monotone across threads (the Bakery
     // doorway the §5.3 wait-freedom proof needs); seq_cst is not required

@@ -35,9 +35,9 @@
 //     "may succeed more than once"); exchange makes the retire exactly-once.
 //
 // Progress: enqueue/dequeue complete in O(n) steps plus helping (bounded by
-// the doorway argument, paper §5.3) — wait-free when the reclaimer is
-// wait-free (hazard pointers are; epoch reclamation bounds only memory, not
-// steps, see reclaim/epoch.hpp).
+// the doorway argument, paper §5.3) — wait-free under both reclaimers: no
+// hazard-pointer protect, retire or scan waits for another thread
+// (reclaim/hazard_pointers.hpp), and leaky never frees.
 //
 // Fast path (Options::fast_path): the default no_fast_path runs the scheme
 // above for every operation; ms_fast_path (below) puts bounded Michael–Scott

@@ -118,7 +118,7 @@ void append_metrics(metrics_snapshot& out, const std::string& prefix,
                static_cast<double>(m.total_allocs()));
 }
 
-/// Reclamation domains (reclaim/hazard_pointers.hpp, reclaim/epoch.hpp).
+/// Reclamation domains (reclaim/hazard_pointers.hpp, reclaim/leaky.hpp).
 template <typename R>
 concept reclaimer_counters_like = requires(const R& r) {
   { r.retired_count() } -> std::convertible_to<std::uint64_t>;

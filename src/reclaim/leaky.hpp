@@ -3,7 +3,7 @@
 // Zero per-operation reclamation cost and trivially safe, at the price of
 // memory growing with the total number of retirements. Two legitimate uses:
 //   * benchmarking the pure algorithm with reclamation cost subtracted
-//     (bench/micro_reclaimers uses it as the floor), and
+//     (kpqbench's ladder uses it as the floor, bench/e2e), and
 //   * tests that want deterministic object lifetimes.
 // It is NOT suitable for long-running production workloads.
 #pragma once

@@ -3,13 +3,10 @@
 // The paper's Java implementation gets safe memory reclamation (and ABA
 // freedom) from the garbage collector. Section 3.4 prescribes hazard
 // pointers for unmanaged runtimes. This repository makes the reclamation
-// scheme a policy so the same queue code runs under:
+// scheme a policy so the same queue code runs under one of two domains:
 //
 //   * hp_domain     — Michael's hazard pointers (wait-free; the paper's
 //                     prescription, and the default),
-//   * epoch_domain  — epoch-based reclamation (cheaper reads, only blocking
-//                     reclamation, NOT wait-free for memory bounds; used to
-//                     ablate reclamation cost),
 //   * leaky_domain  — defers every retirement to domain destruction (zero
 //                     per-op cost; isolates pure algorithm cost in benches
 //                     and simplifies some tests).
@@ -40,26 +37,25 @@
 //                                     // per node (storage/segment_storage).
 //
 // `slot` indexes a small per-thread set of protection slots; the container
-// declares how many it needs. Epoch/leaky domains ignore slots entirely —
-// protection is the guard's lifetime.
+// declares how many it needs. The leaky domain ignores slots entirely —
+// nothing it holds is freed before the domain dies.
 //
 // Callback thread: fn(ctx, p) runs on the thread that retired p (the `tid`
 // passed to retire), or at quiescence in the domain's destructor. So a
 // callback may touch state owned by the retiring thread without
 // synchronization — heap_node_storage hands the node to that thread's free
 // list (storage/recycle_list.hpp). The domains keep this by freeing only
-// the caller's own retirements: `scan(tid)` (hp_domain) and
-// `try_advance(tid)` (epoch_domain) may be called only by thread `tid`, or
-// by any thread at quiescence.
+// the caller's own retirements: `scan(tid)` (hp_domain) may be called only
+// by thread `tid`, or by any thread at quiescence.
 //
 // Statistics: retired_count(), freed_count() and pending_count() sum per-
 // thread cells the owners write (sync/owner_cell.hpp). They are exact at
 // quiescence and momentary estimates while threads retire.
 //
 // ABA note: a pointer compared by CAS must be protected by the CASing thread
-// from the moment it was read until the CAS retires. All three domains give
-// this for free inside a guard (hazard pointers via the slot, epoch/leaky
-// because nothing is unmapped while any guard is live).
+// from the moment it was read until the CAS retires. Both domains give this
+// for free inside a guard (hazard pointers via the slot, leaky because
+// nothing is unmapped before the domain dies).
 #pragma once
 
 #include <atomic>

@@ -8,7 +8,7 @@
 //
 // A list is touched only by its own thread, or by any thread at quiescence
 // (construction, purge, destruction), so no operation synchronizes. Reuse
-// after a hazard-pointer or epoch handoff is safe for the same reason
+// after a hazard-pointer handoff is safe for the same reason
 // reuse after free() is: the reclaimer's handoff orders every old access
 // before the callback that recycles the storage.
 //

@@ -12,8 +12,8 @@
 #include "baseline/ms_queue.hpp"
 #include "harness/mem_tracker.hpp"
 #include "harness/workload.hpp"
-#include "reclaim/epoch.hpp"
 #include "reclaim/leaky.hpp"
+#include "support/baton.hpp"
 #include "sync/spin_barrier.hpp"
 #include "verify/fifo_checker.hpp"
 #include "verify/history.hpp"
@@ -25,7 +25,8 @@ template <typename Q>
 class BaselineSequentialTest : public ::testing::Test {};
 
 using BaselineTypes =
-    ::testing::Types<ms_queue<std::uint64_t>, ms_queue<std::uint64_t, epoch_domain>,
+    ::testing::Types<ms_queue<std::uint64_t>,
+                     ms_queue<std::uint64_t, testing::eager_hp_domain>,
                      ms_queue<std::uint64_t, leaky_domain>>;
 TYPED_TEST_SUITE(BaselineSequentialTest, BaselineTypes);
 

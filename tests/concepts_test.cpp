@@ -12,7 +12,6 @@
 #include "core/queue_concepts.hpp"
 #include "core/wf_queue.hpp"
 #include "core/wf_queue_fps.hpp"
-#include "reclaim/epoch.hpp"
 #include "reclaim/leaky.hpp"
 #include "reclaim/reclaimer_concepts.hpp"
 #include "storage/bounded_wf_queue.hpp"
@@ -30,8 +29,6 @@ static_assert(mpmc_queue_autotid<wf_queue_opt1<std::uint64_t>>);
 static_assert(mpmc_queue_autotid<wf_queue_opt2<std::uint64_t>>);
 static_assert(mpmc_queue_autotid<wf_queue_opt<std::uint64_t>>);
 static_assert(mpmc_queue_autotid<wf_queue_opt<std::string>>);
-static_assert(
-    mpmc_queue_autotid<wf_queue<int, help_all, fetch_add_phase, epoch_domain>>);
 static_assert(mpmc_queue_autotid<wf_queue_fps<std::uint64_t>>);
 static_assert(mpmc_queue_autotid<ms_queue<std::uint64_t>>);
 static_assert(mpmc_queue_autotid<ms_queue<std::uint64_t, leaky_domain>>);
@@ -39,15 +36,13 @@ static_assert(mpmc_queue_autotid<ms_queue<std::uint64_t, leaky_domain>>);
 // -------- reclaimers model reclaimer_domain
 
 static_assert(reclaimer_domain<hp_domain>);
-static_assert(reclaimer_domain<epoch_domain>);
 static_assert(reclaimer_domain<leaky_domain>);
 
 // -------- storages model node_storage_for, against every reclaimer
 
 static_assert(node_storage_for<heap_node_storage<std::uint64_t>, hp_domain>);
-static_assert(node_storage_for<heap_node_storage<std::string>, epoch_domain>);
+static_assert(node_storage_for<heap_node_storage<std::string>, leaky_domain>);
 static_assert(node_storage_for<segment_storage<std::uint64_t>, hp_domain>);
-static_assert(node_storage_for<segment_storage<std::uint64_t>, epoch_domain>);
 static_assert(node_storage_for<segment_storage<std::uint64_t>, leaky_domain>);
 static_assert(
     node_storage_for<segment_storage<std::string, 8192>, hp_domain>);

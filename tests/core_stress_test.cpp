@@ -17,9 +17,9 @@
 #include "core/wf_queue.hpp"
 #include "core/wf_queue_fps.hpp"
 #include "harness/workload.hpp"
-#include "reclaim/epoch.hpp"
 #include "reclaim/leaky.hpp"
 #include "storage/bounded_wf_queue.hpp"
+#include "support/baton.hpp"
 #include "sync/spin_barrier.hpp"
 #include "verify/fifo_checker.hpp"
 #include "verify/history.hpp"
@@ -27,6 +27,8 @@
 
 namespace kpq {
 namespace {
+
+using testing::eager_hp_domain;
 
 enum class pattern { pairs, fifty_fifty, enq_heavy, deq_heavy };
 
@@ -101,12 +103,12 @@ class WfQueueStressTest : public ::testing::Test {};
 using StressTypes = ::testing::Types<
     wf_queue_base<std::uint64_t>, wf_queue_opt1<std::uint64_t>,
     wf_queue_opt2<std::uint64_t>, wf_queue_opt<std::uint64_t>,
-    wf_queue_base<std::uint64_t, epoch_domain>,
-    wf_queue_opt<std::uint64_t, epoch_domain>,
+    wf_queue_base<std::uint64_t, eager_hp_domain>,
+    wf_queue_opt<std::uint64_t, eager_hp_domain>,
     wf_queue_base<std::uint64_t, leaky_domain>,
     wf_queue_fps<std::uint64_t>,
-    wf_queue_fps<std::uint64_t, epoch_domain>,
-    wf_queue_opt1<std::uint64_t, epoch_domain>,
+    wf_queue_fps<std::uint64_t, eager_hp_domain>,
+    wf_queue_opt1<std::uint64_t, eager_hp_domain>,
     wf_queue<std::uint64_t, help_one, fetch_add_phase, hp_domain,
              wf_options_stats>,
     wf_queue_opt_seg<std::uint64_t>, wf_queue_fps_seg<std::uint64_t>>;
@@ -161,7 +163,8 @@ tagged make_tagged(std::uint64_t id) { return tagged{id, tag_of(id)}; }
 
 // Every variant moves the payload through the same places: the node, the
 // helper's copy into the dequeuer's descriptor and, for FPS, the fast-path
-// claim. Run each with both storages, and once under epoch reclamation.
+// claim. Run each with both storages, and once with a hazard-pointer scan
+// on every retirement, so nodes and descriptors are recycled mid-run.
 template <typename Q>
 class WfQueueWidePayloadTest : public ::testing::Test {};
 
@@ -169,7 +172,7 @@ using WidePayloadTypes = ::testing::Types<
     wf_queue_base<tagged>, wf_queue_opt1<tagged>, wf_queue_opt2<tagged>,
     wf_queue_opt<tagged>, wf_queue_fps<tagged>, wf_queue_base_seg<tagged>,
     wf_queue_opt_seg<tagged>, wf_queue_fps_seg<tagged>,
-    wf_queue_opt<tagged, epoch_domain>>;
+    wf_queue_opt<tagged, eager_hp_domain>>;
 TYPED_TEST_SUITE(WfQueueWidePayloadTest, WidePayloadTypes);
 
 TYPED_TEST(WfQueueWidePayloadTest, FifoKeepsEveryWord) {
@@ -290,8 +293,8 @@ TEST(WfQueueExactLin, BaseVariant) {
 TEST(WfQueueExactLin, FullyOptimizedVariant) {
   tiny_exact_runs<wf_queue_opt<std::uint64_t>>(150);
 }
-TEST(WfQueueExactLin, EpochVariant) {
-  tiny_exact_runs<wf_queue_base<std::uint64_t, epoch_domain>>(100);
+TEST(WfQueueExactLin, EagerReclaimVariant) {
+  tiny_exact_runs<wf_queue_base<std::uint64_t, eager_hp_domain>>(100);
 }
 
 // Two queues sharing threads: domains and descriptor pools must be fully

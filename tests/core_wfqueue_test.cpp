@@ -1,9 +1,10 @@
 // Sequential-semantics tests for every variant of the KP wait-free queue.
 //
 // Typed over the four paper variants (base, opt1, opt2, opt1+2), the FPS
-// fast path, the three reclaimers, the segment storage and the stats
-// option, because the single-threaded contract must be identical for all of
-// them. Concurrency is exercised separately in
+// fast path, both reclaimers (hazard pointers also with a scan on every
+// retirement, so short runs recycle nodes and descriptors), the segment
+// storage and the stats option, because the single-threaded contract must
+// be identical for all of them. Concurrency is exercised separately in
 // core_stress_test.cpp; deterministic interleavings in core_scenario_test.cpp.
 #include <gtest/gtest.h>
 
@@ -14,12 +15,14 @@
 
 #include "core/wf_queue.hpp"
 #include "core/wf_queue_fps.hpp"
-#include "reclaim/epoch.hpp"
 #include "reclaim/leaky.hpp"
 #include "storage/bounded_wf_queue.hpp"
+#include "support/baton.hpp"
 
 namespace kpq {
 namespace {
+
+using testing::eager_hp_domain;
 
 template <typename Q>
 class WfQueueSequentialTest : public ::testing::Test {};
@@ -27,13 +30,14 @@ class WfQueueSequentialTest : public ::testing::Test {};
 using QueueTypes = ::testing::Types<
     wf_queue_base<std::uint64_t>, wf_queue_opt1<std::uint64_t>,
     wf_queue_opt2<std::uint64_t>, wf_queue_opt<std::uint64_t>,
-    wf_queue_base<std::uint64_t, epoch_domain>,
-    wf_queue_opt<std::uint64_t, epoch_domain>,
+    wf_queue_base<std::uint64_t, eager_hp_domain>,
+    wf_queue_opt<std::uint64_t, eager_hp_domain>,
     wf_queue_base<std::uint64_t, leaky_domain>,
-    wf_queue_fps<std::uint64_t>, wf_queue_opt1<std::uint64_t, epoch_domain>,
-    wf_queue_opt2<std::uint64_t, epoch_domain>,
+    wf_queue_fps<std::uint64_t>,
+    wf_queue_opt1<std::uint64_t, eager_hp_domain>,
+    wf_queue_opt2<std::uint64_t, eager_hp_domain>,
     wf_queue_opt<std::uint64_t, leaky_domain>,
-    wf_queue_fps<std::uint64_t, epoch_domain>,
+    wf_queue_fps<std::uint64_t, eager_hp_domain>,
     wf_queue<std::uint64_t, help_one, fetch_add_phase, hp_domain,
              wf_options_stats>,
     wf_queue_base_seg<std::uint64_t>, wf_queue_opt_seg<std::uint64_t>,

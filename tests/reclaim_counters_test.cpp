@@ -1,5 +1,6 @@
 // The reclaimers' statistics and callback-thread contract
-// (reclaim/reclaimer_concepts.hpp), typed over all three domains:
+// (reclaim/reclaimer_concepts.hpp), typed over both domains, hazard
+// pointers also with a scan on every retirement:
 //   * retired_count(), freed_count() and pending_count() sum per-thread
 //     cells and are exact at quiescence;
 //   * a retire callback runs on the thread that retired its object, or at
@@ -13,9 +14,9 @@
 #include <type_traits>
 #include <vector>
 
-#include "reclaim/epoch.hpp"
 #include "reclaim/hazard_pointers.hpp"
 #include "reclaim/leaky.hpp"
+#include "support/baton.hpp"
 #include "sync/spin_barrier.hpp"
 
 namespace kpq {
@@ -38,7 +39,8 @@ void note_free(void* /*ctx*/, void* p) {
 template <typename D>
 class ReclaimCounters : public ::testing::Test {};
 
-using Domains = ::testing::Types<hp_domain, epoch_domain, leaky_domain>;
+using Domains =
+    ::testing::Types<hp_domain, testing::eager_hp_domain, leaky_domain>;
 TYPED_TEST_SUITE(ReclaimCounters, Domains);
 
 constexpr std::uint32_t kThreads = 4;

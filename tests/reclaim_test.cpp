@@ -1,4 +1,4 @@
-// Unit tests for the three reclamation domains: protection semantics,
+// Unit tests for the two reclamation domains: protection semantics,
 // deferred frees, threshold scanning, and concurrent churn safety.
 #include <gtest/gtest.h>
 
@@ -7,7 +7,6 @@
 #include <thread>
 #include <vector>
 
-#include "reclaim/epoch.hpp"
 #include "reclaim/hazard_pointers.hpp"
 #include "reclaim/leaky.hpp"
 
@@ -188,89 +187,6 @@ TEST_F(HpFixture, ProtectFollowsConcurrentSwaps) {
   }
   churner.join();
   EXPECT_GT(reads, 0u);
-  delete src.exchange(nullptr);
-}
-
-// ------------------------------------------------------------------- epoch
-
-using EpochFixture = TrackedFixture;
-
-TEST_F(EpochFixture, RetireFreesAfterQuiescence) {
-  epoch_domain d(2, 0, /*flush_threshold=*/1);
-  for (int i = 0; i < 100; ++i) {
-    d.retire(0, new tracked(i), &delete_tracked, nullptr);
-  }
-  // No guards active: epochs advance freely; most buckets must have drained.
-  EXPECT_GT(d.freed_count(), 0u);
-}
-
-TEST_F(EpochFixture, ActiveGuardBlocksReclamation) {
-  epoch_domain d(2, 0, /*flush_threshold=*/1);
-  std::atomic<tracked*> src{new tracked(7)};
-  auto g = d.enter(0);  // pins the current epoch
-  tracked* p = g.protect(0, src);
-
-  src.store(new tracked(8));
-  for (int i = 0; i < 50; ++i) {
-    d.retire(1, new tracked(100 + i), &delete_tracked, nullptr);
-  }
-  d.retire(1, p, &delete_tracked, nullptr);
-  d.try_advance(1);
-  d.try_advance(1);
-  // p was retired at an epoch >= our pin; with the pin held the epoch
-  // cannot advance two steps past it, so p must still be alive.
-  EXPECT_EQ(p->payload, 7);
-  delete src.exchange(nullptr);
-}
-
-TEST_F(EpochFixture, EpochAdvancesWhenAllActiveCaughtUp) {
-  epoch_domain d(2, 0, /*flush_threshold=*/1);
-  const std::uint64_t e0 = d.epoch();
-  d.retire(0, new tracked(1), &delete_tracked, nullptr);
-  d.retire(0, new tracked(2), &delete_tracked, nullptr);
-  d.retire(0, new tracked(3), &delete_tracked, nullptr);
-  EXPECT_GT(d.epoch(), e0);
-}
-
-TEST_F(EpochFixture, NestedGuardsUnpinOnlyAtOutermostExit) {
-  epoch_domain d(1, 0, /*flush_threshold=*/1);
-  {
-    auto outer = d.enter(0);
-    {
-      auto inner = d.enter(0);
-    }
-    // Outer still active: retiring from a hypothetical second thread could
-    // not advance 2 epochs — here we just check no crash and that exit is
-    // clean.
-    std::atomic<tracked*> src{new tracked(1)};
-    tracked* p = outer.protect(0, src);
-    EXPECT_EQ(p->payload, 1);
-    delete src.load();
-  }
-  SUCCEED();
-}
-
-TEST_F(EpochFixture, ConcurrentChurnIsSafe) {
-  epoch_domain d(2, 0, /*flush_threshold=*/8);
-  std::atomic<tracked*> src{new tracked(0)};
-  std::atomic<bool> stop{false};
-
-  std::thread churner([&] {
-    for (int i = 1; i < 3000; ++i) {
-      tracked* fresh = new tracked(i);
-      tracked* old = src.exchange(fresh);
-      d.retire(1, old, &delete_tracked, nullptr);
-    }
-    stop.store(true);
-  });
-
-  while (!stop.load()) {
-    auto g = d.enter(0);
-    tracked* p = g.protect(0, src);
-    ASSERT_GE(p->payload, 0);
-    ASSERT_LT(p->payload, 3000);
-  }
-  churner.join();
   delete src.exchange(nullptr);
 }
 

@@ -14,11 +14,11 @@
 #include "baseline/ms_queue.hpp"
 #include "harness/mem_tracker.hpp"
 #include "obs/registry.hpp"
-#include "reclaim/epoch.hpp"
 #include "reclaim/hazard_pointers.hpp"
 #include "reclaim/leaky.hpp"
 #include "storage/bounded_wf_queue.hpp"
 #include "storage/segment_storage.hpp"
+#include "support/baton.hpp"
 
 namespace kpq {
 namespace {
@@ -172,26 +172,15 @@ TEST(RetireRange, ExactItemsKeepExactMatching) {
   EXPECT_EQ(probe.freed.load(), 2);
 }
 
-TEST(RetireRange, EpochAndLeakyDelegate) {
+TEST(RetireRange, LeakyDefersToTeardown) {
+  range_probe probe;
   {
-    range_probe probe;
-    {
-      epoch_domain dom(1, 0, /*flush_threshold=*/1);
-      alignas(16) static std::byte buf[32];
-      dom.retire_range(0, buf, sizeof(buf), &range_probe::cb, &probe);
-    }
-    EXPECT_EQ(probe.freed.load(), 1);  // freed by advance or teardown
+    leaky_domain dom(1, 0);
+    alignas(16) static std::byte buf[32];
+    dom.retire_range(0, buf, sizeof(buf), &range_probe::cb, &probe);
+    EXPECT_EQ(probe.freed.load(), 0);
   }
-  {
-    range_probe probe;
-    {
-      leaky_domain dom(1, 0);
-      alignas(16) static std::byte buf[32];
-      dom.retire_range(0, buf, sizeof(buf), &range_probe::cb, &probe);
-      EXPECT_EQ(probe.freed.load(), 0);  // leaky: deferred to teardown
-    }
-    EXPECT_EQ(probe.freed.load(), 1);
-  }
+  EXPECT_EQ(probe.freed.load(), 1);
 }
 
 // ---------------------------------------------------- accounting (fig10)
@@ -205,7 +194,8 @@ template <typename Q>
 class MemAccounting : public ::testing::Test {};
 using AccountedQueues =
     ::testing::Types<wf_queue_base<std::uint64_t>, wf_queue_fps<std::uint64_t>,
-                     ms_queue<std::uint64_t>, ms_queue<std::uint64_t, epoch_domain>,
+                     ms_queue<std::uint64_t>,
+                     ms_queue<std::uint64_t, testing::eager_hp_domain>,
                      ms_queue<std::uint64_t, leaky_domain>>;
 TYPED_TEST_SUITE(MemAccounting, AccountedQueues);
 

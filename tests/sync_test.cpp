@@ -3,7 +3,9 @@
 
 #include <atomic>
 #include <cstdint>
+#include <cstdio>
 #include <set>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -146,6 +148,24 @@ TEST(ThreadRegistry, HighWaterTracksClaims) {
   EXPECT_GE(reg.high_water(), base);
   EXPECT_GE(reg.high_water(), id + 1);
   reg.release(id);
+}
+
+// Exhaustion is defined: a claim on a full registry aborts with a message
+// naming the limit. The marker pins the abort to that extra claim.
+TEST(ThreadRegistryDeathTest, AcquireOnFullRegistryAborts) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  const std::string limit = std::to_string(max_registered_threads);
+  EXPECT_DEATH(
+      {
+        auto& reg = thread_registry::instance();
+        for (std::uint32_t tid = 0; tid < max_registered_threads; ++tid) {
+          if (!reg.is_claimed(tid)) (void)reg.acquire();
+        }
+        std::fprintf(stderr, "all %s tids claimed\n", limit.c_str());
+        (void)reg.acquire();
+      },
+      "all " + limit + " tids claimed.*more than " + limit +
+          " concurrent threads");
 }
 
 }  // namespace
