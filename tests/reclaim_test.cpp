@@ -156,6 +156,100 @@ TEST_F(HpFixture, ThresholdTriggersScan) {
   EXPECT_LT(tracked::live.load(), 32);
 }
 
+TEST_F(HpFixture, ScanFreesEveryUnannouncedRetirement) {
+  hp_domain d(2, 1, /*scan_threshold=*/1000);  // scans only when asked
+  for (int i = 0; i < 100; ++i) {
+    d.retire(0, new tracked(i), &delete_tracked, nullptr);
+  }
+  ASSERT_EQ(d.freed_count(), 0u);
+  d.scan(0);
+  EXPECT_EQ(d.freed_count(), 100u);
+  EXPECT_EQ(d.pending_count(), 0u);
+  EXPECT_EQ(tracked::live.load(), 0);
+}
+
+TEST_F(HpFixture, ScanKeepsExactlyTheAnnouncedObjects) {
+  // Two readers announce one object each; a scan frees every other
+  // retirement, and clearing one announcement releases that object alone.
+  hp_domain d(3, 1, /*scan_threshold=*/1000);
+  std::vector<tracked*> objs;
+  for (int i = 0; i < 50; ++i) objs.push_back(new tracked(i));
+  std::atomic<tracked*> a{objs[10]};
+  std::atomic<tracked*> b{objs[40]};
+  auto g1 = d.enter(1);
+  auto g2 = d.enter(2);
+  ASSERT_EQ(g1.protect(0, a), objs[10]);
+  ASSERT_EQ(g2.protect(0, b), objs[40]);
+
+  for (tracked* p : objs) d.retire(0, p, &delete_tracked, nullptr);
+  d.scan(0);
+  EXPECT_EQ(d.freed_count(), 48u);
+  EXPECT_EQ(d.pending_count(), 2u);
+  EXPECT_EQ(tracked::live.load(), 2);
+  EXPECT_EQ(objs[10]->payload, 10);
+  EXPECT_EQ(objs[40]->payload, 40);
+
+  g1.clear(0);
+  d.scan(0);
+  EXPECT_EQ(d.pending_count(), 1u);
+  EXPECT_EQ(tracked::live.load(), 1);
+  EXPECT_EQ(objs[40]->payload, 40);
+}
+
+TEST_F(HpFixture, ScanTouchesOnlyTheCallersRetiredList) {
+  hp_domain d(2, 1, /*scan_threshold=*/1000);
+  for (int i = 0; i < 5; ++i) {
+    d.retire(0, new tracked(i), &delete_tracked, nullptr);
+  }
+  d.retire(1, new tracked(99), &delete_tracked, nullptr);
+  d.scan(1);
+  EXPECT_EQ(d.freed_count(), 1u);
+  EXPECT_EQ(d.pending_count(), 5u);
+  EXPECT_EQ(tracked::live.load(), 5);
+  d.scan(0);
+  EXPECT_EQ(d.pending_count(), 0u);
+  EXPECT_EQ(tracked::live.load(), 0);
+}
+
+TEST_F(HpFixture, StalledReaderBoundsPendingBelowThreshold) {
+  // A reader that never clears its slots keeps what it announces alive,
+  // but cannot make the retiring thread's backlog grow: after every
+  // retirement the list holds fewer than `scan_threshold` objects.
+  constexpr std::uint32_t kThreshold = 8;
+  hp_domain d(2, 2, kThreshold);
+  tracked* held0 = new tracked(-1);
+  tracked* held1 = new tracked(-2);
+  std::atomic<tracked*> s0{held0};
+  std::atomic<tracked*> s1{held1};
+  auto stalled = d.enter(1);
+  ASSERT_EQ(stalled.protect(0, s0), held0);
+  ASSERT_EQ(stalled.protect(1, s1), held1);
+  d.retire(0, held0, &delete_tracked, nullptr);
+  d.retire(0, held1, &delete_tracked, nullptr);
+
+  for (int i = 0; i < 1000; ++i) {
+    d.retire(0, new tracked(i), &delete_tracked, nullptr);
+    ASSERT_LT(d.pending_count(), kThreshold) << "after retirement " << i;
+  }
+  EXPECT_LT(tracked::live.load(), static_cast<int>(kThreshold));
+  EXPECT_EQ(held0->payload, -1);
+  EXPECT_EQ(held1->payload, -2);
+}
+
+TEST_F(HpFixture, GuardsOfDifferentThreadsAreIndependent) {
+  hp_domain d(2, 1);
+  std::atomic<tracked*> src{new tracked(6)};
+  auto g1 = d.enter(1);
+  tracked* p = g1.protect(0, src);
+  {
+    auto g0 = d.enter(0);
+    EXPECT_EQ(g0.protect(0, src), p);
+  }
+  EXPECT_EQ(d.announced(0, 0), nullptr);
+  EXPECT_EQ(d.announced(1, 0), p) << "thread 0's guard cleared thread 1";
+  delete src.load();
+}
+
 TEST_F(HpFixture, ProtectFollowsConcurrentSwaps) {
   // The validation loop must never return a value that was not in `src` at
   // announcement time. Churn the source from another thread and verify the
