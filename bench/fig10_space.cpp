@@ -23,7 +23,7 @@
 //   * --verify-bound — an extended MPMC run against bounded_wf_queue with a
 //     sampler thread continuously reading the exact live-byte counter
 //     (which, after the construction-baseline fix in mem_tracker.hpp,
-//     includes descriptors and construction-time allocations). ANY sample
+//     includes construction-time allocations). ANY sample
 //     above the configured ceiling is a hard failure: the process exits
 //     non-zero. This is the acceptance check for the memory bound.
 //

@@ -51,7 +51,7 @@ for mode in "${modes[@]}"; do
     mode=thread
     dir_tag=core
     extra_cmake=(-DKPQ_TRACE=ON)
-    filter=(-R 'Wf|Sharded|Bulk|Help|Phase|Desc|Figure|Fps|Progress|Interleave|Random|Baton|Audit|Sweep|EmptyDequeue|Blocking|HpFixture')
+    filter=(-R 'Wf|Sharded|Bulk|Help|Phase|RecordIdentity|Figure|Fps|Progress|Interleave|Random|Baton|Audit|Sweep|EmptyDequeue|Blocking|HpFixture')
   elif [[ "$mode" == "tsan-storage" ]]; then
     # Shortcut: TSan over every suite that exercises src/storage/ — the
     # segment-storage unit/stress tests, the bounded-policy tests, the
@@ -62,7 +62,7 @@ for mode in "${modes[@]}"; do
     # handoff).
     mode=thread
     dir_tag=thread
-    filter=(-R 'Storage|Bounded|Segment|RetireRange|MemAccounting|Reclaim|ReclaimCounters|NodeRecycling')
+    filter=(-R 'Storage|Bounded|Segment|RetireRange|MemAccounting|Reclaim|ReclaimCounters|NodeRecycling|RecycleLists')
   elif [[ "$mode" == "tsan-async" ]]; then
     # Shortcut: TSan over the waiter_hub continuation layer and everything
     # rebuilt on it — thread parkers (blocking_adapter, the bounded queue's

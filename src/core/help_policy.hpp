@@ -26,7 +26,7 @@
 #include <cstdint>
 #include <vector>
 
-#include "core/op_desc.hpp"
+#include "core/wf_node.hpp"
 #include "obs/trace_ring.hpp"
 #include "sync/cacheline.hpp"
 

@@ -2,8 +2,8 @@
 // paper's Java listing (Figures 1, 2, 4, 6) to unmanaged C++20.
 //
 // Scheme (paper §3.1): every operation picks a monotonically growing *phase*,
-// publishes an operation descriptor in the per-thread `state` array, and then
-// helps every pending operation whose phase is <= its own. Each operation is
+// announces the operation in its per-thread `state` record, and then helps
+// every pending operation whose phase is <= its own. Each operation is
 // split into three atomic steps so helpers can share the work without
 // applying anything twice:
 //
@@ -15,24 +15,22 @@
 //            (2) flip owner's pending->false                   [line 149]
 //            (3) swing head                                    [line 150]
 //
-// C++ port (paper §3.4 prescribes exactly this):
-//   * Hazard pointers protect every dereference and, crucially, every value
-//     a CAS compares against or installs: an expected/desired pointer pinned
-//     by the CASing thread cannot be freed, hence cannot be reallocated,
-//     hence the CAS cannot succeed spuriously (no ABA).
-//   * A completed dequeue's payload is copied into the descriptor
-//     (op_desc::value) by help_finish_deq while the successor node is still
-//     pinned, so deq() never touches a node that may have been retired.
-//   * Descriptors are immutable after publication and flow through the same
-//     reclamation domain as nodes. Replacing a descriptor in `state`
-//     (exchange by the owner, CAS by helpers) retires the old one exactly
-//     once, on the replacing thread. Descriptors whose installing CAS failed
-//     were never published and are recycled through a per-thread cache
-//     (paper §3.3, enhancement 1).
-//   * The owner installs its new descriptor with an atomic exchange, not a
-//     plain store, because helpers may legitimately replace a *completed*
-//     descriptor with an equivalent copy (the paper notes the finish CASes
-//     "may succeed more than once"); exchange makes the retire exactly-once.
+// C++ port (docs/ALGORITHM.md §2 has the arguments):
+//   * Hazard pointers protect every node dereference and every node a CAS
+//     compares against or installs: a pinned pointer cannot be freed, hence
+//     cannot be reallocated, hence the CAS cannot succeed spuriously.
+//   * The paper publishes an immutable descriptor per state change because
+//     Java has no versioned in-place update. Here `state[i]` is an in-place
+//     announce record (core/announce_record.hpp): a 16-byte word whose
+//     version grows with every CAS, so a transition keeps the identity a
+//     fresh descriptor gave it while nothing is allocated, protected or
+//     retired for it. Helpers CAS only pending records; the owner publishes
+//     from its own completed one.
+//   * A completed dequeue's record names the node holding its item, and the
+//     owner copies the value out of that node (§3.4 copies it into the
+//     descriptor instead). The hazard domain treats every node a record
+//     names as announced (hp_domain::set_roots), so the node outlives the
+//     owner's read.
 //
 // Progress: enqueue/dequeue complete in O(n) steps plus helping (bounded by
 // the doorway argument, paper §5.3) — wait-free under both reclaimers: no
@@ -53,10 +51,10 @@
 #include <type_traits>
 #include <vector>
 
-#include "core/desc_pool.hpp"
+#include "core/announce_record.hpp"
 #include "core/help_policy.hpp"
-#include "core/op_desc.hpp"
 #include "core/phase_policy.hpp"
+#include "core/wf_node.hpp"
 #include "harness/mem_tracker.hpp"
 #include "obs/trace_ring.hpp"
 #include "reclaim/hazard_pointers.hpp"
@@ -83,15 +81,16 @@ struct whitebox;
 /// after_publish, where its operation is announced and nothing of it has
 /// run, so only peers can complete it.
 enum class sched_site : std::uint8_t {
-  protect,        // hazard-protected read of head_, tail_, next or state_[i]
-  load,           // seq_cst re-read of head_/tail_/state_[i], next, deq_tid
+  protect,        // hazard-protected read of head_, tail_ or next
+  load,           // seq_cst re-read of head_/tail_, next, deq_tid; a
+                  // record's word or phase
   link,           // CAS on a node's next field (enqueue linearization)
   swing,          // CAS on head_ or tail_
   claim,          // CAS on a sentinel's deq_tid (dequeue linearization)
-  state,          // exchange or CAS on state_[i]
+  state,          // CAS on a record's word (publish or helper step)
   phase,          // the phase draw
-  retire,         // hand a node or descriptor to the reclaimer (may scan)
-  after_publish,  // marker: descriptor published, no helping yet
+  retire,         // hand a node to the reclaimer (may scan)
+  after_publish,  // marker: operation published, no helping yet
   fast_attempt,   // marker: one fast-path attempt begins (ms_fast_path)
 };
 
@@ -126,8 +125,8 @@ struct no_fast_path {
 ///      MS queue's plus one probe, independent of n;
 ///   3. then announces on the queue's own slow path.
 /// The paths share linearization points. Enqueue: the link CAS; a fast node
-/// carries enq_tid == no_tid, so helpers know there is no descriptor and
-/// only swing the tail. Dequeue: the sentinel's deqTid claim; a fast claim
+/// carries enq_tid == no_tid, so helpers know there is no record to complete
+/// and only swing the tail. Dequeue: the sentinel's deqTid claim; a fast claim
 /// writes fast_claim_base + tid, so the write-once-per-node discipline that
 /// serializes dequeues holds across both paths.
 template <std::uint32_t MaxTries = 8>
@@ -223,7 +222,8 @@ struct wf_counters {
   std::uint64_t helped_deq_completions = 0;
   /// Link/claim CASes lost to a concurrent helper (wasted attempts).
   std::uint64_t link_cas_failures = 0;
-  /// Descriptor installs that lost their CAS (recycled via the pool).
+  /// Record CASes (stage 0 or completion) lost to a concurrent helper. The
+  /// name predates the in-place records; exporters read it as is.
   std::uint64_t desc_cas_failures = 0;
   /// Kept by ms_fast_path queues whatever collect_stats says. Unlike the
   /// fields above these are owner-written cells (sync/owner_cell.hpp, one
@@ -259,7 +259,7 @@ template <typename T, typename HelpPolicy = help_all,
           typename Storage = heap_node_storage<T>>
 class wf_queue : public mem_tracked, public Options::fast_path {
   static_assert(std::is_default_constructible_v<T>,
-                "op_desc carries a T payload slot");
+                "the initial sentinel node holds a T{}");
   static_assert(std::is_copy_constructible_v<T>,
                 "helpers copy the dequeued payload concurrently");
   static_assert(node_storage_for<Storage, Reclaimer>,
@@ -269,7 +269,7 @@ class wf_queue : public mem_tracked, public Options::fast_path {
  public:
   using value_type = T;
   using node_type = wf_node<T>;
-  using desc_type = op_desc<T>;
+  using record_type = announce_record<node_type>;
   using reclaimer_type = Reclaimer;
   using storage_type = Storage;
   using help_policy_type = HelpPolicy;
@@ -279,25 +279,19 @@ class wf_queue : public mem_tracked, public Options::fast_path {
   /// the queue, not the options) can hit the same sink.
   using trace_type = typename Options::trace;
 
-  /// Hazard slots used per thread: head/first, tail/last, next, descriptor,
-  /// and the node named by a pending descriptor.
-  static constexpr std::uint32_t hp_slots = 5;
-  enum slot : std::uint32_t {
-    s_first = 0,
-    s_last = 1,
-    s_next = 2,
-    s_desc = 3,
-    s_node = 4
-  };
+  /// Hazard slots used per thread: head/first, tail/last, next, and the
+  /// node named by a pending enqueue's record.
+  static constexpr std::uint32_t hp_slots = 4;
+  enum slot : std::uint32_t { s_first = 0, s_last = 1, s_next = 2, s_node = 3 };
 
   /// deqTid encoding: no_tid free, [0, n) a slow-path claim by that thread,
-  /// fast_claim_base + tid a fast-path claim (no descriptor to complete).
+  /// fast_claim_base + tid a fast-path claim (no record to complete).
   static constexpr std::int32_t fast_claim_base = 1 << 20;
 
   /// `max_threads` bounds the number of distinct thread ids (dense, from
   /// kpq::this_thread_id() or passed explicitly) that may ever operate on
-  /// this queue (paper: NUM_THRDS). Pass `mc` to account every node and
-  /// descriptor allocation from the first one (the Figure 10 bench does).
+  /// this queue (paper: NUM_THRDS). Pass `mc` to account every node
+  /// allocation from the first one (the Figure 10 bench does).
   /// Attaching later via set_memory_counters() is also exact: construction-
   /// time allocations accumulate into a baseline that the attach replays
   /// (mem_tracker.hpp).
@@ -306,11 +300,14 @@ class wf_queue : public mem_tracked, public Options::fast_path {
         n_(max_threads),
         storage_(max_threads, this),
         reclaim_(max_threads, hp_slots),
-        pool_(max_threads, desc_cache_cap, this),
         help_(max_threads),
         phase_(max_threads),
         stats_(Options::collect_stats || has_fast_path ? max_threads : 0),
         state_(max_threads) {
+    require_wide_load();
+    if constexpr (requires { reclaim_.set_roots(&record_roots, this); }) {
+      reclaim_.set_roots(&record_roots, this);
+    }
     set_memory_counters(mc);
     node_type* sentinel = alloc_node(0, T{}, no_tid);  // paper line 28
     // kpq-order: relaxed pairs-with the ctor-exit seq_cst fence below —
@@ -318,11 +315,7 @@ class wf_queue : public mem_tracked, public Options::fast_path {
     head_.store(sentinel, std::memory_order_relaxed);
     // kpq-order: relaxed pairs-with the ctor-exit seq_cst fence below
     tail_.store(sentinel, std::memory_order_relaxed);
-    for (std::uint32_t i = 0; i < n_; ++i) {  // paper lines 32-34
-      // kpq-order: relaxed pairs-with the ctor-exit seq_cst fence below
-      state_[i]->store(pool_.make(i, no_phase, false, true, nullptr),
-                       std::memory_order_relaxed);
-    }
+    // paper lines 32-34: state_'s records start done, with phase no_phase.
     seal_baseline();
     std::atomic_thread_fence(std::memory_order_seq_cst);
   }
@@ -344,14 +337,12 @@ class wf_queue : public mem_tracked, public Options::fast_path {
       n = next;
     }
     for (std::uint32_t i = 0; i < n_; ++i) {
-      // kpq-order: relaxed pairs-with none (quiescent, see above)
-      desc_type* d = state_[i]->load(std::memory_order_relaxed);
-      assert(!d->pending && "destroying a queue with an operation in flight");
-      free_desc(d);
+      assert(!state_[i]->word().pending() &&
+             "destroying a queue with an operation in flight");
     }
-    // reclaim_ and pool_ drain their retired/cached objects on destruction;
-    // reclaim_ is declared after storage_ so node reclamation callbacks
-    // still have a live storage to recycle into (storage_concepts.hpp).
+    // reclaim_ drains its retired nodes on destruction; it is declared
+    // after storage_ so node reclamation callbacks still have a live
+    // storage to recycle into (storage_concepts.hpp).
   }
 
   // ---------------------------------------------------------------- enqueue
@@ -446,10 +437,7 @@ class wf_queue : public mem_tracked, public Options::fast_path {
       return announce_deq(tid, next_phase(tid, g), g);
     } else {
       const std::int64_t phase = next_phase(tid, g);  // line 99
-      // A named result, not `return announce_deq(...)`: with the direct
-      // return GCC 12 stops inlining publish()'s retire here.
-      std::optional<T> result = announce_deq(tid, phase, g);
-      return result;
+      return announce_deq(tid, phase, g);
     }
   }
 
@@ -462,7 +450,7 @@ class wf_queue : public mem_tracked, public Options::fast_path {
   //
   //   * Legal: helping uses `phase <= mine`, so equal phases are already
   //     tolerated (two concurrent scan_max_phase draws can return the same
-  //     phase; paper footnote 3), and descriptor identity — never the
+  //     phase; paper footnote 3), and the record's version — never the
   //     phase — is what the completion CASes compare. A batch item
   //     publishing an "old" phase can only make itself MORE helpable.
   //   * Wait-free: the doorway bound (paper §5.3) counts operations with
@@ -587,13 +575,14 @@ class wf_queue : public mem_tracked, public Options::fast_path {
   // Public because the help/phase policies drive them; not part of the user
   // API.
 
-  /// paper lines 48-57
+  /// paper lines 48-57: the largest phase any record carries.
   template <typename Guard>
-  std::int64_t max_phase(Guard& g, std::uint32_t my) {
+  std::int64_t max_phase(Guard& /*g*/, std::uint32_t my) {
     std::int64_t m = no_phase;
     for (std::uint32_t i = 0; i < n_; ++i) {
-      desc_type* d = protect(g, my, s_desc, state_[i].get());
-      if (d->phase > m) m = d->phase;
+      sched(my, sched_site::load);
+      const std::int64_t ph = state_[i]->phase.load(std::memory_order_seq_cst);
+      if (ph > m) m = ph;
     }
     return m;
   }
@@ -603,9 +592,9 @@ class wf_queue : public mem_tracked, public Options::fast_path {
   template <typename Guard>
   void help_if_needed(std::uint32_t i, std::int64_t phase, Guard& g,
                       std::uint32_t my) {
-    desc_type* d = protect(g, my, s_desc, state_[i].get());
-    if (d->pending && d->phase <= phase) {  // line 39
-      help_op(i, d, phase, g, my);
+    const announced a = read_record(my, i);
+    if (a.word.pending() && a.phase <= phase) {  // line 39
+      help_op(i, a, phase, g, my);
     }
   }
 
@@ -616,20 +605,25 @@ class wf_queue : public mem_tracked, public Options::fast_path {
   template <typename Guard>
   std::int64_t help_if_seen(std::uint32_t i, std::int64_t phase,
                             std::int64_t seen, Guard& g, std::uint32_t my) {
-    // kpq-order: seq_cst pairs-with publish()'s exchange and swap_state()'s
-    // CAS (protect's slot load; the descriptor's fields are immutable after
-    // publication, so the plain reads below see the published snapshot)
-    desc_type* d = protect(g, my, s_desc, state_[i].get());
-    if (!d->pending) return no_phase;
-    if (d->phase != seen || d->phase > phase) return d->phase;
-    help_op(i, d, phase, g, my);
+    const announced a = read_record(my, i);
+    if (!a.word.pending()) return no_phase;
+    if (a.phase != seen || a.phase > phase) return a.phase;
+    help_op(i, a, phase, g, my);
     return no_phase;
   }
 
  private:
   friend struct kpq::testing::whitebox;
 
-  using state_slot = std::atomic<desc_type*>;
+  using word_type = typename record_type::word_type;
+
+  /// A record as a helper reads it: the word, then the phase. The phase is
+  /// the word's operation's or, if that operation has since completed and
+  /// its owner moved on, a newer one (announce_record.hpp).
+  struct announced {
+    word_type word;
+    std::int64_t phase;
+  };
 
   void check_tid(std::uint32_t tid) const noexcept {
     if (tid >= n_) [[unlikely]] tid_out_of_range(tid, n_);
@@ -653,25 +647,71 @@ class wf_queue : public mem_tracked, public Options::fast_path {
     return phase_.next_phase(*this, g, tid);
   }
 
+  // ----------------------------------------------------------------- records
+
+  word_type load_word(std::uint32_t my, std::uint32_t i) {
+    sched(my, sched_site::load);
+    return state_[i]->word();
+  }
+
+  announced read_record(std::uint32_t my, std::uint32_t i) {
+    const word_type w = load_word(my, i);
+    sched(my, sched_site::load);
+    return {w, state_[i]->phase.load(std::memory_order_seq_cst)};
+  }
+
+  /// Thread `tid`'s record if it holds a pending operation with phase <= ph
+  /// (paper lines 58-60), else nullopt.
+  std::optional<word_type> pending_record(std::uint32_t tid, std::int64_t ph,
+                                          std::uint32_t my) {
+    const announced a = read_record(my, tid);
+    if (a.word.pending() && a.phase <= ph) return a.word;
+    return std::nullopt;
+  }
+
+  /// The owner announces an operation: phase first, then a CAS from its own
+  /// completed record, which no other thread changes.
+  void publish(std::uint32_t tid, std::int64_t phase, bool enqueue,
+               node_type* node) {
+    record_type& r = state_[tid].get();
+    // kpq-order: release pairs-with the helpers' seq_cst phase loads, which
+    // follow their load of the word this thread's CAS below installs
+    r.phase.store(phase, std::memory_order_release);
+    const word_type done = r.word();
+    assert(!done.pending() && "publishing over a pending operation");
+    sched(tid, sched_site::state);
+    [[maybe_unused]] const bool won =
+        r.cas(done, done.next(true, enqueue, node));
+    assert(won && "a helper changed a completed record");
+  }
+
+  /// A helper's step on thread `tid`'s pending record `cur`: install
+  /// {pending, node} under the next version. Fails if any transition
+  /// happened since `cur` was read — versions never repeat.
+  bool swap_record(std::uint32_t tid, std::uint32_t my, word_type cur,
+                   bool pending, node_type* node) {
+    sched(my, sched_site::state);
+    if (state_[tid]->cas(cur, cur.next(pending, cur.enqueue(), node))) {
+      return true;
+    }
+    if constexpr (Options::collect_stats) ++stats_[my]->desc_cas_failures;
+    return false;
+  }
+
+  /// hp_domain::set_roots callback: every node a record names is announced,
+  /// so a completed dequeue's item node outlives its owner's read.
+  static void record_roots(void* ctx, std::vector<void*>& out) {
+    const auto* q = static_cast<const wf_queue*>(ctx);
+    for (std::uint32_t i = 0; i < q->n_; ++i) {
+      if (node_type* p = q->state_[i]->word().node) out.push_back(p);
+    }
+  }
+
   // ------------------------------------------------------------- allocation
-  // Nodes live wherever the Storage policy puts them (storage/); descriptors
-  // stay heap objects. desc_pool recycles the never-published ones; a
-  // published one is freed by the reclaimer, because its lifetime is tied
-  // to `state`, not the list.
+  // Nodes live wherever the Storage policy puts them (storage/).
 
   node_type* alloc_node(std::uint32_t tid, T v, std::int32_t etid) {
     return storage_.alloc(tid, std::move(v), etid, reclaim_);
-  }
-  void free_desc(desc_type* d) noexcept {
-    account_free(sizeof(desc_type));
-    delete d;
-  }
-
-  static void retire_desc_fn(void* ctx, void* p) {
-    if (ctx != nullptr) {
-      static_cast<mem_counters*>(ctx)->on_free(sizeof(desc_type));
-    }
-    delete static_cast<desc_type*>(p);
   }
 
   void retire_node(std::uint32_t tid, node_type* n) {
@@ -681,35 +721,6 @@ class wf_queue : public mem_tracked, public Options::fast_path {
     }
     storage_.retire(tid, n, reclaim_);
   }
-  void retire_desc(std::uint32_t tid, desc_type* d) {
-    sched(tid, sched_site::retire);
-    reclaim_.retire(tid, d, &retire_desc_fn, memory_counters());
-  }
-
-  /// Owner installs a fresh descriptor; the displaced one is retired here,
-  /// exactly once (see file comment on why exchange, not store).
-  void publish(std::uint32_t tid, desc_type* d) {
-    sched(tid, sched_site::state);
-    desc_type* old = state_[tid]->exchange(d, std::memory_order_seq_cst);
-    retire_desc(tid, old);
-  }
-
-  /// Try to swap state_[tid]: curr -> repl. Retires curr on success,
-  /// recycles repl (never published) on failure. `curr` must be pinned by
-  /// the caller (slot s_desc) — that pin is what makes the CAS ABA-free.
-  bool swap_state(std::uint32_t tid, std::uint32_t my_tid, desc_type* curr,
-                  desc_type* repl) {
-    desc_type* expected = curr;
-    sched(my_tid, sched_site::state);
-    if (state_[tid]->compare_exchange_strong(expected, repl,
-                                             std::memory_order_seq_cst)) {
-      retire_desc(my_tid, curr);
-      return true;
-    }
-    if constexpr (Options::collect_stats) ++stats_[my_tid]->desc_cas_failures;
-    pool_.recycle(my_tid, repl);
-    return false;
-  }
 
   // --------------------------------------------------------------- slow path
 
@@ -717,7 +728,7 @@ class wf_queue : public mem_tracked, public Options::fast_path {
   template <typename Guard>
   void announce_enq(std::uint32_t tid, std::int64_t phase, node_type* node,
                     Guard& g) {
-    publish(tid, pool_.make(tid, phase, true, true, node));  // line 63
+    publish(tid, phase, true, node);  // line 63
     if constexpr (Options::collect_stats) ++stats_[tid]->enq_ops;
     if constexpr (trace_type::enabled) {
       trace_type::record(tid, obs::trace_kind::enq_publish, phase, 0);
@@ -738,7 +749,7 @@ class wf_queue : public mem_tracked, public Options::fast_path {
   template <typename Guard>
   std::optional<T> announce_deq(std::uint32_t tid, std::int64_t phase,
                                 Guard& g) {
-    publish(tid, pool_.make(tid, phase, true, false, nullptr));  // line 100
+    publish(tid, phase, false, nullptr);  // line 100
     if constexpr (Options::collect_stats) ++stats_[tid]->deq_ops;
     if constexpr (trace_type::enabled) {
       trace_type::record(tid, obs::trace_kind::deq_publish, phase, 0);
@@ -750,11 +761,13 @@ class wf_queue : public mem_tracked, public Options::fast_path {
       help_.run(*this, tid, phase, g);  // line 101
     }
     help_finish_deq(tid, g);  // line 102
-    // Our completed descriptor may still be replaced by an equivalent copy
-    // by a helper finishing stage 2/3 late, so protect before reading.
-    desc_type* d = protect(g, tid, s_desc, state_[tid].get());  // line 103
+    // line 103: the done record names the node holding our item (null:
+    // empty). Only our next publish changes a completed record.
+    node_type* item = load_word(tid, tid).node;
     std::optional<T> result;
-    if (d->node != nullptr) result = d->value;  // §3.4: payload lives in d
+    // kpq-hazard: record root — hp_domain::set_roots keeps every node a
+    // record names, and ours names `item` until our next publish
+    if (item != nullptr) result = item->value;
     if constexpr (Options::collect_stats) {
       if (!result.has_value()) ++stats_[tid]->empty_deqs;
     }
@@ -762,7 +775,6 @@ class wf_queue : public mem_tracked, public Options::fast_path {
       trace_type::record(tid, obs::trace_kind::deq_complete, phase,
                          result.has_value() ? 1 : 0);
     }
-    g.clear(s_desc);
     return result;
   }
 
@@ -776,8 +788,8 @@ class wf_queue : public mem_tracked, public Options::fast_path {
   void fast_probe(std::uint32_t my, Guard& g) {
     const std::uint32_t i = this->next_candidate(my, n_);
     if (i == my) return;
-    desc_type* d = protect(g, my, s_desc, state_[i].get());
-    if (d->pending) help_op(i, d, d->phase, g, my);
+    const announced a = read_record(my, i);
+    if (a.word.pending()) help_op(i, a, a.phase, g, my);
   }
 
   /// Owner-thread, non-RMW path accounting: one relaxed store per op.
@@ -788,38 +800,25 @@ class wf_queue : public mem_tracked, public Options::fast_path {
 
   // ----------------------------------------------------------------- helping
 
-  /// paper lines 40-44: help thread i's pending operation `d` (protected by
-  /// the caller in s_desc) while it stays pending with phase <= `phase`.
+  /// paper lines 40-44: help thread i's pending operation `a` while it
+  /// stays pending with phase <= `phase`.
   template <typename Guard>
-  void help_op(std::uint32_t i, desc_type* d, std::int64_t phase, Guard& g,
-               std::uint32_t my) {
+  void help_op(std::uint32_t i, const announced& a, std::int64_t phase,
+               Guard& g, std::uint32_t my) {
     // A helping episode: this thread works on thread i's operation. Own
     // operations (i == my) are not episodes — that is just completing.
-    // The victim's phase is captured while `d` is still hazard-protected:
-    // help_enq/help_deq reuse the s_desc slot, and completion retires the
-    // descriptor, so `d` must not be dereferenced after they return.
     const bool traced_episode = trace_type::enabled && i != my;
-    const std::int64_t victim_phase = traced_episode ? d->phase : 0;
     if (traced_episode) {
-      trace_type::record(my, obs::trace_kind::help_start, victim_phase, i);
+      trace_type::record(my, obs::trace_kind::help_start, a.phase, i);
     }
-    if (d->enqueue) {
+    if (a.word.enqueue()) {
       help_enq(i, phase, g, my);  // line 41
     } else {
       help_deq(i, phase, g, my);  // line 43
     }
     if (traced_episode) {
-      trace_type::record(my, obs::trace_kind::help_finish, victim_phase, i);
+      trace_type::record(my, obs::trace_kind::help_finish, a.phase, i);
     }
-  }
-
-  /// paper lines 58-60 (descriptor must be re-read each call; the returned
-  /// snapshot is consistent because descriptors are immutable).
-  template <typename Guard>
-  bool is_still_pending(std::uint32_t tid, std::int64_t ph, Guard& g,
-                        std::uint32_t my) {
-    desc_type* d = protect(g, my, s_desc, state_[tid].get());
-    return d->pending && d->phase <= ph;
   }
 
   /// paper lines 67-84. `tid` owns the pending enqueue; the caller's thread
@@ -828,7 +827,7 @@ class wf_queue : public mem_tracked, public Options::fast_path {
   template <typename Guard>
   void help_enq(std::uint32_t tid, std::int64_t phase, Guard& g,
                 std::uint32_t my) {
-    while (is_still_pending(tid, phase, g, my)) {              // line 68
+    while (pending_record(tid, phase, my)) {                  // line 68
       node_type* last = protect(g, my, s_last, tail_);  // line 69
       node_type* next = protect(g, my, s_next, last->next);  // line 70
       sched(my, sched_site::load);
@@ -837,17 +836,17 @@ class wf_queue : public mem_tracked, public Options::fast_path {
       }
       if (next == nullptr) {  // line 72: enqueue can be applied
         // line 73: the operation must still be pending, and we must fetch
-        // the node from the *current* descriptor...
-        desc_type* d = protect(g, my, s_desc, state_[tid].get());
-        if (!(d->pending && d->phase <= phase)) continue;
-        node_type* node = d->node;
-        // ...and pin that node across the CAS: a pending descriptor's node
-        // is not yet retired (it cannot be dequeued before the operation's
-        // pending flag clears), and the pin keeps it so.
+        // the node from the *current* record...
+        const std::optional<word_type> cur = pending_record(tid, phase, my);
+        if (!cur) continue;
+        node_type* node = cur->node;
+        // ...and pin that node across the CAS. While the record stays `cur`
+        // it names the node (a root) and the node is not yet in the list
+        // past tail, so it cannot have been retired; the unchanged word
+        // after the pin proves that, and the pin keeps it so.
         sched(my, sched_site::protect);
         g.protect_raw(s_node, node);
-        sched(my, sched_site::load);
-        if (state_[tid]->load(std::memory_order_seq_cst) != d) continue;
+        if (load_word(my, tid) != *cur) continue;
         node_type* expected = nullptr;
         sched(my, sched_site::link);
         if (last->next.compare_exchange_strong(
@@ -881,7 +880,7 @@ class wf_queue : public mem_tracked, public Options::fast_path {
     if (last != tail_.load(std::memory_order_seq_cst)) return;
     const std::int32_t etid = next->enq_tid;           // line 89
     if constexpr (has_fast_path) {
-      // A fast node has no descriptor: only step 3 applies, and skipping
+      // A fast node has no record: only step 3 applies, and skipping
       // step 2 is safe precisely because nothing is pending for it.
       if (etid == no_tid) {
         sched(my, sched_site::swing);
@@ -891,15 +890,17 @@ class wf_queue : public mem_tracked, public Options::fast_path {
     }
     assert(etid != no_tid);
     const auto tid = static_cast<std::uint32_t>(etid);
-    desc_type* cur = protect(g, my, s_desc, state_[tid].get());  // line 90
+    const word_type cur = load_word(my, tid);  // line 90
     sched(my, sched_site::load);
     if (last == tail_.load(std::memory_order_seq_cst) &&
-        cur->node == next) {  // line 91 (cur is current: protect validated)
-      // line 92: new descriptor marking the operation linearized...
-      desc_type* fresh = pool_.make(my, cur->phase, false, true, next);
-      const bool won = swap_state(tid, my, cur, fresh);  // line 93 (step 2)
-      if constexpr (Options::collect_stats) {
-        if (won && tid != my) ++stats_[my]->helped_enq_completions;
+        cur.node == next) {  // line 91
+      // lines 92-93 (step 2): clear pending. Helpers CAS only pending
+      // records; a completed one is already in its final state.
+      if (cur.pending()) {
+        const bool won = swap_record(tid, my, cur, false, next);
+        if constexpr (Options::collect_stats) {
+          if (won && tid != my) ++stats_[my]->helped_enq_completions;
+        }
       }
       sched(my, sched_site::swing);
       tail_.compare_exchange_strong(last, next,
@@ -911,7 +912,7 @@ class wf_queue : public mem_tracked, public Options::fast_path {
   template <typename Guard>
   void help_deq(std::uint32_t tid, std::int64_t phase, Guard& g,
                 std::uint32_t my) {
-    while (is_still_pending(tid, phase, g, my)) {          // line 110
+    while (pending_record(tid, phase, my)) {              // line 110
       node_type* first = protect(g, my, s_first, head_);  // line 111
       sched(my, sched_site::load);
       node_type* last = tail_.load(std::memory_order_seq_cst);  // line 112
@@ -923,28 +924,25 @@ class wf_queue : public mem_tracked, public Options::fast_path {
       if (first == last) {      // line 115: queue might be empty
         if (next == nullptr) {  // line 116: queue is empty
           // line 117
-          desc_type* cur = protect(g, my, s_desc, state_[tid].get());
+          const std::optional<word_type> cur = pending_record(tid, phase, my);
           sched(my, sched_site::load);
           if (last == tail_.load(std::memory_order_seq_cst) &&
-              cur->pending && cur->phase <= phase) {  // line 118
+              cur) {  // line 118
             // lines 119-120: mark the operation completed-empty.
-            desc_type* fresh =
-                pool_.make(my, cur->phase, false, false, nullptr);
-            swap_state(tid, my, cur, fresh);
+            swap_record(tid, my, *cur, false, nullptr);
           }
         } else {                     // line 122: an enqueue is in progress
           help_finish_enq(my, g);    // line 123
         }
       } else {  // line 125: queue is not empty
-        desc_type* cur = protect(g, my, s_desc, state_[tid].get());  // line 126
-        node_type* node = cur->node;                            // line 127
-        if (!(cur->pending && cur->phase <= phase)) break;      // line 128
+        const std::optional<word_type> cur =
+            pending_record(tid, phase, my);  // lines 126-128
+        if (!cur) break;
         sched(my, sched_site::load);
         if (first == head_.load(std::memory_order_seq_cst) &&
-            node != first) {  // line 129
-          // lines 130-131: stage 0 — point tid's state at the sentinel.
-          desc_type* fresh = pool_.make(my, cur->phase, true, false, first);
-          if (!swap_state(tid, my, cur, fresh)) {
+            cur->node != first) {  // line 129
+          // lines 130-131: stage 0 — point tid's record at the sentinel.
+          if (!swap_record(tid, my, *cur, true, first)) {
             continue;  // line 132
           }
         }
@@ -968,7 +966,7 @@ class wf_queue : public mem_tracked, public Options::fast_path {
         first->deq_tid.load(std::memory_order_seq_cst);  // line 144
     if (dtid == no_tid) return;                          // line 145
     if constexpr (has_fast_path) {
-      // A fast claim has no descriptor either: only the head swing.
+      // A fast claim has no record either: only the head swing.
       if (dtid >= fast_claim_base) {
         sched(my, sched_site::load);
         if (first == head_.load(std::memory_order_seq_cst) &&
@@ -983,17 +981,19 @@ class wf_queue : public mem_tracked, public Options::fast_path {
       }
     }
     const auto tid = static_cast<std::uint32_t>(dtid);
-    desc_type* cur = protect(g, my, s_desc, state_[tid].get());  // line 146
+    const word_type cur = load_word(my, tid);  // line 146
     sched(my, sched_site::load);
     if (first == head_.load(std::memory_order_seq_cst) &&
         next != nullptr) {  // line 147
-      // line 148 + §3.4: copy the payload out of the (pinned) successor into
-      // the descriptor so the caller never revisits these nodes.
-      desc_type* fresh =
-          pool_.make(my, cur->phase, false, false, cur->node, next->value);
-      const bool won = swap_state(tid, my, cur, fresh);  // line 149 (step 2)
-      if constexpr (Options::collect_stats) {
-        if (won && tid != my) ++stats_[my]->helped_deq_completions;
+      // lines 148-149 (step 2): a pending record becomes done and names
+      // `next`, the node holding the item (the owner reads the value from
+      // it). While head == first, tid's operation is the one that claimed
+      // first, and `next` cannot be retired before head leaves first.
+      if (cur.pending()) {
+        const bool won = swap_record(tid, my, cur, false, next);
+        if constexpr (Options::collect_stats) {
+          if (won && tid != my) ++stats_[my]->helped_deq_completions;
+        }
       }
       sched(my, sched_site::swing);
       if (head_.compare_exchange_strong(
@@ -1011,19 +1011,18 @@ class wf_queue : public mem_tracked, public Options::fast_path {
   Storage storage_;  // before reclaim_: reclaimer shutdown drains node
                      // retirements through callbacks into the storage
   Reclaimer reclaim_;
-  desc_pool<T> pool_;
   HelpPolicy help_;
   PhasePolicy phase_;
   // Empty unless collect_stats or a fast path (its path cells live here).
   // Declared before head_/tail_: count_path reads this header on every
   // fast-path op, so it must not share the tail's written cache line.
-  // state_'s header is read on every announce, help and descriptor protect,
-  // so it gets a 128-byte block of its own: left after tail_, a tail CAS
-  // invalidated it and kpqbench's opt_hp rung ran 8% slower on 4 pinned
-  // cores (538 vs 499 ns/op).
+  // state_'s header is read on every announce and help, so it gets a
+  // 128-byte block of its own: left after tail_, a tail CAS invalidated it
+  // and kpqbench's opt_hp rung ran 8% slower on 4 pinned cores (538 vs 499
+  // ns/op).
   std::vector<padded<wf_counters>> stats_;
   alignas(destructive_interference)
-      std::vector<padded<state_slot>> state_;  // paper line 26
+      std::vector<padded<record_type>> state_;  // paper line 26
 
   alignas(destructive_interference) std::atomic<node_type*> head_{nullptr};
   alignas(destructive_interference) std::atomic<node_type*> tail_{nullptr};

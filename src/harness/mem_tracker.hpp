@@ -3,7 +3,7 @@
 // The paper measured the space overhead of the wait-free queue relative to
 // the lock-free one by sampling JVM GC statistics (`--verbosegc`) for the
 // size of live objects. We do not have a GC; instead every queue in this
-// library routes its node/descriptor allocations through an optional
+// library routes its node allocations through an optional
 // `mem_counters` sink, so "live bytes attributable to the queue" is an exact
 // counter rather than a sampled estimate.
 //
@@ -66,11 +66,11 @@ class mem_counters {
 /// the benchmarks that do not measure space leave it null.
 ///
 /// Construction baseline: a container allocates during construction (the KP
-/// queue: one sentinel node plus one descriptor per thread). If the sink is
+/// queue: one sentinel node). If the sink is
 /// attached only later via set_memory_counters(), those allocations used to
 /// be invisible — their eventual frees were counted but their allocs were
-/// not, so live_bytes could go NEGATIVE and the Figure 10 "including
-/// descriptors" claim had a hole. Now: while no sink is attached and the
+/// not, so live_bytes could go NEGATIVE and the Figure 10 live-byte
+/// claim had a hole. Now: while no sink is attached and the
 /// baseline is unsealed (i.e. during construction), account_alloc/free
 /// accumulate into plain counters; the container calls seal_baseline() at
 /// the end of its constructor; a later attach replays the sealed baseline

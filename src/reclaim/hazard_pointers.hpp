@@ -6,6 +6,11 @@
 // owner's list; when the list crosses the scan threshold the owner scans all
 // announcement slots once and frees every retired object not announced.
 //
+// Roots: set_roots(fn, ctx) registers extra announcements. Every scan calls
+// fn(ctx, announced) to append pointers it then treats like hazard slots.
+// wf_queue registers its announce records this way, so a node a record names
+// stays alive until the record moves on (docs/ALGORITHM.md §2(c)).
+//
 // Progress: protect() is a validation loop, but each iteration corresponds
 // to the *source* pointer changing, which in the queues only happens when
 // some operation completes a step — so under the same argument the paper
@@ -146,10 +151,18 @@ class hp_domain {
     scan(tid);
   }
 
+  /// fn(ctx, out) appends the pointers every scan must also keep (see the
+  /// file comment). Set once, before any thread retires.
+  using roots_fn = void (*)(void* ctx, std::vector<void*>& out);
+  void set_roots(roots_fn fn, void* ctx) noexcept {
+    roots_ = fn;
+    roots_ctx_ = ctx;
+  }
+
   /// One reclamation pass for `tid`'s retired list: free everything not
-  /// currently announced by any thread. Only `tid` may call this, or any
-  /// thread at quiescence: the callbacks run here, on the retiring thread
-  /// (reclaimer_concepts.hpp).
+  /// currently announced by any thread or named by a root. Only `tid` may
+  /// call this, or any thread at quiescence: the callbacks run here, on the
+  /// retiring thread (reclaimer_concepts.hpp).
   void scan(std::uint32_t tid) {
     auto& r = retired_[tid].get();
     std::vector<void*>& announced = r.scratch;
@@ -159,6 +172,7 @@ class hp_domain {
         announced.push_back(p);
       }
     }
+    if (roots_ != nullptr) roots_(roots_ctx_, announced);
     std::sort(announced.begin(), announced.end());
     std::size_t kept = 0;
     std::uint64_t freed_this_pass = 0;
@@ -247,6 +261,8 @@ class hp_domain {
   std::uint32_t scan_threshold_;
   std::vector<padded<std::atomic<void*>>> slots_;
   std::vector<padded<retired_list>> retired_;
+  roots_fn roots_ = nullptr;
+  void* roots_ctx_ = nullptr;
 };
 
 static_assert(reclaimer_domain<hp_domain>);

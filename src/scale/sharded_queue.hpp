@@ -159,7 +159,7 @@ class sharded_queue : public mem_tracked {
 
   /// A batch routes as one unit (shard chosen from its first item), so a
   /// producer's batch stays contiguous — and FIFO — inside one shard, and
-  /// the inner queue's batched-descriptor fast path (wf_queue::enqueue_bulk:
+  /// the inner queue's batched announce path (wf_queue::enqueue_bulk:
   /// one reclamation guard + one phase draw for the whole batch) amortizes
   /// across all of it. Falls back to per-item inner ops automatically when
   /// the inner queue has no native bulk hook (kpq::enqueue_bulk dispatch).

@@ -4,15 +4,16 @@
 //
 // The ceiling is enforced by ADMISSION, not by a slotted ring: every
 // enqueue first checks the queue's exact live-byte counter (mem_tracker —
-// nodes, descriptors, and segments all flow through it) against
-// `max_bytes` minus a fixed headroom covering the worst case the already-
-// admitted in-flight operations can still allocate. The bound argument
+// nodes and segments flow through it) against `max_bytes` minus a fixed
+// headroom covering the worst case the already-admitted in-flight
+// operations can still allocate. The bound argument
 // (docs/MEMORY.md §4): any allocation happens inside an operation whose
 // admission read live <= max_bytes - headroom; between any such read and
 // the allocation, each of the n threads has at most one partially-complete
 // operation, and one operation allocates at most
-// per_op = Storage::max_alloc_bytes + desc_slack * sizeof(op_desc<T>)
-// bytes, so live never exceeds (max_bytes - n*per_op) + n*per_op.
+// per_op = Storage::max_alloc_bytes bytes — its owner's node, before it
+// publishes; helpers allocate nothing (announce records are updated in
+// place) — so live never exceeds (max_bytes - n*per_op) + n*per_op.
 //
 // Full-queue policies:
 //   * reject           — try_enqueue returns false; enqueue drops. The
@@ -27,7 +28,7 @@
 //   * overwrite_oldest — drop elements from the head until there is room
 //                        (bounded-buffer telemetry semantics). If the queue
 //                        is EMPTY and still over the ceiling (live bytes
-//                        held by not-yet-reclaimed segments/descriptors),
+//                        held by not-yet-reclaimed segments),
 //                        it degrades to reject: the ceiling is never
 //                        exceeded by design, even transiently.
 //
@@ -69,21 +70,16 @@ using wf_queue_fps_seg = wf_queue_fps<T, R, fps_options, segment_storage<T>>;
 enum class full_policy : std::uint8_t { reject, block, overwrite_oldest };
 
 struct bounded_config {
-  /// Ceiling on the queue's total live bytes (nodes + descriptors +
-  /// segments), as counted by its mem_counters. Must exceed the fixed
-  /// construction footprint plus the admission headroom or every enqueue is
-  /// rejected (the constructor asserts a sane floor).
+  /// Ceiling on the queue's total live bytes (its segments and nodes), as
+  /// counted by its mem_counters. Must exceed the fixed construction
+  /// footprint plus the admission headroom or every enqueue is rejected
+  /// (the constructor asserts a sane floor).
   std::size_t max_bytes;
   full_policy policy = full_policy::reject;
   /// block policy: waiters re-check at this interval even without a
   /// notification — reclaimer scans return segment memory asynchronously to
   /// any dequeue, so space can appear with nobody to signal it.
   std::chrono::milliseconds block_recheck{1};
-  /// Headroom slack for descriptor churn, per thread, in descriptors. The
-  /// steady state allocates ~none (desc_pool recycles); this covers the
-  /// cold-start and helping bursts between admission checks. docs/MEMORY.md
-  /// §4 discusses the sizing.
-  std::uint32_t desc_slack_per_thread = 8;
 };
 
 /// Counters for the policy outcomes (exported via stats(); the obs registry
@@ -105,9 +101,7 @@ class bounded_wf_queue {
   bounded_wf_queue(std::uint32_t max_threads, bounded_config cfg)
       : cfg_(cfg),
         headroom_(static_cast<std::size_t>(max_threads) *
-                  (storage_type::max_alloc_bytes +
-                   cfg.desc_slack_per_thread *
-                       sizeof(typename Inner::desc_type))),
+                  storage_type::max_alloc_bytes),
         q_(max_threads, &mc_) {
     // The ceiling must leave room for at least one admitted enqueue on top
     // of the construction footprint, or the queue is unusable.
@@ -142,8 +136,8 @@ class bounded_wf_queue {
         while (!has_room()) {
           if (!q_.dequeue(tid).has_value()) {
             // Empty yet over the ceiling: the remaining live bytes are
-            // segments/descriptors awaiting reclamation. Never exceed the
-            // ceiling — degrade to reject.
+            // segments awaiting reclamation. Never exceed the ceiling —
+            // degrade to reject.
             count(&bounded_counters::rejected, tid);
             return false;
           }

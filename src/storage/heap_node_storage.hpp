@@ -17,7 +17,7 @@
 #include <cstdint>
 #include <utility>
 
-#include "core/op_desc.hpp"
+#include "core/wf_node.hpp"
 #include "harness/mem_tracker.hpp"
 #include "storage/recycle_list.hpp"
 
@@ -32,8 +32,8 @@ class heap_node_storage {
   /// One alloc() call performs at most one node-sized heap allocation.
   static constexpr std::size_t max_alloc_bytes = sizeof(node_type);
   /// Reclaimed nodes one thread keeps for reuse. Large enough to absorb a
-  /// hazard-pointer scan's batch of frees (the scan threshold is 104
-  /// retirements at 4 threads, descriptors included); at 32 or 64 a batch
+  /// hazard-pointer scan's batch of frees (the scan threshold is 96
+  /// retirements at 4 threads); at 32 or 64 a batch
   /// spills back into free() and the deep-queue RSS growth returns
   /// (docs/MEMORY.md §1).
   static constexpr std::size_t cache_cap = 128;

@@ -12,13 +12,10 @@
 // reuse after free() is: the reclaimer's handoff orders every old access
 // before the callback that recycles the storage.
 //
-// Two users:
-//   * desc_pool — descriptors whose installing CAS failed (never published,
-//     recycled directly by the thread that made them);
-//   * heap_node_storage — nodes handed back by the reclaimer. `retire_fn`
-//     is the retire callback and `context(tid)` its context; the reclaimer
-//     contract runs the callback on the retiring thread, i.e. the list's
-//     owner (reclaim/reclaimer_concepts.hpp).
+// The user is heap_node_storage: nodes handed back by the reclaimer.
+// `retire_fn` is the retire callback and `context(tid)` its context; the
+// reclaimer contract runs the callback on the retiring thread, i.e. the
+// list's owner (reclaim/reclaimer_concepts.hpp).
 //
 // Kept storage is threaded into an intrusive FIFO: the link lives in the
 // dead object, so keeping a block writes it, as free() writes a freed

@@ -33,8 +33,8 @@
 //   the reclamation traffic. Node destructors run when the segment is
 //   reclaimed, not when the cell is logically dequeued (payloads must
 //   tolerate deferred destruction, which trivially they do for the
-//   value types a concurrent queue carries; the T is copied OUT of the node
-//   into the descriptor at dequeue time, see op_desc).
+//   value types a concurrent queue carries; the dequeuer copies the T out
+//   of the node its announce record names, see core/announce_record.hpp).
 //
 //   Reclaimed segments are recycled through a per-thread spare slot (the
 //   YMC `handle->spare` idea): the reclaim callback parks the (cell-
@@ -60,7 +60,7 @@
 #include <utility>
 #include <vector>
 
-#include "core/op_desc.hpp"
+#include "core/wf_node.hpp"
 #include "harness/mem_tracker.hpp"
 #include "sync/cacheline.hpp"
 

@@ -59,7 +59,7 @@
 #include <cstdint>
 #include <utility>
 
-#include "core/op_desc.hpp"
+#include "core/wf_node.hpp"
 #include "reclaim/reclaimer_concepts.hpp"
 
 namespace kpq {

@@ -13,11 +13,12 @@
 //   I4  the sentinel is the only node whose deq_tid MAY be set (a set
 //       deq_tid on an interior node would mean a dequeue linearized but
 //       never finished — impossible at quiescence);
-//   I5  no descriptor in `state` is pending;
-//   I6  every completed-enqueue descriptor's node is either null or not
-//       reachable *ahead* of the sentinel in a way that would imply a
-//       pending insertion (its node must already be linked, i.e. reachable
-//       or retired, never "floating").
+//   I5  no announce record in `state` is pending;
+//   I6  no completed record contradicts the list: an enqueue's record names
+//       its node (never null), and a dequeue's record names null (empty) or
+//       the node that held its item, which by then is the sentinel or gone —
+//       never a node still queued behind the sentinel, whose item would
+//       then be both returned and queued.
 //
 // The auditor is deliberately read-only and header-only; it uses only the
 // queue's public quiescent surface plus the shared testing::whitebox
@@ -27,6 +28,8 @@
 #include <string>
 #include <unordered_set>
 #include <vector>
+
+#include "core/announce_record.hpp"
 
 namespace kpq {
 
@@ -51,19 +54,19 @@ struct audit_result {
 /// Whitebox-view inputs collected by the test (which has friend access);
 /// keeping the auditor independent of the queue template avoids a second
 /// friend declaration.
-template <typename Node, typename Desc>
+template <typename Node>
 struct audit_view {
   Node* head = nullptr;
   Node* tail = nullptr;
-  std::vector<Desc*> state;  // one per thread slot
+  std::vector<record_snapshot<Node>> state;  // one per thread slot
   std::uint32_t max_threads = 0;
   /// wf_queue_fps marks fast-path nodes with enq_tid == -1; set this for
   /// fps audits so I3 accepts anonymous enqueuers.
   bool allow_anonymous_enqueuers = false;
 };
 
-template <typename Node, typename Desc>
-audit_result audit_quiescent(const audit_view<Node, Desc>& v) {
+template <typename Node>
+audit_result audit_quiescent(const audit_view<Node>& v) {
   audit_result r;
   if (v.head == nullptr || v.tail == nullptr) {
     r.fail("I1: null head or tail");
@@ -111,16 +114,24 @@ audit_result audit_quiescent(const audit_view<Node, Desc>& v) {
     r.fail("I2: dangling node present at quiescence (unfinished enqueue)");
   }
 
-  // I5 + I6 over the state array.
+  // I5 + I6 over the state array. A record of version 0 was never
+  // published.
   for (std::uint32_t i = 0; i < v.state.size(); ++i) {
-    const Desc* d = v.state[i];
-    if (d == nullptr) {
-      r.fail("I5: null descriptor for thread " + std::to_string(i));
+    const record_snapshot<Node>& rec = v.state[i];
+    const std::string who = "thread " + std::to_string(i);
+    if (rec.pending) {
+      r.fail("I5: " + who + " still pending at quiescence");
       continue;
     }
-    if (d->pending) {
-      r.fail("I5: thread " + std::to_string(i) +
-             " still pending at quiescence");
+    if (rec.version == 0) continue;
+    if (rec.enqueue && rec.node == nullptr) {
+      r.fail("I6: " + who + "'s completed enqueue names no node");
+    }
+    if (!rec.enqueue && rec.node != nullptr && rec.node != v.head &&
+        seen.count(rec.node) != 0) {
+      r.fail("I6: " + who +
+             "'s completed dequeue names a node still queued behind the "
+             "sentinel");
     }
   }
   return r;

@@ -57,13 +57,30 @@ TEST(QueueAuditor, CleanBetweenConcurrentPhases) {
   }
 }
 
-TEST(QueueAuditor, DetectsPendingDescriptor) {
+TEST(QueueAuditor, DetectsPendingRecord) {
   queue q(2);
   wb::publish(q, 1, 5, /*pending=*/true, /*enq=*/false, nullptr);
   auto r = audit(q);
   EXPECT_FALSE(r.ok);
   // Clean up so the destructor's assertion doesn't fire.
   wb::publish(q, 1, 5, false, false, nullptr);
+}
+
+TEST(QueueAuditor, DetectsDequeueRecordNamingAQueuedNode) {
+  queue q(2);
+  q.enqueue(1, 0);
+  q.enqueue(2, 0);
+  // Corrupt: a completed dequeue whose record names the node holding 2,
+  // which is still queued behind the sentinel.
+  auto* queued = wb::head(q)->next.load()->next.load();
+  ASSERT_NE(queued, nullptr);
+  wb::publish(q, 1, 5, /*pending=*/false, /*enq=*/false, queued);
+  auto r = audit(q);
+  EXPECT_FALSE(r.ok) << "I6 must flag an item both returned and queued";
+  // The same record naming the sentinel is what a real dequeue leaves.
+  wb::publish(q, 1, 5, false, false, wb::head(q));
+  auto r2 = audit(q);
+  EXPECT_TRUE(r2.ok) << r2.to_string();
 }
 
 TEST(QueueAuditor, DetectsDanglingNode) {
@@ -77,7 +94,7 @@ TEST(QueueAuditor, DetectsDanglingNode) {
   auto r = audit(q);
   EXPECT_FALSE(r.ok);
   // Finish the enqueue properly so destruction is clean: publish a matching
-  // pending descriptor and let the finisher run.
+  // pending record and let the finisher run.
   wb::publish(q, 1, wb::max_phase(q, 1) + 1, true, true, n);
   wb::help_finish_enq(q, 0);
   auto r2 = audit(q);

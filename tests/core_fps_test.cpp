@@ -270,7 +270,7 @@ TEST_F(FpsPatienceBound, ZeroPatienceMeansPureSlowPath) {
 
 TEST_F(FpsPatienceBound, FastAttemptsPerOpNeverExceedMaxTriesUnderStalledPeer) {
   // Stalled-thread schedule: thread 0 announces a slow-path dequeue and
-  // freezes at the announce point, leaving its descriptor pending while
+  // freezes at the announce point, leaving its record pending while
   // thread 1 runs — thread 1's operations probe and help it. Every fast
   // attempt of thread 1 meets a lagging tail (the adversary above), so its
   // fast loops spend their whole budget. The per-operation fast-path

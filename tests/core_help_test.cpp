@@ -4,7 +4,7 @@
 // operations of any active peer (help_policy.hpp).
 //
 // As in core_progress_test, a hook freezes the owner right after it
-// publishes its descriptor, so the operation can only complete through
+// publishes its operation, so the operation can only complete through
 // helping; the stats counters show which of the peer's operations did it.
 #include <gtest/gtest.h>
 

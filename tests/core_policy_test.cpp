@@ -1,5 +1,5 @@
 // Isolated unit tests for the core policy objects: phase assignment
-// (doorway property), helping candidate selection, and the descriptor cache.
+// (doorway property) and helping candidate selection.
 // The help policies are exercised against a mock queue that records which
 // entries they inspect, so candidate-selection logic is pinned independently
 // of queue behaviour.
@@ -11,7 +11,6 @@
 #include <thread>
 #include <vector>
 
-#include "core/desc_pool.hpp"
 #include "core/help_policy.hpp"
 #include "core/phase_policy.hpp"
 #include "core/wf_queue.hpp"
@@ -240,71 +239,16 @@ TYPED_TEST(PhasePolicyTest, ConcurrentPhasesRespectTheDoorway) {
 TEST(ScanMaxPhase, ReturnsOneAboveTheMaximumInState) {
   wf_queue_base<std::uint64_t> q(4);
   scan_max_phase p(4);
-  hp_domain dom(1, 5);
+  hp_domain dom(1, 4);
   auto g = dom.enter(0);
-  // Fresh queue: all descriptors carry phase -1, so the first phase is 0.
+  // Fresh queue: all records carry phase -1, so the first phase is 0.
   EXPECT_EQ(p.next_phase(q, g, 0), 0);
-  q.enqueue(1, 2);  // thread 2's descriptor now carries phase 0
+  q.enqueue(1, 2);  // thread 2's record now carries phase 0
   EXPECT_EQ(p.next_phase(q, g, 0), 1);
   q.enqueue(2, 1);
   EXPECT_EQ(p.next_phase(q, g, 0), 2);
   (void)q.dequeue(3);
   EXPECT_EQ(p.next_phase(q, g, 0), 3);
-}
-
-// ---------------------------------------------------------------- desc_pool
-
-TEST(DescPool, RecycleReusesTheSameAllocation) {
-  desc_pool<std::uint64_t> pool(2, desc_cache_cap, nullptr);
-  auto* a = pool.make(0, std::int64_t{1}, true, true, nullptr);
-  pool.recycle(0, a);
-  EXPECT_EQ(pool.cached(0), 1u);
-  auto* b = pool.make(0, std::int64_t{2}, false, false, nullptr);
-  EXPECT_EQ(b, a) << "cache must hand back the recycled allocation";
-  EXPECT_EQ(b->phase, 2);
-  EXPECT_FALSE(b->pending);
-  pool.recycle(0, b);
-}
-
-TEST(DescPool, CacheIsPerThread) {
-  desc_pool<std::uint64_t> pool(2, desc_cache_cap, nullptr);
-  auto* a = pool.make(0, std::int64_t{1}, true, true, nullptr);
-  pool.recycle(0, a);
-  EXPECT_EQ(pool.cached(0), 1u);
-  EXPECT_EQ(pool.cached(1), 0u);
-  // Thread 1's make must not steal thread 0's cache.
-  auto* b = pool.make(1, std::int64_t{2}, true, true, nullptr);
-  EXPECT_NE(b, a);
-  EXPECT_EQ(pool.cached(0), 1u);
-  pool.recycle(1, b);
-}
-
-TEST(DescPool, CapBoundsTheCache) {
-  desc_pool<std::uint64_t> pool(1, /*cap=*/2, nullptr);
-  auto* a = pool.make(0, std::int64_t{1}, true, true, nullptr);
-  auto* b = pool.make(0, std::int64_t{2}, true, true, nullptr);
-  auto* c = pool.make(0, std::int64_t{3}, true, true, nullptr);
-  pool.recycle(0, a);
-  pool.recycle(0, b);
-  pool.recycle(0, c);  // over cap: deleted
-  EXPECT_EQ(pool.cached(0), 2u);
-}
-
-TEST(DescPool, AccountingTracksFreshAllocationsOnly) {
-  class probe : public mem_tracked {};
-  probe acct;
-  mem_counters mc;
-  acct.set_memory_counters(&mc);
-  desc_pool<std::uint64_t> pool(1, desc_cache_cap, &acct);
-  auto* a = pool.make(0, std::int64_t{1}, true, true, nullptr);
-  EXPECT_EQ(mc.live_objects(), 1);
-  pool.recycle(0, a);
-  EXPECT_EQ(mc.live_objects(), 1) << "cached descriptors stay live";
-  auto* b = pool.make(0, std::int64_t{2}, true, true, nullptr);
-  EXPECT_EQ(mc.live_objects(), 1) << "reuse is not a fresh allocation";
-  pool.recycle(0, b);
-  pool.purge();
-  EXPECT_EQ(mc.live_objects(), 0);
 }
 
 }  // namespace

@@ -2,7 +2,8 @@
 // queue wait-free rather than merely lock-free.
 //
 // Using the test hook that fires right after a thread publishes its
-// operation descriptor (and before it helps anyone, including itself), we
+// operation in its announce record (and before it helps anyone, including
+// itself), we
 // freeze a thread at its most vulnerable point: operation announced, nothing
 // executed. A lock-free queue would simply leave that operation dormant;
 // the KP queue requires *other* threads to complete it on the frozen
@@ -10,9 +11,10 @@
 //
 //   * a frozen enqueue's value becomes dequeuable by peers while the
 //     enqueuer is still frozen;
-//   * a frozen dequeue is executed by peers: the head element disappears
-//     into the frozen thread's descriptor, and when the thread thaws it
-//     returns that element without taking any further steps of its own;
+//   * a frozen dequeue is executed by peers: the head element is claimed
+//     for the frozen thread and its record names the element's node, and
+//     when the thread thaws it returns that element without taking any
+//     further queue steps of its own;
 //   * peers keep completing unboundedly many of their own operations while
 //     a thread stays frozen (no global progress dependency on any single
 //     thread).
@@ -111,8 +113,8 @@ class ProgressTest : public ::testing::Test {
 
     thaw();
     frozen.join();
-    // The helper copied the payload into the frozen thread's descriptor; the
-    // owner returns it as the enqueuer wrote it, every word intact.
+    // A helper completed the frozen thread's record naming the payload's
+    // node; the owner returns it as the enqueuer wrote it, every word intact.
     ASSERT_TRUE(got.has_value());
     EXPECT_EQ(*got, first) << "frozen dequeue must return the element "
                               "helpers removed on its behalf";
@@ -201,7 +203,7 @@ TEST_F(ProgressTest, HelpedOperationIsAppliedExactlyOnce) {
   for (int t = 0; t < 3; ++t) {
     peers[t] = std::thread([&, t] {
       // Every peer operation re-scans state and would re-help thread 0 if
-      // its descriptor still looked pending.
+      // its record still looked pending.
       for (int i = 0; i < 200; ++i) {
         q.enqueue(static_cast<std::uint64_t>(1000 + t * 200 + i),
                   static_cast<std::uint32_t>(t + 1));

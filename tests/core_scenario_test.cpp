@@ -1,6 +1,6 @@
 // Deterministic replays of the paper's operation walk-throughs.
 //
-// Figure 3 shows the enqueue flow (thread 3 enqueues 400): descriptor
+// Figure 3 shows the enqueue flow (thread 3 enqueues 400): operation
 // published (3b), node linked behind the last element (3c), pending flag
 // cleared (3d), tail fixed (3e). Figure 5 shows the dequeue flow (thread 1
 // dequeues after Figure 3): state points at the sentinel (5b), the
@@ -15,8 +15,12 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <functional>
+#include <optional>
+#include <utility>
 
 #include "core/wf_queue.hpp"
+#include "support/baton.hpp"
 #include "support/whitebox.hpp"
 
 namespace kpq {
@@ -39,17 +43,18 @@ queue* make_fig3a_queue() {
 TEST(Figure3Enqueue, StepByStep) {
   auto* q = make_fig3a_queue();
 
-  // -- Figure 3b: thread 3 chooses a phase and publishes its descriptor
+  // -- Figure 3b: thread 3 chooses a phase and publishes its record
   //    (paper lines 62-63). Nothing in the list changes yet.
   const std::int64_t phase = wb::max_phase(*q, 3) + 1;
   auto* node400 = wb::make_node(*q, 400, 3);
   wb::publish(*q, 3, phase, /*pending=*/true, /*enq=*/true, node400);
 
-  auto* d3 = wb::state(*q, 3);
-  EXPECT_TRUE(d3->pending);
-  EXPECT_TRUE(d3->enqueue);
-  EXPECT_EQ(d3->phase, phase);
-  EXPECT_EQ(d3->node, node400);
+  auto d3 = wb::state(*q, 3);
+  EXPECT_TRUE(d3.pending);
+  EXPECT_TRUE(d3.enqueue);
+  EXPECT_EQ(d3.phase, phase);
+  EXPECT_EQ(d3.node, node400);
+  const std::uint64_t published = d3.version;
   EXPECT_EQ(q->unsafe_size(), 3u);
 
   // -- Figure 3c: the next reference of the last element is swung to the
@@ -59,7 +64,7 @@ TEST(Figure3Enqueue, StepByStep) {
   auto* expected = static_cast<queue::node_type*>(nullptr);
   ASSERT_TRUE(last->next.compare_exchange_strong(expected, node400));
   EXPECT_EQ(wb::tail(*q), last) << "tail must not move in step (1)";
-  EXPECT_TRUE(wb::state(*q, 3)->pending) << "pending clears only in step (2)";
+  EXPECT_TRUE(wb::state(*q, 3).pending) << "pending clears only in step (2)";
   EXPECT_EQ(q->unsafe_size(), 4u) << "value 400 is linearized as of step (1)";
 
   // -- Figures 3d + 3e: help_finish_enq clears the pending flag (line 93)
@@ -67,9 +72,10 @@ TEST(Figure3Enqueue, StepByStep) {
   //    (tid 2), as the helping scheme allows.
   wb::help_finish_enq(*q, 2);
   d3 = wb::state(*q, 3);
-  EXPECT_FALSE(d3->pending);                // Figure 3d
-  EXPECT_TRUE(d3->enqueue);
-  EXPECT_EQ(d3->node, node400);
+  EXPECT_FALSE(d3.pending);                 // Figure 3d
+  EXPECT_TRUE(d3.enqueue);
+  EXPECT_EQ(d3.node, node400);
+  EXPECT_EQ(d3.version, published + 1) << "one in-place transition";
   EXPECT_EQ(wb::tail(*q), node400);         // Figure 3e
   EXPECT_EQ(wb::tail(*q)->enq_tid, 3);
 
@@ -92,7 +98,7 @@ TEST(Figure3Enqueue, AbandonedAfterPublishIsCompletedByHelpEnq) {
 
   wb::help_enq(*q, 3, phase, /*helper=*/1);
 
-  EXPECT_FALSE(wb::state(*q, 3)->pending);
+  EXPECT_FALSE(wb::state(*q, 3).pending);
   EXPECT_EQ(wb::tail(*q), node400);
   EXPECT_EQ(q->unsafe_size(), 4u);
   delete q;
@@ -113,7 +119,7 @@ TEST(Figure3Enqueue, AbandonedAfterLinkIsCompletedByAnyOperation) {
   // A regular enqueue by thread 0 — the public API, no whitebox help.
   q->enqueue(500, 0);
 
-  EXPECT_FALSE(wb::state(*q, 3)->pending)
+  EXPECT_FALSE(wb::state(*q, 3).pending)
       << "dangling enqueue not finished by the next operation";
   EXPECT_EQ(q->unsafe_size(), 5u);
   // FIFO: 100, 200, 300, 400 (thread 3's), 500.
@@ -128,13 +134,13 @@ TEST(Figure5Dequeue, StepByStep) {
   auto* q = make_fig3a_queue();
   q->enqueue(400, 3);
 
-  // -- Figure 5a: thread 1 publishes a pending dequeue descriptor with a
-  //    null node reference (paper lines 99-100).
+  // -- Figure 5a: thread 1 publishes a pending dequeue record with a null
+  //    node reference (paper lines 99-100).
   const std::int64_t phase = wb::max_phase(*q, 1) + 1;
   wb::publish(*q, 1, phase, /*pending=*/true, /*enq=*/false, nullptr);
-  EXPECT_TRUE(wb::state(*q, 1)->pending);
-  EXPECT_FALSE(wb::state(*q, 1)->enqueue);
-  EXPECT_EQ(wb::state(*q, 1)->node, nullptr);
+  EXPECT_TRUE(wb::state(*q, 1).pending);
+  EXPECT_FALSE(wb::state(*q, 1).enqueue);
+  EXPECT_EQ(wb::state(*q, 1).node, nullptr);
 
   // -- Figures 5b + 5c: help_deq performs stage (0) — point thread 1's
   //    state at the first (dummy) node (line 131) — and stage (1) — write
@@ -143,16 +149,17 @@ TEST(Figure5Dequeue, StepByStep) {
   //    verify 5b/5c post-conditions through the completed run and check the
   //    intermediate claims on a separate manual replay below.
   auto* dummy = wb::head(*q);
+  auto* item = dummy->next.load();
   EXPECT_EQ(dummy->deq_tid.load(), no_tid);
   wb::help_deq(*q, 1, phase, /*helper=*/2);
 
   // After help_deq returns the whole operation is done (5d + 5e):
-  auto* d1 = wb::state(*q, 1);
-  EXPECT_FALSE(d1->pending);                    // Figure 5d
-  EXPECT_EQ(d1->node, dummy) << "state must reference the old sentinel";
+  auto d1 = wb::state(*q, 1);
+  EXPECT_FALSE(d1.pending);                     // Figure 5d
+  EXPECT_EQ(d1.node, item) << "done record names the node holding the item";
   EXPECT_EQ(dummy->deq_tid.load(), 1);          // Figure 5c happened
-  EXPECT_NE(wb::head(*q), dummy);               // Figure 5e: head fixed
-  EXPECT_EQ(d1->value, 100u) << "first real value captured in descriptor";
+  EXPECT_EQ(wb::head(*q), item);                // Figure 5e: head fixed
+  EXPECT_EQ(d1.node->value, 100u) << "first real value is the result";
 
   // Remaining content: 200, 300, 400.
   for (std::uint64_t v : {200u, 300u, 400u}) {
@@ -169,25 +176,29 @@ TEST(Figure5Dequeue, ManualStagesMatchSubfigures) {
   wb::publish(*q, 1, phase, true, false, nullptr);
 
   auto* dummy = wb::head(*q);
+  const std::uint64_t published = wb::state(*q, 1).version;
 
-  // Figure 5b: stage (0) — point state[1] at the dummy, still pending.
-  wb::publish(*q, 1, phase, true, false, dummy);
-  EXPECT_TRUE(wb::state(*q, 1)->pending);
-  EXPECT_EQ(wb::state(*q, 1)->node, dummy);
+  // Figure 5b: stage (0) — a helper (thread 2) points state[1] at the
+  // dummy, still pending, under the next version.
+  ASSERT_TRUE(wb::swap_record(*q, 1, /*my=*/2, /*pending=*/true, dummy));
+  EXPECT_TRUE(wb::state(*q, 1).pending);
+  EXPECT_EQ(wb::state(*q, 1).node, dummy);
+  EXPECT_EQ(wb::state(*q, 1).version, published + 1);
   EXPECT_EQ(dummy->deq_tid.load(), no_tid);
   EXPECT_EQ(wb::head(*q), dummy) << "head untouched until stage (3)";
 
   // Figure 5c: stage (1) — claim the dummy's deqTid (the linearization).
   std::int32_t expected = no_tid;
   ASSERT_TRUE(dummy->deq_tid.compare_exchange_strong(expected, 1));
-  EXPECT_TRUE(wb::state(*q, 1)->pending) << "pending clears in stage (2)";
+  EXPECT_TRUE(wb::state(*q, 1).pending) << "pending clears in stage (2)";
   EXPECT_EQ(wb::head(*q), dummy) << "head moves in stage (3)";
 
   // Figures 5d + 5e: a helper finishes stages (2)-(3).
   wb::help_finish_deq(*q, 3);
-  EXPECT_FALSE(wb::state(*q, 1)->pending);      // 5d
+  EXPECT_FALSE(wb::state(*q, 1).pending);       // 5d
   EXPECT_NE(wb::head(*q), dummy);               // 5e
-  EXPECT_EQ(wb::state(*q, 1)->value, 100u);
+  EXPECT_EQ(wb::state(*q, 1).node->value, 100u);
+  EXPECT_EQ(wb::state(*q, 1).version, published + 2);
   EXPECT_EQ(q->unsafe_size(), 2u);
   delete q;
 }
@@ -205,8 +216,8 @@ TEST(Figure5Dequeue, AbandonedAfterClaimIsCompletedByAnyOperation) {
   // Another thread dequeues through the public API: it must first complete
   // thread 1's claimed dequeue (getting it 100), then its own (getting 200).
   EXPECT_EQ(q->dequeue(2), std::optional<std::uint64_t>(200));
-  EXPECT_FALSE(wb::state(*q, 1)->pending);
-  EXPECT_EQ(wb::state(*q, 1)->value, 100u);
+  EXPECT_FALSE(wb::state(*q, 1).pending);
+  EXPECT_EQ(wb::state(*q, 1).node->value, 100u);
   EXPECT_EQ(q->unsafe_size(), 1u);
   delete q;
 }
@@ -221,9 +232,9 @@ TEST(EmptyDequeue, HelperMarksEmptyInState) {
 
   wb::help_deq(q, 1, phase, /*helper=*/0);
 
-  auto* d1 = wb::state(q, 1);
-  EXPECT_FALSE(d1->pending);
-  EXPECT_EQ(d1->node, nullptr) << "null node encodes the empty result";
+  auto d1 = wb::state(q, 1);
+  EXPECT_FALSE(d1.pending);
+  EXPECT_EQ(d1.node, nullptr) << "null node encodes the empty result";
 }
 
 TEST(PhaseOrdering, OlderOperationsAreHelpedFirst) {
@@ -241,15 +252,98 @@ TEST(PhaseOrdering, OlderOperationsAreHelpedFirst) {
   // Helper bound = ph1: completes thread 1's op, must leave thread 2's
   // pending (phase filter, paper line 39 / 59).
   wb::help_deq(q, 1, ph1, /*helper=*/3);
-  EXPECT_FALSE(wb::state(q, 1)->pending);
-  EXPECT_TRUE(wb::state(q, 2)->pending);
-  EXPECT_EQ(wb::state(q, 1)->value, 100u);
+  EXPECT_FALSE(wb::state(q, 1).pending);
+  EXPECT_TRUE(wb::state(q, 2).pending);
+  EXPECT_EQ(wb::state(q, 1).node->value, 100u);
 
   // Now complete thread 2's as well.
   wb::help_deq(q, 2, ph2, /*helper=*/3);
-  EXPECT_FALSE(wb::state(q, 2)->pending);
-  EXPECT_EQ(wb::state(q, 2)->value, 200u);
+  EXPECT_FALSE(wb::state(q, 2).pending);
+  EXPECT_EQ(wb::state(q, 2).node->value, 200u);
   EXPECT_EQ(q.unsafe_size(), 0u);
+}
+
+// ------------------------------------------------------- record identity
+//
+// Versions make a record value unique per transition, not per operation. A
+// helper that read a record long ago must lose its CAS even when the record
+// has since left and come back to the same bits — e.g. a dequeue's stage-0
+// node that was freed, recycled and became the sentinel again. With the
+// version bumped only at publish, the stale empty-completion CAS below wins
+// and the item the owner claimed is lost.
+
+/// Single-threaded replay hooks: when thread `tid` reaches `site`, run
+/// `then` once, in the middle of that thread's step. `then` may run other
+/// threads' whole operations (each a different tid) and re-arm.
+struct script_hooks {
+  static inline std::uint32_t tid = 0;
+  static inline sched_site site = sched_site::after_publish;
+  static inline std::function<void()> then;
+
+  static void arm(std::uint32_t t, sched_site s, std::function<void()> f) {
+    tid = t;
+    site = s;
+    then = std::move(f);
+  }
+  static void sched_point(std::uint32_t t, sched_site s) {
+    if (!then || t != tid || s != site) return;
+    const std::function<void()> f = std::move(then);
+    then = nullptr;
+    f();
+  }
+};
+struct script_options : wf_options {
+  using hooks = script_hooks;
+};
+
+TEST(RecordIdentity, StaleEmptyCompletionMissesARecycledSentinel) {
+  // help_one: peers help the owner only at a second look at its slot, and
+  // thread 2's cursor never reaches slot 7 within its seven operations.
+  // eager_hp_domain scans on every retirement, so freed nodes are recycled
+  // (oldest first) by the next enqueue of the thread that retired them.
+  using scripted = wf_queue<std::uint64_t, help_one, fetch_add_phase,
+                            testing::eager_hp_domain, script_options>;
+  scripted q(8);
+  constexpr std::uint32_t owner = 7, stale = 1, peer = 2, helper = 3;
+  q.enqueue(1, peer);
+  auto* s0 = wb::head(q);
+
+  std::optional<std::uint64_t> got;
+  scripted::node_type* s0_again = nullptr;
+  script_hooks::arm(owner, sched_site::after_publish, [&] {
+    // The owner's dequeue is published and pending. A helper's stage 0
+    // points it at s0, then the peer dequeues 1 past s0: the stage-0 node
+    // is stale, and the record root keeps s0 from being freed.
+    ASSERT_TRUE(wb::swap_record(q, owner, helper, true, s0));
+    ASSERT_EQ(q.dequeue(peer), std::optional<std::uint64_t>(1));
+
+    // The stale helper finds the queue empty, reads the record {pending,
+    // s0} and stops right before its empty-completion CAS.
+    script_hooks::arm(stale, sched_site::state, [&] {
+      q.enqueue(2, peer);
+      auto* a = wb::head(q);
+      ASSERT_TRUE(wb::swap_record(q, owner, helper, true, a));  // s0 unnamed
+      ASSERT_EQ(q.dequeue(peer), std::optional<std::uint64_t>(2));  // frees s0
+      q.enqueue(3, peer);  // reuses s0's storage
+      ASSERT_EQ(q.dequeue(peer), std::optional<std::uint64_t>(3));
+      q.enqueue(4, peer);
+      s0_again = wb::head(q);
+      ASSERT_EQ(s0_again, s0) << "scenario needs s0's storage as sentinel";
+      // Stage 0 back onto the same address, then the claim (stage 1): the
+      // owner's dequeue has linearized and takes 4.
+      ASSERT_TRUE(wb::swap_record(q, owner, helper, true, s0_again));
+      std::int32_t free_tid = no_tid;
+      ASSERT_TRUE(s0_again->deq_tid.compare_exchange_strong(
+          free_tid, static_cast<std::int32_t>(owner)));
+    });
+    wb::help_deq(q, owner, wb::state(q, owner).phase, stale);
+  });
+  got = q.dequeue(owner);
+
+  ASSERT_NE(s0_again, nullptr) << "the replay did not run";
+  EXPECT_EQ(got, std::optional<std::uint64_t>(4))
+      << "a stale empty completion matched a reused record value";
+  EXPECT_EQ(q.dequeue(peer), std::nullopt);
 }
 
 }  // namespace

@@ -162,9 +162,9 @@ std::uint64_t tag_of(std::uint64_t id) {
 tagged make_tagged(std::uint64_t id) { return tagged{id, tag_of(id)}; }
 
 // Every variant moves the payload through the same places: the node, the
-// helper's copy into the dequeuer's descriptor and, for FPS, the fast-path
+// owner's copy out of the node its record names and, for FPS, the fast-path
 // claim. Run each with both storages, and once with a hazard-pointer scan
-// on every retirement, so nodes and descriptors are recycled mid-run.
+// on every retirement, so nodes are recycled mid-run.
 template <typename Q>
 class WfQueueWidePayloadTest : public ::testing::Test {};
 
@@ -297,8 +297,8 @@ TEST(WfQueueExactLin, EagerReclaimVariant) {
   tiny_exact_runs<wf_queue_base<std::uint64_t, eager_hp_domain>>(100);
 }
 
-// Two queues sharing threads: domains and descriptor pools must be fully
-// per-instance (no hidden globals).
+// Two queues sharing threads: domains, records and node caches must be
+// fully per-instance (no hidden globals).
 TEST(WfQueueIsolation, TwoQueuesDoNotInterfere) {
   wf_queue_opt<std::uint64_t> a(4);
   wf_queue_opt<std::uint64_t> b(4);

@@ -2,7 +2,7 @@
 //
 // Typed over the four paper variants (base, opt1, opt2, opt1+2), the FPS
 // fast path, both reclaimers (hazard pointers also with a scan on every
-// retirement, so short runs recycle nodes and descriptors), the segment
+// retirement, so short runs recycle nodes), the segment
 // storage and the stats option, because the single-threaded contract must
 // be identical for all of them. Concurrency is exercised separately in
 // core_stress_test.cpp; deterministic interleavings in core_scenario_test.cpp.
@@ -135,7 +135,7 @@ TEST(WfQueueMemory, LiveBytesBalanceExactly) {
       ASSERT_TRUE(q.dequeue(1).has_value());
     }
     // All 200 nodes dequeued; live node memory is the sentinel plus nodes
-    // still sitting in the reclaimer's retired lists, plus descriptors.
+    // still sitting in the reclaimer's retired lists.
     EXPECT_GE(mc.live_objects(), 1);
   }
   // Counters were attached at construction: the balance sheet must close.
@@ -154,15 +154,15 @@ TEST(WfQueueMemory, ReclaimerActuallyFrees) {
       << "hazard-pointer domain never reclaimed anything";
 }
 
-TEST(WfQueueDescCache, FailedInstallsAreRecycled) {
-  // Sequential run: every descriptor install succeeds, so the cache stays
-  // small; this test just pins the API behaviour.
+TEST(WfQueueSequential, OneThreadReusesItsRecord) {
+  // One thread alternating operations republishes its one record from
+  // done each time; every round trip returns the value it enqueued.
   wf_queue_base<std::uint64_t> q(1);
   for (std::uint64_t i = 0; i < 100; ++i) {
     q.enqueue(i, 0);
-    ASSERT_TRUE(q.dequeue(0).has_value());
+    ASSERT_EQ(q.dequeue(0), std::optional<std::uint64_t>(i));
   }
-  SUCCEED();
+  EXPECT_EQ(q.dequeue(0), std::nullopt);
 }
 
 TEST(WfQueueTypes, WorksWithStrings) {

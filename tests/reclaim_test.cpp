@@ -196,6 +196,32 @@ TEST_F(HpFixture, ScanKeepsExactlyTheAnnouncedObjects) {
   EXPECT_EQ(objs[40]->payload, 40);
 }
 
+TEST_F(HpFixture, RootsKeepTheObjectsTheyName) {
+  // A registered root names one retired object: no slot announces it, yet
+  // every scan keeps it until the root stops naming it.
+  hp_domain d(1, 1, /*scan_threshold=*/1000);
+  struct roots {
+    void* named = nullptr;
+    static void append(void* ctx, std::vector<void*>& out) {
+      if (void* p = static_cast<roots*>(ctx)->named) out.push_back(p);
+    }
+  } r;
+  d.set_roots(&roots::append, &r);
+  auto* kept = new tracked(7);
+  r.named = kept;
+  d.retire(0, kept, &delete_tracked, nullptr);
+  d.retire(0, new tracked(8), &delete_tracked, nullptr);
+  d.scan(0);
+  EXPECT_EQ(d.freed_count(), 1u);
+  EXPECT_EQ(tracked::live.load(), 1);
+  EXPECT_EQ(kept->payload, 7);
+
+  r.named = nullptr;
+  d.scan(0);
+  EXPECT_EQ(d.pending_count(), 0u);
+  EXPECT_EQ(tracked::live.load(), 0);
+}
+
 TEST_F(HpFixture, ScanTouchesOnlyTheCallersRetiredList) {
   hp_domain d(2, 1, /*scan_threshold=*/1000);
   for (int i = 0; i < 5; ++i) {

@@ -154,7 +154,7 @@ TEST(ShardedQueue, MemoryCountersFlowThroughToInnerQueues) {
   mem_counters mc;
   {
     sharded_wf q(4, 4, &mc);
-    EXPECT_GT(mc.live_bytes(), 0);  // sentinels + initial descriptors
+    EXPECT_GT(mc.live_bytes(), 0);  // the shards' sentinels
     const std::int64_t baseline = mc.live_bytes();
     for (std::uint64_t i = 0; i < 64; ++i) q.enqueue(i, i % 4);
     EXPECT_GT(mc.live_bytes(), baseline);

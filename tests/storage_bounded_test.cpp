@@ -24,14 +24,13 @@ using inner_q = bq::inner_type;
 constexpr std::size_t kSeg = inner_q::storage_type::max_alloc_bytes;
 
 /// The admission headroom the constructor computes — tests size ceilings as
-/// "construction footprint + headroom + k segments".
-std::size_t headroom_for(std::uint32_t n, const bounded_config& cfg) {
-  return static_cast<std::size_t>(n) *
-         (kSeg + cfg.desc_slack_per_thread * sizeof(inner_q::desc_type));
+/// "construction footprint + headroom + k segments": one segment per thread.
+std::size_t headroom_for(std::uint32_t n) {
+  return static_cast<std::size_t>(n) * kSeg;
 }
 
-/// Construction footprint of a bounded queue for `n` threads (sentinel
-/// segment + per-thread descriptors), measured on a throwaway instance.
+/// Construction footprint of a bounded queue for `n` threads (the sentinel's
+/// segment), measured on a throwaway instance.
 std::size_t footprint_for(std::uint32_t n) {
   bounded_config big{.max_bytes = std::size_t{1} << 24};
   bq probe(n, big);
@@ -43,7 +42,7 @@ std::size_t footprint_for(std::uint32_t n) {
 TEST(BoundedReject, CapsThenRecoversAfterDrain) {
   constexpr std::uint32_t n = 2;
   bounded_config cfg{.max_bytes = 0, .policy = full_policy::reject};
-  cfg.max_bytes = footprint_for(n) + headroom_for(n, cfg) + 4 * kSeg;
+  cfg.max_bytes = footprint_for(n) + headroom_for(n) + 4 * kSeg;
   bq q(n, cfg);
 
   // Fill to rejection; the ceiling must hold at every step.
@@ -74,7 +73,7 @@ TEST(BoundedReject, CeilingHoldsUnderMpmcContention) {
   constexpr std::uint32_t kProducers = 2;
   constexpr std::uint32_t n = kProducers + 1;
   bounded_config cfg{.max_bytes = 0, .policy = full_policy::reject};
-  cfg.max_bytes = footprint_for(n) + headroom_for(n, cfg) + 8 * kSeg;
+  cfg.max_bytes = footprint_for(n) + headroom_for(n) + 8 * kSeg;
   bq q(n, cfg);
 
   constexpr std::uint64_t kAttempts = 20000;
@@ -115,7 +114,7 @@ TEST(BoundedReject, CeilingHoldsUnderMpmcContention) {
 TEST(BoundedBlock, ProducerBlocksUntilConsumerMakesRoom) {
   constexpr std::uint32_t n = 2;
   bounded_config cfg{.max_bytes = 0, .policy = full_policy::block};
-  const std::size_t h = headroom_for(n, cfg);
+  const std::size_t h = headroom_for(n);
   cfg.max_bytes = footprint_for(n) + h + 2 * kSeg;
   bq q(n, cfg);
 
@@ -151,7 +150,7 @@ TEST(BoundedBlock, ProducerBlocksUntilConsumerMakesRoom) {
 TEST(BoundedBlock, CloseUnblocksProducersAndDrains) {
   constexpr std::uint32_t n = 2;
   bounded_config cfg{.max_bytes = 0, .policy = full_policy::block};
-  const std::size_t h = headroom_for(n, cfg);
+  const std::size_t h = headroom_for(n);
   cfg.max_bytes = footprint_for(n) + h + 2 * kSeg;
   bq q(n, cfg);
 
@@ -194,7 +193,7 @@ TEST(BoundedOverwrite, DropsOldestKeepsNewestSuffix) {
   constexpr std::uint32_t n = 1;
   bounded_config cfg{.max_bytes = 0,
                      .policy = full_policy::overwrite_oldest};
-  cfg.max_bytes = footprint_for(n) + headroom_for(n, cfg) + 3 * kSeg;
+  cfg.max_bytes = footprint_for(n) + headroom_for(n) + 3 * kSeg;
   bq q(n, cfg);
 
   constexpr std::uint64_t kValues = 3000;
@@ -226,7 +225,7 @@ TEST(BoundedOverwrite, DegradesToRejectWhenEmptyButOverCeiling) {
   constexpr std::uint32_t n = 1;
   bounded_config cfg{.max_bytes = 0,
                      .policy = full_policy::overwrite_oldest};
-  cfg.max_bytes = footprint_for(n) + headroom_for(n, cfg);
+  cfg.max_bytes = footprint_for(n) + headroom_for(n);
   bq q(n, cfg);
 
   bool saw_reject = false;

@@ -3,9 +3,8 @@
 // free list and that thread's next alloc() reuses it before calling `new`.
 //
 // This binary replaces the global operator new to count node-sized heap
-// allocations: on the opt queue every operation also allocates descriptors
-// (which are not recycled), so mem_counters::total_allocs() alone cannot
-// isolate the nodes there.
+// allocations, so the counts isolate nodes from every other allocation a
+// run makes. The RecycleLists tests pin the free lists themselves.
 #include <gtest/gtest.h>
 
 #include <cstddef>
@@ -18,6 +17,7 @@
 #include "core/wf_queue.hpp"
 #include "core/wf_queue_fps.hpp"
 #include "harness/mem_tracker.hpp"
+#include "storage/recycle_list.hpp"
 #include "support/whitebox.hpp"
 
 namespace {
@@ -87,7 +87,7 @@ TYPED_TEST(NodeRecycling, PairsReuseReclaimedNodes) {
     EXPECT_LT(node_news, bound) << "nodes are not being recycled";
     if constexpr (Q::has_fast_path) {
       // Uncontended fps ops never announce, so the sink sees only nodes
-      // plus the construction allocations (sentinel and one descriptor).
+      // plus the construction allocations.
       EXPECT_LT(mc.total_allocs(), bound + 2);
     }
     // Cached nodes stay live in the accounting.
@@ -140,6 +140,63 @@ TEST(NodeRecyclingFps, SlowPathAdoptsRecycledNodesIntact) {
     EXPECT_EQ(q.dequeue(0), std::nullopt);
   }
   EXPECT_EQ(mc.live_bytes(), 0);
+}
+
+// ------------------------------------------------------------ recycle_lists
+
+using node_lists = recycle_lists<wf_node<std::uint64_t>>;
+
+TEST(RecycleLists, RecycleReusesTheSameAllocation) {
+  node_lists lists(2, /*cap=*/8, nullptr);
+  auto* a = lists.make(0, std::uint64_t{1}, std::int32_t{0});
+  lists.recycle(0, a);
+  EXPECT_EQ(lists.cached(0), 1u);
+  auto* b = lists.make(0, std::uint64_t{2}, std::int32_t{1});
+  EXPECT_EQ(b, a) << "the list must hand back the recycled allocation";
+  EXPECT_EQ(b->value, 2u);
+  EXPECT_EQ(b->enq_tid, 1);
+  lists.recycle(0, b);
+}
+
+TEST(RecycleLists, CacheIsPerThread) {
+  node_lists lists(2, /*cap=*/8, nullptr);
+  auto* a = lists.make(0, std::uint64_t{1}, std::int32_t{0});
+  lists.recycle(0, a);
+  EXPECT_EQ(lists.cached(0), 1u);
+  EXPECT_EQ(lists.cached(1), 0u);
+  // Thread 1's make must not take thread 0's kept storage.
+  auto* b = lists.make(1, std::uint64_t{2}, std::int32_t{1});
+  EXPECT_NE(b, a);
+  EXPECT_EQ(lists.cached(0), 1u);
+  lists.recycle(1, b);
+}
+
+TEST(RecycleLists, CapBoundsTheCache) {
+  node_lists lists(1, /*cap=*/2, nullptr);
+  auto* a = lists.make(0, std::uint64_t{1}, std::int32_t{0});
+  auto* b = lists.make(0, std::uint64_t{2}, std::int32_t{0});
+  auto* c = lists.make(0, std::uint64_t{3}, std::int32_t{0});
+  lists.recycle(0, a);
+  lists.recycle(0, b);
+  lists.recycle(0, c);  // over cap: deleted
+  EXPECT_EQ(lists.cached(0), 2u);
+}
+
+TEST(RecycleLists, AccountingTracksFreshAllocationsOnly) {
+  class probe : public mem_tracked {};
+  probe acct;
+  mem_counters mc;
+  acct.set_memory_counters(&mc);
+  node_lists lists(1, /*cap=*/8, &acct);
+  auto* a = lists.make(0, std::uint64_t{1}, std::int32_t{0});
+  EXPECT_EQ(mc.live_objects(), 1);
+  lists.recycle(0, a);
+  EXPECT_EQ(mc.live_objects(), 1) << "kept storage stays live";
+  auto* b = lists.make(0, std::uint64_t{2}, std::int32_t{0});
+  EXPECT_EQ(mc.live_objects(), 1) << "reuse is not a fresh allocation";
+  lists.recycle(0, b);
+  lists.purge();
+  EXPECT_EQ(mc.live_objects(), 0);
 }
 
 }  // namespace

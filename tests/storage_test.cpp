@@ -186,8 +186,8 @@ TEST(RetireRange, LeakyDefersToTeardown) {
 // ---------------------------------------------------- accounting (fig10)
 
 // Attach-at-construction and attach-later must agree: the construction
-// baseline replay closes the gap ISSUE 6 calls out (descriptor and sentinel
-// allocations invisible to a late-attached counter).
+// baseline replay closes the gap of construction allocations (the
+// sentinel) invisible to a late-attached counter.
 // Traffic between construction and the late attach is not construction:
 // the constructor seals the baseline, so the replay leaves it out.
 template <typename Q>

@@ -23,9 +23,10 @@ struct whitebox {
   static typename Q::node_type* tail(Q& q) {
     return q.tail_.load();
   }
+  /// Thread i's announce record: {version, pending, enqueue, node, phase}.
   template <typename Q>
-  static typename Q::desc_type* state(Q& q, std::uint32_t i) {
-    return q.state_[i]->load();
+  static record_snapshot<typename Q::node_type> state(Q& q, std::uint32_t i) {
+    return q.state_[i]->snapshot();
   }
   template <typename Q>
   static typename Q::node_type* make_node(Q& q, std::uint64_t v,
@@ -38,10 +39,24 @@ struct whitebox {
     auto g = q.reclaim_.enter(tid);
     return q.max_phase(g, tid);
   }
+  /// Install an arbitrary record value for thread `tid` (replays and
+  /// audits): the phase, then {pending, enq, node} under the next version.
+  /// Unlike the owner's publish it may overwrite a pending record.
   template <typename Q>
   static void publish(Q& q, std::uint32_t tid, std::int64_t phase,
                       bool pending, bool enq, typename Q::node_type* node) {
-    q.publish(tid, q.pool_.make(tid, phase, pending, enq, node));
+    auto& r = q.state_[tid].get();
+    r.phase.store(phase, std::memory_order_seq_cst);
+    const auto cur = r.word();
+    r.cas(cur, cur.next(pending, enq, node));
+  }
+  /// A helper's step on thread `tid`'s record, through the queue's own
+  /// swap_record: {pending, node} under the next version. Returns whether
+  /// the CAS won (it loses only to a concurrent change).
+  template <typename Q>
+  static bool swap_record(Q& q, std::uint32_t tid, std::uint32_t my,
+                          bool pending, typename Q::node_type* node) {
+    return q.swap_record(tid, my, q.state_[tid]->word(), pending, node);
   }
   /// Announce an enqueue on the slow path and help it to completion,
   /// skipping any fast path.
@@ -100,13 +115,13 @@ struct whitebox {
 
   /// Snapshot for the structural auditor (quiescence required).
   template <typename Q>
-  static audit_view<typename Q::node_type, typename Q::desc_type> view(Q& q) {
-    audit_view<typename Q::node_type, typename Q::desc_type> v;
+  static audit_view<typename Q::node_type> view(Q& q) {
+    audit_view<typename Q::node_type> v;
     v.head = q.head_.load();
     v.tail = q.tail_.load();
     v.max_threads = q.max_threads();
     for (std::uint32_t i = 0; i < q.max_threads(); ++i) {
-      v.state.push_back(q.state_[i]->load());
+      v.state.push_back(state(q, i));
     }
     return v;
   }
