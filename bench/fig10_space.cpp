@@ -17,23 +17,24 @@
 // the raw node-size ratio is also printed. Nine samples are taken during the
 // run, exactly like the paper.
 //
-// The storage layer (src/storage/) adds two measurements on top:
-//   * a "seg WF" series — the opt queue over segment_storage, whose live
-//     bytes move in whole-segment steps and amortize reclamation;
-//   * --verify-bound — an extended MPMC run against bounded_wf_queue with a
-//     sampler thread continuously reading the exact live-byte counter
-//     (which, after the construction-baseline fix in mem_tracker.hpp,
-//     includes construction-time allocations). ANY sample
-//     above the configured ceiling is a hard failure: the process exits
-//     non-zero. This is the acceptance check for the memory bound.
+// --verify-bound is the acceptance check for the bounded queue's memory
+// ceiling: an extended MPMC run against bounded_wf_queue with a sampler
+// thread continuously reading the exact live-byte counter (which, after the
+// construction-baseline fix in mem_tracker.hpp, includes construction-time
+// allocations). ANY sample above the configured ceiling is a hard failure:
+// the process exits non-zero.
 //
-// Flags: --max-size N (default 1000000; paper reaches 10^7), --threads N
-// (default 8), --iters N, --footprint BYTES, --csv, --json PATH
-// (machine-readable series, schema kpq-bench-1, x = initial queue size),
-// --verify-bound [--verify-ms N] [--max-bytes N] [--policy reject|overwrite].
+// Flags: --max-size N (default 1000000; paper reaches 10^7), --threads
+// N[,N...] (default 8; a list sweeps thread counts, one series per queue
+// and count), --pin (worker i on cpu i % ncpu), --iters N, --footprint
+// BYTES, --csv, --json PATH (machine-readable series, schema kpq-bench-1,
+// x = initial queue size), --verify-bound [--verify-ms N] [--max-bytes N]
+// [--policy reject|overwrite].
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <cstdlib>
 #include <memory>
 #include <string>
 #include <thread>
@@ -41,6 +42,7 @@
 
 #include "baseline/ms_queue.hpp"
 #include "core/wf_queue.hpp"
+#include "harness/affinity.hpp"
 #include "harness/cli.hpp"
 #include "harness/mem_tracker.hpp"
 #include "harness/stats.hpp"
@@ -58,7 +60,7 @@ using namespace kpq;
 /// enqueue-dequeue pairs workload on a queue prefilled with `size` elements.
 template <typename Q>
 double sampled_live_bytes(std::uint64_t size, std::uint32_t threads,
-                          std::uint64_t iters) {
+                          std::uint64_t iters, bool pin) {
   mem_counters mc;
   Q q(threads, &mc);
   for (std::uint64_t i = 0; i < size; ++i) {
@@ -69,6 +71,7 @@ double sampled_live_bytes(std::uint64_t size, std::uint32_t threads,
   std::vector<std::thread> workers;
   for (std::uint32_t tid = 0; tid < threads; ++tid) {
     workers.emplace_back([&, tid] {
+      if (pin) (void)pin_to_cpu(tid);
       barrier.arrive_and_wait();
       for (std::uint64_t i = 0; i < iters; ++i) {
         q.enqueue(encode_value(tid, i), tid);
@@ -136,13 +139,15 @@ int verify_bound(std::uint32_t threads, std::uint64_t run_ms,
   }
 
   const auto st = q.stats();
-  const auto pool = q.pool_stats();
+  std::size_t cached = 0;
+  for (std::uint32_t t = 0; t < threads; ++t) cached += q.storage().cached(t);
   std::printf(
       "== bounded ceiling verification ==\n"
       "policy=%s threads=%u run_ms=%llu ceiling=%zu B\n"
       "samples=%llu max_live=%lld B (%.1f%% of ceiling) violations=%llu\n"
       "admitted=%llu rejected=%llu overwritten=%llu attempts=%llu\n"
-      "segments: allocated=%llu recycled=%llu freed=%llu live=%lld\n",
+      "nodes after drain: live=%lld cached=%zu retired=%zu allocated=%llu\n"
+      "floor=%zu B\n",
       policy == full_policy::reject ? "reject" : "overwrite_oldest", threads,
       static_cast<unsigned long long>(run_ms), max_bytes,
       static_cast<unsigned long long>(samples),
@@ -153,10 +158,10 @@ int verify_bound(std::uint32_t threads, std::uint64_t run_ms,
       static_cast<unsigned long long>(st.rejected),
       static_cast<unsigned long long>(st.overwritten),
       static_cast<unsigned long long>(attempts.load()),
-      static_cast<unsigned long long>(pool.segments_allocated),
-      static_cast<unsigned long long>(pool.segments_recycled),
-      static_cast<unsigned long long>(pool.segments_freed),
-      static_cast<long long>(pool.segments_live));
+      static_cast<long long>(q.memory().live_objects()), cached,
+      q.inner().reclaimer().pending_count(),
+      static_cast<unsigned long long>(q.memory().total_allocs()),
+      q.floor_bytes());
   if (violations != 0) {
     std::fprintf(stderr, "FAIL: live bytes exceeded the ceiling\n");
     return 1;
@@ -172,7 +177,7 @@ int main(int argc, char** argv) {
 
   cli args(argc, argv);
   if (args.get_flag("help")) {
-    std::printf("%s", "flags: --max-size N (default 1000000; paper: 10000000)\n       --threads N (default 8)  --iters N (default 2000)\n       --footprint BYTES (default 1 MiB)  --csv  --json PATH\n       --verify-bound  [--verify-ms N (default 2000)]\n       [--max-bytes N (default 1 MiB)]  [--policy reject|overwrite]\n");
+    std::printf("%s", "flags: --max-size N (default 1000000; paper: 10000000)\n       --threads N[,N...] (default 8)  --pin  --iters N (default 2000)\n       --footprint BYTES (default 1 MiB)  --csv  --json PATH\n       --verify-bound  [--verify-ms N (default 2000)]\n       [--max-bytes N (default 1 MiB)]  [--policy reject|overwrite]\n");
     return 0;
   }
   if (args.get_flag("verify-bound")) {
@@ -187,7 +192,18 @@ int main(int argc, char** argv) {
     return verify_bound(vthreads, verify_ms, max_bytes, pol);
   }
   const std::uint64_t max_size = args.get_u64("max-size", 1000000);
-  const auto threads = static_cast<std::uint32_t>(args.get_u64("threads", 8));
+  std::vector<std::uint32_t> thread_counts;
+  {
+    const std::string list = args.get_str("threads", "8");
+    for (std::size_t at = 0; at < list.size();) {
+      std::size_t comma = list.find(',', at);
+      if (comma == std::string::npos) comma = list.size();
+      thread_counts.push_back(static_cast<std::uint32_t>(
+          std::strtoul(list.substr(at, comma - at).c_str(), nullptr, 10)));
+      at = comma + 1;
+    }
+  }
+  const bool pin = args.get_flag("pin");
   const std::uint64_t iters = args.get_u64("iters", 2000);
   const double footprint = args.get_double("footprint", 1024.0 * 1024.0);
   const bool csv = args.get_flag("csv");
@@ -195,10 +211,10 @@ int main(int argc, char** argv) {
 
   std::printf("== Figure 10: space overhead vs initial queue size ==\n");
   std::printf(
-      "(mean of 9 live-byte samples during an %u-thread enqueue-dequeue "
-      "run;\n ratios add a %.0f-byte application footprint to emulate the "
+      "(mean of 9 live-byte samples during an enqueue-dequeue run%s;\n"
+      " ratios add a %.0f-byte application footprint to emulate the "
       "paper's whole-heap GC measurement)\n",
-      threads, footprint);
+      pin ? ", pinned" : "", footprint);
   std::printf(
       "node sizes: LF %zu B, WF %zu B -> asymptotic raw ratio %.3f "
       "(paper: ~1.5)\n\n",
@@ -206,34 +222,33 @@ int main(int argc, char** argv) {
       static_cast<double>(sizeof(wf_node<std::uint64_t>)) /
           static_cast<double>(sizeof(ms_queue<std::uint64_t>::node)));
 
-  table t({"queue size", "LF [KiB]", "base WF [KiB]", "opt WF [KiB]",
-           "seg WF [KiB]", "base WF/LF", "opt WF/LF", "seg WF/LF",
-           "raw base/LF"});
+  table t({"threads", "queue size", "LF [KiB]", "base WF [KiB]",
+           "opt WF [KiB]", "base WF/LF", "opt WF/LF", "raw base/LF"});
 
   struct sample_row {
+    std::uint32_t threads;
     std::uint64_t size;
-    double lf, wf_base, wf_opt, wf_seg;
+    double lf, wf_base, wf_opt;
   };
   std::vector<sample_row> samples;
 
-  for (std::uint64_t size = 1; size <= max_size; size *= 10) {
-    const double lf =
-        sampled_live_bytes<ms_queue<std::uint64_t>>(size, threads, iters);
-    const double wf_base =
-        sampled_live_bytes<wf_queue_base<std::uint64_t>>(size, threads, iters);
-    const double wf_opt =
-        sampled_live_bytes<wf_queue_opt<std::uint64_t>>(size, threads, iters);
-    const double wf_seg = sampled_live_bytes<wf_queue_opt_seg<std::uint64_t>>(
-        size, threads, iters);
-    samples.push_back({size, lf, wf_base, wf_opt, wf_seg});
+  for (std::uint32_t threads : thread_counts) {
+    for (std::uint64_t size = 1; size <= max_size; size *= 10) {
+      const double lf = sampled_live_bytes<ms_queue<std::uint64_t>>(
+          size, threads, iters, pin);
+      const double wf_base = sampled_live_bytes<wf_queue_base<std::uint64_t>>(
+          size, threads, iters, pin);
+      const double wf_opt = sampled_live_bytes<wf_queue_opt<std::uint64_t>>(
+          size, threads, iters, pin);
+      samples.push_back({threads, size, lf, wf_base, wf_opt});
 
-    t.add_row({std::to_string(size), fmt(lf / 1024.0, 1),
-               fmt(wf_base / 1024.0, 1), fmt(wf_opt / 1024.0, 1),
-               fmt(wf_seg / 1024.0, 1),
-               fmt((wf_base + footprint) / (lf + footprint), 3),
-               fmt((wf_opt + footprint) / (lf + footprint), 3),
-               fmt((wf_seg + footprint) / (lf + footprint), 3),
-               fmt(wf_base / lf, 3)});
+      t.add_row({std::to_string(threads), std::to_string(size),
+                 fmt(lf / 1024.0, 1), fmt(wf_base / 1024.0, 1),
+                 fmt(wf_opt / 1024.0, 1),
+                 fmt((wf_base + footprint) / (lf + footprint), 3),
+                 fmt((wf_opt + footprint) / (lf + footprint), 3),
+                 fmt(wf_base / lf, 3)});
+    }
   }
   t.print();
   if (csv) {
@@ -247,29 +262,39 @@ int main(int argc, char** argv) {
     w.key("bench").value("Figure 10: space overhead vs initial queue size");
     w.key("params").begin_object();
     w.key("iters").value(iters);
-    w.key("threads").value(static_cast<std::uint64_t>(threads));
+    // The largest count; series names carry each count of a sweep.
+    w.key("threads").value(static_cast<std::uint64_t>(
+        *std::max_element(thread_counts.begin(), thread_counts.end())));
+    w.key("pin").value(pin);
     w.key("footprint").value(footprint);
     w.end_object();
     w.key("x_label").value("queue_size");
     w.key("series").begin_array();
+    // One series per queue and thread count; a single count keeps the
+    // plain names.
     const char* names[] = {"LF live bytes", "base WF live bytes",
-                           "opt WF live bytes", "seg WF live bytes"};
-    for (int s = 0; s < 4; ++s) {
-      w.begin_object();
-      w.key("name").value(names[s]);
-      w.key("points").begin_array();
-      for (const sample_row& r : samples) {
-        const double v = s == 0   ? r.lf
-                         : s == 1 ? r.wf_base
-                         : s == 2 ? r.wf_opt
-                                  : r.wf_seg;
+                           "opt WF live bytes"};
+    for (std::uint32_t threads : thread_counts) {
+      for (int s = 0; s < 3; ++s) {
+        std::string name = names[s];
+        if (thread_counts.size() > 1) {
+          name += ", " + std::to_string(threads) +
+                  (threads == 1 ? " thread" : " threads");
+        }
         w.begin_object();
-        w.key("x").value(r.size);
-        w.key("mean_bytes").value(obs::finite_or(v));
+        w.key("name").value(name);
+        w.key("points").begin_array();
+        for (const sample_row& r : samples) {
+          if (r.threads != threads) continue;
+          const double v = s == 0 ? r.lf : s == 1 ? r.wf_base : r.wf_opt;
+          w.begin_object();
+          w.key("x").value(r.size);
+          w.key("mean_bytes").value(obs::finite_or(v));
+          w.end_object();
+        }
+        w.end_array();
         w.end_object();
       }
-      w.end_array();
-      w.end_object();
     }
     w.end_array();
     w.end_object();

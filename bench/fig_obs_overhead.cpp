@@ -203,11 +203,11 @@ int main(int argc, char** argv) {
     }
   }
 
-  // Segment-pool occupancy through the metrics registry (the scrape path a
+  // Bounded-queue occupancy through the metrics registry (the scrape path a
   // long-running process would expose): run the pairs workload on a bounded
-  // segment-storage queue at the last thread count, register its pool,
-  // admission, and memory counters, and print one registry snapshot in
-  // Prometheus exposition format.
+  // queue at the last thread count, register its admission and memory
+  // counters, and print one registry snapshot in Prometheus exposition
+  // format.
   bounded_wf_queue<std::uint64_t> bq(
       last_th, {.max_bytes = std::size_t{1} << 22});
   {
@@ -223,15 +223,13 @@ int main(int argc, char** argv) {
     for (auto& w : ws) w.join();
   }
   obs::registry reg;
-  const auto pool = bq.pool_stats();
   const auto admissions = bq.stats();
-  reg.add("kpq_segment_pool", pool);
   reg.add("kpq_bounded", admissions);
   reg.add("kpq_bounded_mem", bq.memory());
-  const obs::metrics_snapshot pool_snap = reg.snapshot();
-  std::printf("-- segment pool occupancy (registry snapshot, %u-thread "
-              "bounded seg WF run) --\n%s\n",
-              last_th, obs::to_prometheus(pool_snap).c_str());
+  const obs::metrics_snapshot bounded_snap = reg.snapshot();
+  std::printf("-- bounded queue occupancy (registry snapshot, %u-thread "
+              "bounded opt WF run) --\n%s\n",
+              last_th, obs::to_prometheus(bounded_snap).c_str());
 
   if (p.csv) {
     std::printf("-- csv --\n");
@@ -292,10 +290,10 @@ int main(int argc, char** argv) {
       w.end_object();
     }
     w.end_array();
-    // The segment-pool registry snapshot, flattened (same names as the
+    // The bounded-queue registry snapshot, flattened (same names as the
     // Prometheus exposition above).
-    w.key("segment_pool").begin_object();
-    for (const obs::metric& m : pool_snap) {
+    w.key("bounded_queue").begin_object();
+    for (const obs::metric& m : bounded_snap) {
       w.key(m.name).value(m.value);
     }
     w.end_object();

@@ -67,8 +67,9 @@ FIGS = {
     },
     "fig10": {
         "bin": "fig10_space",
-        "record": ["--max-size", "100000", "--threads", "4"],
-        "smoke": ["--max-size", "1000", "--threads", "2", "--iters", "500"],
+        "record": ["--max-size", "100000", "--threads", "1,2,4", "--pin"],
+        "smoke": ["--max-size", "1000", "--threads", "1,2,4", "--iters",
+                  "500"],
     },
     "fig_sharding": {
         "bin": "fig_sharding",

@@ -15,8 +15,9 @@
 #                                                # sharded front-end and
 #                                                # the hazard pointers
 #   scripts/sanitize.sh tsan-storage             # TSan, storage-layer suites
-#                                                # (segment retirement + the
-#                                                # bounded queue's policies)
+#                                                # (node recycling, allocation
+#                                                # failure, the bounded
+#                                                # queue's policies)
 #   scripts/sanitize.sh tsan-async               # TSan + KPQ_TRACE=ON over
 #                                                # the continuation layer and
 #                                                # the coroutine front-end
@@ -54,15 +55,15 @@ for mode in "${modes[@]}"; do
     filter=(-R 'Wf|Sharded|Bulk|Help|Phase|RecordIdentity|Figure|Fps|Progress|Interleave|Random|Baton|Audit|Sweep|EmptyDequeue|Blocking|HpFixture')
   elif [[ "$mode" == "tsan-storage" ]]; then
     # Shortcut: TSan over every suite that exercises src/storage/ — the
-    # segment-storage unit/stress tests, the bounded-policy tests, the
-    # segment variants of the random-schedule linearizability cross-check,
-    # the reclaimers' retire_range path and callback-thread contract, and
-    # heap-node recycling (a recycled node never passes through free(), so
-    # TSan sees its old and new uses ordered only by the reclaimer's
+    # bounded-policy tests, allocation failure (tests/support/
+    # fault_storage.hpp) and the freed-node random-schedule fuzz built on
+    # it, live-byte accounting, the reclaimers' callback-thread contract,
+    # and heap-node recycling (a recycled node never passes through free(),
+    # so TSan sees its old and new uses ordered only by the reclaimer's
     # handoff).
     mode=thread
     dir_tag=thread
-    filter=(-R 'Storage|Bounded|Segment|RetireRange|MemAccounting|Reclaim|ReclaimCounters|NodeRecycling|RecycleLists')
+    filter=(-R 'Bounded|AllocFailure|Freeing|MemAccounting|Reclaim|ReclaimCounters|NodeRecycling|RecycleLists')
   elif [[ "$mode" == "tsan-async" ]]; then
     # Shortcut: TSan over the waiter_hub continuation layer and everything
     # rebuilt on it — thread parkers (blocking_adapter, the bounded queue's

@@ -136,46 +136,6 @@ void append_metrics(metrics_snapshot& out, const std::string& prefix,
                static_cast<double>(r.pending_count()));
 }
 
-/// Segment-pool occupancy (storage/segment_storage.hpp pool_stats()).
-template <typename P>
-concept segment_pool_like = requires(const P& p) {
-  { p.segments_allocated } -> std::convertible_to<std::uint64_t>;
-  { p.segments_freed } -> std::convertible_to<std::uint64_t>;
-  { p.segments_recycled } -> std::convertible_to<std::uint64_t>;
-  { p.segments_live } -> std::convertible_to<std::int64_t>;
-  { p.segments_spare } -> std::convertible_to<std::int64_t>;
-  { p.segments_retired } -> std::convertible_to<std::int64_t>;
-  { p.segment_bytes } -> std::convertible_to<std::uint64_t>;
-  { p.cells_per_segment } -> std::convertible_to<std::uint64_t>;
-};
-
-template <segment_pool_like P>
-void append_metrics(metrics_snapshot& out, const std::string& prefix,
-                    const P& p) {
-  append_value(out, prefix + ".segments_allocated",
-               static_cast<double>(p.segments_allocated));
-  append_value(out, prefix + ".segments_freed",
-               static_cast<double>(p.segments_freed));
-  append_value(out, prefix + ".segments_recycled",
-               static_cast<double>(p.segments_recycled));
-  append_value(out, prefix + ".segments_live",
-               static_cast<double>(p.segments_live));
-  append_value(out, prefix + ".segments_spare",
-               static_cast<double>(p.segments_spare));
-  append_value(out, prefix + ".segments_retired",
-               static_cast<double>(p.segments_retired));
-  append_value(out, prefix + ".segment_bytes",
-               static_cast<double>(p.segment_bytes));
-  append_value(out, prefix + ".cells_per_segment",
-               static_cast<double>(p.cells_per_segment));
-  const double alloc = static_cast<double>(p.segments_allocated);
-  const double recyc = static_cast<double>(p.segments_recycled);
-  // Fraction of segment openings served without a heap allocation — the
-  // steady-state figure of merit for the spare-slot cache.
-  append_value(out, prefix + ".recycle_rate",
-               alloc + recyc > 0 ? recyc / (alloc + recyc) : 0.0);
-}
-
 /// bounded_wf_queue admission outcomes (storage/bounded_wf_queue.hpp).
 template <typename B>
 concept bounded_counters_like = requires(const B& b) {

@@ -130,25 +130,9 @@ class hp_domain {
   void retire(std::uint32_t tid, void* p, retire_fn fn, void* ctx) {
     assert(tid < max_threads_);
     auto& r = retired_[tid].get();
-    r.items.push_back({p, fn, ctx, 0});
+    r.items.push_back({p, fn, ctx});
     owner_add(r.retired);
     if (r.items.size() >= scan_threshold_) scan(tid);
-  }
-
-  /// Range retirement (storage/segment_storage): `fn(ctx, base)` runs once
-  /// no announcement names any address in [base, base+bytes). Scans
-  /// eagerly — a range retirement happens once per SEGMENT of node
-  /// retirements, so the O(H + R) pass here is amortized over the segment's
-  /// cells and keeps segment turnaround (and therefore the bounded queue's
-  /// live-byte floor) low instead of waiting for the count threshold.
-  void retire_range(std::uint32_t tid, void* base, std::size_t bytes,
-                    retire_fn fn, void* ctx) {
-    assert(tid < max_threads_);
-    assert(bytes > 0);
-    auto& r = retired_[tid].get();
-    r.items.push_back({base, fn, ctx, bytes});
-    owner_add(r.retired);
-    scan(tid);
   }
 
   /// fn(ctx, out) appends the pointers every scan must also keep (see the
@@ -177,18 +161,8 @@ class hp_domain {
     std::size_t kept = 0;
     std::uint64_t freed_this_pass = 0;
     for (auto& item : r.items) {
-      // Exact retirements (bytes == 0) hit only their own address; range
-      // retirements hit if any announced pointer falls inside
-      // [p, p + bytes) — one lower_bound either way.
-      const auto it =
-          std::lower_bound(announced.begin(), announced.end(), item.p);
-      const bool announced_hit =
-          item.bytes == 0
-              ? (it != announced.end() && *it == item.p)
-              : (it != announced.end() &&
-                 reinterpret_cast<std::uintptr_t>(*it) <
-                     reinterpret_cast<std::uintptr_t>(item.p) + item.bytes);
-      if (announced_hit) {
+      // Every retirement is one object: only its own address keeps it.
+      if (std::binary_search(announced.begin(), announced.end(), item.p)) {
         r.items[kept++] = item;
       } else {
         item.fn(item.ctx, item.p);
@@ -241,7 +215,6 @@ class hp_domain {
     void* p;
     retire_fn fn;
     void* ctx;
-    std::size_t bytes;  // 0 = exact-address item; else [p, p+bytes) range
   };
   struct retired_list {
     std::vector<retired_item> items;

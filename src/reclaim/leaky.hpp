@@ -61,12 +61,6 @@ class leaky_domain {
     owner_add(r.retired);
   }
 
-  /// Range retirement: leaked like everything else until the domain dies.
-  void retire_range(std::uint32_t tid, void* base, std::size_t /*bytes*/,
-                    retire_fn fn, void* ctx) {
-    retire(tid, base, fn, ctx);
-  }
-
   // A sum of owner-written per-thread cells (sync/owner_cell.hpp): exact
   // at quiescence, a momentary estimate while threads retire. Nothing is
   // freed before destruction, so every retirement stays pending.

@@ -25,16 +25,6 @@
 //   g.clear(slot);                    // release one slot early
 //   domain.retire(tid, p, fn, ctx);   // fn(ctx, p) frees p once no guard
 //                                     // can still reach it
-//   domain.retire_range(tid, base, bytes, fn, ctx);
-//                                     // like retire, but the object is the
-//                                     // address range [base, base+bytes):
-//                                     // fn(ctx, base) runs once no guard
-//                                     // protects ANY pointer inside the
-//                                     // range. The storage layer retires
-//                                     // whole segments of node cells this
-//                                     // way — one retirement (and one scan
-//                                     // entry) per segment instead of one
-//                                     // per node (storage/segment_storage).
 //
 // `slot` indexes a small per-thread set of protection slots; the container
 // declares how many it needs. The leaky domain ignores slots entirely —
@@ -60,7 +50,6 @@
 
 #include <atomic>
 #include <concepts>
-#include <cstddef>
 #include <cstdint>
 
 namespace kpq {
@@ -71,10 +60,9 @@ using retire_fn = void (*)(void*, void*);
 template <typename R>
 concept reclaimer_domain = requires(R r, std::uint32_t tid, std::uint32_t slot,
                                     std::atomic<int*>& src, int* p, void* ctx,
-                                    std::size_t bytes, retire_fn fn) {
+                                    retire_fn fn) {
   { r.enter(tid) };
   { r.retire(tid, p, fn, ctx) };
-  { r.retire_range(tid, p, bytes, fn, ctx) };
   { r.enter(tid).protect(slot, src) } -> std::same_as<int*>;
   { r.enter(tid).protect_raw(slot, p) };
   { r.enter(tid).clear(slot) };

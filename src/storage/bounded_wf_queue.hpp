@@ -1,13 +1,13 @@
 // bounded_wf_queue<T>: the KP wait-free queue with a HARD ceiling on live
-// memory, built on segment_storage (the wCQ design point: bounded memory is
-// only meaningful when allocation and reclamation have a fixed-size unit).
+// memory. Bounded memory needs a fixed-size allocation unit (the wCQ design
+// point); here it is the queue's recycled heap node (heap_node_storage).
 //
 // The ceiling is enforced by ADMISSION, not by a slotted ring: every
 // enqueue first checks the queue's exact live-byte counter (mem_tracker —
-// nodes and segments flow through it) against `max_bytes` minus a fixed
+// every node flows through it) against `max_bytes` minus a fixed
 // headroom covering the worst case the already-admitted in-flight
 // operations can still allocate. The bound argument
-// (docs/MEMORY.md §4): any allocation happens inside an operation whose
+// (docs/MEMORY.md §2): any allocation happens inside an operation whose
 // admission read live <= max_bytes - headroom; between any such read and
 // the allocation, each of the n threads has at most one partially-complete
 // operation, and one operation allocates at most
@@ -15,11 +15,19 @@
 // publishes; helpers allocate nothing (announce records are updated in
 // place) — so live never exceeds (max_bytes - n*per_op) + n*per_op.
 //
+// The liveness floor: bytes a thread parks outside the list still count as
+// live — its recycle cache (at most Storage::cache_cap nodes) and its
+// retired list (at most the reclaimer's scan threshold) — so an EMPTY
+// queue may hold up to n * (cache_cap + scan_threshold) nodes beyond its
+// sentinel. The constructor asserts max_bytes covers that floor
+// plus the construction footprint and the headroom; then a drained queue
+// always has room.
+//
 // Full-queue policies:
 //   * reject           — try_enqueue returns false; enqueue drops. The
 //                        wait-free choice: admission is one counter read.
-//   * block            — producers wait until a dequeue (or the reclaimer
-//                        returning a segment) makes room, or close() is
+//   * block            — producers wait until a dequeue (or a reclamation
+//                        scan freeing nodes) makes room, or close() is
 //                        called. Deliberately forfeits wait-freedom for
 //                        producers at the ceiling — same split as
 //                        blocking_adapter documents for empty-queue waits;
@@ -28,13 +36,13 @@
 //   * overwrite_oldest — drop elements from the head until there is room
 //                        (bounded-buffer telemetry semantics). If the queue
 //                        is EMPTY and still over the ceiling (live bytes
-//                        held by not-yet-reclaimed segments),
-//                        it degrades to reject: the ceiling is never
-//                        exceeded by design, even transiently.
+//                        parked in caches and retired lists), it degrades
+//                        to reject: the ceiling is never exceeded by
+//                        design, even transiently.
 //
 // This is an adapter, not a re-implementation: the inner queue is the
-// unmodified wf_queue (any variant) over segment_storage, so every
-// linearizability and helping property is inherited.
+// unmodified wf_queue (any variant), so every linearizability and helping
+// property is inherited.
 #pragma once
 
 #include <atomic>
@@ -47,8 +55,6 @@
 #include <vector>
 
 #include "core/wf_queue.hpp"
-#include "core/wf_queue_fps.hpp"
-#include "storage/segment_storage.hpp"
 #include "sync/cacheline.hpp"
 #include "sync/owner_cell.hpp"
 #include "sync/thread_registry.hpp"
@@ -56,29 +62,24 @@
 
 namespace kpq {
 
-// Segment-storage variants of the paper's queues (same policy grid as the
-// heap aliases in wf_queue.hpp).
+/// kpqbench's ladder still names this rung (bench/e2e). It is the opt queue
+/// itself; it survives only until a benchmark change drops the
+/// `opt_hp_seg` rung.
 template <typename T, typename R = hp_domain>
-using wf_queue_base_seg =
-    wf_queue<T, help_all, scan_max_phase, R, wf_options, segment_storage<T>>;
-template <typename T, typename R = hp_domain>
-using wf_queue_opt_seg =
-    wf_queue<T, help_one, fetch_add_phase, R, wf_options, segment_storage<T>>;
-template <typename T, typename R = hp_domain>
-using wf_queue_fps_seg = wf_queue_fps<T, R, fps_options, segment_storage<T>>;
+using wf_queue_opt_seg = wf_queue_opt<T, R>;
 
 enum class full_policy : std::uint8_t { reject, block, overwrite_oldest };
 
 struct bounded_config {
-  /// Ceiling on the queue's total live bytes (its segments and nodes), as
-  /// counted by its mem_counters. Must exceed the fixed construction
-  /// footprint plus the admission headroom or every enqueue is rejected
-  /// (the constructor asserts a sane floor).
+  /// Ceiling on the queue's total live bytes (its nodes, queued, cached or
+  /// retired), as counted by its mem_counters. Must cover floor_bytes():
+  /// the construction footprint, the admission headroom and the nodes the
+  /// threads may park outside the list (the constructor asserts it).
   std::size_t max_bytes;
   full_policy policy = full_policy::reject;
   /// block policy: waiters re-check at this interval even without a
-  /// notification — reclaimer scans return segment memory asynchronously to
-  /// any dequeue, so space can appear with nobody to signal it.
+  /// notification — reclaimer scans free nodes asynchronously to any
+  /// dequeue, so space can appear with nobody to signal it.
   std::chrono::milliseconds block_recheck{1};
 };
 
@@ -91,7 +92,7 @@ struct bounded_counters {
   std::uint64_t block_waits = 0;  // times a producer actually slept
 };
 
-template <typename T, typename Inner = wf_queue_opt_seg<T>>
+template <typename T, typename Inner = wf_queue_opt<T>>
 class bounded_wf_queue {
  public:
   using value_type = T;
@@ -103,11 +104,14 @@ class bounded_wf_queue {
         headroom_(static_cast<std::size_t>(max_threads) *
                   storage_type::max_alloc_bytes),
         q_(max_threads, &mc_) {
-    // The ceiling must leave room for at least one admitted enqueue on top
-    // of the construction footprint, or the queue is unusable.
-    assert(static_cast<std::int64_t>(cfg_.max_bytes) >=
-               mc_.live_bytes() + static_cast<std::int64_t>(headroom_) &&
-           "max_bytes below construction footprint + admission headroom");
+    // Below the floor a drained queue may still have no room (file
+    // comment), and a blocked producer would wait forever.
+    floor_ = static_cast<std::size_t>(mc_.live_bytes()) + headroom_ +
+             static_cast<std::size_t>(max_threads) *
+                 (storage_type::cache_cap + q_.reclaimer().scan_threshold()) *
+                 sizeof(typename storage_type::node_type);
+    assert(cfg_.max_bytes >= floor_ &&
+           "max_bytes below footprint + headroom + parked nodes");
   }
 
   bounded_wf_queue(const bounded_wf_queue&) = delete;
@@ -136,8 +140,8 @@ class bounded_wf_queue {
         while (!has_room()) {
           if (!q_.dequeue(tid).has_value()) {
             // Empty yet over the ceiling: the remaining live bytes are
-            // segments awaiting reclamation. Never exceed the ceiling —
-            // degrade to reject.
+            // nodes parked in caches and retired lists. Never exceed the
+            // ceiling — degrade to reject.
             count(&bounded_counters::rejected, tid);
             return false;
           }
@@ -166,7 +170,7 @@ class bounded_wf_queue {
     std::optional<T> v = q_.dequeue(tid);
     if (cfg_.policy == full_policy::block && v.has_value() &&
         hub_.maybe_waiters()) {
-      // A dequeue frees at least one cell's worth of budget eventually;
+      // A dequeue frees at least one node's worth of budget eventually;
       // wake one producer to re-check. The hub's seq_cst waiter count pairs
       // with the waiter's enlist-then-recheck, exactly as in
       // blocking_adapter.
@@ -231,9 +235,8 @@ class bounded_wf_queue {
   const mem_counters& memory() const noexcept { return mc_; }
   inner_type& inner() noexcept { return q_; }
   storage_type& storage() noexcept { return q_.storage(); }
-  segment_pool_stats pool_stats() const noexcept {
-    return q_.storage().pool_stats();
-  }
+  /// The smallest ceiling the constructor accepts (see the file comment).
+  std::size_t floor_bytes() const noexcept { return floor_; }
 
   bounded_counters stats() const {
     bounded_counters total;
@@ -254,7 +257,7 @@ class bounded_wf_queue {
   }
 
   /// Block-policy wait: returns true when there is room, false when the
-  /// queue was closed. Timed re-check because reclamation can free segments
+  /// queue was closed. Timed re-check because reclamation can free nodes
   /// with no dequeue (hence no notify) accompanying it — the timeout is the
   /// liveness backstop for that enqueue-without-notify case, regression-
   /// tested by tests/storage_bounded_wakeup_test.cpp.
@@ -291,6 +294,7 @@ class bounded_wf_queue {
 
   bounded_config cfg_;
   std::size_t headroom_;
+  std::size_t floor_ = 0;
   mem_counters mc_;  // before q_: the inner queue's ctor attaches to it
   Inner q_;
   std::vector<padded<bounded_counters>> counters_{q_.max_threads()};

@@ -1,8 +1,6 @@
-// Default node storage: one reclaimer retirement per node, and nodes come
-// from the heap — the behavior wf_queue had before the storage layer
-// existed, factored behind the node_storage_for interface
-// (storage_concepts.hpp) so segment_storage can replace it without touching
-// the queue algorithm.
+// Node storage: one reclaimer retirement per node, and nodes come from the
+// heap, as in the paper (one node per enqueue). It sits behind the
+// node_storage_for interface (storage_concepts.hpp) so tests can wrap it.
 //
 // Reclaimed nodes are recycled: the retire callback destroys the node and
 // keeps its storage on the retiring thread's capped free list

@@ -1,25 +1,11 @@
-// The node-storage policy interface (ROADMAP item 1).
+// The node-storage policy interface.
 //
-// The KP queue's dominant hot-path cost outside the algorithm itself is the
-// per-element `new`/`delete` of list nodes plus the per-node reclamation
-// traffic. This layer makes "where nodes live" a policy, the same move
-// reclaim/reclaimer_concepts.hpp made for "when nodes die":
-//
-//   * heap_node_storage    — heap nodes, one reclaimer retirement per node;
-//                            the default. A reclaimed node is recycled on
-//                            the retiring thread's capped free list and
-//                            reused by that thread's next alloc() before
-//                            it calls `new`; cached nodes count as live.
-//   * segment_storage      — nodes are cells of fixed-size, segment-aligned
-//                            arrays (Yang & Mellor-Crummey style; cf.
-//                            Nikolaev's wCQ for the bounded-memory goal).
-//                            Allocation is a per-thread bump pointer, and the
-//                            reclaimer sees ONE retirement per segment
-//                            instead of one per node (retire_range). This is
-//                            what gives bounded_wf_queue its hard memory
-//                            ceiling: live memory is a whole number of
-//                            segments, and segments are the unit everything
-//                            is accounted and reclaimed in.
+// One storage ships: heap_node_storage — heap nodes, one reclaimer
+// retirement per node, a reclaimed node recycled on the retiring thread's
+// capped free list and reused by that thread's next alloc() before it calls
+// `new`; cached nodes count as live. The interface stays a policy so tests
+// can substitute a storage that injects faults (allocation failure, freeing
+// instead of recycling) without touching the queue algorithm.
 //
 // Contract
 // --------
@@ -29,9 +15,9 @@
 // through it so fig10's live-byte counter is exact).
 //
 //   node_type* n = s.alloc(tid, value, etid, reclaimer);
-//       // construct a node; `reclaimer` is the container's domain — segment
-//       // storage retires a just-sealed segment through it when the seal
-//       // completes the segment (see segment_storage.hpp).
+//       // construct a node before it is published; may throw (bad_alloc),
+//       // and then the queue is unchanged (DESIGN.md, "Allocation failure").
+//       // `reclaimer` is the container's domain.
 //   s.retire(tid, n, reclaimer);
 //       // the node was unlinked by the winning head swing and may still be
 //       // referenced by in-flight readers: hand it to the reclamation
@@ -46,11 +32,13 @@
 //
 // `max_alloc_bytes` is the largest single heap allocation one alloc() call
 // can perform — the quantity bounded_wf_queue's admission headroom is built
-// from (docs/MEMORY.md has the ceiling argument).
+// from. bounded_wf_queue also reads `cache_cap`, the most nodes one thread
+// keeps for reuse, for its liveness floor (docs/MEMORY.md §2 has the
+// ceiling argument).
 //
 // Lifetime rule for containers: declare the storage member BEFORE the
-// reclaimer member. Node and segment retirements carry a callback into the
-// storage object, so the reclaimer (whose destructor drains retired items)
+// reclaimer member. Node retirements carry a callback into the storage
+// object, so the reclaimer (whose destructor drains retired items)
 // must be destroyed first.
 #pragma once
 

@@ -16,7 +16,6 @@
 #include "reclaim/reclaimer_concepts.hpp"
 #include "storage/bounded_wf_queue.hpp"
 #include "storage/heap_node_storage.hpp"
-#include "storage/segment_storage.hpp"
 #include "storage/storage_concepts.hpp"
 
 namespace kpq {
@@ -42,21 +41,11 @@ static_assert(reclaimer_domain<leaky_domain>);
 
 static_assert(node_storage_for<heap_node_storage<std::uint64_t>, hp_domain>);
 static_assert(node_storage_for<heap_node_storage<std::string>, leaky_domain>);
-static_assert(node_storage_for<segment_storage<std::uint64_t>, hp_domain>);
-static_assert(node_storage_for<segment_storage<std::uint64_t>, leaky_domain>);
-static_assert(
-    node_storage_for<segment_storage<std::string, 8192>, hp_domain>);
 
-// -------- segment-storage queue variants and the bounded queue still model
-// the mpmc concepts (the whole point of making storage a policy)
+// -------- the bounded queue models the mpmc concepts over any inner variant
 
-static_assert(mpmc_queue_autotid<wf_queue_base_seg<std::uint64_t>>);
-static_assert(mpmc_queue_autotid<wf_queue_opt_seg<std::uint64_t>>);
-static_assert(mpmc_queue_autotid<wf_queue_fps_seg<std::uint64_t>>);
-static_assert(mpmc_queue_autotid<wf_queue_opt_seg<std::string>>);
 static_assert(mpmc_queue_autotid<bounded_wf_queue<std::uint64_t>>);
-static_assert(
-    mpmc_queue_autotid<bounded_wf_queue<int, wf_queue_base_seg<int>>>);
+static_assert(mpmc_queue_autotid<bounded_wf_queue<int, wf_queue_base<int>>>);
 
 // -------- value-type requirements are enforced, not just documented
 

@@ -8,7 +8,8 @@
 //
 // Same method as core_interleave_test: the real wf_queue_fps under the
 // baton scheduler, DFS over every schedule within the preemption bound,
-// each completed run checked by the exact linearizability checker. An
+// each completed run checked by the exact linearizability checker, every
+// reclaimed node freed (testing::freeing_storage). An
 // operation takes the slow path only when the schedule makes all of its
 // fast attempts fail, so the budget is small (kTries) and each scenario
 // asserts that some explored schedule puts every worker on the path the
@@ -22,6 +23,7 @@
 
 #include "core/wf_queue_fps.hpp"
 #include "support/baton.hpp"
+#include "support/fault_storage.hpp"
 
 namespace kpq {
 namespace {
@@ -41,7 +43,8 @@ struct tries_options : fps_options {
 };
 template <std::uint32_t Tries>
 using fps_queue =
-    wf_queue_fps<std::uint64_t, eager_hp_domain, tries_options<Tries>>;
+    wf_queue_fps<std::uint64_t, eager_hp_domain, tries_options<Tries>,
+                 testing::freeing_storage<std::uint64_t>>;
 
 /// The path an operation completed on, read off the per-thread counters.
 enum class path { fast, slow };

@@ -6,9 +6,12 @@
 // programs — several threads each executing a sequence of operations on
 // the real wf_queue, the baton scheduler (tests/support/baton.hpp) picking
 // a uniformly random thread before every shared access. Hazard pointers
-// scan on every retirement. Each run's full history (baton-clock
-// timestamps) is validated by the FIFO checker; small runs are
-// additionally cross-checked by the exact linearizability checker.
+// scan on every retirement. The Freeing suite frees every reclaimed node
+// instead of recycling it (testing::freeing_storage), so under
+// AddressSanitizer a read of a reclaimed node fails the run. Each run's
+// full history (baton-clock timestamps) is validated by the FIFO checker;
+// small runs are additionally cross-checked by the exact linearizability
+// checker.
 //
 // Deterministic: every schedule derives from a seed; a failure prints the
 // seed and the replayable schedule string.
@@ -19,8 +22,9 @@
 #include <vector>
 
 #include "harness/workload.hpp"
-#include "storage/segment_storage.hpp"
+#include "core/wf_queue_fps.hpp"
 #include "support/baton.hpp"
+#include "support/fault_storage.hpp"
 #include "verify/fifo_checker.hpp"
 #include "verify/history.hpp"
 #include "verify/lin_checker.hpp"
@@ -35,16 +39,18 @@ using testing::program;
 
 using base_queue = wf_queue<std::uint64_t, help_all, scan_max_phase,
                             eager_hp_domain, baton_options>;
-/// Segment-storage variant: exercises the bump allocation, seal/consume
-/// state machine and exactly-once segment retirement, with the segments
-/// reclaimed under every sampled interleaving.
-using seg_queue = wf_queue<std::uint64_t, help_all, scan_max_phase,
-                           eager_hp_domain, baton_options,
-                           segment_storage<std::uint64_t>>;
-/// Small segments so every run crosses many seal/retire boundaries.
-using seg_queue_small =
+using freeing_base_queue =
     wf_queue<std::uint64_t, help_all, scan_max_phase, eager_hp_domain,
-             baton_options, segment_storage<std::uint64_t, 256>>;
+             baton_options, testing::freeing_storage<std::uint64_t>>;
+/// One fast attempt: a single interfering step sends an operation to the
+/// slow path, so both paths and their cross-path helping run.
+struct fuzz_fps_options : fps_options {
+  using hooks = baton;
+  using fast_path = ms_fast_path<1>;
+};
+using freeing_fps_queue =
+    wf_queue_fps<std::uint64_t, eager_hp_domain, fuzz_fps_options,
+                 testing::freeing_storage<std::uint64_t>>;
 
 /// Runs one random schedule on queue type Q over `b`'s workers (one per
 /// thread); returns the check result.
@@ -110,39 +116,37 @@ TEST(RandomScheduleFuzz, SmallRunsCrossCheckedExactly) {
   }
 }
 
-// ------------------------------- segment-storage variants (same programs)
+// ------------------------- freed reclamation (same programs, same checks)
 
-TEST(RandomScheduleFuzzSegment, ManySeedsMediumPrograms) {
+TEST(RandomScheduleFuzzFreeing, ManySeedsMediumPrograms) {
   baton b(4);
   for (std::uint64_t seed = 1; seed <= 1000; ++seed) {
-    auto r = run_random<seg_queue>(b, seed, 6, /*enq_bias=*/60);
+    auto r = run_random<freeing_base_queue>(b, seed, 6, /*enq_bias=*/60);
     ASSERT_TRUE(r.ok) << "seed " << seed << ":\n" << r.to_string();
   }
 }
 
-TEST(RandomScheduleFuzzSegment, SmallSegmentsCrossManySeals) {
-  // 256-byte segments hold only a handful of cells, so six ops per thread
-  // already seal and retire several segments per schedule.
-  baton b(4);
-  for (std::uint64_t seed = 1; seed <= 1000; ++seed) {
-    auto r = run_random<seg_queue_small>(b, seed, 6, /*enq_bias=*/60);
-    ASSERT_TRUE(r.ok) << "seed " << seed << ":\n" << r.to_string();
-  }
-}
-
-TEST(RandomScheduleFuzzSegment, DequeueHeavyHitsEmptyPaths) {
+TEST(RandomScheduleFuzzFreeing, DequeueHeavyHitsEmptyPaths) {
   baton b(3);
   for (std::uint64_t seed = 1; seed <= 600; ++seed) {
-    auto r = run_random<seg_queue_small>(b, seed, 8, /*enq_bias=*/30);
+    auto r = run_random<freeing_base_queue>(b, seed, 8, /*enq_bias=*/30);
     ASSERT_TRUE(r.ok) << "seed " << seed << ":\n" << r.to_string();
   }
 }
 
-TEST(RandomScheduleFuzzSegment, SmallRunsCrossCheckedExactly) {
+TEST(RandomScheduleFuzzFreeing, FastPathManySeeds) {
+  baton b(4);
+  for (std::uint64_t seed = 1; seed <= 1000; ++seed) {
+    auto r = run_random<freeing_fps_queue>(b, seed, 6, /*enq_bias=*/50);
+    ASSERT_TRUE(r.ok) << "seed " << seed << ":\n" << r.to_string();
+  }
+}
+
+TEST(RandomScheduleFuzzFreeing, SmallRunsCrossCheckedExactly) {
   baton b(3);
   for (std::uint64_t seed = 1; seed <= 300; ++seed) {
     std::vector<op_event> h;
-    auto r = run_random<seg_queue_small>(b, seed, 2, /*enq_bias=*/50, &h);
+    auto r = run_random<freeing_fps_queue>(b, seed, 2, /*enq_bias=*/50, &h);
     ASSERT_TRUE(r.ok) << "seed " << seed << ":\n" << r.to_string();
     ASSERT_TRUE(lin_checker::is_linearizable(h))
         << "exact checker rejected seed " << seed << ", schedule \""

@@ -18,8 +18,8 @@
 #include "core/wf_queue_fps.hpp"
 #include "harness/workload.hpp"
 #include "reclaim/leaky.hpp"
-#include "storage/bounded_wf_queue.hpp"
 #include "support/baton.hpp"
+#include "support/fault_storage.hpp"
 #include "sync/spin_barrier.hpp"
 #include "verify/fifo_checker.hpp"
 #include "verify/history.hpp"
@@ -111,7 +111,7 @@ using StressTypes = ::testing::Types<
     wf_queue_opt1<std::uint64_t, eager_hp_domain>,
     wf_queue<std::uint64_t, help_one, fetch_add_phase, hp_domain,
              wf_options_stats>,
-    wf_queue_opt_seg<std::uint64_t>, wf_queue_fps_seg<std::uint64_t>>;
+    testing::freeing_opt<std::uint64_t>, testing::freeing_fps<std::uint64_t>>;
 TYPED_TEST_SUITE(WfQueueStressTest, StressTypes);
 
 TYPED_TEST(WfQueueStressTest, PairsTwoThreads) {
@@ -163,16 +163,17 @@ tagged make_tagged(std::uint64_t id) { return tagged{id, tag_of(id)}; }
 
 // Every variant moves the payload through the same places: the node, the
 // owner's copy out of the node its record names and, for FPS, the fast-path
-// claim. Run each with both storages, and once with a hazard-pointer scan
-// on every retirement, so nodes are recycled mid-run.
+// claim. Run each once more with a hazard-pointer scan on every
+// retirement, so nodes are recycled mid-run, and over a storage that frees
+// them instead, so a read of a reclaimed node is a use-after-free.
 template <typename Q>
 class WfQueueWidePayloadTest : public ::testing::Test {};
 
 using WidePayloadTypes = ::testing::Types<
     wf_queue_base<tagged>, wf_queue_opt1<tagged>, wf_queue_opt2<tagged>,
-    wf_queue_opt<tagged>, wf_queue_fps<tagged>, wf_queue_base_seg<tagged>,
-    wf_queue_opt_seg<tagged>, wf_queue_fps_seg<tagged>,
-    wf_queue_opt<tagged, eager_hp_domain>>;
+    wf_queue_opt<tagged>, wf_queue_fps<tagged>,
+    wf_queue_opt<tagged, eager_hp_domain>, testing::freeing_base<tagged>,
+    testing::freeing_opt<tagged>, testing::freeing_fps<tagged>>;
 TYPED_TEST_SUITE(WfQueueWidePayloadTest, WidePayloadTypes);
 
 TYPED_TEST(WfQueueWidePayloadTest, FifoKeepsEveryWord) {

@@ -2,10 +2,12 @@
 //
 // Typed over the four paper variants (base, opt1, opt2, opt1+2), the FPS
 // fast path, both reclaimers (hazard pointers also with a scan on every
-// retirement, so short runs recycle nodes), the segment
-// storage and the stats option, because the single-threaded contract must
-// be identical for all of them. Concurrency is exercised separately in
-// core_stress_test.cpp; deterministic interleavings in core_scenario_test.cpp.
+// retirement, so short runs recycle nodes), the stats option and a storage
+// that frees reclaimed nodes instead of recycling them
+// (testing::freeing_storage), because the single-threaded contract must be
+// identical for all of them.
+// Concurrency is exercised separately in core_stress_test.cpp;
+// deterministic interleavings in core_scenario_test.cpp.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -16,8 +18,8 @@
 #include "core/wf_queue.hpp"
 #include "core/wf_queue_fps.hpp"
 #include "reclaim/leaky.hpp"
-#include "storage/bounded_wf_queue.hpp"
 #include "support/baton.hpp"
+#include "support/fault_storage.hpp"
 
 namespace kpq {
 namespace {
@@ -40,8 +42,8 @@ using QueueTypes = ::testing::Types<
     wf_queue_fps<std::uint64_t, eager_hp_domain>,
     wf_queue<std::uint64_t, help_one, fetch_add_phase, hp_domain,
              wf_options_stats>,
-    wf_queue_base_seg<std::uint64_t>, wf_queue_opt_seg<std::uint64_t>,
-    wf_queue_fps_seg<std::uint64_t>>;
+    testing::freeing_base<std::uint64_t>, testing::freeing_opt<std::uint64_t>,
+    testing::freeing_fps<std::uint64_t>>;
 TYPED_TEST_SUITE(WfQueueSequentialTest, QueueTypes);
 
 TYPED_TEST(WfQueueSequentialTest, StartsEmpty) {

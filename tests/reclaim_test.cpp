@@ -196,6 +196,28 @@ TEST_F(HpFixture, ScanKeepsExactlyTheAnnouncedObjects) {
   EXPECT_EQ(objs[40]->payload, 40);
 }
 
+TEST_F(HpFixture, InteriorAnnouncementDoesNotKeepAnObject) {
+  // Every retirement is one object matched by its exact address: a slot
+  // naming a byte inside it, or one past its end, keeps nothing.
+  hp_domain d(2, 2, /*scan_threshold=*/1000);
+  auto* obj = new tracked(7);
+  auto* keep = new tracked(8);
+  auto g = d.enter(1);
+  g.protect_raw(0, reinterpret_cast<char*>(obj) + 1);
+  g.protect_raw(1, keep);
+  d.retire(0, obj, &delete_tracked, nullptr);
+  d.retire(0, keep, &delete_tracked, nullptr);
+  d.scan(0);
+  EXPECT_EQ(d.freed_count(), 1u);
+  EXPECT_EQ(tracked::live.load(), 1);
+  EXPECT_EQ(keep->payload, 8);
+
+  g.protect_raw(1, reinterpret_cast<char*>(keep) + sizeof(tracked));
+  d.scan(0);
+  EXPECT_EQ(d.freed_count(), 2u);
+  EXPECT_EQ(tracked::live.load(), 0);
+}
+
 TEST_F(HpFixture, RootsKeepTheObjectsTheyName) {
   // A registered root names one retired object: no slot announces it, yet
   // every scan keeps it until the root stops naming it.

@@ -1,8 +1,10 @@
 // bounded_wf_queue: the hard memory ceiling and the three full-queue
 // policies, exercised deterministically single-threaded and under real MPMC
 // contention (the ceiling assertion sampled from every producer iteration),
-// plus the block-policy shutdown drain mirroring blocking_adapter_test and
-// the sharded-over-bounded composition.
+// plus the block-policy shutdown drain mirroring blocking_adapter_test, the
+// liveness floor (a drained queue at the smallest legal ceiling has room)
+// and the sharded-over-bounded composition. Ceilings are stated as the
+// floor plus a number of nodes.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -21,20 +23,25 @@ namespace {
 using bq = bounded_wf_queue<std::uint64_t>;
 using inner_q = bq::inner_type;
 
-constexpr std::size_t kSeg = inner_q::storage_type::max_alloc_bytes;
+constexpr std::size_t kNode = sizeof(inner_q::node_type);
 
-/// The admission headroom the constructor computes — tests size ceilings as
-/// "construction footprint + headroom + k segments": one segment per thread.
+/// The admission headroom the constructor computes: one node per thread.
 std::size_t headroom_for(std::uint32_t n) {
-  return static_cast<std::size_t>(n) * kSeg;
+  return static_cast<std::size_t>(n) * kNode;
 }
 
-/// Construction footprint of a bounded queue for `n` threads (the sentinel's
-/// segment), measured on a throwaway instance.
-std::size_t footprint_for(std::uint32_t n) {
+/// The smallest legal ceiling for `n` threads (construction footprint,
+/// headroom, and the nodes each thread may park in its recycle cache and
+/// retired list), read off a throwaway instance.
+std::size_t floor_for(std::uint32_t n) {
   bounded_config big{.max_bytes = std::size_t{1} << 24};
   bq probe(n, big);
-  return static_cast<std::size_t>(probe.live_bytes());
+  return probe.floor_bytes();
+}
+
+/// A ceiling `nodes` nodes above the floor.
+std::size_t ceiling_for(std::uint32_t n, std::size_t nodes) {
+  return floor_for(n) + nodes * kNode;
 }
 
 // --------------------------------------------------------------- reject
@@ -42,7 +49,7 @@ std::size_t footprint_for(std::uint32_t n) {
 TEST(BoundedReject, CapsThenRecoversAfterDrain) {
   constexpr std::uint32_t n = 2;
   bounded_config cfg{.max_bytes = 0, .policy = full_policy::reject};
-  cfg.max_bytes = footprint_for(n) + headroom_for(n) + 4 * kSeg;
+  cfg.max_bytes = ceiling_for(n, 128);
   bq q(n, cfg);
 
   // Fill to rejection; the ceiling must hold at every step.
@@ -57,8 +64,8 @@ TEST(BoundedReject, CapsThenRecoversAfterDrain) {
   EXPECT_EQ(q.stats().rejected, 1u);
   EXPECT_LE(q.live_bytes(), static_cast<std::int64_t>(cfg.max_bytes));
 
-  // Drain in FIFO order; segment reclamation returns budget, so the queue
-  // must accept again.
+  // Drain in FIFO order; the drained nodes past the recycle cache are freed,
+  // so the queue must accept again.
   for (std::uint64_t i = 0; i < admitted; ++i) {
     auto v = q.dequeue(1);
     ASSERT_TRUE(v.has_value());
@@ -73,7 +80,7 @@ TEST(BoundedReject, CeilingHoldsUnderMpmcContention) {
   constexpr std::uint32_t kProducers = 2;
   constexpr std::uint32_t n = kProducers + 1;
   bounded_config cfg{.max_bytes = 0, .policy = full_policy::reject};
-  cfg.max_bytes = footprint_for(n) + headroom_for(n) + 8 * kSeg;
+  cfg.max_bytes = ceiling_for(n, 256);
   bq q(n, cfg);
 
   constexpr std::uint64_t kAttempts = 20000;
@@ -115,7 +122,7 @@ TEST(BoundedBlock, ProducerBlocksUntilConsumerMakesRoom) {
   constexpr std::uint32_t n = 2;
   bounded_config cfg{.max_bytes = 0, .policy = full_policy::block};
   const std::size_t h = headroom_for(n);
-  cfg.max_bytes = footprint_for(n) + h + 2 * kSeg;
+  cfg.max_bytes = ceiling_for(n, 64);
   bq q(n, cfg);
 
   // Far more values than the ceiling can hold at once: the producer MUST
@@ -151,7 +158,7 @@ TEST(BoundedBlock, CloseUnblocksProducersAndDrains) {
   constexpr std::uint32_t n = 2;
   bounded_config cfg{.max_bytes = 0, .policy = full_policy::block};
   const std::size_t h = headroom_for(n);
-  cfg.max_bytes = footprint_for(n) + h + 2 * kSeg;
+  cfg.max_bytes = ceiling_for(n, 64);
   bq q(n, cfg);
 
   std::atomic<std::uint64_t> admitted{0};
@@ -187,13 +194,58 @@ TEST(BoundedBlock, CloseUnblocksProducersAndDrains) {
   EXPECT_FALSE(q.dequeue(1).has_value());
 }
 
+TEST(BoundedBlock, DrainedQueueAtTheFloorAdmitsParkedProducer) {
+  // The smallest legal ceiling: a producer parks on a full queue; a
+  // consumer drains everything and then stops, so nobody will notify again.
+  // The nodes the drain leaves parked fit under the floor, so the
+  // producer's timed re-check must find room.
+  using namespace std::chrono_literals;
+  constexpr std::uint32_t n = 2;
+  bounded_config cfg{.max_bytes = floor_for(n),
+                     .policy = full_policy::block,
+                     .block_recheck = 10ms};
+  bq q(n, cfg);
+  std::uint64_t filled = 0;
+  while (q.try_enqueue_nowait(filled, 0)) ++filled;
+  ASSERT_GT(filled, 0u);
+
+  std::atomic<bool> done{false}, admitted{false};
+  std::thread producer([&] {
+    admitted.store(q.try_enqueue(filled, 0));
+    done.store(true);
+  });
+  while (q.stats().block_waits == 0) std::this_thread::yield();
+
+  // Drain through the inner queue: the bounded dequeue's notify is not
+  // what admits the producer here. It may be admitted mid-drain once the
+  // drain starts freeing nodes, so its item can show up too.
+  std::uint64_t drained = 0;
+  std::thread consumer([&] {
+    while (q.inner().dequeue(1).has_value()) ++drained;
+  });
+  consumer.join();
+  // A floor too low parks the producer for good; close() then releases it
+  // unadmitted.
+  const auto deadline =
+      std::chrono::steady_clock::now() + 100 * cfg.block_recheck;
+  while (!done.load() && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::yield();
+  }
+  if (!done.load()) q.close();
+  producer.join();
+  ASSERT_TRUE(admitted.load()) << "no room after a full drain at the floor";
+  while (q.inner().dequeue(1).has_value()) ++drained;
+  EXPECT_EQ(drained, filled + 1);
+  EXPECT_EQ(q.stats().admitted, filled + 1);
+}
+
 // ----------------------------------------------------- overwrite_oldest
 
 TEST(BoundedOverwrite, DropsOldestKeepsNewestSuffix) {
   constexpr std::uint32_t n = 1;
   bounded_config cfg{.max_bytes = 0,
                      .policy = full_policy::overwrite_oldest};
-  cfg.max_bytes = footprint_for(n) + headroom_for(n) + 3 * kSeg;
+  cfg.max_bytes = ceiling_for(n, 96);
   bq q(n, cfg);
 
   constexpr std::uint64_t kValues = 3000;
@@ -217,16 +269,30 @@ TEST(BoundedOverwrite, DropsOldestKeepsNewestSuffix) {
   }
 }
 
+/// An hp_domain that reports no scan threshold while still scanning at the
+/// default one: the floor then leaves out the retired lists, so a drained
+/// queue can hold more parked bytes than the ceiling admits.
+struct understated_hp_domain : hp_domain {
+  understated_hp_domain(std::uint32_t max_threads, std::uint32_t slots)
+      : hp_domain(max_threads, slots) {}
+  std::uint32_t scan_threshold() const noexcept { return 0; }
+};
+
 TEST(BoundedOverwrite, DegradesToRejectWhenEmptyButOverCeiling) {
-  // Minimum legal ceiling: construction footprint + headroom exactly. Once
-  // a second segment exists, live stays above the admission line even with
-  // the queue EMPTY (spare/pending segments hold the bytes) — the policy
-  // must drain, find nothing left to drop, and reject rather than exceed.
+  // At a legal ceiling a drained queue always has room (MEMORY.md §2), so
+  // this corner needs more parked bytes than the floor counts: here the
+  // retired list the reclaimer understates. Then live stays above the
+  // admission line with the queue EMPTY — the policy must drain, find
+  // nothing left to drop, and reject rather than exceed the ceiling.
+  using under_q = bounded_wf_queue<
+      std::uint64_t, wf_queue<std::uint64_t, help_one, fetch_add_phase,
+                              understated_hp_domain>>;
   constexpr std::uint32_t n = 1;
-  bounded_config cfg{.max_bytes = 0,
+  const std::size_t floor =
+      under_q(n, {.max_bytes = std::size_t{1} << 24}).floor_bytes();
+  bounded_config cfg{.max_bytes = floor,
                      .policy = full_policy::overwrite_oldest};
-  cfg.max_bytes = footprint_for(n) + headroom_for(n);
-  bq q(n, cfg);
+  under_q q(n, cfg);
 
   bool saw_reject = false;
   for (std::uint64_t i = 0; i < 10000; ++i) {

@@ -4,7 +4,7 @@
 //
 //   1. Space can appear with NO notify attached — draining through inner()
 //     bypasses the bounded dequeue wrapper entirely, standing in for the
-//     reclaimer returning segment memory asynchronously. A blocked producer
+//     reclaimer freeing nodes asynchronously. A blocked producer
 //     must still make progress via the timed recheck backstop.
 //   2. block/close/drain interleavings under load: producers blocking at
 //     the ceiling while consumers drain and a closer races — nobody may
@@ -26,19 +26,26 @@ namespace {
 
 using namespace std::chrono_literals;
 
-bounded_config small_block_cfg(std::size_t max_bytes) {
-  bounded_config cfg{max_bytes, full_policy::block};
+/// A ceiling `nodes` nodes above the smallest legal one for 8 threads.
+std::size_t ceiling_for(std::size_t nodes) {
+  const bounded_wf_queue<std::uint64_t> probe(
+      8, bounded_config{std::size_t{1} << 24});
+  return probe.floor_bytes() +
+         nodes * sizeof(bounded_wf_queue<std::uint64_t>::inner_type::node_type);
+}
+
+bounded_config small_block_cfg() {
+  bounded_config cfg{ceiling_for(1024), full_policy::block};
   cfg.block_recheck = 1ms;
   return cfg;
 }
 
 // Fill to the ceiling, then free space WITHOUT a notify (drain through
 // inner(), which never touches the room hub — the stand-in for reclamation
-// returning segments). The blocked producer must recover via the timed
+// freeing nodes). The blocked producer must recover via the timed
 // recheck alone, within a bound ~ block_recheck, not hang.
 TEST(BoundedWakeup, EnqueueWithoutNotifyRecoversViaTimedRecheck) {
-  bounded_wf_queue<std::uint64_t> q(
-      8, small_block_cfg(3u << 20));  // fits construction + a few segments
+  bounded_wf_queue<std::uint64_t> q(8, small_block_cfg());
   std::uint64_t n = 0;
   while (q.try_enqueue_nowait(n, this_thread_id())) ++n;
   ASSERT_GT(n, 0u);
@@ -70,7 +77,7 @@ TEST(BoundedWakeup, EnqueueWithoutNotifyRecoversViaTimedRecheck) {
 TEST(BoundedWakeup, BlockCloseDrainInterleavingStress) {
   constexpr int kRounds = 8;
   for (int round = 0; round < kRounds; ++round) {
-    bounded_wf_queue<std::uint64_t> q(8, small_block_cfg(3u << 20));
+    bounded_wf_queue<std::uint64_t> q(8, small_block_cfg());
     constexpr int kProducers = 2;
     constexpr int kPerProducer = 400;
     std::atomic<std::uint64_t> produced{0};
@@ -129,7 +136,7 @@ TEST(BoundedWakeup, BlockCloseDrainInterleavingStress) {
 
 // close() must release a parked producer promptly (not only via timeout).
 TEST(BoundedWakeup, CloseReleasesParkedProducer) {
-  bounded_config cfg{3u << 20, full_policy::block};
+  bounded_config cfg{ceiling_for(1024), full_policy::block};
   cfg.block_recheck = std::chrono::milliseconds(10'000);  // recheck is NOT
                                                           // the wakeup here
   bounded_wf_queue<std::uint64_t> q(8, cfg);
@@ -153,7 +160,7 @@ TEST(BoundedWakeup, CloseReleasesParkedProducer) {
 // producers contend for one freed slot (token pass-on, not token loss).
 TEST(BoundedWakeup, DequeueNotifyWakesBlockedProducers) {
   constexpr std::uint32_t kProducers = 3;
-  bounded_wf_queue<std::uint64_t> q(8, small_block_cfg(3u << 20));
+  bounded_wf_queue<std::uint64_t> q(8, small_block_cfg());
   std::uint64_t n = 0;
   while (q.try_enqueue_nowait(n, this_thread_id())) ++n;
   ASSERT_GT(n, kProducers);
