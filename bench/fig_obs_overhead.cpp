@@ -22,7 +22,10 @@
 //
 // Flags: --threads N | --full, --iters N, --reps N, --pin, --csv, --seed S,
 //        --json PATH (overhead series per kpq-bench-1 + a "derived" block
-//        with the per-variant trace metrics).
+//        with the per-variant trace metrics),
+//        --timeline PATH (the opt WF (1+2) traced run's final repetition at
+//        the last thread count as a kpq-trace-1 Perfetto timeline, with
+//        helper->helped flow arrows; obs/timeline.hpp).
 #include <cstdint>
 #include <cstdio>
 #include <string>
@@ -33,6 +36,7 @@
 #include "core/wf_queue.hpp"
 #include "obs/export.hpp"
 #include "obs/registry.hpp"
+#include "obs/timeline.hpp"
 #include "obs/trace_ring.hpp"
 #include "obs/wf_metrics.hpp"
 #include "scale/sharded_queue.hpp"
@@ -133,9 +137,23 @@ void print_report(const char* name, const obs::wf_trace_report& r,
                   r.phase_lag.quantile_upper_bound(1.0)));
 }
 
+/// Write one document for the --json / --timeline flag `flag`.
+void write_doc(const std::string& path, const std::string& doc,
+               const char* flag) {
+  if (std::FILE* f = std::fopen(path.c_str(), "w")) {
+    std::fputs(doc.c_str(), f);
+    std::fputs("\n", f);
+    std::fclose(f);
+    std::printf("[%s written to %s]\n", flag, path.c_str());
+  } else {
+    std::fprintf(stderr, "could not open --%s path %s\n", flag, path.c_str());
+  }
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
+  const std::string timeline_path = cli(argc, argv).get_str("timeline", "");
   bench_params p = parse_params(argc, argv, /*default_iters=*/20000);
   const std::string json_path = p.json_path;
   p.json_path.clear();  // the figure table is embedded in our own document
@@ -176,6 +194,12 @@ int main(int argc, char** argv) {
       std::uint64_t dropped = 0;
       const auto events = obs::global_trace().drain_all(&dropped);
       r.report = obs::analyze_trace(events, dropped, th);
+      if (s == 1 && th == p.threads.back() && !timeline_path.empty()) {
+        write_doc(timeline_path,
+                  obs::trace_to_timeline(events, obs::calibrate_ticks(),
+                                         dropped),
+                  "timeline");
+      }
       cells.push_back({th, s, r});
       t.add_row(
           {std::to_string(th), names[s], fmt(r.untraced.mean, 4),
@@ -298,15 +322,7 @@ int main(int argc, char** argv) {
     }
     w.end_object();
     w.end_object();
-    if (std::FILE* f = std::fopen(json_path.c_str(), "w")) {
-      std::fputs(w.str().c_str(), f);
-      std::fputs("\n", f);
-      std::fclose(f);
-      std::printf("[json written to %s]\n", json_path.c_str());
-    } else {
-      std::fprintf(stderr, "could not open --json path %s\n",
-                   json_path.c_str());
-    }
+    write_doc(json_path, w.str(), "json");
   }
   return 0;
 }

@@ -1,7 +1,7 @@
 // Example: an event-loop request broker serving tens of thousands of
 // suspended coroutine sessions over sharded wait-free queues.
 //
-//   build/examples/coro_broker [sessions] [shards] [workers] [--telemetry]
+//   build/examples/coro_broker [sessions] [shards] [workers]
 //
 // The service shape the async front-end exists for: each SESSION is a
 // coroutine that submits one echo request and suspends until its response
@@ -25,31 +25,16 @@
 //   * >= 2 shards actually carried traffic,
 //   * the queues drain dry (graceful shutdown: last session closes all
 //     shards, workers observe closed-and-drained and exit, run() returns).
-//
-// With --telemetry the broker also runs the live observability pipeline:
-// a telemetry pump samples a metrics registry (loop health gauges + per-
-// shard waiter-hub stats) every 10 ms from a background thread WHILE the
-// loop runs, appends each snapshot to coro_broker_telemetry.jsonl, rewrites
-// coro_broker_telemetry.prom for textfile collection, and keeps an armed
-// crash flight recorder's registry buffer fresh — the service wiring
-// docs/OBSERVABILITY.md's "Pipeline" section describes.
 #include <coroutine>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <vector>
 
-#include <cstring>
-#include <string>
-
 #include "async/async_queue.hpp"
 #include "async/event_loop.hpp"
 #include "async/task.hpp"
 #include "core/wf_queue.hpp"
-#include "obs/flight_recorder.hpp"
-#include "obs/registry.hpp"
-#include "obs/telemetry.hpp"
-#include "obs/trace_ring.hpp"
 #include "scale/async_shards.hpp"
 #include "scale/shard_policy.hpp"
 
@@ -128,26 +113,14 @@ kpq::async::task<void> worker(kpq::async::event_loop& loop,
 }  // namespace
 
 int main(int argc, char** argv) {
-  bool telemetry = false;
-  std::vector<const char*> positional;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--telemetry") == 0) {
-      telemetry = true;
-    } else {
-      positional.push_back(argv[i]);
-    }
-  }
   const std::uint64_t sessions =
-      positional.size() > 0 ? std::strtoull(positional[0], nullptr, 10)
-                            : 10000;
+      argc > 1 ? std::strtoull(argv[1], nullptr, 10) : 10000;
   const std::uint32_t shard_count =
-      positional.size() > 1
-          ? static_cast<std::uint32_t>(std::strtoul(positional[1], nullptr, 10))
-          : 2;
+      argc > 2 ? static_cast<std::uint32_t>(std::strtoul(argv[2], nullptr, 10))
+               : 2;
   const std::uint32_t workers =
-      positional.size() > 2
-          ? static_cast<std::uint32_t>(std::strtoul(positional[2], nullptr, 10))
-          : 2;
+      argc > 3 ? static_cast<std::uint32_t>(std::strtoul(argv[3], nullptr, 10))
+               : 2;
 
   kpq::async::event_loop loop;
   broker_shards shards(shard_count, /*max_threads=*/4);
@@ -157,40 +130,6 @@ int main(int argc, char** argv) {
   st.shards = &shards;
   st.sessions = sessions;
   st.per_shard.assign(shard_count, 0);
-
-  // --telemetry: the live pipeline. Register only scrape-safe surfaces
-  // (loop.stats() copies under the loop's lock; hub stats are a locked
-  // copy too), arm the flight recorder, and start the pump BEFORE the loop
-  // runs so snapshots cover the busy phase, not just the aftermath.
-  kpq::obs::registry reg;
-  kpq::obs::telemetry_pump* pump = nullptr;
-  kpq::obs::telemetry_pump pump_storage(reg, [] {
-    kpq::obs::telemetry_options o;
-    o.interval_ms = 10;
-    o.jsonl_path = "coro_broker_telemetry.jsonl";
-    o.prom_path = "coro_broker_telemetry.prom";
-    return o;
-  }());
-  if (telemetry) {
-    std::remove("coro_broker_telemetry.jsonl");
-    reg.add_source("broker.loop", [&loop](kpq::obs::metrics_snapshot& out) {
-      kpq::obs::append_metrics(out, "broker.loop", loop.stats());
-    });
-    for (std::uint32_t sh = 0; sh < shard_count; ++sh) {
-      reg.add_source("broker.shard" + std::to_string(sh),
-                     [&shards, sh](kpq::obs::metrics_snapshot& out) {
-                       kpq::obs::append_metrics(
-                           out, "broker.shard" + std::to_string(sh) + ".hub",
-                           shards.shard(sh).hub().stats());
-                     });
-    }
-    kpq::obs::flight_recorder_config frc;
-    frc.path = "coro_broker_flight.dump";
-    kpq::obs::flight_recorder::instance().arm(
-        frc, &kpq::obs::global_trace(), &reg);
-    pump = &pump_storage;
-    pump->start();
-  }
 
   std::vector<request> requests(sessions);
   for (std::uint64_t i = 0; i < sessions; ++i) {
@@ -205,8 +144,6 @@ int main(int argc, char** argv) {
     loop.spawn(worker(loop, st));
   }
   loop.run();  // returns when drained: all sessions + workers completed
-
-  if (pump != nullptr) pump->stop();  // final scrape covers the drained loop
 
   const auto ls = loop.stats();
   std::printf("coro_broker: %llu sessions, %u shards, %u workers\n",
@@ -234,11 +171,6 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(ls.ready_lag_ns_max),
               ls.mean_timer_slack_ns(),
               static_cast<unsigned long long>(ls.max_ready_depth));
-  if (pump != nullptr) {
-    std::printf("  telemetry           %llu scrapes -> "
-                "coro_broker_telemetry.{jsonl,prom}; flight recorder armed\n",
-                static_cast<unsigned long long>(pump->scrapes()));
-  }
 
   bool ok = true;
   auto check = [&](bool cond, const char* what) {
@@ -259,19 +191,6 @@ int main(int argc, char** argv) {
   std::uint64_t leftovers = 0;
   while (shards.try_dequeue(0).has_value()) ++leftovers;
   check(leftovers == 0, "queues drained dry");
-  if (telemetry) {
-    check(pump->scrapes() >= 1, "telemetry pump scraped at least once");
-    const auto recent = pump->recent();
-    check(!recent.empty(), "telemetry ring retained snapshots");
-    bool finite = true, saw_loop = false;
-    for (const kpq::obs::metric& m : recent.back().snap) {
-      if (m.value != m.value) finite = false;
-      if (m.name == "broker.loop.resumes") saw_loop = true;
-    }
-    check(finite, "telemetry values finite");
-    check(saw_loop, "loop health metrics exported");
-    kpq::obs::flight_recorder::instance().disarm();
-  }
 
   if (!ok) return 1;
   std::printf("OK\n");

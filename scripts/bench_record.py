@@ -78,7 +78,8 @@ FIGS = {
     },
     "fig_obs_overhead": {
         "bin": "fig_obs_overhead",
-        "record": ["--threads", "4", "--iters", "5000", "--reps", "3"],
+        "record": ["--threads", "4", "--iters", "5000", "--reps", "10",
+                   "--pin"],
         "smoke": ["--threads", "2", "--iters", "1000", "--reps", "2"],
     },
 }

@@ -21,10 +21,6 @@
 #   scripts/sanitize.sh tsan-async               # TSan + KPQ_TRACE=ON over
 #                                                # the continuation layer and
 #                                                # the coroutine front-end
-#   scripts/sanitize.sh tsan-obs-pipeline        # TSan + KPQ_TRACE=ON over
-#                                                # the latency pipeline
-#                                                # (timeline, telemetry
-#                                                # pump, flight recorder)
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -76,17 +72,6 @@ for mode in "${modes[@]}"; do
     dir_tag=async
     extra_cmake=(-DKPQ_TRACE=ON)
     filter=(-R 'Async|Waiter|Parker|EventLoop|TimerWheel|Task\.|BoundedWakeup|Blocking|coro_broker')
-  elif [[ "$mode" == "tsan-obs-pipeline" ]]; then
-    # Shortcut: TSan over the end-to-end latency pipeline — the telemetry
-    # pump's concurrent registry scrapes against worker mutation, the
-    # flight recorder (including the crash child), timeline conversion, and
-    # the broker's --telemetry mode.
-    # Built with KPQ_TRACE=ON so pump scrapes race-check against live ring
-    # writes (own build dir: the tracing default changes codegen everywhere).
-    mode=thread
-    dir_tag=obs-pipeline
-    extra_cmake=(-DKPQ_TRACE=ON)
-    filter=(-R 'ObsTelemetry|ObsFlight|ObsTimeline|ObsExport|EventLoop|coro_broker_telemetry')
   fi
   echo "=== sanitizer: $mode (build-$dir_tag-san) ==="
   cmake -B "build-$dir_tag-san" -G Ninja -DKPQ_SANITIZE="$mode" \

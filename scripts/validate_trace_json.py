@@ -12,8 +12,8 @@ language cannot express:
   * flow arrows pair up: each "s" (flow start) has an "f" (flow end) with
     the same id, and vice versa;
   * with --require-flow, at least one complete s/f pair must exist (CI uses
-    this on the checked-in fixture so the helper->helped arrow path cannot
-    silently regress).
+    this on `fig_obs_overhead --timeline` output so the helper->helped arrow
+    path cannot silently regress).
 
 Usage: validate_trace_json.py [--schema SCHEMA] [--require-flow] FILE ...
 Exit status 0 iff every file validates.

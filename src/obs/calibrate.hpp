@@ -3,11 +3,10 @@
 // Trace events are recorded in "ticks" (tick_now(): raw TSC on x86-64,
 // steady-clock ns elsewhere) because a TSC read is the only timestamp cheap
 // enough for the queues' hot paths. Everything that leaves the process —
-// timeline JSON, flight-recorder dumps — needs those ticks mapped back to
-// nanoseconds. A calibration is a
-// (tick, ns) base pair plus a measured frequency, taken once at a
-// convenient moment (startup, or right before converting), good to a few
-// percent over bench-length runs.
+// the timeline JSON — needs those ticks mapped back to nanoseconds. A
+// calibration is a (tick, ns) base pair plus a measured frequency, taken
+// once at a convenient moment (startup, or right before converting), good
+// to a few percent over bench-length runs.
 #pragma once
 
 #include <cstdint>

@@ -18,8 +18,8 @@
 // MICROSECONDS (doubles), mapped from ticks with a tick_calibration. The
 // document carries "kpqTraceSchema":"kpq-trace-1" and is validated in CI by
 // scripts/validate_trace_json.py against scripts/trace_schema.json.
-// scripts/trace_view.py performs the same conversion from the raw JSONL
-// dump format (below) for offline use.
+// `fig_obs_overhead --timeline PATH` writes one for the traced opt WF pairs
+// run; Perfetto (ui.perfetto.dev) and chrome://tracing open it.
 #pragma once
 
 #include <cstdint>
@@ -250,44 +250,6 @@ inline std::string trace_to_timeline(const std::vector<trace_event>& events,
   w.end_array();
   w.end_object();
   return std::move(w).take();
-}
-
-// ------------------------------------------------------------ raw dump form
-// Line-oriented intermediate format shared by the flight recorder (which
-// writes it with async-signal-safe primitives, flight_recorder.cpp) and
-// scripts/trace_view.py (which converts it to the timeline JSON above):
-//
-//   {"kpq_trace_raw":1,"tick_hz":<hz>,"dropped":<n>,"reason":"<why>"}
-//   {"ts":<ticks>,"tid":<t>,"kind":<k>,"kind_name":"<name>","phase":<p>,"aux":<a>}
-//   ...
-//   {"metric":"<name>","value":<v>}          (registry lines, optional)
-
-inline std::string dump_trace_jsonl(const std::vector<trace_event>& events,
-                                    double tick_hz, std::uint64_t dropped,
-                                    const std::string& reason = "drain") {
-  json_writer hdr;
-  hdr.begin_object();
-  hdr.key("kpq_trace_raw").value(1);
-  hdr.key("tick_hz").value(tick_hz);
-  hdr.key("dropped").value(static_cast<std::uint64_t>(dropped));
-  hdr.key("reason").value(reason);
-  hdr.end_object();
-  std::string out = std::move(hdr).take();
-  out += '\n';
-  for (const trace_event& e : events) {
-    json_writer w;
-    w.begin_object();
-    w.key("ts").value(static_cast<std::uint64_t>(e.ts));
-    w.key("tid").value(static_cast<std::uint64_t>(e.tid));
-    w.key("kind").value(static_cast<std::uint64_t>(e.kind));
-    w.key("kind_name").value(trace_kind_name(e.kind));
-    w.key("phase").value(static_cast<std::int64_t>(e.phase));
-    w.key("aux").value(static_cast<std::uint64_t>(e.aux));
-    w.end_object();
-    out += std::move(w).take();
-    out += '\n';
-  }
-  return out;
 }
 
 }  // namespace kpq::obs

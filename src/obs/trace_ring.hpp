@@ -167,14 +167,6 @@ class trace_ring {
     }
   }
 
-  /// Raw slot access by sequence number (caller derives valid sequences from
-  /// written()/capacity()). No allocation, no locks — usable from a signal
-  /// handler (flight_recorder.cpp); outside a crash the usual quiescence
-  /// caveat applies, a racing owner may be mid-overwrite of the slot.
-  const trace_event& peek(std::uint64_t seq) const noexcept {
-    return buf_[seq & mask_];
-  }
-
   void reset() noexcept { head_.store(0, std::memory_order_release); }
 
  private:
@@ -212,8 +204,8 @@ class trace_domain {
 
   /// The calling thread's ring (lazy init is race-free because only the
   /// owner thread ever *stores* to its slot; the store is release so that
-  /// observers taking ring_ptr() from another thread — the flight recorder's
-  /// signal handler — see a fully constructed ring).
+  /// drain_all() and reset(), which acquire the slot, see a fully
+  /// constructed ring).
   trace_ring& ring_for(std::uint32_t tid) noexcept {
     trace_ring* r = rings_[tid].value.load(std::memory_order_relaxed);
     if (r == nullptr) {
@@ -221,12 +213,6 @@ class trace_domain {
       rings_[tid].value.store(r, std::memory_order_release);
     }
     return *r;
-  }
-
-  /// Read-only slot access from any thread; null until the owner's first
-  /// record. Allocation-free and lock-free — async-signal-safe.
-  const trace_ring* ring_ptr(std::uint32_t tid) const noexcept {
-    return rings_[tid].value.load(std::memory_order_acquire);
   }
 
   /// All retained events across threads, sorted by timestamp. Quiescence

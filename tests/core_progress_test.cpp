@@ -17,15 +17,22 @@
 //     further queue steps of its own;
 //   * peers keep completing unboundedly many of their own operations while
 //     a thread stays frozen (no global progress dependency on any single
-//     thread).
+//     thread);
+//   * the traced run of a helped enqueue or dequeue renders a
+//     helper->helped flow arrow in the timeline export (obs/timeline.hpp).
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstdint>
 #include <optional>
+#include <string>
 #include <thread>
+#include <vector>
 
 #include "core/wf_queue.hpp"
+#include "obs/calibrate.hpp"
+#include "obs/timeline.hpp"
+#include "obs/trace_ring.hpp"
 
 namespace kpq {
 namespace {
@@ -61,6 +68,12 @@ using frozen_queue_of =
     wf_queue<T, help_all, scan_max_phase, hp_domain, freezing_options>;
 using frozen_queue = frozen_queue_of<std::uint64_t>;
 
+struct traced_freezing_options : freezing_options {
+  using trace = obs::ring_trace;
+};
+using traced_frozen_queue = wf_queue<std::uint64_t, help_all, scan_max_phase,
+                                     hp_domain, traced_freezing_options>;
+
 // A two-word payload, the way an application that wants item latency carries
 // its enqueue timestamp inside the item.
 struct stamped {
@@ -91,6 +104,17 @@ class ProgressTest : public ::testing::Test {
     }
   }
   static void thaw() { gate_open.store(true, std::memory_order_release); }
+
+  // Drain the global rings (every traced thread has joined) and render them
+  // as the Perfetto timeline; a traced scenario this small drops nothing.
+  static std::string drained_timeline() {
+    std::uint64_t dropped = 0;
+    const std::vector<obs::trace_event> events =
+        obs::global_trace().drain_all(&dropped);
+    EXPECT_EQ(dropped, 0u);
+    return obs::trace_to_timeline(events, obs::calibrate_ticks(1'000'000),
+                                  dropped);
+  }
 
   // Thread 1 enqueues `first` then `second`; thread 0's dequeue is frozen
   // right after it announces and must be completed by thread 1.
@@ -143,6 +167,53 @@ TEST_F(ProgressTest, PeersCompleteAFrozenDequeue) {
   frozen_dequeue_gets_first<std::uint64_t>(7, 8);
   frozen_dequeue_gets_first(stamped{7, 0x0123456789abcdefULL},
                             stamped{8, 0xfedcba9876543210ULL});
+}
+
+TEST_F(ProgressTest, HelpedFrozenDequeueDrawsAFlowArrow) {
+  // The timeline's helper->helped arrow, from a real traced run rather than
+  // synthetic events: thread 1 helps thread 0's frozen dequeue, so the
+  // renderer must pair thread 1's help episode with thread 0's completion.
+  obs::global_trace().reset();
+  traced_frozen_queue q(2);
+  q.enqueue(7, 1);
+
+  freeze(0);
+  std::optional<std::uint64_t> got;
+  std::thread frozen([&] { got = q.dequeue(0); });
+  wait_frozen();
+  q.enqueue(8, 1);  // help_all: completes the frozen dequeue first
+  thaw();
+  frozen.join();
+  EXPECT_EQ(got, std::optional<std::uint64_t>{7});
+
+  const std::string doc = drained_timeline();
+  EXPECT_NE(doc.find(R"("ph":"s","pid":0,"tid":1,)"), std::string::npos)
+      << "no arrow leaves the helper";
+  EXPECT_NE(doc.find(R"("ph":"f","pid":0,"tid":0,)"), std::string::npos)
+      << "no arrow ends at the frozen dequeue";
+}
+
+TEST_F(ProgressTest, HelpedFrozenEnqueueDrawsAFlowArrow) {
+  // The enqueue side of the same arrow: thread 1's dequeue helps thread 0's
+  // frozen enqueue (older phase) and then removes the item it linked.
+  obs::global_trace().reset();
+  traced_frozen_queue q(2);
+
+  freeze(0);
+  std::thread frozen([&] { q.enqueue(42, 0); });
+  wait_frozen();
+  EXPECT_EQ(q.dequeue(1), std::optional<std::uint64_t>{42});
+  thaw();
+  frozen.join();
+
+  const std::string doc = drained_timeline();
+  EXPECT_NE(doc.find(R"("name":"enqueue","ph":"X","pid":0,"tid":0,)"),
+            std::string::npos)
+      << "the frozen enqueue has no slice";
+  EXPECT_NE(doc.find(R"("ph":"s","pid":0,"tid":1,)"), std::string::npos)
+      << "no arrow leaves the helper";
+  EXPECT_NE(doc.find(R"("ph":"f","pid":0,"tid":0,)"), std::string::npos)
+      << "no arrow ends at the frozen enqueue";
 }
 
 TEST_F(ProgressTest, FrozenEmptyDequeueIsCompletedByPeers) {

@@ -1,12 +1,18 @@
 // Metrics registry and exposition: structural append_metrics sources,
-// JSON round-trip (emit, reparse, compare), Prometheus text format, and the
-// never-NaN guarantee for counters that never fired.
+// JSON round-trip (emit, reparse, compare), Prometheus text format, the
+// never-NaN guarantee for counters that never fired, and — the reason this
+// suite runs under TSan in CI — snapshots racing worker threads that mutate
+// the registered (atomic) counter surfaces.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cmath>
+#include <cstdint>
 #include <limits>
 #include <map>
 #include <string>
+#include <thread>
+#include <vector>
 
 #include "core/wf_queue.hpp"
 #include "core/wf_queue_fps.hpp"
@@ -16,6 +22,7 @@
 #include "obs/registry.hpp"
 #include "reclaim/hazard_pointers.hpp"
 #include "scale/scale_counters.hpp"
+#include "sync/spin_barrier.hpp"
 
 namespace kpq::obs {
 namespace {
@@ -163,6 +170,62 @@ TEST(ObsRegistry, RegistryCollectsRegisteredSourcesInOrder) {
   // Registration order is preserved in the flat document.
   EXPECT_EQ(snap.front().name, "queue.enq_ops");
   EXPECT_EQ(snap.back().name, "custom.answer");
+}
+
+TEST(ObsRegistry, ConcurrentSnapshotVersusWorkerMutation) {
+  // A scraper thread snapshots while workers hammer a fast-path queue whose
+  // registered surface, the path_counters() cells, is owner-written with
+  // relaxed atomic stores (wf_queue's plain wf_counters fields are NOT
+  // registered).
+  constexpr std::uint32_t kThreads = 4;
+  constexpr std::uint64_t kRounds = 3000;
+  wf_queue_fps<std::uint64_t> q(kThreads);
+
+  registry reg;
+  reg.add_source("q.path", [&](metrics_snapshot& out) {
+    append_metrics(out, "q.path", q.aggregate_path_counters());
+  });
+
+  std::atomic<bool> joined{false};
+  bool all_finite = true;
+  metrics_snapshot last;
+  std::thread scraper([&] {
+    // Read the flag before snapshotting, so the final pass starts after
+    // the workers joined.
+    for (bool stop = false; !stop;) {
+      stop = joined.load(std::memory_order_acquire);
+      last = reg.snapshot();
+      for (const metric& m : last) all_finite &= std::isfinite(m.value);
+    }
+  });
+
+  spin_barrier barrier(kThreads);
+  std::vector<std::thread> workers;
+  for (std::uint32_t t = 0; t < kThreads; ++t) {
+    workers.emplace_back([&, t] {
+      barrier.arrive_and_wait();
+      for (std::uint64_t i = 0; i < kRounds; ++i) {
+        q.enqueue(i, t);
+        q.dequeue(t);
+      }
+    });
+  }
+  for (auto& w : workers) w.join();
+  joined.store(true, std::memory_order_release);
+  scraper.join();
+
+  EXPECT_TRUE(all_finite);
+  // The final snapshot (taken after the workers joined) sees every op.
+  double scraped_ops = 0;
+  for (const metric& m : last) {
+    if (m.name == "q.path.fast_enqs" || m.name == "q.path.slow_enqs" ||
+        m.name == "q.path.fast_deqs" || m.name == "q.path.slow_deqs") {
+      scraped_ops += m.value;
+    }
+  }
+  const std::uint64_t ops = q.aggregate_path_counters().ops();
+  EXPECT_EQ(ops, 2 * kThreads * kRounds);
+  EXPECT_EQ(scraped_ops, static_cast<double>(ops));
 }
 
 // ------------------------------------------------------------- exposition

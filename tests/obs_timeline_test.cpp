@@ -1,7 +1,8 @@
 // Timeline export: synthetic traces -> Chrome/Perfetto trace-event JSON.
 // Checks the schema tag, the point->slice pairing for ops and help
-// episodes, helper->helped flow arrows, instant fallbacks, the raw JSONL
-// dump form, and a real traced-queue run surviving the converter.
+// episodes, helper->helped flow arrows and their ids, tick->microsecond
+// mapping, truncated (wrapped) traces, instant fallbacks, and a real
+// drained trace surviving the converter.
 #include "obs/timeline.hpp"
 
 #include <gtest/gtest.h>
@@ -101,6 +102,80 @@ TEST(ObsTimeline, FlowArrowNeedsAMatchingVictimCompletion) {
   EXPECT_EQ(count_of(doc, "\"ph\":\"f\""), 0u);
 }
 
+TEST(ObsTimeline, FlowArrowIgnoresVictimCompletionsBeforeTheHelpBegan) {
+  // The victim's phase-9 completion at 1000 ticks predates the episode, so
+  // it is not the helped operation; the arrow targets the one at 3000.
+  std::vector<trace_event> events;
+  events.push_back(ev(1000, trace_kind::deq_complete, 2, 9, 1));
+  events.push_back(ev(1500, trace_kind::help_start, 1, 9, 2));
+  events.push_back(ev(2500, trace_kind::help_finish, 1, 9, 2));
+
+  std::string doc = trace_to_timeline(events, ns_cal());
+  EXPECT_EQ(count_of(doc, "\"ph\":\"s\""), 0u);
+  EXPECT_EQ(count_of(doc, "\"ph\":\"f\""), 0u);
+
+  events.push_back(ev(3000, trace_kind::deq_complete, 2, 9, 1));
+  doc = trace_to_timeline(events, ns_cal());
+  EXPECT_EQ(count_of(doc, "\"ph\":\"f\""), 1u);
+  // 3000 ticks, based at the first event (1000), is 2 us.
+  EXPECT_NE(doc.find("\"ph\":\"f\",\"pid\":0,\"tid\":2,\"ts\":2,"),
+            std::string::npos);
+}
+
+TEST(ObsTimeline, EveryEpisodeGetsItsOwnFlowId) {
+  std::vector<trace_event> events;
+  events.push_back(ev(100, trace_kind::help_start, 1, 9, /*victim=*/2));
+  events.push_back(ev(200, trace_kind::help_start, 3, 4, /*victim=*/0));
+  events.push_back(ev(300, trace_kind::help_finish, 1, 9, 2));
+  events.push_back(ev(400, trace_kind::help_finish, 3, 4, 0));
+  events.push_back(ev(500, trace_kind::enq_complete, 0, 4));
+  events.push_back(ev(600, trace_kind::deq_complete, 2, 9, 1));
+
+  const std::string doc = trace_to_timeline(events, ns_cal());
+  EXPECT_EQ(count_of(doc, "\"ph\":\"s\""), 2u);
+  EXPECT_EQ(count_of(doc, "\"ph\":\"f\""), 2u);
+  // Each id names exactly one s/f pair.
+  EXPECT_EQ(count_of(doc, "\"id\":1"), 2u);
+  EXPECT_EQ(count_of(doc, "\"id\":2"), 2u);
+  EXPECT_NE(doc.find("\"ph\":\"s\",\"pid\":0,\"tid\":1,"), std::string::npos);
+  EXPECT_NE(doc.find("\"ph\":\"s\",\"pid\":0,\"tid\":3,"), std::string::npos);
+  EXPECT_NE(doc.find("\"ph\":\"f\",\"pid\":0,\"tid\":2,"), std::string::npos);
+  EXPECT_NE(doc.find("\"ph\":\"f\",\"pid\":0,\"tid\":0,"), std::string::npos);
+}
+
+TEST(ObsTimeline, UnpairedEndpointsOfATruncatedTraceDrawNothing) {
+  // A drain after wrap-around starts mid-operation: completions whose
+  // publish and a help_finish whose help_start were overwritten.
+  std::vector<trace_event> events;
+  events.push_back(ev(100, trace_kind::enq_complete, 0, 3));
+  events.push_back(ev(200, trace_kind::help_finish, 1, 5, 2));
+  events.push_back(ev(300, trace_kind::deq_complete, 2, 5, 1));
+
+  const std::string doc = trace_to_timeline(events, ns_cal(), /*dropped=*/40);
+  EXPECT_EQ(count_of(doc, "\"ph\":\"X\""), 0u);
+  EXPECT_EQ(count_of(doc, "\"ph\":\"s\""), 0u);
+  // Slice endpoints never fall back to instants.
+  EXPECT_EQ(count_of(doc, "\"ph\":\"i\""), 0u);
+  EXPECT_NE(doc.find("\"event_count\":3"), std::string::npos);
+}
+
+TEST(ObsTimeline, TimesAreMicrosecondsFromTheFirstEvent) {
+  tick_calibration cal = ns_cal();
+  cal.tick_hz = 2e9;  // 2 ticks per ns
+  std::vector<trace_event> events;
+  events.push_back(ev(4000, trace_kind::enq_publish, 0, 1));
+  events.push_back(ev(7000, trace_kind::enq_complete, 0, 1));
+  events.push_back(ev(10000, trace_kind::retire, 0, 0));
+
+  const std::string doc = trace_to_timeline(events, cal);
+  EXPECT_NE(doc.find("\"tick_hz\":2000000000"), std::string::npos);
+  // 3000 ticks at 2 GHz: a 1.5 us slice starting at the timeline origin.
+  EXPECT_NE(doc.find("\"ph\":\"X\",\"pid\":0,\"tid\":0,\"ts\":0,\"dur\":1.5,"),
+            std::string::npos);
+  EXPECT_NE(doc.find("\"ph\":\"i\",\"pid\":0,\"tid\":0,\"ts\":3,"),
+            std::string::npos);
+}
+
 TEST(ObsTimeline, PointKindsBecomeInstants) {
   std::vector<trace_event> events;
   events.push_back(ev(100, trace_kind::waiter_park, 3, 0, 42));
@@ -129,21 +204,6 @@ TEST(ObsTimeline, ThreadMetadataNamesEverySeenTid) {
 TEST(ObsTimeline, DroppedCountSurfacesInOtherData) {
   const std::string doc = trace_to_timeline({}, ns_cal(), /*dropped=*/17);
   EXPECT_NE(doc.find("\"dropped_events\":17"), std::string::npos);
-}
-
-TEST(ObsTimeline, RawDumpFormRoundTrips) {
-  std::vector<trace_event> events;
-  events.push_back(ev(123, trace_kind::enq_publish, 0, 1));
-  events.push_back(ev(456, trace_kind::enq_complete, 0, 1));
-
-  const std::string raw = dump_trace_jsonl(events, 1e9, 3, "test");
-  // Header line + one line per event.
-  EXPECT_EQ(count_of(raw, "\n"), 3u);
-  EXPECT_NE(raw.find("\"kpq_trace_raw\":1"), std::string::npos);
-  EXPECT_NE(raw.find("\"dropped\":3"), std::string::npos);
-  EXPECT_NE(raw.find("\"reason\":\"test\""), std::string::npos);
-  EXPECT_NE(raw.find("\"kind_name\":\"enq_publish\""), std::string::npos);
-  EXPECT_NE(raw.find("\"ts\":456"), std::string::npos);
 }
 
 TEST(ObsTimeline, RealDrainedTraceConverts) {

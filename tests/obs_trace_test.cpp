@@ -78,8 +78,8 @@ TEST(ObsTraceRing, ResetForgetsEverything) {
   EXPECT_TRUE(out.empty());
 }
 
-// Stored traces (JSONL exports, flight-recorder dumps) carry the numeric
-// kind, so a kind keeps its value for good and a retired value stays unused.
+// A trace stored outside the process may carry the numeric kind, so a
+// kind keeps its value for good and a retired value stays unused.
 constexpr std::pair<trace_kind, unsigned> kPinnedKinds[] = {
     {trace_kind::enq_publish, 0},  {trace_kind::enq_complete, 1},
     {trace_kind::deq_publish, 2},  {trace_kind::deq_complete, 3},
