@@ -62,7 +62,8 @@ FIGS = {
     },
     "fig8": {
         "bin": "fig8_fifty_fifty",
-        "record": ["--threads", "4", "--iters", "10000", "--reps", "3"],
+        "record": ["--threads", "4", "--iters", "10000", "--reps", "10",
+                   "--pin"],
         "smoke": ["--threads", "2", "--iters", "1000", "--reps", "2"],
     },
     "fig10": {

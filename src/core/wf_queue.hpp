@@ -15,6 +15,10 @@
 //            (2) flip owner's pending->false                   [line 149]
 //            (3) swing head                                    [line 150]
 //
+// The thread whose link or claim CAS wins runs steps 2 and 3 itself, on the
+// record word it linked or claimed for; any other thread that finds a
+// dangling node or a claimed sentinel finishes it via help_finish_*.
+//
 // C++ port (docs/ALGORITHM.md §2 has the arguments):
 //   * Hazard pointers protect every node dereference and every node a CAS
 //     compares against or installs: a pinned pointer cannot be freed, hence
@@ -79,7 +83,8 @@ struct whitebox;
 /// The interleaving explorer (tests/support/baton.hpp) hands the CPU to
 /// another thread there; the progress tests freeze a thread at
 /// after_publish, where its operation is announced and nothing of it has
-/// run, so only peers can complete it.
+/// run, so only peers can complete it, and a helper at its first `state`
+/// step after a winning link.
 enum class sched_site : std::uint8_t {
   protect,        // hazard-protected read of head_, tail_ or next
   load,           // seq_cst re-read of head_/tail_, next, deq_tid; a
@@ -125,10 +130,12 @@ struct no_fast_path {
 ///      MS queue's plus one probe, independent of n;
 ///   3. then announces on the queue's own slow path.
 /// The paths share linearization points. Enqueue: the link CAS; a fast node
-/// carries enq_tid == no_tid, so helpers know there is no record to complete
-/// and only swing the tail. Dequeue: the sentinel's deqTid claim; a fast claim
-/// writes fast_claim_base + tid, so the write-once-per-node discipline that
-/// serializes dequeues holds across both paths.
+/// carries enq_tid == no_tid, so a helper that finds it dangling knows there
+/// is no record to complete and only swings the tail. Dequeue: the sentinel's
+/// deqTid claim; a fast claim writes fast_claim_base + tid, so the
+/// write-once-per-node discipline that serializes dequeues holds across both
+/// paths. A fast winner swings tail or head itself, as Michael–Scott does,
+/// without going through help_finish_*: it has no record to complete.
 template <std::uint32_t MaxTries = 8>
 class ms_fast_path {
  public:
@@ -374,7 +381,7 @@ class wf_queue : public mem_tracked, public Options::fast_path {
         if (last->next.compare_exchange_strong(expected, node,
                                                std::memory_order_seq_cst)) {
           count_path(tid, &fps_path_stats::fast_enqs);
-          help_finish_enq(tid, g);
+          swing_tail(tid, last, node);
           return;
         }
       }
@@ -428,7 +435,7 @@ class wf_queue : public mem_tracked, public Options::fast_path {
                 expected, fast_claim_base + static_cast<std::int32_t>(tid),
                 std::memory_order_seq_cst)) {
           count_path(tid, &fps_path_stats::fast_deqs);
-          help_finish_deq(tid, g);  // swing head; winner retires sentinel
+          swing_head(tid, first, next);
           return value;
         }
         help_finish_deq(tid, g);  // someone else claimed it: finish, retry
@@ -686,16 +693,28 @@ class wf_queue : public mem_tracked, public Options::fast_path {
   }
 
   /// A helper's step on thread `tid`'s pending record `cur`: install
-  /// {pending, node} under the next version. Fails if any transition
-  /// happened since `cur` was read — versions never repeat.
-  bool swap_record(std::uint32_t tid, std::uint32_t my, word_type cur,
-                   bool pending, node_type* node) {
+  /// {pending, node} under the next version and return the installed word.
+  /// Fails (nullopt) if any transition happened since `cur` was read —
+  /// versions never repeat.
+  std::optional<word_type> swap_record(std::uint32_t tid, std::uint32_t my,
+                                       word_type cur, bool pending,
+                                       node_type* node) {
+    const word_type desired = cur.next(pending, cur.enqueue(), node);
     sched(my, sched_site::state);
-    if (state_[tid]->cas(cur, cur.next(pending, cur.enqueue(), node))) {
-      return true;
-    }
+    if (state_[tid]->cas(cur, desired)) return desired;
     if constexpr (Options::collect_stats) ++stats_[my]->desc_cas_failures;
-    return false;
+    return std::nullopt;
+  }
+
+  /// Step 2 of thread `tid`'s operation: CAS its pending word `cur` to done,
+  /// naming `node`. A won completion of a peer's operation counts in
+  /// `helped`.
+  void complete_record(std::uint32_t tid, std::uint32_t my, word_type cur,
+                       node_type* node, std::uint64_t wf_counters::* helped) {
+    const bool won = swap_record(tid, my, cur, false, node).has_value();
+    if constexpr (Options::collect_stats) {
+      if (won && tid != my) ++(stats_[my].get().*helped);
+    }
   }
 
   /// hp_domain::set_roots callback: every node a record names is announced,
@@ -851,9 +870,18 @@ class wf_queue : public mem_tracked, public Options::fast_path {
         sched(my, sched_site::link);
         if (last->next.compare_exchange_strong(
                 expected, node, std::memory_order_seq_cst)) {  // line 74
+          // line 75, by the winner: it completes the very word it linked
+          // for and swings the tail from the `last` it linked behind, with
+          // no re-read. Only the operation whose node was just linked can
+          // still hold `cur`; a lost CAS means a helper already did step 2,
+          // and the swing still applies. Step 2 goes first: a tail past
+          // `node` with the record still pending would let the owner's
+          // loop link `node` a second time.
+          complete_record(tid, my, *cur, node,
+                          &wf_counters::helped_enq_completions);
+          swing_tail(my, last, node);
           g.clear(s_node);
-          help_finish_enq(my, g);  // line 75
-          return;                  // line 76
+          return;  // line 76
         }
         if constexpr (Options::collect_stats) ++stats_[my]->link_cas_failures;
         g.clear(s_node);
@@ -883,8 +911,7 @@ class wf_queue : public mem_tracked, public Options::fast_path {
       // A fast node has no record: only step 3 applies, and skipping
       // step 2 is safe precisely because nothing is pending for it.
       if (etid == no_tid) {
-        sched(my, sched_site::swing);
-        tail_.compare_exchange_strong(last, next, std::memory_order_seq_cst);
+        swing_tail(my, last, next);
         return;
       }
     }
@@ -897,15 +924,21 @@ class wf_queue : public mem_tracked, public Options::fast_path {
       // lines 92-93 (step 2): clear pending. Helpers CAS only pending
       // records; a completed one is already in its final state.
       if (cur.pending()) {
-        const bool won = swap_record(tid, my, cur, false, next);
-        if constexpr (Options::collect_stats) {
-          if (won && tid != my) ++stats_[my]->helped_enq_completions;
-        }
+        complete_record(tid, my, cur, next,
+                        &wf_counters::helped_enq_completions);
       }
-      sched(my, sched_site::swing);
-      tail_.compare_exchange_strong(last, next,
-                                    std::memory_order_seq_cst);  // 94 (step 3)
+      swing_tail(my, last, next);  // line 94 (step 3)
     }
+  }
+
+  /// Step 3 of an enqueue: swing tail from `last` to the node linked behind
+  /// it. `last` is pinned; `next` need not be: the CAS succeeds only while
+  /// tail == last, when `next` is last->next and cannot have been dequeued.
+  void swing_tail(std::uint32_t my, node_type* last, node_type* next) {
+    sched(my, sched_site::swing);
+    // kpq-order: seq_cst pairs-with the tail_ re-reads that validate a
+    // protected `last` (help_enq, help_finish_enq, the fast paths)
+    tail_.compare_exchange_strong(last, next, std::memory_order_seq_cst);
   }
 
   /// paper lines 109-140.
@@ -938,20 +971,33 @@ class wf_queue : public mem_tracked, public Options::fast_path {
         const std::optional<word_type> cur =
             pending_record(tid, phase, my);  // lines 126-128
         if (!cur) break;
+        word_type staged = *cur;  // the word known to name `first`, if any
         sched(my, sched_site::load);
         if (first == head_.load(std::memory_order_seq_cst) &&
             cur->node != first) {  // line 129
           // lines 130-131: stage 0 — point tid's record at the sentinel.
-          if (!swap_record(tid, my, *cur, true, first)) {
-            continue;  // line 132
-          }
+          const std::optional<word_type> installed =
+              swap_record(tid, my, *cur, true, first);
+          if (!installed) continue;  // line 132
+          staged = *installed;
         }
         std::int32_t expected = no_tid;
         sched(my, sched_site::claim);
-        first->deq_tid.compare_exchange_strong(
-            expected, static_cast<std::int32_t>(tid),
-            std::memory_order_seq_cst);  // line 135 (stage 1, linearization)
-        help_finish_deq(my, g);          // line 136
+        if (first->deq_tid.compare_exchange_strong(
+                expected, static_cast<std::int32_t>(tid),
+                std::memory_order_seq_cst)) {  // line 135 (stage 1, lin.)
+          // line 136, by the winner: a won claim means head was still
+          // `first`, so either `cur` named it or this thread's stage 0 did.
+          // Complete that word with `next` (non-null: tail had passed
+          // `first`) and swing head, with no re-read. A lost CAS means a
+          // helper already did step 2; the swing still applies.
+          assert(staged.node == first && next != nullptr);
+          complete_record(tid, my, staged, next,
+                          &wf_counters::helped_deq_completions);
+          swing_head(my, first, next);
+        } else {
+          help_finish_deq(my, g);  // line 136: the claim is another's
+        }
       }
     }
   }
@@ -971,11 +1017,7 @@ class wf_queue : public mem_tracked, public Options::fast_path {
         sched(my, sched_site::load);
         if (first == head_.load(std::memory_order_seq_cst) &&
             next != nullptr) {
-          sched(my, sched_site::swing);
-          if (head_.compare_exchange_strong(first, next,
-                                            std::memory_order_seq_cst)) {
-            retire_node(my, first);
-          }
+          swing_head(my, first, next);
         }
         return;
       }
@@ -990,18 +1032,21 @@ class wf_queue : public mem_tracked, public Options::fast_path {
       // it). While head == first, tid's operation is the one that claimed
       // first, and `next` cannot be retired before head leaves first.
       if (cur.pending()) {
-        const bool won = swap_record(tid, my, cur, false, next);
-        if constexpr (Options::collect_stats) {
-          if (won && tid != my) ++stats_[my]->helped_deq_completions;
-        }
+        complete_record(tid, my, cur, next,
+                        &wf_counters::helped_deq_completions);
       }
-      sched(my, sched_site::swing);
-      if (head_.compare_exchange_strong(
-              first, next, std::memory_order_seq_cst)) {  // line 150 (step 3)
-        // Exactly one thread wins the head swing; it owns retiring the old
-        // sentinel.
-        retire_node(my, first);
-      }
+      swing_head(my, first, next);  // line 150 (step 3)
+    }
+  }
+
+  /// Step 3 of a dequeue: swing head from the claimed sentinel `first` to
+  /// `next`. Exactly one thread wins the swing; it owns retiring `first`.
+  void swing_head(std::uint32_t my, node_type* first, node_type* next) {
+    sched(my, sched_site::swing);
+    // kpq-order: seq_cst pairs-with the head_ re-reads that validate a
+    // protected `first` and `next` before a claim or a completion
+    if (head_.compare_exchange_strong(first, next, std::memory_order_seq_cst)) {
+      retire_node(my, first);
     }
   }
 

@@ -18,6 +18,9 @@
 //   * peers keep completing unboundedly many of their own operations while
 //     a thread stays frozen (no global progress dependency on any single
 //     thread);
+//   * a helper frozen right after its winning link leaves a dangling node
+//     that peers finish through help_finish_enq, and its own late
+//     completion and tail CASes then fail harmlessly;
 //   * the traced run of a helped enqueue or dequeue renders a
 //     helper->helped flow arrow in the timeline export (obs/timeline.hpp).
 #include <gtest/gtest.h>
@@ -33,6 +36,8 @@
 #include "obs/calibrate.hpp"
 #include "obs/timeline.hpp"
 #include "obs/trace_ring.hpp"
+#include "verify/fifo_checker.hpp"
+#include "verify/history.hpp"
 
 namespace kpq {
 namespace {
@@ -44,18 +49,34 @@ std::atomic<std::int64_t> frozen_tid{-1};
 std::atomic<bool> gate_open{true};
 std::atomic<bool> is_frozen{false};
 
+// A second, independent freeze: `winner_tid` parks at its first record CAS
+// after a link CAS. After a winning link that is the CAS completing the
+// operation it linked for.
+std::atomic<std::int64_t> winner_tid{-1};
+std::atomic<bool> winner_gate_open{true};
+std::atomic<bool> winner_is_frozen{false};
+thread_local bool linked = false;
+
+void park(std::atomic<bool>& open, std::atomic<bool>& parked) {
+  parked.store(true, std::memory_order_release);
+  while (!open.load(std::memory_order_acquire)) std::this_thread::yield();
+  parked.store(false, std::memory_order_release);
+}
+
 struct freezing_hooks {
   static void sched_point(std::uint32_t tid, sched_site site) {
-    if (site != sched_site::after_publish ||
-        static_cast<std::int64_t>(tid) !=
-            frozen_tid.load(std::memory_order_acquire)) {
-      return;
+    const auto t = static_cast<std::int64_t>(tid);
+    if (t == winner_tid.load(std::memory_order_acquire)) {
+      if (site == sched_site::link) linked = true;
+      if (site == sched_site::state && linked) {
+        linked = false;
+        park(winner_gate_open, winner_is_frozen);
+      }
     }
-    is_frozen.store(true, std::memory_order_release);
-    while (!gate_open.load(std::memory_order_acquire)) {
-      std::this_thread::yield();
+    if (site == sched_site::after_publish &&
+        t == frozen_tid.load(std::memory_order_acquire)) {
+      park(gate_open, is_frozen);
     }
-    is_frozen.store(false, std::memory_order_release);
   }
 };
 
@@ -67,6 +88,12 @@ template <typename T>
 using frozen_queue_of =
     wf_queue<T, help_all, scan_max_phase, hp_domain, freezing_options>;
 using frozen_queue = frozen_queue_of<std::uint64_t>;
+
+struct counting_freezing_options : freezing_options {
+  static constexpr bool collect_stats = true;
+};
+using counting_frozen_queue = wf_queue<std::uint64_t, help_all, scan_max_phase,
+                                       hp_domain, counting_freezing_options>;
 
 struct traced_freezing_options : freezing_options {
   using trace = obs::ring_trace;
@@ -92,6 +119,8 @@ class ProgressTest : public ::testing::Test {
   void TearDown() override {
     gate_open.store(true, std::memory_order_release);
     frozen_tid.store(-1, std::memory_order_release);
+    winner_gate_open.store(true, std::memory_order_release);
+    winner_tid.store(-1, std::memory_order_release);
   }
 
   static void freeze(std::uint32_t tid) {
@@ -104,6 +133,19 @@ class ProgressTest : public ::testing::Test {
     }
   }
   static void thaw() { gate_open.store(true, std::memory_order_release); }
+
+  static void freeze_winner(std::uint32_t tid) {
+    winner_gate_open.store(false, std::memory_order_release);
+    winner_tid.store(tid, std::memory_order_release);
+  }
+  static void wait_winner_frozen() {
+    while (!winner_is_frozen.load(std::memory_order_acquire)) {
+      std::this_thread::yield();
+    }
+  }
+  static void thaw_winner() {
+    winner_gate_open.store(true, std::memory_order_release);
+  }
 
   // Drain the global rings (every traced thread has joined) and render them
   // as the Perfetto timeline; a traced scenario this small drops nothing.
@@ -259,6 +301,61 @@ TEST_F(ProgressTest, PeersMakeUnboundedProgressWhileOneThreadIsFrozen) {
   std::uint64_t drained = 0;
   while (q.dequeue(1).has_value()) ++drained;
   EXPECT_EQ(completed + drained, 2001u);
+}
+
+TEST_F(ProgressTest, PeersFinishAFrozenLinkWinnersTarget) {
+  // Thread 0's enqueue is announced and frozen. Thread 1 helps it (older
+  // phase, help_all), wins the link and freezes before completing thread
+  // 0's record, leaving its node dangling behind the tail.
+  counting_frozen_queue q(3);
+  history_recorder h(3);
+  auto enqueue = [&](std::uint64_t v, std::uint32_t tid) {
+    auto s = h.begin(tid, op_kind::enq, v);
+    q.enqueue(v, tid);
+    s.commit();
+  };
+  auto dequeue = [&](std::uint32_t tid) {
+    auto s = h.begin(tid, op_kind::deq);
+    const std::optional<std::uint64_t> v = q.dequeue(tid);
+    if (v) {
+      s.set_value(*v);
+    } else {
+      s.set_empty();
+    }
+    s.commit();
+    return v;
+  };
+
+  freeze(0);
+  std::thread owner([&] { enqueue(42, 0); });
+  wait_frozen();
+  freeze_winner(1);
+  std::thread winner([&] { enqueue(7, 1); });
+  wait_winner_frozen();
+
+  // Thread 2 finds 42 dangling, completes thread 0's enqueue through
+  // help_finish_enq, helps thread 1's own enqueue, then takes 42 — all
+  // while the winner stays frozen.
+  EXPECT_EQ(dequeue(2), std::optional<std::uint64_t>{42});
+  EXPECT_GE(q.counters(2).helped_enq_completions, 2u)
+      << "thread 0's and thread 1's enqueues, both completed by thread 2";
+  EXPECT_TRUE(winner_is_frozen.load(std::memory_order_acquire));
+  EXPECT_EQ(q.counters(1).helped_enq_completions, 0u);
+
+  thaw_winner();
+  winner.join();
+  EXPECT_EQ(q.counters(1).helped_enq_completions, 0u)
+      << "the winner's late completion CAS must lose";
+  EXPECT_GE(q.counters(1).desc_cas_failures, 1u);
+  thaw();
+  owner.join();
+
+  EXPECT_EQ(q.unsafe_size(), 1u);
+  std::vector<std::uint64_t> drained;
+  while (auto v = dequeue(2)) drained.push_back(*v);
+  EXPECT_EQ(drained, std::vector<std::uint64_t>{7});
+  const check_result r = fifo_checker::check(h.collect(), {});
+  EXPECT_TRUE(r.ok) << r.to_string();
 }
 
 TEST_F(ProgressTest, HelpedOperationIsAppliedExactlyOnce) {

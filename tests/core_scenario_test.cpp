@@ -272,21 +272,23 @@ TEST(PhaseOrdering, OlderOperationsAreHelpedFirst) {
 // version bumped only at publish, the stale empty-completion CAS below wins
 // and the item the owner claimed is lost.
 
-/// Single-threaded replay hooks: when thread `tid` reaches `site`, run
-/// `then` once, in the middle of that thread's step. `then` may run other
-/// threads' whole operations (each a different tid) and re-arm.
+/// Single-threaded replay hooks: when thread `tid` reaches `site` (any site
+/// if nullopt), run `then` once, in the middle of that thread's step. `then`
+/// may run other threads' whole operations (each a different tid) and
+/// re-arm.
 struct script_hooks {
   static inline std::uint32_t tid = 0;
-  static inline sched_site site = sched_site::after_publish;
+  static inline std::optional<sched_site> site;
   static inline std::function<void()> then;
 
-  static void arm(std::uint32_t t, sched_site s, std::function<void()> f) {
+  static void arm(std::uint32_t t, std::optional<sched_site> s,
+                  std::function<void()> f) {
     tid = t;
     site = s;
     then = std::move(f);
   }
   static void sched_point(std::uint32_t t, sched_site s) {
-    if (!then || t != tid || s != site) return;
+    if (!then || t != tid || (site && s != *site)) return;
     const std::function<void()> f = std::move(then);
     then = nullptr;
     f();
@@ -344,6 +346,104 @@ TEST(RecordIdentity, StaleEmptyCompletionMissesARecycledSentinel) {
   EXPECT_EQ(got, std::optional<std::uint64_t>(4))
       << "a stale empty completion matched a reused record value";
   EXPECT_EQ(q.dequeue(peer), std::nullopt);
+}
+
+// A thread that wins the link or claim CAS completes the record word it
+// linked or claimed for, not the record's current word. Stop such a winner
+// at its first step after the winning CAS, let a peer finish the operation
+// and let its owner publish the next one: the winner's completion CAS must
+// miss the new operation, which a freshly loaded word would mark done.
+
+/// Run `then` at `tid`'s first scheduling point after its next `site` step.
+void after_step(std::uint32_t tid, sched_site site,
+                std::function<void()> then) {
+  script_hooks::arm(tid, site, [tid, then = std::move(then)]() mutable {
+    script_hooks::arm(tid, std::nullopt, std::move(then));
+  });
+}
+
+using scripted = wf_queue<std::uint64_t, help_all, scan_max_phase, hp_domain,
+                          script_options>;
+
+TEST(RecordIdentity, StaleLinkWinnerMissesTheOwnersNextEnqueue) {
+  scripted q(4);
+  constexpr std::uint32_t owner = 3, winner = 1, peer = 2;
+  q.enqueue(100, 0);
+  const std::int64_t phase = wb::max_phase(q, owner) + 1;
+  auto* n400 = wb::make_node(q, 400, owner, owner);
+  wb::publish(q, owner, phase, true, true, n400);
+
+  scripted::node_type* n500 = nullptr;
+  after_step(winner, sched_site::link, [&] {
+    // The winner linked n400 and stopped before completing the owner's
+    // record.
+    ASSERT_EQ(wb::tail(q)->next.load(), n400);
+    ASSERT_TRUE(wb::state(q, owner).pending);
+    wb::help_finish_enq(q, peer);  // steps 2 and 3 for the owner
+    ASSERT_FALSE(wb::state(q, owner).pending);
+    ASSERT_EQ(wb::tail(q), n400);
+    // The owner returns and publishes its next enqueue.
+    n500 = wb::make_node(q, 500, owner, owner);
+    wb::publish(q, owner, wb::max_phase(q, owner) + 1, true, true, n500);
+  });
+  wb::help_enq(q, owner, phase, winner);
+
+  ASSERT_NE(n500, nullptr) << "the replay did not run";
+  const auto next_op = wb::state(q, owner);
+  EXPECT_TRUE(next_op.pending)
+      << "a stale completion marked an unlinked enqueue done";
+  EXPECT_EQ(next_op.node, n500);
+  EXPECT_EQ(wb::tail(q), n400);
+  EXPECT_EQ(n400->next.load(), nullptr) << "n500 linked by a stale step";
+
+  wb::help_enq(q, owner, next_op.phase, peer);
+  EXPECT_EQ(wb::tail(q), n500);
+  for (std::uint64_t v : {100u, 400u, 500u}) {
+    EXPECT_EQ(q.dequeue(0), std::optional<std::uint64_t>(v));
+  }
+  EXPECT_EQ(q.dequeue(0), std::nullopt);
+}
+
+TEST(RecordIdentity, StaleClaimWinnerMissesTheOwnersNextDequeue) {
+  scripted q(4);
+  constexpr std::uint32_t owner = 3, winner = 1, peer = 2;
+  q.enqueue(100, 0);
+  q.enqueue(200, 0);
+  auto* dummy = wb::head(q);
+  auto* n100 = dummy->next.load();
+  const std::int64_t phase = wb::max_phase(q, owner) + 1;
+  wb::publish(q, owner, phase, true, false, nullptr);
+
+  bool ran = false;
+  after_step(winner, sched_site::claim, [&] {
+    // The winner's stage 0 pointed the owner's record at the sentinel; it
+    // claimed the sentinel and stopped before completing the record.
+    ASSERT_EQ(dummy->deq_tid.load(), static_cast<std::int32_t>(owner));
+    ASSERT_TRUE(wb::state(q, owner).pending);
+    ASSERT_EQ(wb::state(q, owner).node, dummy);
+    wb::help_finish_deq(q, peer);  // stages 2 and 3 for the owner
+    ASSERT_FALSE(wb::state(q, owner).pending);
+    ASSERT_EQ(wb::state(q, owner).node, n100);
+    ASSERT_EQ(wb::head(q), n100);
+    // The owner returns with 100 and publishes its next dequeue.
+    wb::publish(q, owner, wb::max_phase(q, owner) + 1, true, false, nullptr);
+    ran = true;
+  });
+  wb::help_deq(q, owner, phase, winner);
+
+  ASSERT_TRUE(ran) << "the replay did not run";
+  const auto next_op = wb::state(q, owner);
+  EXPECT_TRUE(next_op.pending)
+      << "a stale completion handed the next dequeue an item it never "
+         "claimed";
+  EXPECT_EQ(next_op.node, nullptr);
+  EXPECT_EQ(wb::head(q), n100);
+  EXPECT_EQ(n100->deq_tid.load(), no_tid) << "n100 claimed by a stale step";
+
+  wb::help_deq(q, owner, next_op.phase, peer);
+  ASSERT_FALSE(wb::state(q, owner).pending);
+  EXPECT_EQ(wb::state(q, owner).node->value, 200u);
+  EXPECT_EQ(q.dequeue(0), std::nullopt);
 }
 
 }  // namespace

@@ -56,7 +56,8 @@ struct whitebox {
   template <typename Q>
   static bool swap_record(Q& q, std::uint32_t tid, std::uint32_t my,
                           bool pending, typename Q::node_type* node) {
-    return q.swap_record(tid, my, q.state_[tid]->word(), pending, node);
+    return q.swap_record(tid, my, q.state_[tid]->word(), pending, node)
+        .has_value();
   }
   /// Announce an enqueue on the slow path and help it to completion,
   /// skipping any fast path.
