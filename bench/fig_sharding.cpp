@@ -15,7 +15,9 @@
 // A second table reports throughput (Mpairs/s), the speedup of 4 shards
 // over the single queue — the PR's acceptance gate (>= 2x at 8 threads) —
 // and the bulk-path variant (batch 16) whose batch-fill column shows how
-// much of the amortization the fast path actually realized.
+// much of the amortization the fast path actually realized. The bulk
+// variant's completion time is also the first table's "shard x4 bulk"
+// series, so --json records it beside per-item x4.
 //
 // Flags: --threads N | --full, --iters N, --reps N, --pin, --csv, --seed S,
 //        --batch K (bulk series batch size, default 16), --steal-heavy,
@@ -114,6 +116,7 @@ int main(int argc, char** argv) {
   fig.add_series("shard x2");
   fig.add_series("shard x4");
   fig.add_series("shard x8");
+  fig.add_series("shard x4 bulk");
 
   struct row {
     std::uint32_t threads;
@@ -142,6 +145,7 @@ int main(int argc, char** argv) {
     fig.add_cell(r.s2.time);
     fig.add_cell(r.s4.time);
     fig.add_cell(r.s8.time);
+    fig.add_cell(r.s4bulk.time);
     rows.push_back(r);
   }
   fig.print(p.threads);

@@ -286,10 +286,10 @@ class wf_queue : public mem_tracked, public Options::fast_path {
   /// the queue, not the options) can hit the same sink.
   using trace_type = typename Options::trace;
 
-  /// Hazard slots used per thread: head/first, tail/last, next, and the
-  /// node named by a pending enqueue's record.
-  static constexpr std::uint32_t hp_slots = 4;
-  enum slot : std::uint32_t { s_first = 0, s_last = 1, s_next = 2, s_node = 3 };
+  /// Hazard slots used per thread: head/first, tail/last, next. A pending
+  /// enqueue's node needs none (docs/ALGORITHM.md §2(b)).
+  static constexpr std::uint32_t hp_slots = 3;
+  enum slot : std::uint32_t { s_first = 0, s_last = 1, s_next = 2 };
 
   /// deqTid encoding: no_tid free, [0, n) a slow-path claim by that thread,
   /// fast_claim_base + tid a fast-path claim (no record to complete).
@@ -854,18 +854,12 @@ class wf_queue : public mem_tracked, public Options::fast_path {
         continue;
       }
       if (next == nullptr) {  // line 72: enqueue can be applied
-        // line 73: the operation must still be pending, and we must fetch
-        // the node from the *current* record...
+        // line 73: the operation must still be pending. `node` needs no
+        // pin: the CAS never dereferences it, and it wins only while `node`
+        // is unlinked and `cur` still current (docs/ALGORITHM.md §2(b)).
         const std::optional<word_type> cur = pending_record(tid, phase, my);
         if (!cur) continue;
         node_type* node = cur->node;
-        // ...and pin that node across the CAS. While the record stays `cur`
-        // it names the node (a root) and the node is not yet in the list
-        // past tail, so it cannot have been retired; the unchanged word
-        // after the pin proves that, and the pin keeps it so.
-        sched(my, sched_site::protect);
-        g.protect_raw(s_node, node);
-        if (load_word(my, tid) != *cur) continue;
         node_type* expected = nullptr;
         sched(my, sched_site::link);
         if (last->next.compare_exchange_strong(
@@ -880,11 +874,9 @@ class wf_queue : public mem_tracked, public Options::fast_path {
           complete_record(tid, my, *cur, node,
                           &wf_counters::helped_enq_completions);
           swing_tail(my, last, node);
-          g.clear(s_node);
           return;  // line 76
         }
         if constexpr (Options::collect_stats) ++stats_[my]->link_cas_failures;
-        g.clear(s_node);
       } else {                          // line 79: an enqueue is in progress
         help_finish_enq(my, g);           // line 80: help it first, then retry
       }
@@ -919,8 +911,10 @@ class wf_queue : public mem_tracked, public Options::fast_path {
     const auto tid = static_cast<std::uint32_t>(etid);
     const word_type cur = load_word(my, tid);  // line 90
     sched(my, sched_site::load);
-    if (last == tail_.load(std::memory_order_seq_cst) &&
-        cur.node == next) {  // line 91
+    if (last == tail_.load(std::memory_order_seq_cst)) {  // line 91
+      // The paper also tests cur.node == next, which always holds while
+      // tail == last (docs/ALGORITHM.md §2(d)).
+      assert(cur.node == next);
       // lines 92-93 (step 2): clear pending. Helpers CAS only pending
       // records; a completed one is already in its final state.
       if (cur.pending()) {

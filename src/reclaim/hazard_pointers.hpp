@@ -100,14 +100,7 @@ class hp_domain {
       }
     }
 
-    /// Announce a pointer the caller obtained (and will validate) itself.
-    template <typename T>
-    void protect_raw(std::uint32_t slot, T* p) noexcept {
-      d_->slot_ref(tid_, slot)
-          .store(const_cast<std::remove_const_t<T>*>(p),
-                 std::memory_order_seq_cst);
-    }
-
+   private:
     void clear(std::uint32_t slot) noexcept {
       // kpq-order: release pairs-with scan()'s seq_cst slot read — our
       // preceding reads of *p happen-before a reclaimer frees p; clearing
@@ -115,7 +108,6 @@ class hp_domain {
       d_->slot_ref(tid_, slot).store(nullptr, std::memory_order_release);
     }
 
-   private:
     hp_domain* d_;
     std::uint32_t tid_;
   };

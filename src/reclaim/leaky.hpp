@@ -44,9 +44,6 @@ class leaky_domain {
       // lifetime is trivially safe here (nothing is ever freed)
       return src.load(std::memory_order_acquire);
     }
-    template <typename T>
-    void protect_raw(std::uint32_t /*slot*/, T* /*p*/) noexcept {}
-    void clear(std::uint32_t /*slot*/) noexcept {}
   };
 
   guard enter(std::uint32_t tid) noexcept {

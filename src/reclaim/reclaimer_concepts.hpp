@@ -18,11 +18,10 @@
 //
 //   guard g = domain.enter(tid);      // RAII critical-section token
 //   T* p  = g.protect(slot, src);     // loads src and makes *p safe to
-//                                     // dereference until clear/guard exit.
+//                                     // dereference until the slot is
+//                                     // protected again or the guard exits.
 //                                     // May internally re-load src (hazard
 //                                     // pointer validation loop).
-//   g.protect_raw(slot, p);           // announce an already-validated ptr
-//   g.clear(slot);                    // release one slot early
 //   domain.retire(tid, p, fn, ctx);   // fn(ctx, p) frees p once no guard
 //                                     // can still reach it
 //
@@ -64,8 +63,6 @@ concept reclaimer_domain = requires(R r, std::uint32_t tid, std::uint32_t slot,
   { r.enter(tid) };
   { r.retire(tid, p, fn, ctx) };
   { r.enter(tid).protect(slot, src) } -> std::same_as<int*>;
-  { r.enter(tid).protect_raw(slot, p) };
-  { r.enter(tid).clear(slot) };
 };
 
 }  // namespace kpq

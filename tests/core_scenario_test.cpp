@@ -22,6 +22,8 @@
 #include "core/wf_queue.hpp"
 #include "support/baton.hpp"
 #include "support/whitebox.hpp"
+#include "verify/fifo_checker.hpp"
+#include "verify/history.hpp"
 
 namespace kpq {
 
@@ -402,6 +404,99 @@ TEST(RecordIdentity, StaleLinkWinnerMissesTheOwnersNextEnqueue) {
     EXPECT_EQ(q.dequeue(0), std::optional<std::uint64_t>(v));
   }
   EXPECT_EQ(q.dequeue(0), std::nullopt);
+}
+
+// help_enq links the node of the record word it read, with no hazard pin on
+// that node and no re-read of the word (docs/ALGORITHM.md §2(b)). Stop a
+// helper between reading the word and its link CAS, and let the node be
+// linked, dequeued past, freed and recycled into the owner's next enqueue:
+// the stale word names the same address again, now under a newer version.
+// The link CAS must fail, because `last`, which the helper still pins, has
+// had that node linked behind it.
+TEST(RecordIdentity, StaleLinkerMissesARecycledEnqueueNode) {
+  // eager_hp_domain scans on every retirement; a freed node is recycled by
+  // the next allocation of the thread that retired it, oldest first. The
+  // owner therefore also dequeues its own items, so that it retires the
+  // node.
+  using eager_scripted =
+      wf_queue<std::uint64_t, help_all, scan_max_phase,
+               testing::eager_hp_domain, script_options>;
+  eager_scripted q(4);
+  constexpr std::uint32_t owner = 3, helper = 1, peer = 2;
+  history_recorder h(4);
+  auto dequeue = [&](std::uint32_t tid) {
+    auto s = h.begin(tid, op_kind::deq);
+    const std::optional<std::uint64_t> v = q.dequeue(tid);
+    if (v) {
+      s.set_value(*v);
+    } else {
+      s.set_empty();
+    }
+    s.commit();
+    return v;
+  };
+  auto enqueue = [&](std::uint64_t v, std::uint32_t tid) {
+    auto s = h.begin(tid, op_kind::enq, v);
+    q.enqueue(v, tid);
+    s.commit();
+  };
+
+  auto* s0 = wb::head(q);
+  auto first_enq = h.begin(owner, op_kind::enq, 400);
+  const std::int64_t phase = wb::max_phase(q, owner) + 1;
+  auto* n400 = wb::make_node(q, 400, owner, owner);
+  wb::publish(q, owner, phase, true, true, n400);
+
+  eager_scripted::node_type* recycled = nullptr;
+  std::optional<history_recorder::scope> second_enq;
+  std::uint64_t second_version = 0;
+  std::int64_t second_phase = 0;
+  script_hooks::arm(helper, sched_site::link, [&] {
+    // The helper read the owner's word {pending, n400} and stopped before
+    // linking n400 behind s0.
+    ASSERT_TRUE(wb::state(q, owner).pending);
+    ASSERT_EQ(wb::state(q, owner).node, n400);
+    ASSERT_EQ(wb::tail(q), s0);
+    wb::help_enq(q, owner, phase, peer);  // links, completes, swings
+    ASSERT_FALSE(wb::state(q, owner).pending);
+    ASSERT_EQ(s0->next.load(), n400);
+    first_enq.commit();
+    // Dequeue past n400: the owner swings head off s0 (kept: the helper
+    // pins it), then off n400, then once more, and the last scan frees
+    // n400 into the owner's storage.
+    ASSERT_EQ(dequeue(owner), std::optional<std::uint64_t>(400));
+    enqueue(500, peer);
+    ASSERT_EQ(dequeue(owner), std::optional<std::uint64_t>(500));
+    enqueue(600, peer);
+    ASSERT_EQ(dequeue(owner), std::optional<std::uint64_t>(600));
+    // The owner's next enqueue gets n400's storage and publishes it.
+    second_enq.emplace(h.begin(owner, op_kind::enq, 700));
+    second_phase = wb::max_phase(q, owner) + 1;
+    recycled = wb::make_node(q, 700, owner, owner);
+    wb::publish(q, owner, second_phase, true, true, recycled);
+    second_version = wb::state(q, owner).version;
+  });
+  wb::help_enq(q, owner, phase, helper);
+
+  ASSERT_NE(recycled, nullptr) << "the replay did not run";
+  ASSERT_EQ(recycled, n400)
+      << "scenario needs n400's storage in the owner's next enqueue";
+  const auto next_op = wb::state(q, owner);
+  EXPECT_TRUE(next_op.pending)
+      << "a stale link completed the owner's next enqueue";
+  EXPECT_EQ(next_op.node, recycled);
+  EXPECT_EQ(next_op.version, second_version);
+  EXPECT_EQ(wb::tail(q)->next.load(), nullptr)
+      << "the recycled node was linked by a stale step";
+
+  wb::help_enq(q, owner, second_phase, peer);
+  ASSERT_FALSE(wb::state(q, owner).pending);
+  EXPECT_EQ(wb::tail(q), recycled);
+  second_enq->commit();
+  EXPECT_EQ(dequeue(peer), std::optional<std::uint64_t>(700));
+  EXPECT_EQ(dequeue(peer), std::nullopt);
+  const check_result r = fifo_checker::check(h.collect(), {});
+  EXPECT_TRUE(r.ok) << r.to_string();
 }
 
 TEST(RecordIdentity, StaleClaimWinnerMissesTheOwnersNextDequeue) {

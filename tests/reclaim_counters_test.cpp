@@ -8,6 +8,7 @@
 //     heap_node_storage recycle nodes on owner-local free lists.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <thread>
@@ -61,7 +62,8 @@ TYPED_TEST(ReclaimCounters, CountsAreExactAndCallbacksRunOnTheRetiringThread) {
         // Announce the previous retirement while retiring this one, so the
         // hazard-pointer scans keep some items pending across passes.
         auto g = d->enter(t);
-        if (prev != nullptr) g.protect_raw(0, prev);
+        std::atomic<record*> prev_src{prev};
+        if (prev != nullptr) g.protect(0, prev_src);
         d->retire(t, r, &note_free, nullptr);
         prev = r;
       }

@@ -35,11 +35,12 @@ using HpFixture = TrackedFixture;
 TEST_F(HpFixture, ProtectReturnsCurrentValue) {
   hp_domain d(2, 2);
   std::atomic<tracked*> src{new tracked(5)};
-  auto g = d.enter(0);
-  tracked* p = g.protect(0, src);
-  EXPECT_EQ(p->payload, 5);
-  EXPECT_EQ(d.announced(0, 0), p);
-  g.clear(0);
+  {
+    auto g = d.enter(0);
+    tracked* p = g.protect(0, src);
+    EXPECT_EQ(p->payload, 5);
+    EXPECT_EQ(d.announced(0, 0), p);
+  }
   EXPECT_EQ(d.announced(0, 0), nullptr);
   delete src.load();
 }
@@ -47,18 +48,19 @@ TEST_F(HpFixture, ProtectReturnsCurrentValue) {
 TEST_F(HpFixture, ProtectedObjectSurvivesRetire) {
   hp_domain d(2, 2, /*scan_threshold=*/1);  // scan on every retire
   std::atomic<tracked*> src{new tracked(1)};
-  auto g0 = d.enter(0);
-  tracked* p = g0.protect(0, src);
+  {
+    auto g0 = d.enter(0);
+    tracked* p = g0.protect(0, src);
 
-  // Thread 1 swaps the pointer out and retires the old one; the scan runs
-  // immediately but must keep `p` alive because thread 0 announces it.
-  src.store(new tracked(2));
-  d.retire(1, p, &delete_tracked, nullptr);
-  EXPECT_EQ(tracked::live.load(), 2) << "retired-but-protected object freed";
-  EXPECT_EQ(p->payload, 1);  // still dereferenceable
-
-  g0.clear(0);
-  // Another retirement triggers a scan that can now free `p`.
+    // Thread 1 swaps the pointer out and retires the old one; the scan runs
+    // immediately but must keep `p` alive because thread 0 announces it.
+    src.store(new tracked(2));
+    d.retire(1, p, &delete_tracked, nullptr);
+    EXPECT_EQ(tracked::live.load(), 2) << "retired-but-protected object freed";
+    EXPECT_EQ(p->payload, 1);  // still dereferenceable
+  }
+  // The guard has exited. Another retirement triggers a scan that can now
+  // free `p`.
   d.retire(1, src.exchange(nullptr), &delete_tracked, nullptr);
   EXPECT_EQ(tracked::live.load(), 0);
 }
@@ -70,7 +72,7 @@ TEST_F(HpFixture, GuardDestructorClearsAllSlots) {
     auto g = d.enter(0);
     g.protect(0, src);
     g.protect(1, src);
-    g.protect_raw(2, src.load());
+    g.protect(2, src);
   }
   for (std::uint32_t s = 0; s < 3; ++s) EXPECT_EQ(d.announced(0, s), nullptr);
   delete src.load();
@@ -103,11 +105,12 @@ TEST_F(HpFixture, ReprotectAfterSwapAnnouncesNewPointer) {
 
 TEST_F(HpFixture, ProtectAfterClearAnnouncesAgain) {
   hp_domain d(1, 1);
+  // A guard's exit clears its slots; the next guard's protect must announce
+  // the same pointer afresh.
   std::atomic<tracked*> src{new tracked(4)};
-  auto g = d.enter(0);
-  tracked* p = g.protect(0, src);
-  g.clear(0);
+  tracked* p = d.enter(0).protect(0, src);
   ASSERT_EQ(d.announced(0, 0), nullptr);
+  auto g = d.enter(0);
   EXPECT_EQ(g.protect(0, src), p);
   EXPECT_EQ(d.announced(0, 0), p);
   delete src.load();
@@ -119,18 +122,18 @@ TEST_F(HpFixture, RetireAndScanBetweenReprotectsDoNotFree) {
   hp_domain d(2, 1, /*scan_threshold=*/1000);  // scans only when asked
   tracked* p = new tracked(7);
   std::atomic<tracked*> src{p};
-  auto g0 = d.enter(0);
-  ASSERT_EQ(g0.protect(0, src), p);
-  d.retire(1, p, &delete_tracked, nullptr);
-  d.scan(1);
-  EXPECT_EQ(tracked::live.load(), 1) << "announced object freed";
-  ASSERT_EQ(g0.protect(0, src), p);
-  d.scan(1);
-  EXPECT_EQ(tracked::live.load(), 1) << "re-protected object freed";
-  EXPECT_EQ(p->payload, 7);
-
-  src.store(nullptr);
-  g0.clear(0);
+  {
+    auto g0 = d.enter(0);
+    ASSERT_EQ(g0.protect(0, src), p);
+    d.retire(1, p, &delete_tracked, nullptr);
+    d.scan(1);
+    EXPECT_EQ(tracked::live.load(), 1) << "announced object freed";
+    ASSERT_EQ(g0.protect(0, src), p);
+    d.scan(1);
+    EXPECT_EQ(tracked::live.load(), 1) << "re-protected object freed";
+    EXPECT_EQ(p->payload, 7);
+    src.store(nullptr);
+  }
   d.scan(1);
   EXPECT_EQ(tracked::live.load(), 0);
 }
@@ -170,26 +173,26 @@ TEST_F(HpFixture, ScanFreesEveryUnannouncedRetirement) {
 
 TEST_F(HpFixture, ScanKeepsExactlyTheAnnouncedObjects) {
   // Two readers announce one object each; a scan frees every other
-  // retirement, and clearing one announcement releases that object alone.
+  // retirement, and ending one reader's guard releases that object alone.
   hp_domain d(3, 1, /*scan_threshold=*/1000);
   std::vector<tracked*> objs;
   for (int i = 0; i < 50; ++i) objs.push_back(new tracked(i));
   std::atomic<tracked*> a{objs[10]};
   std::atomic<tracked*> b{objs[40]};
-  auto g1 = d.enter(1);
   auto g2 = d.enter(2);
-  ASSERT_EQ(g1.protect(0, a), objs[10]);
   ASSERT_EQ(g2.protect(0, b), objs[40]);
+  {
+    auto g1 = d.enter(1);
+    ASSERT_EQ(g1.protect(0, a), objs[10]);
 
-  for (tracked* p : objs) d.retire(0, p, &delete_tracked, nullptr);
-  d.scan(0);
-  EXPECT_EQ(d.freed_count(), 48u);
-  EXPECT_EQ(d.pending_count(), 2u);
-  EXPECT_EQ(tracked::live.load(), 2);
-  EXPECT_EQ(objs[10]->payload, 10);
-  EXPECT_EQ(objs[40]->payload, 40);
-
-  g1.clear(0);
+    for (tracked* p : objs) d.retire(0, p, &delete_tracked, nullptr);
+    d.scan(0);
+    EXPECT_EQ(d.freed_count(), 48u);
+    EXPECT_EQ(d.pending_count(), 2u);
+    EXPECT_EQ(tracked::live.load(), 2);
+    EXPECT_EQ(objs[10]->payload, 10);
+    EXPECT_EQ(objs[40]->payload, 40);
+  }
   d.scan(0);
   EXPECT_EQ(d.pending_count(), 1u);
   EXPECT_EQ(tracked::live.load(), 1);
@@ -202,9 +205,12 @@ TEST_F(HpFixture, InteriorAnnouncementDoesNotKeepAnObject) {
   hp_domain d(2, 2, /*scan_threshold=*/1000);
   auto* obj = new tracked(7);
   auto* keep = new tracked(8);
+  std::atomic<char*> inside_obj{reinterpret_cast<char*>(obj) + 1};
+  std::atomic<tracked*> keep_src{keep};
+  std::atomic<char*> past_keep{reinterpret_cast<char*>(keep) + sizeof(tracked)};
   auto g = d.enter(1);
-  g.protect_raw(0, reinterpret_cast<char*>(obj) + 1);
-  g.protect_raw(1, keep);
+  g.protect(0, inside_obj);
+  g.protect(1, keep_src);
   d.retire(0, obj, &delete_tracked, nullptr);
   d.retire(0, keep, &delete_tracked, nullptr);
   d.scan(0);
@@ -212,7 +218,7 @@ TEST_F(HpFixture, InteriorAnnouncementDoesNotKeepAnObject) {
   EXPECT_EQ(tracked::live.load(), 1);
   EXPECT_EQ(keep->payload, 8);
 
-  g.protect_raw(1, reinterpret_cast<char*>(keep) + sizeof(tracked));
+  g.protect(1, past_keep);
   d.scan(0);
   EXPECT_EQ(d.freed_count(), 2u);
   EXPECT_EQ(tracked::live.load(), 0);

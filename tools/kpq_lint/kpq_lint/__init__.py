@@ -10,8 +10,8 @@ Rules (docs/STATIC_ANALYSIS.md has the full grammar and policy):
                       inside the wait-free hot-path dirs (src/core, src/scale,
                       src/storage); src/sync is the sanctioned blocking site.
   R3 hazard discipline a raw pointer loaded from a shared pointer-atomic must
-                      flow through hazard protect()/protect_raw() before it
-                      is dereferenced in the same scope, or carry a
+                      flow through hazard protect() before it is
+                      dereferenced in the same scope, or carry a
                       `kpq-hazard:` justification.
   R4 hub discipline   no lock held across a co_await / coroutine resume /
                       frame destroy (the PR 8 two-phase-notify shape).

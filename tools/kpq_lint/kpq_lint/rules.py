@@ -462,7 +462,7 @@ class FileAnalysis:
                         f"dereference of raw pointer loaded from shared "
                         f"atomic `{toks[i - 2].text}` without hazard "
                         "protection",
-                        "route through guard.protect()/protect_raw() "
+                        "route through guard.protect() "
                         "(reclaim/hazard_pointers.hpp) or justify with "
                         "`// kpq-hazard: <why no reclamation can race>`",
                     )
@@ -509,7 +509,7 @@ class FileAnalysis:
         while j < n and self.depth[j] >= base_depth:
             t = toks[j]
             if t.kind == "ident":
-                if t.text in ("protect", "protect_raw"):
+                if t.text == "protect":
                     protected = True
                 elif t.text == var:
                     nxt = toks[j + 1].text if j + 1 < n else ""
@@ -534,7 +534,7 @@ class FileAnalysis:
                                     f"`{source}`) dereferenced without "
                                     "hazard protection",
                                     "protect before dereference "
-                                    "(guard.protect/protect_raw) or justify "
+                                    "(guard.protect) or justify "
                                     "with `// kpq-hazard: <reason>`",
                                 )
                                 return
@@ -549,7 +549,7 @@ class FileAnalysis:
                                 f"`{source}`) dereferenced without hazard "
                                 "protection",
                                 "protect before dereference "
-                                "(guard.protect/protect_raw) or justify "
+                                "(guard.protect) or justify "
                                 "with `// kpq-hazard: <reason>`",
                             )
                         return

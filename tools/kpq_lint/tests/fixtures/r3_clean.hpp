@@ -17,13 +17,6 @@ struct r3_clean {
     return p->value;
   }
 
-  template <typename Guard>
-  int protect_raw_path(Guard& g) {
-    node* p = head_.load(std::memory_order_seq_cst);
-    g.protect_raw(0, p);  // caller announces, then validates
-    return p == head_.load(std::memory_order_seq_cst) ? p->value : 0;
-  }
-
   int justified_quiescent() {
     // kpq-hazard: fixture is single-threaded by contract — nothing is
     // retired while this runs
