@@ -14,14 +14,11 @@
 //
 // A second table reports throughput (Mpairs/s), the speedup of 4 shards
 // over the single queue — the PR's acceptance gate (>= 2x at 8 threads) —
-// and the bulk-path variant (batch 16) whose batch-fill column shows how
-// much of the amortization the fast path actually realized. The bulk
-// variant's completion time is also the first table's "shard x4 bulk"
-// series, so --json records it beside per-item x4.
+// and the steal rates at 4 and 8 shards.
 //
 // Flags: --threads N | --full, --iters N, --reps N, --pin, --csv, --seed S,
-//        --batch K (bulk series batch size, default 16), --steal-heavy,
-//        --json PATH (machine-readable series, schema kpq-bench-1).
+//        --steal-heavy, --json PATH (machine-readable series, schema
+//        kpq-bench-1).
 #include <cstdint>
 #include <cstdio>
 #include <memory>
@@ -54,12 +51,11 @@ struct shifted_affinity {
 struct sharded_point {
   summary time;
   double steal_rate = 0.0;
-  double batch_fill = 0.0;
 };
 
 template <typename SQ>
 sharded_point measure_sharded(std::uint32_t shards, std::uint32_t threads,
-                              const bench_params& p, std::uint64_t batch) {
+                              const bench_params& p) {
   std::unique_ptr<SQ> q;
   run_config cfg;
   cfg.threads = threads;
@@ -69,28 +65,13 @@ sharded_point measure_sharded(std::uint32_t shards, std::uint32_t threads,
   out.time = run_trials(
       cfg, [&](std::uint32_t) { q = std::make_unique<SQ>(shards, threads); },
       [&](std::uint32_t tid) {
-        if (batch <= 1) {
-          for (std::uint64_t i = 0; i < p.iters; ++i) {
-            q->enqueue(encode_value(tid, i), tid);
-            (void)q->dequeue(tid);
-          }
-        } else {
-          std::vector<std::uint64_t> staging, popped;
-          for (std::uint64_t i = 0; i < p.iters; i += batch) {
-            const std::uint64_t k = std::min<std::uint64_t>(batch, p.iters - i);
-            staging.clear();
-            popped.clear();
-            for (std::uint64_t j = 0; j < k; ++j) {
-              staging.push_back(encode_value(tid, i + j));
-            }
-            q->enqueue_bulk(staging.begin(), staging.end(), tid);
-            (void)q->dequeue_bulk(popped, k, tid);
-          }
+        for (std::uint64_t i = 0; i < p.iters; ++i) {
+          q->enqueue(encode_value(tid, i), tid);
+          (void)q->dequeue(tid);
         }
       });
   const shard_stats agg = q->aggregate_counters();  // last rep's queue
   out.steal_rate = agg.steal_rate();
-  out.batch_fill = agg.batch_fill();
   return out;
 }
 
@@ -101,7 +82,6 @@ int main(int argc, char** argv) {
   using namespace kpq::bench;
 
   cli pre(argc, argv);
-  const std::uint64_t batch = pre.get_u64("batch", 16);
   const bool steal_heavy = pre.get_flag("steal-heavy");
   bench_params p = parse_params(argc, argv, /*default_iters=*/20000);
 
@@ -116,12 +96,11 @@ int main(int argc, char** argv) {
   fig.add_series("shard x2");
   fig.add_series("shard x4");
   fig.add_series("shard x8");
-  fig.add_series("shard x4 bulk");
 
   struct row {
     std::uint32_t threads;
     double single_s, s4_s;
-    sharded_point s2, s4, s8, s4bulk;
+    sharded_point s2, s4, s8;
   };
   std::vector<row> rows;
 
@@ -132,30 +111,25 @@ int main(int argc, char** argv) {
     const summary single = measure_pairs<wfq>(th, p);
     fig.add_cell(single);
     r.single_s = single.mean;
-    auto measure = [&](std::uint32_t shards, std::uint64_t b) {
-      return steal_heavy
-                 ? measure_sharded<sharded_shift>(shards, th, p, b)
-                 : measure_sharded<sharded_aff>(shards, th, p, b);
+    auto measure = [&](std::uint32_t shards) {
+      return steal_heavy ? measure_sharded<sharded_shift>(shards, th, p)
+                         : measure_sharded<sharded_aff>(shards, th, p);
     };
-    r.s2 = measure(2, 1);
-    r.s4 = measure(4, 1);
-    r.s8 = measure(8, 1);
-    r.s4bulk = measure(4, batch);
+    r.s2 = measure(2);
+    r.s4 = measure(4);
+    r.s8 = measure(8);
     r.s4_s = r.s4.time.mean;
     fig.add_cell(r.s2.time);
     fig.add_cell(r.s4.time);
     fig.add_cell(r.s8.time);
-    fig.add_cell(r.s4bulk.time);
     rows.push_back(r);
   }
   fig.print(p.threads);
 
-  std::printf("== Throughput, steal rate, and the bulk fast path ==\n");
-  std::printf("(batch series: %llu items per bulk op%s)\n",
-              static_cast<unsigned long long>(batch),
-              steal_heavy ? ", steal-heavy placement" : "");
+  std::printf("== Throughput and steal rate ==\n");
+  if (steal_heavy) std::printf("(steal-heavy placement)\n");
   table t({"threads", "x1 Mpairs/s", "x4 Mpairs/s", "x4 speedup",
-           "x4 steal%", "x8 steal%", "x4 bulk Mpairs/s", "bulk fill"});
+           "x4 steal%", "x8 steal%"});
   for (const row& r : rows) {
     const double total_pairs =
         static_cast<double>(r.threads) * static_cast<double>(p.iters);
@@ -163,9 +137,7 @@ int main(int argc, char** argv) {
     t.add_row({std::to_string(r.threads), fmt(mpairs(r.single_s), 3),
                fmt(mpairs(r.s4_s), 3), fmt(r.single_s / r.s4_s, 2),
                fmt(100.0 * r.s4.steal_rate, 1),
-               fmt(100.0 * r.s8.steal_rate, 1),
-               fmt(mpairs(r.s4bulk.time.mean), 3),
-               fmt(r.s4bulk.batch_fill, 1)});
+               fmt(100.0 * r.s8.steal_rate, 1)});
   }
   t.print();
   if (p.csv) {

@@ -1,4 +1,4 @@
-// Example: fan-in/fan-out over the sharded front-end with batched handoff.
+// Example: fan-in/fan-out over the sharded front-end.
 //
 //   build/examples/sharded_pipeline [items_per_producer] [shards]
 //
@@ -6,9 +6,8 @@
 // stream of readings, a pool of consumers drains them. The sharded queue
 // gives each producer its own lane (affinity policy: per-producer FIFO is
 // per-shard FIFO), consumers prefer their own lane and steal from the
-// others when idle, and both sides move items in batches through the bulk
-// fast path (one phase/guard registration per batch on the KP inner
-// queues).
+// others when idle. Every enqueue and dequeue is one operation on one KP
+// inner queue.
 //
 // Self-validation (exits nonzero on any inconsistency):
 //   * conservation — every produced item consumed exactly once;
@@ -20,6 +19,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <optional>
 #include <thread>
 #include <vector>
 
@@ -32,7 +32,6 @@ namespace {
 constexpr std::uint32_t kProducers = 4;
 constexpr std::uint32_t kConsumers = 4;
 constexpr std::uint32_t kMaxThreads = kProducers + kConsumers;
-constexpr std::uint64_t kBatch = 32;
 
 }  // namespace
 
@@ -54,36 +53,27 @@ int main(int argc, char** argv) {
   std::atomic<bool> order_ok{true};
   std::vector<std::thread> threads;
 
-  // Producers: tids 0..kProducers-1, batched emission of ordered streams.
+  // Producers: tids 0..kProducers-1, each emitting an ordered stream.
   for (std::uint32_t p = 0; p < kProducers; ++p) {
     threads.emplace_back([&, p] {
       const std::uint32_t tid = p;
-      std::vector<std::uint64_t> staging;
-      for (std::uint64_t i = 0; i < items_per_producer;) {
-        staging.clear();
-        const std::uint64_t k =
-            std::min<std::uint64_t>(kBatch, items_per_producer - i);
-        for (std::uint64_t j = 0; j < k; ++j) {
-          staging.push_back(kpq::encode_value(p, i + j));
-        }
-        q.enqueue_bulk(staging.begin(), staging.end(), tid);
-        i += k;
+      for (std::uint64_t i = 0; i < items_per_producer; ++i) {
+        q.enqueue(kpq::encode_value(p, i), tid);
       }
       producers_done.fetch_add(1);
     });
   }
 
-  // Consumers: tids kProducers..kMaxThreads-1, batched draining + stealing.
+  // Consumers: tids kProducers..kMaxThreads-1, draining + stealing.
   const std::uint64_t expected =
       static_cast<std::uint64_t>(kProducers) * items_per_producer;
   for (std::uint32_t c = 0; c < kConsumers; ++c) {
     threads.emplace_back([&, c] {
       const std::uint32_t tid = kProducers + c;
-      std::vector<std::uint64_t> popped;
       std::vector<std::int64_t> last_seq(kProducers, -1);
       for (;;) {
-        popped.clear();
-        if (q.dequeue_bulk(popped, kBatch, tid) == 0) {
+        const std::optional<std::uint64_t> v = q.dequeue(tid);
+        if (!v) {
           if (producers_done.load() == kProducers &&
               consumed_total.load() >= expected) {
             break;
@@ -91,13 +81,11 @@ int main(int argc, char** argv) {
           std::this_thread::yield();
           continue;
         }
-        for (std::uint64_t v : popped) {
-          const std::uint32_t from = kpq::value_tid(v);
-          const auto seq = static_cast<std::int64_t>(kpq::value_seq(v));
-          if (seq <= last_seq[from]) order_ok.store(false);
-          last_seq[from] = seq;
-        }
-        consumed_total.fetch_add(popped.size());
+        const std::uint32_t from = kpq::value_tid(*v);
+        const auto seq = static_cast<std::int64_t>(kpq::value_seq(*v));
+        if (seq <= last_seq[from]) order_ok.store(false);
+        last_seq[from] = seq;
+        consumed_total.fetch_add(1);
       }
     });
   }
@@ -108,11 +96,10 @@ int main(int argc, char** argv) {
   std::printf("sharded_pipeline: %u producers -> %u shards -> %u consumers\n",
               kProducers, shards, kConsumers);
   std::printf("consumed %llu / %llu items, steal rate %.1f%%, "
-              "batch fill %.1f, residual depth %lld\n",
+              "residual depth %lld\n",
               static_cast<unsigned long long>(consumed_total.load()),
               static_cast<unsigned long long>(expected),
-              100.0 * agg.steal_rate(), agg.batch_fill(),
-              static_cast<long long>(agg.depth()));
+              100.0 * agg.steal_rate(), static_cast<long long>(agg.depth()));
 
   const bool ok = consumed_total.load() == expected && order_ok.load() &&
                   agg.enqueued == expected && agg.dequeued == expected &&

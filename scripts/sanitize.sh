@@ -48,7 +48,7 @@ for mode in "${modes[@]}"; do
     mode=thread
     dir_tag=core
     extra_cmake=(-DKPQ_TRACE=ON)
-    filter=(-R 'Wf|Sharded|Bulk|Help|Phase|RecordIdentity|Figure|Fps|Progress|Interleave|Random|Baton|Audit|Sweep|EmptyDequeue|Blocking|HpFixture')
+    filter=(-R 'Wf|Sharded|Help|Phase|RecordIdentity|Figure|Fps|Progress|Interleave|Random|Baton|Audit|Sweep|EmptyDequeue|Blocking|HpFixture')
   elif [[ "$mode" == "tsan-storage" ]]; then
     # Shortcut: TSan over every suite that exercises src/storage/ — the
     # bounded-policy tests, allocation failure (tests/support/

@@ -73,9 +73,7 @@ struct help_all {
 /// The delay is one operation, fixed. A slot holds the cursor for at most two
 /// consecutive operations and a stalled operation's phase never changes, so
 /// every active peer helps it within 2n of its own operations; the doorway
-/// argument (paper §5.3) is otherwise unchanged. A bulk operation reuses one
-/// phase for its whole batch, so a second look may help a later item of the
-/// same batch — harmless, helping a pending operation is always correct.
+/// argument (paper §5.3) is otherwise unchanged.
 struct help_one {
   struct look {
     std::uint32_t slot = 0;

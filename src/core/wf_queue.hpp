@@ -448,67 +448,6 @@ class wf_queue : public mem_tracked, public Options::fast_path {
     }
   }
 
-  // ---------------------------------------------------------------- batched
-  // Native hooks for the scale layer (scale/batch.hpp dispatches to these).
-  //
-  // A batch amortizes the two per-operation costs that do not depend on the
-  // operation itself: the reclamation-guard entry and the phase draw. One
-  // phase is registered for the WHOLE batch and reused by every item:
-  //
-  //   * Legal: helping uses `phase <= mine`, so equal phases are already
-  //     tolerated (two concurrent scan_max_phase draws can return the same
-  //     phase; paper footnote 3), and the record's version — never the
-  //     phase — is what the completion CASes compare. A batch item
-  //     publishing an "old" phase can only make itself MORE helpable.
-  //   * Wait-free: the doorway bound (paper §5.3) counts operations with
-  //     phase <= p that can linearize before an operation with phase p; a
-  //     batch adds at most its own length to that count, so the step bound
-  //     grows by the maximum batch size — still a constant.
-  //
-  // Items become visible one at a time, exactly as the per-item loop's
-  // would (helpers can complete any prefix for a stalled owner); batching
-  // changes cost, never semantics. With scan_max_phase the saving is an
-  // O(max_threads) state scan per item; with fetch_add_phase it is the
-  // shared-counter RMW — the cross-thread rendezvous either way.
-  //
-  // Fast-path queues have no native bulk form: a batch amortizes slow-path
-  // costs their common path does not pay, so scale/batch.hpp falls back to
-  // per-item calls for them.
-
-  /// Enqueue [first, last) under one guard and one phase.
-  template <typename It>
-  void enqueue_bulk(It first, It last, std::uint32_t tid)
-    requires(!has_fast_path)
-  {
-    check_tid(tid);
-    if (first == last) return;
-    auto g = reclaim_.enter(tid);
-    const std::int64_t phase = next_phase(tid, g);
-    for (; first != last; ++first) {
-      announce_enq(tid, phase,
-                   alloc_node(tid, *first, static_cast<std::int32_t>(tid)), g);
-    }
-  }
-
-  /// Pop up to `max` items (appended to `out`) under one guard and one
-  /// phase; stops at the first empty-linearized dequeue. Returns the count.
-  std::size_t dequeue_bulk(std::vector<T>& out, std::size_t max,
-                           std::uint32_t tid)
-    requires(!has_fast_path)
-  {
-    check_tid(tid);
-    if (max == 0) return 0;
-    auto g = reclaim_.enter(tid);
-    const std::int64_t phase = next_phase(tid, g);
-    std::size_t got = 0;
-    for (; got < max; ++got) {
-      std::optional<T> item = announce_deq(tid, phase, g);
-      if (!item.has_value()) break;
-      out.push_back(std::move(*item));
-    }
-    return got;
-  }
-
   // ----------------------------------------------------------- observability
 
   std::uint32_t max_threads() const noexcept { return n_; }
@@ -743,7 +682,7 @@ class wf_queue : public mem_tracked, public Options::fast_path {
 
   // --------------------------------------------------------------- slow path
 
-  /// paper lines 63-65 (a bulk enqueue reuses one phase for every item).
+  /// paper lines 63-65.
   template <typename Guard>
   void announce_enq(std::uint32_t tid, std::int64_t phase, node_type* node,
                     Guard& g) {

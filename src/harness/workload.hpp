@@ -76,15 +76,6 @@ inline std::uint64_t hash64(std::uint64_t x) noexcept {
   return x ^ (x >> 31);
 }
 
-/// Sharded/batched workload knobs (bench/fig_sharding, scale tests): how
-/// many items a producer hands to one bulk call. `max_batch == 1` reduces
-/// every bulk op to the per-item path, which is the degenerate case the
-/// batching layer must stay correct (and cheap) under.
-inline std::uint64_t pick_batch_size(fast_rng& rng,
-                                     std::uint64_t max_batch) noexcept {
-  return max_batch <= 1 ? 1 : 1 + rng.next() % max_batch;
-}
-
 /// Unique payload encoding: thread id in the top bits, per-thread sequence
 /// in the bottom. Tests use this to check per-producer FIFO order and
 /// element conservation without auxiliary maps.

@@ -83,7 +83,6 @@ concept shard_stats_like = requires(const S& s) {
   { s.stolen } -> std::convertible_to<std::uint64_t>;
   { s.empty_scans } -> std::convertible_to<std::uint64_t>;
   { s.steal_rate() } -> std::convertible_to<double>;
-  { s.batch_fill() } -> std::convertible_to<double>;
 };
 
 template <shard_stats_like S>
@@ -96,7 +95,6 @@ void append_metrics(metrics_snapshot& out, const std::string& prefix,
                static_cast<double>(s.empty_scans));
   append_value(out, prefix + ".depth", static_cast<double>(s.depth()));
   append_value(out, prefix + ".steal_rate", s.steal_rate());
-  append_value(out, prefix + ".batch_fill", s.batch_fill());
 }
 
 /// Live-heap accounting (harness/mem_tracker.hpp).

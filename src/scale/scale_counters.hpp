@@ -13,8 +13,6 @@
 //                  than the caller's home shard. High steal rate means the
 //                  routing policy is feeding shards the consumers don't
 //                  drain, i.e. the sharding is buying less than it could.
-//   * batch fill — items per bulk operation actually amortized on the fast
-//                  path; 1.0 means batching degenerated to per-item ops.
 #pragma once
 
 #include <atomic>
@@ -31,8 +29,6 @@ struct shard_stats {
   std::uint64_t dequeued = 0;   // successful pops served by this shard
   std::uint64_t stolen = 0;     // subset of dequeued: caller's home differed
   std::uint64_t empty_scans = 0;  // full scans that started here and failed
-  std::uint64_t batch_ops = 0;    // bulk calls that touched this shard
-  std::uint64_t batch_items = 0;  // items moved by those calls
 
   std::int64_t depth() const noexcept {
     return static_cast<std::int64_t>(enqueued) -
@@ -43,19 +39,12 @@ struct shard_stats {
                          : static_cast<double>(stolen) /
                                static_cast<double>(dequeued);
   }
-  double batch_fill() const noexcept {
-    return batch_ops == 0 ? 0.0
-                          : static_cast<double>(batch_items) /
-                                static_cast<double>(batch_ops);
-  }
 
   shard_stats& operator+=(const shard_stats& o) noexcept {
     enqueued += o.enqueued;
     dequeued += o.dequeued;
     stolen += o.stolen;
     empty_scans += o.empty_scans;
-    batch_ops += o.batch_ops;
-    batch_items += o.batch_items;
     return *this;
   }
 };
@@ -63,19 +52,15 @@ struct shard_stats {
 /// One shard's live counters. Relaxed: counts, not synchronization.
 class shard_counters {
  public:
-  void on_enqueue(std::uint64_t n = 1) noexcept {
-    enqueued_.fetch_add(n, std::memory_order_relaxed);
+  void on_enqueue() noexcept {
+    enqueued_.fetch_add(1, std::memory_order_relaxed);
   }
-  void on_dequeue(bool stolen, std::uint64_t n = 1) noexcept {
-    dequeued_.fetch_add(n, std::memory_order_relaxed);
-    if (stolen) stolen_.fetch_add(n, std::memory_order_relaxed);
+  void on_dequeue(bool stolen) noexcept {
+    dequeued_.fetch_add(1, std::memory_order_relaxed);
+    if (stolen) stolen_.fetch_add(1, std::memory_order_relaxed);
   }
   void on_empty_scan() noexcept {
     empty_scans_.fetch_add(1, std::memory_order_relaxed);
-  }
-  void on_batch(std::uint64_t items) noexcept {
-    batch_ops_.fetch_add(1, std::memory_order_relaxed);
-    batch_items_.fetch_add(items, std::memory_order_relaxed);
   }
 
   shard_stats snapshot() const noexcept {
@@ -84,8 +69,6 @@ class shard_counters {
     s.dequeued = dequeued_.load(std::memory_order_relaxed);
     s.stolen = stolen_.load(std::memory_order_relaxed);
     s.empty_scans = empty_scans_.load(std::memory_order_relaxed);
-    s.batch_ops = batch_ops_.load(std::memory_order_relaxed);
-    s.batch_items = batch_items_.load(std::memory_order_relaxed);
     return s;
   }
 
@@ -94,8 +77,6 @@ class shard_counters {
     dequeued_.store(0, std::memory_order_relaxed);
     stolen_.store(0, std::memory_order_relaxed);
     empty_scans_.store(0, std::memory_order_relaxed);
-    batch_ops_.store(0, std::memory_order_relaxed);
-    batch_items_.store(0, std::memory_order_relaxed);
   }
 
  private:
@@ -103,8 +84,6 @@ class shard_counters {
   std::atomic<std::uint64_t> dequeued_{0};
   std::atomic<std::uint64_t> stolen_{0};
   std::atomic<std::uint64_t> empty_scans_{0};
-  std::atomic<std::uint64_t> batch_ops_{0};
-  std::atomic<std::uint64_t> batch_items_{0};
 };
 
 /// Sum of per-shard snapshots (quiescence for exactness, as everywhere).

@@ -4,8 +4,7 @@
 // A policy answers two questions:
 //
 //   * enqueue_shard(tid, value) — which shard receives this insert. Called
-//     once per enqueue (or once per batch: a batch routes as a unit so a
-//     producer's batch stays FIFO inside one shard).
+//     once per enqueue.
 //   * home_shard(tid)           — where this thread's dequeue scan STARTS.
 //     The scan then walks all shards cyclically, so the choice affects
 //     locality and steal rate, never correctness or progress.

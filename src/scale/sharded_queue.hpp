@@ -48,7 +48,6 @@
 #include "core/queue_concepts.hpp"
 #include "harness/mem_tracker.hpp"
 #include "obs/trace_ring.hpp"
-#include "scale/batch.hpp"
 #include "scale/scale_counters.hpp"
 #include "scale/shard_policy.hpp"
 #include "sync/cacheline.hpp"
@@ -154,61 +153,6 @@ class sharded_queue : public mem_tracked {
     return std::nullopt;
   }
   std::optional<value_type> dequeue() { return dequeue(this_thread_id()); }
-
-  // ------------------------------------------------------------------- bulk
-
-  /// A batch routes as one unit (shard chosen from its first item), so a
-  /// producer's batch stays contiguous — and FIFO — inside one shard, and
-  /// the inner queue's batched announce path (wf_queue::enqueue_bulk:
-  /// one reclamation guard + one phase draw for the whole batch) amortizes
-  /// across all of it. Falls back to per-item inner ops automatically when
-  /// the inner queue has no native bulk hook (kpq::enqueue_bulk dispatch).
-  template <typename It>
-  void enqueue_bulk(It first, It last, std::uint32_t tid) {
-    if (first == last) return;
-    assert(tid < n_);
-    const std::uint32_t s = policy_.enqueue_shard(tid, *first) % nshards_;
-    const auto n = static_cast<std::uint64_t>(std::distance(first, last));
-    kpq::enqueue_bulk(*shards_[s], first, last, tid);
-    counters_[s]->on_enqueue(n);
-    counters_[s]->on_batch(n);
-  }
-
-  /// Work-stealing bulk pop: drains up to `max` items, preferring the home
-  /// shard and continuing over the other shards in index order until `max`
-  /// is met or every shard reported empty. Appends to `out`, returns items
-  /// moved.
-  std::size_t dequeue_bulk(std::vector<value_type>& out, std::size_t max,
-                           std::uint32_t tid) {
-    assert(tid < n_);
-    const std::uint32_t home = home_shard(tid);
-    std::size_t got = 0;
-    for (std::uint32_t k = 0; k <= nshards_ && got < max; ++k) {
-      const std::uint32_t s = k == 0 ? home : k - 1;
-      if (k != 0 && s == home) continue;  // already visited first
-      const std::size_t from_shard =
-          kpq::dequeue_bulk(*shards_[s], out, max - got, tid);
-      if (from_shard > 0) {
-        counters_[s]->on_dequeue(/*stolen=*/s != home, from_shard);
-        counters_[s]->on_batch(from_shard);
-        got += from_shard;
-        if constexpr (obs::default_trace::enabled) {
-          if (s != home) {
-            obs::default_trace::record(tid, obs::trace_kind::shard_steal, 0,
-                                       s);
-          }
-        }
-      }
-    }
-    if (got == 0) {
-      counters_[home]->on_empty_scan();
-      if constexpr (obs::default_trace::enabled) {
-        obs::default_trace::record(tid, obs::trace_kind::shard_empty, 0,
-                                   home);
-      }
-    }
-    return got;
-  }
 
   // ---------------------------------------------------------- observability
 

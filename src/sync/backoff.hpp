@@ -28,9 +28,9 @@ inline void cpu_relax() noexcept {
 }
 
 /// Truncated exponential backoff: spins 2^k relax-hints, doubling up to
-/// `max_spins`, then yields the OS slice. On a single-core host (the CI box
-/// this repo is validated on) yielding early is essential: the thread we are
-/// waiting on cannot run until we give up the core.
+/// `max_spins`, then yields the OS slice. When threads outnumber cores (the
+/// 8- and 12-thread shape tests on 4 cores, say) yielding is essential: the
+/// thread we are waiting on may not run until we give up the core.
 class backoff {
  public:
   explicit backoff(std::uint32_t max_spins = 1024) noexcept

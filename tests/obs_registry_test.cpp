@@ -66,7 +66,6 @@ TEST(ObsRegistry, ShardStatsSource) {
   const auto m = as_map(snap);
   EXPECT_EQ(m.at("shard0.depth"), 20.0);
   EXPECT_DOUBLE_EQ(m.at("shard0.steal_rate"), 0.25);
-  EXPECT_EQ(m.at("shard0.batch_fill"), 0.0);  // no batches: 0, not NaN
 }
 
 TEST(ObsRegistry, RegistryExportsFpsPathSplit) {

@@ -32,7 +32,6 @@ using sharded_wf = sharded_queue<inner_q>;
 
 static_assert(mpmc_queue<sharded_wf>);
 static_assert(mpmc_queue_autotid<sharded_wf>);
-static_assert(bulk_mpmc_queue<sharded_wf>);
 static_assert(mpmc_queue<sharded_queue<ms_queue<std::uint64_t>>>);
 
 TEST(ShardedQueue, AffinityRoutesProducerToHomeShard) {
@@ -122,31 +121,33 @@ TEST(ShardedQueue, KeyHashKeepsEqualKeysTogether) {
   EXPECT_EQ(value_seq(*q.dequeue(3)), 2u);
 }
 
-TEST(ShardedQueue, BulkRoutesAsOneUnitAndCounts) {
+TEST(ShardedQueue, RunFromOneTidStaysOnItsHomeShardAndCounts) {
   sharded_wf q(4, 4);
-  std::vector<std::uint64_t> in{10, 11, 12, 13, 14, 15, 16, 17, 18, 19};
-  q.enqueue_bulk(in.begin(), in.end(), /*tid=*/1);
-  EXPECT_EQ(q.shard(1).unsafe_size(), 10u);  // whole batch on tid's shard
-  shard_stats s1 = q.shard_counters_snapshot(1);
-  EXPECT_EQ(s1.batch_ops, 1u);
-  EXPECT_EQ(s1.batch_items, 10u);
-  EXPECT_DOUBLE_EQ(s1.batch_fill(), 10.0);
+  const std::vector<std::uint64_t> in{10, 11, 12, 13, 14, 15, 16, 17, 18, 19};
+  for (std::uint64_t v : in) q.enqueue(v, /*tid=*/1);
+  EXPECT_EQ(q.shard(1).unsafe_size(), 10u);  // every item on tid's shard
+  EXPECT_EQ(q.shard_counters_snapshot(1).enqueued, 10u);
+  EXPECT_EQ(q.aggregate_counters().enqueued, 10u);
 
   std::vector<std::uint64_t> out;
-  EXPECT_EQ(q.dequeue_bulk(out, 6, 1), 6u);
-  EXPECT_EQ(q.dequeue_bulk(out, 100, 1), 4u);
-  EXPECT_EQ(out, in);  // batch FIFO preserved inside the shard
-  EXPECT_EQ(q.dequeue_bulk(out, 1, 1), 0u);
+  while (auto v = q.dequeue(1)) out.push_back(*v);
+  EXPECT_EQ(out, in);  // FIFO preserved inside the shard
+  const shard_stats s1 = q.shard_counters_snapshot(1);
+  EXPECT_EQ(s1.dequeued, 10u);
+  EXPECT_EQ(s1.stolen, 0u);
+  EXPECT_EQ(s1.empty_scans, 1u);  // the call that stopped the drain
 }
 
-TEST(ShardedQueue, BulkDequeueStealsAcrossShards) {
+TEST(ShardedQueue, DrainTakesHomeFirstThenStealsAcrossShards) {
   sharded_wf q(2, 4);
-  std::vector<std::uint64_t> a{1, 2}, b{3, 4};
-  q.enqueue_bulk(a.begin(), a.end(), 0);  // shard 0
-  q.enqueue_bulk(b.begin(), b.end(), 1);  // shard 1
+  q.enqueue(1, 0);  // shard 0
+  q.enqueue(2, 0);
+  q.enqueue(3, 1);  // shard 1
+  q.enqueue(4, 1);
   std::vector<std::uint64_t> out;
-  EXPECT_EQ(q.dequeue_bulk(out, 10, 0), 4u);  // drains home, then steals
+  while (auto v = q.dequeue(0)) out.push_back(*v);  // home, then steals
   EXPECT_EQ(out, (std::vector<std::uint64_t>{1, 2, 3, 4}));
+  EXPECT_EQ(q.shard_counters_snapshot(0).stolen, 0u);
   EXPECT_EQ(q.shard_counters_snapshot(1).stolen, 2u);
 }
 
@@ -166,9 +167,7 @@ TEST(ShardedQueue, MemoryCountersFlowThroughToInnerQueues) {
 // ------------------------------------------------------------ scan order
 
 // Single-threaded inner queue that logs the id of every shard a dequeue
-// call visits, so a test can read back the front-end's scan order. It has
-// no native bulk hook: kpq::dequeue_bulk falls back to one dequeue call per
-// item, plus one more for the call that reports the shard empty.
+// call visits, so a test can read back the front-end's scan order.
 struct probe_queue {
   using value_type = std::uint64_t;
 
@@ -191,7 +190,6 @@ struct probe_queue {
   std::deque<value_type> items_;
 };
 static_assert(mpmc_queue<probe_queue>);
-static_assert(!bulk_mpmc_queue<probe_queue>);
 
 template <typename Policy = affinity_shards>
 using probed = sharded_queue<probe_queue, Policy>;
@@ -240,17 +238,20 @@ TEST_P(ShardedScanOrder, EmptyDequeueVisitsHomeThenOthersInIndexOrder) {
   }
 }
 
-TEST_P(ShardedScanOrder, EmptyBulkDequeueVisitsHomeThenOthersInIndexOrder) {
+TEST_P(ShardedScanOrder, EveryEmptyDequeueRescansAndIsCounted) {
   std::vector<std::uint32_t> visits;
   auto q = make_probed(shards(), threads(), visits);
   for (std::uint32_t tid = 0; tid < threads(); ++tid) {
     visits.clear();
-    std::vector<std::uint64_t> out;
-    EXPECT_EQ(q.dequeue_bulk(out, 4, tid), 0u);
-    EXPECT_TRUE(out.empty());
-    EXPECT_EQ(visits, scan_order(shards(), tid % shards())) << "tid " << tid;
+    EXPECT_EQ(q.dequeue(tid), std::nullopt);
+    EXPECT_EQ(q.dequeue(tid), std::nullopt);
+    // No memory of the last empty scan: the second call walks it again.
+    std::vector<std::uint32_t> twice = scan_order(shards(), tid % shards());
+    twice.insert(twice.end(), twice.begin(), twice.end());
+    EXPECT_EQ(visits, twice) << "tid " << tid;
   }
-  EXPECT_EQ(q.aggregate_counters().empty_scans, threads());
+  EXPECT_EQ(q.aggregate_counters().empty_scans, 2u * threads());
+  EXPECT_EQ(q.aggregate_counters().dequeued, 0u);
 }
 
 TEST_P(ShardedScanOrder, DequeueStopsAtTheFirstShardThatYieldsAnItem) {
@@ -276,7 +277,7 @@ TEST_P(ShardedScanOrder, DequeueStopsAtTheFirstShardThatYieldsAnItem) {
   }
 }
 
-TEST_P(ShardedScanOrder, BulkDequeueDrainsHomeThenStopsOnceMaxIsMet) {
+TEST_P(ShardedScanOrder, DrainEmptiesHomeThenStealsFromTheNextShard) {
   for (std::uint32_t tid = 0; tid < threads(); ++tid) {
     const std::uint32_t home = tid % shards();
     const std::vector<std::uint32_t> order = scan_order(shards(), home);
@@ -286,12 +287,13 @@ TEST_P(ShardedScanOrder, BulkDequeueDrainsHomeThenStopsOnceMaxIsMet) {
       for (std::uint64_t i = 0; i < 3; ++i) q.enqueue(10 * s + i, s);
     }
     visits.clear();
-    // One more than home holds: home is drained (3 hits + 1 empty call),
-    // the next shard in scan order supplies the last item, and nothing
-    // after it is visited.
+    // Four dequeues, one more than home holds: three hit home, the fourth
+    // finds home empty and takes the first item of the next shard in scan
+    // order, visiting nothing after it.
     std::vector<std::uint64_t> out;
-    const std::size_t want = shards() > 1 ? 4 : 3;
-    EXPECT_EQ(q.dequeue_bulk(out, 4, tid), want);
+    for (int call = 0; call < 4; ++call) {
+      if (auto v = q.dequeue(tid)) out.push_back(*v);
+    }
     std::vector<std::uint64_t> expect_out{10u * home, 10u * home + 1,
                                           10u * home + 2};
     std::vector<std::uint32_t> expect_visits{home, home, home, home};
@@ -351,21 +353,25 @@ TEST(ShardedRouting, EnqueueAndHomeShardsAreReducedModuloShardCount) {
   EXPECT_EQ(q.shard_counters_snapshot(2).stolen, 1u);
 }
 
-TEST(ShardedRouting, BulkEnqueueRoutesTheWholeBatchByItsFirstItem) {
+TEST(ShardedRouting, ItemsWithOneRouteShareAShardInEnqueueOrder) {
   std::vector<std::uint32_t> visits;
   auto q = make_probed<unreduced_shards>(3, 4, visits);
-  const std::vector<std::uint64_t> batch{7, 9, 11};  // 7 % 3 == 1
-  q.enqueue_bulk(batch.begin(), batch.end(), /*tid=*/0);
+  // Each item routes on its own value; 7, 10 and 13 all reduce to 1.
+  const std::vector<std::uint64_t> run{7, 10, 13};
+  for (std::uint64_t v : run) q.enqueue(v, /*tid=*/0);
+  q.enqueue(8, /*tid=*/0);  // 8 % 3 == 2: the next item routes away
   EXPECT_EQ(q.shard(0).unsafe_size(), 0u);
   EXPECT_EQ(q.shard(1).unsafe_size(), 3u);
-  EXPECT_EQ(q.shard(2).unsafe_size(), 0u);
-  const shard_stats s1 = q.shard_counters_snapshot(1);
-  EXPECT_EQ(s1.enqueued, 3u);
-  EXPECT_EQ(s1.batch_ops, 1u);
-  EXPECT_EQ(s1.batch_items, 3u);
+  EXPECT_EQ(q.shard(2).unsafe_size(), 1u);
+  EXPECT_EQ(q.shard_counters_snapshot(1).enqueued, 3u);
+  EXPECT_EQ(q.shard_counters_snapshot(2).enqueued, 1u);
+  // tid 1's home is 1: the run comes back in order without a steal.
+  visits.clear();
   std::vector<std::uint64_t> out;
-  EXPECT_EQ(q.dequeue_bulk(out, 3, /*tid=*/1), 3u);  // tid 1's home is 1
-  EXPECT_EQ(out, batch);
+  for (std::size_t i = 0; i < run.size(); ++i) out.push_back(*q.dequeue(1));
+  EXPECT_EQ(out, run);
+  EXPECT_EQ(visits, (std::vector<std::uint32_t>{1, 1, 1}));
+  EXPECT_EQ(q.shard_counters_snapshot(1).stolen, 0u);
 }
 
 // Real-thread stress: per-shard FIFO and conservation. The affinity policy

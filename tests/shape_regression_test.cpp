@@ -16,10 +16,10 @@
 //     line a state_ access reads (deterministic: compares addresses).
 //
 // Timing-based checks use generous margins (2x) so scheduler noise on
-// loaded CI machines cannot flip them. The fps check has no margin, so it
-// compares medians of interleaved runs that fit the host's hardware threads,
-// each long enough (tens of milliseconds) that thread start-up and a stray
-// preemption do not decide it.
+// loaded CI machines cannot flip them. The LF and fps checks compare medians
+// of interleaved runs, each long enough (tens of milliseconds) that thread
+// start-up and a stray preemption do not decide them; the fps check has no
+// margin, so its runs also fit the host's hardware threads.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -149,8 +149,12 @@ TEST(ShapeRegression, FpsHotWordsOwnTheirBlocks) {
 }
 
 TEST(ShapeRegression, LockFreeBeatsBaseWaitFreeOnPairs) {
-  const double lf = pairs_seconds<ms_queue<std::uint64_t>>(8, 3000);
-  const double base_wf = pairs_seconds<wf_queue_base<std::uint64_t>>(8, 3000);
+  // 20,000 pairs per thread: each LF run takes tens of milliseconds, so
+  // thread start-up (which can let 8 threads run one after another) and a
+  // stray preemption do not decide the comparison.
+  const auto [lf, base_wf] =
+      interleaved_medians<ms_queue<std::uint64_t>,
+                          wf_queue_base<std::uint64_t>>(8, 20000);
   EXPECT_LT(lf * 2.0, base_wf)
       << "LF should beat base WF by far more than 2x at oversubscription";
 }

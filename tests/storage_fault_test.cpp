@@ -4,7 +4,7 @@
 // allocation of single-thread scripts on base, opt and fps, and of one
 // two-thread scenario under the baton explorer. After each throw: the
 // exception reached the caller, no announce record is pending, the
-// structural auditor passes, the size is unchanged (a bulk enqueue keeps
+// structural auditor passes, the size is unchanged (a multi-item step keeps
 // exactly the items before the failing one), and every later operation
 // succeeds with the FIFO history intact. The scripts run once more over
 // freed (not recycled) nodes, so under AddressSanitizer the failure path
@@ -60,8 +60,8 @@ std::string quiescent_problems(Q& q) {
 
 // ------------------------------------------------ single-thread scripts
 
-/// One script step: enqueue `items` (one item: enqueue; more: a bulk
-/// enqueue), or dequeue when `items` is empty.
+/// One script step: enqueue `items` one by one, or dequeue when `items` is
+/// empty.
 struct step {
   std::vector<u64> items;
 };
@@ -71,9 +71,8 @@ const std::vector<step> kScript = {
 
 /// Runs kScript on a fresh queue whose k-th allocation fails (k == 0: none)
 /// and checks every step against a FIFO model; `allocs` receives the
-/// allocations the run made. A failing bulk step allocates none of the items
-/// after the failing one. Queues without a native bulk enqueue take bulk
-/// steps item by item.
+/// allocations the run made. A failing multi-item step allocates none of the
+/// items after the failing one.
 template <typename Q>
 void run_script(u64 k, u64& allocs) {
   Q q(2);
@@ -96,28 +95,15 @@ void run_script(u64 k, u64& allocs) {
     const std::size_t size0 = q.unsafe_size();
     const u64 allocs0 = q.storage().allocs();
     try {
-      if constexpr (!Q::has_fast_path) {
-        if (items.size() > 1) {
-          q.enqueue_bulk(items.begin(), items.end(), tid);
-        } else {
-          q.enqueue(items[0], tid);
-        }
-        model.insert(model.end(), items.begin(), items.end());
-      } else {
-        for (u64 v : items) {
-          q.enqueue(v, tid);
-          model.push_back(v);
-        }
+      for (u64 v : items) {
+        q.enqueue(v, tid);
+        model.push_back(v);
       }
     } catch (const std::bad_alloc&) {
       ++throws;
-      // Items before the failing allocation went in, in order; the rest
-      // did not. (The fast-path loop pushed its prefix already.)
+      // Items before the failing allocation went in, in order, and the loop
+      // pushed them to the model; the rest did not.
       const auto kept = static_cast<std::size_t>(k - allocs0 - 1);
-      if constexpr (!Q::has_fast_path) {
-        model.insert(model.end(), items.begin(),
-                     items.begin() + static_cast<std::ptrdiff_t>(kept));
-      }
       EXPECT_EQ(q.unsafe_size(), size0 + kept);
       EXPECT_EQ(quiescent_problems(q), "");
     }

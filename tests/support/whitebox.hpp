@@ -39,6 +39,13 @@ struct whitebox {
     auto g = q.reclaim_.enter(tid);
     return q.max_phase(g, tid);
   }
+  /// Draw thread `tid`'s next phase through the queue's phase policy, as
+  /// an announcing operation does.
+  template <typename Q>
+  static std::int64_t next_phase(Q& q, std::uint32_t tid) {
+    auto g = q.reclaim_.enter(tid);
+    return q.next_phase(tid, g);
+  }
   /// Install an arbitrary record value for thread `tid` (replays and
   /// audits): the phase, then {pending, enq, node} under the next version.
   /// Unlike the owner's publish it may overwrite a pending record.
