@@ -27,25 +27,9 @@
 #include <vector>
 
 #include "core/wf_node.hpp"
-#include "obs/trace_ring.hpp"
 #include "sync/cacheline.hpp"
 
 namespace kpq {
-
-/// Trace hook shared by the policies: one help_scan event per run(), with
-/// the number of state slots this pass examined (the policy's per-op scan
-/// cost — n for help_all, 2 for help_one).
-/// Compiles out with the queue's recorder policy; queues without a
-/// trace_type (the policies are generic) are simply not traced.
-template <typename Queue>
-inline void trace_help_scan(std::uint32_t my_tid, std::uint32_t examined) {
-  if constexpr (requires { typename Queue::trace_type; }) {
-    if constexpr (Queue::trace_type::enabled) {
-      Queue::trace_type::record(my_tid, obs::trace_kind::help_scan, 0,
-                                examined);
-    }
-  }
-}
 
 struct help_all {
   explicit help_all(std::uint32_t /*max_threads*/) {}
@@ -53,7 +37,6 @@ struct help_all {
   template <typename Queue, typename Guard>
   void run(Queue& q, std::uint32_t my_tid, std::int64_t phase, Guard& g) {
     // The loop includes our own entry (paper line 37).
-    trace_help_scan<Queue>(my_tid, q.max_threads());
     for (std::uint32_t i = 0; i < q.max_threads(); ++i) {
       q.help_if_needed(i, phase, g, my_tid);
     }
@@ -86,7 +69,6 @@ struct help_one {
   void run(Queue& q, std::uint32_t my_tid, std::int64_t phase, Guard& g) {
     const std::uint32_t n = q.max_threads();
     look& c = cursor_[my_tid].value;  // owner-only cursor
-    trace_help_scan<Queue>(my_tid, 2);
     std::int64_t pending = no_phase;
     if (c.slot != my_tid) {
       pending = q.help_if_seen(c.slot, phase, c.seen, g, my_tid);

@@ -77,31 +77,160 @@ namespace testing {
 struct whitebox;
 }  // namespace testing
 
-/// What a queue step is about to do: one value per class of shared access,
-/// plus two markers that touch nothing. Options::hooks::sched_point(tid,
-/// site) runs just before each such step (tid is the thread taking it).
-/// The interleaving explorer (tests/support/baton.hpp) hands the CPU to
-/// another thread there; the progress tests freeze a thread at
-/// after_publish, where its operation is announced and nothing of it has
-/// run, so only peers can complete it, and a helper at its first `state`
-/// step after a winning link.
+/// What a queue step is about to do: one value per class of shared access.
+/// Options::hooks::sched_point(tid, site) runs just before each such step
+/// (tid is the thread taking it), so one call is one step of the
+/// per-operation bound. The interleaving explorer (tests/support/baton.hpp)
+/// hands the CPU to another thread there; the progress tests freeze a
+/// helper at its first `state` step after a winning link.
 enum class sched_site : std::uint8_t {
-  protect,        // hazard-protected read of head_, tail_ or next
-  load,           // seq_cst re-read of head_/tail_, next, deq_tid; a
-                  // record's word or phase
-  link,           // CAS on a node's next field (enqueue linearization)
-  swing,          // CAS on head_ or tail_
-  claim,          // CAS on a sentinel's deq_tid (dequeue linearization)
-  state,          // CAS on a record's word (publish or helper step)
-  phase,          // the phase draw
-  retire,         // hand a node to the reclaimer (may scan)
-  after_publish,  // marker: operation published, no helping yet
-  fast_attempt,   // marker: one fast-path attempt begins (ms_fast_path)
+  protect,  // hazard-protected read of head_, tail_ or next
+  load,     // seq_cst re-read of head_/tail_, next, deq_tid, a record
+  link,     // CAS on a node's next field (enqueue linearization)
+  swing,    // CAS on head_ or tail_
+  claim,    // CAS on a sentinel's deq_tid (dequeue linearization)
+  state,    // CAS on a record's word (publish or helper step)
+  phase,    // the phase draw
+  retire,   // hand a node to the reclaimer (may scan)
 };
 
-/// Default test hooks: every sched_point call folds away.
+/// What thread `tid` just did: Options::hooks::event(tid, e, phase, aux)
+/// runs after it, touches no shared state and is not a step
+/// (docs/ALGORITHM.md §4.3). 0-7 keep their obs::trace_kind numbers.
+enum class wf_event : std::uint8_t {
+  enq_publish = 0,   // enqueue announced, none of it run; phase = its phase
+  enq_complete = 1,  // enqueue returns; phase = its phase
+  deq_publish = 2,   // dequeue announced, none of it run; phase = its phase
+  deq_complete = 3,  // dequeue returns; phase = its phase, aux = 1 if an item
+  help_start = 4,    // starts on a peer's operation; phase = its, aux = peer
+  help_finish = 5,   // done with that operation; phase = its, aux = peer
+  retire = 7,        // won a head swing, retires the old sentinel
+  enq_done_for,      // won an enqueue's step 2; aux = the operation's owner
+  deq_done_for,      // won a dequeue's step 2; aux = the operation's owner
+  link_lost,         // lost a slow-path link CAS
+  record_lost,       // lost a record CAS (stage 0 or step 2)
+  fast_attempt,      // one fast-path attempt begins (ms_fast_path)
+};
+
+/// The hook interface, and the default hook: both calls fold away. Every
+/// hook derives from it and hides what it uses; a queue owns its hook, built
+/// from max_threads when the type takes it (make_hook).
 struct no_hooks {
   static void sched_point(std::uint32_t /*tid*/, sched_site /*site*/) {}
+  static void event(std::uint32_t /*tid*/, wf_event /*e*/,
+                    std::int64_t /*phase*/, std::uint32_t /*aux*/) {}
+};
+
+template <typename H>
+H make_hook(std::uint32_t n) {
+  if constexpr (std::is_constructible_v<H, std::uint32_t>) {
+    return H(n);
+  } else {
+    return H{};
+  }
+}
+
+/// Per-thread operation counters (kept by wf_stats). The interesting derived
+/// quantity is the *helping rate*: how many operations were completed by a
+/// thread other than their owner — the dynamic behind the paper's Figure 9
+/// discussion of helping pile-ups.
+struct wf_counters {
+  std::uint64_t enq_ops = 0;
+  std::uint64_t deq_ops = 0;
+  std::uint64_t empty_deqs = 0;
+  /// Completion-step CASes this thread won for ANOTHER thread's operation.
+  std::uint64_t helped_enq_completions = 0;
+  std::uint64_t helped_deq_completions = 0;
+  /// Link/claim CASes lost to a concurrent helper (wasted attempts).
+  std::uint64_t link_cas_failures = 0;
+  /// Record CASes (stage 0 or completion) lost to a concurrent helper. The
+  /// name predates the in-place records; exporters read it as is.
+  std::uint64_t desc_cas_failures = 0;
+
+  wf_counters& operator+=(const wf_counters& o) {
+    enq_ops += o.enq_ops;
+    deq_ops += o.deq_ops;
+    empty_deqs += o.empty_deqs;
+    helped_enq_completions += o.helped_enq_completions;
+    helped_deq_completions += o.helped_deq_completions;
+    link_cas_failures += o.link_cas_failures;
+    desc_cas_failures += o.desc_cas_failures;
+    return *this;
+  }
+};
+
+/// Hook: wf_counters per thread, counted from events. Owner-thread-only
+/// updates: no atomics needed, padded against false sharing; read under
+/// quiescence or accept torn snapshots.
+class wf_stats : public no_hooks {
+ public:
+  explicit wf_stats(std::uint32_t max_threads) : counters_(max_threads) {}
+
+  // Inlined, each call folds to its one increment; left to GCC, kpqbench's
+  // stats queue called it out of line on every event.
+  [[gnu::always_inline]] void event(std::uint32_t tid, wf_event e,
+                                    std::int64_t /*phase*/,
+                                    std::uint32_t aux) {
+    wf_counters& c = counters_[tid].get();
+    if (e == wf_event::enq_publish) ++c.enq_ops;
+    if (e == wf_event::deq_publish) ++c.deq_ops;
+    if (e == wf_event::deq_complete && aux == 0) ++c.empty_deqs;
+    // A won step 2 counts unless the operation was this thread's own.
+    if (e == wf_event::enq_done_for && aux != tid) ++c.helped_enq_completions;
+    if (e == wf_event::deq_done_for && aux != tid) ++c.helped_deq_completions;
+    if (e == wf_event::link_lost) ++c.link_cas_failures;
+    if (e == wf_event::record_lost) ++c.desc_cas_failures;
+  }
+
+  const wf_counters& counters(std::uint32_t tid) const {
+    return counters_[tid].get();
+  }
+  wf_counters aggregate_counters() const {
+    wf_counters total;
+    for (const auto& s : counters_) total += s.get();
+    return total;
+  }
+
+ private:
+  std::vector<padded<wf_counters>> counters_;
+};
+
+/// Hook: events 0-7 into the recording thread's ring of obs::global_trace().
+struct wf_trace : no_hooks {
+  static void event(std::uint32_t tid, wf_event e, std::int64_t phase,
+                    std::uint32_t aux) noexcept {
+    if (e <= wf_event::retire) {
+      obs::ring_trace::record(tid, static_cast<obs::trace_kind>(e), phase,
+                              aux);
+    }
+  }
+};
+
+/// A fast-path queue's fast/slow split (path_counters()). The slow-path
+/// share measures contention: a rising share means fast-path CAS attempts
+/// are being burned and more operations pay for the announce-and-help path.
+struct fps_path_stats {
+  std::uint64_t fast_enqs = 0;
+  std::uint64_t slow_enqs = 0;
+  std::uint64_t fast_deqs = 0;
+  std::uint64_t slow_deqs = 0;
+
+  std::uint64_t ops() const noexcept {
+    return fast_enqs + slow_enqs + fast_deqs + slow_deqs;
+  }
+  double slow_rate() const noexcept {
+    const std::uint64_t n = ops();
+    return n == 0 ? 0.0
+                  : static_cast<double>(slow_enqs + slow_deqs) /
+                        static_cast<double>(n);
+  }
+  fps_path_stats& operator+=(const fps_path_stats& o) noexcept {
+    fast_enqs += o.fast_enqs;
+    slow_enqs += o.slow_enqs;
+    fast_deqs += o.fast_deqs;
+    slow_deqs += o.slow_deqs;
+    return *this;
+  }
 };
 
 // ------------------------------------------------------ fast-path policies
@@ -143,112 +272,68 @@ class ms_fast_path {
   /// Fast-path attempts per operation before it announces.
   static constexpr std::uint32_t max_tries = MaxTries;
 
+  /// Thread `tid`'s fast/slow split, always kept: owner-written cells
+  /// (sync/owner_cell.hpp), exact at quiescence, a momentary estimate
+  /// during a run.
+  fps_path_stats path_counters(std::uint32_t tid) const noexcept {
+    const fps_path_stats& c = cells_[tid]->path;
+    return {owner_load(c.fast_enqs), owner_load(c.slow_enqs),
+            owner_load(c.fast_deqs), owner_load(c.slow_deqs)};
+  }
+  fps_path_stats aggregate_path_counters() const noexcept {
+    fps_path_stats total;
+    for (std::uint32_t t = 0; t < cells_.size(); ++t) {
+      total += path_counters(t);
+    }
+    return total;
+  }
+
  protected:
-  explicit ms_fast_path(std::uint32_t max_threads) : cursor_(max_threads) {}
+  explicit ms_fast_path(std::uint32_t max_threads) : cells_(max_threads) {}
 
   /// The announce slot `my` probes next (owner-only cyclic cursor).
   std::uint32_t next_candidate(std::uint32_t my, std::uint32_t n) noexcept {
-    std::uint32_t& k = cursor_[my].value;
+    std::uint32_t& k = cells_[my]->cursor;
     const std::uint32_t candidate = k;
     k = (k + 1 == n) ? 0 : k + 1;
     return candidate;
   }
 
+  /// One operation of `my` took the path `field` names: one relaxed store.
+  void path_taken(std::uint32_t my,
+                  std::uint64_t fps_path_stats::* field) noexcept {
+    owner_add(cells_[my]->path.*field);
+  }
+
  private:
   friend struct kpq::testing::whitebox;
+  struct cell {  // written by its owner only
+    std::uint32_t cursor = 0;
+    fps_path_stats path;
+  };
   // On its own line: every fast-path operation reads this header. Packed
   // onto the queue's first line instead, kpqbench pairs ran fps 4% slower
   // at a 7% higher p90 on 4 pinned cores.
-  alignas(destructive_interference) std::vector<padded<std::uint32_t>> cursor_;
+  alignas(destructive_interference) std::vector<padded<cell>> cells_;
 };
 
-/// Compile-time queue options: instrumentation and the fast-path policy.
+/// Compile-time queue options: the instrumentation hook and the fast-path
+/// policy.
 struct wf_options {
-  /// Test instrumentation (zero-cost by default): sched_point(tid, site)
-  /// before every shared access. The progress tests block a chosen thread
-  /// mid-operation to prove helping; the explorer schedules threads.
-  using hooks = no_hooks;
-  /// Event-trace recorder policy (obs/trace_ring.hpp). `obs::default_trace`
-  /// is `no_trace` unless the build defines KPQ_TRACE, so every record site
-  /// below compiles out via `if constexpr` — identical codegen to a
-  /// hook-free build. The fig_obs_overhead bench overrides this per-type
-  /// (wf_options_traced) to compare traced vs untraced in one binary.
-  using trace = obs::default_trace;
-  /// Per-thread operation counters (wf_counters); zero-cost when off.
-  static constexpr bool collect_stats = false;
+  /// no_hooks, wf_stats, wf_trace or a test's own; wf_trace exactly when
+  /// the build defines KPQ_TRACE (obs::default_trace).
+  using hooks =
+      std::conditional_t<obs::default_trace::enabled, wf_trace, no_hooks>;
   /// Fast-path policy: no_fast_path, or ms_fast_path (wf_queue_fps.hpp).
   using fast_path = no_fast_path;
 };
 
 struct wf_options_stats : wf_options {
-  static constexpr bool collect_stats = true;
+  using hooks = wf_stats;
 };
 /// Tracing forced on regardless of KPQ_TRACE (for overhead comparisons).
 struct wf_options_traced : wf_options {
-  using trace = obs::ring_trace;
-};
-
-/// A fast-path queue's fast/slow split (path_counters()). The slow-path
-/// share measures contention: a rising share means fast-path CAS attempts
-/// are being burned and more operations pay for the announce-and-help path.
-struct fps_path_stats {
-  std::uint64_t fast_enqs = 0;
-  std::uint64_t slow_enqs = 0;
-  std::uint64_t fast_deqs = 0;
-  std::uint64_t slow_deqs = 0;
-
-  std::uint64_t ops() const noexcept {
-    return fast_enqs + slow_enqs + fast_deqs + slow_deqs;
-  }
-  double slow_rate() const noexcept {
-    const std::uint64_t n = ops();
-    return n == 0 ? 0.0
-                  : static_cast<double>(slow_enqs + slow_deqs) /
-                        static_cast<double>(n);
-  }
-  fps_path_stats& operator+=(const fps_path_stats& o) noexcept {
-    fast_enqs += o.fast_enqs;
-    slow_enqs += o.slow_enqs;
-    fast_deqs += o.fast_deqs;
-    slow_deqs += o.slow_deqs;
-    return *this;
-  }
-};
-
-/// Per-thread operation counters (collected when Options::collect_stats).
-/// Owner-thread-only updates: no atomics needed, padded against false
-/// sharing. The interesting derived quantity is the *helping rate*: how many
-/// operations were completed by a thread other than their owner — the
-/// dynamic behind the paper's Figure 9 discussion of helping pile-ups.
-struct wf_counters {
-  std::uint64_t enq_ops = 0;
-  std::uint64_t deq_ops = 0;
-  std::uint64_t empty_deqs = 0;
-  /// Completion-step CASes this thread won for ANOTHER thread's operation.
-  std::uint64_t helped_enq_completions = 0;
-  std::uint64_t helped_deq_completions = 0;
-  /// Link/claim CASes lost to a concurrent helper (wasted attempts).
-  std::uint64_t link_cas_failures = 0;
-  /// Record CASes (stage 0 or completion) lost to a concurrent helper. The
-  /// name predates the in-place records; exporters read it as is.
-  std::uint64_t desc_cas_failures = 0;
-  /// Kept by ms_fast_path queues whatever collect_stats says. Unlike the
-  /// fields above these are owner-written cells (sync/owner_cell.hpp, one
-  /// relaxed store per operation), so path_counters() may sample them
-  /// while workers run.
-  fps_path_stats path;
-
-  wf_counters& operator+=(const wf_counters& o) {
-    enq_ops += o.enq_ops;
-    deq_ops += o.deq_ops;
-    empty_deqs += o.empty_deqs;
-    helped_enq_completions += o.helped_enq_completions;
-    helped_deq_completions += o.helped_deq_completions;
-    link_cas_failures += o.link_cas_failures;
-    desc_cas_failures += o.desc_cas_failures;
-    path += o.path;
-    return *this;
-  }
+  using hooks = wf_trace;
 };
 
 /// A tid at or above max_threads() would index past the per-thread arrays;
@@ -282,9 +367,7 @@ class wf_queue : public mem_tracked, public Options::fast_path {
   using help_policy_type = HelpPolicy;
   using fast_path_type = typename Options::fast_path;
   using fast_path_type::has_fast_path;
-  /// The recorder policy, re-exported so the help policies (templated on
-  /// the queue, not the options) can hit the same sink.
-  using trace_type = typename Options::trace;
+  using hooks_type = typename Options::hooks;
 
   /// Hazard slots used per thread: head/first, tail/last, next. A pending
   /// enqueue's node needs none (docs/ALGORITHM.md §2(b)).
@@ -309,7 +392,7 @@ class wf_queue : public mem_tracked, public Options::fast_path {
         reclaim_(max_threads, hp_slots),
         help_(max_threads),
         phase_(max_threads),
-        stats_(Options::collect_stats || has_fast_path ? max_threads : 0),
+        hooks_(make_hook<hooks_type>(max_threads)),
         state_(max_threads) {
     require_wide_load();
     if constexpr (requires { reclaim_.set_roots(&record_roots, this); }) {
@@ -366,7 +449,7 @@ class wf_queue : public mem_tracked, public Options::fast_path {
       // node: helpers only fix the tail for it.
       node_type* node = alloc_node(tid, std::move(value), no_tid);
       for (std::uint32_t k = 0, tries = this->max_tries; k < tries; ++k) {
-        sched(tid, sched_site::fast_attempt);
+        note(tid, wf_event::fast_attempt);
         node_type* last = protect(g, tid, s_last, tail_);
         sched(tid, sched_site::load);
         node_type* next = last->next.load(std::memory_order_seq_cst);
@@ -380,13 +463,13 @@ class wf_queue : public mem_tracked, public Options::fast_path {
         sched(tid, sched_site::link);
         if (last->next.compare_exchange_strong(expected, node,
                                                std::memory_order_seq_cst)) {
-          count_path(tid, &fps_path_stats::fast_enqs);
+          this->path_taken(tid, &fps_path_stats::fast_enqs);
           swing_tail(tid, last, node);
           return;
         }
       }
       // Slow path: adopt the node (it was never published) and announce.
-      count_path(tid, &fps_path_stats::slow_enqs);
+      this->path_taken(tid, &fps_path_stats::slow_enqs);
       node->enq_tid = static_cast<std::int32_t>(tid);
       announce_enq(tid, next_phase(tid, g), node, g);
     } else {
@@ -412,7 +495,7 @@ class wf_queue : public mem_tracked, public Options::fast_path {
       // is the linearization point of both paths, so fast and slow dequeues
       // serialize through the same write-once field.
       for (std::uint32_t k = 0, tries = this->max_tries; k < tries; ++k) {
-        sched(tid, sched_site::fast_attempt);
+        note(tid, wf_event::fast_attempt);
         node_type* first = protect(g, tid, s_first, head_);
         sched(tid, sched_site::load);
         node_type* last = tail_.load(std::memory_order_seq_cst);
@@ -421,7 +504,7 @@ class wf_queue : public mem_tracked, public Options::fast_path {
         if (first != head_.load(std::memory_order_seq_cst)) continue;
         if (first == last) {
           if (next == nullptr) {  // empty, like MS
-            count_path(tid, &fps_path_stats::fast_deqs);
+            this->path_taken(tid, &fps_path_stats::fast_deqs);
             return std::nullopt;
           }
           help_finish_enq(tid, g);  // dangling enqueue first
@@ -434,13 +517,13 @@ class wf_queue : public mem_tracked, public Options::fast_path {
         if (first->deq_tid.compare_exchange_strong(
                 expected, fast_claim_base + static_cast<std::int32_t>(tid),
                 std::memory_order_seq_cst)) {
-          count_path(tid, &fps_path_stats::fast_deqs);
+          this->path_taken(tid, &fps_path_stats::fast_deqs);
           swing_head(tid, first, next);
           return value;
         }
         help_finish_deq(tid, g);  // someone else claimed it: finish, retry
       }
-      count_path(tid, &fps_path_stats::slow_deqs);
+      this->path_taken(tid, &fps_path_stats::slow_deqs);
       return announce_deq(tid, next_phase(tid, g), g);
     } else {
       const std::int64_t phase = next_phase(tid, g);  // line 99
@@ -468,33 +551,16 @@ class wf_queue : public mem_tracked, public Options::fast_path {
   storage_type& storage() noexcept { return storage_; }
   const storage_type& storage() const noexcept { return storage_; }
 
-  /// Per-thread counters (meaningful only with Options::collect_stats;
-  /// read under quiescence or accept torn snapshots).
-  const wf_counters& counters(std::uint32_t tid) const {
-    return stats_[tid].get();
-  }
-  wf_counters aggregate_counters() const {
-    wf_counters total;
-    for (const auto& s : stats_) total += s.get();
-    return total;
-  }
-
-  /// Fast-path queues only: per-thread fast/slow split, read from
-  /// wf_counters' relaxed cells — exact at quiescence, a momentary estimate
-  /// during a run.
-  fps_path_stats path_counters(std::uint32_t tid) const noexcept
-    requires has_fast_path
+  /// Per-thread counters, when the hook keeps them (wf_stats).
+  const wf_counters& counters(std::uint32_t tid) const
+    requires requires(const hooks_type& h) { h.counters(tid); }
   {
-    const fps_path_stats& c = stats_[tid]->path;
-    return {owner_load(c.fast_enqs), owner_load(c.slow_enqs),
-            owner_load(c.fast_deqs), owner_load(c.slow_deqs)};
+    return hooks_.counters(tid);
   }
-  fps_path_stats aggregate_path_counters() const noexcept
-    requires has_fast_path
+  wf_counters aggregate_counters() const
+    requires requires(const hooks_type& h) { h.aggregate_counters(); }
   {
-    fps_path_stats total;
-    for (std::uint32_t t = 0; t < n_; ++t) total += path_counters(t);
-    return total;
+    return hooks_.aggregate_counters();
   }
 
   /// Test-only, requires quiescence: number of elements by list walk.
@@ -575,14 +641,18 @@ class wf_queue : public mem_tracked, public Options::fast_path {
     if (tid >= n_) [[unlikely]] tid_out_of_range(tid, n_);
   }
 
-  static void sched(std::uint32_t tid, sched_site site) {
-    Options::hooks::sched_point(tid, site);
+  void sched(std::uint32_t tid, sched_site site) {
+    hooks_.sched_point(tid, site);
+  }
+  void note(std::uint32_t tid, wf_event e, std::int64_t phase = 0,
+            std::uint32_t aux = 0) {
+    hooks_.event(tid, e, phase, aux);
   }
 
   /// g.protect(slot, src) taken by thread `tid`: a scheduling point first.
   template <typename Guard, typename P>
-  static P* protect(Guard& g, std::uint32_t tid, std::uint32_t hp_slot,
-                    const std::atomic<P*>& src) {
+  P* protect(Guard& g, std::uint32_t tid, std::uint32_t hp_slot,
+             const std::atomic<P*>& src) {
     sched(tid, sched_site::protect);
     return g.protect(hp_slot, src);
   }
@@ -641,19 +711,16 @@ class wf_queue : public mem_tracked, public Options::fast_path {
     const word_type desired = cur.next(pending, cur.enqueue(), node);
     sched(my, sched_site::state);
     if (state_[tid]->cas(cur, desired)) return desired;
-    if constexpr (Options::collect_stats) ++stats_[my]->desc_cas_failures;
+    note(my, wf_event::record_lost);
     return std::nullopt;
   }
 
   /// Step 2 of thread `tid`'s operation: CAS its pending word `cur` to done,
-  /// naming `node`. A won completion of a peer's operation counts in
-  /// `helped`.
+  /// naming `node`; a won CAS is event `done` (enq_done_for or
+  /// deq_done_for).
   void complete_record(std::uint32_t tid, std::uint32_t my, word_type cur,
-                       node_type* node, std::uint64_t wf_counters::* helped) {
-    const bool won = swap_record(tid, my, cur, false, node).has_value();
-    if constexpr (Options::collect_stats) {
-      if (won && tid != my) ++(stats_[my].get().*helped);
-    }
+                       node_type* node, wf_event done) {
+    if (swap_record(tid, my, cur, false, node)) note(my, done, 0, tid);
   }
 
   /// hp_domain::set_roots callback: every node a record names is announced,
@@ -674,9 +741,7 @@ class wf_queue : public mem_tracked, public Options::fast_path {
 
   void retire_node(std::uint32_t tid, node_type* n) {
     sched(tid, sched_site::retire);
-    if constexpr (trace_type::enabled) {
-      trace_type::record(tid, obs::trace_kind::retire, 0, 0);
-    }
+    note(tid, wf_event::retire);
     storage_.retire(tid, n, reclaim_);
   }
 
@@ -687,20 +752,14 @@ class wf_queue : public mem_tracked, public Options::fast_path {
   void announce_enq(std::uint32_t tid, std::int64_t phase, node_type* node,
                     Guard& g) {
     publish(tid, phase, true, node);  // line 63
-    if constexpr (Options::collect_stats) ++stats_[tid]->enq_ops;
-    if constexpr (trace_type::enabled) {
-      trace_type::record(tid, obs::trace_kind::enq_publish, phase, 0);
-    }
-    sched(tid, sched_site::after_publish);
+    note(tid, wf_event::enq_publish, phase);
     if constexpr (has_fast_path) {
       help_enq(tid, phase, g, tid);  // the fast probe already helped a peer
     } else {
       help_.run(*this, tid, phase, g);  // line 64
     }
     help_finish_enq(tid, g);  // line 65
-    if constexpr (trace_type::enabled) {
-      trace_type::record(tid, obs::trace_kind::enq_complete, phase, 0);
-    }
+    note(tid, wf_event::enq_complete, phase);
   }
 
   /// paper lines 100-107; nullopt means linearized on an empty queue.
@@ -708,11 +767,7 @@ class wf_queue : public mem_tracked, public Options::fast_path {
   std::optional<T> announce_deq(std::uint32_t tid, std::int64_t phase,
                                 Guard& g) {
     publish(tid, phase, false, nullptr);  // line 100
-    if constexpr (Options::collect_stats) ++stats_[tid]->deq_ops;
-    if constexpr (trace_type::enabled) {
-      trace_type::record(tid, obs::trace_kind::deq_publish, phase, 0);
-    }
-    sched(tid, sched_site::after_publish);
+    note(tid, wf_event::deq_publish, phase);
     if constexpr (has_fast_path) {
       help_deq(tid, phase, g, tid);  // the fast probe already helped a peer
     } else {
@@ -726,13 +781,7 @@ class wf_queue : public mem_tracked, public Options::fast_path {
     // kpq-hazard: record root — hp_domain::set_roots keeps every node a
     // record names, and ours names `item` until our next publish
     if (item != nullptr) result = item->value;
-    if constexpr (Options::collect_stats) {
-      if (!result.has_value()) ++stats_[tid]->empty_deqs;
-    }
-    if constexpr (trace_type::enabled) {
-      trace_type::record(tid, obs::trace_kind::deq_complete, phase,
-                         result.has_value() ? 1 : 0);
-    }
+    note(tid, wf_event::deq_complete, phase, result.has_value() ? 1 : 0);
     return result;
   }
 
@@ -750,12 +799,6 @@ class wf_queue : public mem_tracked, public Options::fast_path {
     if (a.word.pending()) help_op(i, a, a.phase, g, my);
   }
 
-  /// Owner-thread, non-RMW path accounting: one relaxed store per op.
-  void count_path(std::uint32_t tid,
-                  std::uint64_t fps_path_stats::* field) noexcept {
-    owner_add(stats_[tid]->path.*field);
-  }
-
   // ----------------------------------------------------------------- helping
 
   /// paper lines 40-44: help thread i's pending operation `a` while it
@@ -765,18 +808,13 @@ class wf_queue : public mem_tracked, public Options::fast_path {
                Guard& g, std::uint32_t my) {
     // A helping episode: this thread works on thread i's operation. Own
     // operations (i == my) are not episodes — that is just completing.
-    const bool traced_episode = trace_type::enabled && i != my;
-    if (traced_episode) {
-      trace_type::record(my, obs::trace_kind::help_start, a.phase, i);
-    }
+    if (i != my) note(my, wf_event::help_start, a.phase, i);
     if (a.word.enqueue()) {
       help_enq(i, phase, g, my);  // line 41
     } else {
       help_deq(i, phase, g, my);  // line 43
     }
-    if (traced_episode) {
-      trace_type::record(my, obs::trace_kind::help_finish, a.phase, i);
-    }
+    if (i != my) note(my, wf_event::help_finish, a.phase, i);
   }
 
   /// paper lines 67-84. `tid` owns the pending enqueue; the caller's thread
@@ -810,12 +848,11 @@ class wf_queue : public mem_tracked, public Options::fast_path {
           // and the swing still applies. Step 2 goes first: a tail past
           // `node` with the record still pending would let the owner's
           // loop link `node` a second time.
-          complete_record(tid, my, *cur, node,
-                          &wf_counters::helped_enq_completions);
+          complete_record(tid, my, *cur, node, wf_event::enq_done_for);
           swing_tail(my, last, node);
           return;  // line 76
         }
-        if constexpr (Options::collect_stats) ++stats_[my]->link_cas_failures;
+        note(my, wf_event::link_lost);
       } else {                          // line 79: an enqueue is in progress
         help_finish_enq(my, g);           // line 80: help it first, then retry
       }
@@ -857,8 +894,7 @@ class wf_queue : public mem_tracked, public Options::fast_path {
       // lines 92-93 (step 2): clear pending. Helpers CAS only pending
       // records; a completed one is already in its final state.
       if (cur.pending()) {
-        complete_record(tid, my, cur, next,
-                        &wf_counters::helped_enq_completions);
+        complete_record(tid, my, cur, next, wf_event::enq_done_for);
       }
       swing_tail(my, last, next);  // line 94 (step 3)
     }
@@ -925,8 +961,7 @@ class wf_queue : public mem_tracked, public Options::fast_path {
           // `first`) and swing head, with no re-read. A lost CAS means a
           // helper already did step 2; the swing still applies.
           assert(staged.node == first && next != nullptr);
-          complete_record(tid, my, staged, next,
-                          &wf_counters::helped_deq_completions);
+          complete_record(tid, my, staged, next, wf_event::deq_done_for);
           swing_head(my, first, next);
         } else {
           help_finish_deq(my, g);  // line 136: the claim is another's
@@ -965,8 +1000,7 @@ class wf_queue : public mem_tracked, public Options::fast_path {
       // it). While head == first, tid's operation is the one that claimed
       // first, and `next` cannot be retired before head leaves first.
       if (cur.pending()) {
-        complete_record(tid, my, cur, next,
-                        &wf_counters::helped_deq_completions);
+        complete_record(tid, my, cur, next, wf_event::deq_done_for);
       }
       swing_head(my, first, next);  // line 150 (step 3)
     }
@@ -991,14 +1025,11 @@ class wf_queue : public mem_tracked, public Options::fast_path {
   Reclaimer reclaim_;
   HelpPolicy help_;
   PhasePolicy phase_;
-  // Empty unless collect_stats or a fast path (its path cells live here).
-  // Declared before head_/tail_: count_path reads this header on every
-  // fast-path op, so it must not share the tail's written cache line.
-  // state_'s header is read on every announce and help, so it gets a
-  // 128-byte block of its own: left after tail_, a tail CAS invalidated it
-  // and kpqbench's opt_hp rung ran 8% slower on 4 pinned cores (538 vs 499
-  // ns/op).
-  std::vector<padded<wf_counters>> stats_;
+  // Takes no space for no_hooks and wf_trace. state_'s header is read on
+  // every announce and help, so it gets a 128-byte block of its own: left
+  // after tail_, a tail CAS invalidated it and kpqbench's opt_hp rung ran
+  // 8% slower on 4 pinned cores (538 vs 499 ns/op).
+  [[no_unique_address]] hooks_type hooks_;
   alignas(destructive_interference)
       std::vector<padded<record_type>> state_;  // paper line 26
 

@@ -10,9 +10,9 @@ namespace kpq {
 
 /// The core's options with an 8-attempt fast path — the paper's MAX_FAILURES
 /// patience. Derive and set `using fast_path = ms_fast_path<N>;` for another
-/// budget (0 sends every operation to the slow path); the test hooks see
-/// sched_site::after_publish at the slow-path announce and
-/// sched_site::fast_attempt once per fast attempt.
+/// budget (0 sends every operation to the slow path); a hook sees the
+/// event wf_event::fast_attempt once per fast attempt and the publish
+/// events at the slow-path announce.
 struct fps_options : wf_options {
   using fast_path = ms_fast_path<8>;
 };

@@ -10,10 +10,10 @@
 // uses to substantiate its step bounds.
 //
 // Design constraints, in order:
-//   1. Zero cost when compiled out. Every hook site is guarded by
-//      `if constexpr (Trace::enabled)` on a recorder *policy*; with the
-//      default `no_trace` policy (KPQ_TRACE undefined) the hooks vanish at
-//      compile time — identical codegen to a hook-free build.
+//   1. Zero cost when compiled out. The queue records through its hook
+//      (wf_trace, core/wf_queue.hpp), the other layers through the
+//      `default_trace` policy below; with KPQ_TRACE undefined both are
+//      empty calls that vanish at compile time.
 //   2. No synchronization on the hot path when compiled in. Each thread owns
 //      one ring; only the owner writes it (single-writer invariant), with
 //      relaxed stores and a release publish of the head index. Recording is
@@ -80,13 +80,12 @@ enum class trace_kind : std::uint8_t {
   deq_complete = 3,  // dequeue returned;     phase = op phase, aux = 1 if hit
   help_start = 4,    // tid begins helping;   phase = victim phase, aux = victim
   help_finish = 5,   // helping returned;     phase = victim phase, aux = victim
-  help_scan = 6,     // help-policy pass;     aux = slots examined
   retire = 7,        // node handed to the reclaimer
   reclaim_scan = 8,  // reclaimer scan pass;  aux = objects freed
   shard_steal = 9,   // dequeue served off-home; aux = serving shard
   shard_empty = 10,  // full shard scan found nothing; aux = home shard
-  // 11 is unused: stored traces carry numeric kinds, so a retired value is
-  // never reassigned.
+  // 6 and 11 are unused: stored traces carry numeric kinds, so a retired
+  // value is never reassigned.
   waiter_park = 12,    // continuation suspended on a waiter_hub;
                        // aux = continuation kind (0 thread, 1 coroutine)
   waiter_resume = 13,  // accepted continuation running again;
@@ -101,7 +100,6 @@ inline constexpr const char* trace_kind_name(trace_kind k) noexcept {
     case trace_kind::deq_complete: return "deq_complete";
     case trace_kind::help_start: return "help_start";
     case trace_kind::help_finish: return "help_finish";
-    case trace_kind::help_scan: return "help_scan";
     case trace_kind::retire: return "retire";
     case trace_kind::reclaim_scan: return "reclaim_scan";
     case trace_kind::shard_steal: return "shard_steal";
@@ -251,9 +249,9 @@ class trace_domain {
 trace_domain& global_trace();
 
 // ----------------------------------------------------------------- policies
-// The recorder policy is a compile-time switch threaded through the queues'
-// Options (wf_options::trace) and used directly by the non-templated layers
-// (hazard pointers, sharded front-end) as `default_trace`.
+// The recorder policy is a compile-time switch the non-templated layers
+// (hazard pointers, sharded front-end, waiter hub) use as `default_trace`;
+// it also picks wf_options' default hook (no_hooks or wf_trace).
 
 /// Tracing compiled out: `enabled` is false, every hook site is removed by
 /// `if constexpr`, and this build's codegen is byte-identical to a build

@@ -107,8 +107,6 @@ inline wf_trace_report analyze_trace(const std::vector<trace_event>& events,
           ++r.unmatched_helps;
         }
         break;
-      case trace_kind::help_scan:
-        break;  // scan volume is visible via wf_counters; nothing derived yet
       case trace_kind::retire:
         ++r.retires;
         break;

@@ -16,6 +16,7 @@
 // scenario names, so every path it names ran somewhere.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cstdint>
 #include <cstdio>
 #include <string>
@@ -24,6 +25,7 @@
 #include "core/wf_queue_fps.hpp"
 #include "support/baton.hpp"
 #include "support/fault_storage.hpp"
+#include "support/hooks.hpp"
 
 namespace kpq {
 namespace {
@@ -36,9 +38,19 @@ using testing::program;
 /// One failed fast attempt sends an operation to the slow path.
 constexpr std::uint32_t kTries = 1;
 
+/// Fast attempts per tid in the current schedule. Workers run one at a
+/// time, handing over through the baton, so plain counters suffice.
+struct attempt_counter : no_hooks {
+  static inline std::array<std::uint32_t, 4> attempts{};
+  static void event(std::uint32_t tid, wf_event e, std::int64_t /*phase*/,
+                    std::uint32_t /*aux*/) {
+    if (e == wf_event::fast_attempt) ++attempts[tid];
+  }
+};
+
 template <std::uint32_t Tries>
 struct tries_options : fps_options {
-  using hooks = testing::baton;
+  using hooks = testing::compose<baton::hook, attempt_counter>;
   using fast_path = ms_fast_path<Tries>;
 };
 template <std::uint32_t Tries>
@@ -70,6 +82,7 @@ path_report explore_paths(const std::vector<program>& progs,
   const testing::explore_report r = testing::explore(
       b, testing::preemption_bound(progs.size()), [&](chooser& c) {
         Q q(4);
+        attempt_counter::attempts = {};
         std::string err = testing::run_checked(b, c, q, progs, prefill, 3);
         bool all = true;
         for (std::uint32_t w = 0; w < want.size(); ++w) {
@@ -79,12 +92,8 @@ path_report explore_paths(const std::vector<program>& progs,
                                               : p.slow_enqs + p.slow_deqs) > 0;
         }
         rep.matched += all ? 1 : 0;
-        std::vector<std::uint32_t> attempts(progs.size());
-        for (const testing::sched_step& s : b.trace()) {
-          if (s.site == sched_site::fast_attempt) ++attempts[s.worker];
-        }
         for (std::size_t w = 0; w < progs.size(); ++w) {
-          if (attempts[w] > progs[w].size()) {
+          if (attempt_counter::attempts[w] > progs[w].size()) {
             ++rep.retried;
             break;
           }

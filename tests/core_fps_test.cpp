@@ -18,6 +18,7 @@
 
 #include "core/wf_queue_fps.hpp"
 #include "harness/workload.hpp"
+#include "support/hooks.hpp"
 #include "support/whitebox.hpp"
 #include "sync/spin_barrier.hpp"
 #include "verify/fifo_checker.hpp"
@@ -123,9 +124,10 @@ std::atomic<std::int64_t> frozen_tid{-1};
 std::atomic<bool> gate_open{true};
 std::atomic<bool> is_frozen{false};
 
-struct freezing_fps_hooks {
-  static void sched_point(std::uint32_t tid, sched_site site) {
-    if (site != sched_site::after_publish ||
+struct freezing_fps_hooks : no_hooks {
+  static void event(std::uint32_t tid, wf_event e, std::int64_t /*phase*/,
+                    std::uint32_t /*aux*/) {
+    if (!testing::is_publish(e) ||
         static_cast<std::int64_t>(tid) !=
             frozen_tid.load(std::memory_order_acquire)) {
       return;
@@ -204,8 +206,9 @@ TEST_F(FpsProgressTest, PeersCompleteAFrozenSlowDequeue) {
 
 std::array<std::atomic<std::uint64_t>, 2> fast_attempts;
 
-struct counting_fps_hooks {
-  static void sched_point(std::uint32_t tid, sched_site site);
+struct counting_fps_hooks : no_hooks {
+  static void event(std::uint32_t tid, wf_event e, std::int64_t phase,
+                    std::uint32_t aux);
 };
 struct counting_options : fps_options {
   using hooks = counting_fps_hooks;
@@ -222,9 +225,10 @@ using counting_fps = wf_queue_fps<std::uint64_t, hp_domain, counting_options>;
 std::atomic<counting_fps*> lag_tail_of{nullptr};
 std::atomic<std::uint64_t> lagged_nodes{0};
 
-void counting_fps_hooks::sched_point(std::uint32_t tid, sched_site site) {
-  freezing_fps_hooks::sched_point(tid, site);
-  if (site != sched_site::fast_attempt) return;
+void counting_fps_hooks::event(std::uint32_t tid, wf_event e,
+                               std::int64_t phase, std::uint32_t aux) {
+  freezing_fps_hooks::event(tid, e, phase, aux);
+  if (e != wf_event::fast_attempt) return;
   fast_attempts[tid].fetch_add(1, std::memory_order_relaxed);
   counting_fps* q = lag_tail_of.load(std::memory_order_acquire);
   if (q == nullptr || tid != 1) return;
@@ -322,11 +326,12 @@ TEST_F(FpsPatienceBound, FastAttemptsPerOpNeverExceedMaxTriesUnderStalledPeer) {
 // plays the lagging-tail adversary above against a single-threaded queue:
 // nothing races its steps, and the tail is never retired under them.
 template <std::uint32_t N>
-struct budget_hooks {
+struct budget_hooks : no_hooks {
   static inline std::atomic<std::uint64_t> attempts{0};
   static inline std::atomic<void*> lag_tail_of{nullptr};
   static inline std::atomic<std::uint64_t> lagged{0};
-  static void sched_point(std::uint32_t tid, sched_site site);
+  static void event(std::uint32_t tid, wf_event e, std::int64_t phase,
+                    std::uint32_t aux);
 };
 template <std::uint32_t N>
 struct budget_options : fps_options {
@@ -337,8 +342,9 @@ template <std::uint32_t N>
 using budget_fps = wf_queue_fps<std::uint64_t, hp_domain, budget_options<N>>;
 
 template <std::uint32_t N>
-void budget_hooks<N>::sched_point(std::uint32_t tid, sched_site site) {
-  if (site != sched_site::fast_attempt) return;
+void budget_hooks<N>::event(std::uint32_t tid, wf_event e,
+                            std::int64_t /*phase*/, std::uint32_t /*aux*/) {
+  if (e != wf_event::fast_attempt) return;
   attempts.fetch_add(1, std::memory_order_relaxed);
   auto* q = static_cast<budget_fps<N>*>(
       lag_tail_of.load(std::memory_order_acquire));

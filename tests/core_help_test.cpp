@@ -14,6 +14,7 @@
 #include <thread>
 
 #include "core/wf_queue.hpp"
+#include "support/hooks.hpp"
 
 namespace kpq {
 namespace {
@@ -22,9 +23,10 @@ std::atomic<std::int64_t> frozen_tid{-1};
 std::atomic<bool> gate_open{true};
 std::atomic<bool> is_frozen{false};
 
-struct freezing_hooks {
-  static void sched_point(std::uint32_t tid, sched_site site) {
-    if (site != sched_site::after_publish ||
+struct freezing_hooks : no_hooks {
+  static void event(std::uint32_t tid, wf_event e, std::int64_t /*phase*/,
+                    std::uint32_t /*aux*/) {
+    if (!testing::is_publish(e) ||
         static_cast<std::int64_t>(tid) !=
             frozen_tid.load(std::memory_order_acquire)) {
       return;
@@ -37,8 +39,9 @@ struct freezing_hooks {
   }
 };
 
-struct freezing_stats_options : wf_options_stats {
-  using hooks = freezing_hooks;
+// Stats first: the publish is counted before the owner freezes.
+struct freezing_stats_options : wf_options {
+  using hooks = testing::compose<wf_stats, freezing_hooks>;
 };
 
 using queue = wf_queue<std::uint64_t, help_one, fetch_add_phase, hp_domain,

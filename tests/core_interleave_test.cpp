@@ -175,7 +175,7 @@ TEST(BatonExplorer, DfsRunsEveryBoundedScheduleOnce) {
 }
 
 struct replay_fps_options : fps_options {
-  using hooks = testing::baton;
+  using hooks = testing::baton::hook;
   using fast_path = ms_fast_path<1>;
 };
 using fps_queue = wf_queue_fps<std::uint64_t, eager_hp_domain,

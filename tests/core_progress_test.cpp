@@ -1,7 +1,7 @@
 // Direct observation of the helping mechanism — the property that makes the
 // queue wait-free rather than merely lock-free.
 //
-// Using the test hook that fires right after a thread publishes its
+// Using the hook event that fires right after a thread publishes its
 // operation in its announce record (and before it helps anyone, including
 // itself), we
 // freeze a thread at its most vulnerable point: operation announced, nothing
@@ -36,6 +36,7 @@
 #include "obs/calibrate.hpp"
 #include "obs/timeline.hpp"
 #include "obs/trace_ring.hpp"
+#include "support/hooks.hpp"
 #include "verify/fifo_checker.hpp"
 #include "verify/history.hpp"
 
@@ -63,18 +64,22 @@ void park(std::atomic<bool>& open, std::atomic<bool>& parked) {
   parked.store(false, std::memory_order_release);
 }
 
-struct freezing_hooks {
+struct freezing_hooks : no_hooks {
   static void sched_point(std::uint32_t tid, sched_site site) {
-    const auto t = static_cast<std::int64_t>(tid);
-    if (t == winner_tid.load(std::memory_order_acquire)) {
+    if (static_cast<std::int64_t>(tid) ==
+        winner_tid.load(std::memory_order_acquire)) {
       if (site == sched_site::link) linked = true;
       if (site == sched_site::state && linked) {
         linked = false;
         park(winner_gate_open, winner_is_frozen);
       }
     }
-    if (site == sched_site::after_publish &&
-        t == frozen_tid.load(std::memory_order_acquire)) {
+  }
+  static void event(std::uint32_t tid, wf_event e, std::int64_t /*phase*/,
+                    std::uint32_t /*aux*/) {
+    if (testing::is_publish(e) &&
+        static_cast<std::int64_t>(tid) ==
+            frozen_tid.load(std::memory_order_acquire)) {
       park(gate_open, is_frozen);
     }
   }
@@ -89,14 +94,16 @@ using frozen_queue_of =
     wf_queue<T, help_all, scan_max_phase, hp_domain, freezing_options>;
 using frozen_queue = frozen_queue_of<std::uint64_t>;
 
-struct counting_freezing_options : freezing_options {
-  static constexpr bool collect_stats = true;
+// The stats or trace part first: the publish is counted or recorded before
+// the owner freezes.
+struct counting_freezing_options : wf_options {
+  using hooks = testing::compose<wf_stats, freezing_hooks>;
 };
 using counting_frozen_queue = wf_queue<std::uint64_t, help_all, scan_max_phase,
                                        hp_domain, counting_freezing_options>;
 
-struct traced_freezing_options : freezing_options {
-  using trace = obs::ring_trace;
+struct traced_freezing_options : wf_options {
+  using hooks = testing::compose<wf_trace, freezing_hooks>;
 };
 using traced_frozen_queue = wf_queue<std::uint64_t, help_all, scan_max_phase,
                                      hp_domain, traced_freezing_options>;

@@ -45,7 +45,7 @@ using freeing_base_queue =
 /// One fast attempt: a single interfering step sends an operation to the
 /// slow path, so both paths and their cross-path helping run.
 struct fuzz_fps_options : fps_options {
-  using hooks = baton;
+  using hooks = baton::hook;
   using fast_path = ms_fast_path<1>;
 };
 using freeing_fps_queue =

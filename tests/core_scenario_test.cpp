@@ -21,6 +21,7 @@
 
 #include "core/wf_queue.hpp"
 #include "support/baton.hpp"
+#include "support/hooks.hpp"
 #include "support/whitebox.hpp"
 #include "verify/fifo_checker.hpp"
 #include "verify/history.hpp"
@@ -275,22 +276,35 @@ TEST(PhaseOrdering, OlderOperationsAreHelpedFirst) {
 // and the item the owner claimed is lost.
 
 /// Single-threaded replay hooks: when thread `tid` reaches `site` (any site
-/// if nullopt), run `then` once, in the middle of that thread's step. `then`
-/// may run other threads' whole operations (each a different tid) and
-/// re-arm.
-struct script_hooks {
+/// if nullopt), or publishes an operation (arm_publish), run `then` once, in
+/// the middle of that thread's step. `then` may run other threads' whole
+/// operations (each a different tid) and re-arm.
+struct script_hooks : no_hooks {
   static inline std::uint32_t tid = 0;
   static inline std::optional<sched_site> site;
+  static inline bool on_publish = false;
   static inline std::function<void()> then;
 
   static void arm(std::uint32_t t, std::optional<sched_site> s,
                   std::function<void()> f) {
     tid = t;
     site = s;
+    on_publish = false;
     then = std::move(f);
   }
+  static void arm_publish(std::uint32_t t, std::function<void()> f) {
+    arm(t, std::nullopt, std::move(f));
+    on_publish = true;
+  }
   static void sched_point(std::uint32_t t, sched_site s) {
-    if (!then || t != tid || (site && s != *site)) return;
+    if (!on_publish && (!site || s == *site)) fire(t);
+  }
+  static void event(std::uint32_t t, wf_event e, std::int64_t /*phase*/,
+                    std::uint32_t /*aux*/) {
+    if (on_publish && testing::is_publish(e)) fire(t);
+  }
+  static void fire(std::uint32_t t) {
+    if (!then || t != tid) return;
     const std::function<void()> f = std::move(then);
     then = nullptr;
     f();
@@ -314,7 +328,7 @@ TEST(RecordIdentity, StaleEmptyCompletionMissesARecycledSentinel) {
 
   std::optional<std::uint64_t> got;
   scripted::node_type* s0_again = nullptr;
-  script_hooks::arm(owner, sched_site::after_publish, [&] {
+  script_hooks::arm_publish(owner, [&] {
     // The owner's dequeue is published and pending. A helper's stage 0
     // points it at s0, then the peer dequeues 1 past s0: the stage-0 node
     // is stale, and the record root keeps s0 from being freed.

@@ -3,11 +3,14 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <optional>
 #include <thread>
+#include <type_traits>
 #include <vector>
 
 #include "core/wf_queue.hpp"
 #include "harness/workload.hpp"
+#include "support/hooks.hpp"
 #include "sync/spin_barrier.hpp"
 
 namespace kpq {
@@ -68,9 +71,10 @@ std::atomic<bool> freeze_tid0{false};
 std::atomic<bool> frozen_now{false};
 std::atomic<bool> release_gate{false};
 
-struct stats_freeze_hooks {
-  static void sched_point(std::uint32_t tid, sched_site site) {
-    if (site != sched_site::after_publish || tid != 0 ||
+struct stats_freeze_hooks : no_hooks {
+  static void event(std::uint32_t tid, wf_event e, std::int64_t /*phase*/,
+                    std::uint32_t /*aux*/) {
+    if (!testing::is_publish(e) || tid != 0 ||
         !freeze_tid0.load(std::memory_order_acquire)) {
       return;
     }
@@ -80,8 +84,8 @@ struct stats_freeze_hooks {
     }
   }
 };
-struct stats_freeze_options : wf_options_stats {
-  using hooks = stats_freeze_hooks;
+struct stats_freeze_options : wf_options {
+  using hooks = testing::compose<wf_stats, stats_freeze_hooks>;
 };
 
 TEST(WfStats, HelperCompletionIsCountedDeterministically) {
@@ -111,14 +115,22 @@ TEST(WfStats, HelperCompletionIsCountedDeterministically) {
   EXPECT_EQ(q.counters(0).helped_enq_completions, 0u);
 }
 
+template <typename Q>
+concept has_counters = requires(const Q& q) {
+  q.counters(0);
+  q.aggregate_counters();
+};
+
 TEST(WfStats, CountersOffCostsNothingAndIsSafe) {
-  // Default options: stats vector is empty; aggregate must return zeros
-  // rather than touching anything.
-  wf_queue_opt<std::uint64_t> q(2);
+  // Default options: the hook holds nothing and the queue has no counters
+  // to read, so none can be read by mistake.
+  using default_queue = wf_queue_opt<std::uint64_t>;
+  static_assert(std::is_empty_v<default_queue::hooks_type>);
+  static_assert(!has_counters<default_queue>);
+  static_assert(has_counters<stats_queue>);
+  default_queue q(2);
   q.enqueue(1, 0);
-  const auto total = q.aggregate_counters();
-  EXPECT_EQ(total.enq_ops, 0u);
-  EXPECT_EQ(total.deq_ops, 0u);
+  EXPECT_EQ(q.dequeue(0), std::optional<std::uint64_t>(1));
 }
 
 }  // namespace

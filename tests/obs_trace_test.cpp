@@ -4,17 +4,21 @@
 // event streams.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdint>
+#include <optional>
 #include <iterator>
 #include <set>
 #include <string>
 #include <thread>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
 #include "core/wf_queue.hpp"
 #include "obs/trace_ring.hpp"
 #include "obs/wf_metrics.hpp"
+#include "support/hooks.hpp"
 #include "sync/spin_barrier.hpp"
 
 namespace kpq::obs {
@@ -84,10 +88,9 @@ constexpr std::pair<trace_kind, unsigned> kPinnedKinds[] = {
     {trace_kind::enq_publish, 0},  {trace_kind::enq_complete, 1},
     {trace_kind::deq_publish, 2},  {trace_kind::deq_complete, 3},
     {trace_kind::help_start, 4},   {trace_kind::help_finish, 5},
-    {trace_kind::help_scan, 6},    {trace_kind::retire, 7},
-    {trace_kind::reclaim_scan, 8}, {trace_kind::shard_steal, 9},
-    {trace_kind::shard_empty, 10}, {trace_kind::waiter_park, 12},
-    {trace_kind::waiter_resume, 13},
+    {trace_kind::retire, 7},       {trace_kind::reclaim_scan, 8},
+    {trace_kind::shard_steal, 9},  {trace_kind::shard_empty, 10},
+    {trace_kind::waiter_park, 12}, {trace_kind::waiter_resume, 13},
 };
 
 TEST(ObsTraceKinds, StoredNumericValuesAreStable) {
@@ -104,6 +107,7 @@ TEST(ObsTraceKinds, EveryLiveKindIsNamedAndRetiredElevenIsNot) {
     names.insert(name);
   }
   EXPECT_EQ(names.size(), std::size(kPinnedKinds)) << "names must be unique";
+  EXPECT_STREQ(trace_kind_name(static_cast<trace_kind>(6)), "unknown");
   EXPECT_STREQ(trace_kind_name(static_cast<trace_kind>(11)), "unknown");
   EXPECT_STREQ(trace_kind_name(static_cast<trace_kind>(14)), "unknown");
 }
@@ -158,10 +162,13 @@ TEST(ObsTraceDomain, DrainAllMergesSortedByTimestamp) {
 TEST(ObsTracePolicies, NoTraceIsDisabledAndInert) {
   static_assert(!no_trace::enabled);
   no_trace::record(0, trace_kind::retire, 0, 0);  // links, does nothing
+  // The queue's default hook follows the same switch.
 #if defined(KPQ_TRACE)
   static_assert(default_trace::enabled);
+  static_assert(std::is_same_v<wf_options::hooks, wf_trace>);
 #else
   static_assert(!default_trace::enabled);
+  static_assert(std::is_same_v<wf_options::hooks, no_hooks>);
 #endif
 }
 
@@ -300,6 +307,84 @@ TEST(ObsTracedQueue, ConcurrentRunProducesConsistentTrace) {
   EXPECT_EQ(r.phase_lag.total(), r.ops());
   // The dense-id overloads were never used: tids stay < kThreads.
   for (const trace_event& e : events) EXPECT_LT(e.tid, kThreads);
+  global_trace().reset();
+}
+
+// Two hooks on one queue must tell one story: the trace's derived counts
+// equal the counters of the same run. A frozen owner makes the helping
+// deterministic (help_all: a peer helps it at its next operation).
+std::atomic<std::int64_t> frozen_tid{-1};
+std::atomic<bool> is_frozen{false};
+
+struct freeze_at_publish : no_hooks {
+  static void event(std::uint32_t tid, wf_event e, std::int64_t /*phase*/,
+                    std::uint32_t /*aux*/) {
+    if (!testing::is_publish(e) ||
+        static_cast<std::int64_t>(tid) != frozen_tid.load()) {
+      return;
+    }
+    is_frozen.store(true);
+    while (frozen_tid.load() == static_cast<std::int64_t>(tid)) {
+      std::this_thread::yield();
+    }
+    is_frozen.store(false);
+  }
+};
+// Trace and stats before the freeze, so the publish is in both first.
+struct agreeing_options : wf_options {
+  using hooks = testing::compose<wf_trace, wf_stats, freeze_at_publish>;
+};
+
+void thaw(std::thread& owner) {
+  frozen_tid.store(-1);
+  owner.join();
+}
+
+TEST(ObsTracedQueue, TraceAndCountersOfOneRunAgree) {
+  using Q = wf_queue<std::uint64_t, help_all, scan_max_phase, hp_domain,
+                     agreeing_options>;
+  global_trace().reset();
+  Q q(3);
+  std::optional<std::uint64_t> got;
+
+  frozen_tid.store(0);  // a peer's dequeue completes the frozen enqueue
+  std::thread owner([&] { q.enqueue(42, 0); });
+  while (!is_frozen.load()) std::this_thread::yield();
+  EXPECT_EQ(q.dequeue(1), std::optional<std::uint64_t>(42));
+  thaw(owner);
+
+  q.enqueue(7, 1);
+  frozen_tid.store(2);  // a peer's enqueue completes the frozen dequeue
+  owner = std::thread([&] { got = q.dequeue(2); });
+  while (!is_frozen.load()) std::this_thread::yield();
+  q.enqueue(8, 1);
+  thaw(owner);
+  EXPECT_EQ(got, std::optional<std::uint64_t>(7));
+
+  frozen_tid.store(0);  // the helper's own dequeue then finds it empty
+  owner = std::thread([&] { got = q.dequeue(0); });
+  while (!is_frozen.load()) std::this_thread::yield();
+  EXPECT_EQ(q.dequeue(1), std::nullopt);
+  thaw(owner);
+  EXPECT_EQ(got, std::optional<std::uint64_t>(8));
+  EXPECT_EQ(q.dequeue(2), std::nullopt);
+
+  std::uint64_t dropped = 0;
+  const wf_trace_report r =
+      analyze_trace(global_trace().drain_all(&dropped), dropped, 3);
+  const wf_counters c = q.aggregate_counters();
+  EXPECT_EQ(dropped, 0u);
+  EXPECT_EQ(r.enq_ops, c.enq_ops);
+  EXPECT_EQ(r.deq_ops, c.deq_ops);
+  EXPECT_EQ(r.empty_deqs, c.empty_deqs);
+  EXPECT_EQ(r.help_episodes,
+            c.helped_enq_completions + c.helped_deq_completions);
+  // The run itself: 3 enqueues, 5 dequeues (two of them empty), and one
+  // helping episode per frozen operation.
+  EXPECT_EQ(c.enq_ops, 3u);
+  EXPECT_EQ(c.deq_ops, 5u);
+  EXPECT_EQ(c.empty_deqs, 2u);
+  EXPECT_EQ(r.help_episodes, 3u);
   global_trace().reset();
 }
 

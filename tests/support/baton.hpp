@@ -1,7 +1,8 @@
 // Baton scheduler: explores interleavings of the queue code that ships.
 //
-// A queue whose Options::hooks is `baton` calls baton::sched_point before
-// every shared access (core/wf_queue.hpp, sched_site). A scenario's worker
+// A queue whose Options::hooks includes baton::hook calls
+// baton::sched_point before every shared access (core/wf_queue.hpp,
+// sched_site); its events are not scheduling points. A scenario's worker
 // threads are created once and reused across schedules; only the worker
 // holding the baton runs. At each scheduling point the holder asks a
 // chooser which worker goes next and, if it is another one, hands the
@@ -47,6 +48,7 @@
 #include "core/wf_queue.hpp"
 #include "harness/workload.hpp"
 #include "reclaim/hazard_pointers.hpp"
+#include "support/hooks.hpp"
 #include "sync/cacheline.hpp"
 #include "verify/history.hpp"
 #include "verify/lin_checker.hpp"
@@ -121,14 +123,21 @@ class baton {
 
   /// The last run's replayable schedule ("" = the default schedule).
   const std::string& schedule() const noexcept { return schedule_; }
-  /// Every sched_point of the last run, markers included.
+  /// Every sched_point of the last run.
   const std::vector<sched_step>& trace() const noexcept { return trace_; }
 
-  /// The hook entry (a queue's Options::hooks may be baton itself): a
-  /// no-op outside a worker body.
+  /// A scheduling point of the calling worker; a no-op outside a worker
+  /// body.
   static void sched_point(std::uint32_t /*tid*/, sched_site site) {
     if (self_ != nullptr) self_->at_point(me_, site);
   }
+
+  /// The queue hook: stateless, so a queue holding it spawns no threads.
+  struct hook : no_hooks {
+    static void sched_point(std::uint32_t tid, sched_site site) {
+      baton::sched_point(tid, site);
+    }
+  };
 
   /// The pick a schedule string leaves out: keep the current worker, or
   /// after one returned, the lowest runnable.
@@ -140,10 +149,6 @@ class baton {
   }
 
  private:
-  static constexpr bool is_access(sched_site s) noexcept {
-    return s != sched_site::after_publish && s != sched_site::fast_attempt;
-  }
-
   void worker_main(std::uint32_t w) {
     self_ = this;
     me_ = w;
@@ -168,7 +173,6 @@ class baton {
   void at_point(std::uint32_t w, sched_site site) {
     trace_.push_back({w, site});
     ++clock_;
-    if (!is_access(site)) return;
     const std::uint32_t next = decide(w);
     if (next == w) return;
     pass(next);
@@ -234,10 +238,10 @@ class baton {
   std::vector<std::thread> threads_;  // last: started once the rest exists
 };
 
-/// Explored queues: the baton as hooks, plus the stats counters the
+/// Explored queues: the baton as hook, plus the stats counters the
 /// coverage assertions read (helped_*_completions).
-struct baton_options : wf_options_stats {
-  using hooks = baton;
+struct baton_options : wf_options {
+  using hooks = compose<baton::hook, wf_stats>;
 };
 
 /// hp_domain that scans on every retirement, so reclamation runs inside

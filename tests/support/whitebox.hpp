@@ -108,16 +108,13 @@ struct whitebox {
 
   /// Addresses of the words whose cache-line placement the layout
   /// regression pins: the two written hot words and the vector headers
-  /// every operation reads. fps adds its probe cursor's header.
+  /// every operation reads. fps adds its per-thread cells' header.
   template <typename Q>
   static std::vector<std::pair<const char*, const void*>> hot_words(
       const Q& q) {
     std::vector<std::pair<const char*, const void*>> w = {
-        {"head_", &q.head_},
-        {"tail_", &q.tail_},
-        {"state_", &q.state_},
-        {"stats_", &q.stats_}};
-    if constexpr (Q::has_fast_path) w.emplace_back("cursor_", &q.cursor_);
+        {"head_", &q.head_}, {"tail_", &q.tail_}, {"state_", &q.state_}};
+    if constexpr (Q::has_fast_path) w.emplace_back("cells_", &q.cells_);
     return w;
   }
 
