@@ -8,12 +8,13 @@
 // enqueue() here is the synchronous producer path, and its notify can
 // resume a parked coroutine just as it wakes a parked thread.
 //
-// The awaitables follow the waiter_hub discipline (enlist → re-check →
-// commit_park) with a coro_resumer continuation, plus three claim rivals:
-// stop_token cancellation, deadline timers on the executor's wheel, and
-// frame teardown. co_dequeue is a retry LOOP over a one-shot awaiter — a
-// woken coroutine that loses the item to a faster consumer re-parks, same
-// as dequeue_blocking's loop.
+// Every wait follows the waiter_hub discipline (enlist → re-check →
+// commit_park) through one claim, detail::park (async/park.hpp), whose
+// rivals are a notify, stop_token cancellation, a deadline timer on the
+// executor's wheel, the re-check itself, and frame teardown. co_dequeue,
+// co_dequeue_for and co_select are retry LOOPS over one one-shot awaiter,
+// take_step — a woken coroutine that loses the item to a faster consumer
+// re-parks, same as dequeue_blocking's loop.
 //
 // Bounded backpressure: when Q is bounded-with-admission
 // (bounded_admission_queue below — bounded_wf_queue qualifies), co_enqueue
@@ -27,18 +28,19 @@
 #endif
 
 #include <atomic>
-#include <cassert>
 #include <chrono>
 #include <concepts>
 #include <coroutine>
+#include <cstddef>
 #include <cstdint>
-#include <memory>
 #include <optional>
+#include <span>
 #include <stop_token>
 #include <utility>
+#include <vector>
 
-#include "async/coro_waiter.hpp"
 #include "async/event_loop.hpp"
+#include "async/park.hpp"
 #include "async/task.hpp"
 #include "core/queue_concepts.hpp"
 #include "harness/timing.hpp"
@@ -66,165 +68,128 @@ template <typename Q>
   requires mpmc_queue<Q>
 class async_mpmc;
 
+/// select_result::index when no queue served a value.
+inline constexpr std::size_t select_npos = ~std::size_t{0};
+
+template <typename V>
+struct select_result {
+  std::optional<V> value{};
+  std::size_t index = select_npos;  // which queue served the value
+  bool open = true;  // false: stopped, or every queue closed-and-drained
+};
+
 namespace detail {
 
-/// One parked wait for "an item or a state change" on the queue's
-/// not-empty hub. await_resume reports {value, open}; the co_dequeue loop
-/// retries while open and empty (steal races re-park).
+/// One wait for an item from any of `qs`: co_dequeue and co_dequeue_for
+/// pass one queue, co_select N. The callers' loops retry while the result
+/// is open and empty (an item stolen between the wakeup and the scan
+/// re-parks, same as dequeue_blocking's loop). Callers co_await a NAMED
+/// step: GCC 12 destroys the members of a braced prvalue awaiter twice.
 template <typename Q>
-struct dequeue_step {
+struct take_step {
   using value_type = typename Q::value_type;
-  struct outcome {
-    std::optional<value_type> value;
-    bool open = true;
-  };
 
-  async_mpmc<Q>& aq;
+  std::span<async_mpmc<Q>* const> qs;
   std::stop_token st;
   std::uint64_t deadline_ns;  // 0 = none; needs an executor for the timer
+  select_result<value_type> out{};
+  park waiting{};
 
-  std::optional<value_type> value{};
-  bool open = true;
-  bool parked = false;
-  std::shared_ptr<coro_resumer> node{};
+  /// One pass over the queues from `start`; a hit lands in `out`.
+  bool scan(std::size_t start) {
+    // Resumption context may differ from the suspending thread — re-read
+    // the dense id, never reuse one captured before the suspension.
+    const std::uint32_t tid = this_thread_id();
+    for (std::size_t k = 0, i = start; k < qs.size(); ++k, ++i) {
+      if (i == qs.size()) i = 0;  // no division on the fast path
+      if ((out.value = qs[i]->try_dequeue(tid))) {
+        out.index = i;
+        return true;
+      }
+    }
+    return false;
+  }
 
-  struct canceller {
-    std::shared_ptr<coro_resumer> n;
-    waiter_hub* hub;
-    void operator()() const noexcept { (void)n->claim_cancel(*hub); }
-  };
-  std::optional<std::stop_callback<canceller>> stop_cb{};
-
-  dequeue_step(async_mpmc<Q>& q, std::stop_token token,
-               std::uint64_t deadline) noexcept
-      : aq(q), st(std::move(token)), deadline_ns(deadline) {}
-  dequeue_step(const dequeue_step&) = delete;
-  dequeue_step& operator=(const dequeue_step&) = delete;
-
-  ~dequeue_step() {
-    // Destroy-while-suspended: the frame is torn down with the node still
-    // enlisted — claim it quietly so no notifier resumes a dead frame.
-    // Contract (docs/ASYNC.md §5): only legal when no notify/cancel can be
-    // concurrently in flight.
-    stop_cb.reset();
-    if (parked && node) (void)node->claim_silent(aq.hub());
+  bool all_closed() const noexcept {
+    for (auto* q : qs) {
+      if (!q->closed()) return false;
+    }
+    return true;
   }
 
   bool await_ready() {
     if (st.stop_requested()) {
-      open = false;
+      out.open = false;
       return true;
     }
-    if ((value = aq.try_dequeue(this_thread_id()))) return true;
-    return false;
+    return scan(0);
   }
 
   bool await_suspend(std::coroutine_handle<> h) {
-    node = std::make_shared<coro_resumer>();
-    waiter_hub& hub = aq.hub();
-    auto lk = hub.lock();
-    node->arm(h, aq.executor());
-    hub.enlist(*node, lk);
-    // Re-check under registration (Dekker): no enqueue slips past unseen.
-    if ((value = aq.try_dequeue(this_thread_id()))) {
-      hub.delist(*node, lk);
-      node->disarm();
-      return false;
-    }
-    if (aq.closed() || st.stop_requested()) {
-      open = false;
-      hub.delist(*node, lk);
-      node->disarm();
-      return false;
-    }
-    hub.commit_park(*node, lk);
-    parked = true;
-    lk.unlock();
-    // Rivals armed only after the park is committed; the shared_ptr keeps
-    // the node alive for a late timer even after this awaiter is gone (a
-    // fired node never re-arms, so the late claim is a no-op).
-    if (deadline_ns != 0) {
-      assert(aq.executor() && "dequeue deadlines need an executor");
-      aq.executor()->call_at(deadline_ns, [n = node, hp = &hub]() noexcept {
-        (void)n->claim_cancel(*hp);
-      });
-    }
-    if (st.stop_possible()) stop_cb.emplace(st, canceller{node, &hub});
-    return true;
+    return waiting.suspend(
+        h, qs.empty() ? nullptr : qs[0]->executor(), qs.size(),
+        [this](std::size_t i) -> waiter_hub& { return qs[i]->hub(); },
+        // Re-check under registration (Dekker): no enqueue or close
+        // slips past unseen.
+        [this] { return scan(0) || st.stop_requested() || all_closed(); },
+        st, deadline_ns);
   }
 
-  outcome await_resume() {
-    // Deregister the stop callback BEFORE touching shared state; its dtor
-    // waits out an in-flight invocation.
-    stop_cb.reset();
-    if (parked) {
-      aq.hub().on_resumed(*node);
-      // Resumption context may differ from the suspending thread — re-read
-      // the dense id, never reuse one captured before the suspension.
-      if (!value) value = aq.try_dequeue(this_thread_id());
-      if (!value && (aq.closed() || st.stop_requested())) open = false;
+  select_result<value_type> await_resume() {
+    const std::size_t woke = waiting.finish();
+    if (!out.value && out.open) {
+      // Start at the queue whose notify woke us (its token means it had an
+      // item). After a stop or a deadline the scan still runs first, so an
+      // item already present is delivered.
+      if (!scan(woke == park::no_hub ? 0 : woke)) {
+        out.open = !st.stop_requested() && !all_closed();
+      }
     }
-    return outcome{std::move(value), open};
+    // The token came from queue `woke` but the item from another one (the
+    // re-check hit first, or `woke`'s item was stolen): hand the token
+    // back so a co-parked waiter wakes for whatever `woke` still holds.
+    if (woke != park::no_hub && out.value && out.index != woke) {
+      qs[woke]->hub().notify_one();
+    }
+    return std::move(out);
   }
 };
 
-/// One parked wait for bounded-queue room (co_enqueue backpressure). The
-/// timer recheck is mandatory: reclamation can return space with no
+/// co_select's loop over queues the caller keeps alive until the task
+/// completes (async_sharded's shard list: no per-call copy or extra frame).
+template <typename Q>
+task<select_result<typename Q::value_type>> take_any(
+    std::span<async_mpmc<Q>* const> qs, std::stop_token st) {
+  for (;;) {
+    take_step<Q> step{qs, st, 0};
+    auto r = co_await step;
+    if (r.value || !r.open) co_return r;
+  }
+}
+
+/// One wait for bounded-queue room (co_enqueue backpressure). The deadline
+/// is a recheck, and it is mandatory: reclamation can return space with no
 /// dequeue — and hence no notify — attached (bounded_wf_queue.hpp).
 template <typename Q>
 struct room_step {
   async_mpmc<Q>& aq;
-  bool open = true;
-  bool parked = false;
-  std::shared_ptr<coro_resumer> node{};
+  park waiting{};
 
-  explicit room_step(async_mpmc<Q>& q) noexcept : aq(q) {}
-  room_step(const room_step&) = delete;
-  room_step& operator=(const room_step&) = delete;
-
-  ~room_step() {
-    if (parked && node) (void)node->claim_silent(aq.queue().room_hub());
-  }
-
-  bool await_ready() {
-    if (aq.queue().has_room_hint()) return true;
-    if (aq.queue().closed()) {
-      open = false;
-      return true;
-    }
-    return false;
+  bool await_ready() const {
+    return aq.queue().has_room_hint() || aq.queue().closed();
   }
 
   bool await_suspend(std::coroutine_handle<> h) {
-    assert(aq.executor() && "bounded co_enqueue needs an executor (timer)");
-    node = std::make_shared<coro_resumer>();
-    waiter_hub& hub = aq.queue().room_hub();
-    auto lk = hub.lock();
-    node->arm(h, aq.executor());
-    hub.enlist(*node, lk);
-    if (aq.queue().has_room_hint() || aq.queue().closed()) {
-      open = !aq.queue().closed();
-      hub.delist(*node, lk);
-      node->disarm();
-      return false;
-    }
-    hub.commit_park(*node, lk);
-    parked = true;
-    lk.unlock();
     const auto recheck = std::chrono::duration_cast<std::chrono::nanoseconds>(
         aq.queue().room_recheck_interval());
-    aq.executor()->call_at(
-        now_ns() + static_cast<std::uint64_t>(recheck.count()),
-        [n = node, hp = &hub]() noexcept { (void)n->claim_cancel(*hp); });
-    return true;
+    return waiting.suspend(
+        h, aq.executor(), 1,
+        [this](std::size_t) -> waiter_hub& { return aq.queue().room_hub(); },
+        [this] { return await_ready(); }, std::stop_token{},
+        now_ns() + static_cast<std::uint64_t>(recheck.count()));
   }
 
-  /// True while the queue is open (room may or may not exist — the
-  /// co_enqueue loop re-polls); false once closed.
-  bool await_resume() {
-    if (parked) aq.queue().room_hub().on_resumed(*node);
-    return open && !aq.queue().closed();
-  }
+  void await_resume() { (void)waiting.finish(); }
 };
 
 }  // namespace detail
@@ -281,8 +246,9 @@ class async_mpmc {
   /// Await one element. Completes with nullopt only when the queue is
   /// closed-and-drained or `st` was stopped.
   task<std::optional<value_type>> co_dequeue(std::stop_token st = {}) {
+    async_mpmc* const self[1] = {this};
     for (;;) {
-      detail::dequeue_step<Q> step(*this, st, 0);
+      detail::take_step<Q> step{self, st, 0};
       auto r = co_await step;
       if (r.value) co_return std::move(r.value);
       if (!r.open) co_return std::nullopt;
@@ -298,8 +264,9 @@ class async_mpmc {
                        std::chrono::duration_cast<std::chrono::nanoseconds>(
                            timeout)
                            .count());
+    async_mpmc* const self[1] = {this};
     for (;;) {
-      detail::dequeue_step<Q> step(*this, st, deadline);
+      detail::take_step<Q> step{self, st, deadline};
       auto r = co_await step;
       if (r.value) co_return std::move(r.value);
       if (!r.open || now_ns() >= deadline) co_return std::nullopt;
@@ -318,8 +285,8 @@ class async_mpmc {
           if (hub_.maybe_waiters()) hub_.notify_one();
           co_return true;
         }
-        detail::room_step<Q> step(*this);
-        if (!co_await step) co_return false;  // closed while waiting
+        detail::room_step<Q> step{*this};
+        co_await step;
       }
     } else {
       if (closed()) co_return false;
@@ -333,7 +300,7 @@ class async_mpmc {
   Q& queue() noexcept { return q_; }
   const Q& queue() const noexcept { return q_; }
 
-  /// The not-empty hub (park/resume stats; select_step enlists here).
+  /// The not-empty hub (park/resume stats; co_select enlists here).
   waiter_hub& hub() noexcept { return hub_; }
   const waiter_hub& hub() const noexcept { return hub_; }
 
@@ -343,5 +310,17 @@ class async_mpmc {
   std::atomic<bool> closed_{false};  // written under the hub lock
   event_loop* exec_ = nullptr;
 };
+
+/// Await one element from any of `queues`: one wait enlisted on every
+/// queue's hub, the first claim wins, and a token the wait does not use
+/// goes back to its hub. Retries internally on spurious wakeups (stolen
+/// items); completes with open=false when stopped or when every queue is
+/// closed-and-drained. Resumptions post to the first queue's executor —
+/// attach the same loop to all queues multiplexed together.
+template <typename Q>
+task<select_result<typename Q::value_type>> co_select(
+    std::vector<async_mpmc<Q>*> queues, std::stop_token st = {}) {
+  co_return co_await detail::take_any<Q>(queues, std::move(st));
+}
 
 }  // namespace kpq::async

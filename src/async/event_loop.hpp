@@ -163,7 +163,7 @@ class event_loop {
 
   /// Thread-safe: queue `h` to run on the loop thread; wakes the loop if
   /// parked. This is how queue notifiers on producer threads hand a
-  /// coroutine resumption over (coro_waiter.hpp).
+  /// coroutine resumption over (async/park.hpp).
   void post(std::coroutine_handle<> h) {
     auto lk = hub_.lock();
     ready_.push_back({h, now_ns()});

@@ -8,7 +8,7 @@
 // per-key FIFO system-wide, the session-lane guarantee the broker example
 // relies on), and consumers multiplex all shards with co_select, which IS
 // the steal scan in coroutine form (scan starts at the shard whose token
-// woke us; see async/select.hpp on token re-gifting).
+// woke us; see take_step in async/async_queue.hpp on token re-gifting).
 #pragma once
 
 #if !defined(__cpp_impl_coroutine)
@@ -24,7 +24,6 @@
 #include <vector>
 
 #include "async/async_queue.hpp"
-#include "async/select.hpp"
 #include "async/task.hpp"
 #include "scale/shard_policy.hpp"
 #include "sync/thread_registry.hpp"
@@ -78,10 +77,11 @@ class async_sharded {
     co_return co_await shards_[s]->co_enqueue(std::move(v));
   }
 
-  /// Await an element from ANY shard (co_select multiplex). index in the
-  /// result names the serving shard.
+  /// Await an element from ANY shard (co_select multiplex, over the shard
+  /// list in place rather than a copy). index in the result names the
+  /// serving shard.
   task<select_result<value_type>> co_dequeue_any(std::stop_token st = {}) {
-    co_return co_await co_select<Q>(ptrs_, st);
+    return detail::take_any<Q>(ptrs_, std::move(st));
   }
 
   std::optional<value_type> try_dequeue(std::uint32_t tid) {

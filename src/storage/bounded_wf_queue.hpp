@@ -189,8 +189,8 @@ class bounded_wf_queue {
     closed_.store(true, std::memory_order_seq_cst);
     hub_.notify_all(std::move(lk));
   }
-  /// Lock-free on purpose: async::room_step re-checks this while already
-  /// holding the room hub's lock — a locking read would self-deadlock.
+  /// Lock-free on purpose: async::room_step polls this on its fast path
+  /// and in its re-check without taking the room hub's lock.
   bool closed() const noexcept {
     return closed_.load(std::memory_order_seq_cst);
   }
@@ -301,7 +301,7 @@ class bounded_wf_queue {
 
   waiter_hub hub_;
   // Written under the hub lock (close <-> park ordering), read lock-free
-  // so the async room_step can poll it while holding the hub lock itself.
+  // so the async room_step can poll it without taking the hub lock.
   std::atomic<bool> closed_{false};
 };
 

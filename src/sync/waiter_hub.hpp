@@ -9,9 +9,10 @@
 //
 //   * thread_parker (below)          — a cv-based sleeping thread; exactly
 //     the eventcount-lite behaviour the old code had.
-//   * coro_resumer (async/coro_waiter.hpp) — a suspended
+//   * async::detail::park's nodes (async/park.hpp) — a suspended
 //     std::coroutine_handle<>, resumed inline by the notifier or posted to
-//     an event_loop executor.
+//     an event_loop executor. One wait may enlist a node on several hubs;
+//     the nodes share one claim.
 //
 // Protocol (the Dekker pairing the old adapters relied on, made explicit):
 //
@@ -31,14 +32,15 @@
 //     cancellation; the notifier passes the token to the NEXT waiter
 //     instead of dropping it, so a cancelled waiter can never eat a wakeup.
 //   * accepted_inline — the wakeup is fully delivered under the lock
-//     (thread_parker cv-notifies right there). The hub must never touch
+//     (thread_parker cv-notifies right there; a coroutine wait that is
+//     still arming finds the claim itself). The hub must never touch
 //     the waiter again: the moment the lock drops, the woken thread can
 //     return from park() and destroy the stack-allocated parker.
-//   * needs_resume — the notifier calls resume() AFTER unlocking
-//     (coro_resumer). A coroutine must never be resumed while the notifier
+//   * needs_resume — the notifier calls resume() AFTER unlocking (a parked
+//     coroutine). A coroutine must never be resumed while the notifier
 //     holds the hub lock (the resumed frame may immediately re-enter the
 //     hub); the frame is guaranteed alive post-unlock because teardown of
-//     a parked frame must win the claim first (see coro_waiter.hpp).
+//     a parked frame must win the claim first (see async/park.hpp).
 //
 // The hub also owns the park/resume observability: waiter_park /
 // waiter_resume trace events and a stats() block the obs registry exports

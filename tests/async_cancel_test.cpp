@@ -1,7 +1,9 @@
 // Cancellation-path coverage for the coroutine front-end: stop_token-aware
 // awaitables (pre-cancelled, cancel-while-suspended, inline and via the
-// loop), destroy-while-suspended frame teardown (docs/ASYNC.md §5), select
-// cancellation, and shutdown-drain exactly-once delivery.
+// loop), destroy-while-suspended frame teardown (docs/ASYNC.md §5), a
+// deadline timer outliving its frame, a notify landing while the park is
+// still arming, select cancellation, and shutdown-drain exactly-once
+// delivery.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -15,7 +17,6 @@
 #include <vector>
 
 #include "async/async_queue.hpp"
-#include "async/select.hpp"
 #include "async/task.hpp"
 #include "core/wf_queue.hpp"
 #include "sync/thread_registry.hpp"
@@ -115,6 +116,46 @@ TEST(AsyncCancel, DestroyWhileSuspendedUnhooksTheWaiter) {
   // the node refuse tokens) — and the item stays dequeueable.
   q.enqueue(5);
   EXPECT_EQ(q.try_dequeue(), std::optional<std::uint64_t>(5));
+}
+
+TEST(AsyncCancel, DestroyWithPendingDeadlineLeavesAnInertTimer) {
+  async_wf q(4);
+  event_loop loop;
+  q.set_executor(&loop);
+  {
+    auto t = q.co_dequeue_for(5ms);
+    t.start();
+    ASSERT_FALSE(t.done());
+  }  // the frame dies; its deadline stays on the loop's timer wheel
+  EXPECT_FALSE(q.hub().maybe_waiters());
+  // Runs past the deadline: the late timer must find the wait already
+  // claimed by the teardown and resume nothing.
+  loop.run();
+  q.enqueue(3);
+  EXPECT_EQ(q.try_dequeue(), std::optional<std::uint64_t>(3));
+}
+
+TEST(AsyncCancel, NotifyDuringParkNeverRacesTheParkingThread) {
+  // No executor, so a notify that claims a parked coroutine resumes it
+  // inline on the producer's thread. The producer enqueues as soon as the
+  // wait is enlisted, while the parking thread may still be arming its
+  // stop callback: that notify must not resume the coroutine until the
+  // parking thread is done with the awaiter.
+  for (int round = 0; round < 200; ++round) {
+    async_wf q(4);
+    std::stop_source ss;  // a live token: the park arms a stop callback
+    std::thread producer([&] {
+      while (!q.hub().maybe_waiters()) {
+      }
+      q.enqueue(static_cast<std::uint64_t>(round));
+    });
+    auto t = q.co_dequeue(ss.get_token());
+    t.start();
+    producer.join();
+    ASSERT_TRUE(t.done());
+    EXPECT_EQ(t.take(),
+              std::optional<std::uint64_t>(static_cast<std::uint64_t>(round)));
+  }
 }
 
 TEST(AsyncCancel, DestroySuspendedSelectUnhooksEveryHub) {

@@ -14,7 +14,6 @@
 #include <thread>
 #include <vector>
 
-#include "async/select.hpp"
 #include "async/task.hpp"
 #include "core/wf_queue.hpp"
 #include "scale/async_shards.hpp"
@@ -241,6 +240,33 @@ TEST(AsyncQueue, SelectMultiplexesTwoQueuesAndReportsSource) {
     EXPECT_EQ(idx, v % 2) << "value " << v << " served by wrong shard";
   }
   EXPECT_EQ(seen.size(), 50u);
+}
+
+// A queue whose first dequeue misses and whose later ones find an item, so
+// a wait's fast path misses and its re-check hits.
+struct second_look_queue {
+  using value_type = std::uint64_t;
+  void enqueue(value_type, std::uint32_t) {}
+  std::optional<value_type> dequeue(std::uint32_t) {
+    if (looks++ == 0) return std::nullopt;
+    return value_type{7};
+  }
+  int looks = 0;
+};
+
+TEST(AsyncQueue, SelectReCheckHitIsNotAPark) {
+  async_mpmc<second_look_queue> q0, q1;
+  auto t = co_select<second_look_queue>({&q0, &q1});
+  t.start();
+  ASSERT_TRUE(t.done());  // the re-check hit: never suspended
+  const auto r = t.take();
+  EXPECT_EQ(r.value, std::optional<std::uint64_t>(7));
+  EXPECT_EQ(r.index, 0u);
+  for (auto* q : {&q0, &q1}) {
+    EXPECT_EQ(q->hub().stats().parks, 0u);
+    EXPECT_EQ(q->hub().stats().resumes, 0u);
+    EXPECT_FALSE(q->hub().maybe_waiters());
+  }
 }
 
 task<void> drain_any(async_sharded<wf_queue_opt<std::uint64_t>>& s,
