@@ -8,7 +8,8 @@
 //   * small queues: ratio ~1, because the heap is dominated by objects that
 //     are not part of the queues;
 //   * large queues: ratio -> ~1.5, the per-node overhead of the enqTid and
-//     deqTid fields.
+//     deqTid fields (here deqTid lives in the head word, and the node's
+//     24 bytes are value, next, enqTid and padding).
 //
 // Our substitution (DESIGN.md §4): an exact allocation counter wired through
 // every queue replaces GC sampling. It counts only queue-attributable bytes,

@@ -11,13 +11,13 @@
 //            (2) flip owner's pending->false  [line 93]
 //            (3) swing tail                   [line 94]
 //   dequeue: (0) point owner's state at the current sentinel   [line 131]
-//            (1) write owner's tid into sentinel's deqTid      [lin., 135]
+//            (1) claim head: {first, none} -> {first, tid}      [lin., 135]
 //            (2) flip owner's pending->false                   [line 149]
-//            (3) swing head                                    [line 150]
+//            (3) swing head: {first, tid} -> {next, none}       [line 150]
 //
 // The thread whose link or claim CAS wins runs steps 2 and 3 itself, on the
 // record word it linked or claimed for; any other thread that finds a
-// dangling node or a claimed sentinel finishes it via help_finish_*.
+// dangling node or a claimed head finishes it via help_finish_*.
 //
 // C++ port (docs/ALGORITHM.md §2 has the arguments):
 //   * Hazard pointers protect every node dereference and every node a CAS
@@ -35,6 +35,10 @@
 //     descriptor instead). The hazard domain treats every node a record
 //     names as announced (hp_domain::set_roots), so the node outlives the
 //     owner's read.
+//   * The paper's per-node deqTid moved into the head: `head_` is one
+//     16-byte word {sentinel, claimer} (core/wf_node.hpp), so step 1 is a
+//     CAS on the line step 3 writes anyway, and a helper reads the claim
+//     without dereferencing the sentinel.
 //
 // Progress: enqueue/dequeue complete in O(n) steps plus helping (bounded by
 // the doorway argument, paper §5.3) — wait-free under both reclaimers: no
@@ -84,11 +88,13 @@ struct whitebox;
 /// hands the CPU to another thread there; the progress tests freeze a
 /// helper at its first `state` step after a winning link.
 enum class sched_site : std::uint8_t {
-  protect,  // hazard-protected read of head_, tail_ or next
-  load,     // seq_cst re-read of head_/tail_, next, deq_tid, a record
+  protect,  // hazard-protected read of the head word, tail_ or next
+  load,     // seq_cst re-read of the head word or tail_, next, a record
   link,     // CAS on a node's next field (enqueue linearization)
-  swing,    // CAS on head_ or tail_
-  claim,    // CAS on a sentinel's deq_tid (dequeue linearization)
+  swing,    // CAS on tail_, or on the head word {first, tid} -> {next, none}
+  claim,    // CAS on an unclaimed head word {first, none} (dequeue
+            // linearization): a slow claim -> {first, tid}, or a fast
+            // dequeue's whole step -> {next, none}
   state,    // CAS on a record's word (publish or helper step)
   phase,    // the phase draw
   retire,   // hand a node to the reclaimer (may scan)
@@ -260,11 +266,12 @@ struct no_fast_path {
 ///   3. then announces on the queue's own slow path.
 /// The paths share linearization points. Enqueue: the link CAS; a fast node
 /// carries enq_tid == no_tid, so a helper that finds it dangling knows there
-/// is no record to complete and only swings the tail. Dequeue: the sentinel's
-/// deqTid claim; a fast claim writes fast_claim_base + tid, so the
-/// write-once-per-node discipline that serializes dequeues holds across both
-/// paths. A fast winner swings tail or head itself, as Michael–Scott does,
-/// without going through help_finish_*: it has no record to complete.
+/// is no record to complete and only swings the tail. Dequeue: a CAS on the
+/// unclaimed head word. A fast dequeue has no record to complete, so its one
+/// CAS {first, none} -> {next, none} claims and swings at once, as
+/// Michael–Scott's head CAS does; it cannot pass a slow claim, whose
+/// {first, tid} no longer matches, and finishes one it finds first. A fast
+/// enqueue winner swings the tail itself, without help_finish_enq.
 template <std::uint32_t MaxTries = 8>
 class ms_fast_path {
  public:
@@ -374,10 +381,6 @@ class wf_queue : public mem_tracked, public Options::fast_path {
   static constexpr std::uint32_t hp_slots = 3;
   enum slot : std::uint32_t { s_first = 0, s_last = 1, s_next = 2 };
 
-  /// deqTid encoding: no_tid free, [0, n) a slow-path claim by that thread,
-  /// fast_claim_base + tid a fast-path claim (no record to complete).
-  static constexpr std::int32_t fast_claim_base = 1 << 20;
-
   /// `max_threads` bounds the number of distinct thread ids (dense, from
   /// kpq::this_thread_id() or passed explicitly) that may ever operate on
   /// this queue (paper: NUM_THRDS). Pass `mc` to account every node
@@ -400,9 +403,9 @@ class wf_queue : public mem_tracked, public Options::fast_path {
     }
     set_memory_counters(mc);
     node_type* sentinel = alloc_node(0, T{}, no_tid);  // paper line 28
-    // kpq-order: relaxed pairs-with the ctor-exit seq_cst fence below —
+    // kpq-order: seq_cst pairs-with the ctor-exit seq_cst fence below —
     // no thread can access the queue before construction returns.
-    head_.store(sentinel, std::memory_order_relaxed);
+    head_.cas({}, {sentinel, no_tid});
     // kpq-order: relaxed pairs-with the ctor-exit seq_cst fence below
     tail_.store(sentinel, std::memory_order_relaxed);
     // paper lines 32-34: state_'s records start done, with phase no_phase.
@@ -416,9 +419,9 @@ class wf_queue : public mem_tracked, public Options::fast_path {
   /// Requires quiescence (no operation in flight), like all concurrent
   /// container destructors.
   ~wf_queue() {
-    // kpq-order: relaxed pairs-with none (destructor requires quiescence;
+    // kpq-order: seq_cst pairs-with none (destructor requires quiescence;
     // callers synchronize via thread join before destroying the queue)
-    node_type* n = head_.load(std::memory_order_relaxed);
+    node_type* n = head_.word().node;
     while (n != nullptr) {
       // kpq-hazard: quiescent — no concurrent retirement during destruction
       // kpq-order: relaxed pairs-with none (quiescent, see above)
@@ -491,17 +494,21 @@ class wf_queue : public mem_tracked, public Options::fast_path {
     auto g = reclaim_.enter(tid);
     if constexpr (has_fast_path) {
       fast_probe(tid, g);
-      // Fast path: claim the sentinel's deqTid with a fast marker. The claim
-      // is the linearization point of both paths, so fast and slow dequeues
-      // serialize through the same write-once field.
+      // Fast path: one CAS on the head word claims and swings at once.
+      // Both paths linearize by a CAS on that word from {first, none}, so
+      // fast and slow dequeues serialize through it.
       for (std::uint32_t k = 0, tries = this->max_tries; k < tries; ++k) {
         note(tid, wf_event::fast_attempt);
-        node_type* first = protect(g, tid, s_first, head_);
+        const head_type h = protect(g, tid, s_first, head_);
+        node_type* first = h.node;
         sched(tid, sched_site::load);
         node_type* last = tail_.load(std::memory_order_seq_cst);
         node_type* next = protect(g, tid, s_next, first->next);
-        sched(tid, sched_site::load);
-        if (first != head_.load(std::memory_order_seq_cst)) continue;
+        if (h != load_head(tid)) continue;
+        if (h.claimer != no_tid) {  // a slow claim stands: finish it first
+          help_finish_deq(tid, g);
+          continue;
+        }
         if (first == last) {
           if (next == nullptr) {  // empty, like MS
             this->path_taken(tid, &fps_path_stats::fast_deqs);
@@ -512,16 +519,10 @@ class wf_queue : public mem_tracked, public Options::fast_path {
         }
         // `next` is safe to read: first == head implies it is not retired.
         T value = next->value;
-        std::int32_t expected = no_tid;
-        sched(tid, sched_site::claim);
-        if (first->deq_tid.compare_exchange_strong(
-                expected, fast_claim_base + static_cast<std::int32_t>(tid),
-                std::memory_order_seq_cst)) {
+        if (swing_head(tid, sched_site::claim, h, next)) {
           this->path_taken(tid, &fps_path_stats::fast_deqs);
-          swing_head(tid, first, next);
           return value;
         }
-        help_finish_deq(tid, g);  // someone else claimed it: finish, retry
       }
       this->path_taken(tid, &fps_path_stats::slow_deqs);
       return announce_deq(tid, next_phase(tid, g), g);
@@ -539,7 +540,7 @@ class wf_queue : public mem_tracked, public Options::fast_path {
   bool empty_hint(std::uint32_t tid) {
     check_tid(tid);
     auto g = reclaim_.enter(tid);
-    node_type* first = protect(g, tid, s_first, head_);
+    node_type* first = protect(g, tid, s_first, head_).node;
     sched(tid, sched_site::load);
     node_type* last = tail_.load(std::memory_order_seq_cst);
     node_type* next = protect(g, tid, s_next, first->next);
@@ -568,9 +569,9 @@ class wf_queue : public mem_tracked, public Options::fast_path {
     std::size_t n = 0;
     // kpq-hazard: quiescent by contract (test-only helper) — no node can
     // be retired while we walk.
-    // kpq-order: acquire pairs-with the seq_cst link/swing CASes of the
+    // kpq-order: seq_cst pairs-with the seq_cst link/swing CASes of the
     // last completed operations (observe their node writes at quiescence)
-    const node_type* p = head_.load(std::memory_order_acquire);
+    const node_type* p = head_.word().node;
     // kpq-hazard: quiescent (see above)
     // kpq-order: acquire pairs-with the linking CAS (line 74) of each
     // enqueue whose node this walk visits
@@ -628,6 +629,7 @@ class wf_queue : public mem_tracked, public Options::fast_path {
   friend struct kpq::testing::whitebox;
 
   using word_type = typename record_type::word_type;
+  using head_type = head_word<node_type>;
 
   /// A record as a helper reads it: the word, then the phase. The phase is
   /// the word's operation's or, if that operation has since completed and
@@ -650,11 +652,22 @@ class wf_queue : public mem_tracked, public Options::fast_path {
   }
 
   /// g.protect(slot, src) taken by thread `tid`: a scheduling point first.
-  template <typename Guard, typename P>
-  P* protect(Guard& g, std::uint32_t tid, std::uint32_t hp_slot,
-             const std::atomic<P*>& src) {
+  /// `src` is a node pointer or the head word.
+  template <typename Guard, typename Src>
+  auto protect(Guard& g, std::uint32_t tid, std::uint32_t hp_slot,
+               const Src& src) {
     sched(tid, sched_site::protect);
     return g.protect(hp_slot, src);
+  }
+
+  /// A re-read of the head word by thread `my`, which validates a protected
+  /// `first` (and the `next` read through it) while it returns the word the
+  /// protect returned.
+  head_type load_head(std::uint32_t my) {
+    sched(my, sched_site::load);
+    // kpq-order: seq_cst pairs-with the head-word CASes in swing_head and
+    // help_deq's claim (wide_load reads as seq_cst, sync/wide_word.hpp)
+    return head_.word();
   }
 
   template <typename Guard>
@@ -914,15 +927,12 @@ class wf_queue : public mem_tracked, public Options::fast_path {
   template <typename Guard>
   void help_deq(std::uint32_t tid, std::int64_t phase, Guard& g,
                 std::uint32_t my) {
-    while (pending_record(tid, phase, my)) {              // line 110
-      node_type* first = protect(g, my, s_first, head_);  // line 111
+    while (pending_record(tid, phase, my)) {                   // line 110
+      node_type* first = protect(g, my, s_first, head_).node;  // line 111
       sched(my, sched_site::load);
       node_type* last = tail_.load(std::memory_order_seq_cst);  // line 112
       node_type* next = protect(g, my, s_next, first->next);  // line 113
-      sched(my, sched_site::load);
-      if (first != head_.load(std::memory_order_seq_cst)) {  // line 114
-        continue;
-      }
+      if (first != load_head(my).node) continue;  // line 114
       if (first == last) {      // line 115: queue might be empty
         if (next == nullptr) {  // line 116: queue is empty
           // line 117
@@ -941,20 +951,21 @@ class wf_queue : public mem_tracked, public Options::fast_path {
             pending_record(tid, phase, my);  // lines 126-128
         if (!cur) break;
         word_type staged = *cur;  // the word known to name `first`, if any
-        sched(my, sched_site::load);
-        if (first == head_.load(std::memory_order_seq_cst) &&
-            cur->node != first) {  // line 129
+        const head_type now = load_head(my);
+        if (now.node == first && cur->node != first) {  // line 129
           // lines 130-131: stage 0 — point tid's record at the sentinel.
           const std::optional<word_type> installed =
               swap_record(tid, my, *cur, true, first);
           if (!installed) continue;  // line 132
           staged = *installed;
         }
-        std::int32_t expected = no_tid;
-        sched(my, sched_site::claim);
-        if (first->deq_tid.compare_exchange_strong(
-                expected, static_cast<std::int32_t>(tid),
-                std::memory_order_seq_cst)) {  // line 135 (stage 1, lin.)
+        // The claim can win only if `now` was {first, none}: with `first`
+        // pinned, the head word never returns to an earlier value. So a
+        // claimed or moved `now` skips the CAS, which would only take the
+        // head's line from the swing that ends the standing claim.
+        const head_type claimed{first, static_cast<std::int32_t>(tid)};
+        if (now == head_type{first, no_tid} &&
+            claim_head(my, claimed)) {  // line 135 (stage 1)
           // line 136, by the winner: a won claim means head was still
           // `first`, so either `cur` named it or this thread's stage 0 did.
           // Complete that word with `next` (non-null: tail had passed
@@ -962,7 +973,7 @@ class wf_queue : public mem_tracked, public Options::fast_path {
           // helper already did step 2; the swing still applies.
           assert(staged.node == first && next != nullptr);
           complete_record(tid, my, staged, next, wf_event::deq_done_for);
-          swing_head(my, first, next);
+          swing_head(my, sched_site::swing, claimed, next);
         } else {
           help_finish_deq(my, g);  // line 136: the claim is another's
         }
@@ -970,51 +981,50 @@ class wf_queue : public mem_tracked, public Options::fast_path {
     }
   }
 
-  /// paper lines 141-153 (stages 2 and 3 of the dequeue scheme).
+  /// paper lines 141-153 (stages 2 and 3 of the dequeue scheme). The claim
+  /// is read off the head word (lines 142, 144), so an unclaimed head stops
+  /// here without touching the sentinel.
   template <typename Guard>
   void help_finish_deq(std::uint32_t my, Guard& g) {
-    node_type* first = protect(g, my, s_first, head_);  // line 142
-    node_type* next = protect(g, my, s_next, first->next);  // line 143
-    sched(my, sched_site::load);
-    const std::int32_t dtid =
-        first->deq_tid.load(std::memory_order_seq_cst);  // line 144
-    if (dtid == no_tid) return;                          // line 145
-    if constexpr (has_fast_path) {
-      // A fast claim has no record either: only the head swing.
-      if (dtid >= fast_claim_base) {
-        sched(my, sched_site::load);
-        if (first == head_.load(std::memory_order_seq_cst) &&
-            next != nullptr) {
-          swing_head(my, first, next);
-        }
-        return;
-      }
-    }
-    const auto tid = static_cast<std::uint32_t>(dtid);
-    const word_type cur = load_word(my, tid);  // line 146
-    sched(my, sched_site::load);
-    if (first == head_.load(std::memory_order_seq_cst) &&
-        next != nullptr) {  // line 147
+    const head_type h = protect(g, my, s_first, head_);      // lines 142, 144
+    if (h.claimer == no_tid) return;                         // line 145
+    node_type* next = protect(g, my, s_next, h.node->next);  // line 143
+    const auto tid = static_cast<std::uint32_t>(h.claimer);
+    const word_type cur = load_word(my, tid);     // line 146
+    if (h == load_head(my) && next != nullptr) {  // line 147
       // lines 148-149 (step 2): a pending record becomes done and names
       // `next`, the node holding the item (the owner reads the value from
-      // it). While head == first, tid's operation is the one that claimed
-      // first, and `next` cannot be retired before head leaves first.
+      // it). While the head word still holds tid's claim, tid's operation
+      // is the one that claimed, and `next` cannot be retired before head
+      // leaves the sentinel.
       if (cur.pending()) {
         complete_record(tid, my, cur, next, wf_event::deq_done_for);
       }
-      swing_head(my, first, next);  // line 150 (step 3)
+      swing_head(my, sched_site::swing, h, next);  // line 150 (step 3)
     }
   }
 
-  /// Step 3 of a dequeue: swing head from the claimed sentinel `first` to
-  /// `next`. Exactly one thread wins the swing; it owns retiring `first`.
-  void swing_head(std::uint32_t my, node_type* first, node_type* next) {
-    sched(my, sched_site::swing);
-    // kpq-order: seq_cst pairs-with the head_ re-reads that validate a
-    // protected `first` and `next` before a claim or a completion
-    if (head_.compare_exchange_strong(first, next, std::memory_order_seq_cst)) {
-      retire_node(my, first);
-    }
+  /// Step 1 of a dequeue (line 135): CAS the head word from {first, none}
+  /// to `claimed`, {first, tid}.
+  bool claim_head(std::uint32_t my, head_type claimed) {
+    sched(my, sched_site::claim);
+    // kpq-order: seq_cst pairs-with load_head's re-reads and the protect
+    // that validates a helper's `first` (wide_cas is seq_cst)
+    return head_.cas({claimed.node, no_tid}, claimed);
+  }
+
+  /// Moves the head word from `from` (a claimed {first, tid}, or a fast
+  /// dequeue's unclaimed {first, none}) to {next, none}. Exactly one thread
+  /// wins; it owns retiring `first`. `site` is the step's class: a swing
+  /// after a claim, or a fast dequeue's claim.
+  bool swing_head(std::uint32_t my, sched_site site, head_type from,
+                  node_type* next) {
+    sched(my, site);
+    // kpq-order: seq_cst pairs-with load_head's re-reads and the protect
+    // that validate a pinned `first` and `next` (wide_cas is seq_cst)
+    if (!head_.cas(from, {next, no_tid})) return false;
+    retire_node(my, from.node);
+    return true;
   }
 
   // ------------------------------------------------------------------- data
@@ -1033,7 +1043,7 @@ class wf_queue : public mem_tracked, public Options::fast_path {
   alignas(destructive_interference)
       std::vector<padded<record_type>> state_;  // paper line 26
 
-  alignas(destructive_interference) std::atomic<node_type*> head_{nullptr};
+  alignas(destructive_interference) head_cell<node_type> head_;
   alignas(destructive_interference) std::atomic<node_type*> tail_{nullptr};
 };
 

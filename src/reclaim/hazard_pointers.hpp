@@ -12,7 +12,7 @@
 // stays alive until the record moves on (docs/ALGORITHM.md §2(c)).
 //
 // Progress: protect() is a validation loop, but each iteration corresponds
-// to the *source* pointer changing, which in the queues only happens when
+// to the *source* word changing, which in the queues only happens when
 // some operation completes a step — so under the same argument the paper
 // uses for its retry loops, the loop is bounded once the thread's own phase
 // becomes the oldest. scan() is a bounded O(H + R) pass. retire() is O(1)
@@ -24,6 +24,7 @@
 #include <cassert>
 #include <cstddef>
 #include <cstdint>
+#include <type_traits>
 #include <vector>
 
 #include "obs/trace_ring.hpp"
@@ -80,27 +81,61 @@ class hp_domain {
     /// all the protocol asks of it (ALGORITHM.md §2(a)).
     template <typename T>
     T* protect(std::uint32_t slot, const std::atomic<T*>& src) noexcept {
+      return validate(slot, src);
+    }
+
+    /// Protect the node a wide word names (`src.word().node`, e.g. the
+    /// queue's head word): the same loop, over the whole word. It returns a
+    /// word `src` held after the node's announcement, so every field of it
+    /// was current while the node was already pinned.
+    template <typename W>
+    auto protect(std::uint32_t slot, const W& src) noexcept
+        -> decltype(src.word()) {
+      return validate(slot, src);
+    }
+
+   private:
+    /// The announce-and-validate loop behind both protects: announce the
+    /// node a value of `src` names, re-read `src`, and return the value
+    /// once two reads agree.
+    template <typename Src>
+    auto validate(std::uint32_t slot, const Src& src) noexcept {
       std::atomic<void*>& h = d_->slot_ref(tid_, slot);
-      // kpq-order: acquire pairs-with the seq_cst CAS that published *p —
-      // only a first guess; the seq_cst announce/validate loop below is
-      // what makes the protection sound
-      T* p = src.load(std::memory_order_acquire);
+      auto v = read(src);
       // kpq-order: relaxed pairs-with none (own slot: only this thread
       // writes it, so the read returns our own last announcement)
       void* held = h.load(std::memory_order_relaxed);
       for (;;) {
-        void* want = const_cast<std::remove_const_t<T>*>(p);
+        void* want = node_of(v);
         if (held != want) {
           h.store(want, std::memory_order_seq_cst);
           held = want;
         }
-        T* q = src.load(std::memory_order_seq_cst);
-        if (q == p) return p;
-        p = q;
+        const auto again = read(src);
+        if (again == v) return v;
+        v = again;
       }
     }
 
-   private:
+    template <typename T>
+    static T* read(const std::atomic<T*>& src) noexcept {
+      return src.load(std::memory_order_seq_cst);
+    }
+    template <typename W>
+    static auto read(const W& src) noexcept -> decltype(src.word()) {
+      // kpq-order: seq_cst pairs-with the wide_cas that wrote the word
+      // (wide_load reads as seq_cst, sync/wide_word.hpp)
+      return src.word();
+    }
+    template <typename T>
+    static void* node_of(T* p) noexcept {
+      return const_cast<std::remove_const_t<T>*>(p);
+    }
+    template <typename W>
+    static void* node_of(const W& w) noexcept {
+      return w.node;
+    }
+
     void clear(std::uint32_t slot) noexcept {
       // kpq-order: release pairs-with scan()'s seq_cst slot read — our
       // preceding reads of *p happen-before a reclaimer frees p; clearing

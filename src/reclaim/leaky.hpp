@@ -44,6 +44,13 @@ class leaky_domain {
       // lifetime is trivially safe here (nothing is ever freed)
       return src.load(std::memory_order_acquire);
     }
+    /// A wide source's word (hp_domain::guard::protect): one load.
+    template <typename W>
+    auto protect(std::uint32_t /*slot*/, const W& src) noexcept
+        -> decltype(src.word()) {
+      // kpq-order: seq_cst pairs-with the wide_cas that wrote the word
+      return src.word();
+    }
   };
 
   guard enter(std::uint32_t tid) noexcept {

@@ -1,5 +1,6 @@
 // 16-byte atomic words: the load and CAS behind the queue's in-place
-// announce records (core/announce_record.hpp).
+// announce records (core/announce_record.hpp) and its head word
+// (core/wf_node.hpp).
 //
 //   * CAS — `lock cmpxchg16b`, inlined by GCC's __sync builtin under -mcx16
 //     (the kpq target sets it). Without it the builtin would fall back to

@@ -10,9 +10,9 @@
 //       tail (the paper's "at most one node can be beyond the node
 //       referenced by tail" invariant, §3.1) — at quiescence, exactly zero;
 //   I3  every node except possibly the sentinel carries a valid enq_tid;
-//   I4  the sentinel is the only node whose deq_tid MAY be set (a set
-//       deq_tid on an interior node would mean a dequeue linearized but
-//       never finished — impossible at quiescence);
+//   I4  the head word's claimer is no_tid or a tid below max_threads, and
+//       at quiescence it is no_tid (a standing claim would mean a dequeue
+//       linearized but never finished);
 //   I5  no announce record in `state` is pending;
 //   I6  no completed record contradicts the list: an enqueue's record names
 //       its node (never null), and a dequeue's record names null (empty) or
@@ -25,6 +25,7 @@
 // declared by the queue (the test target defines it).
 #pragma once
 
+#include <cstdint>
 #include <string>
 #include <unordered_set>
 #include <vector>
@@ -57,6 +58,7 @@ struct audit_result {
 template <typename Node>
 struct audit_view {
   Node* head = nullptr;
+  std::int32_t claimer = no_tid;  // the head word's claimer
   Node* tail = nullptr;
   std::vector<record_snapshot<Node>> state;  // one per thread slot
   std::uint32_t max_threads = 0;
@@ -88,10 +90,6 @@ audit_result audit_quiescent(const audit_view<Node>& v) {
     } else if (tail_reachable) {
       ++beyond_tail;
     }
-    // I4: only the sentinel (head) may carry a deq_tid.
-    if (p != v.head && p->deq_tid.load(std::memory_order_acquire) != -1) {
-      r.fail("I4: interior node has deq_tid set (unfinished dequeue?)");
-    }
     // I3: every non-sentinel node was enqueued by someone (fast-path nodes
     // are legitimately anonymous when the view says so).
     if (p != v.head) {
@@ -101,6 +99,18 @@ audit_result audit_quiescent(const audit_view<Node>& v) {
           (etid < 0 || static_cast<std::uint32_t>(etid) >= v.max_threads)) {
         r.fail("I3: node with out-of-range enq_tid " + std::to_string(etid));
       }
+    }
+  }
+
+  // I4: no claim, and none by an impossible tid.
+  if (v.claimer != no_tid) {
+    if (v.claimer < 0 ||
+        static_cast<std::uint32_t>(v.claimer) >= v.max_threads) {
+      r.fail("I4: head claimed by out-of-range tid " +
+             std::to_string(v.claimer));
+    } else {
+      r.fail("I4: head claimed by thread " + std::to_string(v.claimer) +
+             " at quiescence (unfinished dequeue)");
     }
   }
 

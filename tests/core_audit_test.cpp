@@ -101,17 +101,13 @@ TEST(QueueAuditor, DetectsDanglingNode) {
   EXPECT_TRUE(r2.ok) << r2.to_string();
 }
 
-TEST(QueueAuditor, DetectsInteriorDeqTid) {
+TEST(QueueAuditor, DetectsAStandingHeadClaim) {
   queue q(2);
   q.enqueue(1, 0);
   q.enqueue(2, 0);
-  // Corrupt: set deq_tid on an interior node (not the sentinel).
-  auto* interior = wb::head(q)->next.load();
-  ASSERT_NE(interior, nullptr);
-  std::int32_t expected = no_tid;
-  ASSERT_TRUE(interior->next.load() != nullptr ||
-              true);  // structure sanity only
-  ASSERT_TRUE(interior->deq_tid.compare_exchange_strong(expected, 1));
+  // Corrupt: claim the head for thread 1, which announced no dequeue, and
+  // leave the claim standing at quiescence.
+  ASSERT_TRUE(wb::claim(q, 1));
   auto r = audit(q);
   EXPECT_FALSE(r.ok);
 }

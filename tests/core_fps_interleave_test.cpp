@@ -2,7 +2,7 @@
 // cross-path races — the part of wf_queue_fps that neither the base queue's
 // explorer nor OS-thread stress can pin down deterministically:
 //
-//   * fast deqTid claim vs slow deqTid claim on the same sentinel;
+//   * a fast dequeue's head-word CAS vs a slow claim of the same sentinel;
 //   * fast link (anonymous node) vs slow link (announced node);
 //   * helpers finishing claims/links of the other path.
 //
@@ -141,8 +141,8 @@ constexpr path slow = path::slow;
 // ------------------------------------------------------------------ tests
 
 TEST(FpsInterleave, FastClaimRacesSlowClaimOnOneElement) {
-  // The central interop hazard: both claim styles target the same
-  // write-once deqTid. Exactly one gets the element in every schedule.
+  // The central interop hazard: both claim styles CAS the same unclaimed
+  // head word. Exactly one gets the element in every schedule.
   expect_paths<kTries>({{deq}, {deq}}, /*prefill=*/1, {fast, slow});
 }
 
@@ -151,9 +151,17 @@ TEST(FpsInterleave, FastClaimRacesSlowClaimTwoElements) {
 }
 
 TEST(FpsInterleave, TwoFastClaimsRace) {
-  // Both claims fast: the loser of the deqTid CAS must retry on the fast
+  // Both claims fast: the loser of the head-word CAS must retry on the fast
   // path, so this one runs with two attempts.
   expect_paths<2>({{deq}, {deq}}, /*prefill=*/1, {fast, fast});
+}
+
+TEST(FpsInterleave, FastDequeueMeetsAStandingSlowClaim) {
+  // Worker 0's one dequeue goes slow once worker 1's first fast dequeue
+  // beats it, and its claim {first, 0} can stand while worker 1 dequeues
+  // again. That fast dequeue must finish the claim before its own CAS: a
+  // CAS from the claimed word would take the item the claim linearized.
+  expect_paths<kTries>({{deq}, {deq, deq}}, /*prefill=*/3, {slow, fast});
 }
 
 TEST(FpsInterleave, FastLinkRacesSlowLink) {

@@ -4,8 +4,8 @@
 // published (3b), node linked behind the last element (3c), pending flag
 // cleared (3d), tail fixed (3e). Figure 5 shows the dequeue flow (thread 1
 // dequeues after Figure 3): state points at the sentinel (5b), the
-// sentinel's deqTid is claimed (5c), pending cleared (5d), head fixed and
-// the value returned (5e).
+// sentinel is claimed (5c; here the head word {sentinel, 1}), pending
+// cleared (5d), head fixed and the value returned (5e).
 //
 // These tests drive the private helper methods one paper-step at a time via
 // the whitebox friend and assert the exact intermediate structure shown in
@@ -146,22 +146,22 @@ TEST(Figure5Dequeue, StepByStep) {
   EXPECT_EQ(wb::state(*q, 1).node, nullptr);
 
   // -- Figures 5b + 5c: help_deq performs stage (0) — point thread 1's
-  //    state at the first (dummy) node (line 131) — and stage (1) — write
-  //    tid 1 into the dummy's deqTid (line 135). We run it via a helper
+  //    state at the first (dummy) node (line 131) — and stage (1) — claim
+  //    the dummy for tid 1 in the head word (line 135). We run it via a helper
   //    (thread 2) and stop it from finishing by... we can't stop it, so we
   //    verify 5b/5c post-conditions through the completed run and check the
   //    intermediate claims on a separate manual replay below.
   auto* dummy = wb::head(*q);
   auto* item = dummy->next.load();
-  EXPECT_EQ(dummy->deq_tid.load(), no_tid);
+  EXPECT_EQ(wb::claimer(*q), no_tid);
   wb::help_deq(*q, 1, phase, /*helper=*/2);
 
   // After help_deq returns the whole operation is done (5d + 5e):
   auto d1 = wb::state(*q, 1);
   EXPECT_FALSE(d1.pending);                     // Figure 5d
   EXPECT_EQ(d1.node, item) << "done record names the node holding the item";
-  EXPECT_EQ(dummy->deq_tid.load(), 1);          // Figure 5c happened
   EXPECT_EQ(wb::head(*q), item);                // Figure 5e: head fixed
+  EXPECT_EQ(wb::claimer(*q), no_tid) << "the swing ends 5c's claim";
   EXPECT_EQ(d1.node->value, 100u) << "first real value is the result";
 
   // Remaining content: 200, 300, 400.
@@ -187,12 +187,13 @@ TEST(Figure5Dequeue, ManualStagesMatchSubfigures) {
   EXPECT_TRUE(wb::state(*q, 1).pending);
   EXPECT_EQ(wb::state(*q, 1).node, dummy);
   EXPECT_EQ(wb::state(*q, 1).version, published + 1);
-  EXPECT_EQ(dummy->deq_tid.load(), no_tid);
+  EXPECT_EQ(wb::claimer(*q), no_tid);
   EXPECT_EQ(wb::head(*q), dummy) << "head untouched until stage (3)";
 
-  // Figure 5c: stage (1) — claim the dummy's deqTid (the linearization).
-  std::int32_t expected = no_tid;
-  ASSERT_TRUE(dummy->deq_tid.compare_exchange_strong(expected, 1));
+  // Figure 5c: stage (1) — claim the dummy for thread 1 (the
+  // linearization): the head word becomes {dummy, 1}.
+  ASSERT_TRUE(wb::claim(*q, 1));
+  EXPECT_EQ(wb::claimer(*q), 1);
   EXPECT_TRUE(wb::state(*q, 1).pending) << "pending clears in stage (2)";
   EXPECT_EQ(wb::head(*q), dummy) << "head moves in stage (3)";
 
@@ -200,6 +201,7 @@ TEST(Figure5Dequeue, ManualStagesMatchSubfigures) {
   wb::help_finish_deq(*q, 3);
   EXPECT_FALSE(wb::state(*q, 1).pending);       // 5d
   EXPECT_NE(wb::head(*q), dummy);               // 5e
+  EXPECT_EQ(wb::claimer(*q), no_tid);
   EXPECT_EQ(wb::state(*q, 1).node->value, 100u);
   EXPECT_EQ(wb::state(*q, 1).version, published + 2);
   EXPECT_EQ(q->unsafe_size(), 2u);
@@ -207,14 +209,13 @@ TEST(Figure5Dequeue, ManualStagesMatchSubfigures) {
 }
 
 TEST(Figure5Dequeue, AbandonedAfterClaimIsCompletedByAnyOperation) {
-  // Thread 1 crashes after stage (1) (deqTid claimed, head stale). The next
+  // Thread 1 crashes after stage (1) (head claimed, not swung). The next
   // public-API operation must finish stages (2)-(3) for it.
   auto* q = make_fig3a_queue();
   const std::int64_t phase = wb::max_phase(*q, 1) + 1;
   auto* dummy = wb::head(*q);
   wb::publish(*q, 1, phase, true, false, dummy);
-  std::int32_t expected = no_tid;
-  ASSERT_TRUE(dummy->deq_tid.compare_exchange_strong(expected, 1));
+  ASSERT_TRUE(wb::claim(*q, 1));
 
   // Another thread dequeues through the public API: it must first complete
   // thread 1's claimed dequeue (getting it 100), then its own (getting 200).
@@ -350,9 +351,7 @@ TEST(RecordIdentity, StaleEmptyCompletionMissesARecycledSentinel) {
       // Stage 0 back onto the same address, then the claim (stage 1): the
       // owner's dequeue has linearized and takes 4.
       ASSERT_TRUE(wb::swap_record(q, owner, helper, true, s0_again));
-      std::int32_t free_tid = no_tid;
-      ASSERT_TRUE(s0_again->deq_tid.compare_exchange_strong(
-          free_tid, static_cast<std::int32_t>(owner)));
+      ASSERT_TRUE(wb::claim(q, owner));
     });
     wb::help_deq(q, owner, wb::state(q, owner).phase, stale);
   });
@@ -527,7 +526,8 @@ TEST(RecordIdentity, StaleClaimWinnerMissesTheOwnersNextDequeue) {
   after_step(winner, sched_site::claim, [&] {
     // The winner's stage 0 pointed the owner's record at the sentinel; it
     // claimed the sentinel and stopped before completing the record.
-    ASSERT_EQ(dummy->deq_tid.load(), static_cast<std::int32_t>(owner));
+    ASSERT_EQ(wb::head(q), dummy);
+    ASSERT_EQ(wb::claimer(q), static_cast<std::int32_t>(owner));
     ASSERT_TRUE(wb::state(q, owner).pending);
     ASSERT_EQ(wb::state(q, owner).node, dummy);
     wb::help_finish_deq(q, peer);  // stages 2 and 3 for the owner
@@ -547,7 +547,53 @@ TEST(RecordIdentity, StaleClaimWinnerMissesTheOwnersNextDequeue) {
          "claimed";
   EXPECT_EQ(next_op.node, nullptr);
   EXPECT_EQ(wb::head(q), n100);
-  EXPECT_EQ(n100->deq_tid.load(), no_tid) << "n100 claimed by a stale step";
+  EXPECT_EQ(wb::claimer(q), no_tid) << "n100 claimed by a stale step";
+
+  wb::help_deq(q, owner, next_op.phase, peer);
+  ASSERT_FALSE(wb::state(q, owner).pending);
+  EXPECT_EQ(wb::state(q, owner).node->value, 200u);
+  EXPECT_EQ(q.dequeue(0), std::nullopt);
+}
+
+// A thread that finishes another's claim (help_finish_deq) completes the
+// owner's record only while the head word still holds that claim (paper
+// line 147). Stop a finisher after it read the claimed word, let a peer
+// finish the operation and the owner publish its next one: the record the
+// finisher then reads is the new operation's, which it must leave pending.
+TEST(RecordIdentity, StaleFinisherMissesTheOwnersNextDequeue) {
+  scripted q(4);
+  constexpr std::uint32_t owner = 3, finisher = 1, peer = 2;
+  q.enqueue(100, 0);
+  q.enqueue(200, 0);
+  auto* dummy = wb::head(q);
+  auto* n100 = dummy->next.load();
+  // Stages 0 and 1: the owner's pending record names the sentinel, and the
+  // head word holds the owner's claim.
+  wb::publish(q, owner, wb::max_phase(q, owner) + 1, true, false, dummy);
+  ASSERT_TRUE(wb::claim(q, owner));
+
+  bool ran = false;
+  // The finisher has read {dummy, owner} and `next`; its next step loads
+  // the owner's record.
+  script_hooks::arm(finisher, sched_site::load, [&] {
+    wb::help_finish_deq(q, peer);  // stages 2 and 3 for the owner
+    ASSERT_FALSE(wb::state(q, owner).pending);
+    ASSERT_EQ(wb::state(q, owner).node, n100);
+    ASSERT_EQ(wb::head(q), n100);
+    // The owner returns with 100 and publishes its next dequeue.
+    wb::publish(q, owner, wb::max_phase(q, owner) + 1, true, false, nullptr);
+    ran = true;
+  });
+  wb::help_finish_deq(q, finisher);
+
+  ASSERT_TRUE(ran) << "the replay did not run";
+  const auto next_op = wb::state(q, owner);
+  EXPECT_TRUE(next_op.pending)
+      << "a stale finisher handed the next dequeue an item it never "
+         "claimed";
+  EXPECT_EQ(next_op.node, nullptr);
+  EXPECT_EQ(wb::head(q), n100);
+  EXPECT_EQ(wb::claimer(q), no_tid);
 
   wb::help_deq(q, owner, next_op.phase, peer);
   ASSERT_FALSE(wb::state(q, owner).pending);

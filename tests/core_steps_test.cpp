@@ -81,16 +81,16 @@ TEST(StepCount, SoloBaseGrowsWithN) {
   // help_all reads every record (two loads each) on every operation, and
   // scan_max_phase reads every phase: 14 + 3n steps per enqueue.
   expect_solo<base_queue>(
-      "base", {{{17, 25, 21}, {20, 28, 24}, {26, 34, 30}, {38, 46, 42}}});
+      "base", {{{17, 23, 19}, {20, 26, 22}, {26, 32, 28}, {38, 44, 40}}});
 }
 
 TEST(StepCount, SoloOptIsFlatInN) {
   expect_solo<opt_queue>(
-      "opt", {{{16, 24, 20}, {16, 26, 20}, {16, 26, 22}, {16, 26, 22}}});
+      "opt", {{{16, 22, 18}, {16, 24, 18}, {16, 24, 20}, {16, 24, 20}}});
 }
 
 TEST(StepCount, SoloFpsIsFlatInN) {
-  expect_solo<fps_queue>("fps", {{{5, 7, 4}, {5, 9, 4}, {5, 9, 6}, {5, 9, 6}}});
+  expect_solo<fps_queue>("fps", {{{5, 6, 4}, {5, 8, 4}, {5, 8, 6}, {5, 8, 6}}});
 }
 
 /// The fewest and most steps an enqueue and a dequeue took over every

@@ -117,8 +117,10 @@ TEST(ShapeRegression, Figure10SpaceRatioApproachesOnePointFive) {
 }
 
 TEST(ShapeRegression, NodeSizesExplainThePaperAsymptote) {
-  // The paper attributes the 1.5x to the enqTid/deqTid fields; pin the
-  // layouts so a future field addition is a conscious decision.
+  // The paper attributes the 1.5x to the enqTid/deqTid fields. deqTid lives
+  // in the queue's head word here, so the 24 B are value, next, enqTid and
+  // 4 B of padding; pin the layouts so a future field addition is a
+  // conscious decision.
   EXPECT_EQ(sizeof(ms_queue<std::uint64_t>::node), 16u);
   EXPECT_EQ(sizeof(wf_node<std::uint64_t>), 24u);
 }

@@ -17,7 +17,20 @@ namespace kpq::testing {
 struct whitebox {
   template <typename Q>
   static typename Q::node_type* head(Q& q) {
-    return q.head_.load();
+    return q.head_.word().node;
+  }
+  /// The tid whose dequeue claims the head, or no_tid.
+  template <typename Q>
+  static std::int32_t claimer(Q& q) {
+    return q.head_.word().claimer;
+  }
+  /// Stage 1 (paper line 135) for thread `tid`: CAS the head word from
+  /// {sentinel, none} to {sentinel, tid}. False if a claim stands.
+  template <typename Q>
+  static bool claim(Q& q, std::uint32_t tid) {
+    typename Q::node_type* first = head(q);
+    return q.head_.cas({first, no_tid},
+                       {first, static_cast<std::int32_t>(tid)});
   }
   template <typename Q>
   static typename Q::node_type* tail(Q& q) {
@@ -122,7 +135,8 @@ struct whitebox {
   template <typename Q>
   static audit_view<typename Q::node_type> view(Q& q) {
     audit_view<typename Q::node_type> v;
-    v.head = q.head_.load();
+    v.head = head(q);
+    v.claimer = claimer(q);
     v.tail = q.tail_.load();
     v.max_threads = q.max_threads();
     for (std::uint32_t i = 0; i < q.max_threads(); ++i) {
