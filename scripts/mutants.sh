@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # Mutation check (docs/TESTING.md, "Mutation check"). Each
-# tests/mutants/NN-<name>.patch deletes one condition from the queue or
-# from the coroutine layer's claim. For every patch the script applies it
-# to a scratch copy of the tree under $TMPDIR (never the work tree), builds
+# tests/mutants/NN-<name>.patch deletes one condition from the queue, from
+# the coroutine layer's claim or from the event loop's post(). For every
+# patch the script applies it to a scratch copy of the tree under $TMPDIR
+# (never the work tree), builds
 # the explorer, replay and async suites, runs them, and compares the
 # outcome with the patch's header:
 #
@@ -29,7 +30,7 @@ root="$(cd "$(dirname "$0")/.." && pwd)"
 
 suites=(core_scenario_test core_interleave_test core_fps_interleave_test
         core_random_schedule_test scale_random_schedule_test
-        async_cancel_test async_queue_test)
+        async_loop_test async_cancel_test async_queue_test)
 
 patches=()
 for p in "$@"; do patches+=("$(cd "$(dirname "$p")" && pwd)/$(basename "$p")"); done

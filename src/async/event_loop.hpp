@@ -5,7 +5,9 @@
 //   * One thread calls run(); every coroutine posted to the loop executes
 //     on that thread. post() is thread-safe — queue notifiers running on
 //     producer threads hand resumptions over instead of executing awaiter
-//     code on queue hot paths.
+//     code on queue hot paths. A post made by the loop's own thread while
+//     it is inside run() skips the lock: it goes to a loop-local list that
+//     only that thread touches.
 //   * A hashed timer wheel supplies deadlines: sleep_until/sleep_for
 //     awaitables, and callback timers (call_at) used by the queue layer for
 //     bounded-admission rechecks and dequeue deadlines.
@@ -17,7 +19,8 @@
 // The loop's idle parking is a thread_parker on its own waiter_hub, so the
 // hub mutex doubles as the ready-queue/timer/stats lock and cross-thread
 // post() wakeups use exactly the enlist→re-check→park discipline every
-// other waiter in the repo uses.
+// other waiter in the repo uses. A loop-local post needs no wakeup: the
+// loop thread is running, and it checks the local list before it parks.
 #pragma once
 
 #if !defined(__cpp_impl_coroutine)
@@ -134,11 +137,14 @@ struct loop_stats {
   // Loop-health gauges (obs/registry.hpp event_loop_stats_like): how long
   // ready work waited before the loop got to it, how late timers fired
   // versus their deadline, and the deepest the ready queue ever got.
+  // A post from the loop thread inside run() carries no timestamp: its lag
+  // runs from the clock read that preceded it (the previous batch's pickup
+  // or timer sweep), an upper bound on its real lag.
   std::uint64_t ready_lag_ns_total = 0;   // post() -> batch pickup, summed
   std::uint64_t ready_lag_ns_max = 0;
   std::uint64_t timer_slack_ns_total = 0;  // deadline -> fire, summed
   std::uint64_t timer_slack_ns_max = 0;
-  std::uint64_t max_ready_depth = 0;       // high-water ready-queue length
+  std::uint64_t max_ready_depth = 0;  // high-water length, both ready lists
 
   double mean_ready_lag_ns() const noexcept {
     return resumes == 0 ? 0.0
@@ -163,13 +169,15 @@ class event_loop {
 
   /// Thread-safe: queue `h` to run on the loop thread; wakes the loop if
   /// parked. This is how queue notifiers on producer threads hand a
-  /// coroutine resumption over (async/park.hpp).
+  /// coroutine resumption over (async/park.hpp). On the thread inside this
+  /// loop's run() it appends to the loop-local list: no lock, no clock.
   void post(std::coroutine_handle<> h) {
+    if (running_loop == this) {
+      local_.push_back(h);
+      return;
+    }
     auto lk = hub_.lock();
     ready_.push_back({h, now_ns()});
-    if (ready_.size() > stats_.max_ready_depth) {
-      stats_.max_ready_depth = ready_.size();
-    }
     hub_.notify_one(std::move(lk));
   }
 
@@ -191,7 +199,8 @@ class event_loop {
 
   // ------------------------------------------------------------- awaitables
 
-  /// Reschedule behind everything currently ready (cooperative yield).
+  /// Reschedule behind everything currently ready, on both lists
+  /// (cooperative yield).
   auto yield() noexcept {
     struct awaiter {
       event_loop* loop;
@@ -246,10 +255,11 @@ class event_loop {
 
   // ------------------------------------------------------------------ run
 
-  /// Run until drained: ready queue empty, no pending timer, and every
-  /// spawned task completed. A stop() request returns earlier, leaving any
-  /// remaining work queued.
+  /// Run until drained: both ready lists empty, no pending timer, and
+  /// every spawned task completed. A stop() request returns earlier,
+  /// leaving any remaining work queued for the next run().
   void run() {
+    const running_scope scope(this);
     std::vector<std::coroutine_handle<>> batch;
     std::vector<timer_wheel::entry> due;
     for (;;) {
@@ -260,20 +270,28 @@ class event_loop {
           stop_ = false;
           return;
         }
-        if (!ready_.empty()) {
+        if (!ready_.empty() || !local_.empty()) {
           // Ready-queue lag: how long each handle sat between post() and
           // this pickup (one clock read per batch, not per handle).
           const std::uint64_t pick = now_ns();
           for (const ready_item& r : ready_) {
-            const std::uint64_t lag =
-                pick > r.posted_ns ? pick - r.posted_ns : 0;
-            stats_.ready_lag_ns_total += lag;
-            if (lag > stats_.ready_lag_ns_max) stats_.ready_lag_ns_max = lag;
+            note_lag(pick > r.posted_ns ? pick - r.posted_ns : 0);
           }
+          const std::uint64_t local_lag =
+              pick > local_since_ ? pick - local_since_ : 0;
+          for (std::size_t i = 0; i < local_.size(); ++i) note_lag(local_lag);
+          local_since_ = pick;
         }
-        batch.reserve(ready_.size());
+        // Locked list first, then the local one: a yield() lands behind
+        // everything ready at this pickup. Neither list shrinks between
+        // pickups, so the depth here is each interval's high-water mark.
+        const std::size_t depth = ready_.size() + local_.size();
+        if (depth > stats_.max_ready_depth) stats_.max_ready_depth = depth;
+        batch.reserve(depth);
         for (const ready_item& r : ready_) batch.push_back(r.h);
         ready_.clear();
+        batch.insert(batch.end(), local_.begin(), local_.end());
+        local_.clear();
         stats_.resumes += batch.size();
       }
       for (auto h : batch) h.resume();
@@ -282,6 +300,7 @@ class event_loop {
       {
         auto lk = hub_.lock();
         const std::uint64_t now = now_ns();
+        if (local_.empty()) local_since_ = now;
         wheel_.advance(now, due);
         stats_.timer_fires += due.size();
         // Timer-wheel slack: how late past its deadline each entry fired
@@ -302,6 +321,7 @@ class event_loop {
         }
       }
 
+      if (!local_.empty()) continue;  // only this thread fills it
       auto lk = hub_.lock();
       if (stop_) {
         stop_ = false;
@@ -375,8 +395,28 @@ class event_loop {
     std::uint64_t posted_ns;  // for the ready-lag gauge
   };
 
+  // The loop whose run() this thread is inside; a nested run() of another
+  // loop saves and restores it.
+  static inline thread_local event_loop* running_loop = nullptr;
+  struct running_scope {
+    explicit running_scope(event_loop* loop) noexcept
+        : prev(std::exchange(running_loop, loop)) {}
+    ~running_scope() { running_loop = prev; }
+    running_scope(const running_scope&) = delete;
+    running_scope& operator=(const running_scope&) = delete;
+    event_loop* prev;
+  };
+
+  void note_lag(std::uint64_t lag) noexcept {
+    stats_.ready_lag_ns_total += lag;
+    if (lag > stats_.ready_lag_ns_max) stats_.ready_lag_ns_max = lag;
+  }
+
   waiter_hub hub_;  // guards ready_/wheel_/active_/stop_/stats_; idle park
   std::deque<ready_item> ready_;
+  // Loop-thread posts made inside run(); only that thread touches these.
+  std::vector<std::coroutine_handle<>> local_;
+  std::uint64_t local_since_ = 0;  // clock read preceding every local_ post
   timer_wheel wheel_;
   std::size_t active_ = 0;
   bool stop_ = false;

@@ -15,6 +15,15 @@
 //
 // Exceptions propagate: unhandled exceptions are captured and rethrown from
 // await_resume in the awaiting coroutine.
+//
+// Frame recycling: a task frame comes from a per-thread free list of its
+// 64-byte size class (frames up to 1 KiB) and goes back to the free list of
+// the thread that destroys it, so a steady loop of co_await round trips
+// stops calling the global operator new after its first few rounds. Each
+// list holds at most 32 frames; beyond that, and for larger frames, the
+// global operator new/delete serve. A thread's lists are freed when it
+// exits. Under AddressSanitizer every frame passes straight through to the
+// global operators, so ASan's quarantine still sees each destroyed frame.
 #pragma once
 
 #if !defined(__cpp_impl_coroutine)
@@ -23,7 +32,10 @@
 
 #include <cassert>
 #include <coroutine>
+#include <cstddef>
+#include <cstdint>
 #include <exception>
+#include <new>
 #include <optional>
 #include <utility>
 
@@ -31,7 +43,95 @@ namespace kpq::async {
 
 namespace detail {
 
+/// The per-thread task-frame free lists (see the header comment).
+class frame_pool {
+ public:
+#if defined(__SANITIZE_ADDRESS__)
+  static constexpr bool enabled = false;
+#else
+  static constexpr bool enabled = true;
+#endif
+  static constexpr std::size_t class_bytes = 64;
+  static constexpr std::size_t classes = 16;  // frames up to 1 KiB
+  static constexpr std::uint32_t cap = 32;    // frames kept per class
+
+  static void* allocate(std::size_t n) {
+    const std::size_t c = class_of(n);
+    if constexpr (enabled) {
+      if (c < classes) {
+        lists& l = local;
+        if (block* b = l.head[c]) {
+          l.head[c] = b->next;
+          --l.count[c];
+          return b;
+        }
+        return ::operator new((c + 1) * class_bytes);
+      }
+    }
+    return ::operator new(n);
+  }
+
+  static void deallocate(void* p, std::size_t n) noexcept {
+    const std::size_t c = class_of(n);
+    if constexpr (enabled) {
+      if (c < classes) {
+        lists& l = local;
+        if (l.count[c] < cap && !l.closed) {
+          if (!l.drain_armed) {
+            l.drain_armed = true;
+            (void)&drain;  // first use registers the thread-exit drain
+          }
+          l.head[c] = ::new (p) block{l.head[c]};
+          ++l.count[c];
+          return;
+        }
+        ::operator delete(p, (c + 1) * class_bytes);
+        return;
+      }
+    }
+    ::operator delete(p, n);
+  }
+
+ private:
+  struct block {
+    block* next;
+  };
+  // Trivially destructible, so it stays usable while other thread_locals
+  // (and, on the main thread, statics) destroy frames after the drain ran.
+  struct lists {
+    block* head[classes];
+    std::uint32_t count[classes];
+    bool drain_armed;
+    bool closed;  // drained at thread exit: every later free is global
+  };
+  struct drainer {
+    ~drainer() {
+      lists& l = local;
+      l.closed = true;
+      for (std::size_t c = 0; c < classes; ++c) {
+        while (block* b = l.head[c]) {
+          l.head[c] = b->next;
+          ::operator delete(b, (c + 1) * class_bytes);
+        }
+        l.count[c] = 0;
+      }
+    }
+  };
+
+  static constexpr std::size_t class_of(std::size_t n) noexcept {
+    return n == 0 ? 0 : (n - 1) / class_bytes;
+  }
+
+  static inline thread_local constinit lists local{};
+  static inline thread_local drainer drain{};
+};
+
 struct promise_base {
+  static void* operator new(std::size_t n) { return frame_pool::allocate(n); }
+  static void operator delete(void* p, std::size_t n) noexcept {
+    frame_pool::deallocate(p, n);
+  }
+
   std::coroutine_handle<> continuation;  // resumed on completion (if any)
   std::exception_ptr exception;
 

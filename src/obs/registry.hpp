@@ -198,8 +198,9 @@ void append_metrics(metrics_snapshot& out, const std::string& prefix,
 }
 
 /// Event-loop health (async/event_loop.hpp loop_stats): throughput counters
-/// plus the latency gauges — ready-queue lag (post -> pickup), timer-wheel
-/// slack (deadline -> fire) and the ready-queue high-water mark. Register a
+/// plus the latency gauges — ready-queue lag (post -> pickup; an upper
+/// bound for loop-thread posts), timer-wheel slack (deadline -> fire) and
+/// the high-water mark of both ready lists. Register a
 /// lambda that returns loop.stats() so the copy is taken under the loop's
 /// own lock (scrape-safe by construction).
 template <typename L>

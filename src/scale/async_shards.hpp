@@ -70,11 +70,12 @@ class async_sharded {
   }
   void enqueue(value_type v) { enqueue(std::move(v), this_thread_id()); }
 
-  /// Route by policy and await admission (bounded shards backpressure).
+  /// Route by policy now, on the calling thread, and return the shard's
+  /// admission task (bounded shards backpressure) — no wrapper frame.
   task<bool> co_enqueue(value_type v) {
     const std::uint32_t s =
         policy_.enqueue_shard(this_thread_id(), v) % shard_count();
-    co_return co_await shards_[s]->co_enqueue(std::move(v));
+    return shards_[s]->co_enqueue(std::move(v));
   }
 
   /// Await an element from ANY shard (co_select multiplex, over the shard

@@ -19,6 +19,7 @@
 #include "async/async_queue.hpp"
 #include "async/task.hpp"
 #include "core/wf_queue.hpp"
+#include "support/bounded_run.hpp"
 #include "sync/thread_registry.hpp"
 
 namespace kpq::async {
@@ -72,7 +73,7 @@ TEST(AsyncCancel, StopFromAnotherThreadWhileParkedOnLoop) {
     std::this_thread::sleep_for(15ms);
     ss.request_stop();  // posts the resumption to the parked loop
   });
-  loop.run();
+  EXPECT_TRUE(kpq::testing::run_bounded(loop));
   canceller.join();
   EXPECT_TRUE(finished);
   EXPECT_EQ(out, std::nullopt);
@@ -130,7 +131,7 @@ TEST(AsyncCancel, DestroyWithPendingDeadlineLeavesAnInertTimer) {
   EXPECT_FALSE(q.hub().maybe_waiters());
   // Runs past the deadline: the late timer must find the wait already
   // claimed by the teardown and resume nothing.
-  loop.run();
+  EXPECT_TRUE(kpq::testing::run_bounded(loop));
   q.enqueue(3);
   EXPECT_EQ(q.try_dequeue(), std::optional<std::uint64_t>(3));
 }
@@ -193,7 +194,7 @@ TEST(AsyncCancel, SelectStopWhileSuspendedCompletesClosed) {
     std::this_thread::sleep_for(10ms);
     ss.request_stop();
   });
-  loop.run();
+  EXPECT_TRUE(kpq::testing::run_bounded(loop));
   canceller.join();
   EXPECT_EQ(out.value, std::nullopt);
   EXPECT_FALSE(out.open);
@@ -246,7 +247,7 @@ TEST(AsyncCancel, ShutdownDrainDeliversEverythingExactlyOnce) {
     }
     q.close();  // shutdown signal races in-flight deliveries
   });
-  loop.run();
+  EXPECT_TRUE(kpq::testing::run_bounded(loop));
   producer.join();
   EXPECT_EQ(done.load(), kConsumers);  // every consumer saw the close
   std::multiset<std::uint64_t> all;

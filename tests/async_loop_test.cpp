@@ -1,8 +1,9 @@
 // Unit tests for the async runtime pieces that do not involve queues:
-// task<T> (laziness, chaining, exceptions), the hashed timer wheel
-// (due-filtering, past-deadline clamp, full-revolution sweeps), and the
-// event loop (FIFO ready queue, yield interleaving, sleep ordering,
-// drain-on-completion, stop, cross-thread post wakeups).
+// task<T> (laziness, chaining, exceptions, frame recycling), the hashed
+// timer wheel (due-filtering, past-deadline clamp, full-revolution sweeps),
+// and the event loop (FIFO ready queue, yield interleaving, sleep ordering,
+// drain-on-completion, stop, cross-thread post wakeups, the loop-local
+// ready list).
 #include "async/event_loop.hpp"
 
 #include <gtest/gtest.h>
@@ -11,12 +12,43 @@
 #include <chrono>
 #include <coroutine>
 #include <cstdint>
+#include <cstdlib>
+#include <new>
 #include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "async/task.hpp"
+#include "support/bounded_run.hpp"
+
+// A counting replacement of the global operator new/delete, so the frame
+// recycling tests can see which frames still reach the global heap. Left
+// out under ASan, with the tests that count: ASan's own operators stay in
+// place, and its task frames bypass the free lists (async/task.hpp).
+#if !defined(__SANITIZE_ADDRESS__)
+namespace {
+thread_local constinit std::uint64_t global_news = 0;
+thread_local constinit std::uint64_t global_deletes = 0;
+}  // namespace
+
+// The replacements pair malloc with free. GCC cannot see that they replace
+// the global pair and flags free() on a pointer from operator new wherever
+// both are inlined.
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
+void* operator new(std::size_t n) {
+  ++global_news;
+  if (void* p = std::malloc(n == 0 ? 1 : n)) return p;
+  throw std::bad_alloc();
+}
+void operator delete(void* p) noexcept {
+  if (p) ++global_deletes;
+  std::free(p);
+}
+void operator delete(void* p, std::size_t) noexcept { operator delete(p); }
+#pragma GCC diagnostic pop
+#endif
 
 namespace kpq::async {
 namespace {
@@ -76,6 +108,47 @@ TEST(Task, DestroyingUnstartedTaskFreesTheFrame) {
   { task<void> t = set_flag(ran); }  // dtor destroys a never-started frame
   EXPECT_FALSE(ran);
 }
+
+#if !defined(__SANITIZE_ADDRESS__)
+task<int> round_trip_leaf(int x) { co_return x + 1; }
+task<int> round_trip_mid(int x) { co_return co_await round_trip_leaf(x) * 2; }
+
+TEST(Task, RoundTripsStopCallingGlobalNewAfterWarmUp) {
+  auto round = [](int i) {
+    task<int> t = round_trip_mid(i);
+    t.start();
+    return t.take();
+  };
+  for (int i = 0; i < 4; ++i) (void)round(i);  // warm the free lists
+  const std::uint64_t news = global_news;
+  std::int64_t sum = 0;
+  for (int i = 0; i < 1000; ++i) sum += round(i);
+  EXPECT_EQ(global_news, news) << "a task frame reached the global heap";
+  EXPECT_EQ(sum, 1000 * 999 + 2000);  // sum of (i + 1) * 2
+}
+
+TEST(Task, ThreadExitReturnsCachedFramesToTheHeap) {
+  std::uint64_t cached = 0;
+  std::uint64_t deletes_before_exit = 0;
+  std::atomic<std::uint64_t> deletes_at_exit{0};
+  struct report {  // destroyed after the free lists' drain ran
+    std::atomic<std::uint64_t>* out;
+    ~report() { out->store(global_deletes); }
+  };
+  std::thread([&] {
+    thread_local report r{&deletes_at_exit};  // constructed first
+    {
+      std::vector<task<int>> live;
+      for (int i = 0; i < 8; ++i) live.push_back(round_trip_leaf(i));
+    }  // eight frames now sit on this thread's free list
+    cached = global_news - global_deletes;
+    deletes_before_exit = global_deletes;
+  }).join();
+  EXPECT_EQ(cached, 8u);
+  EXPECT_GE(deletes_at_exit.load() - deletes_before_exit, cached)
+      << "cached frames outlived the thread";
+}
+#endif
 
 // ------------------------------------------------------------ timer wheel
 
@@ -245,11 +318,132 @@ TEST(EventLoop, CrossThreadPostWakesParkedLoop) {
     std::this_thread::sleep_for(20ms);
     loop.post(h);  // the only wake signal the parked loop will get
   });
-  loop.run();
+  // Bounded: a loop the post never wakes is stopped and the test fails.
+  EXPECT_TRUE(kpq::testing::run_bounded(loop, 10s));
   poster.join();
   EXPECT_TRUE(resumed);
   EXPECT_GE(loop.stats().idle_parks, 1u);
   EXPECT_EQ(loop.hub().stats().parks, loop.stats().idle_parks);
+}
+
+// ------------------------------------------------------ the two ready lists
+
+task<void> record_when_resumed(std::coroutine_handle<>& slot,
+                               std::vector<char>& order, char id) {
+  co_await capture_handle{&slot};
+  order.push_back(id);
+}
+
+// `post(h)` from a thread other than the loop's, finished before returning.
+void post_from_other_thread(event_loop& loop, std::coroutine_handle<> h) {
+  std::thread([&loop, h] { loop.post(h); }).join();
+}
+
+task<void> post_local_then_remote(event_loop& loop, std::coroutine_handle<> l,
+                                  std::coroutine_handle<> x,
+                                  std::vector<char>& order, bool then_yield) {
+  co_await loop.yield();  // now inside run(), on the loop thread
+  loop.post(l);           // local list
+  post_from_other_thread(loop, x);  // locked list, after the local post
+  order.push_back('D');
+  if (then_yield) {
+    co_await loop.yield();  // behind l, on the local list
+    order.push_back('Y');
+  }
+}
+
+TEST(EventLoop, LoopThreadPostRunsNextBatchBehindOtherThreadsPosts) {
+  event_loop loop;
+  std::vector<char> order;
+  std::coroutine_handle<> hl{}, hx{};
+  task<void> l = record_when_resumed(hl, order, 'L');
+  task<void> x = record_when_resumed(hx, order, 'X');
+  l.start();
+  x.start();
+  loop.spawn(post_local_then_remote(loop, hl, hx, order, false));
+  loop.run();
+  // The driver's batch ran D; the next batch took the locked list (X)
+  // before the local one (L), though L was posted first.
+  EXPECT_EQ(order, (std::vector<char>{'D', 'X', 'L'}));
+  EXPECT_TRUE(l.done());
+  EXPECT_TRUE(x.done());
+}
+
+TEST(EventLoop, YieldLandsBehindBothLists) {
+  event_loop loop;
+  std::vector<char> order;
+  std::coroutine_handle<> hl{}, hx{};
+  task<void> l = record_when_resumed(hl, order, 'L');
+  task<void> x = record_when_resumed(hx, order, 'X');
+  l.start();
+  x.start();
+  loop.spawn(post_local_then_remote(loop, hl, hx, order, true));
+  loop.run();
+  EXPECT_EQ(order, (std::vector<char>{'D', 'X', 'L', 'Y'}));
+}
+
+TEST(EventLoop, LoopThreadPostOutsideRunGoesToTheNextRun) {
+  event_loop loop;
+  std::vector<char> order;
+  std::coroutine_handle<> ha{}, hb{};
+  task<void> a = record_when_resumed(ha, order, 'A');
+  task<void> b = record_when_resumed(hb, order, 'B');
+  a.start();
+  b.start();
+  loop.post(ha);  // this thread, before run(): the locked list
+  loop.run();
+  EXPECT_EQ(order, (std::vector<char>{'A'}));
+  loop.post(hb);  // after run() returned: the locked list again
+  EXPECT_EQ(order, (std::vector<char>{'A'}));
+  loop.run();
+  EXPECT_EQ(order, (std::vector<char>{'A', 'B'}));
+  EXPECT_TRUE(b.done());
+}
+
+task<void> post_local_then_stop(event_loop& loop, std::coroutine_handle<> h) {
+  co_await loop.yield();
+  loop.post(h);  // local list; run() returns before the next batch
+  loop.stop();
+}
+
+TEST(EventLoop, LocalPostLeftByStopRunsInTheNextRun) {
+  event_loop loop;
+  std::vector<char> order;
+  std::coroutine_handle<> h{};
+  task<void> t = record_when_resumed(h, order, 'L');
+  t.start();
+  loop.spawn(post_local_then_stop(loop, h));
+  loop.run();
+  EXPECT_TRUE(order.empty());
+  loop.run();
+  EXPECT_EQ(order, (std::vector<char>{'L'}));
+}
+
+task<void> post_five_local_two_remote(
+    event_loop& loop, const std::vector<std::coroutine_handle<>>& hs) {
+  co_await loop.yield();
+  for (int i = 0; i < 5; ++i) loop.post(hs[static_cast<std::size_t>(i)]);
+  post_from_other_thread(loop, hs[5]);
+  post_from_other_thread(loop, hs[6]);
+}
+
+TEST(EventLoop, StatsCountBothLists) {
+  event_loop loop;
+  std::vector<char> order;
+  std::vector<std::coroutine_handle<>> hs(7);
+  std::vector<task<void>> waiters;
+  for (std::size_t i = 0; i < hs.size(); ++i) {
+    waiters.push_back(
+        record_when_resumed(hs[i], order, static_cast<char>('0' + i)));
+    waiters.back().start();
+  }
+  loop.spawn(post_five_local_two_remote(loop, hs));
+  loop.run();
+  EXPECT_EQ(order, (std::vector<char>{'5', '6', '0', '1', '2', '3', '4'}));
+  const loop_stats s = loop.stats();
+  EXPECT_EQ(s.resumes, 8u);          // the driver, then all seven waiters
+  EXPECT_EQ(s.max_ready_depth, 7u);  // five local + two locked at pickup
+  EXPECT_GE(static_cast<double>(s.ready_lag_ns_max), s.mean_ready_lag_ns());
 }
 
 // ------------------------------------------------------- loop health gauges

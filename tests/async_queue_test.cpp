@@ -18,6 +18,7 @@
 #include "core/wf_queue.hpp"
 #include "scale/async_shards.hpp"
 #include "storage/bounded_wf_queue.hpp"
+#include "support/bounded_run.hpp"
 #include "sync/thread_registry.hpp"
 #include "verify/history.hpp"
 #include "verify/lin_checker.hpp"
@@ -96,7 +97,8 @@ TEST(AsyncQueue, MultiCoroutineFanInDrainsEverythingExactlyOnce) {
     for (std::uint64_t i = 0; i < kItems; ++i) q.enqueue(i);
     q.close();
   });
-  loop.run();  // returns when every consumer saw closed-and-drained
+  // Returns when every consumer saw closed-and-drained.
+  EXPECT_TRUE(kpq::testing::run_bounded(loop));
   producer.join();
 
   std::multiset<std::uint64_t> all;
@@ -149,7 +151,7 @@ TEST(AsyncQueue, BoundedCoEnqueueParksOnBackpressureThenAdmits) {
   EXPECT_FALSE(admitted);  // suspended at the ceiling
   EXPECT_TRUE(q.queue().room_hub().maybe_waiters());
   loop.spawn(drain_later(loop, q, n));
-  loop.run();
+  EXPECT_TRUE(kpq::testing::run_bounded(loop));
   EXPECT_TRUE(admitted);
   EXPECT_GE(q.queue().room_hub().stats().parks, 1u);
   EXPECT_EQ(q.queue().stats().admitted, n + 1);
@@ -178,7 +180,7 @@ TEST(AsyncQueue, CoDequeueForTimesOutEmptyHanded) {
   // can take several ms, and t0-after-spawn would overstate the wait.
   const auto t0 = std::chrono::steady_clock::now();
   loop.spawn(co_dequeue_for_into(q, 20ms, out));
-  loop.run();
+  EXPECT_TRUE(kpq::testing::run_bounded(loop));
   const auto dt = std::chrono::steady_clock::now() - t0;
   EXPECT_EQ(out, std::nullopt);
   EXPECT_GE(dt, 19ms);
@@ -199,7 +201,7 @@ TEST(AsyncQueue, CoDequeueForReturnsEarlyWhenServed) {
     q.enqueue(55);
   });
   const auto t0 = std::chrono::steady_clock::now();
-  loop.run();
+  EXPECT_TRUE(kpq::testing::run_bounded(loop));
   producer.join();
   EXPECT_EQ(out, std::optional<std::uint64_t>(55));
   EXPECT_LT(served_at - t0, 1s);  // served on arrival, not at the deadline
@@ -231,7 +233,7 @@ TEST(AsyncQueue, SelectMultiplexesTwoQueuesAndReportsSource) {
     q0.close();
     q1.close();
   });
-  loop.run();
+  EXPECT_TRUE(kpq::testing::run_bounded(loop));
   producer.join();
   ASSERT_EQ(out.size(), 50u);
   std::multiset<std::uint64_t> seen;
@@ -293,7 +295,7 @@ TEST(AsyncQueue, ShardedCoDequeueAnyDrainsAllShards) {
     }
     shards.close_all();
   });
-  loop.run();
+  EXPECT_TRUE(kpq::testing::run_bounded(loop));
   producer.join();
   EXPECT_EQ(out.size(), kItems);
   for (std::uint64_t i = 0; i < kItems; ++i) EXPECT_EQ(out.count(i), 1u);
@@ -347,7 +349,7 @@ TEST(AsyncQueue, MixedThreadAndCoroutineHistoryIsLinearizable) {
       if (remaining.fetch_sub(1) == 1) q.close();
     });
   }
-  loop.run();
+  EXPECT_TRUE(kpq::testing::run_bounded(loop));
   for (auto& t : producers) t.join();
 
   auto events = h.collect();
