@@ -80,7 +80,7 @@ struct shared_state {
 };
 
 kpq::async::task<void> session(shared_state& st, request& r) {
-  // Unbounded shards: co_enqueue completes without suspending, then the
+  // co_enqueue completes without suspending, then the
   // session parks awaiting its echo. On one loop thread nothing can run
   // between the enqueue and the suspension, so the handle is always set
   // before any worker sees the request.

@@ -62,16 +62,16 @@ for mode in "${modes[@]}"; do
     filter=(-R 'Bounded|AllocFailure|Freeing|MemAccounting|Reclaim|ReclaimCounters|NodeRecycling|RecycleLists')
   elif [[ "$mode" == "tsan-async" ]]; then
     # Shortcut: TSan over the waiter_hub continuation layer and everything
-    # rebuilt on it — thread parkers (blocking_adapter, the bounded queue's
-    # block policy and its lost-wakeup regressions) and coroutine resumers
-    # (event loop, awaitables, select, cancellation, the broker example).
+    # rebuilt on it — thread parkers (blocking_adapter) and coroutine
+    # resumers (event loop, awaitables, select, cancellation, the broker
+    # example).
     # Built with KPQ_TRACE=ON so the waiter_park/waiter_resume trace writes
     # race-check against the hub's notify path (own build dir: the tracing
     # default changes codegen everywhere).
     mode=thread
     dir_tag=async
     extra_cmake=(-DKPQ_TRACE=ON)
-    filter=(-R 'Async|Waiter|Parker|EventLoop|TimerWheel|Task\.|BoundedWakeup|Blocking|coro_broker')
+    filter=(-R 'Async|Waiter|Parker|EventLoop|TimerWheel|Task\.|Blocking|coro_broker')
   fi
   echo "=== sanitizer: $mode (build-$dir_tag-san) ==="
   cmake -B "build-$dir_tag-san" -G Ninja -DKPQ_SANITIZE="$mode" \

@@ -16,11 +16,9 @@
 // take_step — a woken coroutine that loses the item to a faster consumer
 // re-parks, same as dequeue_blocking's loop.
 //
-// Bounded backpressure: when Q is bounded-with-admission
-// (bounded_admission_queue below — bounded_wf_queue qualifies), co_enqueue
-// polls try_enqueue_nowait and parks on the queue's room_hub with a timer
-// recheck at room_recheck_interval(), mirroring the sync block policy's
-// liveness backstop for room freed by reclamation without a notify.
+// Enqueues never wait: co_enqueue admits through the inner queue's
+// try_enqueue when it has one (bounded_wf_queue), so that queue's policy —
+// reject or overwrite_oldest — decides, and a refusal is a false result.
 #pragma once
 
 #if !defined(__cpp_impl_coroutine)
@@ -48,21 +46,6 @@
 #include "sync/waiter_hub.hpp"
 
 namespace kpq::async {
-
-/// A bounded queue whose admission the async layer can drive: one-shot
-/// room poll, a hub its room waiters park on, and the recheck interval
-/// bounding staleness when space appears without a notify.
-template <typename Q>
-concept bounded_admission_queue =
-    requires(Q& q, typename Q::value_type v, std::uint32_t tid) {
-      { q.try_enqueue_nowait(std::move(v), tid) } -> std::same_as<bool>;
-      { q.room_hub() } -> std::same_as<waiter_hub&>;
-      { std::as_const(q).has_room_hint() } -> std::same_as<bool>;
-      { std::as_const(q).closed() } -> std::same_as<bool>;
-      {
-        std::as_const(q).room_recheck_interval()
-      } -> std::convertible_to<std::chrono::nanoseconds>;
-    };
 
 template <typename Q>
   requires mpmc_queue<Q>
@@ -167,31 +150,6 @@ task<select_result<typename Q::value_type>> take_any(
   }
 }
 
-/// One wait for bounded-queue room (co_enqueue backpressure). The deadline
-/// is a recheck, and it is mandatory: reclamation can return space with no
-/// dequeue — and hence no notify — attached (bounded_wf_queue.hpp).
-template <typename Q>
-struct room_step {
-  async_mpmc<Q>& aq;
-  park waiting{};
-
-  bool await_ready() const {
-    return aq.queue().has_room_hint() || aq.queue().closed();
-  }
-
-  bool await_suspend(std::coroutine_handle<> h) {
-    const auto recheck = std::chrono::duration_cast<std::chrono::nanoseconds>(
-        aq.queue().room_recheck_interval());
-    return waiting.suspend(
-        h, aq.executor(), 1,
-        [this](std::size_t) -> waiter_hub& { return aq.queue().room_hub(); },
-        [this] { return await_ready(); }, std::stop_token{},
-        now_ns() + static_cast<std::uint64_t>(recheck.count()));
-  }
-
-  void await_resume() { (void)waiting.finish(); }
-};
-
 }  // namespace detail
 
 template <typename Q>
@@ -230,9 +188,8 @@ class async_mpmc {
   }
 
   /// Close: parked consumers drain what is left, then complete with
-  /// nullopt; room waiters of a bounded inner queue are released too.
+  /// nullopt; later co_enqueues return false.
   void close() {
-    if constexpr (bounded_admission_queue<Q>) q_.close();
     auto lk = hub_.lock();
     closed_.store(true, std::memory_order_seq_cst);
     hub_.notify_all(std::move(lk));
@@ -273,26 +230,20 @@ class async_mpmc {
     }
   }
 
-  /// Await admission + insert. Unbounded inner queues complete
-  /// synchronously (uniform shape); bounded ones suspend on backpressure.
-  /// Returns false only when the queue was closed before admission.
+  /// Admit + insert, never suspending (uniform awaitable shape). Returns
+  /// false when the queue is closed or the inner queue's admission policy
+  /// refuses the element; only an admitted element notifies.
   task<bool> co_enqueue(value_type v) {
-    if constexpr (bounded_admission_queue<Q>) {
-      for (;;) {
-        if (q_.closed()) co_return false;
-        // Fresh tid each attempt: post-suspension context may differ.
-        if (q_.try_enqueue_nowait(value_type(v), this_thread_id())) {
-          if (hub_.maybe_waiters()) hub_.notify_one();
-          co_return true;
-        }
-        detail::room_step<Q> step{*this};
-        co_await step;
-      }
+    if (closed()) co_return false;
+    if constexpr (requires(std::uint32_t tid) {
+                    { q_.try_enqueue(std::move(v), tid) } -> std::same_as<bool>;
+                  }) {
+      if (!q_.try_enqueue(std::move(v), this_thread_id())) co_return false;
+      if (hub_.maybe_waiters()) hub_.notify_one();
     } else {
-      if (closed()) co_return false;
       enqueue(std::move(v), this_thread_id());
-      co_return true;
     }
+    co_return true;
   }
 
   // --------------------------------------------------------------- access

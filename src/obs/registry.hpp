@@ -140,7 +140,6 @@ concept bounded_counters_like = requires(const B& b) {
   { b.admitted } -> std::convertible_to<std::uint64_t>;
   { b.rejected } -> std::convertible_to<std::uint64_t>;
   { b.overwritten } -> std::convertible_to<std::uint64_t>;
-  { b.block_waits } -> std::convertible_to<std::uint64_t>;
 };
 
 template <bounded_counters_like B>
@@ -150,8 +149,6 @@ void append_metrics(metrics_snapshot& out, const std::string& prefix,
   append_value(out, prefix + ".rejected", static_cast<double>(b.rejected));
   append_value(out, prefix + ".overwritten",
                static_cast<double>(b.overwritten));
-  append_value(out, prefix + ".block_waits",
-               static_cast<double>(b.block_waits));
 }
 
 /// The continuation layer's park/notify counters (sync/waiter_hub.hpp).

@@ -71,7 +71,7 @@ class async_sharded {
   void enqueue(value_type v) { enqueue(std::move(v), this_thread_id()); }
 
   /// Route by policy now, on the calling thread, and return the shard's
-  /// admission task (bounded shards backpressure) — no wrapper frame.
+  /// admission task (a bounded shard's policy decides) — no wrapper frame.
   task<bool> co_enqueue(value_type v) {
     const std::uint32_t s =
         policy_.enqueue_shard(this_thread_id(), v) % shard_count();

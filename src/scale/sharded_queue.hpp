@@ -95,8 +95,8 @@ class sharded_queue : public mem_tracked {
   ///
   /// Composing the front-end over bounded shards gives a sharded structure
   /// whose TOTAL memory is capped at S * cfg.max_bytes, with per-shard
-  /// admission (a shard at its ceiling rejects/blocks independently; the
-  /// work-stealing dequeue scan is unaffected).
+  /// admission (a shard at its ceiling rejects or overwrites independently;
+  /// the work-stealing dequeue scan is unaffected).
   template <typename Factory>
     requires std::is_invocable_r_v<std::unique_ptr<Q>, Factory, std::uint32_t>
   sharded_queue(std::uint32_t shard_count, std::uint32_t max_threads,

@@ -23,16 +23,10 @@
 // plus the construction footprint and the headroom; then a drained queue
 // always has room.
 //
-// Full-queue policies:
-//   * reject           — try_enqueue returns false; enqueue drops. The
-//                        wait-free choice: admission is one counter read.
-//   * block            — producers wait until a dequeue (or a reclamation
-//                        scan freeing nodes) makes room, or close() is
-//                        called. Deliberately forfeits wait-freedom for
-//                        producers at the ceiling — same split as
-//                        blocking_adapter documents for empty-queue waits;
-//                        consumers and under-ceiling producers keep the
-//                        wait-free step bound.
+// Full-queue policies — a decision, never a wait, so every enqueue keeps
+// the inner queue's wait-free step bound:
+//   * reject           — try_enqueue returns false; enqueue drops.
+//                        Admission is one counter read.
 //   * overwrite_oldest — drop elements from the head until there is room
 //                        (bounded-buffer telemetry semantics). If the queue
 //                        is EMPTY and still over the ceiling (live bytes
@@ -45,9 +39,7 @@
 // property is inherited.
 #pragma once
 
-#include <atomic>
 #include <cassert>
-#include <chrono>
 #include <cstddef>
 #include <cstdint>
 #include <optional>
@@ -58,7 +50,6 @@
 #include "sync/cacheline.hpp"
 #include "sync/owner_cell.hpp"
 #include "sync/thread_registry.hpp"
-#include "sync/waiter_hub.hpp"
 
 namespace kpq {
 
@@ -68,7 +59,7 @@ namespace kpq {
 template <typename T, typename R = hp_domain>
 using wf_queue_opt_seg = wf_queue_opt<T, R>;
 
-enum class full_policy : std::uint8_t { reject, block, overwrite_oldest };
+enum class full_policy : std::uint8_t { reject, overwrite_oldest };
 
 struct bounded_config {
   /// Ceiling on the queue's total live bytes (its nodes, queued, cached or
@@ -77,10 +68,6 @@ struct bounded_config {
   /// threads may park outside the list (the constructor asserts it).
   std::size_t max_bytes;
   full_policy policy = full_policy::reject;
-  /// block policy: waiters re-check at this interval even without a
-  /// notification — reclaimer scans free nodes asynchronously to any
-  /// dequeue, so space can appear with nobody to signal it.
-  std::chrono::milliseconds block_recheck{1};
 };
 
 /// Counters for the policy outcomes (exported via stats(); the obs registry
@@ -89,7 +76,6 @@ struct bounded_counters {
   std::uint64_t admitted = 0;
   std::uint64_t rejected = 0;
   std::uint64_t overwritten = 0;  // elements dropped by overwrite_oldest
-  std::uint64_t block_waits = 0;  // times a producer actually slept
 };
 
 template <typename T, typename Inner = wf_queue_opt<T>>
@@ -105,7 +91,7 @@ class bounded_wf_queue {
                   storage_type::max_alloc_bytes),
         q_(max_threads, &mc_) {
     // Below the floor a drained queue may still have no room (file
-    // comment), and a blocked producer would wait forever.
+    // comment), and a reject queue would refuse every producer for good.
     floor_ = static_cast<std::size_t>(mc_.live_bytes()) + headroom_ +
              static_cast<std::size_t>(max_threads) *
                  (storage_type::cache_cap + q_.reclaimer().scan_threshold()) *
@@ -120,20 +106,14 @@ class bounded_wf_queue {
   // ---------------------------------------------------------------- enqueue
 
   /// Policy-aware admission. Returns false iff the element was NOT inserted:
-  /// reject → ceiling reached; block → queue closed (after waiting);
-  /// overwrite_oldest → ceiling reached with nothing left to drop.
+  /// reject → ceiling reached; overwrite_oldest → ceiling reached with
+  /// nothing left to drop.
   bool try_enqueue(T value, std::uint32_t tid) {
     switch (cfg_.policy) {
       case full_policy::reject:
         if (!has_room()) {
           count(&bounded_counters::rejected, tid);
           return false;
-        }
-        break;
-      case full_policy::block:
-        if (!wait_for_room(tid)) {
-          count(&bounded_counters::rejected, tid);
-          return false;  // closed while waiting
         }
         break;
       case full_policy::overwrite_oldest:
@@ -166,62 +146,8 @@ class bounded_wf_queue {
 
   // ---------------------------------------------------------------- dequeue
 
-  std::optional<T> dequeue(std::uint32_t tid) {
-    std::optional<T> v = q_.dequeue(tid);
-    if (cfg_.policy == full_policy::block && v.has_value() &&
-        hub_.maybe_waiters()) {
-      // A dequeue frees at least one node's worth of budget eventually;
-      // wake one producer to re-check. The hub's seq_cst waiter count pairs
-      // with the waiter's enlist-then-recheck, exactly as in
-      // blocking_adapter.
-      hub_.notify_one();
-    }
-    return v;
-  }
+  std::optional<T> dequeue(std::uint32_t tid) { return q_.dequeue(tid); }
   std::optional<T> dequeue() { return dequeue(this_thread_id()); }
-
-  // ------------------------------------------------------------- lifecycle
-
-  /// Unblocks every waiting producer (they return false). Consumers can
-  /// keep draining; further try_enqueues fail under the block policy.
-  void close() {
-    auto lk = hub_.lock();  // orders the store against parked producers
-    closed_.store(true, std::memory_order_seq_cst);
-    hub_.notify_all(std::move(lk));
-  }
-  /// Lock-free on purpose: async::room_step polls this on its fast path
-  /// and in its re-check without taking the room hub's lock.
-  bool closed() const noexcept {
-    return closed_.load(std::memory_order_seq_cst);
-  }
-
-  // -------------------------------------------------------- async admission
-
-  /// One admission poll, no waiting, no policy dispatch: insert iff there is
-  /// room right now. The async co_enqueue building block — a false return is
-  /// backpressure to suspend on, not an outcome, so nothing is counted as
-  /// rejected here.
-  bool try_enqueue_nowait(T value, std::uint32_t tid) {
-    if (!has_room()) return false;
-    q_.enqueue(std::move(value), tid);
-    count(&bounded_counters::admitted, tid);
-    return true;
-  }
-
-  /// Room waiters' hub: dequeues notify it, close() broadcasts it, and the
-  /// async layer enlists coroutine continuations on it for backpressure.
-  waiter_hub& room_hub() noexcept { return hub_; }
-  const waiter_hub& room_hub() const noexcept { return hub_; }
-
-  /// Admission predicate, for waiters re-checking under the hub lock. A
-  /// hint, like empty_hint: exact at the instant of the counter read.
-  bool has_room_hint() const noexcept { return has_room(); }
-
-  /// The block policy's liveness backstop (see wait_for_room): room waiters
-  /// must re-poll at this interval even without a notification.
-  std::chrono::milliseconds room_recheck_interval() const noexcept {
-    return cfg_.block_recheck;
-  }
 
   // ---------------------------------------------------------- observability
 
@@ -245,7 +171,6 @@ class bounded_wf_queue {
       total.admitted += owner_load(c.admitted);
       total.rejected += owner_load(c.rejected);
       total.overwritten += owner_load(c.overwritten);
-      total.block_waits += owner_load(c.block_waits);
     }
     return total;
   }
@@ -256,38 +181,8 @@ class bounded_wf_queue {
            static_cast<std::int64_t>(cfg_.max_bytes);
   }
 
-  /// Block-policy wait: returns true when there is room, false when the
-  /// queue was closed. Timed re-check because reclamation can free nodes
-  /// with no dequeue (hence no notify) accompanying it — the timeout is the
-  /// liveness backstop for that enqueue-without-notify case, regression-
-  /// tested by tests/storage_bounded_wakeup_test.cpp.
-  bool wait_for_room(std::uint32_t tid) {
-    if (has_room()) return true;  // fast path, no lock
-    // kpq-block: the block admission policy is a documented blocking API
-    // (like blocking_adapter) — the queue operation itself stays wait-free,
-    // only admission under memory pressure waits
-    thread_parker p;
-    p.set_trace_tid(tid);  // hub events go to the same ring as the queue ops
-    auto lk = hub_.lock();
-    hub_.enlist(p, lk);
-    count(&bounded_counters::block_waits, tid);
-    bool room;
-    // kpq-bound: blocking by documented contract (block admission policy);
-    // each retry follows a notify or the block_recheck liveness timeout
-    for (;;) {
-      // Re-check after enlisting: a dequeue that saw no waiters must have
-      // completed before our seq_cst enlist, so its space is visible here.
-      room = has_room();
-      if (room || closed_.load(std::memory_order_seq_cst)) break;
-      // kpq-block: sanctioned bounded wait (see kpq-bound above)
-      (void)p.park_for(hub_, lk, cfg_.block_recheck);
-    }
-    hub_.delist(p, lk);
-    return room;
-  }
-
-  // Owner-thread-only cells, but stats() polls them live (the wakeup tests
-  // spin on block_waits while producers park): sync/owner_cell.hpp.
+  // Owner-thread-only cells that stats() may read while the owners run:
+  // sync/owner_cell.hpp.
   void count(std::uint64_t bounded_counters::* field, std::uint32_t tid) {
     owner_add(counters_[tid].get().*field);
   }
@@ -298,11 +193,6 @@ class bounded_wf_queue {
   mem_counters mc_;  // before q_: the inner queue's ctor attaches to it
   Inner q_;
   std::vector<padded<bounded_counters>> counters_{q_.max_threads()};
-
-  waiter_hub hub_;
-  // Written under the hub lock (close <-> park ordering), read lock-free
-  // so the async room_step can poll it without taking the hub lock.
-  std::atomic<bool> closed_{false};
 };
 
 }  // namespace kpq

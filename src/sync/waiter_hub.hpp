@@ -2,10 +2,11 @@
 // thread produces a condition" path in the library.
 //
 // Before this layer existed the repo had two hand-rolled condition_variable
-// parking loops (blocking_adapter's empty-queue wait and bounded_wf_queue's
-// block-admission wait). Adding coroutine resumption as a third copy would
-// have tripled the lost-wakeup surface; instead all of them now share this
-// hub, whose waiters are pluggable CONTINUATIONS:
+// parking loops (blocking_adapter's empty-queue wait and a bounded-queue
+// admission wait, since deleted: admission now decides without waiting).
+// Adding coroutine resumption as another copy would have multiplied the
+// lost-wakeup surface; instead every wait shares this hub, whose waiters are
+// pluggable CONTINUATIONS:
 //
 //   * thread_parker (below)          — a cv-based sleeping thread; exactly
 //     the eventcount-lite behaviour the old code had.
@@ -357,15 +358,9 @@ class thread_parker final : public waiter_hub::waiter {
     hub.on_resumed(*this);
   }
 
-  /// Sleep until notified or `timeout` elapses. Returns false on timeout —
+  /// Sleep until notified or `deadline` passes. Returns false on timeout —
   /// the parker STAYS enlisted; re-check the predicate and park again or
   /// delist on the way out.
-  template <typename Rep, typename Period>
-  bool park_for(waiter_hub& hub, std::unique_lock<std::mutex>& lk,
-                std::chrono::duration<Rep, Period> timeout) {
-    return park_until(hub, lk, std::chrono::steady_clock::now() + timeout);
-  }
-
   template <typename Clock, typename Dur>
   bool park_until(waiter_hub& hub, std::unique_lock<std::mutex>& lk,
                   std::chrono::time_point<Clock, Dur> deadline) {

@@ -1,5 +1,5 @@
 // Tests for the coroutine queue front-end: async_mpmc awaitables (fast
-// path, suspend/resume, deadlines), bounded co_enqueue backpressure,
+// path, suspend/resume, deadlines), co_enqueue under a bounded policy,
 // co_select multiplexing, the sharded composition, and a mixed
 // threads-and-coroutines run cross-checked by the linearizability checker.
 #include "async/async_queue.hpp"
@@ -110,51 +110,53 @@ TEST(AsyncQueue, MultiCoroutineFanInDrainsEverythingExactlyOnce) {
   }
 }
 
-task<void> co_enqueue_one(async_bounded& q, std::uint64_t v, bool& admitted) {
-  admitted = co_await q.co_enqueue(v);
-}
-
-task<void> drain_later(event_loop& loop, async_bounded& q, std::size_t n) {
-  co_await loop.sleep_for(5ms);
-  // Drain EVERYTHING that was enqueued: live bytes only fall when whole
-  // segments reclaim, so partial drains may free no admission room at all.
-  for (std::size_t i = 0; i < n; ++i) {
-    (void)co_await q.co_dequeue();  // notifying drain frees room
-    // Unwind the resume chain periodically: each fast-path co_await
-    // completes by symmetric transfer, which TSan instrumentation keeps
-    // from being a tail call — an unbounded inline run would grow the
-    // stack per item (docs/ASYNC.md §3, cooperative chunking).
-    if ((i & 0xff) == 0xff) co_await loop.yield();
-  }
-}
-
-TEST(AsyncQueue, BoundedCoEnqueueParksOnBackpressureThenAdmits) {
-  // Fill-to-ceiling then full drain is ~100k ops; TSan makes each one
-  // ~20x slower, so shrink the ceiling there to stay inside the ctest
-  // timeout (the parking/admission logic being tested is size-independent).
-#if defined(__SANITIZE_THREAD__)
-  bounded_config cfg{768u << 10, full_policy::block};
-#else
-  bounded_config cfg{3u << 20, full_policy::block};
-#endif
-  cfg.block_recheck = 2ms;
-  async_bounded q(8, cfg);
-  event_loop loop;
-  q.set_executor(&loop);
-
+/// Enqueues until the next admission check fails: live bytes plus the
+/// headroom (one node per thread) are above the ceiling.
+void fill_to_ceiling(async_bounded& q) {
+  auto& b = q.queue();
+  const auto headroom = static_cast<std::int64_t>(
+      b.max_threads() *
+      async_bounded::inner_type::storage_type::max_alloc_bytes);
   std::uint64_t n = 0;
-  while (q.queue().try_enqueue_nowait(n, this_thread_id())) ++n;
+  while (b.live_bytes() + headroom <=
+         static_cast<std::int64_t>(b.max_bytes())) {
+    ASSERT_TRUE(b.try_enqueue(n++, this_thread_id()));
+  }
   ASSERT_GT(n, 0u);
+}
 
-  bool admitted = false;
-  loop.spawn(co_enqueue_one(q, n, admitted));
-  EXPECT_FALSE(admitted);  // suspended at the ceiling
-  EXPECT_TRUE(q.queue().room_hub().maybe_waiters());
-  loop.spawn(drain_later(loop, q, n));
-  EXPECT_TRUE(kpq::testing::run_bounded(loop));
-  EXPECT_TRUE(admitted);
-  EXPECT_GE(q.queue().room_hub().stats().parks, 1u);
-  EXPECT_EQ(q.queue().stats().admitted, n + 1);
+/// Starts co_enqueue(v) and requires it to complete without suspending.
+bool co_enqueue_now(async_bounded& q, std::uint64_t v) {
+  auto t = q.co_enqueue(v);
+  t.start();
+  EXPECT_TRUE(t.done()) << "co_enqueue suspended";
+  return t.done() && t.take();
+}
+
+TEST(AsyncQueue, CoEnqueueAppliesTheBoundedPolicy) {
+  event_loop loop;  // never run: nothing may be left to resume
+  // A full reject queue refuses: co_enqueue returns false at once.
+  {
+    async_bounded q(2, bounded_config{.max_bytes = 1u << 20,
+                                      .policy = full_policy::reject});
+    q.set_executor(&loop);
+    fill_to_ceiling(q);
+    const auto before = q.queue().stats();
+    EXPECT_FALSE(co_enqueue_now(q, 0));
+    EXPECT_EQ(q.queue().stats().rejected, before.rejected + 1);
+    EXPECT_EQ(q.queue().stats().admitted, before.admitted);
+  }
+  // A full overwrite_oldest queue drops from the head and admits.
+  {
+    async_bounded q(2, bounded_config{.max_bytes = 1u << 20,
+                                      .policy = full_policy::overwrite_oldest});
+    q.set_executor(&loop);
+    fill_to_ceiling(q);
+    const auto before = q.queue().stats();
+    EXPECT_TRUE(co_enqueue_now(q, 0));
+    EXPECT_GT(q.queue().stats().overwritten, before.overwritten);
+    EXPECT_EQ(q.queue().stats().admitted, before.admitted + 1);
+  }
 }
 
 task<void> co_dequeue_for_into(async_wf& q, std::chrono::milliseconds d,

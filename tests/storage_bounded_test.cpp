@@ -1,14 +1,12 @@
-// bounded_wf_queue: the hard memory ceiling and the three full-queue
+// bounded_wf_queue: the hard memory ceiling and the two full-queue
 // policies, exercised deterministically single-threaded and under real MPMC
 // contention (the ceiling assertion sampled from every producer iteration),
-// plus the block-policy shutdown drain mirroring blocking_adapter_test, the
-// liveness floor (a drained queue at the smallest legal ceiling has room)
-// and the sharded-over-bounded composition. Ceilings are stated as the
-// floor plus a number of nodes.
+// plus the liveness floor (a drained queue at the smallest legal ceiling
+// admits again) and the sharded-over-bounded composition. Ceilings are
+// stated as the floor plus a number of nodes.
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <chrono>
 #include <cstdint>
 #include <memory>
 #include <thread>
@@ -24,11 +22,6 @@ using bq = bounded_wf_queue<std::uint64_t>;
 using inner_q = bq::inner_type;
 
 constexpr std::size_t kNode = sizeof(inner_q::node_type);
-
-/// The admission headroom the constructor computes: one node per thread.
-std::size_t headroom_for(std::uint32_t n) {
-  return static_cast<std::size_t>(n) * kNode;
-}
 
 /// The smallest legal ceiling for `n` threads (construction footprint,
 /// headroom, and the nodes each thread may park in its recycle cache and
@@ -116,126 +109,25 @@ TEST(BoundedReject, CeilingHoldsUnderMpmcContention) {
   EXPECT_EQ(st.admitted + st.rejected, kProducers * kAttempts);
 }
 
-// ---------------------------------------------------------------- block
-
-TEST(BoundedBlock, ProducerBlocksUntilConsumerMakesRoom) {
+TEST(BoundedReject, DrainedQueueAtTheFloorAdmitsAgain) {
+  // The smallest legal ceiling: fill until the queue refuses, then drain
+  // everything from a second thread that then exits. The nodes the drain
+  // leaves parked in its recycle cache and retired list fit under the
+  // floor, so the drained queue must admit again.
   constexpr std::uint32_t n = 2;
-  bounded_config cfg{.max_bytes = 0, .policy = full_policy::block};
-  const std::size_t h = headroom_for(n);
-  cfg.max_bytes = ceiling_for(n, 64);
-  bq q(n, cfg);
-
-  // Far more values than the ceiling can hold at once: the producer MUST
-  // block at least once; the consumer's drain must release it.
-  constexpr std::uint64_t kValues = 2000;
-  std::thread producer([&] {
-    for (std::uint64_t i = 0; i < kValues; ++i) {
-      ASSERT_TRUE(q.try_enqueue(i, 0));
-      ASSERT_LE(q.live_bytes(), static_cast<std::int64_t>(cfg.max_bytes));
-    }
-  });
-
-  // Wait until the producer is actually wedged against the ceiling before
-  // draining, so the blocking path is exercised for real.
-  while (q.live_bytes() + static_cast<std::int64_t>(h) <=
-         static_cast<std::int64_t>(cfg.max_bytes)) {
-    std::this_thread::yield();
-  }
-  std::uint64_t expect = 0;
-  while (expect < kValues) {
-    if (auto v = q.dequeue(1)) {
-      ASSERT_EQ(*v, expect);  // single producer: strict FIFO
-      ++expect;
-    }
-  }
-  producer.join();
-  EXPECT_GE(q.stats().block_waits, 1u);
-  EXPECT_EQ(q.stats().admitted, kValues);
-  EXPECT_EQ(q.stats().rejected, 0u);
-}
-
-TEST(BoundedBlock, CloseUnblocksProducersAndDrains) {
-  constexpr std::uint32_t n = 2;
-  bounded_config cfg{.max_bytes = 0, .policy = full_policy::block};
-  const std::size_t h = headroom_for(n);
-  cfg.max_bytes = ceiling_for(n, 64);
-  bq q(n, cfg);
-
-  std::atomic<std::uint64_t> admitted{0};
-  std::atomic<bool> got_false{false};
-  std::thread producer([&] {
-    for (std::uint64_t i = 0; i < 100000; ++i) {
-      if (!q.try_enqueue(i, 0)) {
-        got_false.store(true);  // woken by close(), not by room
-        break;
-      }
-      admitted.fetch_add(1);
-    }
-  });
-
-  // Let it wedge against the ceiling, then shut down — the shutdown path
-  // blocking_adapter_test checks for empty-waits, here for full-waits.
-  while (q.live_bytes() + static_cast<std::int64_t>(h) <=
-         static_cast<std::int64_t>(cfg.max_bytes)) {
-    std::this_thread::yield();
-  }
-  q.close();
-  producer.join();
-  EXPECT_TRUE(got_false.load());
-  EXPECT_TRUE(q.closed());
-
-  // Every admitted element is still there, in FIFO order: close() affects
-  // producers only.
-  for (std::uint64_t i = 0; i < admitted.load(); ++i) {
-    auto v = q.dequeue(1);
-    ASSERT_TRUE(v.has_value());
-    ASSERT_EQ(*v, i);
-  }
-  EXPECT_FALSE(q.dequeue(1).has_value());
-}
-
-TEST(BoundedBlock, DrainedQueueAtTheFloorAdmitsParkedProducer) {
-  // The smallest legal ceiling: a producer parks on a full queue; a
-  // consumer drains everything and then stops, so nobody will notify again.
-  // The nodes the drain leaves parked fit under the floor, so the
-  // producer's timed re-check must find room.
-  using namespace std::chrono_literals;
-  constexpr std::uint32_t n = 2;
-  bounded_config cfg{.max_bytes = floor_for(n),
-                     .policy = full_policy::block,
-                     .block_recheck = 10ms};
-  bq q(n, cfg);
+  bq q(n, {.max_bytes = floor_for(n), .policy = full_policy::reject});
   std::uint64_t filled = 0;
-  while (q.try_enqueue_nowait(filled, 0)) ++filled;
+  while (q.try_enqueue(filled, 0)) ++filled;
   ASSERT_GT(filled, 0u);
 
-  std::atomic<bool> done{false}, admitted{false};
-  std::thread producer([&] {
-    admitted.store(q.try_enqueue(filled, 0));
-    done.store(true);
-  });
-  while (q.stats().block_waits == 0) std::this_thread::yield();
-
-  // Drain through the inner queue: the bounded dequeue's notify is not
-  // what admits the producer here. It may be admitted mid-drain once the
-  // drain starts freeing nodes, so its item can show up too.
   std::uint64_t drained = 0;
   std::thread consumer([&] {
-    while (q.inner().dequeue(1).has_value()) ++drained;
+    while (q.dequeue(1).has_value()) ++drained;
   });
   consumer.join();
-  // A floor too low parks the producer for good; close() then releases it
-  // unadmitted.
-  const auto deadline =
-      std::chrono::steady_clock::now() + 100 * cfg.block_recheck;
-  while (!done.load() && std::chrono::steady_clock::now() < deadline) {
-    std::this_thread::yield();
-  }
-  if (!done.load()) q.close();
-  producer.join();
-  ASSERT_TRUE(admitted.load()) << "no room after a full drain at the floor";
-  while (q.inner().dequeue(1).has_value()) ++drained;
-  EXPECT_EQ(drained, filled + 1);
+  EXPECT_EQ(drained, filled);
+  ASSERT_TRUE(q.try_enqueue(filled, 0))
+      << "no room after a full drain at the floor";
   EXPECT_EQ(q.stats().admitted, filled + 1);
 }
 

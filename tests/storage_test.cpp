@@ -83,11 +83,10 @@ TEST(MemAccounting, LiveBytesReturnToZeroFreeingStorage) {
 // ------------------------------------------------------------ obs export
 
 TEST(ObsExport, BoundedCountersAppendStructurally) {
-  bounded_counters c{.admitted = 5, .rejected = 2, .overwritten = 1,
-                     .block_waits = 0};
+  bounded_counters c{.admitted = 5, .rejected = 2, .overwritten = 1};
   obs::metrics_snapshot snap;
   obs::append_metrics(snap, "bounded", c);
-  ASSERT_EQ(snap.size(), 4u);
+  ASSERT_EQ(snap.size(), 3u);
   EXPECT_EQ(snap[0].name, "bounded.admitted");
   EXPECT_EQ(snap[0].value, 5.0);
   EXPECT_EQ(snap[1].value, 2.0);

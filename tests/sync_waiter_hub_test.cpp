@@ -143,24 +143,25 @@ TEST(ThreadParker, ParkWakesOnNotify) {
   EXPECT_EQ(hub.stats().resumes, 1u);
 }
 
-TEST(ThreadParker, ParkForTimesOutAndStaysEnlisted) {
+TEST(ThreadParker, ParkUntilTimesOutAndStaysEnlisted) {
   waiter_hub hub;
   thread_parker p;
   auto lk = hub.lock();
   hub.enlist(p, lk);
-  EXPECT_FALSE(p.park_for(hub, lk, 2ms));  // nobody notifies
-  EXPECT_TRUE(p.linked());                 // timeout keeps registration
+  // nobody notifies
+  EXPECT_FALSE(p.park_until(hub, lk, std::chrono::steady_clock::now() + 2ms));
+  EXPECT_TRUE(p.linked());  // timeout keeps registration
   hub.delist(p, lk);
 }
 
-TEST(ThreadParker, ParkForReturnsTrueWhenNotified) {
+TEST(ThreadParker, ParkUntilReturnsTrueWhenNotified) {
   waiter_hub hub;
   std::atomic<bool> got{false};
   std::thread sleeper([&] {
     thread_parker p;
     auto lk = hub.lock();
     hub.enlist(p, lk);
-    got.store(p.park_for(hub, lk, 5s));
+    got.store(p.park_until(hub, lk, std::chrono::steady_clock::now() + 5s));
     hub.delist(p, lk);
   });
   while (!hub.maybe_waiters()) std::this_thread::yield();
