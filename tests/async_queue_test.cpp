@@ -159,6 +159,61 @@ TEST(AsyncQueue, CoEnqueueAppliesTheBoundedPolicy) {
   }
 }
 
+TEST(AsyncQueue, CoEnqueueReturnsFalseOnAClosedQueue) {
+  // Closed refuses before any policy runs: nothing is inserted or counted.
+  {
+    async_wf q(4);
+    q.enqueue(1);
+    q.close();
+    auto t = q.co_enqueue(2);
+    t.start();
+    ASSERT_TRUE(t.done());
+    EXPECT_FALSE(t.take());
+    EXPECT_EQ(q.try_dequeue(), std::optional<std::uint64_t>(1));
+    EXPECT_EQ(q.try_dequeue(), std::nullopt);
+  }
+  {
+    async_bounded q(2, bounded_config{.max_bytes = 1u << 20});
+    q.close();
+    EXPECT_FALSE(co_enqueue_now(q, 5));
+    EXPECT_EQ(q.queue().stats().admitted, 0u);
+    EXPECT_EQ(q.queue().stats().rejected, 0u);
+    EXPECT_EQ(q.try_dequeue(), std::nullopt);
+  }
+}
+
+TEST(AsyncQueue, CoEnqueueWithoutTryEnqueueAdmitsAndWakesAConsumer) {
+  async_wf q(4);  // no executor: the notify resumes the consumer inline
+  auto consumer = q.co_dequeue();
+  consumer.start();
+  ASSERT_FALSE(consumer.done());
+  auto producer = q.co_enqueue(42);
+  producer.start();
+  ASSERT_TRUE(producer.done());
+  EXPECT_TRUE(producer.take());
+  ASSERT_TRUE(consumer.done());
+  EXPECT_EQ(consumer.take(), std::optional<std::uint64_t>(42));
+  EXPECT_EQ(q.hub().stats().notifies, 1u);
+}
+
+TEST(AsyncQueue, RefusedCoEnqueueWakesNoConsumer) {
+  // Only an admitted element notifies. The consumer parks on the empty
+  // queue; the fill goes straight to the inner queue, so no notify wakes it.
+  async_bounded q(2, bounded_config{.max_bytes = 1u << 20,
+                                    .policy = full_policy::reject});
+  auto consumer = q.co_dequeue();
+  consumer.start();
+  ASSERT_FALSE(consumer.done());
+  fill_to_ceiling(q);
+  const auto notifies = q.hub().stats().notifies;
+  EXPECT_FALSE(co_enqueue_now(q, 0));
+  EXPECT_EQ(q.hub().stats().notifies, notifies);
+  EXPECT_FALSE(consumer.done());
+  q.close();  // releases the consumer, which drains the head
+  ASSERT_TRUE(consumer.done());
+  EXPECT_EQ(consumer.take(), std::optional<std::uint64_t>(0));
+}
+
 task<void> co_dequeue_for_into(async_wf& q, std::chrono::milliseconds d,
                                std::optional<std::uint64_t>& out) {
   out = co_await q.co_dequeue_for(d);

@@ -6,6 +6,7 @@
 // stated as the floor plus a number of nodes.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <memory>
@@ -131,6 +132,108 @@ TEST(BoundedReject, DrainedQueueAtTheFloorAdmitsAgain) {
   EXPECT_EQ(q.stats().admitted, filled + 1);
 }
 
+TEST(BoundedReject, RefusalLeavesContentsAndBytesUnchanged) {
+  // A refusal is one counter read: it allocates nothing and touches no
+  // element already admitted.
+  constexpr std::uint32_t n = 1;
+  bq q(n, {.max_bytes = ceiling_for(n, 64), .policy = full_policy::reject});
+  std::uint64_t filled = 0;
+  while (q.try_enqueue(filled, 0)) ++filled;
+  ASSERT_GT(filled, 0u);
+  const std::int64_t live = q.live_bytes();
+  for (std::uint64_t i = 0; i < 10; ++i) {
+    ASSERT_FALSE(q.try_enqueue(1'000'000 + i, 0));
+  }
+  EXPECT_EQ(q.live_bytes(), live);
+  EXPECT_EQ(q.stats().rejected, 11u);
+  EXPECT_EQ(q.stats().admitted, filled);
+  EXPECT_EQ(q.unsafe_size(), filled);
+  for (std::uint64_t i = 0; i < filled; ++i) {
+    auto v = q.dequeue(0);
+    ASSERT_TRUE(v.has_value());
+    ASSERT_EQ(*v, i);
+  }
+  EXPECT_FALSE(q.dequeue(0).has_value());
+}
+
+TEST(BoundedReject, PlainEnqueueDropsNewcomersAtTheCeiling) {
+  // enqueue() is the mpmc_queue spelling of try_enqueue: same policy, the
+  // result discarded. With nobody draining, reject keeps the oldest prefix.
+  constexpr std::uint32_t n = 1;
+  bounded_config cfg{.max_bytes = ceiling_for(n, 64),
+                     .policy = full_policy::reject};
+  bq q(n, cfg);
+  constexpr std::uint64_t kValues = 5000;
+  for (std::uint64_t i = 0; i < kValues; ++i) {
+    q.enqueue(i, 0);
+    ASSERT_LE(q.live_bytes(), static_cast<std::int64_t>(cfg.max_bytes));
+  }
+  const auto st = q.stats();
+  EXPECT_GT(st.rejected, 0u);
+  EXPECT_EQ(st.admitted + st.rejected, kValues);
+  EXPECT_EQ(st.overwritten, 0u);
+  for (std::uint64_t i = 0; i < st.admitted; ++i) {
+    auto v = q.dequeue(0);
+    ASSERT_TRUE(v.has_value());
+    ASSERT_EQ(*v, i);
+  }
+  EXPECT_FALSE(q.dequeue(0).has_value());
+}
+
+TEST(BoundedReject, EveryAdmittedElementIsDequeuedExactlyOnce) {
+  // Producers pressing on the ceiling against concurrent consumers: a
+  // refusal loses nothing that was admitted and duplicates nothing, and
+  // each consumer sees each producer's elements in production order.
+  constexpr std::uint32_t kProducers = 2, kConsumers = 2;
+  constexpr std::uint32_t n = kProducers + kConsumers;
+  bq q(n, {.max_bytes = ceiling_for(n, 128), .policy = full_policy::reject});
+  constexpr std::uint64_t kPerProducer = 5000;
+
+  std::vector<std::vector<std::uint64_t>> admitted(kProducers);
+  std::vector<std::vector<std::uint64_t>> consumed(kConsumers + 1);
+  std::atomic<std::uint32_t> producers_done{0};
+  std::vector<std::thread> threads;
+  for (std::uint32_t p = 0; p < kProducers; ++p) {
+    threads.emplace_back([&, p] {
+      for (std::uint64_t i = 0; i < kPerProducer; ++i) {
+        const std::uint64_t v = p * kPerProducer + i;
+        if (q.try_enqueue(v, p)) admitted[p].push_back(v);
+      }
+      producers_done.fetch_add(1);
+    });
+  }
+  for (std::uint32_t c = 0; c < kConsumers; ++c) {
+    threads.emplace_back([&, c] {
+      const std::uint32_t tid = kProducers + c;
+      while (producers_done.load() < kProducers) {
+        if (auto v = q.dequeue(tid)) consumed[c].push_back(*v);
+      }
+    });
+  }
+  for (auto& t : threads) t.join();
+  while (auto v = q.dequeue(0)) consumed[kConsumers].push_back(*v);
+
+  for (const auto& seen : consumed) {
+    std::vector<std::uint64_t> last(kProducers, 0);
+    std::vector<bool> any(kProducers, false);
+    for (std::uint64_t v : seen) {
+      const auto p = static_cast<std::size_t>(v / kPerProducer);
+      ASSERT_TRUE(!any[p] || v > last[p]) << "per-producer order broken";
+      any[p] = true;
+      last[p] = v;
+    }
+  }
+  std::vector<std::uint64_t> in, out;
+  for (const auto& a : admitted) in.insert(in.end(), a.begin(), a.end());
+  for (const auto& c : consumed) out.insert(out.end(), c.begin(), c.end());
+  std::sort(in.begin(), in.end());
+  std::sort(out.begin(), out.end());
+  EXPECT_EQ(out, in);
+  EXPECT_EQ(q.stats().admitted, in.size());
+  EXPECT_EQ(q.stats().admitted + q.stats().rejected,
+            kProducers * kPerProducer);
+}
+
 // ----------------------------------------------------- overwrite_oldest
 
 TEST(BoundedOverwrite, DropsOldestKeepsNewestSuffix) {
@@ -159,6 +262,52 @@ TEST(BoundedOverwrite, DropsOldestKeepsNewestSuffix) {
   for (std::size_t i = 0; i < rest.size(); ++i) {
     ASSERT_EQ(rest[i], kValues - rest.size() + i);
   }
+}
+
+TEST(BoundedOverwrite, AccountsForEveryElementUnderMpmcContention) {
+  // Producers dropping from the head while a consumer drains: every
+  // admitted element is either consumed, overwritten or still queued —
+  // exactly one of the three — and the ceiling holds throughout.
+  constexpr std::uint32_t kProducers = 2;
+  constexpr std::uint32_t n = kProducers + 1;
+  bounded_config cfg{.max_bytes = ceiling_for(n, 64),
+                     .policy = full_policy::overwrite_oldest};
+  bq q(n, cfg);
+  constexpr std::uint64_t kPerProducer = 5000;
+
+  std::atomic<std::uint64_t> enq_ok{0}, violations{0};
+  std::atomic<bool> producing{true};
+  std::vector<std::uint64_t> consumed;
+  std::vector<std::thread> prod;
+  for (std::uint32_t p = 0; p < kProducers; ++p) {
+    prod.emplace_back([&, p] {
+      for (std::uint64_t i = 0; i < kPerProducer; ++i) {
+        if (q.try_enqueue(p * kPerProducer + i, p)) enq_ok.fetch_add(1);
+        if (q.live_bytes() > static_cast<std::int64_t>(cfg.max_bytes)) {
+          violations.fetch_add(1);
+        }
+      }
+    });
+  }
+  std::thread cons([&] {
+    while (producing.load(std::memory_order_relaxed)) {
+      if (auto v = q.dequeue(kProducers)) consumed.push_back(*v);
+    }
+  });
+  for (auto& t : prod) t.join();
+  producing.store(false);
+  cons.join();
+  while (auto v = q.dequeue(0)) consumed.push_back(*v);
+
+  EXPECT_EQ(violations.load(), 0u) << "live bytes exceeded the ceiling";
+  const auto st = q.stats();
+  EXPECT_EQ(st.admitted, enq_ok.load());
+  EXPECT_EQ(st.admitted + st.rejected, kProducers * kPerProducer);
+  EXPECT_EQ(st.admitted, consumed.size() + st.overwritten);
+  std::sort(consumed.begin(), consumed.end());
+  EXPECT_EQ(std::adjacent_find(consumed.begin(), consumed.end()),
+            consumed.end())
+      << "an element came out twice";
 }
 
 /// An hp_domain that reports no scan threshold while still scanning at the

@@ -170,6 +170,42 @@ TEST(ThreadParker, ParkUntilReturnsTrueWhenNotified) {
   EXPECT_TRUE(got.load());
 }
 
+TEST(ThreadParker, ParkUntilPastDeadlineReturnsFalseAtOnce) {
+  waiter_hub hub;
+  thread_parker p;
+  auto lk = hub.lock();
+  hub.enlist(p, lk);
+  const auto t0 = std::chrono::steady_clock::now();
+  EXPECT_FALSE(p.park_until(hub, lk, t0 - 1s));
+  EXPECT_LT(std::chrono::steady_clock::now() - t0, 1s);
+  EXPECT_TRUE(p.linked());
+  hub.delist(p, lk);
+}
+
+TEST(ThreadParker, ParkUntilAfterATimeoutParksAgainAndWakes) {
+  // A timed-out parker stays enlisted, so it may park again without
+  // re-enlisting, and a notify then reaches it.
+  waiter_hub hub;
+  std::atomic<bool> timed_out{false}, woke{false};
+  std::thread sleeper([&] {
+    thread_parker p;
+    auto lk = hub.lock();
+    hub.enlist(p, lk);
+    timed_out.store(
+        !p.park_until(hub, lk, std::chrono::steady_clock::now() + 1ms));
+    // The lock is held from here until the second park waits, so the
+    // notify below can only land on that park.
+    woke.store(p.park_until(hub, lk, std::chrono::steady_clock::now() + 5s));
+    hub.delist(p, lk);
+  });
+  while (!timed_out.load()) std::this_thread::yield();
+  hub.notify_one();
+  sleeper.join();
+  EXPECT_TRUE(woke.load());
+  EXPECT_EQ(hub.stats().parks, 2u);
+  EXPECT_EQ(hub.stats().resumes, 1u);
+}
+
 // The Dekker pairing under load: producers bump a counter then notify only
 // when maybe_waiters(); consumers enlist, re-check, park. Every produced
 // token must eventually be consumed — no sleeper may be stranded while
