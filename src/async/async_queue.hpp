@@ -75,6 +75,7 @@ struct take_step {
   std::span<async_mpmc<Q>* const> qs;
   std::stop_token st;
   std::uint64_t deadline_ns;  // 0 = none; needs an executor for the timer
+  std::size_t from = 0;  // the queue a pass tries first (< qs.size())
   select_result<value_type> out{};
   park waiting{};
 
@@ -105,7 +106,7 @@ struct take_step {
       out.open = false;
       return true;
     }
-    return scan(0);
+    return scan(from);
   }
 
   bool await_suspend(std::coroutine_handle<> h) {
@@ -114,7 +115,7 @@ struct take_step {
         [this](std::size_t i) -> waiter_hub& { return qs[i]->hub(); },
         // Re-check under registration (Dekker): no enqueue or close
         // slips past unseen.
-        [this] { return scan(0) || st.stop_requested() || all_closed(); },
+        [this] { return scan(from) || st.stop_requested() || all_closed(); },
         st, deadline_ns);
   }
 
@@ -140,12 +141,25 @@ struct take_step {
 
 /// co_select's loop over queues the caller keeps alive until the task
 /// completes (async_sharded's shard list: no per-call copy or extra frame).
+/// With `next_scan`, its passes start at the queue it names, and a served
+/// item moves it to the queue after the server; without one, at queue 0.
 template <typename Q>
 task<select_result<typename Q::value_type>> take_any(
-    std::span<async_mpmc<Q>* const> qs, std::stop_token st) {
+    std::span<async_mpmc<Q>* const> qs, std::stop_token st,
+    std::atomic<std::size_t>* next_scan = nullptr) {
+  std::size_t start = 0;
+  // kpq-order: relaxed pairs-with none (a scan hint: any start index is
+  // correct, and the item's own hand-off orders everything it carries)
+  if (next_scan) start = next_scan->load(std::memory_order_relaxed);
   for (;;) {
-    take_step<Q> step{qs, st, 0};
+    take_step<Q> step{qs, st, 0, start};
     auto r = co_await step;
+    if (r.value && next_scan != nullptr) {
+      const std::size_t after = r.index + 1;
+      // kpq-order: relaxed pairs-with none (the scan hint above)
+      next_scan->store(after == qs.size() ? 0 : after,
+                       std::memory_order_relaxed);
+    }
     if (r.value || !r.open) co_return r;
   }
 }

@@ -270,8 +270,14 @@ struct no_fast_path {
 /// unclaimed head word. A fast dequeue has no record to complete, so its one
 /// CAS {first, none} -> {next, none} claims and swings at once, as
 /// Michael–Scott's head CAS does; it cannot pass a slow claim, whose
-/// {first, tid} no longer matches, and finishes one it finds first. A fast
-/// enqueue winner swings the tail itself, without help_finish_enq.
+/// {first, tid} no longer matches, and finishes one it finds first. An empty
+/// fast dequeue linearizes at its read of a null next behind the pinned
+/// sentinel and reads no tail, the line every enqueue's swing writes: head
+/// leaves a pinned `first` only by a swing to a non-null first->next, and a
+/// claim needs first != tail, so at that read head held an unclaimed `first`
+/// with nothing behind it. Only a non-empty attempt reads tail, after its
+/// head re-check, so that head never passes a lagging tail. A fast enqueue
+/// winner swings the tail itself, without help_finish_enq.
 template <std::uint32_t MaxTries = 8>
 class ms_fast_path {
  public:
@@ -501,19 +507,18 @@ class wf_queue : public mem_tracked, public Options::fast_path {
         note(tid, wf_event::fast_attempt);
         const head_type h = protect(g, tid, s_first, head_);
         node_type* first = h.node;
-        sched(tid, sched_site::load);
-        node_type* last = tail_.load(std::memory_order_seq_cst);
         node_type* next = protect(g, tid, s_next, first->next);
+        if (next == nullptr) {  // empty at this read: no tail read
+          this->path_taken(tid, &fps_path_stats::fast_deqs);
+          return std::nullopt;
+        }
         if (h != load_head(tid)) continue;
         if (h.claimer != no_tid) {  // a slow claim stands: finish it first
           help_finish_deq(tid, g);
           continue;
         }
-        if (first == last) {
-          if (next == nullptr) {  // empty, like MS
-            this->path_taken(tid, &fps_path_stats::fast_deqs);
-            return std::nullopt;
-          }
+        sched(tid, sched_site::load);
+        if (first == tail_.load(std::memory_order_seq_cst)) {
           help_finish_enq(tid, g);  // dangling enqueue first
           continue;
         }
@@ -541,10 +546,7 @@ class wf_queue : public mem_tracked, public Options::fast_path {
     check_tid(tid);
     auto g = reclaim_.enter(tid);
     node_type* first = protect(g, tid, s_first, head_).node;
-    sched(tid, sched_site::load);
-    node_type* last = tail_.load(std::memory_order_seq_cst);
-    node_type* next = protect(g, tid, s_next, first->next);
-    return first == last && next == nullptr;
+    return protect(g, tid, s_next, first->next) == nullptr;
   }
   bool empty_hint() { return empty_hint(this_thread_id()); }
 

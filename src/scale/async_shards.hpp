@@ -7,15 +7,20 @@
 // same pluggable shard policies (scale/shard_policy.hpp — key_hash keeps
 // per-key FIFO system-wide, the session-lane guarantee the broker example
 // relies on), and consumers multiplex all shards with co_select, which IS
-// the steal scan in coroutine form (scan starts at the shard whose token
-// woke us; see take_step in async/async_queue.hpp on token re-gifting).
+// the steal scan in coroutine form. A co_dequeue_any scan starts at the
+// shard after the last one that served (a relaxed hint shared by all
+// consumers), so a busy shard cannot starve the others and a drained one
+// is not probed before every item; after a park, at the shard whose token
+// woke it (see take_step in async/async_queue.hpp on token re-gifting).
 #pragma once
 
 #if !defined(__cpp_impl_coroutine)
 #error "kpq/async requires C++20 coroutines (gate targets on KPQ_HAS_COROUTINES)"
 #endif
 
+#include <atomic>
 #include <cassert>
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <optional>
@@ -79,10 +84,10 @@ class async_sharded {
   }
 
   /// Await an element from ANY shard (co_select multiplex, over the shard
-  /// list in place rather than a copy). index in the result names the
-  /// serving shard.
+  /// list in place rather than a copy), scanning from the shard after the
+  /// last one that served. index in the result names the serving shard.
   task<select_result<value_type>> co_dequeue_any(std::stop_token st = {}) {
-    return detail::take_any<Q>(ptrs_, std::move(st));
+    return detail::take_any<Q>(ptrs_, std::move(st), &next_scan_);
   }
 
   std::optional<value_type> try_dequeue(std::uint32_t tid) {
@@ -104,6 +109,7 @@ class async_sharded {
   Policy policy_;
   std::vector<std::unique_ptr<shard_type>> shards_;
   std::vector<shard_type*> ptrs_;
+  std::atomic<std::size_t> next_scan_{0};  // co_dequeue_any's first shard
 };
 
 }  // namespace kpq::async

@@ -10,7 +10,8 @@
 // from the queue after the run:
 //   C1 uniqueness     — no value dequeued twice.
 //   C2 provenance     — every dequeued value was enqueued (and every drained
-//                       value too).
+//                       value too), and no dequeue of v responded before
+//                       enq(v) was invoked.
 //   C3 conservation   — enqueued = dequeued (disjoint) union drained.
 //   C4 FIFO real-time — if enq(a) strictly precedes enq(b) (a.res < b.inv)
 //                       then deq(b) must not strictly precede deq(a); if b
@@ -78,12 +79,15 @@ class fifo_checker {
       }
     }
 
-    // C2: provenance.
+    // C2: provenance, in real time too.
     for (const auto& [v, d] : deq_of) {
-      (void)d;
-      if (!enq_of.count(v)) {
+      const auto it = enq_of.find(v);
+      if (it == enq_of.end()) {
         r.fail("C2: dequeued value " + std::to_string(v) +
                " was never enqueued");
+      } else if (d->res < it->second->inv) {
+        r.fail("C2: deq(" + std::to_string(v) + ") completed before enq(" +
+               std::to_string(v) + ") began");
       }
     }
     std::unordered_map<std::uint64_t, int> drain_count;

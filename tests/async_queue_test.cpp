@@ -358,6 +358,25 @@ TEST(AsyncQueue, ShardedCoDequeueAnyDrainsAllShards) {
   for (std::uint64_t i = 0; i < kItems; ++i) EXPECT_EQ(out.count(i), 1u);
 }
 
+// With items in both shards, two consecutive co_dequeue_any calls serve
+// both: a scan starts after the shard that served last, so a shard with a
+// backlog does not starve the others.
+TEST(AsyncQueue, ShardedCoDequeueAnyServesEveryShardInTurn) {
+  async_sharded<wf_queue_opt<std::uint64_t>> shards(2, 8);
+  for (std::uint64_t i = 0; i < 4; ++i) shards.shard(i % 2).enqueue(i);
+  std::set<std::size_t> served;
+  for (int k = 0; k < 2; ++k) {
+    auto t = shards.co_dequeue_any();
+    t.start();
+    ASSERT_TRUE(t.done());  // an item was present: never suspended
+    const auto r = t.take();
+    ASSERT_TRUE(r.value.has_value());
+    EXPECT_EQ(*r.value % 2, r.index);
+    served.insert(r.index);
+  }
+  EXPECT_EQ(served, (std::set<std::size_t>{0, 1}));
+}
+
 // Mixed mode: plain producer THREADS, coroutine consumers, one history.
 // The front-end must preserve the inner queue's linearizability — recorded
 // invocation/response windows around enqueue() and co_dequeue must admit a

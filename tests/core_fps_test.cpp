@@ -11,6 +11,7 @@
 #include <array>
 #include <atomic>
 #include <cstdint>
+#include <functional>
 #include <optional>
 #include <thread>
 #include <type_traits>
@@ -116,6 +117,50 @@ TEST(FpsInterplay, SlowEnqueuesVisibleToFastDequeues) {
   q.enqueue(8, 0);
   EXPECT_EQ(q.dequeue(1), std::optional<std::uint64_t>(7));
   EXPECT_EQ(q.dequeue(1), std::optional<std::uint64_t>(8));
+}
+
+// ------------------------------------------------ the empty decision
+
+/// Runs `at_swing` once, on the thread of `stop_tid`'s next swing step and
+/// before its CAS: for a fast enqueue, after its link and before its tail
+/// swing.
+struct swing_stop_hooks : no_hooks {
+  static inline std::int64_t stop_tid = -1;
+  static inline std::function<void()> at_swing;
+  static void sched_point(std::uint32_t tid, sched_site site) {
+    if (site != sched_site::swing ||
+        static_cast<std::int64_t>(tid) != stop_tid) {
+      return;
+    }
+    stop_tid = -1;
+    at_swing();
+  }
+};
+struct swing_stop_options : fps_options {
+  using hooks = swing_stop_hooks;
+};
+
+TEST(FpsEmptyDecision, LinkedItemBehindAStaleTailIsNotEmpty) {
+  // The sentinel's next is set and tail still names the sentinel: neither
+  // empty_hint nor a fast dequeue may call the queue empty, and the
+  // dequeue finishes the tail swing before it moves head past it.
+  using Q = wf_queue_fps<std::uint64_t, hp_domain, swing_stop_options>;
+  using wb = testing::whitebox;
+  Q q(2);
+  bool ran = false;
+  swing_stop_hooks::at_swing = [&] {
+    ran = true;
+    EXPECT_EQ(wb::tail(q), wb::head(q));  // linked, not yet swung
+    EXPECT_FALSE(q.empty_hint(1));
+    EXPECT_EQ(q.dequeue(1), std::optional<std::uint64_t>(42));
+    EXPECT_EQ(wb::tail(q), wb::head(q));  // head did not pass tail
+  };
+  swing_stop_hooks::stop_tid = 0;
+  q.enqueue(42, 0);
+  ASSERT_TRUE(ran);
+  EXPECT_TRUE(q.empty_hint(0));
+  EXPECT_EQ(q.dequeue(0), std::nullopt);
+  EXPECT_EQ(q.path_counters(1).fast_deqs, 1u);
 }
 
 // ------------------------------------------- frozen slow-path progress

@@ -90,7 +90,48 @@ TEST(StepCount, SoloOptIsFlatInN) {
 }
 
 TEST(StepCount, SoloFpsIsFlatInN) {
-  expect_solo<fps_queue>("fps", {{{5, 6, 4}, {5, 8, 4}, {5, 8, 6}, {5, 8, 6}}});
+  // An empty dequeue is two protects (head word, sentinel's next), plus the
+  // probe's two record loads when it lands on a peer's slot.
+  expect_solo<fps_queue>("fps", {{{5, 6, 2}, {5, 8, 2}, {5, 8, 4}, {5, 8, 4}}});
+}
+
+/// Counts the calling thread's sched_site::load steps between begin() and
+/// end().
+struct load_counter : no_hooks {
+  static void sched_point(std::uint32_t /*tid*/, sched_site site) {
+    if (counting_ && site == sched_site::load) ++loads_;
+  }
+  static void begin() noexcept {
+    loads_ = 0;
+    counting_ = true;
+  }
+  static std::uint64_t end() noexcept {
+    counting_ = false;
+    return loads_;
+  }
+
+ private:
+  static inline thread_local bool counting_ = false;
+  static inline thread_local std::uint64_t loads_ = 0;
+};
+
+struct load_counted_fps_options : fps_options {
+  using hooks = load_counter;
+};
+
+TEST(StepCount, EmptyFpsDequeueLoadsOnlyTheProbedRecord) {
+  // The empty decision reads neither tail nor the head word a second time:
+  // an empty fast dequeue's only loads are its probe's two record loads.
+  wf_queue_fps<std::uint64_t, hp_domain, load_counted_fps_options> q(2);
+  load_counter::begin();
+  EXPECT_EQ(q.dequeue(0), std::nullopt);  // the probe lands on slot 0, own
+  EXPECT_EQ(load_counter::end(), 0u);
+  load_counter::begin();
+  EXPECT_EQ(q.dequeue(0), std::nullopt);  // the probe reads slot 1
+  EXPECT_EQ(load_counter::end(), 2u);
+  load_counter::begin();
+  EXPECT_TRUE(q.empty_hint(0));
+  EXPECT_EQ(load_counter::end(), 0u);
 }
 
 /// The fewest and most steps an enqueue and a dequeue took over every

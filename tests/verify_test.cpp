@@ -169,6 +169,29 @@ TEST(FifoChecker, AcceptsEmptyOverlappingEnqueue) {
   EXPECT_TRUE(r.ok) << r.to_string();
 }
 
+TEST(FifoChecker, RejectsDequeueThatCompletesBeforeItsEnqueue) {
+  // deq -> 7 responds before enq(7) is invoked: 7 was never in the queue
+  // during the dequeue. lin_checker agrees.
+  std::vector<op_event> h = {
+      ev(op_kind::deq, 7, 1, 2),
+      ev(op_kind::enq, 7, 3, 4),
+  };
+  EXPECT_FALSE(fifo_checker::check(h, {}).ok);
+  EXPECT_FALSE(lin_checker::is_linearizable(h));
+}
+
+TEST(FifoChecker, AcceptsDequeueOverlappingItsEnqueue) {
+  // The dequeue is invoked first but overlaps enq(7): linearize the enqueue
+  // first. Legal.
+  std::vector<op_event> h = {
+      ev(op_kind::deq, 7, 1, 4),
+      ev(op_kind::enq, 7, 2, 3),
+  };
+  auto r = fifo_checker::check(h, {});
+  EXPECT_TRUE(r.ok) << r.to_string();
+  EXPECT_TRUE(lin_checker::is_linearizable(h));
+}
+
 // ------------------------------------------------------------- lin_checker
 
 TEST(LinChecker, AcceptsSequential) {
