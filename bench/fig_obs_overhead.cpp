@@ -230,8 +230,7 @@ int main(int argc, char** argv) {
   // Bounded-queue occupancy through the metrics registry (the scrape path a
   // long-running process would expose): run the pairs workload on a bounded
   // queue at the last thread count, register its admission and memory
-  // counters, and print one registry snapshot in Prometheus exposition
-  // format.
+  // counters, and print one registry snapshot as flat JSON.
   bounded_wf_queue<std::uint64_t> bq(
       last_th, {.max_bytes = std::size_t{1} << 22});
   {
@@ -253,7 +252,7 @@ int main(int argc, char** argv) {
   const obs::metrics_snapshot bounded_snap = reg.snapshot();
   std::printf("-- bounded queue occupancy (registry snapshot, %u-thread "
               "bounded opt WF run) --\n%s\n",
-              last_th, obs::to_prometheus(bounded_snap).c_str());
+              last_th, obs::to_json(bounded_snap).c_str());
 
   if (p.csv) {
     std::printf("-- csv --\n");
@@ -314,8 +313,8 @@ int main(int argc, char** argv) {
       w.end_object();
     }
     w.end_array();
-    // The bounded-queue registry snapshot, flattened (same names as the
-    // Prometheus exposition above).
+    // The bounded-queue registry snapshot, flattened (the same object
+    // printed above).
     w.key("bounded_queue").begin_object();
     for (const obs::metric& m : bounded_snap) {
       w.key(m.name).value(m.value);

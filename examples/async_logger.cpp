@@ -1,12 +1,13 @@
-// Example: an asynchronous logger built on the blocking adapter.
+// Example: an asynchronous logger on the wait-free queue.
 //
 //   build/examples/async_logger [messages_per_producer]
 //
 // Scenario: latency-critical request threads must never block on I/O, so
 // they push log records through the wait-free queue (bounded-step enqueue —
-// the SLA-relevant property from the paper's §1) while a sink thread waits
-// on the blocking adapter, batches whatever has accumulated, and "writes"
-// it. close() drains and shuts the sink down without losing a record.
+// the SLA-relevant property from the paper's §1) while a sink thread polls
+// it, batches whatever has accumulated, and "writes" it. Once every
+// producer has joined, the `closed` flag tells the sink to drain what is
+// left and stop, without losing a record.
 #include <atomic>
 #include <cstdio>
 #include <cstdlib>
@@ -15,7 +16,6 @@
 #include <thread>
 #include <vector>
 
-#include "core/blocking_adapter.hpp"
 #include "core/wf_queue.hpp"
 #include "harness/timing.hpp"
 
@@ -36,26 +36,30 @@ int main(int argc, char** argv) {
   const std::uint64_t per_producer =
       argc > 1 ? std::strtoull(argv[1], nullptr, 10) : 20000;
 
-  kpq::blocking_adapter<kpq::wf_queue_opt<log_record>> log(kMaxThreads);
+  kpq::wf_queue_opt<log_record> log(kMaxThreads);
+  std::atomic<bool> closed{false};
 
-  // The sink: blocks when idle, batches when busy.
+  // The sink: yields when idle, batches when busy.
   std::uint64_t written = 0;
   std::uint64_t batches = 0;
   std::uint64_t max_batch = 0;
   std::thread sink([&] {
     const std::uint32_t tid = kProducers;
     for (;;) {
-      auto first = log.dequeue_blocking(tid);
-      if (!first.has_value()) break;  // closed and drained
-      // Batch: grab everything else that is already queued.
-      std::uint64_t batch = 1;
-      while (auto more = log.try_dequeue(tid)) {
-        ++batch;
-        (void)more;
+      // Read before the batch: once set, the batch below sees every record.
+      const bool last = closed.load(std::memory_order_acquire);
+      // Batch: grab everything that is already queued.
+      std::uint64_t batch = 0;
+      while (log.dequeue(tid).has_value()) ++batch;
+      if (batch > 0) {
+        written += batch;
+        ++batches;
+        if (batch > max_batch) max_batch = batch;
+      } else if (last) {
+        break;  // closed and drained
+      } else {
+        std::this_thread::yield();
       }
-      written += batch;
-      ++batches;
-      if (batch > max_batch) max_batch = batch;
     }
   });
 
@@ -77,7 +81,7 @@ int main(int argc, char** argv) {
     });
   }
   for (auto& t : producers) t.join();
-  log.close();
+  closed.store(true, std::memory_order_release);
   sink.join();
 
   const std::uint64_t expected = kProducers * per_producer;

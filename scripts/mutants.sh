@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Mutation check (docs/TESTING.md, "Mutation check"). Each
-# tests/mutants/NN-<name>.patch deletes one condition from the queue, from
-# the coroutine layer's claim or from the event loop's post(). For every
+# tests/mutants/NN-<name>.patch deletes one condition from the queue or its
+# record load, from the coroutine layer's claim or from the event loop's
+# post(). For every
 # patch the script applies it to a scratch copy of the tree under $TMPDIR
 # (never the work tree), builds
 # the explorer, replay and async suites, runs them, and compares the

@@ -48,7 +48,7 @@ for mode in "${modes[@]}"; do
     mode=thread
     dir_tag=core
     extra_cmake=(-DKPQ_TRACE=ON)
-    filter=(-R 'Wf|Sharded|Help|Phase|RecordIdentity|Figure|Fps|Progress|Interleave|Random|Baton|Audit|Sweep|EmptyDequeue|Blocking|HpFixture')
+    filter=(-R 'Wf|Sharded|Help|Phase|RecordIdentity|Figure|Fps|Progress|Interleave|Random|Baton|Audit|Sweep|EmptyDequeue|HpFixture')
   elif [[ "$mode" == "tsan-storage" ]]; then
     # Shortcut: TSan over every suite that exercises src/storage/ — the
     # bounded-policy tests, allocation failure (tests/support/
@@ -62,16 +62,16 @@ for mode in "${modes[@]}"; do
     filter=(-R 'Bounded|AllocFailure|Freeing|MemAccounting|Reclaim|ReclaimCounters|NodeRecycling|RecycleLists')
   elif [[ "$mode" == "tsan-async" ]]; then
     # Shortcut: TSan over the waiter_hub continuation layer and everything
-    # rebuilt on it — thread parkers (blocking_adapter) and coroutine
-    # resumers (event loop, awaitables, select, cancellation, the broker
-    # example).
+    # rebuilt on it — thread parkers (the event loop's idle wait) and
+    # coroutine resumers (event loop, awaitables, select, cancellation, the
+    # broker example).
     # Built with KPQ_TRACE=ON so the waiter_park/waiter_resume trace writes
     # race-check against the hub's notify path (own build dir: the tracing
     # default changes codegen everywhere).
     mode=thread
     dir_tag=async
     extra_cmake=(-DKPQ_TRACE=ON)
-    filter=(-R 'Async|Waiter|Parker|EventLoop|TimerWheel|Task\.|Blocking|coro_broker')
+    filter=(-R 'Async|Waiter|Parker|EventLoop|TimerWheel|Task\.|coro_broker')
   fi
   echo "=== sanitizer: $mode (build-$dir_tag-san) ==="
   cmake -B "build-$dir_tag-san" -G Ninja -DKPQ_SANITIZE="$mode" \

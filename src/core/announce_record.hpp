@@ -24,13 +24,35 @@
 // `node` is the enqueued node (enqueue), the claimed sentinel while a
 // dequeue is pending, and the node holding the dequeued item once it is
 // done (null: the dequeue found the queue empty).
+//
+// The word in memory (docs/ALGORITHM.md §2(d)):
+//   * CAS — `lock cmpxchg16b`, inlined by GCC's __sync builtin under -mcx16
+//     (the kpq target sets it). Without it the builtin would fall back to
+//     libatomic, which may take a lock and would break wait-freedom, so the
+//     build stops instead.
+//   * Load — two 8-byte halves, read tag, node, tag again. Every CAS bumps
+//     the version, so equal tags mean no CAS landed between the reads and
+//     the pair is a value the word held. Unequal tags fall back to one
+//     cmpxchg16b with expected = desired, which returns the word without
+//     changing it: three loads and at most one CAS, so the load is
+//     wait-free and needs no 16-byte load instruction.
+//   * ThreadSanitizer builds CAS through GCC's 16-byte __atomic builtin
+//     (linked against libatomic). TSan runs that CAS as plain stores under
+//     its own lock, which an 8-byte load does not take, so there each
+//     half-load reads the whole word through the same builtin.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
 
 #include "core/wf_node.hpp"
-#include "sync/wide_word.hpp"
+
+#if !defined(__x86_64__)
+#error "kpq's announce records need x86-64 (cmpxchg16b)"
+#endif
+#if !defined(__GCC_HAVE_SYNC_COMPARE_AND_SWAP_16)
+#error "16-byte CAS is not lock-free in this build: compile with -mcx16"
+#endif
 
 namespace kpq {
 
@@ -69,10 +91,24 @@ class announce_record {
  public:
   using word_type = record_word<Node>;
 
-  word_type word() const noexcept { return decode(wide_load(&word_)); }
+  /// The word, read as the file comment says. `step()` runs before each of
+  /// its shared accesses (the queue passes its scheduling point).
+  template <typename Step>
+  word_type word(Step step) const noexcept {
+    step();
+    const std::uint64_t tag = half(0);
+    step();
+    const std::uint64_t node = half(1);
+    step();
+    if (half(0) == tag) return {tag, reinterpret_cast<Node*>(node)};
+    step();
+    return decode(cas16(word_, 0, 0));  // expected = desired: a read
+  }
+  word_type word() const noexcept { return word([] {}); }
 
   bool cas(word_type expected, word_type desired) noexcept {
-    return wide_cas(&word_, encode(expected), encode(desired));
+    const wide e = encode(expected);
+    return cas16(word_, e, encode(desired)) == e;
   }
 
   record_snapshot<Node> snapshot() const noexcept {
@@ -85,18 +121,49 @@ class announce_record {
   std::atomic<std::int64_t> phase{no_phase};
 
  private:
-  static wide_word encode(word_type w) noexcept {
-    return static_cast<wide_word>(w.tag) |
-           static_cast<wide_word>(reinterpret_cast<std::uintptr_t>(w.node))
-               << 64;
+  // Both views of the word alias each other.
+  __extension__ typedef unsigned __int128 wide [[gnu::may_alias]];
+  using half_word [[gnu::may_alias]] = std::uint64_t;
+
+  static wide encode(word_type w) noexcept {
+    return static_cast<wide>(w.tag) |
+           static_cast<wide>(reinterpret_cast<std::uintptr_t>(w.node)) << 64;
   }
-  static word_type decode(wide_word b) noexcept {
+  static word_type decode(wide b) noexcept {
     return {static_cast<std::uint64_t>(b),
             reinterpret_cast<Node*>(static_cast<std::uintptr_t>(b >> 64))};
   }
 
+  /// Sequentially consistent 16-byte CAS; returns the word it found. A
+  /// failed cmpxchg16b writes back what it read, so even a read needs the
+  /// word writable (it always is: records are never const objects).
+  static wide cas16(const wide& w, wide expected, wide desired) noexcept {
+    wide* p = const_cast<wide*>(&w);
+#if defined(__SANITIZE_THREAD__)
+    __atomic_compare_exchange_n(p, &expected, desired, false,
+                                __ATOMIC_SEQ_CST, __ATOMIC_SEQ_CST);
+    return expected;
+#else
+    return __sync_val_compare_and_swap(p, expected, desired);
+#endif
+  }
+
+  /// Half i of the word: 0 the tag, 1 the node.
+  std::uint64_t half(int i) const noexcept {
+#if defined(__SANITIZE_THREAD__)
+    // kpq-order: seq_cst pairs-with cas16, through TSan's 16-byte lock
+    const wide w = __atomic_load_n(&word_, __ATOMIC_SEQ_CST);
+    return static_cast<std::uint64_t>(w >> (64 * i));
+#else
+    // kpq-order: seq_cst pairs-with cas16 (a locked CAS is a full barrier,
+    // and x86 orders an aligned 8-byte load as one access)
+    return __atomic_load_n(reinterpret_cast<const half_word*>(&word_) + i,
+                           __ATOMIC_SEQ_CST);
+#endif
+  }
+
   // Version 0, done, dequeue, no node: a completed empty dequeue.
-  alignas(16) wide_word word_ = 0;
+  alignas(16) wide word_ = 0;
 };
 
 }  // namespace kpq

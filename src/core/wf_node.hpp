@@ -20,10 +20,9 @@
 #pragma once
 
 #include <atomic>
+#include <cassert>
 #include <cstdint>
 #include <utility>
-
-#include "sync/wide_word.hpp"
 
 namespace kpq {
 
@@ -52,34 +51,55 @@ struct head_word {
   bool operator==(const head_word&) const = default;
 };
 
-/// The queue's head: one 16-byte CAS word {node, claimer}, read and written
-/// through wide_load/wide_cas like the announce records. With `node`
+/// The queue's head: one 8-byte CAS word {node, claimer}. With `node`
 /// hazard-pinned a word never repeats: each head position goes
 /// {first, none} -> {first, tid} -> {next, none} at most once, or straight
 /// {first, none} -> {next, none}, and head never returns to a pinned node.
+/// So the word needs no version (docs/ALGORITHM.md §2(b)).
+///
+/// claimer + 1 (0 for none) takes 11 bits that no node address uses: its low
+/// 3 bits go into the node's 8-byte alignment, the rest into bits 56-63,
+/// which are zero in every x86-64 user address, 5-level paging included.
 template <typename Node>
 class head_cell {
  public:
   using word_type = head_word<Node>;
+  /// Claimers 0 .. max_claimers - 1 fit in the word beside the node.
+  static constexpr std::uint32_t max_claimers = (1u << 11) - 1;
 
-  word_type word() const noexcept { return decode(wide_load(&word_)); }
+  word_type word() const noexcept {
+    // kpq-order: seq_cst pairs-with the seq_cst CAS below, the only writer
+    return decode(word_.load(std::memory_order_seq_cst));
+  }
 
   bool cas(word_type expected, word_type desired) noexcept {
-    return wide_cas(&word_, encode(expected), encode(desired));
+    std::uintptr_t e = encode(expected);
+    // kpq-order: seq_cst pairs-with word()'s seq_cst loads (the queue's
+    // re-reads and the hazard protect that validates a pinned `first`)
+    return word_.compare_exchange_strong(e, encode(desired),
+                                         std::memory_order_seq_cst);
   }
 
  private:
-  static wide_word encode(word_type w) noexcept {
-    return static_cast<wide_word>(static_cast<std::uint32_t>(w.claimer)) |
-           static_cast<wide_word>(reinterpret_cast<std::uintptr_t>(w.node))
-               << 64;
+  static constexpr std::uintptr_t low_bits = 7;
+  static constexpr int high_shift = 56;
+  static constexpr std::uintptr_t node_bits =
+      ((std::uintptr_t{1} << high_shift) - 1) & ~low_bits;
+  static_assert(alignof(Node) >= 8, "the claimer needs 3 free low bits");
+
+  static std::uintptr_t encode(word_type w) noexcept {
+    const auto p = reinterpret_cast<std::uintptr_t>(w.node);
+    const auto c = static_cast<std::uintptr_t>(w.claimer + 1);
+    assert((p & ~node_bits) == 0 && c <= max_claimers);
+    return p | (c & low_bits) | (c >> 3) << high_shift;
   }
-  static word_type decode(wide_word b) noexcept {
-    return {reinterpret_cast<Node*>(static_cast<std::uintptr_t>(b >> 64)),
-            static_cast<std::int32_t>(static_cast<std::uint32_t>(b))};
+  static word_type decode(std::uintptr_t b) noexcept {
+    const std::uintptr_t c = (b & low_bits) | (b >> high_shift) << 3;
+    return {reinterpret_cast<Node*>(b & node_bits),
+            static_cast<std::int32_t>(c) - 1};
   }
 
-  alignas(16) wide_word word_ = encode({});
+  std::atomic<std::uintptr_t> word_{0};  // {nullptr, no_tid}
 };
 
 }  // namespace kpq

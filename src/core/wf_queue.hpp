@@ -36,8 +36,8 @@
 //     names as announced (hp_domain::set_roots), so the node outlives the
 //     owner's read.
 //   * The paper's per-node deqTid moved into the head: `head_` is one
-//     16-byte word {sentinel, claimer} (core/wf_node.hpp), so step 1 is a
-//     CAS on the line step 3 writes anyway, and a helper reads the claim
+//     8-byte word {sentinel, claimer} (core/wf_node.hpp), so step 1 is a
+//     CAS on the word step 3 writes anyway, and a helper reads the claim
 //     without dereferencing the sentinel.
 //
 // Progress: enqueue/dequeue complete in O(n) steps plus helping (bounded by
@@ -358,6 +358,15 @@ struct wf_options_traced : wf_options {
   std::abort();
 }
 
+/// A max_threads above `limit` names claimers the head word cannot encode;
+/// every build stops here instead (cold, out of line, never returns).
+[[noreturn, gnu::cold, gnu::noinline]] inline void max_threads_out_of_range(
+    std::uint32_t max_threads, std::uint32_t limit) {
+  std::fprintf(stderr, "kpq: max_threads %u out of range (limit %u)\n",
+               max_threads, limit);
+  std::abort();
+}
+
 template <typename T, typename HelpPolicy = help_all,
           typename PhasePolicy = scan_max_phase, typename Reclaimer = hp_domain,
           typename Options = wf_options,
@@ -389,13 +398,14 @@ class wf_queue : public mem_tracked, public Options::fast_path {
 
   /// `max_threads` bounds the number of distinct thread ids (dense, from
   /// kpq::this_thread_id() or passed explicitly) that may ever operate on
-  /// this queue (paper: NUM_THRDS). Pass `mc` to account every node
-  /// allocation from the first one (the Figure 10 bench does).
+  /// this queue (paper: NUM_THRDS), at most head_cell::max_claimers (2047).
+  /// Pass `mc` to account every node allocation from the first one (the
+  /// Figure 10 bench does).
   /// Attaching later via set_memory_counters() is also exact: construction-
   /// time allocations accumulate into a baseline that the attach replays
   /// (mem_tracker.hpp).
   explicit wf_queue(std::uint32_t max_threads, mem_counters* mc = nullptr)
-      : fast_path_type(max_threads),
+      : fast_path_type(encodable(max_threads)),
         n_(max_threads),
         storage_(max_threads, this),
         reclaim_(max_threads, hp_slots),
@@ -403,7 +413,6 @@ class wf_queue : public mem_tracked, public Options::fast_path {
         phase_(max_threads),
         hooks_(make_hook<hooks_type>(max_threads)),
         state_(max_threads) {
-    require_wide_load();
     if constexpr (requires { reclaim_.set_roots(&record_roots, this); }) {
       reclaim_.set_roots(&record_roots, this);
     }
@@ -645,6 +654,16 @@ class wf_queue : public mem_tracked, public Options::fast_path {
     if (tid >= n_) [[unlikely]] tid_out_of_range(tid, n_);
   }
 
+  /// `max_threads` if the head word can name each of its tids as a claimer;
+  /// checked before anything is sized by it.
+  static std::uint32_t encodable(std::uint32_t max_threads) noexcept {
+    constexpr std::uint32_t limit = head_cell<node_type>::max_claimers;
+    if (max_threads > limit) [[unlikely]] {
+      max_threads_out_of_range(max_threads, limit);
+    }
+    return max_threads;
+  }
+
   void sched(std::uint32_t tid, sched_site site) {
     hooks_.sched_point(tid, site);
   }
@@ -668,7 +687,7 @@ class wf_queue : public mem_tracked, public Options::fast_path {
   head_type load_head(std::uint32_t my) {
     sched(my, sched_site::load);
     // kpq-order: seq_cst pairs-with the head-word CASes in swing_head and
-    // help_deq's claim (wide_load reads as seq_cst, sync/wide_word.hpp)
+    // help_deq's claim (head_cell::word is a seq_cst load)
     return head_.word();
   }
 
@@ -680,9 +699,10 @@ class wf_queue : public mem_tracked, public Options::fast_path {
 
   // ----------------------------------------------------------------- records
 
+  /// Thread `my` reads record i: three half-loads and at most one CAS
+  /// (announce_record.hpp), each a load step of its own.
   word_type load_word(std::uint32_t my, std::uint32_t i) {
-    sched(my, sched_site::load);
-    return state_[i]->word();
+    return state_[i]->word([&] { sched(my, sched_site::load); });
   }
 
   announced read_record(std::uint32_t my, std::uint32_t i) {
@@ -691,12 +711,17 @@ class wf_queue : public mem_tracked, public Options::fast_path {
     return {w, state_[i]->phase.load(std::memory_order_seq_cst)};
   }
 
-  /// Thread `tid`'s record if it holds a pending operation with phase <= ph
-  /// (paper lines 58-60), else nullopt.
+  /// Thread `tid`'s record if it holds a pending operation of kind `enq`
+  /// with phase <= ph (paper lines 58-60), else nullopt. The paper reads
+  /// kind and phase from one descriptor; here the phase is read after the
+  /// word and may be the owner's next operation's, so fast_probe, whose
+  /// bound is that phase, could otherwise send help_deq to an enqueue.
   std::optional<word_type> pending_record(std::uint32_t tid, std::int64_t ph,
-                                          std::uint32_t my) {
+                                          bool enq, std::uint32_t my) {
     const announced a = read_record(my, tid);
-    if (a.word.pending() && a.phase <= ph) return a.word;
+    if (a.word.pending() && a.word.enqueue() == enq && a.phase <= ph) {
+      return a.word;
+    }
     return std::nullopt;
   }
 
@@ -838,7 +863,7 @@ class wf_queue : public mem_tracked, public Options::fast_path {
   template <typename Guard>
   void help_enq(std::uint32_t tid, std::int64_t phase, Guard& g,
                 std::uint32_t my) {
-    while (pending_record(tid, phase, my)) {                  // line 68
+    while (pending_record(tid, phase, true, my)) {            // line 68
       node_type* last = protect(g, my, s_last, tail_);  // line 69
       node_type* next = protect(g, my, s_next, last->next);  // line 70
       sched(my, sched_site::load);
@@ -849,7 +874,8 @@ class wf_queue : public mem_tracked, public Options::fast_path {
         // line 73: the operation must still be pending. `node` needs no
         // pin: the CAS never dereferences it, and it wins only while `node`
         // is unlinked and `cur` still current (docs/ALGORITHM.md §2(b)).
-        const std::optional<word_type> cur = pending_record(tid, phase, my);
+        const std::optional<word_type> cur =
+            pending_record(tid, phase, true, my);
         if (!cur) continue;
         node_type* node = cur->node;
         node_type* expected = nullptr;
@@ -929,7 +955,7 @@ class wf_queue : public mem_tracked, public Options::fast_path {
   template <typename Guard>
   void help_deq(std::uint32_t tid, std::int64_t phase, Guard& g,
                 std::uint32_t my) {
-    while (pending_record(tid, phase, my)) {                   // line 110
+    while (pending_record(tid, phase, false, my)) {            // line 110
       node_type* first = protect(g, my, s_first, head_).node;  // line 111
       sched(my, sched_site::load);
       node_type* last = tail_.load(std::memory_order_seq_cst);  // line 112
@@ -938,7 +964,8 @@ class wf_queue : public mem_tracked, public Options::fast_path {
       if (first == last) {      // line 115: queue might be empty
         if (next == nullptr) {  // line 116: queue is empty
           // line 117
-          const std::optional<word_type> cur = pending_record(tid, phase, my);
+          const std::optional<word_type> cur =
+              pending_record(tid, phase, false, my);
           sched(my, sched_site::load);
           if (last == tail_.load(std::memory_order_seq_cst) &&
               cur) {  // line 118
@@ -950,7 +977,7 @@ class wf_queue : public mem_tracked, public Options::fast_path {
         }
       } else {  // line 125: queue is not empty
         const std::optional<word_type> cur =
-            pending_record(tid, phase, my);  // lines 126-128
+            pending_record(tid, phase, false, my);  // lines 126-128
         if (!cur) break;
         word_type staged = *cur;  // the word known to name `first`, if any
         const head_type now = load_head(my);
@@ -1011,7 +1038,7 @@ class wf_queue : public mem_tracked, public Options::fast_path {
   bool claim_head(std::uint32_t my, head_type claimed) {
     sched(my, sched_site::claim);
     // kpq-order: seq_cst pairs-with load_head's re-reads and the protect
-    // that validates a helper's `first` (wide_cas is seq_cst)
+    // that validates a helper's `first` (head_cell::cas is seq_cst)
     return head_.cas({claimed.node, no_tid}, claimed);
   }
 
@@ -1023,7 +1050,7 @@ class wf_queue : public mem_tracked, public Options::fast_path {
                   node_type* next) {
     sched(my, site);
     // kpq-order: seq_cst pairs-with load_head's re-reads and the protect
-    // that validate a pinned `first` and `next` (wide_cas is seq_cst)
+    // that validate a pinned `first` and `next` (head_cell::cas is seq_cst)
     if (!head_.cas(from, {next, no_tid})) return false;
     retire_node(my, from.node);
     return true;

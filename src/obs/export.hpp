@@ -2,9 +2,6 @@
 // JSON writer the benches reuse for their --json output.
 //
 //   * to_json        — flat {"name": value, ...} object, stable key order.
-//   * to_prometheus  — text exposition format: one `# TYPE` line + one
-//                      sample line per metric, names sanitized to
-//                      [a-zA-Z0-9_:] as the format requires.
 //   * parse_flat_json — minimal reader for the inverse direction, used by
 //                      the round-trip tests and by tooling that wants to
 //                      diff two snapshots without a JSON dependency.
@@ -76,31 +73,6 @@ inline std::string to_json(const metrics_snapshot& snap) {
     out += format_number(snap[i].value);
   }
   out += "}";
-  return out;
-}
-
-/// Prometheus metric names allow [a-zA-Z0-9_:]; everything else becomes '_'.
-inline std::string prometheus_name(const std::string& name) {
-  std::string out;
-  out.reserve(name.size());
-  for (char c : name) {
-    const bool ok = (std::isalnum(static_cast<unsigned char>(c)) != 0) ||
-                    c == '_' || c == ':';
-    out += ok ? c : '_';
-  }
-  if (!out.empty() && std::isdigit(static_cast<unsigned char>(out[0]))) {
-    out.insert(out.begin(), '_');
-  }
-  return out;
-}
-
-inline std::string to_prometheus(const metrics_snapshot& snap) {
-  std::string out;
-  for (const metric& m : snap) {
-    const std::string name = prometheus_name(m.name);
-    out += "# TYPE " + name + " gauge\n";
-    out += name + " " + format_number(m.value) + "\n";
-  }
   return out;
 }
 

@@ -1,7 +1,6 @@
 // Metrics registry: one snapshot interface over every counter surface the
 // repo already has (wf_counters, shard_stats, mem_counters, reclaimer
-// counters, bench summaries), feeding the JSON / Prometheus exporters in
-// obs/export.hpp.
+// counters, bench summaries), feeding the JSON exporter in obs/export.hpp.
 //
 // Shape: a snapshot is a flat ordered list of {name, value} gauges. Sources
 // are structural — append_* overloads match any type with the right members

@@ -84,7 +84,7 @@ class hp_domain {
       return validate(slot, src);
     }
 
-    /// Protect the node a wide word names (`src.word().node`, e.g. the
+    /// Protect the node a packed word names (`src.word().node`, e.g. the
     /// queue's head word): the same loop, over the whole word. It returns a
     /// word `src` held after the node's announcement, so every field of it
     /// was current while the node was already pinned.
@@ -123,8 +123,8 @@ class hp_domain {
     }
     template <typename W>
     static auto read(const W& src) noexcept -> decltype(src.word()) {
-      // kpq-order: seq_cst pairs-with the wide_cas that wrote the word
-      // (wide_load reads as seq_cst, sync/wide_word.hpp)
+      // kpq-order: seq_cst pairs-with the seq_cst CAS that wrote the word
+      // (W::word() is a seq_cst load, core/wf_node.hpp)
       return src.word();
     }
     template <typename T>

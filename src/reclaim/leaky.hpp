@@ -44,11 +44,11 @@ class leaky_domain {
       // lifetime is trivially safe here (nothing is ever freed)
       return src.load(std::memory_order_acquire);
     }
-    /// A wide source's word (hp_domain::guard::protect): one load.
+    /// A packed source's word (hp_domain::guard::protect): one load.
     template <typename W>
     auto protect(std::uint32_t /*slot*/, const W& src) noexcept
         -> decltype(src.word()) {
-      // kpq-order: seq_cst pairs-with the wide_cas that wrote the word
+      // kpq-order: seq_cst pairs-with the seq_cst CAS that wrote the word
       return src.word();
     }
   };

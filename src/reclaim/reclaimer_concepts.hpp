@@ -22,7 +22,7 @@
 //                                     // protected again or the guard exits.
 //                                     // May internally re-load src (hazard
 //                                     // pointer validation loop).
-//   auto w = g.protect(slot, cell);   // the same for a wide word: pins
+//   auto w = g.protect(slot, cell);   // the same for a packed word: pins
 //                                     // cell.word().node and returns the
 //                                     // whole word (the queue's head word)
 //   domain.retire(tid, p, fn, ctx);   // fn(ctx, p) frees p once no guard

@@ -2,8 +2,9 @@
 // thread produces a condition" path in the library.
 //
 // Before this layer existed the repo had two hand-rolled condition_variable
-// parking loops (blocking_adapter's empty-queue wait and a bounded-queue
-// admission wait, since deleted: admission now decides without waiting).
+// parking loops (a blocking adapter's empty-queue wait and a bounded-queue
+// admission wait, both since deleted: admission now decides without
+// waiting, and an empty queue is waited on by coroutines or polled).
 // Adding coroutine resumption as another copy would have multiplied the
 // lost-wakeup surface; instead every wait shares this hub, whose waiters are
 // pluggable CONTINUATIONS:

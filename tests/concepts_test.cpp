@@ -8,7 +8,6 @@
 #include <string>
 
 #include "baseline/ms_queue.hpp"
-#include "core/blocking_adapter.hpp"
 #include "core/queue_concepts.hpp"
 #include "core/wf_queue.hpp"
 #include "core/wf_queue_fps.hpp"

@@ -200,5 +200,16 @@ TEST(FpsInterleave, SlowPairRacesFastPair) {
                         {slow, fast, slow});
 }
 
+TEST(FpsInterleave, ProbeReadsARecordThatMovesOn) {
+  // No fast attempts: every operation announces. Worker 1's probe reads
+  // worker 0's record (tag, node, tag again, then the phase) while worker 0
+  // completes its dequeue and announces its enqueue, so the probe can pair
+  // the dequeue's word with the enqueue's phase, or see its tags differ
+  // and fall back to the CAS. Helping by the dequeue's word under the
+  // enqueue's phase would complete the enqueue as an empty dequeue, and
+  // 100 would be lost; pending_record checks the kind (mutant 16).
+  expect_paths<0>({{deq, enq(100)}, {deq}}, /*prefill=*/0, {slow, slow});
+}
+
 }  // namespace
 }  // namespace kpq

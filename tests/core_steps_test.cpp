@@ -78,21 +78,24 @@ void expect_solo(const char* name,
 }
 
 TEST(StepCount, SoloBaseGrowsWithN) {
-  // help_all reads every record (two loads each) on every operation, and
-  // scan_max_phase reads every phase: 14 + 3n steps per enqueue.
+  // help_all reads every record (four loads each: tag, node, tag again,
+  // phase) on every operation, and scan_max_phase reads every phase:
+  // 18 + 5n steps per enqueue.
   expect_solo<base_queue>(
-      "base", {{{17, 23, 19}, {20, 26, 22}, {26, 32, 28}, {38, 44, 40}}});
+      "base", {{{23, 33, 29}, {28, 38, 34}, {38, 48, 44}, {58, 68, 64}}});
 }
 
 TEST(StepCount, SoloOptIsFlatInN) {
   expect_solo<opt_queue>(
-      "opt", {{{16, 22, 18}, {16, 24, 18}, {16, 24, 20}, {16, 24, 20}}});
+      "opt", {{{22, 32, 28}, {22, 36, 28}, {22, 36, 32}, {22, 36, 32}}});
 }
 
 TEST(StepCount, SoloFpsIsFlatInN) {
   // An empty dequeue is two protects (head word, sentinel's next), plus the
-  // probe's two record loads when it lands on a peer's slot.
-  expect_solo<fps_queue>("fps", {{{5, 6, 2}, {5, 8, 2}, {5, 8, 4}, {5, 8, 4}}});
+  // probe's four record loads (tag, node, tag again, phase) when it lands
+  // on a peer's slot.
+  expect_solo<fps_queue>("fps",
+                         {{{5, 6, 2}, {5, 10, 2}, {5, 10, 6}, {5, 10, 6}}});
 }
 
 /// Counts the calling thread's sched_site::load steps between begin() and
@@ -121,14 +124,15 @@ struct load_counted_fps_options : fps_options {
 
 TEST(StepCount, EmptyFpsDequeueLoadsOnlyTheProbedRecord) {
   // The empty decision reads neither tail nor the head word a second time:
-  // an empty fast dequeue's only loads are its probe's two record loads.
+  // an empty fast dequeue's only loads are its probe's record loads: the
+  // word's tag, node and tag again, then the phase.
   wf_queue_fps<std::uint64_t, hp_domain, load_counted_fps_options> q(2);
   load_counter::begin();
   EXPECT_EQ(q.dequeue(0), std::nullopt);  // the probe lands on slot 0, own
   EXPECT_EQ(load_counter::end(), 0u);
   load_counter::begin();
   EXPECT_EQ(q.dequeue(0), std::nullopt);  // the probe reads slot 1
-  EXPECT_EQ(load_counter::end(), 2u);
+  EXPECT_EQ(load_counter::end(), 4u);
   load_counter::begin();
   EXPECT_TRUE(q.empty_hint(0));
   EXPECT_EQ(load_counter::end(), 0u);

@@ -1,5 +1,6 @@
 // An out-of-range tid stops the program in every build type (NDEBUG
 // included): it would otherwise index past the queue's per-thread arrays.
+// So does a max_threads whose tids the head word cannot encode as claimers.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -24,6 +25,13 @@ TYPED_TEST(TidCheckDeathTest, OutOfRangeTidAbortsWithItsBounds) {
   // In range is untouched: the checks sit in front of every operation.
   q.enqueue(5, 1);
   EXPECT_EQ(q.dequeue(0), std::optional<std::uint64_t>(5));
+}
+
+TYPED_TEST(TidCheckDeathTest, UnencodableMaxThreadsAbortsWithTheLimit) {
+  EXPECT_DEATH(TypeParam q(2048),
+               "max_threads 2048 out of range \\(limit 2047\\)");
+  EXPECT_DEATH(TypeParam q(~std::uint32_t{0}),
+               "max_threads 4294967295 out of range");
 }
 
 }  // namespace

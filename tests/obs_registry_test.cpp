@@ -1,8 +1,8 @@
 // Metrics registry and exposition: structural append_metrics sources,
-// JSON round-trip (emit, reparse, compare), Prometheus text format, the
-// never-NaN guarantee for counters that never fired, and — the reason this
-// suite runs under TSan in CI — snapshots racing worker threads that mutate
-// the registered (atomic) counter surfaces.
+// JSON round-trip (emit, reparse, compare), the never-NaN guarantee for
+// counters that never fired, and — the reason this suite runs under TSan in
+// CI — snapshots racing worker threads that mutate the registered (atomic)
+// counter surfaces.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -303,17 +303,6 @@ TEST(ObsExport, IntegralValuesPrintWithoutFraction) {
   metrics_snapshot snap;
   append_value(snap, "n", 3.0);
   EXPECT_EQ(to_json(snap), "{\"n\":3}");
-}
-
-TEST(ObsExport, PrometheusFormatAndNameSanitization) {
-  metrics_snapshot snap;
-  append_value(snap, "q.enq-ops", 7.0);
-  append_value(snap, "9lives", 1.0);
-  const std::string text = to_prometheus(snap);
-  EXPECT_NE(text.find("# TYPE q_enq_ops gauge\n"), std::string::npos);
-  EXPECT_NE(text.find("q_enq_ops 7\n"), std::string::npos);
-  // Leading digit gets a '_' prefix (prometheus names cannot start with one).
-  EXPECT_NE(text.find("_9lives 1\n"), std::string::npos);
 }
 
 TEST(ObsExport, ParseFlatJsonToleratesWhitespace) {

@@ -415,8 +415,10 @@ std::vector<op_event> prefill(Q& q, std::uint64_t n, std::uint32_t tid) {
   return h;
 }
 
-/// Dequeues by `tid` until empty after a run; appends them to `h` as
-/// sequential events after every stamp in it and returns the values.
+/// Dequeues by `tid` until empty after a run; appends them, and the empty
+/// dequeue that ends the drain, to `h` as sequential events after every
+/// stamp in it and returns the values. The empty one is what lets the
+/// checker see an item that a completed enqueue never put in the queue.
 template <typename Q>
 std::vector<std::uint64_t> drain(Q& q, std::uint32_t tid,
                                  std::vector<op_event>* h = nullptr) {
@@ -432,6 +434,7 @@ std::vector<std::uint64_t> drain(Q& q, std::uint32_t tid,
       ts += 2;
     }
   }
+  if (h != nullptr) h->push_back({op_kind::deq, false, tid, 0, ts, ts + 1});
   return out;
 }
 
