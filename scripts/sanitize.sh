@@ -56,7 +56,8 @@ for mode in "${modes[@]}"; do
     # it, live-byte accounting, the reclaimers' callback-thread contract,
     # and heap-node recycling (a recycled node never passes through free(),
     # so TSan sees its old and new uses ordered only by the reclaimer's
-    # handoff).
+    # handoff and, when a full list moves to another thread's inbox, by the
+    # inbox's release CAS and acquire exchange).
     mode=thread
     dir_tag=thread
     filter=(-R 'Bounded|AllocFailure|Freeing|MemAccounting|Reclaim|ReclaimCounters|NodeRecycling|RecycleLists')

@@ -16,10 +16,11 @@
 // place) — so live never exceeds (max_bytes - n*per_op) + n*per_op.
 //
 // The liveness floor: bytes a thread parks outside the list still count as
-// live — its recycle cache (at most Storage::cache_cap nodes) and its
-// retired list (at most the reclaimer's scan threshold) — so an EMPTY
-// queue may hold up to n * (cache_cap + scan_threshold) nodes beyond its
-// sentinel. The constructor asserts max_bytes covers that floor
+// live — its recycle list and inbox (Storage::cache_cap nodes each; no
+// inbox fills at n = 1) and its retired list (the reclaimer's scan
+// threshold) — so an EMPTY queue may hold up to
+// n * (2 * cache_cap + scan_threshold) nodes beyond its sentinel. The
+// constructor asserts max_bytes covers that floor
 // plus the construction footprint and the headroom; then a drained queue
 // always has room.
 //
@@ -92,9 +93,11 @@ class bounded_wf_queue {
         q_(max_threads, &mc_) {
     // Below the floor a drained queue may still have no room (file
     // comment), and a reject queue would refuse every producer for good.
+    const std::size_t lists = max_threads > 1 ? 2 : 1;  // list (+ inbox)
     floor_ = static_cast<std::size_t>(mc_.live_bytes()) + headroom_ +
              static_cast<std::size_t>(max_threads) *
-                 (storage_type::cache_cap + q_.reclaimer().scan_threshold()) *
+                 (lists * storage_type::cache_cap +
+                  q_.reclaimer().scan_threshold()) *
                  sizeof(typename storage_type::node_type);
     assert(cfg_.max_bytes >= floor_ &&
            "max_bytes below footprint + headroom + parked nodes");

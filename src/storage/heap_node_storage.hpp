@@ -5,10 +5,11 @@
 // Reclaimed nodes are recycled: the retire callback destroys the node and
 // keeps its storage on the retiring thread's capped free list
 // (recycle_list.hpp), and alloc() reuses that storage before it calls
-// `new`. A thread that both enqueues and dequeues then runs without the
-// allocator in steady state, and reclaimed nodes stop flowing through
-// free() into other threads' malloc arenas. Cached nodes count as live in
-// mem_counters.
+// `new`; a full list moves to the inbox of a thread whose list ran dry. So
+// a thread that both enqueues and dequeues, or a producer fed by consumers
+// that only retire, runs without the allocator in steady state: reclaimed
+// nodes reach free() only when no inbox wants them. Cached nodes count as
+// live in mem_counters.
 #pragma once
 
 #include <cstddef>
@@ -29,11 +30,11 @@ class heap_node_storage {
 
   /// One alloc() call performs at most one node-sized heap allocation.
   static constexpr std::size_t max_alloc_bytes = sizeof(node_type);
-  /// Reclaimed nodes one thread keeps for reuse. Large enough to absorb a
-  /// hazard-pointer scan's batch of frees (the scan threshold is 96
-  /// retirements at 4 threads); at 32 or 64 a batch
-  /// spills back into free() and the deep-queue RSS growth returns
-  /// (docs/MEMORY.md §1).
+  /// Reclaimed nodes one thread's list keeps for reuse (and so the batch
+  /// it hands on). Large enough to absorb a hazard-pointer scan's batch of
+  /// frees (the scan threshold, 88 at 4 threads: docs/MEMORY.md §2); at 32
+  /// or 64 a batch spills back into free() and the deep-queue RSS growth
+  /// returns (docs/MEMORY.md §1).
   static constexpr std::size_t cache_cap = 128;
 
   heap_node_storage(std::uint32_t max_threads, const mem_tracked* acct)
@@ -63,7 +64,7 @@ class heap_node_storage {
     delete n;
   }
 
-  /// Nodes `tid` keeps for reuse.
+  /// Nodes in `tid`'s list and inbox. Only `tid`, or at quiescence.
   std::size_t cached(std::uint32_t tid) const noexcept {
     return cache_.cached(tid);
   }

@@ -32,9 +32,9 @@
 //
 // `max_alloc_bytes` is the largest single heap allocation one alloc() call
 // can perform — the quantity bounded_wf_queue's admission headroom is built
-// from. bounded_wf_queue also reads `cache_cap`, the most nodes one thread
-// keeps for reuse, for its liveness floor (docs/MEMORY.md §2 has the
-// ceiling argument).
+// from. bounded_wf_queue also reads `cache_cap`, the most nodes one
+// thread's list (or inbox) keeps for reuse, for its liveness floor
+// (docs/MEMORY.md §2 has the ceiling argument).
 //
 // Lifetime rule for containers: declare the storage member BEFORE the
 // reclaimer member. Node retirements carry a callback into the storage

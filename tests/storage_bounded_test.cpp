@@ -2,8 +2,9 @@
 // policies, exercised deterministically single-threaded and under real MPMC
 // contention (the ceiling assertion sampled from every producer iteration),
 // plus the liveness floor (a drained queue at the smallest legal ceiling
-// admits again) and the sharded-over-bounded composition. Ceilings are
-// stated as the floor plus a number of nodes.
+// admits again, even with every thread's recycle list and inbox full) and
+// the sharded-over-bounded composition. Ceilings are stated as the floor
+// plus a number of nodes.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -24,13 +25,22 @@ using inner_q = bq::inner_type;
 
 constexpr std::size_t kNode = sizeof(inner_q::node_type);
 
-/// The smallest legal ceiling for `n` threads (construction footprint,
-/// headroom, and the nodes each thread may park in its recycle cache and
-/// retired list), read off a throwaway instance.
+constexpr std::size_t kCap = bq::storage_type::cache_cap;
+
+/// The smallest legal ceiling for `n` threads: the construction footprint
+/// and scan threshold, read off a throwaway instance, plus one node of
+/// headroom per thread and the nodes each thread may park in its recycle
+/// list, its inbox (only when another thread can fill it) and its retired
+/// list. Checked against the queue's own floor_bytes().
 std::size_t floor_for(std::uint32_t n) {
   bounded_config big{.max_bytes = std::size_t{1} << 24};
   bq probe(n, big);
-  return probe.floor_bytes();
+  const std::size_t lists = n > 1 ? 2 : 1;
+  const std::size_t floor =
+      static_cast<std::size_t>(probe.live_bytes()) + n * kNode +
+      n * (lists * kCap + probe.inner().reclaimer().scan_threshold()) * kNode;
+  EXPECT_EQ(probe.floor_bytes(), floor);
+  return floor;
 }
 
 /// A ceiling `nodes` nodes above the floor.
@@ -130,6 +140,37 @@ TEST(BoundedReject, DrainedQueueAtTheFloorAdmitsAgain) {
   ASSERT_TRUE(q.try_enqueue(filled, 0))
       << "no room after a full drain at the floor";
   EXPECT_EQ(q.stats().admitted, filled + 1);
+}
+
+TEST(BoundedReject, FullListsAndInboxesAtTheFloorStillAdmit) {
+  // The most a drain can park: both threads fill, so each has run dry and
+  // wants a batch; then each dequeues half, so each list fills, moves into
+  // the other thread's inbox and fills again. With every list and inbox
+  // full (and the rest of the retirements pending or freed), the drained
+  // queue at the floor must still admit on either thread.
+  constexpr std::uint32_t n = 2;
+  bq q(n, {.max_bytes = floor_for(n), .policy = full_policy::reject});
+  std::uint64_t filled = 0;
+  while (q.try_enqueue(filled, static_cast<std::uint32_t>(filled % 2))) {
+    ++filled;
+  }
+  ASSERT_GT(filled, 4 * kCap) << "too few nodes to fill two lists each";
+
+  std::uint64_t drained = 0;
+  for (std::uint32_t tid : {0u, 1u}) {
+    for (std::uint64_t i = 0; i < filled / 2; ++i) {
+      ASSERT_TRUE(q.dequeue(tid).has_value());
+      ++drained;
+    }
+  }
+  while (q.dequeue(1).has_value()) ++drained;
+  EXPECT_EQ(drained, filled);
+  ASSERT_EQ(q.storage().cached(0), 2 * kCap) << "list or inbox not full";
+  ASSERT_EQ(q.storage().cached(1), 2 * kCap) << "list or inbox not full";
+
+  EXPECT_TRUE(q.try_enqueue(filled, 0)) << "no room at the floor";
+  EXPECT_TRUE(q.try_enqueue(filled + 1, 1)) << "no room at the floor";
+  EXPECT_EQ(q.stats().admitted, filled + 2);
 }
 
 TEST(BoundedReject, RefusalLeavesContentsAndBytesUnchanged) {

@@ -40,7 +40,8 @@ class fault_storage {
   using value_type = T;
   using node_type = typename heap::node_type;
   static constexpr std::size_t max_alloc_bytes = heap::max_alloc_bytes;
-  /// Recycle mode parks at most this many nodes per thread; free mode none.
+  /// Recycle mode parks at most this many nodes per thread in its list, and
+  /// as many in its inbox; free mode none.
   static constexpr std::size_t cache_cap = heap::cache_cap;
 
   fault_storage(std::uint32_t max_threads, const mem_tracked* acct)

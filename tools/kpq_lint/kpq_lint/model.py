@@ -64,7 +64,7 @@ class Config:
     order_dirs: tuple = ("src/",)
     # R1b (kpq-order justification required on non-seq_cst accesses).
     annotate_dirs: tuple = ("src/core/", "src/reclaim/", "src/sync/",
-                            "src/async/")
+                            "src/async/", "src/storage/")
     # R2 wait-free hot paths. src/sync is the sanctioned blocking site and
     # is deliberately absent.
     pure_dirs: tuple = ("src/core/", "src/scale/", "src/storage/")
