@@ -3,19 +3,19 @@
 // Two questions, one binary:
 //
 //   1. What does the tracing layer itself cost? Each wait-free variant runs
-//      the enqueue-dequeue pairs workload twice IN THE SAME BUILD: once with
-//      the default recorder (no_trace unless the build defines KPQ_TRACE —
-//      every hook site removed by `if constexpr`, codegen identical to a
-//      hook-free build) and once with tracing forced on per-type
-//      (wf_options_traced). The "overhead%" column is the acceptance gate:
-//      the untraced series must sit within noise of the seed, and the
-//      traced series quantifies what you pay for per-operation evidence.
+//      the enqueue-dequeue pairs workload twice IN THE SAME BUILD: once as
+//      the plain queue type (no_hooks — every hook call folds away, codegen
+//      identical to a hook-free build) and once as its traced twin, whose
+//      hook is wf_trace (wf_options_traced). The "overhead%" column is the
+//      acceptance gate: the untraced series must sit within noise of the
+//      seed, and the traced series quantifies what you pay for
+//      per-operation evidence.
 //
 //   2. What do the traces show? After each traced run the global rings are
 //      drained and analyzed (obs/wf_metrics.hpp): helping-latency
 //      histogram, phase-lag distribution, ops-helped-per-op — the
 //      per-operation shape of the wait-freedom claim, per variant, printed
-//      and (with --json) exported via the metrics registry.
+//      and (with --json) exported through append_metrics.
 //
 // Series: base WF (help_all + scan_max_phase), opt WF (1+2)
 // (help_one + fetch_add_phase), and the 4-shard front-end over opt WF.
@@ -47,7 +47,7 @@ namespace {
 using namespace kpq;
 using namespace kpq::bench;
 
-// Traced twins of the paper variants: identical policies, recorder forced on.
+// Traced twins of the paper variants: identical policies, wf_trace hook.
 using base_wf = wf_queue_base<std::uint64_t>;
 using base_wf_traced = wf_queue<std::uint64_t, help_all, scan_max_phase,
                                hp_domain, wf_options_traced>;
@@ -103,16 +103,13 @@ void print_report(const char* name, const obs::wf_trace_report& r,
   std::printf("-- %s: derived wait-freedom metrics (traced run) --\n", name);
   std::printf(
       "ops=%llu (enq %llu, deq %llu, empty %llu)  help episodes=%llu "
-      "(%.3f/op)  retires=%llu  reclaim scans=%llu  steals=%llu  "
-      "dropped events=%llu\n",
+      "(%.3f/op)  retires=%llu  dropped events=%llu\n",
       static_cast<unsigned long long>(r.ops()),
       static_cast<unsigned long long>(r.enq_ops),
       static_cast<unsigned long long>(r.deq_ops),
       static_cast<unsigned long long>(r.empty_deqs),
       static_cast<unsigned long long>(r.help_episodes), r.helped_per_op(),
       static_cast<unsigned long long>(r.retires),
-      static_cast<unsigned long long>(r.reclaim_scans),
-      static_cast<unsigned long long>(r.steals),
       static_cast<unsigned long long>(r.dropped_events));
   auto ns = [&](double q) {
     return static_cast<double>(r.help_latency.quantile_upper_bound(q)) /
@@ -162,10 +159,7 @@ int main(int argc, char** argv) {
   const double ticks_per_ns = tick_hz / 1e9;
 
   std::printf("== Observability overhead: traced vs untraced ==\n");
-  std::printf("(tick rate ~%.2f GHz; default recorder is %s in this build)\n\n",
-              tick_hz / 1e9,
-              obs::default_trace::enabled ? "ring_trace (KPQ_TRACE on)"
-                                          : "no_trace (compiled out)");
+  std::printf("(tick rate ~%.2f GHz)\n\n", tick_hz / 1e9);
 
   const char* names[] = {"base WF", "opt WF (1+2)", "shard x4 (opt WF)"};
   table t({"threads", "series", "untraced [s]", "traced [s]", "overhead %",
@@ -229,8 +223,8 @@ int main(int argc, char** argv) {
 
   // Bounded-queue occupancy through the metrics registry (the scrape path a
   // long-running process would expose): run the pairs workload on a bounded
-  // queue at the last thread count, register its admission and memory
-  // counters, and print one registry snapshot as flat JSON.
+  // queue at the last thread count, snapshot its admission and memory
+  // counters, and print the snapshot as flat JSON.
   bounded_wf_queue<std::uint64_t> bq(
       last_th, {.max_bytes = std::size_t{1} << 22});
   {
@@ -245,11 +239,9 @@ int main(int argc, char** argv) {
     }
     for (auto& w : ws) w.join();
   }
-  obs::registry reg;
-  const auto admissions = bq.stats();
-  reg.add("kpq_bounded", admissions);
-  reg.add("kpq_bounded_mem", bq.memory());
-  const obs::metrics_snapshot bounded_snap = reg.snapshot();
+  obs::metrics_snapshot bounded_snap;
+  obs::append_metrics(bounded_snap, "kpq_bounded", bq.stats());
+  obs::append_metrics(bounded_snap, "kpq_bounded_mem", bq.memory());
   std::printf("-- bounded queue occupancy (registry snapshot, %u-thread "
               "bounded opt WF run) --\n%s\n",
               last_th, obs::to_json(bounded_snap).c_str());

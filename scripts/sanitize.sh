@@ -9,18 +9,20 @@
 #   scripts/sanitize.sh                          # ASan+UBSan and TSan, all tests
 #   scripts/sanitize.sh thread                   # TSan only, all tests
 #   scripts/sanitize.sh thread -- -R 'Sharded'   # TSan, filtered ctest run
-#   scripts/sanitize.sh tsan-core                # TSan + KPQ_TRACE=ON over
-#                                                # the core queue (paper
-#                                                # variants and FPS), the
-#                                                # sharded front-end and
+#   scripts/sanitize.sh tsan-core                # TSan over the core queue
+#                                                # (paper variants and FPS),
+#                                                # the sharded front-end and
 #                                                # the hazard pointers
 #   scripts/sanitize.sh tsan-storage             # TSan, storage-layer suites
 #                                                # (node recycling, allocation
 #                                                # failure, the bounded
 #                                                # queue's policies)
-#   scripts/sanitize.sh tsan-async               # TSan + KPQ_TRACE=ON over
-#                                                # the continuation layer and
-#                                                # the coroutine front-end
+#   scripts/sanitize.sh tsan-async               # TSan over the continuation
+#                                                # layer and the coroutine
+#                                                # front-end
+#
+# Every TSan shortcut builds in build-thread-san, like plain `thread`: they
+# differ only in the ctest filter.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -35,19 +37,14 @@ ctest_args=("$@")
 
 for mode in "${modes[@]}"; do
   filter=()
-  extra_cmake=()
-  dir_tag="$mode"
   if [[ "$mode" == "tsan-core" ]]; then
     # Shortcut: TSan over the one KP core — the paper variants and the FPS
     # fast-path policy share the slow path, so FPS workloads drive the same
     # helping code — plus the sharded front-end built on it and the
-    # hazard-pointer domain every KP operation protects through. Built with
-    # KPQ_TRACE=ON so the slow-path and help-episode trace writes race-check
-    # under every workload (own build dir: the tracing default changes
-    # codegen everywhere).
+    # hazard-pointer domain every KP operation protects through. The trace
+    # writes race-check in the Obs suites (ObsTracedQueue traces opt and
+    # FPS runs).
     mode=thread
-    dir_tag=core
-    extra_cmake=(-DKPQ_TRACE=ON)
     filter=(-R 'Wf|Sharded|Help|Phase|RecordIdentity|Figure|Fps|Progress|Interleave|Random|Baton|Audit|Sweep|EmptyDequeue|HpFixture')
   elif [[ "$mode" == "tsan-storage" ]]; then
     # Shortcut: TSan over every suite that exercises src/storage/ — the
@@ -59,25 +56,18 @@ for mode in "${modes[@]}"; do
     # handoff and, when a full list moves to another thread's inbox, by the
     # inbox's release CAS and acquire exchange).
     mode=thread
-    dir_tag=thread
     filter=(-R 'Bounded|AllocFailure|Freeing|MemAccounting|Reclaim|ReclaimCounters|NodeRecycling|RecycleLists')
   elif [[ "$mode" == "tsan-async" ]]; then
     # Shortcut: TSan over the waiter_hub continuation layer and everything
     # rebuilt on it — thread parkers (the event loop's idle wait) and
     # coroutine resumers (event loop, awaitables, select, cancellation, the
     # broker example).
-    # Built with KPQ_TRACE=ON so the waiter_park/waiter_resume trace writes
-    # race-check against the hub's notify path (own build dir: the tracing
-    # default changes codegen everywhere).
     mode=thread
-    dir_tag=async
-    extra_cmake=(-DKPQ_TRACE=ON)
     filter=(-R 'Async|Waiter|Parker|EventLoop|TimerWheel|Task\.|coro_broker')
   fi
-  echo "=== sanitizer: $mode (build-$dir_tag-san) ==="
-  cmake -B "build-$dir_tag-san" -G Ninja -DKPQ_SANITIZE="$mode" \
-    ${extra_cmake[@]+"${extra_cmake[@]}"}
-  cmake --build "build-$dir_tag-san"
-  ctest --test-dir "build-$dir_tag-san" --output-on-failure \
+  echo "=== sanitizer: $mode (build-$mode-san) ==="
+  cmake -B "build-$mode-san" -G Ninja -DKPQ_SANITIZE="$mode"
+  cmake --build "build-$mode-san"
+  ctest --test-dir "build-$mode-san" --output-on-failure \
     ${filter[@]+"${filter[@]}"} ${ctest_args[@]+"${ctest_args[@]}"}
 done

@@ -90,7 +90,7 @@ class park {
     }
     for (node& w : nodes_) {
       auto lk = w.hub->lock();
-      w.hub->commit_park(w, lk);
+      w.hub->commit_park(lk);
     }
     if (st.stop_possible()) stop_cb_.emplace(st, canceller{claim_.get()});
     if (deadline_ns != 0) {
@@ -180,8 +180,6 @@ class park {
   };
 
   struct node final : waiter_hub::waiter {
-    node() noexcept : waiter(waiter_hub::waiter_kind::coroutine) {}
-
     waiter_hub::accept_result try_accept() noexcept override {
       switch (c->take(idx)) {
         case claim::parked:

@@ -206,8 +206,8 @@ struct wf_trace : no_hooks {
   static void event(std::uint32_t tid, wf_event e, std::int64_t phase,
                     std::uint32_t aux) noexcept {
     if (e <= wf_event::retire) {
-      obs::ring_trace::record(tid, static_cast<obs::trace_kind>(e), phase,
-                              aux);
+      obs::global_trace().record(tid, static_cast<obs::trace_kind>(e), phase,
+                                 aux);
     }
   }
 };
@@ -333,10 +333,8 @@ class ms_fast_path {
 /// Compile-time queue options: the instrumentation hook and the fast-path
 /// policy.
 struct wf_options {
-  /// no_hooks, wf_stats, wf_trace or a test's own; wf_trace exactly when
-  /// the build defines KPQ_TRACE (obs::default_trace).
-  using hooks =
-      std::conditional_t<obs::default_trace::enabled, wf_trace, no_hooks>;
+  /// no_hooks, wf_stats, wf_trace or a test's own.
+  using hooks = no_hooks;
   /// Fast-path policy: no_fast_path, or ms_fast_path (wf_queue_fps.hpp).
   using fast_path = no_fast_path;
 };
@@ -344,7 +342,7 @@ struct wf_options {
 struct wf_options_stats : wf_options {
   using hooks = wf_stats;
 };
-/// Tracing forced on regardless of KPQ_TRACE (for overhead comparisons).
+/// The traced twin: events 0-7 into obs::global_trace().
 struct wf_options_traced : wf_options {
   using hooks = wf_trace;
 };

@@ -6,8 +6,8 @@
 // are structural — append_* overloads match any type with the right members
 // (concepts below), so this header does not drag in the queue headers and
 // new counter structs join the registry by shape, not by registration
-// ceremony. A `registry` instance additionally holds named collector
-// callbacks for the long-running-process use case (scrape-on-demand).
+// ceremony. A snapshot is one append_metrics call per source, at a sampling
+// point.
 //
 // Values are doubles, sanitized at append time: a metric that never fired
 // must export 0, never NaN/inf (the n==0 guard the exporters rely on).
@@ -16,7 +16,6 @@
 #include <cmath>
 #include <concepts>
 #include <cstdint>
-#include <functional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -255,45 +254,5 @@ void append_metrics(metrics_snapshot& out, const std::string& prefix,
   append_value(out, prefix + ".min", s.n > 0 ? s.min : 0.0);
   append_value(out, prefix + ".max", s.n > 0 ? s.max : 0.0);
 }
-
-// ----------------------------------------------------------------- registry
-
-/// Named collectors for scrape-on-demand: a long-running process registers
-/// its counter surfaces once, then snapshot() walks them in registration
-/// order. Not thread-safe by itself — register at startup, snapshot at
-/// sampling points, same contract as reading any counter in this repo.
-class registry {
- public:
-  using collector = std::function<void(metrics_snapshot&)>;
-
-  void add_source(std::string name, collector fn) {
-    sources_.push_back({std::move(name), std::move(fn)});
-  }
-
-  /// Convenience: register anything append_metrics() accepts, by reference.
-  /// The referee must outlive the registry (true of the queue/domain
-  /// singletons this is built for).
-  template <typename T>
-  void add(std::string prefix, const T& subject) {
-    add_source(prefix, [prefix, &subject](metrics_snapshot& out) {
-      append_metrics(out, prefix, subject);
-    });
-  }
-
-  std::size_t source_count() const noexcept { return sources_.size(); }
-
-  metrics_snapshot snapshot() const {
-    metrics_snapshot out;
-    for (const auto& s : sources_) s.fn(out);
-    return out;
-  }
-
- private:
-  struct source {
-    std::string name;
-    collector fn;
-  };
-  std::vector<source> sources_;
-};
 
 }  // namespace kpq::obs

@@ -11,8 +11,7 @@
 //     operation's completion slice — the helper->helped causality the KP
 //     helping scheme creates (help episodes record the victim phase, which
 //     is how the arrow finds its target).
-//   * "i" instant events for the point-like kinds (waiter_park/resume,
-//     retire, scans, shard routing).
+//   * "i" instant events for the point-like kind, retire.
 //
 // Output is the Trace Event Format JSON object form: `ts`/`dur` are
 // MICROSECONDS (doubles), mapped from ticks with a tick_calibration. The

@@ -4,17 +4,16 @@
 // claim — bounded steps, helping under contention — but aggregate counters
 // (wf_counters, shard_stats) read at join can only show totals. The trace
 // ring records one fixed-size event per interesting hot-path step (publish,
-// linearize/complete, help-start/finish, retire, reclamation scan, shard
-// steal) so helping latency and phase lag become measurable distributions,
-// the same style of per-operation evidence wCQ (Nikolaev & Ravindran 2022)
-// uses to substantiate its step bounds.
+// linearize/complete, help-start/finish, retire) so helping latency and
+// phase lag become measurable distributions, the same style of
+// per-operation evidence wCQ (Nikolaev & Ravindran 2022) uses to
+// substantiate its step bounds.
 //
 // Design constraints, in order:
-//   1. Zero cost when compiled out. The queue records through its hook
-//      (wf_trace, core/wf_queue.hpp), the other layers through the
-//      `default_trace` policy below; with KPQ_TRACE undefined both are
-//      empty calls that vanish at compile time.
-//   2. No synchronization on the hot path when compiled in. Each thread owns
+//   1. Zero cost when not selected. Only the queue records, through its
+//      hook (wf_trace, core/wf_queue.hpp); a queue type without that hook
+//      has empty hook calls that vanish at compile time.
+//   2. No synchronization on the hot path when recording. Each thread owns
 //      one ring; only the owner writes it (single-writer invariant), with
 //      relaxed stores and a release publish of the head index. Recording is
 //      a TSC read, one array store and one index store — no RMW, no fence.
@@ -81,15 +80,8 @@ enum class trace_kind : std::uint8_t {
   help_start = 4,    // tid begins helping;   phase = victim phase, aux = victim
   help_finish = 5,   // helping returned;     phase = victim phase, aux = victim
   retire = 7,        // node handed to the reclaimer
-  reclaim_scan = 8,  // reclaimer scan pass;  aux = objects freed
-  shard_steal = 9,   // dequeue served off-home; aux = serving shard
-  shard_empty = 10,  // full shard scan found nothing; aux = home shard
-  // 6 and 11 are unused: stored traces carry numeric kinds, so a retired
-  // value is never reassigned.
-  waiter_park = 12,    // continuation suspended on a waiter_hub;
-                       // aux = continuation kind (0 thread, 1 coroutine)
-  waiter_resume = 13,  // accepted continuation running again;
-                       // phase = accept->running latency (ns), aux = kind
+  // 6 and 8-13 are retired: stored traces carry numeric kinds, so a
+  // retired value is never reassigned.
 };
 
 inline constexpr const char* trace_kind_name(trace_kind k) noexcept {
@@ -101,11 +93,6 @@ inline constexpr const char* trace_kind_name(trace_kind k) noexcept {
     case trace_kind::help_start: return "help_start";
     case trace_kind::help_finish: return "help_finish";
     case trace_kind::retire: return "retire";
-    case trace_kind::reclaim_scan: return "reclaim_scan";
-    case trace_kind::shard_steal: return "shard_steal";
-    case trace_kind::shard_empty: return "shard_empty";
-    case trace_kind::waiter_park: return "waiter_park";
-    case trace_kind::waiter_resume: return "waiter_resume";
   }
   return "unknown";
 }
@@ -114,7 +101,7 @@ struct trace_event {
   std::uint64_t ts = 0;     // tick_now() at the hook site
   std::int64_t phase = 0;   // operation phase, or 0 where not applicable
   std::uint32_t tid = 0;    // recording (owner) thread
-  std::uint32_t aux = 0;    // kind-specific (victim tid, shard, freed count)
+  std::uint32_t aux = 0;    // kind-specific (victim tid, dequeue hit)
   trace_kind kind = trace_kind::enq_publish;
 };
 static_assert(sizeof(trace_event) <= 32, "one event per half cache line");
@@ -244,37 +231,8 @@ class trace_domain {
   std::vector<padded<std::atomic<trace_ring*>>> rings_;
 };
 
-/// Process-global domain the static recorder policy below writes into —
+/// Process-global domain wf_trace (core/wf_queue.hpp) records into —
 /// sized for the whole dense-id namespace, like the thread registry itself.
 trace_domain& global_trace();
-
-// ----------------------------------------------------------------- policies
-// The recorder policy is a compile-time switch the non-templated layers
-// (hazard pointers, sharded front-end, waiter hub) use as `default_trace`;
-// it also picks wf_options' default hook (no_hooks or wf_trace).
-
-/// Tracing compiled out: `enabled` is false, every hook site is removed by
-/// `if constexpr`, and this build's codegen is byte-identical to a build
-/// with no hooks at all.
-struct no_trace {
-  static constexpr bool enabled = false;
-  static void record(std::uint32_t /*tid*/, trace_kind /*kind*/,
-                     std::int64_t /*phase*/, std::uint32_t /*aux*/) noexcept {}
-};
-
-/// Tracing compiled in: record into the calling thread's global ring.
-struct ring_trace {
-  static constexpr bool enabled = true;
-  static void record(std::uint32_t tid, trace_kind kind, std::int64_t phase,
-                     std::uint32_t aux) noexcept {
-    global_trace().record(tid, kind, phase, aux);
-  }
-};
-
-#if defined(KPQ_TRACE)
-using default_trace = ring_trace;
-#else
-using default_trace = no_trace;
-#endif
 
 }  // namespace kpq::obs

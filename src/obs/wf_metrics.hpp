@@ -45,11 +45,6 @@ struct wf_trace_report {
   std::uint64_t help_episodes = 0;    // matched start/finish pairs
   std::uint64_t unmatched_helps = 0;  // start with no finish (ring wrap)
   std::uint64_t retires = 0;
-  std::uint64_t reclaim_scans = 0;
-  std::uint64_t steals = 0;
-  std::uint64_t shard_empty_scans = 0;
-  std::uint64_t waiter_parks = 0;     // continuations suspended on a hub
-  std::uint64_t waiter_resumes = 0;   // accepted continuations running again
   std::uint64_t dropped_events = 0;   // ring overwrites: report is a suffix
   std::int64_t max_phase_seen = 0;
 
@@ -110,21 +105,6 @@ inline wf_trace_report analyze_trace(const std::vector<trace_event>& events,
       case trace_kind::retire:
         ++r.retires;
         break;
-      case trace_kind::reclaim_scan:
-        ++r.reclaim_scans;
-        break;
-      case trace_kind::shard_steal:
-        ++r.steals;
-        break;
-      case trace_kind::shard_empty:
-        ++r.shard_empty_scans;
-        break;
-      case trace_kind::waiter_park:
-        ++r.waiter_parks;
-        break;
-      case trace_kind::waiter_resume:
-        ++r.waiter_resumes;
-        break;
     }
     if (e.phase > r.max_phase_seen) r.max_phase_seen = e.phase;
   }
@@ -146,13 +126,6 @@ inline void append_metrics(metrics_snapshot& out, const std::string& prefix,
                static_cast<double>(r.help_episodes));
   append_value(out, prefix + ".helped_per_op", r.helped_per_op());
   append_value(out, prefix + ".retires", static_cast<double>(r.retires));
-  append_value(out, prefix + ".reclaim_scans",
-               static_cast<double>(r.reclaim_scans));
-  append_value(out, prefix + ".steals", static_cast<double>(r.steals));
-  append_value(out, prefix + ".waiter_parks",
-               static_cast<double>(r.waiter_parks));
-  append_value(out, prefix + ".waiter_resumes",
-               static_cast<double>(r.waiter_resumes));
   append_value(out, prefix + ".dropped_events",
                static_cast<double>(r.dropped_events));
   append_value(out, prefix + ".max_phase",

@@ -17,6 +17,10 @@
 // uses for its retry loops, the loop is bounded once the thread's own phase
 // becomes the oldest. scan() is a bounded O(H + R) pass. retire() is O(1)
 // amortised, O(H + R) worst case. No step blocks on another thread.
+//
+// Observability: owner-written retired/freed counters and the pending
+// count (below), exported by obs/registry.hpp. The domain records no trace
+// events; a scan's yield is the change in freed_count().
 #pragma once
 
 #include <algorithm>
@@ -27,7 +31,6 @@
 #include <type_traits>
 #include <vector>
 
-#include "obs/trace_ring.hpp"
 #include "reclaim/reclaimer_concepts.hpp"
 #include "sync/cacheline.hpp"
 #include "sync/owner_cell.hpp"
@@ -198,14 +201,6 @@ class hp_domain {
     }
     r.items.resize(kept);
     owner_add(r.freed, freed_this_pass);
-    // The scan is the reclaimer's only super-constant step (O(H + R)); the
-    // trace makes its frequency and yield visible next to the queue events
-    // it interleaves with. Compiled out unless KPQ_TRACE.
-    if constexpr (obs::default_trace::enabled) {
-      obs::default_trace::record(
-          tid, obs::trace_kind::reclaim_scan, 0,
-          static_cast<std::uint32_t>(freed_this_pass));
-    }
   }
 
   // --- observability (tests assert reclamation actually happens) ---

@@ -34,8 +34,9 @@
 // continues over every other shard. A consumer prefers its own lane (cheap,
 // uncontended) and falls back to draining peers' lanes when its own runs
 // dry, so no item is ever stranded behind an idle consumer. The
-// stolen/dequeued ratio is exported per shard (scale_counters.hpp) — the
-// fig_sharding bench prints it.
+// stolen/dequeued ratio and the empty-scan count are exported per shard
+// (scale_counters.hpp) — the fig_sharding bench prints them. The front-end
+// records no trace events; a traced inner queue records its own.
 #pragma once
 
 #include <cassert>
@@ -47,7 +48,6 @@
 
 #include "core/queue_concepts.hpp"
 #include "harness/mem_tracker.hpp"
-#include "obs/trace_ring.hpp"
 #include "scale/scale_counters.hpp"
 #include "scale/shard_policy.hpp"
 #include "sync/cacheline.hpp"
@@ -137,19 +137,10 @@ class sharded_queue : public mem_tracked {
       if (k != 0 && s == home) continue;  // already visited first
       if (auto v = shards_[s]->dequeue(tid)) {
         counters_[s]->on_dequeue(/*stolen=*/s != home);
-        if constexpr (obs::default_trace::enabled) {
-          if (s != home) {
-            obs::default_trace::record(tid, obs::trace_kind::shard_steal, 0,
-                                       s);
-          }
-        }
         return v;
       }
     }
     counters_[home]->on_empty_scan();
-    if constexpr (obs::default_trace::enabled) {
-      obs::default_trace::record(tid, obs::trace_kind::shard_empty, 0, home);
-    }
     return std::nullopt;
   }
   std::optional<value_type> dequeue() { return dequeue(this_thread_id()); }

@@ -44,9 +44,9 @@
 //     hub); the frame is guaranteed alive post-unlock because teardown of
 //     a parked frame must win the claim first (see async/park.hpp).
 //
-// The hub also owns the park/resume observability: waiter_park /
-// waiter_resume trace events and a stats() block the obs registry exports
-// structurally (obs/registry.hpp, waiter_hub_stats_like).
+// The hub also owns the park/resume observability: a stats() block of
+// park, notify and resume counts plus the accept->running latency, which
+// obs/registry.hpp exports structurally (waiter_hub_stats_like).
 #pragma once
 
 #include <atomic>
@@ -57,8 +57,6 @@
 #include <mutex>
 
 #include "harness/timing.hpp"
-#include "obs/trace_ring.hpp"
-#include "sync/thread_registry.hpp"
 
 namespace kpq {
 
@@ -79,8 +77,6 @@ struct waiter_hub_stats {
 
 class waiter_hub {
  public:
-  enum class waiter_kind : std::uint8_t { thread = 0, coroutine = 1 };
-
   /// try_accept() verdicts — see the two-phase-notification comment above.
   enum class accept_result : std::uint8_t {
     refused,          // already claimed; pass the token to the next waiter
@@ -102,16 +98,8 @@ class waiter_hub {
     /// Still on the hub's list? Callers must hold the hub lock.
     bool linked() const noexcept { return linked_; }
 
-    /// Trace events from the hub (waiter_park/waiter_resume) normally record
-    /// under the recording thread's auto-registered dense id. Call sites
-    /// whose surrounding queue ops use a caller-supplied tid must route the
-    /// hub's events to the SAME ring — the rings are single-writer per tid,
-    /// and mixing the two id namespaces lets two OS threads collide on one.
-    static constexpr std::uint32_t no_trace_tid = 0xffffffffu;
-    void set_trace_tid(std::uint32_t tid) noexcept { trace_tid_ = tid; }
-
    protected:
-    explicit waiter(waiter_kind kind) noexcept : kind_(kind) {}
+    waiter() noexcept = default;
     ~waiter() { assert(!linked_ && "waiter destroyed while enlisted"); }
 
     /// Called by the notifier UNDER the hub lock after popping this waiter.
@@ -124,13 +112,11 @@ class waiter_hub {
     virtual void resume() noexcept { assert(false && "inline-accepted"); }
 
     std::uint64_t accept_ts_ = 0;  // set under the hub lock at accept time
-    waiter_kind kind_;
 
    private:
     waiter* prev_ = nullptr;
     waiter* next_ = nullptr;
     bool linked_ = false;
-    std::uint32_t trace_tid_ = no_trace_tid;
   };
 
   waiter_hub() = default;
@@ -178,16 +164,11 @@ class waiter_hub {
   }
 
   /// The waiter is about to actually suspend (predicate re-checked false).
-  /// Counts the park and emits the waiter_park trace event.
-  void commit_park(const waiter& w, const std::unique_lock<std::mutex>& lk) {
+  /// Counts the park.
+  void commit_park(const std::unique_lock<std::mutex>& lk) {
     assert(lk.owns_lock() && lk.mutex() == &m_);
     (void)lk;
     ++parks_;
-    if constexpr (obs::default_trace::enabled) {
-      obs::default_trace::record(trace_tid_of(w),
-                                 obs::trace_kind::waiter_park, 0,
-                                 static_cast<std::uint32_t>(w.kind_));
-    }
   }
 
   /// Deliver one token: pop waiters until one accepts; if the acceptor asked
@@ -225,8 +206,8 @@ class waiter_hub {
   }
 
   /// Called by the continuation itself once it is running again after an
-  /// accepted notify: closes the accept→running latency measurement and
-  /// emits the waiter_resume trace event (phase = latency in ns).
+  /// accepted notify: counts the resume and closes the accept→running
+  /// latency measurement.
   void on_resumed(const waiter& w) noexcept {
     const std::uint64_t dt = now_ns() - w.accept_ts_;
     // kpq-order: relaxed pairs-with none (latency statistics; read only by
@@ -240,12 +221,6 @@ class waiter_hub {
     // kpq-order: relaxed pairs-with none (statistics, see above)
     while (prev < dt && !resume_ns_max_.compare_exchange_weak(
                             prev, dt, std::memory_order_relaxed)) {
-    }
-    if constexpr (obs::default_trace::enabled) {
-      obs::default_trace::record(trace_tid_of(w),
-                                 obs::trace_kind::waiter_resume,
-                                 static_cast<std::int64_t>(dt),
-                                 static_cast<std::uint32_t>(w.kind_));
     }
   }
 
@@ -267,11 +242,6 @@ class waiter_hub {
   }
 
  private:
-  static std::uint32_t trace_tid_of(const waiter& w) noexcept {
-    return w.trace_tid_ != waiter::no_trace_tid ? w.trace_tid_
-                                                : this_thread_id();
-  }
-
   void unlink(waiter& w) noexcept {
     if (w.prev_) {
       w.prev_->next_ = w.next_;
@@ -345,8 +315,6 @@ class waiter_hub {
 /// drops its pointer before releasing the lock.
 class thread_parker final : public waiter_hub::waiter {
  public:
-  thread_parker() noexcept : waiter(waiter_hub::waiter_kind::thread) {}
-
   /// Notification already consumed? Callers must hold the hub lock.
   bool notified() const noexcept { return notified_; }
 
@@ -380,7 +348,7 @@ class thread_parker final : public waiter_hub::waiter {
   void arm(waiter_hub& hub, const std::unique_lock<std::mutex>& lk) {
     notified_ = false;
     if (!linked()) hub.enlist(*this, lk);
-    hub.commit_park(*this, lk);
+    hub.commit_park(lk);
   }
 
   waiter_hub::accept_result try_accept() noexcept override {

@@ -1,13 +1,14 @@
 // Metrics registry and exposition: structural append_metrics sources,
-// JSON round-trip (emit, reparse, compare), the never-NaN guarantee for
-// counters that never fired, and — the reason this suite runs under TSan in
-// CI — snapshots racing worker threads that mutate the registered (atomic)
-// counter surfaces.
+// to_json's exact output (escaping, non-finite clamping, %.17g), the
+// never-NaN guarantee for counters that never fired, and — the reason this
+// suite runs under TSan in CI — snapshots racing worker threads that mutate
+// a snapshotted (atomic) counter surface.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cmath>
 #include <cstdint>
+#include <cstdlib>
 #include <limits>
 #include <map>
 #include <string>
@@ -150,40 +151,36 @@ TEST(ObsRegistry, SummarySourceGuardsEmpty) {
   EXPECT_EQ(m.at("empty.stddev"), 0.0);
 }
 
-TEST(ObsRegistry, RegistryCollectsRegisteredSourcesInOrder) {
+TEST(ObsRegistry, AppendMetricsKeepsSourcesInCallOrder) {
+  // A snapshot of several sources is one append_metrics call per source;
+  // the flat document lists them in call order, each under its prefix.
   wf_counters c;
   c.enq_ops = 5;
   mem_counters mc;
-  registry reg;
-  reg.add("queue", c);
-  reg.add("mem", mc);
-  reg.add_source("custom", [](metrics_snapshot& out) {
-    append_value(out, "custom.answer", 42.0);
-  });
-  EXPECT_EQ(reg.source_count(), 3u);
-  const metrics_snapshot snap = reg.snapshot();
+  metrics_snapshot snap;
+  append_metrics(snap, "queue", c);
+  append_metrics(snap, "mem", mc);
+  append_value(snap, "custom.answer", 42.0);
   const auto m = as_map(snap);
   EXPECT_EQ(m.at("queue.enq_ops"), 5.0);
   EXPECT_EQ(m.at("mem.live_bytes"), 0.0);
   EXPECT_EQ(m.at("custom.answer"), 42.0);
-  // Registration order is preserved in the flat document.
   EXPECT_EQ(snap.front().name, "queue.enq_ops");
   EXPECT_EQ(snap.back().name, "custom.answer");
+  std::size_t i = 0;
+  while (i < snap.size() && snap[i].name.rfind("queue.", 0) == 0) ++i;
+  while (i < snap.size() && snap[i].name.rfind("mem.", 0) == 0) ++i;
+  EXPECT_EQ(i, snap.size() - 1) << "sources interleaved at " << snap[i].name;
 }
 
 TEST(ObsRegistry, ConcurrentSnapshotVersusWorkerMutation) {
   // A scraper thread snapshots while workers hammer a fast-path queue whose
-  // registered surface, the path_counters() cells, is owner-written with
+  // snapshotted surface, the path_counters() cells, is owner-written with
   // relaxed atomic stores (wf_queue's plain wf_counters fields are NOT
-  // registered).
+  // snapshotted).
   constexpr std::uint32_t kThreads = 4;
   constexpr std::uint64_t kRounds = 3000;
   wf_queue_fps<std::uint64_t> q(kThreads);
-
-  registry reg;
-  reg.add_source("q.path", [&](metrics_snapshot& out) {
-    append_metrics(out, "q.path", q.aggregate_path_counters());
-  });
 
   std::atomic<bool> joined{false};
   bool all_finite = true;
@@ -193,7 +190,8 @@ TEST(ObsRegistry, ConcurrentSnapshotVersusWorkerMutation) {
     // the workers joined.
     for (bool stop = false; !stop;) {
       stop = joined.load(std::memory_order_acquire);
-      last = reg.snapshot();
+      last.clear();
+      append_metrics(last, "q.path", q.aggregate_path_counters());
       for (const metric& m : last) all_finite &= std::isfinite(m.value);
     }
   });
@@ -235,12 +233,13 @@ TEST(ObsExport, JsonRoundTripIsExact) {
   append_value(snap, "a.rate", 0.14285714285714285);
   append_value(snap, "b.big", 9.007199254740992e18);
   append_value(snap, "b.neg", -17.0);
-  const std::string json = to_json(snap);
-  const auto parsed = parse_flat_json(json);
-  ASSERT_EQ(parsed.size(), snap.size());
-  for (std::size_t i = 0; i < parsed.size(); ++i) {
-    EXPECT_EQ(parsed[i].first, snap[i].name);
-    EXPECT_DOUBLE_EQ(parsed[i].second, snap[i].value) << snap[i].name;
+  EXPECT_EQ(to_json(snap),
+            "{\"a.count\":12345,\"a.rate\":0.14285714285714285,"
+            "\"b.big\":9.007199254740992e+18,\"b.neg\":-17}");
+  // %.17g: any reader gets the exact double back.
+  for (const metric& m : snap) {
+    EXPECT_EQ(std::strtod(format_number(m.value).c_str(), nullptr), m.value)
+        << m.name;
   }
 }
 
@@ -248,70 +247,36 @@ TEST(ObsExport, JsonSanitizesNonFiniteToZero) {
   metrics_snapshot snap;
   snap.push_back({"bad.a", std::nan("")});            // bypass append_value
   snap.push_back({"bad.b", HUGE_VAL});
-  const std::string json = to_json(snap);
-  EXPECT_EQ(json.find("nan"), std::string::npos);
-  EXPECT_EQ(json.find("inf"), std::string::npos);
-  const auto parsed = parse_flat_json(json);
-  ASSERT_EQ(parsed.size(), 2u);
-  EXPECT_EQ(parsed[0].second, 0.0);
-  EXPECT_EQ(parsed[1].second, 0.0);
+  EXPECT_EQ(to_json(snap), "{\"bad.a\":0,\"bad.b\":0}");
 }
 
 TEST(ObsExport, JsonEscapesKeys) {
   metrics_snapshot snap;
   append_value(snap, "weird\"key\\name", 1.0);
-  const std::string json = to_json(snap);
-  const auto parsed = parse_flat_json(json);
-  ASSERT_EQ(parsed.size(), 1u);
-  EXPECT_EQ(parsed[0].first, "weird\"key\\name");
-}
-
-TEST(ObsExport, ParseFlatJsonUnescapesKeys) {
-  // Regression: the parser used to keep escape sequences raw ("a\"b" parsed
-  // to the three characters a \ " b), breaking json_escape -> parse
-  // round-trips for any key with a quote, backslash or control char.
-  const auto parsed = parse_flat_json(
-      "{\"a\\\"b\":1,\"c\\\\d\":2,\"e\\nf\":3,\"g\\u0041h\":4,"
-      "\"tab\\there\":5}");
-  ASSERT_EQ(parsed.size(), 5u);
-  EXPECT_EQ(parsed[0].first, "a\"b");
-  EXPECT_EQ(parsed[1].first, "c\\d");
-  EXPECT_EQ(parsed[2].first, "e\nf");
-  EXPECT_EQ(parsed[3].first, "gAh");  // \u0041 == 'A'
-  EXPECT_EQ(parsed[4].first, "tab\there");
+  append_value(snap, "line\nbreak\ttab", 2.0);
+  EXPECT_EQ(to_json(snap),
+            "{\"weird\\\"key\\\\name\":1,\"line\\nbreak\\ttab\":2}");
 }
 
 TEST(ObsExport, ControlCharKeyRoundTripsThroughJson) {
-  // json_escape emits \u00XX for control chars; the parser must decode it.
+  // json_escape emits \u00XX for the control chars without a short escape.
   metrics_snapshot snap;
   append_value(snap, std::string("bell\x07key"), 9.0);
-  const auto parsed = parse_flat_json(to_json(snap));
-  ASSERT_EQ(parsed.size(), 1u);
-  EXPECT_EQ(parsed[0].first, "bell\x07key");
-  EXPECT_EQ(parsed[0].second, 9.0);
+  EXPECT_EQ(to_json(snap), "{\"bell\\u0007key\":9}");
 }
 
-TEST(ObsExport, ParseFlatJsonUnescapesMultibyteCodePoints) {
-  // \u00e9 (é, 2-byte UTF-8) and \u20ac (€, 3-byte UTF-8).
-  const auto parsed = parse_flat_json("{\"caf\\u00e9\":1,\"\\u20ac\":2}");
-  ASSERT_EQ(parsed.size(), 2u);
-  EXPECT_EQ(parsed[0].first, "caf\xc3\xa9");
-  EXPECT_EQ(parsed[1].first, "\xe2\x82\xac");
+TEST(ObsExport, JsonPassesMultibyteKeysThrough) {
+  // UTF-8 bytes are not control characters: they reach the document
+  // unescaped, so a multibyte key stays valid JSON byte for byte.
+  metrics_snapshot snap;
+  append_value(snap, "caf\xc3\xa9.\xe2\x82\xac", 1.0);  // "café.€"
+  EXPECT_EQ(to_json(snap), "{\"caf\xc3\xa9.\xe2\x82\xac\":1}");
 }
 
 TEST(ObsExport, IntegralValuesPrintWithoutFraction) {
   metrics_snapshot snap;
   append_value(snap, "n", 3.0);
   EXPECT_EQ(to_json(snap), "{\"n\":3}");
-}
-
-TEST(ObsExport, ParseFlatJsonToleratesWhitespace) {
-  const auto parsed =
-      parse_flat_json("  { \"x\" : 1.5 ,\n \"y\" : -2 }  ");
-  ASSERT_EQ(parsed.size(), 2u);
-  EXPECT_EQ(parsed[0].first, "x");
-  EXPECT_EQ(parsed[0].second, 1.5);
-  EXPECT_EQ(parsed[1].second, -2.0);
 }
 
 TEST(ObsExport, JsonWriterNestedDocument) {

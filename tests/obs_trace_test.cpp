@@ -1,7 +1,9 @@
 // Trace ring and trace domain: wrap-around exactness, concurrent writers on
-// distinct rings, drain-at-quiescence, recorder policies, and the derived
-// wait-freedom metrics over both synthetic and real (traced wf_queue)
-// event streams.
+// distinct rings, drain-at-quiescence, the queue's wf_trace hook as the one
+// thing that records (untraced queues, the sharded front-end, the reclaimer
+// and the waiter hub record nothing), and the derived wait-freedom metrics
+// over both synthetic and real (traced wf_queue and wf_queue_fps) event
+// streams.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -16,10 +18,14 @@
 #include <vector>
 
 #include "core/wf_queue.hpp"
+#include "core/wf_queue_fps.hpp"
 #include "obs/trace_ring.hpp"
 #include "obs/wf_metrics.hpp"
+#include "reclaim/hazard_pointers.hpp"
+#include "scale/sharded_queue.hpp"
 #include "support/hooks.hpp"
 #include "sync/spin_barrier.hpp"
+#include "sync/waiter_hub.hpp"
 
 namespace kpq::obs {
 namespace {
@@ -88,9 +94,7 @@ constexpr std::pair<trace_kind, unsigned> kPinnedKinds[] = {
     {trace_kind::enq_publish, 0},  {trace_kind::enq_complete, 1},
     {trace_kind::deq_publish, 2},  {trace_kind::deq_complete, 3},
     {trace_kind::help_start, 4},   {trace_kind::help_finish, 5},
-    {trace_kind::retire, 7},       {trace_kind::reclaim_scan, 8},
-    {trace_kind::shard_steal, 9},  {trace_kind::shard_empty, 10},
-    {trace_kind::waiter_park, 12}, {trace_kind::waiter_resume, 13},
+    {trace_kind::retire, 7},
 };
 
 TEST(ObsTraceKinds, StoredNumericValuesAreStable) {
@@ -99,7 +103,7 @@ TEST(ObsTraceKinds, StoredNumericValuesAreStable) {
   }
 }
 
-TEST(ObsTraceKinds, EveryLiveKindIsNamedAndRetiredElevenIsNot) {
+TEST(ObsTraceKinds, EveryLiveKindIsNamedAndRetiredOnesAreNot) {
   std::set<std::string> names;
   for (const auto& [kind, value] : kPinnedKinds) {
     const std::string name = trace_kind_name(kind);
@@ -107,9 +111,10 @@ TEST(ObsTraceKinds, EveryLiveKindIsNamedAndRetiredElevenIsNot) {
     names.insert(name);
   }
   EXPECT_EQ(names.size(), std::size(kPinnedKinds)) << "names must be unique";
-  EXPECT_STREQ(trace_kind_name(static_cast<trace_kind>(6)), "unknown");
-  EXPECT_STREQ(trace_kind_name(static_cast<trace_kind>(11)), "unknown");
-  EXPECT_STREQ(trace_kind_name(static_cast<trace_kind>(14)), "unknown");
+  for (unsigned v : {6u, 8u, 9u, 10u, 11u, 12u, 13u, 14u}) {
+    EXPECT_STREQ(trace_kind_name(static_cast<trace_kind>(v)), "unknown")
+        << "kind " << v;
+  }
 }
 
 TEST(ObsTraceDomain, ConcurrentWritersOnDistinctRingsLoseNothing) {
@@ -159,24 +164,16 @@ TEST(ObsTraceDomain, DrainAllMergesSortedByTimestamp) {
   }
 }
 
-TEST(ObsTracePolicies, NoTraceIsDisabledAndInert) {
-  static_assert(!no_trace::enabled);
-  no_trace::record(0, trace_kind::retire, 0, 0);  // links, does nothing
-  // The queue's default hook follows the same switch.
-#if defined(KPQ_TRACE)
-  static_assert(default_trace::enabled);
-  static_assert(std::is_same_v<wf_options::hooks, wf_trace>);
-#else
-  static_assert(!default_trace::enabled);
+TEST(ObsTraceHook, OnlyTheTracedOptionsTrace) {
   static_assert(std::is_same_v<wf_options::hooks, no_hooks>);
-#endif
+  static_assert(std::is_same_v<wf_options_traced::hooks, wf_trace>);
 }
 
-TEST(ObsTracePolicies, RingTraceRecordsIntoGlobalDomain) {
-  static_assert(ring_trace::enabled);
+TEST(ObsTraceHook, WfTraceRecordsEventsZeroToSevenIntoGlobalDomain) {
   global_trace().reset();
-  ring_trace::record(3, trace_kind::help_start, 7, 1);
-  ring_trace::record(3, trace_kind::help_finish, 7, 1);
+  wf_trace::event(3, wf_event::help_start, 7, 1);
+  wf_trace::event(3, wf_event::enq_done_for, 7, 1);  // a counter-only event
+  wf_trace::event(3, wf_event::help_finish, 7, 1);
   const auto events = global_trace().drain_all();
   ASSERT_EQ(events.size(), 2u);
   EXPECT_EQ(events[0].kind, trace_kind::help_start);
@@ -184,6 +181,70 @@ TEST(ObsTracePolicies, RingTraceRecordsIntoGlobalDomain) {
   EXPECT_EQ(events[0].phase, 7);
   EXPECT_EQ(events[1].kind, trace_kind::help_finish);
   global_trace().reset();
+}
+
+TEST(ObsTraceHook, DefaultOptionsQueuesRecordNothing) {
+  // Without wf_trace in its hooks a queue's hook calls are empty: a run
+  // that publishes, completes, retires and finds the queue empty leaves the
+  // global domain as it was.
+  global_trace().reset();
+  {
+    wf_queue<std::uint64_t> q(2);
+    wf_queue_fps<std::uint64_t> f(2);
+    for (std::uint64_t i = 0; i < 64; ++i) {
+      q.enqueue(i, i % 2);
+      f.enqueue(i, i % 2);
+    }
+    for (std::uint64_t i = 0; i < 64; ++i) {
+      ASSERT_EQ(q.dequeue(i % 2), std::optional<std::uint64_t>(i));
+      ASSERT_EQ(f.dequeue(i % 2), std::optional<std::uint64_t>(i));
+    }
+    EXPECT_FALSE(q.dequeue(0).has_value());
+    EXPECT_FALSE(f.dequeue(1).has_value());
+  }
+  std::uint64_t dropped = 0;
+  EXPECT_TRUE(global_trace().drain_all(&dropped).empty());
+  EXPECT_EQ(dropped, 0u);
+}
+
+class resuming_waiter final : public waiter_hub::waiter {
+  waiter_hub::accept_result try_accept() noexcept override {
+    return waiter_hub::accept_result::needs_resume;
+  }
+  void resume() noexcept override {}
+};
+
+TEST(ObsTraceHook, StealsScansAndParksLiveInCountersNotTheTrace) {
+  // Steals, empty scans, reclaimer scans and waiter parks/resumes are
+  // counted by their components, never traced: the trace holds only what
+  // a traced queue's hook records.
+  global_trace().reset();
+  sharded_queue<wf_queue<std::uint64_t>> sq(2, 2);
+  sq.enqueue(42, 0);  // shard 0
+  EXPECT_EQ(sq.dequeue(1), std::optional<std::uint64_t>(42));  // a steal
+  EXPECT_EQ(sq.dequeue(1), std::nullopt);                      // empty scan
+  EXPECT_EQ(sq.aggregate_counters().stolen, 1u);
+  EXPECT_EQ(sq.aggregate_counters().empty_scans, 1u);
+
+  hp_domain d(1, 1, /*scan_threshold=*/1);  // scan on every retire
+  d.retire(0, new int(7), [](void*, void* p) { delete static_cast<int*>(p); },
+           nullptr);
+  EXPECT_EQ(d.retired_count(), 1u);
+  EXPECT_EQ(d.freed_count(), 1u);
+
+  waiter_hub hub;
+  resuming_waiter w;
+  {
+    auto lk = hub.lock();
+    hub.enlist(w, lk);
+    hub.commit_park(lk);
+  }
+  hub.notify_one();
+  hub.on_resumed(w);
+  EXPECT_EQ(hub.stats().parks, 1u);
+  EXPECT_EQ(hub.stats().resumes, 1u);
+
+  EXPECT_TRUE(global_trace().drain_all().empty());
 }
 
 // ------------------------------------------------------- derived metrics
@@ -238,6 +299,37 @@ TEST(ObsWfMetrics, UnmatchedHelpStartsAreCounted) {
   EXPECT_EQ(r.unmatched_helps, 1u);
 }
 
+TEST(ObsWfMetrics, RetiredKindsInAStreamAreIgnored) {
+  // A trace stored before kinds 6 and 8-13 were retired still analyses:
+  // those events count toward nothing, and the live ones around them
+  // count as before.
+  std::vector<trace_event> events;
+  auto push = [&](std::uint64_t ts, trace_kind k, std::int64_t phase,
+                  std::uint32_t aux) {
+    trace_event e;
+    e.ts = ts;
+    e.kind = k;
+    e.tid = 0;
+    e.phase = phase;
+    e.aux = aux;
+    events.push_back(e);
+  };
+  push(10, trace_kind::enq_publish, 1, 0);
+  for (unsigned v : {6u, 8u, 9u, 10u, 11u, 12u, 13u}) {
+    push(10 + v, static_cast<trace_kind>(v), 0, 1);
+  }
+  push(30, trace_kind::enq_complete, 1, 0);
+  const wf_trace_report r = analyze_trace(events);
+  EXPECT_EQ(r.enq_ops, 1u);
+  EXPECT_EQ(r.deq_ops, 0u);
+  EXPECT_EQ(r.empty_deqs, 0u);
+  EXPECT_EQ(r.help_episodes, 0u);
+  EXPECT_EQ(r.unmatched_helps, 0u);
+  EXPECT_EQ(r.retires, 0u);
+  EXPECT_EQ(r.phase_lag.total(), 1u);
+  EXPECT_EQ(r.max_phase_seen, 1);
+}
+
 TEST(ObsWfMetrics, EmptyTraceYieldsAllZeroFiniteReport) {
   const wf_trace_report r = analyze_trace({});
   EXPECT_EQ(r.ops(), 0u);
@@ -273,41 +365,73 @@ TEST(ObsTracedQueue, SingleThreadedCountsAreExact) {
   global_trace().reset();
 }
 
-TEST(ObsTracedQueue, ConcurrentRunProducesConsistentTrace) {
-  using Q = wf_queue<std::uint64_t, help_one, fetch_add_phase, hp_domain,
-                     wf_options_traced>;
-  constexpr std::uint32_t kThreads = 4;
-  constexpr std::uint64_t kIters = 2000;
-  global_trace().reset();
-  {
-    Q q(kThreads);
-    spin_barrier barrier(kThreads);
-    std::vector<std::thread> workers;
-    for (std::uint32_t t = 0; t < kThreads; ++t) {
-      workers.emplace_back([&, t] {
-        barrier.arrive_and_wait();
-        for (std::uint64_t i = 0; i < kIters; ++i) {
-          q.enqueue(i, t);
-          (void)q.dequeue(t);
-        }
-      });
-    }
-    for (auto& w : workers) w.join();
+struct fps_traced_options : fps_options {
+  using hooks = wf_trace;
+};
+
+constexpr std::uint32_t kThreads = 4;
+constexpr std::uint64_t kIters = 2000;
+
+template <typename Q>
+void run_pairs(Q& q) {
+  spin_barrier barrier(kThreads);
+  std::vector<std::thread> workers;
+  for (std::uint32_t t = 0; t < kThreads; ++t) {
+    workers.emplace_back([&, t] {
+      barrier.arrive_and_wait();
+      for (std::uint64_t i = 0; i < kIters; ++i) {
+        q.enqueue(i, t);
+        (void)q.dequeue(t);
+      }
+    });
   }
+  for (auto& w : workers) w.join();
+}
+
+/// Drains the global trace of one run_pairs() whose announced operations
+/// were `enqs` enqueues and `deqs` dequeues, and checks it tells that run.
+void expect_trace_of_pairs(std::uint64_t enqs, std::uint64_t deqs) {
   std::uint64_t dropped = 0;
   const auto events = global_trace().drain_all(&dropped);
   const wf_trace_report r = analyze_trace(events, dropped, kThreads);
   if (dropped == 0) {
-    EXPECT_EQ(r.enq_ops, kThreads * kIters);
-    EXPECT_EQ(r.deq_ops, kThreads * kIters);
+    EXPECT_EQ(r.enq_ops, enqs);
+    EXPECT_EQ(r.deq_ops, deqs);
+    // Each thread's dequeue follows its own enqueue, so every one finds an
+    // item, and each item's head swing retires one node.
+    EXPECT_EQ(r.empty_deqs, 0u);
+    EXPECT_EQ(r.retires, kThreads * kIters);
   } else {
-    EXPECT_GT(r.ops(), 0u);  // wrap: still a consistent suffix
+    EXPECT_GT(r.retires, 0u);  // wrap: still a consistent suffix
   }
   // Phase lag was recorded for every completion seen.
   EXPECT_EQ(r.phase_lag.total(), r.ops());
   // The dense-id overloads were never used: tids stay < kThreads.
   for (const trace_event& e : events) EXPECT_LT(e.tid, kThreads);
   global_trace().reset();
+}
+
+TEST(ObsTracedQueue, ConcurrentRunProducesConsistentTrace) {
+  // opt: every operation announces, so the trace holds all of them.
+  global_trace().reset();
+  {
+    wf_queue<std::uint64_t, help_one, fetch_add_phase, hp_domain,
+             wf_options_traced>
+        q(kThreads);
+    run_pairs(q);
+  }
+  expect_trace_of_pairs(kThreads * kIters, kThreads * kIters);
+
+  // fps: only slow-path operations announce, but a fast dequeue's head
+  // swing still retires, so the fast path's trace writes run too.
+  fps_path_stats ps;
+  {
+    wf_queue_fps<std::uint64_t, hp_domain, fps_traced_options> q(kThreads);
+    run_pairs(q);
+    ps = q.aggregate_path_counters();
+  }
+  EXPECT_EQ(ps.ops(), 2 * kThreads * kIters);
+  expect_trace_of_pairs(ps.slow_enqs, ps.slow_deqs);
 }
 
 // Two hooks on one queue must tell one story: the trace's derived counts

@@ -20,8 +20,7 @@ using namespace std::chrono_literals;
 // A scriptable continuation: accepts or refuses the token on demand.
 class fake_waiter final : public waiter_hub::waiter {
  public:
-  explicit fake_waiter(bool accepts = true)
-      : waiter(waiter_hub::waiter_kind::coroutine), accepts_(accepts) {}
+  explicit fake_waiter(bool accepts = true) : accepts_(accepts) {}
   int accept_calls = 0;
   int resume_calls = 0;
 
@@ -113,7 +112,7 @@ TEST(WaiterHub, StatsCountParksAndNotifies) {
   {
     auto lk = hub.lock();
     hub.enlist(a, lk);
-    hub.commit_park(a, lk);
+    hub.commit_park(lk);
   }
   hub.notify_one();
   hub.on_resumed(a);
