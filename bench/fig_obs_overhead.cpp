@@ -34,6 +34,7 @@
 
 #include "bench_common.hpp"
 #include "core/wf_queue.hpp"
+#include "obs/calibrate.hpp"
 #include "obs/export.hpp"
 #include "obs/registry.hpp"
 #include "obs/timeline.hpp"
@@ -155,7 +156,8 @@ int main(int argc, char** argv) {
   const std::string json_path = p.json_path;
   p.json_path.clear();  // the figure table is embedded in our own document
 
-  const double tick_hz = obs::estimate_tick_hz();
+  const obs::tick_calibration cal = obs::calibrate_ticks();
+  const double tick_hz = cal.tick_hz;
   const double ticks_per_ns = tick_hz / 1e9;
 
   std::printf("== Observability overhead: traced vs untraced ==\n");
@@ -190,8 +192,7 @@ int main(int argc, char** argv) {
       r.report = obs::analyze_trace(events, dropped, th);
       if (s == 1 && th == p.threads.back() && !timeline_path.empty()) {
         write_doc(timeline_path,
-                  obs::trace_to_timeline(events, obs::calibrate_ticks(),
-                                         dropped),
+                  obs::trace_to_timeline(events, cal, dropped),
                   "timeline");
       }
       cells.push_back({th, s, r});

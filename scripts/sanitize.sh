@@ -59,11 +59,10 @@ for mode in "${modes[@]}"; do
     filter=(-R 'Bounded|AllocFailure|Freeing|MemAccounting|Reclaim|ReclaimCounters|NodeRecycling|RecycleLists')
   elif [[ "$mode" == "tsan-async" ]]; then
     # Shortcut: TSan over the waiter_hub continuation layer and everything
-    # rebuilt on it — thread parkers (the event loop's idle wait) and
-    # coroutine resumers (event loop, awaitables, select, cancellation, the
-    # broker example).
+    # built on it — coroutine resumers (awaitables, select, cancellation,
+    # the broker example) and the event loop (its sleep and timers).
     mode=thread
-    filter=(-R 'Async|Waiter|Parker|EventLoop|TimerWheel|Task\.|coro_broker')
+    filter=(-R 'Async|Waiter|EventLoop|Task\.|coro_broker')
   fi
   echo "=== sanitizer: $mode (build-$mode-san) ==="
   cmake -B "build-$mode-san" -G Ninja -DKPQ_SANITIZE="$mode"

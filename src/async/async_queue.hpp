@@ -5,16 +5,16 @@
 // when it returns empty.
 // Suspension is therefore outside the core's step bound (ALGORITHM.md §9),
 // and plain threads interoperate freely with coroutines on the same queue:
-// enqueue() here is the synchronous producer path, and its notify can
-// resume a parked coroutine just as it wakes a parked thread.
+// enqueue() here is the synchronous producer path, and its notify resumes
+// a parked coroutine.
 //
 // Every wait follows the waiter_hub discipline (enlist → re-check →
 // commit_park) through one claim, detail::park (async/park.hpp), whose
 // rivals are a notify, stop_token cancellation, a deadline timer on the
-// executor's wheel, the re-check itself, and frame teardown. co_dequeue,
+// executor, the re-check itself, and frame teardown. co_dequeue,
 // co_dequeue_for and co_select are retry LOOPS over one one-shot awaiter,
 // take_step — a woken coroutine that loses the item to a faster consumer
-// re-parks, same as dequeue_blocking's loop.
+// re-parks.
 //
 // Enqueues never wait: co_enqueue admits through the inner queue's
 // try_enqueue when it has one (bounded_wf_queue), so that queue's policy —
@@ -66,7 +66,7 @@ namespace detail {
 /// One wait for an item from any of `qs`: co_dequeue and co_dequeue_for
 /// pass one queue, co_select N. The callers' loops retry while the result
 /// is open and empty (an item stolen between the wakeup and the scan
-/// re-parks, same as dequeue_blocking's loop). Callers co_await a NAMED
+/// re-parks). Callers co_await a NAMED
 /// step: GCC 12 destroys the members of a braced prvalue awaiter twice.
 template <typename Q>
 struct take_step {
@@ -186,8 +186,8 @@ class async_mpmc {
 
   // ---------------------------------------------------- synchronous side
 
-  /// Wait-free (as the inner queue); wakes one parked consumer — thread or
-  /// coroutine alike — via the shared hub.
+  /// Wait-free (as the inner queue); wakes one parked consumer coroutine
+  /// via the shared hub.
   void enqueue(value_type v, std::uint32_t tid) {
     q_.enqueue(std::move(v), tid);
     if (hub_.maybe_waiters()) hub_.notify_one();
@@ -226,7 +226,7 @@ class async_mpmc {
     }
   }
 
-  /// co_dequeue with a deadline (needs an executor for the timer wheel).
+  /// co_dequeue with a deadline (needs an executor for the timer).
   template <typename Rep, typename Period>
   task<std::optional<value_type>> co_dequeue_for(
       std::chrono::duration<Rep, Period> timeout, std::stop_token st = {}) {
@@ -271,7 +271,7 @@ class async_mpmc {
 
  private:
   Q q_;
-  waiter_hub hub_;  // not-empty waiters (coroutines and threads)
+  waiter_hub hub_;  // not-empty waiters (parked coroutines)
   std::atomic<bool> closed_{false};  // written under the hub lock
   event_loop* exec_ = nullptr;
 };

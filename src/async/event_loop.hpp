@@ -1,5 +1,5 @@
 // A minimal single-threaded executor/event loop for the coroutine
-// front-end, dogfooding the same waiter_hub primitive the queues park on.
+// front-end.
 //
 // Model (docs/ASYNC.md §3):
 //   * One thread calls run(); every coroutine posted to the loop executes
@@ -8,128 +8,46 @@
 //     code on queue hot paths. A post made by the loop's own thread while
 //     it is inside run() skips the lock: it goes to a loop-local list that
 //     only that thread touches.
-//   * A hashed timer wheel supplies deadlines: sleep_until/sleep_for
-//     awaitables, and callback timers (call_at) used by the queue layer for
-//     bounded-admission rechecks and dequeue deadlines.
+//   * A min-heap of deadline callbacks supplies timers: the sleep_until/
+//     sleep_for awaitables, and call_at, which the queue layer uses for
+//     dequeue deadlines.
 //   * run() returns when it is DRAINED: no ready handles, no pending
 //     timers, and every spawn()ed task has completed — the graceful-
 //     shutdown shape (close the queues, then run() until the last consumer
 //     finishes). stop() requests an early return without draining.
 //
-// The loop's idle parking is a thread_parker on its own waiter_hub, so the
-// hub mutex doubles as the ready-queue/timer/stats lock and cross-thread
-// post() wakeups use exactly the enlist→re-check→park discipline every
-// other waiter in the repo uses. A loop-local post needs no wakeup: the
-// loop thread is running, and it checks the local list before it parks.
+// One mutex guards the ready list, the timers, the drain count, the stop
+// flag and the stats. run() re-checks its predicates under it and sleeps on
+// a condition variable until the earliest deadline; every cross-thread
+// change notifies that variable under the same mutex. A loop-local post
+// needs no wakeup: the loop thread is running, and it checks the local
+// list before it sleeps.
 #pragma once
 
 #if !defined(__cpp_impl_coroutine)
 #error "kpq/async requires C++20 coroutines (gate targets on KPQ_HAS_COROUTINES)"
 #endif
 
+#include <algorithm>
 #include <cassert>
 #include <chrono>
+#include <condition_variable>
 #include <coroutine>
 #include <cstdint>
 #include <deque>
 #include <functional>
+#include <mutex>
 #include <utility>
 #include <vector>
 
 #include "async/task.hpp"
 #include "harness/timing.hpp"
-#include "sync/waiter_hub.hpp"
 
 namespace kpq::async {
 
-/// Hashed timer wheel: 256 slots of `tick_ns` each (default 1 ms). Entries
-/// carry absolute now_ns() deadlines; a slot holds every deadline congruent
-/// to it, so advance() filters by `deadline <= now` and future revolutions
-/// stay put. Deadlines already in the past fire on the next advance().
-/// External synchronization required (event_loop guards it with its hub
-/// lock).
-class timer_wheel {
- public:
-  static constexpr std::uint64_t no_deadline = ~std::uint64_t{0};
-
-  struct entry {
-    std::uint64_t deadline_ns = 0;
-    std::coroutine_handle<> h{};     // resumed at fire time...
-    std::function<void()> cb{};      // ...or cb() invoked instead, if set
-  };
-
-  explicit timer_wheel(std::uint64_t tick_ns = 1'000'000,
-                       std::size_t slot_count = 256)
-      : tick_ns_(tick_ns ? tick_ns : 1),
-        slots_(slot_count ? slot_count : 1) {}
-
-  void schedule(entry e) {
-    std::uint64_t tick = e.deadline_ns / tick_ns_;
-    // A deadline already behind the cursor goes into the cursor's slot, so
-    // it fires on the next advance instead of a revolution later.
-    if (started_ && tick < last_tick_) tick = last_tick_;
-    slots_[tick % slots_.size()].push_back(std::move(e));
-    ++pending_;
-  }
-
-  std::size_t pending() const noexcept { return pending_; }
-
-  /// Earliest pending deadline, or no_deadline. Full scan — the wheel is
-  /// small and this only runs when the loop is about to park.
-  std::uint64_t next_deadline_ns() const noexcept {
-    std::uint64_t best = no_deadline;
-    for (const auto& bucket : slots_) {
-      for (const auto& e : bucket) {
-        if (e.deadline_ns < best) best = e.deadline_ns;
-      }
-    }
-    return best;
-  }
-
-  /// Move every entry due at `now` into `out`. Sweeps the slots the cursor
-  /// passed since the previous call (at most one full revolution); the
-  /// current tick's slot is re-swept next time for entries due later inside
-  /// the same tick.
-  void advance(std::uint64_t now, std::vector<entry>& out) {
-    const std::uint64_t now_tick = now / tick_ns_;
-    const std::uint64_t span = slots_.size();
-    std::uint64_t from;
-    if (!started_) {
-      // First sweep covers a full revolution: pre-start schedules may sit
-      // in any slot.
-      from = now_tick >= span - 1 ? now_tick - span + 1 : 0;
-      started_ = true;
-    } else {
-      from = last_tick_;
-      if (now_tick - from >= span) from = now_tick - span + 1;
-    }
-    for (std::uint64_t t = from; t <= now_tick; ++t) {
-      auto& bucket = slots_[t % span];
-      for (std::size_t i = 0; i < bucket.size();) {
-        if (bucket[i].deadline_ns <= now) {
-          out.push_back(std::move(bucket[i]));
-          bucket[i] = std::move(bucket.back());
-          bucket.pop_back();
-          --pending_;
-        } else {
-          ++i;
-        }
-      }
-    }
-    last_tick_ = now_tick;
-  }
-
- private:
-  std::uint64_t tick_ns_;
-  std::vector<std::vector<entry>> slots_;
-  std::uint64_t pending_ = 0;
-  std::uint64_t last_tick_ = 0;
-  bool started_ = false;
-};
-
 struct loop_stats {
   std::uint64_t resumes = 0;      // handles run off the ready queue
-  std::uint64_t timer_fires = 0;  // wheel entries fired (handles + cbs)
+  std::uint64_t timer_fires = 0;  // timer callbacks fired
   std::uint64_t idle_parks = 0;   // times run() actually slept
   std::uint64_t spawned = 0;
   std::uint64_t completed = 0;
@@ -160,15 +78,10 @@ struct loop_stats {
 
 class event_loop {
  public:
-  explicit event_loop(std::uint64_t timer_tick_ns = 1'000'000)
-      : wheel_(timer_tick_ns) {}
-  event_loop(const event_loop&) = delete;
-  event_loop& operator=(const event_loop&) = delete;
-
   // ------------------------------------------------------------- scheduling
 
   /// Thread-safe: queue `h` to run on the loop thread; wakes the loop if
-  /// parked. This is how queue notifiers on producer threads hand a
+  /// it sleeps. This is how queue notifiers on producer threads hand a
   /// coroutine resumption over (async/park.hpp). On the thread inside this
   /// loop's run() it appends to the loop-local list: no lock, no clock.
   void post(std::coroutine_handle<> h) {
@@ -176,25 +89,22 @@ class event_loop {
       local_.push_back(h);
       return;
     }
-    auto lk = hub_.lock();
+    const std::lock_guard lk(m_);
     ready_.push_back({h, now_ns()});
-    hub_.notify_one(std::move(lk));
+    // Every notify is made under the lock: the moment it drops, run() may
+    // drain and return, and its owner destroy the loop.
+    wake_.notify_one();
   }
 
-  /// Thread-safe: resume `h` at absolute now_ns() deadline.
-  void schedule_at(std::uint64_t deadline_ns, std::coroutine_handle<> h) {
-    auto lk = hub_.lock();
-    wheel_.schedule({deadline_ns, h, {}});
-    hub_.notify_one(std::move(lk));  // re-evaluate the park deadline
-  }
-
-  /// Thread-safe: invoke `cb` on the loop thread at the deadline. The queue
-  /// layer's cancellation-style timers (bounded-admission recheck, dequeue
-  /// deadlines) use this — the callback claims a parked continuation.
+  /// Thread-safe: invoke `cb` on the loop thread at absolute now_ns()
+  /// `deadline_ns`; a deadline already past fires on the next pass. The
+  /// queue layer's dequeue deadlines use this — the callback claims a
+  /// parked continuation.
   void call_at(std::uint64_t deadline_ns, std::function<void()> cb) {
-    auto lk = hub_.lock();
-    wheel_.schedule({deadline_ns, {}, std::move(cb)});
-    hub_.notify_one(std::move(lk));
+    const std::lock_guard lk(m_);
+    timers_.push_back({deadline_ns, std::move(cb)});
+    std::push_heap(timers_.begin(), timers_.end(), later);
+    wake_.notify_one();  // re-evaluate the sleep's deadline
   }
 
   // ------------------------------------------------------------- awaitables
@@ -217,7 +127,7 @@ class event_loop {
       std::uint64_t deadline;
       bool await_ready() const noexcept { return false; }
       void await_suspend(std::coroutine_handle<> h) {
-        loop->schedule_at(deadline, h);
+        loop->call_at(deadline, [h] { h.resume(); });
       }
       void await_resume() const noexcept {}
     };
@@ -240,7 +150,7 @@ class event_loop {
   void spawn(task<void> t) {
     assert(t.valid());
     {
-      auto lk = hub_.lock();
+      const std::lock_guard lk(m_);
       ++active_;
       ++stats_.spawned;
     }
@@ -249,7 +159,7 @@ class event_loop {
 
   /// Spawned-but-not-finished count (the drain gauge).
   std::size_t active() const {
-    auto lk = hub_.lock();
+    const std::lock_guard lk(m_);
     return active_;
   }
 
@@ -261,11 +171,11 @@ class event_loop {
   void run() {
     const running_scope scope(this);
     std::vector<std::coroutine_handle<>> batch;
-    std::vector<timer_wheel::entry> due;
+    std::vector<std::function<void()>> due;
     for (;;) {
       batch.clear();
       {
-        auto lk = hub_.lock();
+        const std::lock_guard lk(m_);
         if (stop_) {
           stop_ = false;
           return;
@@ -298,73 +208,56 @@ class event_loop {
 
       due.clear();
       {
-        auto lk = hub_.lock();
+        const std::lock_guard lk(m_);
         const std::uint64_t now = now_ns();
         if (local_.empty()) local_since_ = now;
-        wheel_.advance(now, due);
-        stats_.timer_fires += due.size();
-        // Timer-wheel slack: how late past its deadline each entry fired
-        // (advance only hands back entries with deadline <= now).
-        for (const auto& e : due) {
-          const std::uint64_t slack = now - e.deadline_ns;
+        while (!timers_.empty() && timers_.front().deadline_ns <= now) {
+          std::pop_heap(timers_.begin(), timers_.end(), later);
+          // Timer slack: how late past its deadline each callback fires.
+          const std::uint64_t slack = now - timers_.back().deadline_ns;
           stats_.timer_slack_ns_total += slack;
           if (slack > stats_.timer_slack_ns_max) {
             stats_.timer_slack_ns_max = slack;
           }
+          due.push_back(std::move(timers_.back().cb));
+          timers_.pop_back();
         }
+        stats_.timer_fires += due.size();
       }
-      for (auto& e : due) {
-        if (e.cb) {
-          e.cb();
-        } else if (e.h) {
-          e.h.resume();
-        }
-      }
+      for (auto& cb : due) cb();
 
       if (!local_.empty()) continue;  // only this thread fills it
-      auto lk = hub_.lock();
+      std::unique_lock lk(m_);
       if (stop_) {
         stop_ = false;
         return;
       }
       if (!ready_.empty()) continue;
-      if (active_ == 0 && wheel_.pending() == 0) return;  // drained
-      const std::uint64_t next = wheel_.next_deadline_ns();
-      if (next != timer_wheel::no_deadline && next <= now_ns()) continue;
-      thread_parker p;
-      hub_.enlist(p, lk);
-      if (!ready_.empty() || stop_) {  // re-check under registration
-        hub_.delist(p, lk);
+      if (active_ == 0 && timers_.empty()) return;  // drained
+      if (timers_.empty()) {
+        ++stats_.idle_parks;
+        wake_.wait(lk);
         continue;
       }
+      const std::uint64_t next = timers_.front().deadline_ns;
+      if (next <= now_ns()) continue;
       ++stats_.idle_parks;
-      if (next != timer_wheel::no_deadline) {
-        (void)p.park_until(
-            hub_, lk,
-            monotonic_clock::time_point(std::chrono::nanoseconds(next)));
-      } else {
-        p.park(hub_, lk);
-      }
-      hub_.delist(p, lk);
+      (void)wake_.wait_until(
+          lk, monotonic_clock::time_point(std::chrono::nanoseconds(next)));
     }
   }
 
   /// Thread-safe: make run() return at the next iteration boundary.
   void stop() {
-    auto lk = hub_.lock();
+    const std::lock_guard lk(m_);
     stop_ = true;
-    hub_.notify_all(std::move(lk));
+    wake_.notify_one();
   }
 
   loop_stats stats() const {
-    auto lk = hub_.lock();
+    const std::lock_guard lk(m_);
     return stats_;
   }
-
-  /// The loop's own park/notify hub (stats/registry export; the idle-park
-  /// discipline shares it with cross-thread post()).
-  waiter_hub& hub() noexcept { return hub_; }
-  const waiter_hub& hub() const noexcept { return hub_; }
 
  private:
   // Fire-and-forget wrapper tying the spawned frame's lifetime to its own
@@ -383,17 +276,26 @@ class event_loop {
     loop->task_done();
   }
   void task_done() {
-    auto lk = hub_.lock();
+    const std::lock_guard lk(m_);
     assert(active_ > 0);
     --active_;
     ++stats_.completed;
-    hub_.notify_one(std::move(lk));  // wake run() to re-evaluate the drain
+    wake_.notify_one();  // wake run() to re-evaluate the drain
   }
 
   struct ready_item {
     std::coroutine_handle<> h;
     std::uint64_t posted_ns;  // for the ready-lag gauge
   };
+
+  struct timer {
+    std::uint64_t deadline_ns;
+    std::function<void()> cb;
+  };
+  // Heap order: the earliest deadline sits at timers_.front().
+  static bool later(const timer& a, const timer& b) noexcept {
+    return a.deadline_ns > b.deadline_ns;
+  }
 
   // The loop whose run() this thread is inside; a nested run() of another
   // loop saves and restores it.
@@ -412,12 +314,13 @@ class event_loop {
     if (lag > stats_.ready_lag_ns_max) stats_.ready_lag_ns_max = lag;
   }
 
-  waiter_hub hub_;  // guards ready_/wheel_/active_/stop_/stats_; idle park
+  mutable std::mutex m_;  // guards ready_/timers_/active_/stop_/stats_
+  std::condition_variable wake_;  // run() sleeps on it
   std::deque<ready_item> ready_;
   // Loop-thread posts made inside run(); only that thread touches these.
   std::vector<std::coroutine_handle<>> local_;
   std::uint64_t local_since_ = 0;  // clock read preceding every local_ post
-  timer_wheel wheel_;
+  std::vector<timer> timers_;  // a min-heap by deadline_ns
   std::size_t active_ = 0;
   bool stop_ = false;
   loop_stats stats_;

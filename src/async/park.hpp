@@ -4,9 +4,10 @@
 // co_await that suspends is a layer above the wait-free core: a coroutine
 // parks on one or more waiter_hubs until exactly one rival claims it. The
 // rivals are a notify on any of the hubs (try_accept, under that hub's
-// lock), the stop_token's callback, the deadline timer on the executor's
-// wheel, the waiter's own re-check finding its predicate true, and frame
-// teardown (~park), which takes the claim and resumes nothing.
+// lock), the stop_token's callback, the deadline timer on the executor
+// (event_loop::call_at), the waiter's own re-check finding its predicate
+// true, and frame teardown (~park), which takes the claim and resumes
+// nothing.
 //
 // They race on one word: a tag (arming, parked, claimed) plus the index of
 // the hub whose notify won. The word lives in a make_shared block that
@@ -94,7 +95,7 @@ class park {
     }
     if (st.stop_possible()) stop_cb_.emplace(st, canceller{claim_.get()});
     if (deadline_ns != 0) {
-      assert(exec && "a deadline needs an executor (timer wheel)");
+      assert(exec && "a deadline needs an executor (its timers)");
       exec->call_at(deadline_ns, [c = claim_]() noexcept { c->fire(no_hub); });
     }
     return claim_->publish();

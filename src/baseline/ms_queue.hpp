@@ -43,12 +43,10 @@ class ms_queue : public mem_tracked {
   enum slot : std::uint32_t { s_first = 0, s_next = 1 };
 
   explicit ms_queue(std::uint32_t max_threads, mem_counters* mc = nullptr)
-      : n_(max_threads), reclaim_(max_threads, hp_slots) {
-    set_memory_counters(mc);
+      : mem_tracked(mc), n_(max_threads), reclaim_(max_threads, hp_slots) {
     node* sentinel = alloc_node(T{});
     head_.store(sentinel, std::memory_order_relaxed);
     tail_.store(sentinel, std::memory_order_relaxed);
-    seal_baseline();  // later unsinked traffic is not construction
     std::atomic_thread_fence(std::memory_order_seq_cst);
   }
 

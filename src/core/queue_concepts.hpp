@@ -1,6 +1,6 @@
 // C++20 concept pinning the MPMC queue interface every queue in this
-// library satisfies. Generic code (the blocking adapter, the bench drivers,
-// the examples) can constrain on this instead of duck typing.
+// library satisfies. Generic code (async_mpmc, sharded_queue, the bench
+// drivers, the examples) can constrain on this instead of duck typing.
 #pragma once
 
 #include <concepts>

@@ -399,11 +399,9 @@ class wf_queue : public mem_tracked, public Options::fast_path {
   /// this queue (paper: NUM_THRDS), at most head_cell::max_claimers (2047).
   /// Pass `mc` to account every node allocation from the first one (the
   /// Figure 10 bench does).
-  /// Attaching later via set_memory_counters() is also exact: construction-
-  /// time allocations accumulate into a baseline that the attach replays
-  /// (mem_tracker.hpp).
   explicit wf_queue(std::uint32_t max_threads, mem_counters* mc = nullptr)
-      : fast_path_type(encodable(max_threads)),
+      : mem_tracked(mc),
+        fast_path_type(encodable(max_threads)),
         n_(max_threads),
         storage_(max_threads, this),
         reclaim_(max_threads, hp_slots),
@@ -414,7 +412,6 @@ class wf_queue : public mem_tracked, public Options::fast_path {
     if constexpr (requires { reclaim_.set_roots(&record_roots, this); }) {
       reclaim_.set_roots(&record_roots, this);
     }
-    set_memory_counters(mc);
     node_type* sentinel = alloc_node(0, T{}, no_tid);  // paper line 28
     // kpq-order: seq_cst pairs-with the ctor-exit seq_cst fence below —
     // no thread can access the queue before construction returns.
@@ -422,7 +419,6 @@ class wf_queue : public mem_tracked, public Options::fast_path {
     // kpq-order: relaxed pairs-with the ctor-exit seq_cst fence below
     tail_.store(sentinel, std::memory_order_relaxed);
     // paper lines 32-34: state_'s records start done, with phase no_phase.
-    seal_baseline();
     std::atomic_thread_fence(std::memory_order_seq_cst);
   }
 

@@ -47,8 +47,7 @@ struct tick_calibration {
 };
 
 /// Measure the tick rate against the steady clock over `window_ns` (default
-/// ~10 ms, the same window estimate_tick_hz() uses) and capture the base
-/// pair. Blocks for the window; call from setup code, not hot paths.
+/// ~10 ms; good to a few percent) and capture the base pair. Blocks for the window; call from setup code, not hot paths.
 inline tick_calibration calibrate_ticks(std::uint64_t window_ns = 10'000'000) {
   tick_calibration c;
   c.base_ticks = tick_now();

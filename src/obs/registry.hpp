@@ -194,10 +194,9 @@ void append_metrics(metrics_snapshot& out, const std::string& prefix,
 
 /// Event-loop health (async/event_loop.hpp loop_stats): throughput counters
 /// plus the latency gauges — ready-queue lag (post -> pickup; an upper
-/// bound for loop-thread posts), timer-wheel slack (deadline -> fire) and
-/// the high-water mark of both ready lists. Register a
-/// lambda that returns loop.stats() so the copy is taken under the loop's
-/// own lock (scrape-safe by construction).
+/// bound for loop-thread posts), timer slack (deadline -> fire) and the
+/// high-water mark of both ready lists. Pass a loop.stats() copy: it is
+/// taken under the loop's own lock.
 template <typename L>
 concept event_loop_stats_like = requires(const L& l) {
   { l.resumes } -> std::convertible_to<std::uint64_t>;

@@ -45,28 +45,13 @@ namespace kpq::obs {
 
 /// Cycle-granularity timestamp: TSC where available (x86-64 invariant TSC —
 /// constant-rate, globally monotonic on every post-Nehalem part), steady
-/// clock nanoseconds elsewhere. Units are "ticks"; estimate_tick_hz()
-/// calibrates the conversion at analysis time.
+/// clock nanoseconds elsewhere. Units are "ticks"; calibrate_ticks()
+/// (obs/calibrate.hpp) measures the conversion at analysis time.
 inline std::uint64_t tick_now() noexcept {
 #if defined(__x86_64__) || defined(_M_X64)
   return __rdtsc();
 #else
   return now_ns();
-#endif
-}
-
-/// Rough tick frequency (Hz), measured against the steady clock over a short
-/// spin. Good to a few percent — enough to label histogram buckets in ns.
-inline double estimate_tick_hz() {
-#if defined(__x86_64__) || defined(_M_X64)
-  const std::uint64_t t0 = tick_now();
-  const std::uint64_t n0 = now_ns();
-  std::uint64_t n1 = n0;
-  while (n1 - n0 < 10'000'000) n1 = now_ns();  // ~10 ms window
-  const std::uint64_t t1 = tick_now();
-  return static_cast<double>(t1 - t0) * 1e9 / static_cast<double>(n1 - n0);
-#else
-  return 1e9;  // ticks are nanoseconds already
 #endif
 }
 

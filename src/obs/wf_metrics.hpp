@@ -34,8 +34,8 @@
 namespace kpq::obs {
 
 struct wf_trace_report {
-  // Durations in ticks (tick_now() units); scale by estimate_tick_hz() when
-  // labeling. Phase lag is in phases (dimensionless).
+  // Durations in ticks (tick_now() units); scale by calibrate_ticks()'s
+  // tick_hz when labeling. Phase lag is in phases (dimensionless).
   log2_histogram help_latency;
   log2_histogram phase_lag;
 

@@ -69,12 +69,12 @@ class sharded_queue : public mem_tracked {
   /// inner allocations from construction, exactly like wf_queue.
   sharded_queue(std::uint32_t shard_count, std::uint32_t max_threads,
                 mem_counters* mc = nullptr)
-      : nshards_(shard_count),
+      : mem_tracked(mc),
+        nshards_(shard_count),
         n_(max_threads),
         policy_(shard_count),
         counters_(shard_count) {
     assert(shard_count >= 1);
-    set_memory_counters(mc);
     shards_.reserve(nshards_);
     for (std::uint32_t s = 0; s < nshards_; ++s) {
       if constexpr (std::is_constructible_v<Q, std::uint32_t, mem_counters*>) {

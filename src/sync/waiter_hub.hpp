@@ -1,27 +1,19 @@
-// waiter_hub: the one park/notify primitive behind every "wait until another
-// thread produces a condition" path in the library.
+// waiter_hub: the park/notify primitive behind every coroutine that waits
+// for another thread to produce a condition (an item, or a close).
 //
-// Before this layer existed the repo had two hand-rolled condition_variable
-// parking loops (a blocking adapter's empty-queue wait and a bounded-queue
-// admission wait, both since deleted: admission now decides without
-// waiting, and an empty queue is waited on by coroutines or polled).
-// Adding coroutine resumption as another copy would have multiplied the
-// lost-wakeup surface; instead every wait shares this hub, whose waiters are
-// pluggable CONTINUATIONS:
+// The paper's dequeue never waits, so no thread waits on a queue: an empty
+// queue is waited on by coroutines or polled. A hub's waiters are
+// CONTINUATIONS behind a virtual interface — async::detail::park's nodes
+// (async/park.hpp), each a suspended std::coroutine_handle<> resumed inline
+// by the notifier or posted to an event_loop executor. One wait may enlist
+// a node on several hubs; the nodes share one claim. The interface also
+// lets a test substitute a scripted waiter.
 //
-//   * thread_parker (below)          — a cv-based sleeping thread; exactly
-//     the eventcount-lite behaviour the old code had.
-//   * async::detail::park's nodes (async/park.hpp) — a suspended
-//     std::coroutine_handle<>, resumed inline by the notifier or posted to
-//     an event_loop executor. One wait may enlist a node on several hubs;
-//     the nodes share one claim.
-//
-// Protocol (the Dekker pairing the old adapters relied on, made explicit):
+// Protocol (a Dekker pairing):
 //
 //   waiter:   lock() → enlist() → RE-CHECK the predicate → commit_park() →
-//             suspend (sleep on a cv, or return control to the coroutine
-//             caller). The enlist bumps a seq_cst waiter count BEFORE the
-//             re-check.
+//             suspend (return control to the coroutine's caller). The
+//             enlist bumps a seq_cst waiter count BEFORE the re-check.
 //   notifier: make the predicate true → maybe_waiters() (seq_cst load). A
 //             read of 0 proves any future waiter's re-check happens after
 //             the notifier's write, so skipping the lock is safe. Otherwise
@@ -33,11 +25,10 @@
 //   * refused — the continuation was already claimed by a timeout or
 //     cancellation; the notifier passes the token to the NEXT waiter
 //     instead of dropping it, so a cancelled waiter can never eat a wakeup.
-//   * accepted_inline — the wakeup is fully delivered under the lock
-//     (thread_parker cv-notifies right there; a coroutine wait that is
-//     still arming finds the claim itself). The hub must never touch
-//     the waiter again: the moment the lock drops, the woken thread can
-//     return from park() and destroy the stack-allocated parker.
+//   * accepted_inline — the wakeup is fully delivered under the lock (a
+//     coroutine wait that is still arming finds the claim itself). The hub
+//     must never touch the waiter again: the moment the lock drops, the
+//     arming thread can finish the wait and destroy the waiter.
 //   * needs_resume — the notifier calls resume() AFTER unlocking (a parked
 //     coroutine). A coroutine must never be resumed while the notifier
 //     holds the hub lock (the resumed frame may immediately re-enter the
@@ -51,8 +42,6 @@
 
 #include <atomic>
 #include <cassert>
-#include <chrono>
-#include <condition_variable>
 #include <cstdint>
 #include <mutex>
 
@@ -108,7 +97,7 @@ class waiter_hub {
 
     /// Called by the notifier AFTER releasing the hub lock, only when
     /// try_accept() returned needs_resume: actually run the continuation.
-    /// Inline-accepting waiters (thread_parker) never receive this call.
+    /// A waiter that accepted inline never receives this call.
     virtual void resume() noexcept { assert(false && "inline-accepted"); }
 
     std::uint64_t accept_ts_ = 0;  // set under the hub lock at accept time
@@ -184,7 +173,7 @@ class waiter_hub {
 
   /// Deliver a token to every current waiter (close/shutdown paths). Only
   /// needs_resume waiters reach the post-unlock fire list — inline acceptors
-  /// (thread parkers) may be destroyed the instant the lock drops.
+  /// may be destroyed the instant the lock drops.
   void notify_all() { notify_all(lock()); }
   void notify_all(std::unique_lock<std::mutex> lk) {
     waiter* fire = nullptr;  // reuse next_ as the unlocked fire-list link
@@ -261,9 +250,9 @@ class waiter_hub {
   /// One token delivery attempt, under the hub lock. `delivered` says a
   /// waiter consumed the token; `to_resume` is non-null only when that
   /// waiter wants its resume() after unlock. A null `to_resume` with
-  /// `delivered` set means the wakeup completed inline (thread_parker) —
-  /// the waiter may be destroyed the moment the lock drops, so the hub
-  /// returns no pointer to it.
+  /// `delivered` set means the wakeup completed inline — the waiter may be
+  /// destroyed the moment the lock drops, so the hub returns no pointer to
+  /// it.
   struct token {
     bool delivered = false;
     waiter* to_resume = nullptr;
@@ -302,63 +291,6 @@ class waiter_hub {
   std::atomic<std::uint64_t> resumes_{0};
   std::atomic<std::uint64_t> resume_ns_total_{0};
   std::atomic<std::uint64_t> resume_ns_max_{0};
-};
-
-/// The thread-shaped continuation: a cv the owning thread sleeps on.
-///
-/// Unlike coroutine continuations, the parker's accept must wake the thread
-/// WHILE the hub lock is held: any hub touch after unlock would race the
-/// woken (or timed-out) thread returning from park() and destroying the
-/// stack-allocated parker. try_accept therefore does the cv notify itself
-/// (notifying under the mutex is safe — the sleeper cannot pass wait()
-/// until the notifier releases it) and answers accepted_inline, so the hub
-/// drops its pointer before releasing the lock.
-class thread_parker final : public waiter_hub::waiter {
- public:
-  /// Notification already consumed? Callers must hold the hub lock.
-  bool notified() const noexcept { return notified_; }
-
-  /// Sleep until a notify accepts this parker. The parker must already be
-  /// enlisted and the predicate re-checked (the caller owns that ordering);
-  /// a parker whose previous park was notified is re-armed automatically.
-  void park(waiter_hub& hub, std::unique_lock<std::mutex>& lk) {
-    arm(hub, lk);
-    while (!notified_) cv_.wait(lk);
-    hub.on_resumed(*this);
-  }
-
-  /// Sleep until notified or `deadline` passes. Returns false on timeout —
-  /// the parker STAYS enlisted; re-check the predicate and park again or
-  /// delist on the way out.
-  template <typename Clock, typename Dur>
-  bool park_until(waiter_hub& hub, std::unique_lock<std::mutex>& lk,
-                  std::chrono::time_point<Clock, Dur> deadline) {
-    arm(hub, lk);
-    while (!notified_) {
-      if (cv_.wait_until(lk, deadline) == std::cv_status::timeout &&
-          !notified_) {
-        return false;
-      }
-    }
-    hub.on_resumed(*this);
-    return true;
-  }
-
- private:
-  void arm(waiter_hub& hub, const std::unique_lock<std::mutex>& lk) {
-    notified_ = false;
-    if (!linked()) hub.enlist(*this, lk);
-    hub.commit_park(lk);
-  }
-
-  waiter_hub::accept_result try_accept() noexcept override {
-    notified_ = true;
-    cv_.notify_one();  // under the hub lock — see class comment
-    return waiter_hub::accept_result::accepted_inline;
-  }
-
-  std::condition_variable cv_;
-  bool notified_ = false;  // guarded by the hub mutex
 };
 
 }  // namespace kpq

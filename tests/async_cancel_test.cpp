@@ -127,7 +127,7 @@ TEST(AsyncCancel, DestroyWithPendingDeadlineLeavesAnInertTimer) {
     auto t = q.co_dequeue_for(5ms);
     t.start();
     ASSERT_FALSE(t.done());
-  }  // the frame dies; its deadline stays on the loop's timer wheel
+  }  // the frame dies; its deadline stays on the loop's timer heap
   EXPECT_FALSE(q.hub().maybe_waiters());
   // Runs past the deadline: the late timer must find the wait already
   // claimed by the teardown and resume nothing.

@@ -1,9 +1,8 @@
 // Unit tests for the async runtime pieces that do not involve queues:
-// task<T> (laziness, chaining, exceptions, frame recycling), the hashed
-// timer wheel (due-filtering, past-deadline clamp, full-revolution sweeps),
-// and the event loop (FIFO ready queue, yield interleaving, sleep ordering,
-// drain-on-completion, stop, cross-thread post wakeups, the loop-local
-// ready list).
+// task<T> (laziness, chaining, exceptions, frame recycling) and the event
+// loop (FIFO ready queue, yield interleaving, sleep ordering, timers that
+// fire only when due, drain-on-completion, stop, cross-thread wakeups of a
+// sleeping loop, the loop-local ready list).
 #include "async/event_loop.hpp"
 
 #include <gtest/gtest.h>
@@ -150,73 +149,6 @@ TEST(Task, ThreadExitReturnsCachedFramesToTheHeap) {
 }
 #endif
 
-// ------------------------------------------------------------ timer wheel
-
-timer_wheel::entry cb_entry(std::uint64_t deadline, int& fired) {
-  return {deadline, {}, [&fired] { ++fired; }};
-}
-
-TEST(TimerWheel, FiresOnlyDueEntries) {
-  timer_wheel w(/*tick_ns=*/100, /*slot_count=*/8);
-  int a = 0, b = 0;
-  w.schedule(cb_entry(250, a));
-  w.schedule(cb_entry(910, b));
-  EXPECT_EQ(w.pending(), 2u);
-  EXPECT_EQ(w.next_deadline_ns(), 250u);
-
-  std::vector<timer_wheel::entry> due;
-  w.advance(300, due);
-  ASSERT_EQ(due.size(), 1u);
-  due[0].cb();
-  EXPECT_EQ(a, 1);
-  EXPECT_EQ(w.pending(), 1u);
-
-  due.clear();
-  w.advance(1000, due);
-  ASSERT_EQ(due.size(), 1u);
-  due[0].cb();
-  EXPECT_EQ(b, 1);
-  EXPECT_EQ(w.pending(), 0u);
-  EXPECT_EQ(w.next_deadline_ns(), timer_wheel::no_deadline);
-}
-
-TEST(TimerWheel, FutureRevolutionStaysPutUntilDue) {
-  timer_wheel w(100, 4);  // revolution = 400 ns
-  int fired = 0;
-  // Deadline 950 shares slot 1 with tick 1, but is two revolutions out.
-  w.schedule(cb_entry(950, fired));
-  std::vector<timer_wheel::entry> due;
-  w.advance(150, due);  // sweeps slot 1 — entry must NOT fire early
-  EXPECT_TRUE(due.empty());
-  w.advance(960, due);
-  ASSERT_EQ(due.size(), 1u);
-}
-
-TEST(TimerWheel, PastDeadlineFiresOnNextAdvanceNotNextRevolution) {
-  timer_wheel w(100, 4);
-  std::vector<timer_wheel::entry> due;
-  w.advance(500, due);  // cursor now at tick 5
-  EXPECT_TRUE(due.empty());
-  int fired = 0;
-  w.schedule(cb_entry(120, fired));  // tick 1: already behind the cursor
-  w.advance(510, due);               // must fire HERE, not at tick 1+4k
-  ASSERT_EQ(due.size(), 1u);
-  EXPECT_EQ(due[0].deadline_ns, 120u);
-}
-
-TEST(TimerWheel, FirstAdvanceSweepsPreStartSchedules) {
-  timer_wheel w(100, 4);
-  int fired = 0;
-  // Several slots, all due well before the first advance's `now`.
-  w.schedule(cb_entry(10, fired));
-  w.schedule(cb_entry(110, fired));
-  w.schedule(cb_entry(210, fired));
-  std::vector<timer_wheel::entry> due;
-  w.advance(100'000, due);  // first sweep covers a whole revolution
-  EXPECT_EQ(due.size(), 3u);
-  EXPECT_EQ(w.pending(), 0u);
-}
-
 // ------------------------------------------------------------- event loop
 
 task<void> append_after_yield(event_loop& loop, std::vector<int>& order,
@@ -323,7 +255,144 @@ TEST(EventLoop, CrossThreadPostWakesParkedLoop) {
   poster.join();
   EXPECT_TRUE(resumed);
   EXPECT_GE(loop.stats().idle_parks, 1u);
-  EXPECT_EQ(loop.hub().stats().parks, loop.stats().idle_parks);
+}
+
+// ------------------------------------------------------------------ timers
+
+// Absolute now_ns() deadline `d` from now.
+std::uint64_t from_now(std::chrono::nanoseconds d) {
+  return now_ns() + static_cast<std::uint64_t>(d.count());
+}
+
+TEST(EventLoop, TimersFireOnlyWhenDue) {
+  event_loop loop;
+  const std::uint64_t near = from_now(5ms), far = from_now(40ms);
+  std::vector<char> order;
+  std::uint64_t near_at = 0, far_at = 0;
+  loop.call_at(far, [&] {
+    far_at = now_ns();
+    order.push_back('F');
+  });
+  loop.call_at(near, [&] {
+    near_at = now_ns();
+    order.push_back('N');
+  });
+  loop.run();  // the pending timers keep run() alive until both fire
+  EXPECT_EQ(order, (std::vector<char>{'N', 'F'}));
+  EXPECT_GE(near_at, near);
+  EXPECT_GE(far_at, far);
+  EXPECT_EQ(loop.stats().timer_fires, 2u);
+}
+
+task<void> yield_for(event_loop& loop, std::chrono::nanoseconds d) {
+  const std::uint64_t until = from_now(d);
+  while (now_ns() < until) co_await loop.yield();
+}
+
+TEST(EventLoop, FarFutureTimerStaysUntilItsDeadline) {
+  event_loop loop;
+  // Farther out than any pass of the loop below reaches.
+  const std::uint64_t far = from_now(300ms);
+  std::uint64_t fired_at = 0;
+  loop.call_at(far, [&] { fired_at = now_ns(); });
+  // Thousands of passes sweep the timers while the far one is not due.
+  loop.spawn(yield_for(loop, 20ms));
+  loop.run();
+  EXPECT_GE(fired_at, far);
+  EXPECT_EQ(loop.stats().timer_fires, 1u);
+}
+
+task<void> call_past_deadline_then_yield(event_loop& loop, bool& fired,
+                                         bool& fired_before_next_batch) {
+  co_await loop.yield();  // now inside run()
+  loop.call_at(1, [&fired] { fired = true; });  // long past
+  co_await loop.yield();  // the next batch
+  fired_before_next_batch = fired;
+}
+
+TEST(EventLoop, PastDeadlineFiresOnTheNextPass) {
+  event_loop loop;
+  bool fired = false, fired_before_next_batch = false;
+  loop.spawn(call_past_deadline_then_yield(loop, fired,
+                                           fired_before_next_batch));
+  loop.run();
+  EXPECT_TRUE(fired_before_next_batch);
+  const loop_stats s = loop.stats();
+  EXPECT_EQ(s.timer_fires, 1u);
+  EXPECT_EQ(s.idle_parks, 0u);  // due at once: no sleep
+}
+
+TEST(EventLoop, TimersScheduledBeforeRunFire) {
+  event_loop loop;
+  int fired = 0;
+  loop.call_at(1, [&fired] { ++fired; });  // already past
+  loop.call_at(from_now(2ms), [&fired] { ++fired; });
+  loop.run();  // nothing spawned: only the timers keep it running
+  EXPECT_EQ(fired, 2);
+  EXPECT_EQ(loop.stats().timer_fires, 2u);
+}
+
+TEST(EventLoop, TwoSpacedTimersSleepTwice) {
+  event_loop loop;
+  int fired = 0;
+  loop.call_at(from_now(10ms), [&fired] { ++fired; });
+  loop.call_at(from_now(30ms), [&fired] { ++fired; });
+  loop.run();
+  EXPECT_EQ(fired, 2);
+  EXPECT_GE(loop.stats().idle_parks, 2u);  // once toward each deadline
+}
+
+// A loop sleeping toward a 5 s timer must wake at once for another
+// thread's post, call_at or stop(). `wake` runs on a second thread once the
+// loop sleeps; run() returns at the stop() that follows the wake.
+template <typename Wake>
+std::chrono::nanoseconds time_run_woken_by(event_loop& loop, Wake wake) {
+  loop.call_at(from_now(5s), [] {});
+  std::atomic<bool> returned{false};
+  std::thread waker([&] {
+    // idle_parks is bumped under the loop's lock just before the wait
+    // releases it, so reading 1 means the loop sleeps.
+    while (loop.stats().idle_parks == 0) {
+      if (returned.load()) return;  // run() never slept: the test fails
+      std::this_thread::yield();
+    }
+    wake();
+  });
+  const auto t0 = std::chrono::steady_clock::now();
+  loop.run();
+  const auto dt = std::chrono::steady_clock::now() - t0;
+  returned.store(true);
+  waker.join();
+  return dt;
+}
+
+task<void> stop_when_resumed(event_loop& loop, std::coroutine_handle<>& slot) {
+  co_await capture_handle{&slot};
+  loop.stop();
+}
+
+TEST(EventLoop, SleepingLoopWakesForACrossThreadPost) {
+  event_loop loop;
+  std::coroutine_handle<> h{};
+  loop.spawn(stop_when_resumed(loop, h));  // suspends during spawn
+  ASSERT_TRUE(h);
+  EXPECT_LT(time_run_woken_by(loop, [&] { loop.post(h); }), 2s);
+  EXPECT_EQ(loop.active(), 0u);
+  EXPECT_EQ(loop.stats().timer_fires, 0u);  // the 5 s timer still pends
+}
+
+TEST(EventLoop, SleepingLoopWakesForACrossThreadCallAt) {
+  event_loop loop;
+  EXPECT_LT(time_run_woken_by(
+                loop, [&] { loop.call_at(now_ns(), [&] { loop.stop(); }); }),
+            2s);
+  EXPECT_EQ(loop.stats().timer_fires, 1u);  // the waker's, not the 5 s one
+}
+
+TEST(EventLoop, SleepingLoopWakesForACrossThreadStop) {
+  event_loop loop;
+  EXPECT_LT(time_run_woken_by(loop, [&] { loop.stop(); }), 2s);
+  EXPECT_EQ(loop.stats().timer_fires, 0u);
 }
 
 // ------------------------------------------------------ the two ready lists
@@ -472,9 +541,8 @@ TEST(EventLoop, HealthGaugesTrackTimerSlack) {
   loop.run();
   const loop_stats s = loop.stats();
   ASSERT_GE(s.timer_fires, 1u);
-  // The wheel has 1ms ticks and the loop parks until the deadline, so the
-  // fire happens AT or AFTER the deadline — slack is well-defined and the
-  // max bounds the mean.
+  // The loop sleeps until the deadline, so the fire happens AT or AFTER
+  // it — slack is well-defined and the max bounds the mean.
   EXPECT_GE(static_cast<double>(s.timer_slack_ns_max),
             s.mean_timer_slack_ns());
 }

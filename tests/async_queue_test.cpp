@@ -110,6 +110,47 @@ TEST(AsyncQueue, MultiCoroutineFanInDrainsEverythingExactlyOnce) {
   }
 }
 
+// The Dekker pairing under load, with coroutine waiters: producers notify
+// only when maybe_waiters(), consumers enlist, re-check and park. With no
+// executor a notify resumes its consumer inline on the notifier's thread,
+// so every hub path runs on several threads at once; each loop sleeps
+// until its last consumer completes. No consumer may be stranded while
+// items remain: every item is consumed exactly once.
+TEST(AsyncQueue, CoroutineConsumersOnTwoLoopsLoseNoWakeups) {
+  constexpr int kProducers = 2;
+  constexpr std::uint64_t kPerProducer = 2000;
+  async_wf q(8);
+  event_loop loops[2];
+  std::vector<std::uint64_t> got[2];
+  std::atomic<std::uint64_t> total{0};
+  for (int c = 0; c < 2; ++c) loops[c].spawn(consume_all(q, got[c], total));
+
+  std::vector<std::thread> threads;
+  for (event_loop& loop : loops) {
+    threads.emplace_back([&loop] {
+      EXPECT_TRUE(kpq::testing::run_bounded(loop));
+    });
+  }
+  std::vector<std::thread> producers;
+  for (int p = 0; p < kProducers; ++p) {
+    producers.emplace_back([&q, p] {
+      for (std::uint64_t i = 0; i < kPerProducer; ++i) {
+        q.enqueue(static_cast<std::uint64_t>(p) * kPerProducer + i);
+      }
+    });
+  }
+  for (auto& t : producers) t.join();
+  q.close();
+  for (auto& t : threads) t.join();
+
+  std::multiset<std::uint64_t> all;
+  for (const auto& v : got) all.insert(v.begin(), v.end());
+  EXPECT_EQ(total.load(), kProducers * kPerProducer);
+  for (std::uint64_t i = 0; i < kProducers * kPerProducer; ++i) {
+    EXPECT_EQ(all.count(i), 1u) << "value " << i;
+  }
+}
+
 /// Enqueues until the next admission check fails: live bytes plus the
 /// headroom (one node per thread) are above the ceiling.
 void fill_to_ceiling(async_bounded& q) {

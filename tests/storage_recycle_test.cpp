@@ -251,7 +251,7 @@ TEST(RecycleLists, CapBoundsTheCache) {
 /// An accounting sink for a bare node_lists.
 class probe : public mem_tracked {
  public:
-  explicit probe(mem_counters& mc) { set_memory_counters(&mc); }
+  explicit probe(mem_counters& mc) : mem_tracked(&mc) {}
 };
 
 TEST(RecycleLists, AccountingTracksFreshAllocationsOnly) {

@@ -19,11 +19,8 @@ namespace {
 
 // ---------------------------------------------------- accounting (fig10)
 
-// Attach-at-construction and attach-later must agree: the construction
-// baseline replay closes the gap of construction allocations (the
-// sentinel) invisible to a late-attached counter.
-// Traffic between construction and the late attach is not construction:
-// the constructor seals the baseline, so the replay leaves it out.
+// The sink is a constructor argument, so the construction allocation (the
+// sentinel) is counted like every later one.
 template <typename Q>
 class MemAccounting : public ::testing::Test {};
 using AccountedQueues =
@@ -33,15 +30,16 @@ using AccountedQueues =
                      ms_queue<std::uint64_t, leaky_domain>>;
 TYPED_TEST_SUITE(MemAccounting, AccountedQueues);
 
-TYPED_TEST(MemAccounting, LateAttachReplaysConstructionBaseline) {
-  mem_counters at_ctor, late;
-  TypeParam q1(3, &at_ctor);
-  TypeParam q2(3);
-  for (std::uint64_t i = 0; i < 10; ++i) q2.enqueue(i, 0);
-  q2.set_memory_counters(&late);
-  EXPECT_EQ(at_ctor.live_bytes(), late.live_bytes());
-  EXPECT_EQ(at_ctor.live_objects(), late.live_objects());
-  EXPECT_GT(late.live_bytes(), 0);
+TYPED_TEST(MemAccounting, SinkPassedAtConstructionCountsTheSentinel) {
+  mem_counters mc;
+  {
+    TypeParam q(3, &mc);
+    EXPECT_EQ(mc.live_objects(), 1);
+    EXPECT_EQ(mc.total_allocs(), 1u);
+    EXPECT_GT(mc.live_bytes(), 0);
+  }
+  EXPECT_EQ(mc.live_objects(), 0);
+  EXPECT_EQ(mc.live_bytes(), 0);
 }
 
 // Every allocation the queue makes is matched by a free by destruction
