@@ -189,10 +189,10 @@ class figure {
         w.begin_object();
         w.key("x").value(static_cast<std::uint64_t>(threads[ti]));
         w.key("n").value(static_cast<std::uint64_t>(sm.n));
-        w.key("mean_s").value(obs::finite_or(sm.mean));
-        w.key("stddev_s").value(obs::finite_or(sm.stddev));
-        w.key("min_s").value(obs::finite_or(sm.min));
-        w.key("max_s").value(obs::finite_or(sm.max));
+        w.key("mean_s").value(sm.mean);
+        w.key("stddev_s").value(sm.stddev);
+        w.key("min_s").value(sm.min);
+        w.key("max_s").value(sm.max);
         w.end_object();
       }
       w.end_array();

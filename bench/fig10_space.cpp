@@ -290,7 +290,7 @@ int main(int argc, char** argv) {
           const double v = s == 0 ? r.lf : s == 1 ? r.wf_base : r.wf_opt;
           w.begin_object();
           w.key("x").value(r.size);
-          w.key("mean_bytes").value(obs::finite_or(v));
+          w.key("mean_bytes").value(v);
           w.end_object();
         }
         w.end_array();

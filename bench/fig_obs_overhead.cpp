@@ -12,10 +12,10 @@
 //      per-operation evidence.
 //
 //   2. What do the traces show? After each traced run the global rings are
-//      drained and analyzed (obs/wf_metrics.hpp): helping-latency
-//      histogram, phase-lag distribution, ops-helped-per-op — the
+//      drained and analyzed (obs/wf_metrics.hpp): helping-latency and
+//      phase-lag distributions, ops-helped-per-op — the
 //      per-operation shape of the wait-freedom claim, per variant, printed
-//      and (with --json) exported through append_metrics.
+//      and (with --json) written through write_metrics.
 //
 // Series: base WF (help_all + scan_max_phase), opt WF (1+2)
 // (help_one + fetch_add_phase), and the 4-shard front-end over opt WF.
@@ -34,9 +34,9 @@
 
 #include "bench_common.hpp"
 #include "core/wf_queue.hpp"
+#include "harness/stats.hpp"
 #include "obs/calibrate.hpp"
 #include "obs/export.hpp"
-#include "obs/registry.hpp"
 #include "obs/timeline.hpp"
 #include "obs/trace_ring.hpp"
 #include "obs/wf_metrics.hpp"
@@ -113,26 +113,22 @@ void print_report(const char* name, const obs::wf_trace_report& r,
       static_cast<unsigned long long>(r.retires),
       static_cast<unsigned long long>(r.dropped_events));
   auto ns = [&](double q) {
-    return static_cast<double>(r.help_latency.quantile_upper_bound(q)) /
+    return static_cast<double>(nearest_rank(r.help_latency, q)) /
            ticks_per_ns;
+  };
+  auto lag = [&](double q) {
+    return static_cast<unsigned long long>(nearest_rank(r.phase_lag, q));
   };
   if (r.help_episodes > 0) {
     std::printf(
-        "helping latency (<= ns): p50 %.0f  p90 %.0f  p99 %.0f  p100 %.0f\n",
+        "helping latency (ns): p50 %.0f  p90 %.0f  p99 %.0f  p100 %.0f\n",
         ns(0.5), ns(0.9), ns(0.99), ns(1.0));
   } else {
     std::printf("helping latency: no episodes recorded\n");
   }
-  std::printf("phase lag (phases, <=): p50 %llu  p90 %llu  p99 %llu  "
+  std::printf("phase lag (phases): p50 %llu  p90 %llu  p99 %llu  "
               "p100 %llu\n\n",
-              static_cast<unsigned long long>(
-                  r.phase_lag.quantile_upper_bound(0.5)),
-              static_cast<unsigned long long>(
-                  r.phase_lag.quantile_upper_bound(0.9)),
-              static_cast<unsigned long long>(
-                  r.phase_lag.quantile_upper_bound(0.99)),
-              static_cast<unsigned long long>(
-                  r.phase_lag.quantile_upper_bound(1.0)));
+              lag(0.5), lag(0.9), lag(0.99), lag(1.0));
 }
 
 /// Write one document for the --json / --timeline flag `flag`.
@@ -200,9 +196,8 @@ int main(int argc, char** argv) {
           {std::to_string(th), names[s], fmt(r.untraced.mean, 4),
            fmt(r.traced.mean, 4), fmt(r.overhead_pct(), 1),
            fmt(r.report.helped_per_op(), 3),
-           std::to_string(r.report.phase_lag.quantile_upper_bound(0.99)),
-           fmt(static_cast<double>(
-                   r.report.help_latency.quantile_upper_bound(0.99)) /
+           std::to_string(nearest_rank(r.report.phase_lag, 0.99)),
+           fmt(static_cast<double>(nearest_rank(r.report.help_latency, 0.99)) /
                    ticks_per_ns,
                0)});
     }
@@ -222,10 +217,10 @@ int main(int argc, char** argv) {
     }
   }
 
-  // Bounded-queue occupancy through the metrics registry (the scrape path a
-  // long-running process would expose): run the pairs workload on a bounded
-  // queue at the last thread count, snapshot its admission and memory
-  // counters, and print the snapshot as flat JSON.
+  // Bounded-queue occupancy (the scrape a long-running process would
+  // expose): run the pairs workload on a bounded queue at the last thread
+  // count, read its admission and memory counters, and print them as flat
+  // JSON.
   bounded_wf_queue<std::uint64_t> bq(
       last_th, {.max_bytes = std::size_t{1} << 22});
   {
@@ -240,12 +235,25 @@ int main(int argc, char** argv) {
     }
     for (auto& w : ws) w.join();
   }
-  obs::metrics_snapshot bounded_snap;
-  obs::append_metrics(bounded_snap, "kpq_bounded", bq.stats());
-  obs::append_metrics(bounded_snap, "kpq_bounded_mem", bq.memory());
-  std::printf("-- bounded queue occupancy (registry snapshot, %u-thread "
-              "bounded opt WF run) --\n%s\n",
-              last_th, obs::to_json(bounded_snap).c_str());
+  const bounded_counters bounded = bq.stats();
+  const mem_counters& bounded_mem = bq.memory();
+  auto write_bounded = [&](obs::json_writer& w) {
+    w.begin_object();
+    w.key("kpq_bounded.admitted").value(bounded.admitted);
+    w.key("kpq_bounded.rejected").value(bounded.rejected);
+    w.key("kpq_bounded.overwritten").value(bounded.overwritten);
+    w.key("kpq_bounded_mem.live_bytes").value(bounded_mem.live_bytes());
+    w.key("kpq_bounded_mem.live_objects").value(bounded_mem.live_objects());
+    w.key("kpq_bounded_mem.total_allocs").value(bounded_mem.total_allocs());
+    w.end_object();
+  };
+  {
+    obs::json_writer w;
+    write_bounded(w);
+    std::printf("-- bounded queue occupancy (%u-thread bounded opt WF run) "
+                "--\n%s\n",
+                last_th, w.str().c_str());
+  }
 
   if (p.csv) {
     std::printf("-- csv --\n");
@@ -279,10 +287,10 @@ int main(int argc, char** argv) {
           w.begin_object();
           w.key("x").value(static_cast<std::uint64_t>(c.threads));
           w.key("n").value(static_cast<std::uint64_t>(sm.n));
-          w.key("mean_s").value(obs::finite_or(sm.mean));
-          w.key("stddev_s").value(obs::finite_or(sm.stddev));
-          w.key("min_s").value(obs::finite_or(sm.min));
-          w.key("max_s").value(obs::finite_or(sm.max));
+          w.key("mean_s").value(sm.mean);
+          w.key("stddev_s").value(sm.stddev);
+          w.key("min_s").value(sm.min);
+          w.key("max_s").value(sm.max);
           w.end_object();
         }
         w.end_array();
@@ -290,29 +298,21 @@ int main(int argc, char** argv) {
       }
     }
     w.end_array();
-    // Derived trace metrics, flattened through the registry exporter: one
-    // metrics object per (series, threads) pair.
+    // Derived trace metrics, flattened: one object per (series, threads)
+    // pair.
     w.key("derived").begin_array();
     for (const cell& c : cells) {
-      obs::metrics_snapshot snap;
-      obs::append_metrics(snap, "trace", c.r.report);
       w.begin_object();
       w.key("series").value(names[c.series]);
       w.key("threads").value(static_cast<std::uint64_t>(c.threads));
-      w.key("overhead_pct").value(obs::finite_or(c.r.overhead_pct()));
-      for (const obs::metric& m : snap) {
-        w.key(m.name).value(m.value);
-      }
+      w.key("overhead_pct").value(c.r.overhead_pct());
+      obs::write_metrics(w, "trace", c.r.report);
       w.end_object();
     }
     w.end_array();
-    // The bounded-queue registry snapshot, flattened (the same object
-    // printed above).
-    w.key("bounded_queue").begin_object();
-    for (const obs::metric& m : bounded_snap) {
-      w.key(m.name).value(m.value);
-    }
-    w.end_object();
+    // The bounded-queue counters (the same object printed above).
+    w.key("bounded_queue");
+    write_bounded(w);
     w.end_object();
     write_doc(json_path, w.str(), "json");
   }

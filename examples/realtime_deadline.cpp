@@ -40,7 +40,7 @@ struct report {
 template <typename Q>
 report run(std::uint32_t threads, std::uint64_t ops) {
   Q q(threads);
-  std::vector<padded<std::vector<double>>> lat(threads);
+  std::vector<padded<std::vector<std::uint64_t>>> lat(threads);
   spin_barrier barrier(threads);
   std::vector<std::thread> workers;
   for (std::uint32_t tid = 0; tid < threads; ++tid) {
@@ -56,25 +56,27 @@ report run(std::uint32_t threads, std::uint64_t ops) {
         } else {
           (void)q.dequeue(tid);
         }
-        samples.push_back(static_cast<double>(now_ns() - t0));
+        samples.push_back(now_ns() - t0);
       }
     });
   }
   for (auto& w : workers) w.join();
 
-  std::vector<double> all;
+  std::vector<std::uint64_t> all;
   for (auto& v : lat) all.insert(all.end(), v->begin(), v->end());
+  // Sorted once: both the quantiles and the deadline counts below read it.
+  std::sort(all.begin(), all.end());
   report r;
-  auto ps = sorted_percentiles(all, {0.50, 0.99, 1.0});
-  r.p50 = ps[0];
-  r.p99 = ps[1];
-  r.max = ps[2];
-  for (double budget_us : {10.0, 100.0, 1000.0}) {
-    const double limit_ns = budget_us * 1000.0;
+  r.p50 = static_cast<double>(nearest_rank(all, 0.50));
+  r.p99 = static_cast<double>(nearest_rank(all, 0.99));
+  r.max = static_cast<double>(nearest_rank(all, 1.0));
+  for (std::uint64_t budget_us : {10, 100, 1000}) {
+    const std::uint64_t limit_ns = budget_us * 1000;
     const auto misses = static_cast<double>(
         all.end() - std::lower_bound(all.begin(), all.end(), limit_ns));
-    r.deadline_miss.emplace_back(budget_us,
-                                 100.0 * misses / static_cast<double>(all.size()));
+    r.deadline_miss.emplace_back(
+        static_cast<double>(budget_us),
+        100.0 * misses / static_cast<double>(all.size()));
   }
   return r;
 }

@@ -52,9 +52,9 @@ struct loop_stats {
   std::uint64_t spawned = 0;
   std::uint64_t completed = 0;
 
-  // Loop-health gauges (obs/registry.hpp event_loop_stats_like): how long
-  // ready work waited before the loop got to it, how late timers fired
-  // versus their deadline, and the deepest the ready queue ever got.
+  // Loop-health gauges: how long ready work waited before the loop got
+  // to it, how late timers fired versus their deadline, and the deepest
+  // the ready queue ever got.
   // A post from the loop thread inside run() carries no timestamp: its lag
   // runs from the clock read that preceded it (the previous batch's pickup
   // or timer sweep), an upper bound on its real lag.

@@ -2,9 +2,9 @@
 //
 // The paper reports the average of ten runs per data point and notes the
 // standard deviation was negligible; we report mean, stddev and min/max so
-// EXPERIMENTS.md can substantiate the same claim, plus nearest-rank
-// percentile helpers over kept samples (examples/realtime_deadline reports
-// its latency tail with them).
+// EXPERIMENTS.md can substantiate the same claim, plus the one quantile rule
+// over kept samples (obs/wf_metrics.hpp and examples/realtime_deadline read
+// their distributions with it).
 #pragma once
 
 #include <algorithm>
@@ -63,32 +63,16 @@ class running_stats {
   double max_ = -std::numeric_limits<double>::infinity();
 };
 
-/// Nearest-rank percentile (q in [0,1]) over a sample vector. Sorts a copy;
-/// use sort_and_percentiles for repeated queries.
-inline double percentile(std::vector<double> xs, double q) {
-  if (xs.empty()) return 0.0;
-  std::sort(xs.begin(), xs.end());
-  const auto rank = static_cast<std::size_t>(
-      q * static_cast<double>(xs.size() - 1) + 0.5);
-  return xs[std::min(rank, xs.size() - 1)];
-}
-
-/// In-place variant: sorts xs once, then evaluates each requested quantile.
-inline std::vector<double> sorted_percentiles(std::vector<double>& xs,
-                                              const std::vector<double>& qs) {
-  std::vector<double> out;
-  out.reserve(qs.size());
-  if (xs.empty()) {
-    out.assign(qs.size(), 0.0);
-    return out;
-  }
-  std::sort(xs.begin(), xs.end());
-  for (double q : qs) {
-    const auto rank = static_cast<std::size_t>(
-        q * static_cast<double>(xs.size() - 1) + 0.5);
-    out.push_back(xs[std::min(rank, xs.size() - 1)]);
-  }
-  return out;
+/// Nearest-rank quantile (q in [0,1]) of ascending-sorted samples: the
+/// sample at rank ceil(q*n), clamped to [1, n]. p0 is the smallest sample,
+/// p100 the largest, and p50 of 1..10 is 5. No samples answer 0.
+inline std::uint64_t nearest_rank(const std::vector<std::uint64_t>& sorted,
+                                  double q) noexcept {
+  const std::size_t n = sorted.size();
+  if (n == 0) return 0;
+  const double rank = std::clamp(std::ceil(q * static_cast<double>(n)), 1.0,
+                                 static_cast<double>(n));
+  return sorted[static_cast<std::size_t>(rank) - 1];
 }
 
 }  // namespace kpq

@@ -1,12 +1,10 @@
-// Exposition formats for metrics snapshots (obs/registry.hpp) and a small
-// JSON writer the benches reuse for their --json output.
+// The one JSON output path: a small streaming writer every --json document
+// (benches, kpqbench, obs/wf_metrics.hpp's write_metrics) goes through.
 //
-//   * to_json — flat {"name": value, ...} object, stable key order.
-//
-// Number formatting: non-finite values are clamped to 0 (registry already
-// sanitizes; the writer guards again so hand-built snapshots cannot emit
-// invalid JSON), integral values print without a fractional part, and
-// doubles use %.17g so any JSON reader recovers the exact double.
+// Number formatting: non-finite values are written as 0, so a metric that
+// never fired cannot emit invalid JSON; integral values print without a
+// fractional part, and doubles use %.17g so any JSON reader recovers the
+// exact double.
 #pragma once
 
 #include <cmath>
@@ -14,9 +12,6 @@
 #include <cstdio>
 #include <string>
 #include <utility>
-#include <vector>
-
-#include "obs/registry.hpp"
 
 namespace kpq::obs {
 
@@ -56,26 +51,10 @@ inline std::string json_escape(const std::string& s) {
   return out;
 }
 
-inline std::string to_json(const metrics_snapshot& snap) {
-  std::string out = "{";
-  for (std::size_t i = 0; i < snap.size(); ++i) {
-    if (i) out += ",";
-    // Appended piece by piece: a chain of string temporaries here trips
-    // GCC 12's false-positive -Wrestrict at -O3 (char_traits.h).
-    out += '"';
-    out += json_escape(snap[i].name);
-    out += "\":";
-    out += format_number(snap[i].value);
-  }
-  out += "}";
-  return out;
-}
-
 // -------------------------------------------------------------- json writer
 
-/// Streaming writer for the nested documents the benches emit (metrics
-/// snapshots stay flat and use to_json above). Caller drives the nesting;
-/// commas are managed automatically.
+/// Streaming writer for the nested documents the benches emit. Caller
+/// drives the nesting; commas are managed automatically.
 class json_writer {
  public:
   std::string take() && { return std::move(out_); }

@@ -20,24 +20,29 @@
 //     counts only *won* completion CASes; this one counts every episode).
 //
 // All computation is post-hoc over the drained, time-sorted event vector —
-// nothing here touches the hot path.
+// nothing here touches the hot path. That vector is bounded (at most
+// capacity_per_thread events per thread), so the report keeps every
+// latency and lag sample, sorted, and reads its quantiles as nearest-rank
+// samples (harness/stats.hpp).
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <string>
 #include <vector>
 
-#include "harness/histogram.hpp"
-#include "obs/registry.hpp"
+#include "harness/stats.hpp"
+#include "obs/export.hpp"
 #include "obs/trace_ring.hpp"
 
 namespace kpq::obs {
 
 struct wf_trace_report {
   // Durations in ticks (tick_now() units); scale by calibrate_ticks()'s
-  // tick_hz when labeling. Phase lag is in phases (dimensionless).
-  log2_histogram help_latency;
-  log2_histogram phase_lag;
+  // tick_hz when labeling. Phase lag is in phases (dimensionless). Both
+  // are sorted ascending: read them with nearest_rank.
+  std::vector<std::uint64_t> help_latency;
+  std::vector<std::uint64_t> phase_lag;
 
   std::uint64_t enq_ops = 0;
   std::uint64_t deq_ops = 0;
@@ -80,13 +85,13 @@ inline wf_trace_report analyze_trace(const std::vector<trace_event>& events,
         break;
       case trace_kind::enq_complete:
         ++r.enq_ops;
-        r.phase_lag.add(static_cast<std::uint64_t>(
+        r.phase_lag.push_back(static_cast<std::uint64_t>(
             frontier > e.phase ? frontier - e.phase : 0));
         break;
       case trace_kind::deq_complete:
         ++r.deq_ops;
         if (e.aux == 0) ++r.empty_deqs;
-        r.phase_lag.add(static_cast<std::uint64_t>(
+        r.phase_lag.push_back(static_cast<std::uint64_t>(
             frontier > e.phase ? frontier - e.phase : 0));
         break;
       case trace_kind::help_start:
@@ -96,7 +101,7 @@ inline wf_trace_report analyze_trace(const std::vector<trace_event>& events,
       case trace_kind::help_finish:
         if (help_open[e.tid] != 0) {
           ++r.help_episodes;
-          r.help_latency.add(e.ts - help_open[e.tid]);
+          r.help_latency.push_back(e.ts - help_open[e.tid]);
           help_open[e.tid] = 0;
         } else {
           ++r.unmatched_helps;
@@ -111,32 +116,27 @@ inline wf_trace_report analyze_trace(const std::vector<trace_event>& events,
   for (std::uint64_t open : help_open) {
     if (open != 0) ++r.unmatched_helps;
   }
+  std::sort(r.help_latency.begin(), r.help_latency.end());
+  std::sort(r.phase_lag.begin(), r.phase_lag.end());
   return r;
 }
 
-/// Registry bridge: the derived metrics as exportable gauges. Histogram
-/// quantiles are conservative upper bounds (log2_histogram semantics).
-inline void append_metrics(metrics_snapshot& out, const std::string& prefix,
-                           const wf_trace_report& r) {
-  append_value(out, prefix + ".enq_ops", static_cast<double>(r.enq_ops));
-  append_value(out, prefix + ".deq_ops", static_cast<double>(r.deq_ops));
-  append_value(out, prefix + ".empty_deqs",
-               static_cast<double>(r.empty_deqs));
-  append_value(out, prefix + ".help_episodes",
-               static_cast<double>(r.help_episodes));
-  append_value(out, prefix + ".helped_per_op", r.helped_per_op());
-  append_value(out, prefix + ".retires", static_cast<double>(r.retires));
-  append_value(out, prefix + ".dropped_events",
-               static_cast<double>(r.dropped_events));
-  append_value(out, prefix + ".max_phase",
-               static_cast<double>(r.max_phase_seen));
+/// The derived metrics as `prefix.name` keys of the object `w` has open.
+inline void write_metrics(json_writer& w, const std::string& prefix,
+                          const wf_trace_report& r) {
+  w.key(prefix + ".enq_ops").value(r.enq_ops);
+  w.key(prefix + ".deq_ops").value(r.deq_ops);
+  w.key(prefix + ".empty_deqs").value(r.empty_deqs);
+  w.key(prefix + ".help_episodes").value(r.help_episodes);
+  w.key(prefix + ".helped_per_op").value(r.helped_per_op());
+  w.key(prefix + ".retires").value(r.retires);
+  w.key(prefix + ".dropped_events").value(r.dropped_events);
+  w.key(prefix + ".max_phase").value(r.max_phase_seen);
   for (double q : {0.5, 0.9, 0.99}) {
-    const int pct = static_cast<int>(q * 100.0);
-    append_value(out,
-                 prefix + ".help_latency_ticks.p" + std::to_string(pct),
-                 static_cast<double>(r.help_latency.quantile_upper_bound(q)));
-    append_value(out, prefix + ".phase_lag.p" + std::to_string(pct),
-                 static_cast<double>(r.phase_lag.quantile_upper_bound(q)));
+    const std::string pct = std::to_string(static_cast<int>(q * 100.0));
+    w.key(prefix + ".help_latency_ticks.p" + pct)
+        .value(nearest_rank(r.help_latency, q));
+    w.key(prefix + ".phase_lag.p" + pct).value(nearest_rank(r.phase_lag, q));
   }
 }
 

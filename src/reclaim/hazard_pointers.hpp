@@ -19,8 +19,8 @@
 // amortised, O(H + R) worst case. No step blocks on another thread.
 //
 // Observability: owner-written retired/freed counters and the pending
-// count (below), exported by obs/registry.hpp. The domain records no trace
-// events; a scan's yield is the change in freed_count().
+// count (below). The domain records no trace events; a scan's yield is
+// the change in freed_count().
 #pragma once
 
 #include <algorithm>

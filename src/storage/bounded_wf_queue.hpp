@@ -71,8 +71,7 @@ struct bounded_config {
   full_policy policy = full_policy::reject;
 };
 
-/// Counters for the policy outcomes (exported via stats(); the obs registry
-/// picks them up structurally).
+/// Counters for the policy outcomes (read via stats()).
 struct bounded_counters {
   std::uint64_t admitted = 0;
   std::uint64_t rejected = 0;

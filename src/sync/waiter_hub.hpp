@@ -36,8 +36,7 @@
 //     a parked frame must win the claim first (see async/park.hpp).
 //
 // The hub also owns the park/resume observability: a stats() block of
-// park, notify and resume counts plus the accept->running latency, which
-// obs/registry.hpp exports structurally (waiter_hub_stats_like).
+// park, notify and resume counts plus the accept->running latency.
 #pragma once
 
 #include <atomic>

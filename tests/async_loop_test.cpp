@@ -547,6 +547,16 @@ TEST(EventLoop, HealthGaugesTrackTimerSlack) {
             s.mean_timer_slack_ns());
 }
 
+TEST(LoopStats, MeansDivideTotalsByCounts) {
+  loop_stats s;
+  s.resumes = 10;
+  s.ready_lag_ns_total = 1000;
+  s.timer_fires = 4;
+  s.timer_slack_ns_total = 800;
+  EXPECT_EQ(s.mean_ready_lag_ns(), 100.0);
+  EXPECT_EQ(s.mean_timer_slack_ns(), 200.0);
+}
+
 TEST(EventLoop, IdleStatsAreZeroNotGarbage) {
   event_loop loop;
   loop.run();  // nothing spawned: drains immediately

@@ -1,5 +1,5 @@
 // Tests for the optional per-thread statistics instrumentation
-// (wf_options_stats / wf_counters).
+// (wf_options_stats / wf_counters) and the fast-path queue's fps_path_stats.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "core/wf_queue.hpp"
+#include "core/wf_queue_fps.hpp"
 #include "harness/workload.hpp"
 #include "support/hooks.hpp"
 #include "sync/spin_barrier.hpp"
@@ -87,6 +88,24 @@ struct stats_freeze_hooks : no_hooks {
 struct stats_freeze_options : wf_options {
   using hooks = testing::compose<wf_stats, stats_freeze_hooks>;
 };
+
+TEST(FpsPathStats, SlowRateIsTheSlowShareOfOps) {
+  const fps_path_stats hand{
+      .fast_enqs = 3, .slow_enqs = 1, .fast_deqs = 2, .slow_deqs = 2};
+  EXPECT_EQ(hand.ops(), 8u);
+  EXPECT_DOUBLE_EQ(hand.slow_rate(), 0.375);
+  EXPECT_EQ(fps_path_stats{}.slow_rate(), 0.0);  // no ops: no NaN
+
+  wf_queue_fps<std::uint64_t> q(1);
+  for (std::uint64_t i = 0; i < 10; ++i) {
+    q.enqueue(i, 0);
+    ASSERT_EQ(q.dequeue(0), std::optional<std::uint64_t>(i));
+  }
+  const fps_path_stats run = q.aggregate_path_counters();
+  EXPECT_EQ(run.ops(), 20u);
+  EXPECT_GE(run.slow_rate(), 0.0);
+  EXPECT_LE(run.slow_rate(), 1.0);
+}
 
 TEST(WfStats, HelperCompletionIsCountedDeterministically) {
   using frozen_stats_queue =

@@ -2,12 +2,15 @@
 // determinism, run orchestration, memory counters, tables, CLI parsing.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cmath>
 #include <thread>
 #include <cstdint>
+#include <initializer_list>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "harness/affinity.hpp"
@@ -43,22 +46,97 @@ TEST(RunningStats, SingleSampleHasZeroStddev) {
   EXPECT_DOUBLE_EQ(s.stddev, 0.0);
 }
 
-TEST(Percentile, NearestRankBehaviour) {
-  std::vector<double> xs;
-  for (int i = 1; i <= 100; ++i) xs.push_back(static_cast<double>(i));
-  EXPECT_DOUBLE_EQ(percentile(xs, 0.0), 1.0);
-  EXPECT_DOUBLE_EQ(percentile(xs, 1.0), 100.0);
-  EXPECT_NEAR(percentile(xs, 0.5), 50.0, 1.0);
-  EXPECT_NEAR(percentile(xs, 0.99), 99.0, 1.0);
+TEST(RunningStats, EmptyFinishesAllZero) {
+  // A stat that never fired exports 0, not the +-inf of its min/max seeds.
+  const summary s = running_stats{}.finish();
+  EXPECT_EQ(s.n, 0u);
+  EXPECT_EQ(s.mean, 0.0);
+  EXPECT_EQ(s.stddev, 0.0);
+  EXPECT_EQ(s.min, 0.0);
+  EXPECT_EQ(s.max, 0.0);
 }
 
-TEST(Percentile, SortedPercentilesAgreeWithSingleQuery) {
-  std::vector<double> xs = {5, 1, 9, 3, 7, 2, 8, 4, 6, 0};
-  auto copy = xs;
-  auto ps = sorted_percentiles(copy, {0.0, 0.5, 1.0});
-  EXPECT_DOUBLE_EQ(ps[0], percentile(xs, 0.0));
-  EXPECT_DOUBLE_EQ(ps[1], percentile(xs, 0.5));
-  EXPECT_DOUBLE_EQ(ps[2], percentile(xs, 1.0));
+TEST(Percentile, NearestRankBehaviour) {
+  std::vector<std::uint64_t> xs;
+  for (std::uint64_t i = 1; i <= 100; ++i) xs.push_back(i);
+  EXPECT_EQ(nearest_rank(xs, 0.0), 1u);
+  EXPECT_EQ(nearest_rank(xs, 1.0), 100u);
+  EXPECT_EQ(nearest_rank(xs, 0.5), 50u);
+  EXPECT_EQ(nearest_rank(xs, 0.99), 99u);
+  // Rank ceil(q*n): landing exactly on rank 90 does not overshoot to 91.
+  EXPECT_EQ(nearest_rank(xs, 0.90), 90u);
+  EXPECT_EQ(nearest_rank(xs, 0.901), 91u);
+}
+
+TEST(Percentile, MedianOfOneToTenIsFive) {
+  // Rank ceil(0.5*10) = 5; round(q*(n-1)) would index one rank high, at 6.
+  std::vector<std::uint64_t> xs;
+  for (std::uint64_t i = 1; i <= 10; ++i) xs.push_back(i);
+  EXPECT_EQ(nearest_rank(xs, 0.5), 5u);
+  EXPECT_EQ(nearest_rank(xs, 0.1), 1u);
+  EXPECT_EQ(nearest_rank(xs, 0.9), 9u);
+}
+
+TEST(Percentile, EmptyAndSingleSample) {
+  EXPECT_EQ(nearest_rank({}, 0.5), 0u);
+  const std::vector<std::uint64_t> one = {42};
+  for (double q : {0.0, 0.01, 0.5, 0.99, 1.0}) {
+    EXPECT_EQ(nearest_rank(one, q), 42u) << "q=" << q;
+  }
+}
+
+/// `k` copies of each value, in the order given (callers pass them sorted).
+std::vector<std::uint64_t> runs_of(
+    std::initializer_list<std::pair<std::uint64_t, int>> runs) {
+  std::vector<std::uint64_t> xs;
+  for (const auto& [v, k] : runs) xs.insert(xs.end(), k, v);
+  return xs;
+}
+
+TEST(Percentile, TwoClustersAnswerTheirOwnSamples) {
+  // 90 fast samples and 10 slow ones: every quantile is one of the two
+  // recorded values, not an upper bound on a bucket holding it.
+  const auto xs = runs_of({{10, 90}, {5000, 10}});
+  EXPECT_EQ(nearest_rank(xs, 0.5), 10u);
+  EXPECT_EQ(nearest_rank(xs, 0.89), 10u);
+  EXPECT_EQ(nearest_rank(xs, 0.95), 5000u);
+  EXPECT_EQ(nearest_rank(xs, 1.0), 5000u);
+}
+
+TEST(Percentile, ExtremeQuantilesHitMinAndMax) {
+  const auto xs = runs_of({{3, 5}, {40, 5}, {70000, 5}});
+  EXPECT_EQ(nearest_rank(xs, 0.0), 3u);      // p0 = smallest sample
+  EXPECT_EQ(nearest_rank(xs, 1.0), 70000u);  // p100 = largest
+  EXPECT_EQ(nearest_rank(xs, 0.5), 40u);
+}
+
+TEST(Percentile, ExactRankBoundaryIsNotOvershot) {
+  // p90 of 90 small + 10 large samples is covered by the 90 small ones;
+  // the first quantile past rank 90 is the first large sample.
+  const auto xs = runs_of({{10, 90}, {5000, 10}});
+  EXPECT_EQ(nearest_rank(xs, 0.90), 10u);
+  EXPECT_EQ(nearest_rank(xs, 0.901), 5000u);
+}
+
+TEST(Percentile, OutOfRangeQuantilesClampToTheEnds) {
+  const std::vector<std::uint64_t> xs = {2, 4, 8};
+  EXPECT_EQ(nearest_rank(xs, -0.5), 2u);
+  EXPECT_EQ(nearest_rank(xs, 1.5), 8u);
+}
+
+TEST(Percentile, AnswerIsASampleAndNeverFallsAsQRises) {
+  std::vector<std::uint64_t> xs;
+  splitmix64 rng(7);
+  for (int i = 0; i < 37; ++i) xs.push_back(rng.next() % 1000);
+  std::sort(xs.begin(), xs.end());
+  std::uint64_t prev = 0;
+  for (int step = 0; step <= 1000; ++step) {
+    const double q = step / 1000.0;
+    const std::uint64_t v = nearest_rank(xs, q);
+    EXPECT_TRUE(std::binary_search(xs.begin(), xs.end(), v)) << "q=" << q;
+    EXPECT_GE(v, prev) << "q=" << q;
+    prev = v;
+  }
 }
 
 // ----------------------------------------------------------------- workload

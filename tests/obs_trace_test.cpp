@@ -3,9 +3,10 @@
 // thing that records (untraced queues, the sharded front-end, the reclaimer
 // and the waiter hub record nothing), and the derived wait-freedom metrics
 // over both synthetic and real (traced wf_queue and wf_queue_fps) event
-// streams.
+// streams, with the exact keys write_metrics writes for them.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <optional>
@@ -281,12 +282,13 @@ TEST(ObsWfMetrics, AnalyzeSyntheticStream) {
   EXPECT_EQ(r.retires, 1u);
   EXPECT_EQ(r.max_phase_seen, 3);
   EXPECT_DOUBLE_EQ(r.helped_per_op(), 0.5);
-  // 100-tick episode lands in the (64,128] bucket => upper bound 127.
-  EXPECT_EQ(r.help_latency.quantile_upper_bound(1.0), 127u);
-  // Lags 2 and 1: p100 upper bound covers lag 2 (bucket (1,2], bound 2...
-  // log2 bucket of 2 is bucket 2 with upper bound 3).
-  EXPECT_GE(r.phase_lag.quantile_upper_bound(1.0), 2u);
-  EXPECT_EQ(r.phase_lag.total(), 2u);
+  // The quantiles are the samples themselves: the one 100-tick episode,
+  // and lags {2, 1} sorted to {1, 2}.
+  EXPECT_EQ(r.help_latency, std::vector<std::uint64_t>{100});
+  EXPECT_EQ(nearest_rank(r.help_latency, 1.0), 100u);
+  EXPECT_EQ(r.phase_lag, (std::vector<std::uint64_t>{1, 2}));
+  EXPECT_EQ(nearest_rank(r.phase_lag, 0.5), 1u);
+  EXPECT_EQ(nearest_rank(r.phase_lag, 1.0), 2u);
 }
 
 TEST(ObsWfMetrics, UnmatchedHelpStartsAreCounted) {
@@ -326,7 +328,7 @@ TEST(ObsWfMetrics, RetiredKindsInAStreamAreIgnored) {
   EXPECT_EQ(r.help_episodes, 0u);
   EXPECT_EQ(r.unmatched_helps, 0u);
   EXPECT_EQ(r.retires, 0u);
-  EXPECT_EQ(r.phase_lag.total(), 1u);
+  EXPECT_EQ(r.phase_lag.size(), 1u);
   EXPECT_EQ(r.max_phase_seen, 1);
 }
 
@@ -334,7 +336,128 @@ TEST(ObsWfMetrics, EmptyTraceYieldsAllZeroFiniteReport) {
   const wf_trace_report r = analyze_trace({});
   EXPECT_EQ(r.ops(), 0u);
   EXPECT_EQ(r.helped_per_op(), 0.0);  // n==0 guard: no NaN
-  EXPECT_EQ(r.help_latency.quantile_upper_bound(0.99), 0u);
+  EXPECT_EQ(nearest_rank(r.help_latency, 0.99), 0u);
+}
+
+trace_event event_at(std::uint64_t ts, trace_kind kind, std::uint32_t tid,
+                     std::int64_t phase, std::uint32_t aux = 0) {
+  trace_event e;
+  e.ts = ts;
+  e.kind = kind;
+  e.tid = tid;
+  e.phase = phase;
+  e.aux = aux;
+  return e;
+}
+
+TEST(ObsWfMetrics, EverySampleIsKeptAndSorted) {
+  // Three episodes of 30, 10 and 20 ticks and three completions lagging
+  // 3, 0 and 2 phases: the report holds each sample once, ascending.
+  const std::vector<trace_event> ev = {
+      event_at(0, trace_kind::enq_publish, 0, 4),
+      event_at(10, trace_kind::help_start, 0, 1),
+      event_at(40, trace_kind::help_finish, 0, 1),
+      event_at(50, trace_kind::enq_complete, 0, 1),  // lag 3
+      event_at(60, trace_kind::help_start, 0, 2),
+      event_at(70, trace_kind::help_finish, 0, 2),
+      event_at(80, trace_kind::deq_complete, 0, 4, 1),  // lag 0
+      event_at(90, trace_kind::help_start, 0, 2),
+      event_at(110, trace_kind::help_finish, 0, 2),
+      event_at(120, trace_kind::enq_complete, 0, 2),  // lag 2
+  };
+  const wf_trace_report r = analyze_trace(ev);
+  EXPECT_EQ(r.help_episodes, 3u);
+  EXPECT_EQ(r.help_latency, (std::vector<std::uint64_t>{10, 20, 30}));
+  EXPECT_EQ(r.ops(), 3u);
+  EXPECT_EQ(r.phase_lag, (std::vector<std::uint64_t>{0, 2, 3}));
+  EXPECT_EQ(nearest_rank(r.help_latency, 0.5), 20u);
+  EXPECT_EQ(nearest_rank(r.phase_lag, 0.5), 2u);
+}
+
+TEST(ObsWfMetrics, InterleavedEpisodesPairWithinTheirThread) {
+  // t0 helps from 10 to 50 while t1 helps from 20 to 25: each finish
+  // closes its own thread's episode, not the latest start.
+  const std::vector<trace_event> ev = {
+      event_at(10, trace_kind::help_start, 0, 1),
+      event_at(20, trace_kind::help_start, 1, 1),
+      event_at(25, trace_kind::help_finish, 1, 1),
+      event_at(50, trace_kind::help_finish, 0, 1),
+  };
+  const wf_trace_report r = analyze_trace(ev);
+  EXPECT_EQ(r.help_episodes, 2u);
+  EXPECT_EQ(r.unmatched_helps, 0u);
+  EXPECT_EQ(r.help_latency, (std::vector<std::uint64_t>{5, 40}));
+}
+
+TEST(ObsWfMetrics, ConcurrentRecordingLosesNoSample) {
+  // Four threads record help episodes at once; the drained, merged trace
+  // yields one latency sample per episode.
+  constexpr std::uint32_t kThreads = 4;
+  constexpr std::uint32_t kEpisodes = 2000;
+  trace_domain domain(kThreads, /*capacity_per_thread=*/8192);
+
+  spin_barrier barrier(kThreads);
+  std::vector<std::thread> workers;
+  for (std::uint32_t t = 0; t < kThreads; ++t) {
+    workers.emplace_back([&, t] {
+      barrier.arrive_and_wait();
+      for (std::uint32_t i = 0; i < kEpisodes; ++i) {
+        domain.record(t, trace_kind::help_start, i, 0);
+        domain.record(t, trace_kind::help_finish, i, 0);
+      }
+    });
+  }
+  for (auto& w : workers) w.join();
+
+  std::uint64_t dropped = 0;
+  const auto events = domain.drain_all(&dropped);
+  EXPECT_EQ(dropped, 0u);
+  const wf_trace_report r = analyze_trace(events, dropped, kThreads);
+  EXPECT_EQ(r.help_episodes, std::uint64_t{kThreads} * kEpisodes);
+  EXPECT_EQ(r.help_latency.size(), r.help_episodes);
+  EXPECT_EQ(r.unmatched_helps, 0u);
+  EXPECT_TRUE(std::is_sorted(r.help_latency.begin(), r.help_latency.end()));
+}
+
+TEST(ObsWfMetrics, WriteMetricsWritesSampleQuantiles) {
+  wf_trace_report r;
+  r.enq_ops = 3;
+  r.deq_ops = 1;
+  r.empty_deqs = 1;
+  r.help_episodes = 2;
+  r.retires = 4;
+  r.max_phase_seen = 7;
+  r.help_latency = {5, 40};
+  r.phase_lag = {0, 1, 1, 3};
+  json_writer w;
+  w.begin_object();
+  write_metrics(w, "t", r);
+  w.end_object();
+  // Keys in write order; p50/p90/p99 are ranks 1/2/2 of two latencies and
+  // 2/4/4 of four lags.
+  EXPECT_EQ(w.str(),
+            "{\"t.enq_ops\":3,\"t.deq_ops\":1,\"t.empty_deqs\":1,"
+            "\"t.help_episodes\":2,\"t.helped_per_op\":0.5,\"t.retires\":4,"
+            "\"t.dropped_events\":0,\"t.max_phase\":7,"
+            "\"t.help_latency_ticks.p50\":5,\"t.phase_lag.p50\":1,"
+            "\"t.help_latency_ticks.p90\":40,\"t.phase_lag.p90\":3,"
+            "\"t.help_latency_ticks.p99\":40,\"t.phase_lag.p99\":3}");
+}
+
+TEST(ObsWfMetrics, WriteMetricsOfAnEmptyReportIsAllZero) {
+  // A trace in which nothing fired exports 0 everywhere, never NaN.
+  json_writer w;
+  w.begin_object();
+  write_metrics(w, "idle", analyze_trace({}));
+  w.end_object();
+  EXPECT_EQ(w.str(),
+            "{\"idle.enq_ops\":0,\"idle.deq_ops\":0,\"idle.empty_deqs\":0,"
+            "\"idle.help_episodes\":0,\"idle.helped_per_op\":0,"
+            "\"idle.retires\":0,\"idle.dropped_events\":0,"
+            "\"idle.max_phase\":0,"
+            "\"idle.help_latency_ticks.p50\":0,\"idle.phase_lag.p50\":0,"
+            "\"idle.help_latency_ticks.p90\":0,\"idle.phase_lag.p90\":0,"
+            "\"idle.help_latency_ticks.p99\":0,\"idle.phase_lag.p99\":0}");
 }
 
 // ---------------------------------------------- traced queue, end to end
@@ -405,7 +528,7 @@ void expect_trace_of_pairs(std::uint64_t enqs, std::uint64_t deqs) {
     EXPECT_GT(r.retires, 0u);  // wrap: still a consistent suffix
   }
   // Phase lag was recorded for every completion seen.
-  EXPECT_EQ(r.phase_lag.total(), r.ops());
+  EXPECT_EQ(r.phase_lag.size(), r.ops());
   // The dense-id overloads were never used: tids stay < kThreads.
   for (const trace_event& e : events) EXPECT_LT(e.tid, kThreads);
   global_trace().reset();

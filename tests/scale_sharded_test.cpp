@@ -92,6 +92,20 @@ TEST(ShardedQueue, DepthCountersTrackLiveItems) {
   EXPECT_EQ(q.unsafe_size(), 6u);
 }
 
+TEST(ShardStats, DepthStealRateAndSum) {
+  shard_stats s{.enqueued = 100, .dequeued = 80, .stolen = 20};
+  EXPECT_EQ(s.depth(), 20);
+  EXPECT_DOUBLE_EQ(s.steal_rate(), 0.25);
+  EXPECT_EQ(shard_stats{}.steal_rate(), 0.0);  // nothing dequeued: no NaN
+  s += shard_stats{.enqueued = 1, .dequeued = 20, .stolen = 5,
+                   .empty_scans = 2};
+  EXPECT_EQ(s.enqueued, 101u);
+  EXPECT_EQ(s.dequeued, 100u);
+  EXPECT_EQ(s.stolen, 25u);
+  EXPECT_EQ(s.empty_scans, 2u);
+  EXPECT_EQ(s.depth(), 1);
+}
+
 TEST(ShardedQueue, RoundRobinSpreadsEnqueuesEvenly) {
   sharded_queue<inner_q, round_robin_shards> q(4, 2);
   for (std::uint64_t i = 0; i < 8; ++i) q.enqueue(i, 0);

@@ -8,7 +8,6 @@
 #include "baseline/ms_queue.hpp"
 #include "core/wf_queue_fps.hpp"
 #include "harness/mem_tracker.hpp"
-#include "obs/registry.hpp"
 #include "reclaim/leaky.hpp"
 #include "storage/bounded_wf_queue.hpp"
 #include "support/baton.hpp"
@@ -76,18 +75,6 @@ TEST(MemAccounting, LiveBytesReturnToZeroFreeingStorage) {
   }
   EXPECT_EQ(mc.live_bytes(), 0);
   EXPECT_EQ(mc.live_objects(), 0);
-}
-
-// ------------------------------------------------------------ obs export
-
-TEST(ObsExport, BoundedCountersAppendStructurally) {
-  bounded_counters c{.admitted = 5, .rejected = 2, .overwritten = 1};
-  obs::metrics_snapshot snap;
-  obs::append_metrics(snap, "bounded", c);
-  ASSERT_EQ(snap.size(), 3u);
-  EXPECT_EQ(snap[0].name, "bounded.admitted");
-  EXPECT_EQ(snap[0].value, 5.0);
-  EXPECT_EQ(snap[1].value, 2.0);
 }
 
 }  // namespace
