@@ -185,7 +185,7 @@ int main(int argc, char** argv) {
       }
       std::uint64_t dropped = 0;
       const auto events = obs::global_trace().drain_all(&dropped);
-      r.report = obs::analyze_trace(events, dropped, th);
+      r.report = obs::analyze_trace(events, dropped);
       if (s == 1 && th == p.threads.back() && !timeline_path.empty()) {
         write_doc(timeline_path,
                   obs::trace_to_timeline(events, cal, dropped),

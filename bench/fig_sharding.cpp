@@ -42,7 +42,6 @@ struct shifted_affinity {
   std::uint32_t home_shard(std::uint32_t tid) const noexcept {
     return (tid + 1) % s_;
   }
-  static constexpr const char* name = "shifted_affinity";
 
  private:
   std::uint32_t s_;

@@ -189,7 +189,7 @@ int main(int argc, char** argv) {
   for (auto c : st.per_shard) active_shards += c > 0 ? 1 : 0;
   check(shard_count < 2 || active_shards >= 2, "traffic spread over shards");
   std::uint64_t leftovers = 0;
-  while (shards.try_dequeue(0).has_value()) ++leftovers;
+  while (shards.dequeue(0).has_value()) ++leftovers;
   check(leftovers == 0, "queues drained dry");
 
   if (!ok) return 1;

@@ -61,14 +61,16 @@ def check(value, schema, path, errors):
 
 
 def validate_file(path, schema):
+    """Parse `path` and check it against `schema`: (doc, errors), where doc
+    is None when the file does not parse."""
     try:
         with open(path, encoding="utf-8") as f:
             doc = json.load(f)
     except (OSError, json.JSONDecodeError) as e:
-        return [f"$: cannot parse: {e}"]
+        return None, [f"$: cannot parse: {e}"]
     errors = []
     check(doc, schema, "$", errors)
-    return errors
+    return doc, errors
 
 
 def main():
@@ -84,7 +86,7 @@ def main():
 
     ok = True
     for path in args.files:
-        errors = validate_file(path, schema)
+        _, errors = validate_file(path, schema)
         if errors:
             ok = False
             print(f"FAIL {path}")

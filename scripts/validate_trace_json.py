@@ -1,9 +1,8 @@
 #!/usr/bin/env python3
 """Validate kpq-trace-1 timeline JSON against scripts/trace_schema.json.
 
-Stdlib only (CI containers have no jsonschema); same draft-07 subset
-interpreter as validate_bench_json.py: type, enum, required, properties,
-additionalProperties (schema form), items, minItems.
+Stdlib only (CI containers have no jsonschema); the schema check is
+validate_bench_json.py's draft-07 subset interpreter, imported from there.
 
 On top of the schema, this checks the trace-event semantics the schema
 language cannot express:
@@ -21,51 +20,10 @@ Exit status 0 iff every file validates.
 
 import argparse
 import json
-import math
 import os
 import sys
 
-TYPE_CHECKS = {
-    "object": lambda v: isinstance(v, dict),
-    "array": lambda v: isinstance(v, list),
-    "string": lambda v: isinstance(v, str),
-    "number": lambda v: isinstance(v, (int, float)) and not isinstance(v, bool),
-    "boolean": lambda v: isinstance(v, bool),
-    "null": lambda v: v is None,
-}
-
-
-def check(value, schema, path, errors):
-    expected = schema.get("type")
-    if expected is not None:
-        types = expected if isinstance(expected, list) else [expected]
-        if not any(TYPE_CHECKS[t](value) for t in types):
-            errors.append(f"{path}: expected {'/'.join(types)}, "
-                          f"got {type(value).__name__}")
-            return
-    if "enum" in schema and value not in schema["enum"]:
-        errors.append(f"{path}: {value!r} not in {schema['enum']}")
-    if isinstance(value, dict):
-        for req in schema.get("required", []):
-            if req not in value:
-                errors.append(f"{path}: missing required key '{req}'")
-        props = schema.get("properties", {})
-        extra = schema.get("additionalProperties")
-        for key, sub in value.items():
-            if key in props:
-                check(sub, props[key], f"{path}.{key}", errors)
-            elif isinstance(extra, dict):
-                check(sub, extra, f"{path}.{key}", errors)
-    elif isinstance(value, list):
-        if len(value) < schema.get("minItems", 0):
-            errors.append(f"{path}: {len(value)} items < "
-                          f"minItems {schema['minItems']}")
-        items = schema.get("items")
-        if isinstance(items, dict):
-            for i, sub in enumerate(value):
-                check(sub, items, f"{path}[{i}]", errors)
-    elif isinstance(value, float) and not math.isfinite(value):
-        errors.append(f"{path}: non-finite number {value}")
+from validate_bench_json import validate_file
 
 
 def check_semantics(doc, require_flow, errors):
@@ -114,15 +72,11 @@ def main():
 
     failed = False
     for path in args.files:
-        try:
-            with open(path) as f:
-                doc = json.load(f)
-        except (OSError, json.JSONDecodeError) as exc:
-            print(f"FAIL {path}: {exc}")
+        doc, errors = validate_file(path, schema)
+        if doc is None:
+            print(f"FAIL {path}: {errors[0]}")
             failed = True
             continue
-        errors = []
-        check(doc, schema, "$", errors)
         pairs = check_semantics(doc, args.require_flow, errors)
         if errors:
             failed = True

@@ -66,13 +66,15 @@ namespace detail {
 /// One wait for an item from any of `qs`: co_dequeue and co_dequeue_for
 /// pass one queue, co_select N. The callers' loops retry while the result
 /// is open and empty (an item stolen between the wakeup and the scan
-/// re-parks). Callers co_await a NAMED
-/// step: GCC 12 destroys the members of a braced prvalue awaiter twice.
-template <typename Q>
+/// re-parks). `Ptr` points at an async_mpmc<Q>: a raw pointer, or the
+/// owning pointer async_sharded keeps its shards in. Callers co_await a
+/// NAMED step: GCC 12 destroys the members of a braced prvalue awaiter
+/// twice.
+template <typename Q, typename Ptr = async_mpmc<Q>*>
 struct take_step {
   using value_type = typename Q::value_type;
 
-  std::span<async_mpmc<Q>* const> qs;
+  std::span<const Ptr> qs;
   std::stop_token st;
   std::uint64_t deadline_ns;  // 0 = none; needs an executor for the timer
   std::size_t from = 0;  // the queue a pass tries first (< qs.size())
@@ -86,7 +88,7 @@ struct take_step {
     const std::uint32_t tid = this_thread_id();
     for (std::size_t k = 0, i = start; k < qs.size(); ++k, ++i) {
       if (i == qs.size()) i = 0;  // no division on the fast path
-      if ((out.value = qs[i]->try_dequeue(tid))) {
+      if ((out.value = qs[i]->dequeue(tid))) {
         out.index = i;
         return true;
       }
@@ -95,7 +97,7 @@ struct take_step {
   }
 
   bool all_closed() const noexcept {
-    for (auto* q : qs) {
+    for (const Ptr& q : qs) {
       if (!q->closed()) return false;
     }
     return true;
@@ -143,16 +145,16 @@ struct take_step {
 /// completes (async_sharded's shard list: no per-call copy or extra frame).
 /// With `next_scan`, its passes start at the queue it names, and a served
 /// item moves it to the queue after the server; without one, at queue 0.
-template <typename Q>
+template <typename Q, typename Ptr>
 task<select_result<typename Q::value_type>> take_any(
-    std::span<async_mpmc<Q>* const> qs, std::stop_token st,
+    std::span<const Ptr> qs, std::stop_token st,
     std::atomic<std::size_t>* next_scan = nullptr) {
   std::size_t start = 0;
   // kpq-order: relaxed pairs-with none (a scan hint: any start index is
   // correct, and the item's own hand-off orders everything it carries)
   if (next_scan) start = next_scan->load(std::memory_order_relaxed);
   for (;;) {
-    take_step<Q> step{qs, st, 0, start};
+    take_step<Q, Ptr> step{qs, st, 0, start};
     auto r = co_await step;
     if (r.value && next_scan != nullptr) {
       const std::size_t after = r.index + 1;
@@ -174,6 +176,7 @@ class async_mpmc {
   using inner_type = Q;
 
   template <typename... Args>
+    requires std::constructible_from<Q, Args...>
   explicit async_mpmc(Args&&... args) : q_(std::forward<Args>(args)...) {}
   async_mpmc(const async_mpmc&) = delete;
   async_mpmc& operator=(const async_mpmc&) = delete;
@@ -194,12 +197,11 @@ class async_mpmc {
   }
   void enqueue(value_type v) { enqueue(std::move(v), this_thread_id()); }
 
-  std::optional<value_type> try_dequeue(std::uint32_t tid) {
+  /// Never suspends: empty means the inner dequeue found the queue empty.
+  std::optional<value_type> dequeue(std::uint32_t tid) {
     return q_.dequeue(tid);
   }
-  std::optional<value_type> try_dequeue() {
-    return try_dequeue(this_thread_id());
-  }
+  std::optional<value_type> dequeue() { return dequeue(this_thread_id()); }
 
   /// Close: parked consumers drain what is left, then complete with
   /// nullopt; later co_enqueues return false.
@@ -285,7 +287,8 @@ class async_mpmc {
 template <typename Q>
 task<select_result<typename Q::value_type>> co_select(
     std::vector<async_mpmc<Q>*> queues, std::stop_token st = {}) {
-  co_return co_await detail::take_any<Q>(queues, std::move(st));
+  co_return co_await detail::take_any<Q, async_mpmc<Q>*>(queues,
+                                                         std::move(st));
 }
 
 }  // namespace kpq::async

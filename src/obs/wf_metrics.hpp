@@ -33,6 +33,7 @@
 
 #include "harness/stats.hpp"
 #include "obs/export.hpp"
+#include "obs/trace_pairs.hpp"
 #include "obs/trace_ring.hpp"
 
 namespace kpq::obs {
@@ -48,7 +49,7 @@ struct wf_trace_report {
   std::uint64_t deq_ops = 0;
   std::uint64_t empty_deqs = 0;
   std::uint64_t help_episodes = 0;    // matched start/finish pairs
-  std::uint64_t unmatched_helps = 0;  // start with no finish (ring wrap)
+  std::uint64_t unmatched_helps = 0;  // a start or finish left unpaired
   std::uint64_t retires = 0;
   std::uint64_t dropped_events = 0;   // ring overwrites: report is a suffix
   std::int64_t max_phase_seen = 0;
@@ -61,60 +62,32 @@ struct wf_trace_report {
   }
 };
 
-/// `events` must be time-sorted (trace_domain::drain_all output).
+/// `events` must be time-sorted (trace_domain::drain_all output). The
+/// report reads the same pairs as the timeline (obs/trace_pairs.hpp).
 inline wf_trace_report analyze_trace(const std::vector<trace_event>& events,
-                                     std::uint64_t dropped = 0,
-                                     std::uint32_t max_threads = 0) {
+                                     std::uint64_t dropped = 0) {
+  const trace_pairs p = pair_trace(events);
   wf_trace_report r;
   r.dropped_events = dropped;
-  // Per-thread start timestamp of the helping episode in flight. Helping
-  // never nests on one thread (help_enq/help_deq run to completion), so one
-  // slot per tid suffices.
-  std::uint32_t nt = max_threads;
-  for (const trace_event& e : events) {
-    if (e.tid >= nt) nt = e.tid + 1;
-  }
-  std::vector<std::uint64_t> help_open(nt, 0);  // 0 = no episode in flight
-  std::int64_t frontier = 0;  // max phase published so far
-
-  for (const trace_event& e : events) {
-    switch (e.kind) {
-      case trace_kind::enq_publish:
-      case trace_kind::deq_publish:
-        if (e.phase > frontier) frontier = e.phase;
-        break;
-      case trace_kind::enq_complete:
-        ++r.enq_ops;
-        r.phase_lag.push_back(static_cast<std::uint64_t>(
-            frontier > e.phase ? frontier - e.phase : 0));
-        break;
-      case trace_kind::deq_complete:
-        ++r.deq_ops;
-        if (e.aux == 0) ++r.empty_deqs;
-        r.phase_lag.push_back(static_cast<std::uint64_t>(
-            frontier > e.phase ? frontier - e.phase : 0));
-        break;
-      case trace_kind::help_start:
-        if (help_open[e.tid] != 0) ++r.unmatched_helps;
-        help_open[e.tid] = e.ts ? e.ts : 1;
-        break;
-      case trace_kind::help_finish:
-        if (help_open[e.tid] != 0) {
-          ++r.help_episodes;
-          r.help_latency.push_back(e.ts - help_open[e.tid]);
-          help_open[e.tid] = 0;
-        } else {
-          ++r.unmatched_helps;
-        }
-        break;
-      case trace_kind::retire:
-        ++r.retires;
-        break;
+  for (const paired_op& op : p.ops) {
+    if (op.complete->kind == trace_kind::enq_complete) {
+      ++r.enq_ops;
+    } else {
+      ++r.deq_ops;
+      if (op.complete->aux == 0) ++r.empty_deqs;
     }
-    if (e.phase > r.max_phase_seen) r.max_phase_seen = e.phase;
+    r.phase_lag.push_back(op.phase_lag);
   }
-  for (std::uint64_t open : help_open) {
-    if (open != 0) ++r.unmatched_helps;
+  for (const paired_help& h : p.helps) {
+    r.help_latency.push_back(h.finish->ts - h.start->ts);
+  }
+  r.help_episodes = p.helps.size();
+  r.unmatched_helps = p.unmatched_helps;
+  for (const trace_event* e : p.points) {
+    if (e->kind == trace_kind::retire) ++r.retires;
+  }
+  for (const trace_event& e : events) {
+    r.max_phase_seen = std::max(r.max_phase_seen, e.phase);
   }
   std::sort(r.help_latency.begin(), r.help_latency.end());
   std::sort(r.phase_lag.begin(), r.phase_lag.end());

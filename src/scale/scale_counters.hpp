@@ -72,13 +72,6 @@ class shard_counters {
     return s;
   }
 
-  void reset() noexcept {
-    enqueued_.store(0, std::memory_order_relaxed);
-    dequeued_.store(0, std::memory_order_relaxed);
-    stolen_.store(0, std::memory_order_relaxed);
-    empty_scans_.store(0, std::memory_order_relaxed);
-  }
-
  private:
   std::atomic<std::uint64_t> enqueued_{0};
   std::atomic<std::uint64_t> dequeued_{0};

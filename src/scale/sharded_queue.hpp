@@ -16,7 +16,7 @@
 //   * Each shard is a linearizable FIFO (it IS an inner queue).
 //   * Items that route to the same shard keep their FIFO order. With the
 //     affinity policy that covers per-producer order; with key-hash,
-//     per-key order. Round-robin promises no order at all.
+//     per-key order.
 //   * Cross-shard order is unspecified — the price of independence.
 //   * dequeue() returning nullopt means: every shard, at the moment the
 //     scan visited it, was observed empty by a linearizable inner dequeue.
@@ -37,17 +37,22 @@
 // stolen/dequeued ratio and the empty-scan count are exported per shard
 // (scale_counters.hpp) — the fig_sharding bench prints them. The front-end
 // records no trace events; a traced inner queue records its own.
+//
+// async::async_sharded (scale/async_shards.hpp) is this class over
+// async_mpmc shards plus the coroutine calls, so both faces share one
+// router and one scan.
 #pragma once
 
 #include <cassert>
+#include <concepts>
 #include <cstdint>
 #include <memory>
 #include <optional>
+#include <span>
 #include <type_traits>
 #include <vector>
 
 #include "core/queue_concepts.hpp"
-#include "harness/mem_tracker.hpp"
 #include "scale/scale_counters.hpp"
 #include "scale/shard_policy.hpp"
 #include "sync/cacheline.hpp"
@@ -57,54 +62,35 @@ namespace kpq {
 
 template <typename Q, typename Policy = affinity_shards>
   requires mpmc_queue<Q>
-class sharded_queue : public mem_tracked {
+class sharded_queue {
  public:
   using value_type = typename Q::value_type;
   using inner_type = Q;
-  using policy_type = Policy;
 
-  /// `max_threads` has the inner queues' meaning (bound on distinct dense
-  /// thread ids): every thread may steal from every shard, so each inner
-  /// queue must be built for the full thread count. Pass `mc` to account
-  /// inner allocations from construction, exactly like wf_queue.
-  sharded_queue(std::uint32_t shard_count, std::uint32_t max_threads,
-                mem_counters* mc = nullptr)
-      : mem_tracked(mc),
-        nshards_(shard_count),
-        n_(max_threads),
-        policy_(shard_count),
-        counters_(shard_count) {
-    assert(shard_count >= 1);
-    shards_.reserve(nshards_);
-    for (std::uint32_t s = 0; s < nshards_; ++s) {
-      if constexpr (std::is_constructible_v<Q, std::uint32_t, mem_counters*>) {
-        shards_.push_back(std::make_unique<Q>(max_threads, mc));
-      } else {
-        shards_.push_back(std::make_unique<Q>(max_threads));
-      }
-    }
-  }
+  /// Every shard is built from the same `args` (reused, not forwarded —
+  /// pass copyable configuration). For the KP queue that is
+  /// `(max_threads[, mc])`: every thread may steal from every shard, so
+  /// each shard must be built for the full thread count, and `mc` accounts
+  /// every shard's allocations in one sink. Over bounded shards,
+  /// `sharded_queue<bounded_wf_queue<T>>(S, n, cfg)` caps the TOTAL memory
+  /// at S * cfg.max_bytes, each shard admitting on its own.
+  template <typename... Args>
+    requires std::constructible_from<Q, Args&...>
+  explicit sharded_queue(std::uint32_t shard_count, Args&&... args)
+      : sharded_queue(shard_count, [&](std::uint32_t) {
+          return std::make_unique<Q>(args...);
+        }) {}
 
-  /// Factory construction, for inner queues whose constructor needs more
-  /// than (max_threads, mc) — the motivating case is bounded shards:
+  /// Factory construction, for shards that differ, e.g. a test giving each
+  /// shard its own recorder:
   ///
-  ///   sharded_queue<bounded_wf_queue<T>> q(S, n,
-  ///       [&](std::uint32_t s) {
-  ///         return std::make_unique<bounded_wf_queue<T>>(n, cfg);
-  ///       });
-  ///
-  /// Composing the front-end over bounded shards gives a sharded structure
-  /// whose TOTAL memory is capped at S * cfg.max_bytes, with per-shard
-  /// admission (a shard at its ceiling rejects or overwrites independently;
-  /// the work-stealing dequeue scan is unaffected).
+  ///   sharded_queue<recorded<Q>> q(S, [&](std::uint32_t s) {
+  ///     return std::make_unique<recorded<Q>>(n, logs[s]);
+  ///   });
   template <typename Factory>
-    requires std::is_invocable_r_v<std::unique_ptr<Q>, Factory, std::uint32_t>
-  sharded_queue(std::uint32_t shard_count, std::uint32_t max_threads,
-                Factory&& make_shard)
-      : nshards_(shard_count),
-        n_(max_threads),
-        policy_(shard_count),
-        counters_(shard_count) {
+    requires std::is_invocable_r_v<std::unique_ptr<Q>, Factory&, std::uint32_t>
+  sharded_queue(std::uint32_t shard_count, Factory&& make_shard)
+      : nshards_(shard_count), policy_(shard_count), counters_(shard_count) {
     assert(shard_count >= 1);
     shards_.reserve(nshards_);
     for (std::uint32_t s = 0; s < nshards_; ++s) {
@@ -119,8 +105,7 @@ class sharded_queue : public mem_tracked {
   // ------------------------------------------------------------------ single
 
   void enqueue(value_type v, std::uint32_t tid) {
-    assert(tid < n_);
-    const std::uint32_t s = policy_.enqueue_shard(tid, v) % nshards_;
+    const std::uint32_t s = enqueue_shard(tid, v);
     shards_[s]->enqueue(std::move(v), tid);
     counters_[s]->on_enqueue();
   }
@@ -130,8 +115,9 @@ class sharded_queue : public mem_tracked {
   /// shard in index order. At most one inner dequeue per shard per call,
   /// hence wait-free (see file comment).
   std::optional<value_type> dequeue(std::uint32_t tid) {
-    assert(tid < n_);
-    const std::uint32_t home = home_shard(tid);
+    // A consumer's scan starts where the matching producer enqueues, so the
+    // affinity pairing keeps its near-zero steal rate.
+    const std::uint32_t home = policy_.home_shard(tid) % nshards_;
     for (std::uint32_t k = 0; k <= nshards_; ++k) {
       const std::uint32_t s = k == 0 ? home : k - 1;
       if (k != 0 && s == home) continue;  // already visited first
@@ -148,10 +134,8 @@ class sharded_queue : public mem_tracked {
   // ---------------------------------------------------------- observability
 
   std::uint32_t shard_count() const noexcept { return nshards_; }
-  std::uint32_t max_threads() const noexcept { return n_; }
   Q& shard(std::uint32_t s) noexcept { return *shards_[s]; }
   const Q& shard(std::uint32_t s) const noexcept { return *shards_[s]; }
-  policy_type& policy() noexcept { return policy_; }
 
   shard_stats shard_counters_snapshot(std::uint32_t s) const {
     return counters_[s]->snapshot();
@@ -175,15 +159,17 @@ class sharded_queue : public mem_tracked {
     return n;
   }
 
- private:
-  /// A consumer's scan starts where the matching producer enqueues, so the
-  /// affinity pairing keeps its near-zero steal rate.
-  std::uint32_t home_shard(std::uint32_t tid) const noexcept {
-    return policy_.home_shard(tid) % nshards_;
+ protected:
+  /// The policy's shard for an enqueue of `v` by `tid`, reduced modulo S.
+  std::uint32_t enqueue_shard(std::uint32_t tid, const value_type& v) {
+    return policy_.enqueue_shard(tid, v) % nshards_;
+  }
+  std::span<const std::unique_ptr<Q>> shards() const noexcept {
+    return shards_;
   }
 
+ private:
   const std::uint32_t nshards_;
-  const std::uint32_t n_;
   Policy policy_;
   std::vector<std::unique_ptr<Q>> shards_;
   std::vector<padded<shard_counters>> counters_;

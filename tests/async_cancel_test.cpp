@@ -39,7 +39,7 @@ TEST(AsyncCancel, PreCancelledTokenCompletesImmediatelyEmpty) {
   ASSERT_TRUE(t.done());  // never suspended
   EXPECT_EQ(t.take(), std::nullopt);
   EXPECT_EQ(q.hub().stats().parks, 0u);
-  EXPECT_EQ(q.try_dequeue(), std::optional<std::uint64_t>(1));  // untouched
+  EXPECT_EQ(q.dequeue(), std::optional<std::uint64_t>(1));  // untouched
 }
 
 TEST(AsyncCancel, StopWhileSuspendedResumesInlineWithEmpty) {
@@ -97,9 +97,9 @@ TEST(AsyncCancel, StopRacingARealItemDeliversAtMostOnce) {
     auto got = t.take();
     if (got) {
       EXPECT_EQ(*got, 42u);
-      EXPECT_EQ(q.try_dequeue(), std::nullopt);
+      EXPECT_EQ(q.dequeue(), std::nullopt);
     } else {
-      EXPECT_EQ(q.try_dequeue(), std::optional<std::uint64_t>(42));
+      EXPECT_EQ(q.dequeue(), std::optional<std::uint64_t>(42));
     }
   }
 }
@@ -116,7 +116,7 @@ TEST(AsyncCancel, DestroyWhileSuspendedUnhooksTheWaiter) {
   // A later enqueue must not touch the dead frame (the silent claim made
   // the node refuse tokens) — and the item stays dequeueable.
   q.enqueue(5);
-  EXPECT_EQ(q.try_dequeue(), std::optional<std::uint64_t>(5));
+  EXPECT_EQ(q.dequeue(), std::optional<std::uint64_t>(5));
 }
 
 TEST(AsyncCancel, DestroyWithPendingDeadlineLeavesAnInertTimer) {
@@ -133,7 +133,7 @@ TEST(AsyncCancel, DestroyWithPendingDeadlineLeavesAnInertTimer) {
   // claimed by the teardown and resume nothing.
   EXPECT_TRUE(kpq::testing::run_bounded(loop));
   q.enqueue(3);
-  EXPECT_EQ(q.try_dequeue(), std::optional<std::uint64_t>(3));
+  EXPECT_EQ(q.dequeue(), std::optional<std::uint64_t>(3));
 }
 
 TEST(AsyncCancel, NotifyDuringParkNeverRacesTheParkingThread) {
@@ -172,8 +172,8 @@ TEST(AsyncCancel, DestroySuspendedSelectUnhooksEveryHub) {
   EXPECT_FALSE(q1.hub().maybe_waiters());
   q0.enqueue(1);
   q1.enqueue(2);
-  EXPECT_EQ(q0.try_dequeue(), std::optional<std::uint64_t>(1));
-  EXPECT_EQ(q1.try_dequeue(), std::optional<std::uint64_t>(2));
+  EXPECT_EQ(q0.dequeue(), std::optional<std::uint64_t>(1));
+  EXPECT_EQ(q1.dequeue(), std::optional<std::uint64_t>(2));
 }
 
 task<void> select_into(std::vector<async_wf*> qs, std::stop_token st,
@@ -256,7 +256,7 @@ TEST(AsyncCancel, ShutdownDrainDeliversEverythingExactlyOnce) {
   for (std::uint64_t i = 0; i < kItems; ++i) {
     ASSERT_EQ(all.count(i), 1u) << "value " << i;
   }
-  EXPECT_EQ(q.try_dequeue(), std::nullopt);  // drained dry
+  EXPECT_EQ(q.dequeue(), std::nullopt);  // drained dry
 }
 
 }  // namespace

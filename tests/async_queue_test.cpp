@@ -210,8 +210,8 @@ TEST(AsyncQueue, CoEnqueueReturnsFalseOnAClosedQueue) {
     t.start();
     ASSERT_TRUE(t.done());
     EXPECT_FALSE(t.take());
-    EXPECT_EQ(q.try_dequeue(), std::optional<std::uint64_t>(1));
-    EXPECT_EQ(q.try_dequeue(), std::nullopt);
+    EXPECT_EQ(q.dequeue(), std::optional<std::uint64_t>(1));
+    EXPECT_EQ(q.dequeue(), std::nullopt);
   }
   {
     async_bounded q(2, bounded_config{.max_bytes = 1u << 20});
@@ -219,7 +219,7 @@ TEST(AsyncQueue, CoEnqueueReturnsFalseOnAClosedQueue) {
     EXPECT_FALSE(co_enqueue_now(q, 5));
     EXPECT_EQ(q.queue().stats().admitted, 0u);
     EXPECT_EQ(q.queue().stats().rejected, 0u);
-    EXPECT_EQ(q.try_dequeue(), std::nullopt);
+    EXPECT_EQ(q.dequeue(), std::nullopt);
   }
 }
 
@@ -389,7 +389,7 @@ TEST(AsyncQueue, ShardedCoDequeueAnyDrainsAllShards) {
   std::thread producer([&] {
     // Spread across shards explicitly (round robin over shard index).
     for (std::uint64_t i = 0; i < kItems; ++i) {
-      shards.shard(i % 3).enqueue(i);
+      shards.shard(static_cast<std::uint32_t>(i % 3)).enqueue(i);
     }
     shards.close_all();
   });
@@ -404,7 +404,7 @@ TEST(AsyncQueue, ShardedCoDequeueAnyDrainsAllShards) {
 // backlog does not starve the others.
 TEST(AsyncQueue, ShardedCoDequeueAnyServesEveryShardInTurn) {
   async_sharded<wf_queue_opt<std::uint64_t>> shards(2, 8);
-  for (std::uint64_t i = 0; i < 4; ++i) shards.shard(i % 2).enqueue(i);
+  for (std::uint32_t i = 0; i < 4; ++i) shards.shard(i % 2).enqueue(i);
   std::set<std::size_t> served;
   for (int k = 0; k < 2; ++k) {
     auto t = shards.co_dequeue_any();

@@ -16,6 +16,9 @@
 #include "storage/bounded_wf_queue.hpp"
 #include "storage/heap_node_storage.hpp"
 #include "storage/storage_concepts.hpp"
+#if defined(__cpp_impl_coroutine)
+#include "async/async_queue.hpp"
+#endif
 
 namespace kpq {
 namespace {
@@ -45,6 +48,13 @@ static_assert(node_storage_for<heap_node_storage<std::string>, leaky_domain>);
 
 static_assert(mpmc_queue_autotid<bounded_wf_queue<std::uint64_t>>);
 static_assert(mpmc_queue_autotid<bounded_wf_queue<int, wf_queue_base<int>>>);
+
+// -------- the coroutine front-end keeps the synchronous interface
+
+#if defined(__cpp_impl_coroutine)
+static_assert(
+    mpmc_queue_autotid<async::async_mpmc<wf_queue_opt<std::uint64_t>>>);
+#endif
 
 // -------- value-type requirements are enforced, not just documented
 

@@ -1,18 +1,27 @@
 // Timeline export: synthetic traces -> Chrome/Perfetto trace-event JSON.
 // Checks the schema tag, the point->slice pairing for ops and help
 // episodes, helper->helped flow arrows and their ids, tick->microsecond
-// mapping, truncated (wrapped) traces, instant fallbacks, and a real
-// drained trace surviving the converter.
+// mapping, truncated (wrapped) traces, instant fallbacks, a real drained
+// trace surviving the converter, and that the timeline and analyze_trace
+// read the same pairs (help slices, flow targets, a brute-force check of
+// every arrow).
 #include "obs/timeline.hpp"
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cstdint>
+#include <cstdio>
+#include <set>
 #include <string>
+#include <tuple>
+#include <utility>
 #include <vector>
 
+#include "harness/workload.hpp"
 #include "obs/calibrate.hpp"
 #include "obs/trace_ring.hpp"
+#include "obs/wf_metrics.hpp"
 
 namespace kpq::obs {
 namespace {
@@ -221,6 +230,180 @@ TEST(ObsTimeline, RealDrainedTraceConverts) {
   const std::string doc = trace_to_timeline(events, cal, dropped);
   EXPECT_NE(doc.find("\"kpqTraceSchema\":\"kpq-trace-1\""), std::string::npos);
   EXPECT_EQ(count_of(doc, "\"ph\":\"X\""), 2u);
+}
+
+
+// ------------------------------------------- timeline and report agree
+
+struct flow_end {
+  char ph = 0;  // 's' at the helper, 'f' at the helped completion
+  std::uint32_t tid = 0;
+  double ts = 0;
+  std::uint64_t id = 0;
+};
+
+/// Every flow event of a timeline document, in document order.
+std::vector<flow_end> flow_ends(const std::string& doc) {
+  std::vector<flow_end> out;
+  const std::string ph = "\"ph\":\"";
+  for (std::size_t pos = doc.find(ph); pos != std::string::npos;
+       pos = doc.find(ph, pos + ph.size())) {
+    const std::string at = doc.substr(pos, 128);  // sscanf would strlen doc
+    flow_end f;
+    unsigned long long id = 0;
+    if (std::sscanf(at.c_str(),
+                    "\"ph\":\"%c\",\"pid\":0,\"tid\":%u,\"ts\":%lf,"
+                    "\"cat\":\"help_flow\",\"id\":%llu",
+                    &f.ph, &f.tid, &f.ts, &id) == 4) {
+      f.id = id;
+      out.push_back(f);
+    }
+  }
+  return out;
+}
+
+/// The timeline's clock for `events`: ns_cal based at the first event.
+tick_calibration based_at_first(const std::vector<trace_event>& events) {
+  tick_calibration cal = ns_cal();
+  cal.base_ticks = events.front().ts;
+  return cal;
+}
+
+TEST(ObsTimelineAgreement, HelpSlicesAndFlowTargetsMatchTheReport) {
+  const std::vector<trace_event> events = {
+      ev(10, trace_kind::enq_publish, 0, 1),
+      ev(12, trace_kind::help_start, 1, 1, /*victim=*/0),
+      ev(20, trace_kind::help_finish, 1, 1, 0),
+      ev(25, trace_kind::enq_complete, 0, 1),     // t1's arrow lands here
+      ev(30, trace_kind::help_finish, 2, 7, 3),   // no start: unmatched
+      ev(31, trace_kind::deq_publish, 3, 7),
+      ev(33, trace_kind::help_start, 2, 7, 3),    // replaced: unmatched
+      ev(35, trace_kind::help_start, 2, 7, 3),
+      ev(40, trace_kind::help_finish, 2, 7, 3),
+      ev(45, trace_kind::deq_complete, 3, 7, 1),  // t2's arrow lands here
+      ev(50, trace_kind::help_start, 1, 9, 2),    // left open: unmatched
+      ev(52, trace_kind::help_start, 3, 4, 0),
+      ev(54, trace_kind::help_finish, 3, 4, 0),
+      ev(55, trace_kind::deq_complete, 0, 4, 0),  // publish lost; t3's arrow
+      ev(60, trace_kind::retire, 2, 0, 5),
+  };
+  const std::string doc = trace_to_timeline(events, ns_cal());
+  const wf_trace_report r = analyze_trace(events);
+  EXPECT_EQ(r.help_episodes, 3u);
+  EXPECT_EQ(r.unmatched_helps, 3u);
+  EXPECT_EQ(r.ops(), 3u);
+  EXPECT_EQ(count_of(doc, "\"cat\":\"help\""), r.help_episodes);
+
+  // Every arrow's "f" end sits on a completion the report counted.
+  const tick_calibration cal = based_at_first(events);
+  std::set<std::pair<std::uint32_t, double>> completions;
+  for (const trace_event& e : events) {
+    if (e.kind == trace_kind::enq_complete ||
+        e.kind == trace_kind::deq_complete) {
+      completions.insert({e.tid, cal.to_us(e.ts)});
+    }
+  }
+  ASSERT_EQ(completions.size(), r.ops());
+  std::size_t arrows = 0;
+  for (const flow_end& f : flow_ends(doc)) {
+    if (f.ph != 'f') continue;
+    ++arrows;
+    EXPECT_EQ(completions.count({f.tid, f.ts}), 1u)
+        << "f end at tid " << f.tid << ", ts " << f.ts;
+  }
+  EXPECT_EQ(arrows, 3u);
+}
+
+TEST(ObsTimelineAgreement, FlowArrowsMatchABruteForceSearch) {
+  // Four threads run operations and helping episodes at random; phases
+  // come from a small range, so a victim has many completions per phase
+  // and the arrow must pick the first one at or after the help began.
+  constexpr std::uint32_t kThreads = 4;
+  constexpr std::uint64_t kEpisodes = 3000;
+  struct thread_state {
+    bool in_op = false, is_enq = false, helping = false;
+    std::int64_t phase = 0, victim_phase = 0;
+    std::uint32_t victim = 0;
+  };
+  std::array<thread_state, kThreads> st{};
+  fast_rng rng(49);
+  std::vector<trace_event> events;
+  std::uint64_t ts = 100, started = 0;
+  while (started < kEpisodes) {
+    ts += 1 + rng.next() % 4;
+    const auto t = static_cast<std::uint32_t>(rng.next() % kThreads);
+    thread_state& s = st[t];
+    if (rng.coin()) {
+      if (!s.in_op) {
+        s.is_enq = rng.coin();
+        s.phase = static_cast<std::int64_t>(rng.next() % 64);
+        events.push_back(ev(ts, s.is_enq ? trace_kind::enq_publish
+                                         : trace_kind::deq_publish,
+                            t, s.phase));
+      } else {
+        events.push_back(ev(ts, s.is_enq ? trace_kind::enq_complete
+                                         : trace_kind::deq_complete,
+                            t, s.phase, s.is_enq ? 0 : 1));
+      }
+      s.in_op = !s.in_op;
+    } else {
+      if (!s.helping) {
+        s.victim = static_cast<std::uint32_t>(rng.next() % kThreads);
+        s.victim_phase = static_cast<std::int64_t>(rng.next() % 64);
+        events.push_back(
+            ev(ts, trace_kind::help_start, t, s.victim_phase, s.victim));
+        ++started;
+      } else {
+        events.push_back(
+            ev(ts, trace_kind::help_finish, t, s.victim_phase, s.victim));
+      }
+      s.helping = !s.helping;
+    }
+  }
+
+  // Brute force, in finish order: each episode's arrow goes to the
+  // victim's first completion with the episode's phase at or after the
+  // help_start, searched over the whole trace.
+  const tick_calibration cal = based_at_first(events);
+  using arrow = std::tuple<std::uint32_t, double, std::uint32_t, double>;
+  std::vector<arrow> expected;
+  std::array<const trace_event*, kThreads> open{};
+  std::uint64_t episodes = 0;
+  for (const trace_event& e : events) {
+    if (e.kind == trace_kind::help_start) open[e.tid] = &e;
+    if (e.kind != trace_kind::help_finish) continue;
+    ++episodes;
+    for (const trace_event& c : events) {
+      if ((c.kind == trace_kind::enq_complete ||
+           c.kind == trace_kind::deq_complete) &&
+          c.tid == e.aux && c.phase == e.phase && c.ts >= open[e.tid]->ts) {
+        expected.emplace_back(e.tid, cal.to_us(e.ts), c.tid, cal.to_us(c.ts));
+        break;
+      }
+    }
+  }
+  ASSERT_GT(expected.size(), kEpisodes / 2);
+
+  const std::string doc = trace_to_timeline(events, ns_cal());
+  const std::vector<flow_end> ends = flow_ends(doc);
+  ASSERT_EQ(ends.size(), 2 * expected.size());
+  std::vector<arrow> got(expected.size());
+  for (const flow_end& f : ends) {
+    ASSERT_GE(f.id, 1u);
+    ASSERT_LE(f.id, got.size());
+    arrow& a = got[f.id - 1];
+    if (f.ph == 's') {
+      std::get<0>(a) = f.tid;
+      std::get<1>(a) = f.ts;
+    } else {
+      std::get<2>(a) = f.tid;
+      std::get<3>(a) = f.ts;
+    }
+  }
+  EXPECT_EQ(got, expected);
+  const wf_trace_report r = analyze_trace(events);
+  EXPECT_EQ(r.help_episodes, episodes);
+  EXPECT_EQ(count_of(doc, "\"cat\":\"help\""), r.help_episodes);
 }
 
 }  // namespace

@@ -412,7 +412,7 @@ TEST(ObsWfMetrics, ConcurrentRecordingLosesNoSample) {
   std::uint64_t dropped = 0;
   const auto events = domain.drain_all(&dropped);
   EXPECT_EQ(dropped, 0u);
-  const wf_trace_report r = analyze_trace(events, dropped, kThreads);
+  const wf_trace_report r = analyze_trace(events, dropped);
   EXPECT_EQ(r.help_episodes, std::uint64_t{kThreads} * kEpisodes);
   EXPECT_EQ(r.help_latency.size(), r.help_episodes);
   EXPECT_EQ(r.unmatched_helps, 0u);
@@ -516,7 +516,7 @@ void run_pairs(Q& q) {
 void expect_trace_of_pairs(std::uint64_t enqs, std::uint64_t deqs) {
   std::uint64_t dropped = 0;
   const auto events = global_trace().drain_all(&dropped);
-  const wf_trace_report r = analyze_trace(events, dropped, kThreads);
+  const wf_trace_report r = analyze_trace(events, dropped);
   if (dropped == 0) {
     EXPECT_EQ(r.enq_ops, enqs);
     EXPECT_EQ(r.deq_ops, deqs);
@@ -618,7 +618,7 @@ TEST(ObsTracedQueue, TraceAndCountersOfOneRunAgree) {
 
   std::uint64_t dropped = 0;
   const wf_trace_report r =
-      analyze_trace(global_trace().drain_all(&dropped), dropped, 3);
+      analyze_trace(global_trace().drain_all(&dropped), dropped);
   const wf_counters c = q.aggregate_counters();
   EXPECT_EQ(dropped, 0u);
   EXPECT_EQ(r.enq_ops, c.enq_ops);

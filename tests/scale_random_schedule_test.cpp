@@ -2,7 +2,8 @@
 // per-shard FIFO, no-loss/no-dup, and per-shard empty honesty, with 2–8
 // shards.
 //
-// The real sharded_queue runs under the baton scheduler
+// The real sharded_queue, and async_sharded's synchronous face (the same
+// front-end over async_mpmc shards), run under the baton scheduler
 // (tests/support/baton.hpp) with the affinity policy, over opt WF shards
 // whose every shared access is a scheduling point; a uniformly random
 // thread runs next at each one, so shard scans from different threads
@@ -29,6 +30,7 @@
 #include "harness/workload.hpp"
 #include "scale/sharded_queue.hpp"
 #include "support/baton.hpp"
+#include "support/sharded_faces.hpp"
 #include "verify/fifo_checker.hpp"
 #include "verify/history.hpp"
 #include "verify/lin_checker.hpp"
@@ -76,6 +78,7 @@ struct outcome {
   std::uint64_t enqueued = 0, dequeued = 0, drained = 0;
 };
 
+template <typename Face>
 outcome run_sharded_random(baton& b, std::uint64_t seed, std::uint32_t shards,
                            std::uint32_t ops_per_thread,
                            std::uint32_t enq_bias) {
@@ -90,8 +93,10 @@ outcome run_sharded_random(baton& b, std::uint64_t seed, std::uint32_t shards,
 
   outcome o;
   o.history.resize(shards);
-  sharded_queue<recorded_shard> q(shards, threads, [&](std::uint32_t s) {
-    return std::make_unique<recorded_shard>(threads, b, o.history[s]);
+  using front = testing::sharded_front<Face, recorded_shard>;
+  front q(shards, [&](std::uint32_t s) {
+    return std::make_unique<typename front::inner_type>(threads, b,
+                                                        o.history[s]);
   });
   testing::random_chooser c(rng.next());
   for (const op_event& e : testing::run_programs(b, c, q, progs)) {
@@ -107,7 +112,8 @@ outcome run_sharded_random(baton& b, std::uint64_t seed, std::uint32_t shards,
   for (std::uint32_t s = 0; s < shards; ++s) {
     std::vector<op_event> explored = o.history[s];
     const std::vector<std::uint64_t> drained =
-        testing::drain(q.shard(s).inner(), 0, &o.history[s]);
+        testing::drain(testing::inner_of(q.shard(s)).inner(), 0,
+                       &o.history[s]);
     o.drained += drained.size();
     const check_result r = fifo_checker::check(explored, drained);
     if (!r.ok) {
@@ -118,42 +124,47 @@ outcome run_sharded_random(baton& b, std::uint64_t seed, std::uint32_t shards,
   return o;
 }
 
-TEST(ShardedRandomSchedule, TwoShards) {
+template <typename Face>
+class ShardedRandomSchedule : public ::testing::Test {};
+TYPED_TEST_SUITE(ShardedRandomSchedule, testing::sharded_faces,
+                 testing::face_name);
+
+TYPED_TEST(ShardedRandomSchedule, TwoShards) {
   baton b(4);
   for (std::uint64_t seed = 1; seed <= 600; ++seed) {
-    auto o = run_sharded_random(b, seed, 2, /*ops=*/6, 60);
+    auto o = run_sharded_random<TypeParam>(b, seed, 2, /*ops=*/6, 60);
     ASSERT_TRUE(o.per_shard.ok) << "seed " << seed << ":\n"
                                 << o.per_shard.to_string();
     ASSERT_EQ(o.enqueued, o.dequeued + o.drained) << "seed " << seed;
   }
 }
 
-TEST(ShardedRandomSchedule, FourShardsWideFan) {
+TYPED_TEST(ShardedRandomSchedule, FourShardsWideFan) {
   baton b(8);
   for (std::uint64_t seed = 1; seed <= 400; ++seed) {
-    auto o = run_sharded_random(b, seed, 4, 4, 55);
+    auto o = run_sharded_random<TypeParam>(b, seed, 4, 4, 55);
     ASSERT_TRUE(o.per_shard.ok) << "seed " << seed << ":\n"
                                 << o.per_shard.to_string();
     ASSERT_EQ(o.enqueued, o.dequeued + o.drained) << "seed " << seed;
   }
 }
 
-TEST(ShardedRandomSchedule, EightShardsDequeueHeavy) {
+TYPED_TEST(ShardedRandomSchedule, EightShardsDequeueHeavy) {
   // More shards than busy producers: scans regularly sweep several empty
   // shards, hammering the empty-honesty and steal paths.
   baton b(6);
   for (std::uint64_t seed = 1; seed <= 300; ++seed) {
-    auto o = run_sharded_random(b, seed, 8, 5, 35);
+    auto o = run_sharded_random<TypeParam>(b, seed, 8, 5, 35);
     ASSERT_TRUE(o.per_shard.ok) << "seed " << seed << ":\n"
                                 << o.per_shard.to_string();
     ASSERT_EQ(o.enqueued, o.dequeued + o.drained) << "seed " << seed;
   }
 }
 
-TEST(ShardedRandomSchedule, SmallRunsCrossCheckedExactlyPerShard) {
+TYPED_TEST(ShardedRandomSchedule, SmallRunsCrossCheckedExactlyPerShard) {
   baton b(3);
   for (std::uint64_t seed = 1; seed <= 300; ++seed) {
-    auto o = run_sharded_random(b, seed, 2, 2, 50);
+    auto o = run_sharded_random<TypeParam>(b, seed, 2, 2, 50);
     ASSERT_TRUE(o.per_shard.ok) << "seed " << seed << ":\n"
                                 << o.per_shard.to_string();
     for (std::size_t s = 0; s < o.history.size(); ++s) {

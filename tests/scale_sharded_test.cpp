@@ -1,8 +1,9 @@
 // Tests for the sharded front-end: concept conformance, routing per
 // policy, the work-stealing dequeue scan (and the order in which it visits
-// shards), per-shard counters, memory accounting flow-through, and
-// real-thread stress runs validated with the per-shard FIFO partition of
-// the whole-run checker.
+// shards), per-shard counters, memory accounting flow-through — each over
+// sharded_queue and async_sharded's synchronous face — and real-thread
+// stress runs validated with the per-shard FIFO partition of the whole-run
+// checker.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -12,6 +13,7 @@
 #include <optional>
 #include <string>
 #include <thread>
+#include <type_traits>
 #include <unordered_map>
 #include <vector>
 
@@ -20,6 +22,7 @@
 #include "core/wf_queue_fps.hpp"
 #include "harness/workload.hpp"
 #include "scale/sharded_queue.hpp"
+#include "support/sharded_faces.hpp"
 #include "sync/spin_barrier.hpp"
 #include "verify/fifo_checker.hpp"
 #include "verify/history.hpp"
@@ -29,25 +32,47 @@ namespace {
 
 using inner_q = wf_queue_opt<std::uint64_t>;
 using sharded_wf = sharded_queue<inner_q>;
+using testing::inner_of;
 
 static_assert(mpmc_queue<sharded_wf>);
 static_assert(mpmc_queue_autotid<sharded_wf>);
 static_assert(mpmc_queue<sharded_queue<ms_queue<std::uint64_t>>>);
 
-TEST(ShardedQueue, AffinityRoutesProducerToHomeShard) {
-  sharded_wf q(/*shards=*/4, /*max_threads=*/8);
+// The routing, scan and empty-honesty cases run over every face of the
+// front-end (tests/support/sharded_faces.hpp).
+template <typename Face, typename Q = inner_q, typename Policy = affinity_shards>
+using front = testing::sharded_front<Face, Q, Policy>;
+
+template <typename Front>
+std::size_t shard_size(const Front& q, std::uint32_t s) {
+  return inner_of(q.shard(s)).unsafe_size();
+}
+
+template <typename Front>
+std::size_t total_size(const Front& q) {
+  std::size_t n = 0;
+  for (std::uint32_t s = 0; s < q.shard_count(); ++s) n += shard_size(q, s);
+  return n;
+}
+
+template <typename Face>
+class ShardedQueue : public ::testing::Test {};
+TYPED_TEST_SUITE(ShardedQueue, testing::sharded_faces, testing::face_name);
+
+TYPED_TEST(ShardedQueue, AffinityRoutesProducerToHomeShard) {
+  front<TypeParam> q(/*shards=*/4, /*max_threads=*/8);
   q.enqueue(1, /*tid=*/0);  // 0 % 4 == 0
   q.enqueue(2, /*tid=*/5);  // 5 % 4 == 1
   q.enqueue(3, /*tid=*/6);  // 6 % 4 == 2
-  EXPECT_EQ(q.shard(0).unsafe_size(), 1u);
-  EXPECT_EQ(q.shard(1).unsafe_size(), 1u);
-  EXPECT_EQ(q.shard(2).unsafe_size(), 1u);
-  EXPECT_EQ(q.shard(3).unsafe_size(), 0u);
-  EXPECT_EQ(q.unsafe_size(), 3u);
+  EXPECT_EQ(shard_size(q, 0), 1u);
+  EXPECT_EQ(shard_size(q, 1), 1u);
+  EXPECT_EQ(shard_size(q, 2), 1u);
+  EXPECT_EQ(shard_size(q, 3), 0u);
+  EXPECT_EQ(total_size(q), 3u);
 }
 
-TEST(ShardedQueue, PerShardFifoForOneProducer) {
-  sharded_wf q(4, 4);
+TYPED_TEST(ShardedQueue, PerShardFifoForOneProducer) {
+  front<TypeParam> q(4, 4);
   for (std::uint64_t i = 0; i < 100; ++i) q.enqueue(i, 1);
   for (std::uint64_t i = 0; i < 100; ++i) {
     EXPECT_EQ(q.dequeue(1), std::optional<std::uint64_t>(i));
@@ -55,8 +80,8 @@ TEST(ShardedQueue, PerShardFifoForOneProducer) {
   EXPECT_EQ(q.dequeue(1), std::nullopt);
 }
 
-TEST(ShardedQueue, DequeueScanStealsFromPeerShards) {
-  sharded_wf q(2, 4);
+TYPED_TEST(ShardedQueue, DequeueScanStealsFromPeerShards) {
+  front<TypeParam> q(2, 4);
   q.enqueue(42, 0);  // lands on shard 0
   // tid 1's home is shard 1 (empty) — the scan must wrap and steal.
   EXPECT_EQ(q.dequeue(1), std::optional<std::uint64_t>(42));
@@ -70,18 +95,20 @@ TEST(ShardedQueue, DequeueScanStealsFromPeerShards) {
   EXPECT_EQ(q.shard_counters_snapshot(0).stolen, 1u);
 }
 
-TEST(ShardedQueue, EmptyScanVisitsEveryShardOnce) {
-  sharded_wf q(8, 8);
+TYPED_TEST(ShardedQueue, EmptyScanVisitsEveryShardOnce) {
+  front<TypeParam> q(8, 8);
   EXPECT_EQ(q.dequeue(3), std::nullopt);
-  EXPECT_TRUE(q.empty_hint(3));
+  if constexpr (std::is_same_v<TypeParam, testing::plain_face>) {
+    EXPECT_TRUE(q.empty_hint(3));  // async_mpmc shards have no empty_hint
+  }
   EXPECT_EQ(q.shard_counters_snapshot(3).empty_scans, 1u);  // home of tid 3
   const shard_stats total = q.aggregate_counters();
   EXPECT_EQ(total.empty_scans, 1u);
   EXPECT_EQ(total.dequeued, 0u);
 }
 
-TEST(ShardedQueue, DepthCountersTrackLiveItems) {
-  sharded_wf q(2, 2);
+TYPED_TEST(ShardedQueue, DepthCountersTrackLiveItems) {
+  front<TypeParam> q(2, 2);
   for (std::uint64_t i = 0; i < 5; ++i) q.enqueue(i, 0);
   for (std::uint64_t i = 0; i < 3; ++i) q.enqueue(i, 1);
   (void)q.dequeue(0);
@@ -89,7 +116,7 @@ TEST(ShardedQueue, DepthCountersTrackLiveItems) {
   EXPECT_EQ(q.shard_counters_snapshot(0).depth(), 3);
   EXPECT_EQ(q.shard_counters_snapshot(1).depth(), 3);
   EXPECT_EQ(q.aggregate_counters().depth(), 6);
-  EXPECT_EQ(q.unsafe_size(), 6u);
+  EXPECT_EQ(total_size(q), 6u);
 }
 
 TEST(ShardStats, DepthStealRateAndSum) {
@@ -106,26 +133,18 @@ TEST(ShardStats, DepthStealRateAndSum) {
   EXPECT_EQ(s.depth(), 1);
 }
 
-TEST(ShardedQueue, RoundRobinSpreadsEnqueuesEvenly) {
-  sharded_queue<inner_q, round_robin_shards> q(4, 2);
-  for (std::uint64_t i = 0; i < 8; ++i) q.enqueue(i, 0);
-  for (std::uint32_t s = 0; s < 4; ++s) {
-    EXPECT_EQ(q.shard(s).unsafe_size(), 2u) << "shard " << s;
-  }
-}
-
-TEST(ShardedQueue, KeyHashKeepsEqualKeysTogether) {
+TYPED_TEST(ShardedQueue, KeyHashKeepsEqualKeysTogether) {
   // Values sharing value_tid (the default key) must land on one shard even
   // when enqueued by different threads.
-  sharded_queue<inner_q, key_hash_shards<>> q(4, 4);
+  front<TypeParam, inner_q, key_hash_shards<>> q(4, 4);
   q.enqueue(encode_value(/*key tid=*/7, 0), /*tid=*/0);
   q.enqueue(encode_value(7, 1), 1);
   q.enqueue(encode_value(7, 2), 2);
   std::uint32_t nonempty = 0;
   for (std::uint32_t s = 0; s < 4; ++s) {
-    if (q.shard(s).unsafe_size() > 0) {
+    if (shard_size(q, s) > 0) {
       ++nonempty;
-      EXPECT_EQ(q.shard(s).unsafe_size(), 3u);
+      EXPECT_EQ(shard_size(q, s), 3u);
     }
   }
   EXPECT_EQ(nonempty, 1u);
@@ -135,11 +154,11 @@ TEST(ShardedQueue, KeyHashKeepsEqualKeysTogether) {
   EXPECT_EQ(value_seq(*q.dequeue(3)), 2u);
 }
 
-TEST(ShardedQueue, RunFromOneTidStaysOnItsHomeShardAndCounts) {
-  sharded_wf q(4, 4);
+TYPED_TEST(ShardedQueue, RunFromOneTidStaysOnItsHomeShardAndCounts) {
+  front<TypeParam> q(4, 4);
   const std::vector<std::uint64_t> in{10, 11, 12, 13, 14, 15, 16, 17, 18, 19};
   for (std::uint64_t v : in) q.enqueue(v, /*tid=*/1);
-  EXPECT_EQ(q.shard(1).unsafe_size(), 10u);  // every item on tid's shard
+  EXPECT_EQ(shard_size(q, 1), 10u);  // every item on tid's shard
   EXPECT_EQ(q.shard_counters_snapshot(1).enqueued, 10u);
   EXPECT_EQ(q.aggregate_counters().enqueued, 10u);
 
@@ -152,8 +171,8 @@ TEST(ShardedQueue, RunFromOneTidStaysOnItsHomeShardAndCounts) {
   EXPECT_EQ(s1.empty_scans, 1u);  // the call that stopped the drain
 }
 
-TEST(ShardedQueue, DrainTakesHomeFirstThenStealsAcrossShards) {
-  sharded_wf q(2, 4);
+TYPED_TEST(ShardedQueue, DrainTakesHomeFirstThenStealsAcrossShards) {
+  front<TypeParam> q(2, 4);
   q.enqueue(1, 0);  // shard 0
   q.enqueue(2, 0);
   q.enqueue(3, 1);  // shard 1
@@ -165,10 +184,10 @@ TEST(ShardedQueue, DrainTakesHomeFirstThenStealsAcrossShards) {
   EXPECT_EQ(q.shard_counters_snapshot(1).stolen, 2u);
 }
 
-TEST(ShardedQueue, MemoryCountersFlowThroughToInnerQueues) {
+TYPED_TEST(ShardedQueue, MemoryCountersFlowThroughToInnerQueues) {
   mem_counters mc;
   {
-    sharded_wf q(4, 4, &mc);
+    front<TypeParam> q(4, 4, &mc);
     EXPECT_GT(mc.live_bytes(), 0);  // the shards' sentinels
     const std::int64_t baseline = mc.live_bytes();
     for (std::uint64_t i = 0; i < 64; ++i) q.enqueue(i, i % 4);
@@ -205,14 +224,15 @@ struct probe_queue {
 };
 static_assert(mpmc_queue<probe_queue>);
 
-template <typename Policy = affinity_shards>
-using probed = sharded_queue<probe_queue, Policy>;
+template <typename Face, typename Policy = affinity_shards>
+using probed = front<Face, probe_queue, Policy>;
 
-template <typename Policy = affinity_shards>
-probed<Policy> make_probed(std::uint32_t shards, std::uint32_t max_threads,
-                           std::vector<std::uint32_t>& visits) {
-  return probed<Policy>(shards, max_threads, [&visits](std::uint32_t s) {
-    return std::make_unique<probe_queue>(s, &visits);
+template <typename Face, typename Policy = affinity_shards>
+probed<Face, Policy> make_probed(std::uint32_t shards,
+                                 std::vector<std::uint32_t>& visits) {
+  using shard = typename probed<Face, Policy>::inner_type;
+  return probed<Face, Policy>(shards, [&visits](std::uint32_t s) {
+    return std::make_unique<shard>(s, &visits);
   });
 }
 
@@ -227,108 +247,117 @@ std::vector<std::uint32_t> scan_order(std::uint32_t shards,
   return order;
 }
 
-// Parameter: shard count. Thread ids run past the shard count so that
-// homes wrap (tid % S) and every shard is some thread's home.
-class ShardedScanOrder : public ::testing::TestWithParam<std::uint32_t> {
+// Each case runs at several shard counts. Thread ids run past the shard
+// count so that homes wrap (tid % S) and every shard is some thread's home.
+template <typename Face>
+class ShardedScanOrder : public ::testing::Test {
  protected:
-  std::uint32_t shards() const { return GetParam(); }
-  std::uint32_t threads() const { return 2 * GetParam() + 1; }
+  template <typename Body>
+  static void for_each_shard_count(Body body) {
+    for (std::uint32_t shards : {1u, 2u, 3u, 5u}) {
+      SCOPED_TRACE("S" + std::to_string(shards));
+      body(shards, 2 * shards + 1);
+    }
+  }
 };
+TYPED_TEST_SUITE(ShardedScanOrder, testing::sharded_faces, testing::face_name);
 
-TEST_P(ShardedScanOrder, EmptyDequeueVisitsHomeThenOthersInIndexOrder) {
-  std::vector<std::uint32_t> visits;
-  auto q = make_probed(shards(), threads(), visits);
-  std::vector<std::uint64_t> homes(shards(), 0);
-  for (std::uint32_t tid = 0; tid < threads(); ++tid) {
-    visits.clear();
-    EXPECT_EQ(q.dequeue(tid), std::nullopt);
-    EXPECT_EQ(visits, scan_order(shards(), tid % shards())) << "tid " << tid;
-    ++homes[tid % shards()];
-  }
-  // An empty scan is charged to the scanning thread's home shard.
-  for (std::uint32_t s = 0; s < shards(); ++s) {
-    EXPECT_EQ(q.shard_counters_snapshot(s).empty_scans, homes[s])
-        << "shard " << s;
-  }
-}
-
-TEST_P(ShardedScanOrder, EveryEmptyDequeueRescansAndIsCounted) {
-  std::vector<std::uint32_t> visits;
-  auto q = make_probed(shards(), threads(), visits);
-  for (std::uint32_t tid = 0; tid < threads(); ++tid) {
-    visits.clear();
-    EXPECT_EQ(q.dequeue(tid), std::nullopt);
-    EXPECT_EQ(q.dequeue(tid), std::nullopt);
-    // No memory of the last empty scan: the second call walks it again.
-    std::vector<std::uint32_t> twice = scan_order(shards(), tid % shards());
-    twice.insert(twice.end(), twice.begin(), twice.end());
-    EXPECT_EQ(visits, twice) << "tid " << tid;
-  }
-  EXPECT_EQ(q.aggregate_counters().empty_scans, 2u * threads());
-  EXPECT_EQ(q.aggregate_counters().dequeued, 0u);
-}
-
-TEST_P(ShardedScanOrder, DequeueStopsAtTheFirstShardThatYieldsAnItem) {
-  for (std::uint32_t tid = 0; tid < threads(); ++tid) {
-    const std::uint32_t home = tid % shards();
-    const std::vector<std::uint32_t> order = scan_order(shards(), home);
-    for (std::size_t pos = 0; pos < order.size(); ++pos) {
-      const std::uint32_t target = order[pos];
-      std::vector<std::uint32_t> visits;
-      auto q = make_probed(shards(), threads(), visits);
-      q.enqueue(100 + target, /*tid=*/target);  // affinity: lands on target
-      ASSERT_EQ(q.shard(target).unsafe_size(), 1u);
-      visits.clear();
-      EXPECT_EQ(q.dequeue(tid), std::optional<std::uint64_t>(100 + target));
-      const std::vector<std::uint32_t> prefix(order.begin(),
-                                              order.begin() + pos + 1);
-      EXPECT_EQ(visits, prefix) << "tid " << tid << ", item on " << target;
-      const shard_stats st = q.shard_counters_snapshot(target);
-      EXPECT_EQ(st.dequeued, 1u);
-      EXPECT_EQ(st.stolen, target == home ? 0u : 1u);
-      EXPECT_EQ(q.aggregate_counters().empty_scans, 0u);
-    }
-  }
-}
-
-TEST_P(ShardedScanOrder, DrainEmptiesHomeThenStealsFromTheNextShard) {
-  for (std::uint32_t tid = 0; tid < threads(); ++tid) {
-    const std::uint32_t home = tid % shards();
-    const std::vector<std::uint32_t> order = scan_order(shards(), home);
+TYPED_TEST(ShardedScanOrder, EmptyDequeueVisitsHomeThenOthersInIndexOrder) {
+  this->for_each_shard_count([](std::uint32_t shards, std::uint32_t threads) {
     std::vector<std::uint32_t> visits;
-    auto q = make_probed(shards(), threads(), visits);
-    for (std::uint32_t s = 0; s < shards(); ++s) {
-      for (std::uint64_t i = 0; i < 3; ++i) q.enqueue(10 * s + i, s);
+    auto q = make_probed<TypeParam>(shards, visits);
+    std::vector<std::uint64_t> homes(shards, 0);
+    for (std::uint32_t tid = 0; tid < threads; ++tid) {
+      visits.clear();
+      EXPECT_EQ(q.dequeue(tid), std::nullopt);
+      EXPECT_EQ(visits, scan_order(shards, tid % shards)) << "tid " << tid;
+      ++homes[tid % shards];
     }
-    visits.clear();
-    // Four dequeues, one more than home holds: three hit home, the fourth
-    // finds home empty and takes the first item of the next shard in scan
-    // order, visiting nothing after it.
-    std::vector<std::uint64_t> out;
-    for (int call = 0; call < 4; ++call) {
-      if (auto v = q.dequeue(tid)) out.push_back(*v);
+    // An empty scan is charged to the scanning thread's home shard.
+    for (std::uint32_t s = 0; s < shards; ++s) {
+      EXPECT_EQ(q.shard_counters_snapshot(s).empty_scans, homes[s])
+          << "shard " << s;
     }
-    std::vector<std::uint64_t> expect_out{10u * home, 10u * home + 1,
-                                          10u * home + 2};
-    std::vector<std::uint32_t> expect_visits{home, home, home, home};
-    if (shards() > 1) {
-      expect_out.push_back(10u * order[1]);
-      expect_visits.push_back(order[1]);
-    }
-    EXPECT_EQ(out, expect_out) << "tid " << tid;
-    EXPECT_EQ(visits, expect_visits) << "tid " << tid;
-    EXPECT_EQ(q.shard_counters_snapshot(home).stolen, 0u);
-    if (shards() > 1) {
-      EXPECT_EQ(q.shard_counters_snapshot(order[1]).stolen, 1u);
-    }
-  }
+  });
 }
 
-INSTANTIATE_TEST_SUITE_P(ShardCounts, ShardedScanOrder,
-                         ::testing::Values(1u, 2u, 3u, 5u),
-                         [](const ::testing::TestParamInfo<std::uint32_t>& i) {
-                           return "S" + std::to_string(i.param);
-                         });
+TYPED_TEST(ShardedScanOrder, EveryEmptyDequeueRescansAndIsCounted) {
+  this->for_each_shard_count([](std::uint32_t shards, std::uint32_t threads) {
+    std::vector<std::uint32_t> visits;
+    auto q = make_probed<TypeParam>(shards, visits);
+    for (std::uint32_t tid = 0; tid < threads; ++tid) {
+      visits.clear();
+      EXPECT_EQ(q.dequeue(tid), std::nullopt);
+      EXPECT_EQ(q.dequeue(tid), std::nullopt);
+      // No memory of the last empty scan: the second call walks it again.
+      std::vector<std::uint32_t> twice = scan_order(shards, tid % shards);
+      twice.insert(twice.end(), twice.begin(), twice.end());
+      EXPECT_EQ(visits, twice) << "tid " << tid;
+    }
+    EXPECT_EQ(q.aggregate_counters().empty_scans, 2u * threads);
+    EXPECT_EQ(q.aggregate_counters().dequeued, 0u);
+  });
+}
+
+TYPED_TEST(ShardedScanOrder, DequeueStopsAtTheFirstShardThatYieldsAnItem) {
+  this->for_each_shard_count([](std::uint32_t shards, std::uint32_t threads) {
+    for (std::uint32_t tid = 0; tid < threads; ++tid) {
+      const std::uint32_t home = tid % shards;
+      const std::vector<std::uint32_t> order = scan_order(shards, home);
+      for (std::size_t pos = 0; pos < order.size(); ++pos) {
+        const std::uint32_t target = order[pos];
+        std::vector<std::uint32_t> visits;
+        auto q = make_probed<TypeParam>(shards, visits);
+        q.enqueue(100 + target, /*tid=*/target);  // affinity: lands on target
+        ASSERT_EQ(shard_size(q, target), 1u);
+        visits.clear();
+        EXPECT_EQ(q.dequeue(tid), std::optional<std::uint64_t>(100 + target));
+        const std::vector<std::uint32_t> prefix(order.begin(),
+                                                order.begin() + pos + 1);
+        EXPECT_EQ(visits, prefix) << "tid " << tid << ", item on " << target;
+        const shard_stats st = q.shard_counters_snapshot(target);
+        EXPECT_EQ(st.dequeued, 1u);
+        EXPECT_EQ(st.stolen, target == home ? 0u : 1u);
+        EXPECT_EQ(q.aggregate_counters().empty_scans, 0u);
+      }
+    }
+  });
+}
+
+TYPED_TEST(ShardedScanOrder, DrainEmptiesHomeThenStealsFromTheNextShard) {
+  this->for_each_shard_count([](std::uint32_t shards, std::uint32_t threads) {
+    for (std::uint32_t tid = 0; tid < threads; ++tid) {
+      const std::uint32_t home = tid % shards;
+      const std::vector<std::uint32_t> order = scan_order(shards, home);
+      std::vector<std::uint32_t> visits;
+      auto q = make_probed<TypeParam>(shards, visits);
+      for (std::uint32_t s = 0; s < shards; ++s) {
+        for (std::uint64_t i = 0; i < 3; ++i) q.enqueue(10 * s + i, s);
+      }
+      visits.clear();
+      // Four dequeues, one more than home holds: three hit home, the fourth
+      // finds home empty and takes the first item of the next shard in scan
+      // order, visiting nothing after it.
+      std::vector<std::uint64_t> out;
+      for (int call = 0; call < 4; ++call) {
+        if (auto v = q.dequeue(tid)) out.push_back(*v);
+      }
+      std::vector<std::uint64_t> expect_out{10u * home, 10u * home + 1,
+                                            10u * home + 2};
+      std::vector<std::uint32_t> expect_visits{home, home, home, home};
+      if (shards > 1) {
+        expect_out.push_back(10u * order[1]);
+        expect_visits.push_back(order[1]);
+      }
+      EXPECT_EQ(out, expect_out) << "tid " << tid;
+      EXPECT_EQ(visits, expect_visits) << "tid " << tid;
+      EXPECT_EQ(q.shard_counters_snapshot(home).stolen, 0u);
+      if (shards > 1) {
+        EXPECT_EQ(q.shard_counters_snapshot(order[1]).stolen, 1u);
+      }
+    }
+  });
+}
 
 // Policy whose shard numbers exceed the shard count: enqueues route by
 // value, homes by 5 * tid + 2. The front-end reduces both modulo S.
@@ -342,15 +371,19 @@ struct unreduced_shards {
   }
 };
 
-TEST(ShardedRouting, EnqueueAndHomeShardsAreReducedModuloShardCount) {
+template <typename Face>
+class ShardedRouting : public ::testing::Test {};
+TYPED_TEST_SUITE(ShardedRouting, testing::sharded_faces, testing::face_name);
+
+TYPED_TEST(ShardedRouting, EnqueueAndHomeShardsAreReducedModuloShardCount) {
   std::vector<std::uint32_t> visits;
-  auto q = make_probed<unreduced_shards>(3, 4, visits);
+  auto q = make_probed<TypeParam, unreduced_shards>(3, visits);
   q.enqueue(7, /*tid=*/0);   // 7 % 3 == 1
   q.enqueue(9, /*tid=*/0);   // 9 % 3 == 0
   q.enqueue(11, /*tid=*/0);  // 11 % 3 == 2
-  EXPECT_EQ(q.shard(0).unsafe_size(), 1u);
-  EXPECT_EQ(q.shard(1).unsafe_size(), 1u);
-  EXPECT_EQ(q.shard(2).unsafe_size(), 1u);
+  EXPECT_EQ(shard_size(q, 0), 1u);
+  EXPECT_EQ(shard_size(q, 1), 1u);
+  EXPECT_EQ(shard_size(q, 2), 1u);
   EXPECT_EQ(q.shard_counters_snapshot(1).enqueued, 1u);
 
   // tid 1: (5 + 2) % 3 == 1 is home, so its scan is 1, 0, 2.
@@ -367,16 +400,16 @@ TEST(ShardedRouting, EnqueueAndHomeShardsAreReducedModuloShardCount) {
   EXPECT_EQ(q.shard_counters_snapshot(2).stolen, 1u);
 }
 
-TEST(ShardedRouting, ItemsWithOneRouteShareAShardInEnqueueOrder) {
+TYPED_TEST(ShardedRouting, ItemsWithOneRouteShareAShardInEnqueueOrder) {
   std::vector<std::uint32_t> visits;
-  auto q = make_probed<unreduced_shards>(3, 4, visits);
+  auto q = make_probed<TypeParam, unreduced_shards>(3, visits);
   // Each item routes on its own value; 7, 10 and 13 all reduce to 1.
   const std::vector<std::uint64_t> run{7, 10, 13};
   for (std::uint64_t v : run) q.enqueue(v, /*tid=*/0);
   q.enqueue(8, /*tid=*/0);  // 8 % 3 == 2: the next item routes away
-  EXPECT_EQ(q.shard(0).unsafe_size(), 0u);
-  EXPECT_EQ(q.shard(1).unsafe_size(), 3u);
-  EXPECT_EQ(q.shard(2).unsafe_size(), 1u);
+  EXPECT_EQ(shard_size(q, 0), 0u);
+  EXPECT_EQ(shard_size(q, 1), 3u);
+  EXPECT_EQ(shard_size(q, 2), 1u);
   EXPECT_EQ(q.shard_counters_snapshot(1).enqueued, 3u);
   EXPECT_EQ(q.shard_counters_snapshot(2).enqueued, 1u);
   // tid 1's home is 1: the run comes back in order without a steal.

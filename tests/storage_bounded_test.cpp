@@ -10,7 +10,6 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdint>
-#include <memory>
 #include <thread>
 #include <vector>
 
@@ -394,13 +393,11 @@ TEST(BoundedOverwrite, DegradesToRejectWhenEmptyButOverCeiling) {
 
 // ------------------------------------------------ sharded-over-bounded
 
-TEST(BoundedSharded, ComposesThroughTheFactoryConstructor) {
+TEST(BoundedSharded, ComposesFromOneArgumentList) {
   constexpr std::uint32_t kShards = 2, n = 2;
   bounded_config cfg{.max_bytes = std::size_t{1} << 22,
                      .policy = full_policy::reject};
-  sharded_queue<bq> q(kShards, n, [&](std::uint32_t) {
-    return std::make_unique<bq>(n, cfg);
-  });
+  sharded_queue<bq> q(kShards, n, cfg);  // every shard is bq(n, cfg)
 
   constexpr std::uint64_t kPerTid = 500;
   for (std::uint64_t i = 0; i < kPerTid; ++i) {
